@@ -11,8 +11,7 @@ from .attention import (AttentionConfig, AttentionOutput, AttentionTape,
                         MultiHeadConfig, MultiHeadParams, MultiHeadTape,
                         init_multi_head, linearized_attention,
                         linearized_attention_into, linearized_grid,
-                        multi_head_forward, multi_head_ripple, ripple_dp,
-                        ripple_dp_dyadic, ripple_naive,
+                        multi_head_forward, ripple_dp, ripple_naive,
                         ripple_softmax_reference, softmax_attention)
 from .bench import (BenchPlan, BenchRecord, SlopeFit, fit_loglog, fit_slope,
                     memory_probe, run_bench, summarize, write_csv)

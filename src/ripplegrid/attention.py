@@ -3,8 +3,19 @@
 Exact quadratic references (softmax over all pairs, per-group softmax), the
 linearized global form, and the locality-weighted group mechanism in two
 implementations that must agree: a per-member enumeration oracle and a
-prefix-sum dynamic program whose cost per query is the number of individually
-weighted groups plus one closed-form tail term.
+prefix-sum sweep.
+
+The sweep sums groups by parts. With W_g the clipped window out to group g's
+outer radius, T the grid total, m the merged tail weight and a_g the weight
+of group g (alpha_g before the halting index hat, m from it on),
+
+    sum_g alpha_g (W_g - W_{g-1}) + m (T - W_{hat-1})
+        = m T + sum_{g < hat} (a_g - a_{g+1}) W_g,
+
+so each head group costs one window and the tail costs none. The numerator
+and denominator of the linear-attention quotient share that sweep: it runs
+once over the field phi_k (x) [v, 1], whose last value column is the
+denominator stream.
 
 Forward passes record a tape holding every intermediate the analytic backward
 pass needs, so gradients never re-derive the forward numerics.
@@ -17,7 +28,7 @@ import numpy as np
 
 from .featmap import FeatureMapParams, feature_forward
 from .sat import SummedAreaTable
-from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members
+from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members, group_span
 from .weights import (StickParams, WeightGrid, WeightScheme, WeightSchemeKind,
                       scheme_weights_grid)
 
@@ -48,11 +59,9 @@ class AttentionTape:
     v: np.ndarray
     phi_q: np.ndarray          # (H, W, Dp)
     phi_k: np.ndarray          # (H, W, Dp)
-    sat_kv: SummedAreaTable    # prefix sums of phi_k v^T, channels (Dp, C)
-    sat_k: SummedAreaTable     # prefix sums of phi_k, channels (Dp,)
+    sat: SummedAreaTable       # prefix sums of phi_k (x) [v, 1], channels (Dp, C + 1)
     weights: WeightGrid
-    y_num: np.ndarray          # (H, W, Dp, C) weighted group sums, numerator stream
-    y_den: np.ndarray          # (H, W, Dp) weighted group sums, denominator stream
+    y: np.ndarray              # (H, W, Dp, C + 1) weighted group sums, denominator last
     num: np.ndarray            # (H, W, C)
     den: np.ndarray            # (H, W), stabilizer included
 
@@ -153,22 +162,18 @@ def _featurize(qgrid, kgrid, vgrid, config: AttentionConfig):
     return q, k, v, shape, pq, pk
 
 
-def _finalize(pq, y_num, y_den, epsilon):
-    num = np.einsum("hwd,hwdc->hwc", pq, y_num)
-    den = np.einsum("hwd,hwd->hw", pq, y_den) + epsilon
+def _augment(pk, v):
+    """phi_k (x) [v, 1]: the numerator stream with the denominator stream as its
+    last value column."""
+    ones = np.ones(v.shape[:2] + (1,))
+    return np.einsum("hwd,hwc->hwdc", pk, np.concatenate((v, ones), axis=-1))
+
+
+def _finalize(pq, y, epsilon):
+    both = np.einsum("hwd,hwdc->hwc", pq, y)
+    num, den = both[..., :-1], both[..., -1] + epsilon
     _check_denominator(den)
     return num, den, num / den[..., None]
-
-
-def _make_tape(config, q, k, v, pq, pk, wg, y_num, y_den, num, den,
-               sat_kv=None, sat_k=None):
-    if sat_kv is None:
-        sat_kv = SummedAreaTable(np.einsum("hwd,hwc->hwdc", pk, v))
-    if sat_k is None:
-        sat_k = SummedAreaTable(pk)
-    return AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
-                         sat_kv=sat_kv, sat_k=sat_k, weights=wg,
-                         y_num=y_num, y_den=y_den, num=num, den=den)
 
 
 def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
@@ -183,10 +188,8 @@ def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
     h, w = shape.height, shape.width
-    dp, c = pq.shape[2], v.shape[2]
-    x1 = np.einsum("hwd,hwc->hwdc", pk, v)
-    y_num = np.zeros((h, w, dp, c))
-    y_den = np.zeros((h, w, dp))
+    x = _augment(pk, v)
+    y = np.zeros(x.shape)
     for i in range(1, h + 1):
         for j in range(1, w + 1):
             for r in range(int(wg.groups[i - 1, j - 1])):
@@ -196,20 +199,26 @@ def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
                 rows = np.fromiter((m[0] - 1 for m in members), dtype=np.int64)
                 cols = np.fromiter((m[1] - 1 for m in members), dtype=np.int64)
                 a = wg.alphas[i - 1, j - 1, r]
-                y_num[i - 1, j - 1] += a * x1[rows, cols].sum(axis=0)
-                y_den[i - 1, j - 1] += a * pk[rows, cols].sum(axis=0)
-    num, den, out = _finalize(pq, y_num, y_den, config.epsilon)
-    tape = _make_tape(config, q, k, v, pq, pk, wg, y_num, y_den, num, den) \
-        if build_tape else None
+                y[i - 1, j - 1] += a * x[rows, cols].sum(axis=0)
+    num, den, out = _finalize(pq, y, config.epsilon)
+    tape = None
+    if build_tape:
+        tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
+                             sat=SummedAreaTable(x), weights=wg, y=y, num=num,
+                             den=den)
     return AttentionOutput(out=out, tape=tape)
 
 
-def _span_hi(kind: PartitionKind, g) -> np.ndarray:
-    """Outer radius of group g (vectorized); -1 for g < 0 (the empty prefix)."""
-    g = np.asarray(g)
-    if kind is PartitionKind.UNIT_RING:
-        return g
-    return np.where(g <= 0, g, 2 ** np.maximum(g, 0) - 1)
+def _sweep(sat: SummedAreaTable, wg: WeightGrid, kind: PartitionKind) -> np.ndarray:
+    """Weighted group sums of the tabled field by parts: m T plus one window
+    per head group."""
+    coefs = wg.window_coefs()
+    lift = (1,) * len(sat.channels)
+    y = wg.merged.reshape(wg.merged.shape + lift) * sat.total()
+    for g in range(coefs.shape[-1]):
+        coef = coefs[..., g].reshape(coefs.shape[:2] + lift)
+        y += coef * sat.window_sum_grid(group_span(kind, g)[1])
+    return y
 
 
 def _ripple_core(qgrid, kgrid, vgrid, config: AttentionConfig,
@@ -217,53 +226,19 @@ def _ripple_core(qgrid, kgrid, vgrid, config: AttentionConfig,
     q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
-    kind = config.partition.kind
-    x1 = np.einsum("hwd,hwc->hwdc", pk, v)
-    sat_kv = SummedAreaTable(x1)
-    sat_k = SummedAreaTable(pk)
-    h, w = shape.height, shape.width
-    dp, c = pq.shape[2], v.shape[2]
-    y_num = np.zeros((h, w, dp, c))
-    y_den = np.zeros((h, w, dp))
-    hat = wg.hat
-    prev1 = np.zeros_like(y_num)
-    prev2 = np.zeros_like(y_den)
-    # ascending sweep: each group is the difference of two nested windows
-    for g in range(int(hat.max())):
-        hi = int(_span_hi(kind, g))
-        cur1 = sat_kv.window_sum_grid(hi)
-        cur2 = sat_k.window_sum_grid(hi)
-        coef = np.where(g < hat, wg.alphas[..., g], 0.0)
-        y_num += coef[..., None, None] * (cur1 - prev1)
-        y_den += coef[..., None] * (cur2 - prev2)
-        prev1, prev2 = cur1, cur2
-    # everything past the halting index shares one weight, so it needs only
-    # the total minus the already-covered window
-    covered = _span_hi(kind, hat - 1)
-    tail1 = sat_kv.total() - sat_kv.window_sum_grid(covered)
-    tail2 = sat_k.total() - sat_k.window_sum_grid(covered)
-    y_num += wg.merged[..., None, None] * tail1
-    y_den += wg.merged[..., None] * tail2
-    num, den, out = _finalize(pq, y_num, y_den, config.epsilon)
-    tape = _make_tape(config, q, k, v, pq, pk, wg, y_num, y_den, num, den,
-                      sat_kv=sat_kv, sat_k=sat_k)
+    sat = SummedAreaTable(_augment(pk, v))
+    y = _sweep(sat, wg, config.partition.kind)
+    num, den, out = _finalize(pq, y, config.epsilon)
+    tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
+                         sat=sat, weights=wg, y=y, num=num, den=den)
     return AttentionOutput(out=out, tape=tape)
 
 
 def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
               weights: WeightGrid | None = None) -> AttentionOutput:
-    """Prefix-sum forward for the unit-ring partition; equals ripple_naive."""
-    if config.partition.kind is not PartitionKind.UNIT_RING:
-        raise ValueError("ripple_dp expects the unit-ring partition")
-    return _ripple_core(qgrid, kgrid, vgrid, config, weights)
-
-
-def ripple_dp_dyadic(qgrid, kgrid, vgrid, config: AttentionConfig,
-                     weights: WeightGrid | None = None) -> AttentionOutput:
-    """Prefix-sum forward over dyadic distance bands: the per-query sweep
-    length drops from the grid radius to its logarithm."""
-    if config.partition.kind is not PartitionKind.DYADIC:
-        raise ValueError("ripple_dp_dyadic expects the dyadic partition")
+    """Prefix-sum forward for either partition; equals ripple_naive. Over
+    dyadic bands the per-query sweep length drops from the grid radius to its
+    logarithm."""
     return _ripple_core(qgrid, kgrid, vgrid, config, weights)
 
 
@@ -425,9 +400,3 @@ def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
                          config=config, params=params)
     return out, tape
 
-
-def multi_head_ripple(xgrid, params: MultiHeadParams,
-                      config: MultiHeadConfig) -> np.ndarray:
-    """Multi-head grouped attention on a (H, W, model_dim) grid."""
-    out, _ = multi_head_forward(xgrid, params, config)
-    return out

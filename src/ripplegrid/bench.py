@@ -23,7 +23,7 @@ from statistics import median
 import numpy as np
 
 from .attention import (AttentionConfig, linearized_attention_into, ripple_dp,
-                        ripple_dp_dyadic, ripple_naive, softmax_attention)
+                        ripple_naive, softmax_attention)
 from .featmap import FeatureMapKind, init_feature_map
 from .vicinal import PartitionKind, PartitionScheme
 from .weights import WeightScheme, WeightSchemeKind
@@ -170,10 +170,9 @@ def _make_runner(variant: str, side: int, plan: BenchPlan):
         out = np.empty((side * side, plan.value_dim), dtype=v.dtype)
         return lambda: linearized_attention_into(out, qf, kf, vf, fm)
     cfg = _grouped_config(variant, side, plan)
-    fwd = {"naive": lambda: ripple_naive(q, k, v, cfg, build_tape=False),
-           "dp": lambda: ripple_dp(q, k, v, cfg),
-           "dyadic": lambda: ripple_dp_dyadic(q, k, v, cfg)}
-    return fwd[variant]
+    if variant == "naive":
+        return lambda: ripple_naive(q, k, v, cfg, build_tape=False)
+    return lambda: ripple_dp(q, k, v, cfg)
 
 
 def _gate(variant: str, plan: BenchPlan) -> None:
@@ -188,10 +187,8 @@ def _gate(variant: str, plan: BenchPlan) -> None:
     oracle = ripple_naive(q, k, v, cfg, build_tape=False).out
     if variant == "naive":
         candidate = oracle  # the enumeration path is the oracle
-    elif variant == "dp":
-        candidate = ripple_dp(q, k, v, cfg).out
     else:
-        candidate = ripple_dp_dyadic(q, k, v, cfg).out
+        candidate = ripple_dp(q, k, v, cfg).out
     rel = float(np.abs(candidate - oracle).max() / max(np.abs(oracle).max(), 1e-300))
     if rel > GATE_TOLERANCE:
         raise RuntimeError(

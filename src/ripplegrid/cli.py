@@ -280,7 +280,7 @@ def cmd_check(ctx: RunContext) -> int:
                          "pass --force to run anyway")
     import numpy as np
 
-    from .attention import AttentionConfig, ripple_dp, ripple_dp_dyadic, ripple_naive
+    from .attention import AttentionConfig, ripple_dp, ripple_naive
     from .featmap import FeatureMapKind, init_feature_map
     from .field import DenseField, write_field
     from .sat import sabotage_radius_offset
@@ -290,7 +290,6 @@ def cmd_check(ctx: RunContext) -> int:
     kinds = [WeightSchemeKind(s) for s in opts["schemes"]]
     partition = PartitionScheme(kind=PartitionKind(opts["partition"]),
                                 r_max=opts["r-max"], tau=opts["tau"])
-    fast = ripple_dp_dyadic if partition.kind is PartitionKind.DYADIC else ripple_dp
     np_dtype = np.float32 if ctx.dtype == "f32" else np.float64
     d = 6
 
@@ -316,9 +315,9 @@ def cmd_check(ctx: RunContext) -> int:
                 exact = ripple_naive(q, k, v, config, build_tape=False).out
                 if opts["sabotage"]:
                     with sabotage_radius_offset(1):
-                        got = fast(q, k, v, config).out
+                        got = ripple_dp(q, k, v, config).out
                 else:
-                    got = fast(q, k, v, config).out
+                    got = ripple_dp(q, k, v, config).out
                 rel = float(np.abs(got - exact).max()
                             / max(float(np.abs(exact).max()), 1e-300))
                 cell = max(cell, rel)

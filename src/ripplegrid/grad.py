@@ -4,17 +4,15 @@ Every gradient here is a closed-form vector-Jacobian product pulled off the
 tapes the forward passes record; nothing is differentiated numerically except
 in finite_diff_check, which exists to audit the rest of this module.
 
-The group-weighted pass has two structural tricks worth naming. First, the
-per-group weight gradient splits the same way the forward does: individually
-weighted head groups get per-group band inner products, while everything past
-the halting index shares one weight and therefore one gradient, computable
-from the total minus the covered window. Second, scatter gradients back to
-token positions without enumerating members: weight fields of the form
-coef[i, j] * upstream[i, j] are themselves prefix-summed, so the gradient a
-token receives from every query whose group-r band contains it is one band sum
-over that derived field. The shared-tail contribution collapses further: every
-token lies inside every query's group range, so the tail pushes one global sum.
-Both tricks keep the backward fetch count at O(H W R), matching the forward.
+The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
+(see the attention module), so its backward needs no new structure. The
+weight gradients are inner products of the cotangent with each window W_g,
+differenced over g. The token gradients are the sweep's adjoint: a Chebyshev
+window around a query contains a token exactly when the same window around
+the token contains the query, so the gradient a token receives is one window
+of the field c_g * cotangent per group, plus the broadcast sum of
+m * cotangent. Both directions read one window per head group, matching the
+forward's fetch count.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionTape, LinearTape, MultiHeadTape, _span_hi
+from .attention import AttentionTape, LinearTape, MultiHeadTape
 from .featmap import feature_vjp
 from .sat import SummedAreaTable
 from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members, group_span
@@ -94,27 +92,23 @@ def _quotient_streams(num, den, upstream):
     return gnum, gden
 
 
-def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum a * b over every axis past the leading (H, W)."""
-    h, w = a.shape[:2]
-    return (a * b).reshape(h, w, -1).sum(axis=-1)
+def _sweep_cotangents(tape: AttentionTape, upstream: np.ndarray):
+    """Cotangent of [num, den] per query, and of the swept field y it projects."""
+    gnum, gden = _quotient_streams(tape.num, tape.den, upstream)
+    gboth = np.concatenate((gnum, gden[..., None]), axis=-1)
+    return gboth, np.einsum("hwd,hwc->hwdc", tape.phi_q, gboth)
 
 
-def _stream_alpha_grads(sat: SummedAreaTable, cot: np.ndarray,
-                        kind: PartitionKind, length: int) -> np.ndarray:
-    """Per-group weight gradients from one accumulated stream.
-
-    cot is the (H, W, ...) cotangent of the stream; entry r is the inner
-    product of cot with the group-r band sum. Groups past a query's own count
-    come out exactly zero because their clipped windows coincide.
-    """
-    h, w = cot.shape[:2]
-    out = np.zeros((h, w, length))
-    prev = 0.0
-    for r in range(length):
-        cur = sat.window_sum_grid(int(_span_hi(kind, r)))
-        out[..., r] = _channel_dot(cot, cur - prev)
-        prev = cur
+def _window_dots(sat: SummedAreaTable, cot: np.ndarray, kind: PartitionKind,
+                 length: int) -> np.ndarray:
+    """Inner products <cot, W_g> per query for g < length, after a leading zero
+    that stands for the empty window W_{-1}. Differencing neighbours gives the
+    group-g band's inner product; groups past a query's own count difference
+    to exactly zero because their clipped windows coincide."""
+    out = np.zeros(cot.shape[:2] + (length + 1,))
+    for g in range(length):
+        out[..., g + 1] = np.einsum("hwdc,hwdc->hw", cot,
+                                    sat.window_sum_grid(group_span(kind, g)[1]))
     return out
 
 
@@ -128,13 +122,10 @@ def grad_alpha(tape: AttentionTape, upstream: np.ndarray) -> np.ndarray:
     structure is ignored here, so rows with a shared tail report one gradient
     per underlying group, not one for the shared value.
     """
-    gnum, gden = _quotient_streams(tape.num, tape.den, upstream)
-    cot1 = np.einsum("hwd,hwc->hwdc", tape.phi_q, gnum)
-    cot2 = tape.phi_q * gden[..., None]
-    kind = tape.config.partition.kind
-    length = tape.weights.alphas.shape[-1]
-    return (_stream_alpha_grads(tape.sat_kv, cot1, kind, length)
-            + _stream_alpha_grads(tape.sat_k, cot2, kind, length))
+    _, cot = _sweep_cotangents(tape, upstream)
+    dots = _window_dots(tape.sat, cot, tape.config.partition.kind,
+                        tape.weights.alphas.shape[-1])
+    return np.diff(dots, axis=-1)
 
 
 # ---------- token-position gradients ----------
@@ -145,21 +136,20 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
 
     For out[i, j] accumulating alpha_r(i, j) * sum over the group-r band, the
     gradient at token (m, n) is sum over queries (i, j) of alpha(i, j)[group of
-    the (i, j)-(m, n) distance] * upstream[i, j]. Computed in O(H W hat_max)
-    fetches: the shared tail is one global sum (every token is within range of
-    every query), corrected per head group by band sums of derived fields.
+    the (i, j)-(m, n) distance] * upstream[i, j]. This is the adjoint of the
+    forward sweep: the merged weight pushes one global sum to every token,
+    and head group r adds one window of weights.window_coefs()[..., r] *
+    upstream, so the cost is O(H W hat_max) fetches.
     """
     g = np.asarray(upstream_field, dtype=np.float64)
     h, w = g.shape[:2]
     lift = (h, w) + (1,) * (g.ndim - 2)
-    kind = partition.kind
     tail = (weights.merged.reshape(lift) * g).sum(axis=(0, 1))
     out = np.broadcast_to(tail, g.shape).copy()
-    for r in range(int(weights.hat.max())):
-        coef = np.where(r < weights.hat, weights.alphas[..., r] - weights.merged, 0.0)
-        sat = SummedAreaTable(coef.reshape(lift) * g)
-        lo, hi = group_span(kind, r)
-        out += sat.window_sum_grid(hi) - sat.window_sum_grid(lo - 1)
+    coefs = weights.window_coefs()
+    for r in range(coefs.shape[-1]):
+        sat = SummedAreaTable(coefs[..., r].reshape(lift) * g)
+        out += sat.window_sum_grid(group_span(partition.kind, r)[1])
     return out
 
 
@@ -262,33 +252,24 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
 def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> RippleGradients:
     """Backward pass of the prefix-sum group attention.
 
-    Fetch cost is O(H W) per head group plus a constant number of whole-grid
-    window reads, the same order as the forward sweep.
+    Fetch cost is O(H W) per head group in each of the weight and token
+    gradients, the same order as the forward sweep.
     """
     cfg = tape.config
-    kind = cfg.partition.kind
     wg = tape.weights
-    gnum, gden = _quotient_streams(tape.num, tape.den, upstream)
-    cot1 = np.einsum("hwd,hwc->hwdc", tape.phi_q, gnum)
-    cot2 = tape.phi_q * gden[..., None]
-    grad_pq = (np.einsum("hwdc,hwc->hwd", tape.y_num, gnum)
-               + tape.y_den * gden[..., None])
+    gboth, cot = _sweep_cotangents(tape, upstream)
+    grad_pq = np.einsum("hwdc,hwc->hwd", tape.y, gboth)
 
     max_hat = int(wg.hat.max())
+    dots = _window_dots(tape.sat, cot, cfg.partition.kind, max_hat)
     in_head = np.arange(max_hat) < wg.hat[..., None]
-    ghead = np.where(in_head,
-                     _stream_alpha_grads(tape.sat_kv, cot1, kind, max_hat)
-                     + _stream_alpha_grads(tape.sat_k, cot2, kind, max_hat),
-                     0.0)
-    covered = _span_hi(kind, wg.hat - 1)
-    tail1 = tape.sat_kv.total() - tape.sat_kv.window_sum_grid(covered)
-    tail2 = tape.sat_k.total() - tape.sat_k.window_sum_grid(covered)
-    gmerged = _channel_dot(cot1, tail1) + _channel_dot(cot2, tail2)
+    ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
+    covered = np.take_along_axis(dots, wg.hat[..., None], axis=-1)[..., 0]
+    gmerged = np.einsum("hwdc,dc->hw", cot, tape.sat.total()) - covered
 
-    grad_x1 = grad_pixels(wg, cot1, cfg.partition)          # (H, W, Dp, C)
-    grad_x2 = grad_pixels(wg, cot2, cfg.partition)          # (H, W, Dp)
-    grad_pk = np.einsum("hwdc,hwc->hwd", grad_x1, tape.v) + grad_x2
-    grad_v = np.einsum("hwdc,hwd->hwc", grad_x1, tape.phi_k)
+    grad_x = grad_pixels(wg, cot, cfg.partition)          # (H, W, Dp, C + 1)
+    grad_pk = np.einsum("hwdc,hwc->hwd", grad_x[..., :-1], tape.v) + grad_x[..., -1]
+    grad_v = np.einsum("hwdc,hwd->hwc", grad_x[..., :-1], tape.phi_k)
 
     gv_stick, stick = _scheme_backward(cfg.scheme, cfg.partition, wg, tape.v,
                                        ghead, gmerged)

@@ -17,7 +17,7 @@ import numpy as np
 from .vicinal import GridShape, Position
 
 _fetch_count = 0
-_radius_offset = 0  # test-only fault injection, see sabotage_radius_offset()
+_row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
 
 
 def reset_fetch_count() -> None:
@@ -31,14 +31,15 @@ def fetch_count() -> int:
 
 @contextmanager
 def sabotage_radius_offset(offset: int = 1):
-    """Fault injection for harness self-tests: every window lookup uses a radius
-    shifted by ``offset``, which corrupts ring sums by exactly one ring."""
-    global _radius_offset
-    _radius_offset = offset
+    """Fault injection for harness self-tests: tables built inside the context
+    are shifted down by ``offset`` rows, so their windows and totals are both
+    wrong. Lookups read no fault state; tables built outside stay clean."""
+    global _row_shift
+    _row_shift = offset
     try:
         yield
     finally:
-        _radius_offset = 0
+        _row_shift = 0
 
 
 class SummedAreaTable:
@@ -52,6 +53,9 @@ class SummedAreaTable:
         self.channels = field.shape[2:]
         table = np.zeros((h + 1, w + 1) + self.channels, dtype=np.float64)
         table[1:, 1:] = np.cumsum(np.cumsum(field, axis=0, dtype=np.float64), axis=1)
+        if _row_shift:
+            table = np.roll(table, _row_shift, axis=0)
+            table[:_row_shift] = 0.0
         self.table = table
 
     def total(self) -> np.ndarray:
@@ -63,7 +67,6 @@ class SummedAreaTable:
         global _fetch_count
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        radius += _radius_offset
         h, w = self.shape.height, self.shape.width
         i, j = center
         if not (1 <= i <= h and 1 <= j <= w):
@@ -102,7 +105,6 @@ class SummedAreaTable:
         global _fetch_count
         h, w = self.shape.height, self.shape.width
         radius = np.asarray(radius, dtype=np.int64)
-        radius = radius + _radius_offset
         _fetch_count += h * w
         rows = np.arange(1, h + 1, dtype=np.int64).reshape(h, 1)
         cols = np.arange(1, w + 1, dtype=np.int64).reshape(1, w)

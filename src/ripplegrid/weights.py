@@ -113,6 +113,20 @@ class WeightGrid:
                               hat_r=int(self.hat[i, j]),
                               merged_weight=float(self.merged[i, j]))
 
+    def window_coefs(self) -> np.ndarray:
+        """Coefficients of the nested windows in the grouped sum taken by parts.
+
+        With a_g = alphas[..., g] before the halting index and merged from it
+        on, entry g is a_g - a_{g+1}, so the weighted sum over groups equals
+        merged * total + sum_g coefs[..., g] * window_g. Shape
+        (H, W, hat.max()); entries at and past each query's hat are zero.
+        """
+        length = int(self.hat.max())
+        tail = self.merged[..., None]
+        a = np.where(np.arange(length) < self.hat[..., None],
+                     self.alphas[..., :length], tail)
+        return a - np.concatenate((a[..., 1:], tail), axis=-1)
+
 
 # ---------- stick pipeline ----------
 

@@ -18,7 +18,6 @@ from ripplegrid.attention import (
     linearized_attention,
     multi_head_forward,
     ripple_dp,
-    ripple_dp_dyadic,
     ripple_naive,
     ripple_softmax_reference,
     softmax_attention,
@@ -151,8 +150,7 @@ def test_criterion_2_degeneracies(capsys):
     k = rng.standard_normal((4, 5, 5))
     v = rng.standard_normal((4, 5, 4))
     shape = GridShape(4, 5)
-    for pk, runner in ((PartitionKind.UNIT_RING, ripple_dp),
-                       (PartitionKind.DYADIC, ripple_dp_dyadic)):
+    for pk in (PartitionKind.UNIT_RING, PartitionKind.DYADIC):
         # trig features: dense, so the self overlap never lands on zero
         cfg = make_config(WeightSchemeKind.UNIFORM, pk, rng, 4, d=5,
                           epsilon=0.0, featmap_kind=FeatureMapKind.RANDOM_TRIG)
@@ -163,7 +161,7 @@ def test_criterion_2_degeneracies(capsys):
                         merged=np.zeros((4, 5)), groups=groups)
         for name, out in (
                 ("naive", ripple_naive(q, k, v, cfg, weights=wg).out),
-                (pk.value, runner(q, k, v, cfg, weights=wg).out)):
+                (pk.value, ripple_dp(q, k, v, cfg, weights=wg).out)):
             err = float(np.abs(out - v).max())
             if err >= 1e-12:
                 failures.append(f"point-mass {name} err {err:.2e}")
@@ -181,7 +179,7 @@ def test_criterion_2_degeneracies(capsys):
         for name, out in (
                 ("naive", ripple_naive(q1, k1, v1, cu).out),
                 ("dp", ripple_dp(q1, k1, v1, cu).out),
-                ("dyadic", ripple_dp_dyadic(q1, k1, v1, cd).out)):
+                ("dyadic", ripple_dp(q1, k1, v1, cd).out)):
             err = float(np.abs(out - v1).max())
             if err >= 1e-12:
                 failures.append(f"1x1 {name}/{kind.value} err {err:.2e}")
@@ -569,7 +567,7 @@ def test_criterion_8_dyadic_bands(capsys):
                 k = rng.standard_normal((side, side, 6))
                 v = rng.standard_normal((side, side, 5))
                 cfg = make_config(kind, PartitionKind.DYADIC, rng, 5)
-                got = ripple_dp_dyadic(q, k, v, cfg).out
+                got = ripple_dp(q, k, v, cfg).out
                 want = ripple_naive(q, k, v, cfg, build_tape=False).out
                 worst = max(worst, rel_error(got, want))
     if worst >= 1e-8:

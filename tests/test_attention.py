@@ -13,7 +13,6 @@ from ripplegrid.attention import (
     linearized_grid,
     multi_head_forward,
     ripple_dp,
-    ripple_dp_dyadic,
     ripple_naive,
     ripple_softmax_reference,
     softmax_attention,
@@ -236,8 +235,7 @@ def test_uniform_weights_equal_linearized():
 def test_point_mass_weights_recover_values():
     rng = np.random.default_rng(14)
     q, k, v = random_grids(rng, 4, 5)
-    for pk, runner in ((PartitionKind.UNIT_RING, ripple_dp),
-                       (PartitionKind.DYADIC, ripple_dp_dyadic)):
+    for pk in (PartitionKind.UNIT_RING, PartitionKind.DYADIC):
         # trig features: dense, so the per-cell overlap never lands on zero
         cfg = make_config(WeightSchemeKind.UNIFORM, pk, rng, v.shape[2],
                           epsilon=0.0, featmap_kind=FeatureMapKind.RANDOM_TRIG)
@@ -245,15 +243,20 @@ def test_point_mass_weights_recover_values():
         np.testing.assert_allclose(
             ripple_naive(q, k, v, cfg, weights=wg).out, v, atol=1e-12)
         np.testing.assert_allclose(
-            runner(q, k, v, cfg, weights=wg).out, v, atol=1e-12)
+            ripple_dp(q, k, v, cfg, weights=wg).out, v, atol=1e-12)
 
 
 # ---------- dynamic program vs enumeration oracle ----------
 
+# 1xN and Nx1 grids: single-row sweeps, uniform weights that read no window
+# (hat 0), and truncated weights cut at the group count
+DEGENERATE_SHAPES = ((1, 1), (1, 7), (9, 1), (1, 12))
+
+
 def test_dp_matches_naive_all_schemes():
     rng = np.random.default_rng(15)
     for kind in ALL_SCHEMES:
-        for h, w in ((4, 5), (6, 6)):
+        for h, w in ((4, 5), (6, 6)) + DEGENERATE_SHAPES:
             q, k, v = random_grids(rng, h, w)
             cfg = make_config(kind, PartitionKind.UNIT_RING, rng, v.shape[2])
             got = ripple_dp(q, k, v, cfg).out
@@ -263,14 +266,17 @@ def test_dp_matches_naive_all_schemes():
 
 def test_dyadic_dp_matches_naive():
     rng = np.random.default_rng(16)
-    for kind in (WeightSchemeKind.UNIFORM, WeightSchemeKind.FIXED_EXPONENTIAL,
-                 WeightSchemeKind.LEARNED_SBT):
-        for h, w in ((5, 7), (8, 8)):
-            q, k, v = random_grids(rng, h, w)
-            cfg = make_config(kind, PartitionKind.DYADIC, rng, v.shape[2])
-            got = ripple_dp_dyadic(q, k, v, cfg).out
-            want = ripple_naive(q, k, v, cfg).out
-            assert np.abs(got - want).max() < 1e-10, kind
+    cases = [(kind, shape)
+             for kind in (WeightSchemeKind.UNIFORM, WeightSchemeKind.FIXED_EXPONENTIAL,
+                          WeightSchemeKind.LEARNED_SBT)
+             for shape in ((5, 7), (8, 8))]
+    cases += [(kind, shape) for kind in ALL_SCHEMES for shape in DEGENERATE_SHAPES]
+    for kind, (h, w) in cases:
+        q, k, v = random_grids(rng, h, w)
+        cfg = make_config(kind, PartitionKind.DYADIC, rng, v.shape[2])
+        got = ripple_dp(q, k, v, cfg).out
+        want = ripple_naive(q, k, v, cfg).out
+        assert np.abs(got - want).max() < 1e-10, (kind, h, w)
 
 
 def test_dp_matches_naive_with_scheme_flags():
@@ -284,19 +290,6 @@ def test_dp_matches_naive_with_scheme_flags():
         got = ripple_dp(q, k, v, cfg).out
         want = ripple_naive(q, k, v, cfg).out
         assert np.abs(got - want).max() < 1e-10, flags
-
-
-def test_dp_partition_guards():
-    rng = np.random.default_rng(18)
-    q, k, v = random_grids(rng, 3, 3)
-    unit = make_config(WeightSchemeKind.UNIFORM, PartitionKind.UNIT_RING, rng,
-                       v.shape[2])
-    dyadic = make_config(WeightSchemeKind.UNIFORM, PartitionKind.DYADIC, rng,
-                         v.shape[2])
-    with pytest.raises(ValueError):
-        ripple_dp(q, k, v, dyadic)
-    with pytest.raises(ValueError):
-        ripple_dp_dyadic(q, k, v, unit)
 
 
 def test_grid_shape_validation():
@@ -346,7 +339,7 @@ def test_tape_reproduces_output():
     t = res.tape
     np.testing.assert_array_equal(t.num / t.den[..., None], res.out)
     assert t.phi_q.shape == (4, 4, cfg.featmap.out_dim)
-    assert t.y_num.shape == (4, 4, cfg.featmap.out_dim, v.shape[2])
+    assert t.y.shape == (4, 4, cfg.featmap.out_dim, v.shape[2] + 1)
     assert t.weights.alphas.shape[:2] == (4, 4)
     assert np.all(t.den > 0)
     # skipping the tape skips the prefix tables too

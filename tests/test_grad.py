@@ -10,7 +10,6 @@ from ripplegrid.attention import (
     linearized_grid,
     multi_head_forward,
     ripple_dp,
-    ripple_dp_dyadic,
     ripple_naive,
 )
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
@@ -70,13 +69,17 @@ def random_grids(rng, h, w, d=4, c=3):
 
 def test_grad_pixels_matches_reference():
     rng = np.random.default_rng(0)
+    fixed = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
     for pk in (PartitionKind.UNIT_RING, PartitionKind.DYADIC):
         partition = PartitionScheme(kind=pk, r_max=3, tau=0.05)
-        for h, w in ((4, 5), (6, 6), (5, 7)):
+        cases = [(fixed, shape) for shape in ((4, 5), (6, 6), (5, 7))]
+        # 1xN and Nx1 grids under every scheme, hat 0 and cut == groups included
+        cases += [(make_config(kind, pk, rng, 3).scheme, shape)
+                  for kind in WeightSchemeKind
+                  for shape in ((1, 1), (1, 7), (9, 1), (1, 12))]
+        for scheme, (h, w) in cases:
             v = rng.standard_normal((h, w, 3))
-            wg = scheme_weights_grid(
-                WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL), v,
-                GridShape(h, w), partition)
+            wg = scheme_weights_grid(scheme, v, GridShape(h, w), partition)
             g = rng.standard_normal((h, w))
             np.testing.assert_allclose(
                 grad_pixels(wg, g, partition),
@@ -267,7 +270,7 @@ def test_ripple_vjp_dyadic_partition():
         q, k, v = random_grids(rng, 5, 5)
         cfg = make_config(kind, PartitionKind.DYADIC, rng, v.shape[2], r_max=2)
         probe = rng.standard_normal((5, 5, v.shape[2]))
-        loss = ripple_loss_fn(cfg, GridShape(5, 5), probe, ripple_dp_dyadic)
+        loss = ripple_loss_fn(cfg, GridShape(5, 5), probe, ripple_dp)
         report = finite_diff_check(loss, base_params(cfg, q, k, v),
                                    tolerance=1e-6, mode="sample", sample=8,
                                    rng=np.random.default_rng(101))

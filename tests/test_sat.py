@@ -168,14 +168,16 @@ def test_fetch_counting():
 def test_sabotage_radius_offset():
     rng = np.random.default_rng(7)
     field = rng.standard_normal((6, 6))
-    sat = build_sat(field)
-    clean = sat.window_sum((3, 3), 1)
+    clean = build_sat(field)
     with sabotage_radius_offset(1):
-        shifted = sat.window_sum((3, 3), 1)
-    np.testing.assert_array_equal(shifted, sat.window_sum((3, 3), 2))
-    assert shifted != pytest.approx(float(clean))
-    # the offset does not leak out of the context
-    np.testing.assert_array_equal(sat.window_sum((3, 3), 1), clean)
+        broken = build_sat(field)
+    # a table built inside the context corrupts windows and the total alike
+    assert broken.window_sum((3, 3), 1) != pytest.approx(float(clean.window_sum((3, 3), 1)))
+    assert broken.total() != pytest.approx(float(clean.total()))
+    # the fault does not leak out of the context
+    after = build_sat(field)
+    np.testing.assert_array_equal(after.window_sum((3, 3), 1), clean.window_sum((3, 3), 1))
+    np.testing.assert_array_equal(after.total(), clean.total())
 
 
 def test_validation():
