@@ -17,14 +17,11 @@ from .bench import (BenchPlan, BenchRecord, SlopeFit, fit_loglog, fit_slope,
                     memory_probe, run_bench, summarize, write_csv)
 from .featmap import (FeatureMapKind, FeatureMapParams, feature_forward,
                       feature_vjp, init_feature_map)
-from .field import (DenseField, Dtype, FormatError, SeededRng, gaussian_init,
-                    read_field, write_field)
 from .grad import (FiniteDiffReport, LinearizedGradients, MultiHeadGradients,
                    RippleGradients, finite_diff_check, grad_alpha, grad_pixels,
                    grad_pixels_reference, linearized_vjp, multi_head_vjp,
                    ripple_vjp)
-from .sat import (SummedAreaTable, band_sum, build_sat, fetch_count, ring_sum,
-                  reset_fetch_count, window_sum)
+from .sat import SummedAreaTable, fetch_count, reset_fetch_count
 from .toymodel import (Adam, SgdMomentum, ToyModelConfig, clip_grad_norm,
                        cross_entropy, init_model, layer_norm, loss_and_grads,
                        make_local_majority_batch,

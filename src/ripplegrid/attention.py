@@ -221,8 +221,11 @@ def _sweep(sat: SummedAreaTable, wg: WeightGrid, kind: PartitionKind) -> np.ndar
     return y
 
 
-def _ripple_core(qgrid, kgrid, vgrid, config: AttentionConfig,
-                 weights: WeightGrid | None = None) -> AttentionOutput:
+def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
+              weights: WeightGrid | None = None) -> AttentionOutput:
+    """Prefix-sum forward for either partition; equals ripple_naive. Over
+    dyadic bands the per-query sweep length drops from the grid radius to its
+    logarithm."""
     q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
@@ -232,14 +235,6 @@ def _ripple_core(qgrid, kgrid, vgrid, config: AttentionConfig,
     tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
                          sat=sat, weights=wg, y=y, num=num, den=den)
     return AttentionOutput(out=out, tape=tape)
-
-
-def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
-              weights: WeightGrid | None = None) -> AttentionOutput:
-    """Prefix-sum forward for either partition; equals ripple_naive. Over
-    dyadic bands the per-query sweep length drops from the grid radius to its
-    logarithm."""
-    return _ripple_core(qgrid, kgrid, vgrid, config, weights)
 
 
 def ripple_softmax_reference(qgrid, kgrid, vgrid, weights: WeightGrid,
@@ -328,13 +323,9 @@ class MultiHeadConfig:
     scheme_kind: WeightSchemeKind
     epsilon: float = DEFAULT_EPSILON
     attention: str = "ripple"      # "ripple" or "linearized"
-    saturating_sigmoid: bool = False
-    overcount_merge_divisor: bool = False
 
     def head_config(self, head: HeadParams) -> AttentionConfig:
-        scheme = WeightScheme(kind=self.scheme_kind, params=head.stick,
-                              saturating_sigmoid=self.saturating_sigmoid,
-                              overcount_merge_divisor=self.overcount_merge_divisor)
+        scheme = WeightScheme(kind=self.scheme_kind, params=head.stick)
         return AttentionConfig(scheme=scheme, partition=self.partition,
                                featmap=head.featmap, epsilon=self.epsilon)
 
@@ -390,7 +381,7 @@ def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
             out_h, tape_h = linearized_grid(q, k, v, head.featmap, config.epsilon)
         else:
             cfg = config.head_config(head)
-            res = ripple_naive(q, k, v, cfg) if oracle else _ripple_core(q, k, v, cfg)
+            res = ripple_naive(q, k, v, cfg) if oracle else ripple_dp(q, k, v, cfg)
             out_h, tape_h = res.out, res.tape
         head_outs.append(out_h)
         head_tapes.append(tape_h)

@@ -1,14 +1,16 @@
 """Command-line driver: oracle checks, gradient checks, benchmarks, weight
 inspection, and the training demo.
 
-Only the stdlib is imported at module level; numpy and the library modules
-load inside the command functions so that --threads can pin the BLAS thread
-count first (see the ripplegrid_cli shim).
-
 Every run writes its artifacts under a fresh timestamped directory containing
 an effective_config.ini (rerunnable via --config, bitwise with --threads 1)
-and a MANIFEST of sha256 file hashes. Exit codes: 0 success, 1 check or
-criterion failure, 2 usage error.
+and a MANIFEST of sha256 file hashes. Arrays are saved as .npz files that
+load with ``np.load(path, allow_pickle=False)``: a failing ``check`` writes
+worst.npz (q, k, v, exact, got of the worst instance) and ``train`` writes
+checkpoint.npz (one array per parameter name). Exit codes: 0 success, 1
+check or criterion failure, 2 usage error.
+
+--threads is command-line only: the ripplegrid_cli entry point pins the BLAS
+thread count before numpy loads, which is before any config file is read.
 """
 
 from __future__ import annotations
@@ -18,131 +20,148 @@ import configparser
 import csv
 import hashlib
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import NamedTuple
+
+import numpy as np
+
+from .attention import AttentionConfig, ripple_dp, ripple_naive
+from .bench import BenchPlan, run_bench, summarize, write_csv
+from .featmap import (FeatureMapKind, FeatureMapParams, feature_forward, feature_vjp,
+                      init_feature_map)
+from .grad import finite_diff_check, ripple_vjp
+from .sat import sabotage_radius_offset
+from .toymodel import (ToyModelConfig, init_model, loss_and_grads,
+                       make_local_majority_batch, make_scattered_clustered_batch,
+                       train_demo)
+from .vicinal import GridShape, PartitionKind, PartitionScheme, group_index
+from .weights import (LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind,
+                      jsd_grid, scheme_weights_grid)
 
 
 class UsageError(Exception):
     pass
 
 
-class OptSpec(NamedTuple):
-    kind: str                      # int | float | str | ints | strs | flag | choice
-    default: object
-    choices: tuple = ()
-    help: str = ""
+# ---------- options ----------
+
+def _ints(text: str) -> tuple:
+    return tuple(int(t) for t in text.split(",") if t.strip())
+
+
+def _strs(text: str) -> tuple:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+def _choice(*names: str):
+    """A type function rather than choices=: argparse runs ``type`` on string
+    defaults too, so config-file values get the same check as flags."""
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"must be one of {', '.join(names)}")
+        return text
+    return parse
 
 
 SCHEME_NAMES = ("uniform", "fixed-exponential", "learned-sbt", "truncated", "softmax")
-PARTITION_NAMES = ("unit-ring", "dyadic")
+SCHEME = _choice(*SCHEME_NAMES)
+PARTITION = _choice("unit-ring", "dyadic")
 
-GLOBAL_SPECS = {
-    "seed": OptSpec("int", 0, help="base RNG seed"),
-    "dtype": OptSpec("choice", "f64", ("f32", "f64"),
-                     "input dtype for check/bench (other commands run f64)"),
-    "out": OptSpec("str", "runs", help="parent directory for run artifacts"),
-    "threads": OptSpec("int", 1, help="BLAS thread count (1 = bitwise replay)"),
+# add_argument keyword arguments per option; each name is also a config-file
+# key (--config and --threads are command line only)
+GLOBAL_OPTIONS = {
+    "seed": dict(type=int, default=0, help="base RNG seed"),
+    "dtype": dict(type=_choice("f32", "f64"), default="f64",
+                  help="input dtype for check/bench (other commands run f64)"),
+    "out": dict(type=str, default="runs", help="parent directory for run artifacts"),
 }
 
-SPECS = {
+OPTIONS = {
     "check": {
-        "sizes": OptSpec("ints", (4, 6, 9, 12), help="grid sides to test"),
-        "schemes": OptSpec("strs", SCHEME_NAMES, help="weight schemes to test"),
-        "partition": OptSpec("choice", "unit-ring", PARTITION_NAMES),
-        "trials": OptSpec("int", 3, help="random instances per (size, scheme)"),
-        "tolerance": OptSpec("float", 1e-8, help="max relative error accepted"),
-        "r-max": OptSpec("int", 3),
-        "tau": OptSpec("float", 0.05),
-        "epsilon": OptSpec("float", 1e-6),
-        "force": OptSpec("flag", False, help="allow sizes beyond the quadratic-oracle guardrail (16)"),
-        "sabotage": OptSpec("flag", False, help="off-by-one ring radii (harness self-test; must fail)"),
+        "sizes": dict(type=_ints, default=(4, 6, 9, 12), help="grid sides to test"),
+        "schemes": dict(type=_strs, default=SCHEME_NAMES, help="weight schemes to test"),
+        "partition": dict(type=PARTITION, default="unit-ring"),
+        "trials": dict(type=int, default=3, help="random instances per (size, scheme)"),
+        "tolerance": dict(type=float, default=1e-8, help="max relative error accepted"),
+        "r-max": dict(type=int, default=3),
+        "tau": dict(type=float, default=0.05),
+        "epsilon": dict(type=float, default=1e-6),
+        "force": dict(action="store_true",
+                      help="allow sizes beyond the quadratic-oracle guardrail (16)"),
+        "sabotage": dict(action="store_true",
+                         help="corrupt the prefix tables (harness self-test; must fail)"),
     },
     "gradcheck": {
-        "scope": OptSpec("choice", "attention", ("featmap", "weights", "attention", "model")),
-        "tolerance": OptSpec("float", 0.0, help="max relative error (0 = per-scope default)"),
-        "grid": OptSpec("int", 4, help="grid side"),
-        "step": OptSpec("float", 0.0, help="central-difference step (0 = per-scope default)"),
-        "mode": OptSpec("choice", "auto", ("auto", "full", "sample")),
-        "sample": OptSpec("int", 12, help="coordinates per tensor in sample mode"),
+        "scope": dict(type=_choice("featmap", "weights", "attention", "model"),
+                      default="attention"),
+        "tolerance": dict(type=float, default=0.0,
+                          help="max relative error (0 = per-scope default)"),
+        "grid": dict(type=int, default=4, help="grid side"),
+        "step": dict(type=float, default=0.0,
+                     help="central-difference step (0 = per-scope default)"),
+        "mode": dict(type=_choice("auto", "full", "sample"), default="auto"),
+        "sample": dict(type=int, default=12, help="coordinates per tensor in sample mode"),
     },
     "bench": {
-        "variants": OptSpec("strs", ("softmax", "naive", "dp")),
-        "sizes": OptSpec("ints", (64, 144, 256, 576), help="token counts (perfect squares)"),
-        "batch": OptSpec("int", 1, help="forward passes per timed repetition"),
-        "repetitions": OptSpec("int", 3),
-        "warmup": OptSpec("int", 1),
-        "r-max": OptSpec("int", 4),
-        "r-max-policy": OptSpec("choice", "fixed", ("fixed", "linear-in-side", "dyadic")),
-        "feature-dim": OptSpec("int", 32),
-        "value-dim": OptSpec("int", 32),
-        "tau": OptSpec("float", 0.05),
-        "no-memory": OptSpec("flag", False, help="skip the peak-allocation probe"),
+        "variants": dict(type=_strs, default=("softmax", "naive", "dp")),
+        "sizes": dict(type=_ints, default=(64, 144, 256, 576),
+                      help="token counts (perfect squares)"),
+        "batch": dict(type=int, default=1, help="forward passes per timed repetition"),
+        "repetitions": dict(type=int, default=3),
+        "warmup": dict(type=int, default=1),
+        "r-max": dict(type=int, default=4),
+        "r-max-policy": dict(type=_choice("fixed", "linear-in-side", "dyadic"),
+                             default="fixed"),
+        "feature-dim": dict(type=int, default=32),
+        "value-dim": dict(type=int, default=32),
+        "tau": dict(type=float, default=0.05),
+        "no-memory": dict(action="store_true", help="skip the peak-allocation probe"),
     },
     "weights": {
-        "scheme": OptSpec("choice", "learned-sbt", SCHEME_NAMES),
-        "partition": OptSpec("choice", "unit-ring", PARTITION_NAMES),
-        "grid": OptSpec("int", 9, help="grid side"),
-        "query": OptSpec("str", "", help="query position as 'row,col' (1-based; default center)"),
-        "r-max": OptSpec("int", 3),
-        "tau": OptSpec("float", 0.05),
-        "value-dim": OptSpec("int", 8),
-        "stick-dim": OptSpec("int", 6),
+        "scheme": dict(type=SCHEME, default="learned-sbt"),
+        "partition": dict(type=PARTITION, default="unit-ring"),
+        "grid": dict(type=int, default=9, help="grid side"),
+        "query": dict(type=str, default="",
+                      help="query position as 'row,col' (1-based; default center)"),
+        "r-max": dict(type=int, default=3),
+        "tau": dict(type=float, default=0.05),
+        "value-dim": dict(type=int, default=8),
+        "stick-dim": dict(type=int, default=6),
     },
     "train": {
-        "task": OptSpec("choice", "local-majority", ("local-majority", "scattered-clustered")),
-        "steps": OptSpec("int", 200),
-        "batch": OptSpec("int", 8),
-        "lr": OptSpec("float", 0.05),
-        "optimizer": OptSpec("choice", "sgd", ("sgd", "adam")),
-        "clip": OptSpec("float", 1.0, help="global gradient-norm bound (<= 0 disables)"),
-        "grid": OptSpec("int", 8),
-        "layers": OptSpec("int", 2),
-        "ripple-layers": OptSpec("int", 1),
-        "heads": OptSpec("int", 2),
-        "model-dim": OptSpec("int", 16),
-        "head-dim": OptSpec("int", 8),
-        "r-max": OptSpec("int", 3),
-        "tau": OptSpec("float", 0.05),
-        "scheme": OptSpec("choice", "learned-sbt", SCHEME_NAMES),
-        "partition": OptSpec("choice", "unit-ring", PARTITION_NAMES),
+        "task": dict(type=_choice("local-majority", "scattered-clustered"),
+                     default="local-majority"),
+        "steps": dict(type=int, default=200),
+        "batch": dict(type=int, default=8),
+        "lr": dict(type=float, default=0.05),
+        "optimizer": dict(type=_choice("sgd", "adam"), default="sgd"),
+        "clip": dict(type=float, default=1.0,
+                     help="global gradient-norm bound (<= 0 disables)"),
+        "grid": dict(type=int, default=8),
+        "layers": dict(type=int, default=2),
+        "ripple-layers": dict(type=int, default=1),
+        "heads": dict(type=int, default=2),
+        "model-dim": dict(type=int, default=16),
+        "head-dim": dict(type=int, default=8),
+        "r-max": dict(type=int, default=3),
+        "tau": dict(type=float, default=0.05),
+        "scheme": dict(type=SCHEME, default="learned-sbt"),
+        "partition": dict(type=PARTITION, default="unit-ring"),
     },
 }
 
+HELPS = {"check": "DP forward vs the quadratic enumeration oracle",
+         "gradcheck": "analytic gradients vs central finite differences",
+         "bench": "timing/memory scaling with correctness gates",
+         "weights": "inspect spatial weights for one query",
+         "train": "train the grid classification demo"}
 
-# ---------- option plumbing ----------
 
-def _coerce(name: str, spec: OptSpec, raw) -> object:
-    """Config-file values and CLI strings go through the same validation."""
-    if not isinstance(raw, str):
-        return raw
-    text = raw.strip()
-    try:
-        if spec.kind == "int":
-            return int(text)
-        if spec.kind == "float":
-            return float(text)
-        if spec.kind == "ints":
-            return tuple(int(t) for t in text.split(",") if t.strip())
-        if spec.kind == "strs":
-            return tuple(t.strip() for t in text.split(",") if t.strip())
-        if spec.kind == "flag":
-            low = text.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if spec.kind == "choice":
-            if text not in spec.choices:
-                raise ValueError(f"must be one of {', '.join(spec.choices)}")
-            return text
-        return text
-    except ValueError as exc:
-        raise UsageError(f"bad value for {name}: {exc}") from None
+def _dest(name: str) -> str:
+    return name.replace("-", "_")
 
 
 def _to_text(value) -> str:
@@ -155,89 +174,78 @@ def _to_text(value) -> str:
     return str(value)
 
 
-def _add_options(parser: argparse.ArgumentParser, specs: dict) -> None:
-    for name, spec in specs.items():
-        flag = "--" + name
-        dest = name.replace("-", "_")
-        if spec.kind == "flag":
-            parser.add_argument(flag, dest=dest, action="store_const", const="true",
-                                default=argparse.SUPPRESS, help=spec.help or None)
-        else:
-            parser.add_argument(flag, dest=dest, default=argparse.SUPPRESS,
-                                metavar=spec.kind.upper(), help=spec.help or None)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="ripplegrid",
         description="spatially weighted linear attention on 2D grids: "
                     "verification, benchmarks, and a training demo")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {"check": "DP forward vs the quadratic enumeration oracle",
-             "gradcheck": "analytic gradients vs central finite differences",
-             "bench": "timing/memory scaling with correctness gates",
-             "weights": "inspect spatial weights for one query",
-             "train": "train the grid classification demo"}
-    for command in SPECS:
-        p = sub.add_parser(command, help=helps[command])
-        p.add_argument("--config", default=argparse.SUPPRESS,
-                       help="INI file with [global] and per-command sections")
-        _add_options(p, GLOBAL_SPECS)
-        _add_options(p, SPECS[command])
-    return parser
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=HELPS[command])
+        p.add_argument("--config", help="INI file with [global] and per-command sections")
+        p.add_argument("--threads", type=int, default=1,
+                       help="BLAS thread count (1 = bitwise replay; command line only)")
+        for name, kwargs in {**GLOBAL_OPTIONS, **options}.items():
+            p.add_argument("--" + name, **kwargs)
+    return parser, sub.choices
 
 
-def _load_config_file(path: str) -> configparser.ConfigParser:
+def _config_defaults(path: str, command: str) -> dict:
+    """Every section and key of the INI file checked against the option
+    tables; the [global] and [command] values keyed by option dest."""
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise UsageError(f"config file not found: {path}")
+    defaults = {}
     for section in cp.sections():
         if section == "global":
-            valid = GLOBAL_SPECS
-        elif section in SPECS:
-            valid = SPECS[section]
+            table = GLOBAL_OPTIONS
+        elif section in OPTIONS:
+            table = OPTIONS[section]
         else:
             raise UsageError(f"unknown config section [{section}]")
         for key in cp[section]:
-            norm = key.replace("_", "-")
-            if norm not in valid:
+            name = key.replace("_", "-")
+            if name == "threads":
+                raise UsageError(f"{key!r} in [{section}]: the BLAS thread count is "
+                                 "pinned before config files are read; pass --threads")
+            if name not in table:
                 raise UsageError(f"unknown key {key!r} in [{section}]")
-    return cp
+            if section not in ("global", command):
+                continue
+            try:
+                flag = table[name].get("action") == "store_true"
+                defaults[_dest(name)] = (cp.getboolean(section, key) if flag
+                                         else cp.get(section, key))
+            except ValueError as exc:
+                raise UsageError(f"bad value for {key!r} in [{section}]: {exc}") from None
+    return defaults
 
 
-def _merge(specs: dict, ns: argparse.Namespace, cp: configparser.ConfigParser | None,
-           section: str) -> dict:
+def _parse_args(argv) -> argparse.Namespace:
     """Precedence: command line > config file > built-in default."""
-    merged = {}
-    for name, spec in specs.items():
-        dest = name.replace("-", "_")
-        if hasattr(ns, dest):
-            merged[name] = _coerce(name, spec, getattr(ns, dest))
-        elif cp is not None and cp.has_section(section) and (
-                cp.has_option(section, name) or cp.has_option(section, dest)):
-            raw = cp.get(section, name if cp.has_option(section, name) else dest)
-            merged[name] = _coerce(name, spec, raw)
-        else:
-            merged[name] = spec.default
-    return merged
+    parser, commands = _build_parser()
+    opts = parser.parse_args(argv)
+    if opts.config is not None:
+        sub = commands[opts.command]
+        try:
+            sub.set_defaults(**_config_defaults(opts.config, opts.command))
+        except (UsageError, configparser.Error) as exc:
+            sub.error(str(exc))
+        opts = parser.parse_args(argv)
+    return opts
 
 
 @dataclass
 class RunContext:
-    command: str
-    seed: int
-    dtype: str
-    out_root: str
-    threads: int
-    options: dict
+    opts: argparse.Namespace
     _run_dir: Path | None = field(default=None, repr=False)
 
     def run_dir(self) -> Path:
         """Created on first use so usage errors leave no empty directories."""
         if self._run_dir is None:
             stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
-            base = Path(self.out_root) / f"{self.command}-{stamp}"
+            base = Path(self.opts.out) / f"{self.opts.command}-{stamp}"
             path, n = base, 1
             while True:
                 try:
@@ -251,13 +259,14 @@ class RunContext:
 
 
 def _write_effective_config(ctx: RunContext) -> None:
+    opts = ctx.opts
     cp = configparser.ConfigParser(interpolation=None)
-    cp["global"] = {"seed": str(ctx.seed), "dtype": ctx.dtype,
-                    "out": ctx.out_root, "threads": str(ctx.threads)}
-    cp[ctx.command] = {name: _to_text(ctx.options[name]) for name in SPECS[ctx.command]}
+    for section, table in (("global", GLOBAL_OPTIONS), (opts.command, OPTIONS[opts.command])):
+        cp[section] = {name: _to_text(getattr(opts, _dest(name))) for name in table}
     with open(ctx.run_dir() / "effective_config.ini", "w") as fh:
-        fh.write(f"# replay: ripplegrid {ctx.command} --config <this file>\n")
-        fh.write("# rng: pcg64; replay is bitwise with threads = 1\n")
+        fh.write(f"# replay: ripplegrid {opts.command} --config <this file>\n")
+        fh.write(f"# rng: pcg64; ran with --threads {opts.threads}; "
+                 "replay is bitwise with --threads 1\n")
         cp.write(fh)
 
 
@@ -274,46 +283,37 @@ def _write_manifest(run_dir: Path) -> None:
 # ---------- subcommands ----------
 
 def cmd_check(ctx: RunContext) -> int:
-    opts = ctx.options
-    if max(opts["sizes"]) > 16 and not opts["force"]:
+    opts = ctx.opts
+    if max(opts.sizes) > 16 and not opts.force:
         raise UsageError("sizes beyond 16 make the quadratic oracle expensive; "
                          "pass --force to run anyway")
-    import numpy as np
-
-    from .attention import AttentionConfig, ripple_dp, ripple_naive
-    from .featmap import FeatureMapKind, init_feature_map
-    from .field import DenseField, write_field
-    from .sat import sabotage_radius_offset
-    from .vicinal import PartitionKind, PartitionScheme
-    from .weights import LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind
-
-    kinds = [WeightSchemeKind(s) for s in opts["schemes"]]
-    partition = PartitionScheme(kind=PartitionKind(opts["partition"]),
-                                r_max=opts["r-max"], tau=opts["tau"])
-    np_dtype = np.float32 if ctx.dtype == "f32" else np.float64
+    kinds = [WeightSchemeKind(s) for s in opts.schemes]
+    partition = PartitionScheme(kind=PartitionKind(opts.partition),
+                                r_max=opts.r_max, tau=opts.tau)
+    np_dtype = np.float32 if opts.dtype == "f32" else np.float64
     d = 6
 
     worst = {"rel": -1.0}
     table = {}
     instances = 0
-    for size in opts["sizes"]:
+    for size in opts.sizes:
         for kind in kinds:
             cell = 0.0
-            for trial in range(opts["trials"]):
-                instance_seed = ctx.seed * 1_000_003 + instances
+            for trial in range(opts.trials):
+                instance_seed = opts.seed * 1_000_003 + instances
                 rng = np.random.Generator(np.random.PCG64(instance_seed))
                 q, k, v = (rng.standard_normal((size, size, d)).astype(np_dtype)
                            for _ in range(3))
                 fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, d, rng)
                 stick = None
                 if kind in LEARNED_KINDS:
-                    stick = StickParams(rng.standard_normal((opts["r-max"], 4)),
+                    stick = StickParams(rng.standard_normal((opts.r_max, 4)),
                                         rng.standard_normal((4, d)))
                 config = AttentionConfig(
                     scheme=WeightScheme(kind=kind, params=stick),
-                    partition=partition, featmap=fm, epsilon=opts["epsilon"])
+                    partition=partition, featmap=fm, epsilon=opts.epsilon)
                 exact = ripple_naive(q, k, v, config, build_tape=False).out
-                if opts["sabotage"]:
+                if opts.sabotage:
                     with sabotage_radius_offset(1):
                         got = ripple_dp(q, k, v, config).out
                 else:
@@ -328,7 +328,7 @@ def cmd_check(ctx: RunContext) -> int:
                 instances += 1
             table[(size, kind.value)] = cell
 
-    tolerance = opts["tolerance"]
+    tolerance = opts.tolerance
     print(f"{'size':>6} {'scheme':<18} {'max rel err':>12}  status")
     for (size, scheme), err in table.items():
         status = "ok" if err < tolerance else "FAIL"
@@ -337,22 +337,19 @@ def cmd_check(ctx: RunContext) -> int:
 
     run_dir = ctx.run_dir()
     summary = {"subcommand": "check", "instances": instances,
-               "tolerance": tolerance, "dtype": ctx.dtype,
-               "partition": opts["partition"], "r_max": opts["r-max"],
-               "tau": opts["tau"], "epsilon": opts["epsilon"],
-               "sabotage": bool(opts["sabotage"]),
+               "tolerance": tolerance, "dtype": opts.dtype,
+               "partition": opts.partition, "r_max": opts.r_max,
+               "tau": opts.tau, "epsilon": opts.epsilon,
+               "sabotage": bool(opts.sabotage),
                "max_rel_error": worst["rel"],
                "worst": {k: worst[k] for k in ("size", "scheme", "trial", "instance_seed")},
                "passed": passed}
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     if not passed:
-        names = ("q", "k", "v", "exact", "got")
-        for name, arr in zip(names, worst["arrays"]):
-            arr = np.asarray(arr, dtype=np.float64)
-            if np.isfinite(arr).all():
-                write_field(run_dir / f"worst_{name}.rplt", DenseField.from_array(arr))
+        np.savez(run_dir / "worst.npz", **dict(zip(("q", "k", "v", "exact", "got"),
+                                                   worst["arrays"])))
         print(f"FAIL: max relative error {worst['rel']:.3e} >= {tolerance:.1e} "
-              f"(worst instance dumped to {run_dir})", file=sys.stderr)
+              f"(worst instance dumped to {run_dir / 'worst.npz'})", file=sys.stderr)
         return 1
     print(f"ok: {instances} instances within {tolerance:.1e}")
     return 0
@@ -361,14 +358,6 @@ def cmd_check(ctx: RunContext) -> int:
 def _gradcheck_problem(scope: str, seed: int, side: int):
     """Returns (loss_fn, params, default_mode). loss_fn obeys the
     finite_diff_check contract: params dict -> (loss, grads dict)."""
-    import numpy as np
-
-    from .attention import AttentionConfig, ripple_dp
-    from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, feature_vjp, init_feature_map
-    from .grad import ripple_vjp
-    from .vicinal import GridShape, PartitionKind, PartitionScheme
-    from .weights import StickParams, WeightScheme, WeightSchemeKind
-
     rng = np.random.Generator(np.random.PCG64(seed))
     d = 4
     partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05)
@@ -426,8 +415,6 @@ def _gradcheck_problem(scope: str, seed: int, side: int):
         return loss_fn, params, "full"
 
     # model scope
-    from .toymodel import ToyModelConfig, init_model, loss_and_grads, make_local_majority_batch
-
     # epsilon 1e-3: the attention quotient's curvature scales like 1/den^2,
     # and central differences at step 1e-5 lose ~3 digits to it when den can
     # reach the default 1e-6. The gradient formula itself is epsilon-blind.
@@ -445,23 +432,19 @@ def _gradcheck_problem(scope: str, seed: int, side: int):
 
 
 def cmd_gradcheck(ctx: RunContext) -> int:
-    opts = ctx.options
-    import numpy as np
-
-    from .grad import finite_diff_check
-
-    scope = opts["scope"]
-    tolerance = opts["tolerance"]
+    opts = ctx.opts
+    scope = opts.scope
+    tolerance = opts.tolerance
     if tolerance <= 0.0:
         tolerance = {"featmap": 1e-6, "weights": 1e-4,
                      "attention": 1e-4, "model": 1e-3}[scope]
-    step = opts["step"]
+    step = opts.step
     if step <= 0.0:
         # the model stacks many ReLU units, so a wide central difference can
         # straddle a kink; 3e-6 stays one-sided on the default instances
         step = 3e-6 if scope == "model" else 1e-5
-    loss_fn, params, default_mode = _gradcheck_problem(scope, ctx.seed, opts["grid"])
-    mode = default_mode if opts["mode"] == "auto" else opts["mode"]
+    loss_fn, params, default_mode = _gradcheck_problem(scope, opts.seed, opts.grid)
+    mode = default_mode if opts.mode == "auto" else opts.mode
 
     def checked_loss_fn(p):
         loss, grads = loss_fn(p)
@@ -476,8 +459,8 @@ def cmd_gradcheck(ctx: RunContext) -> int:
     try:
         report = finite_diff_check(checked_loss_fn, params, step=step,
                                    tolerance=tolerance, mode=mode,
-                                   sample=opts["sample"],
-                                   rng=np.random.default_rng(ctx.seed + 2))
+                                   sample=opts.sample,
+                                   rng=np.random.default_rng(opts.seed + 2))
     except FloatingPointError as exc:
         (run_dir / "report.json").write_text(json.dumps(
             {"scope": scope, "passed": False, "error": str(exc)}, indent=2) + "\n")
@@ -497,29 +480,25 @@ def cmd_gradcheck(ctx: RunContext) -> int:
 
 
 def cmd_bench(ctx: RunContext) -> int:
-    opts = ctx.options
-    import math
-
-    from .bench import BenchPlan, run_bench, summarize, write_csv
-
+    opts = ctx.opts
     sides = []
-    for tokens in opts["sizes"]:
+    for tokens in opts.sizes:
         side = math.isqrt(tokens)
         if side * side != tokens:
             raise UsageError(f"token count {tokens} is not a perfect square")
         sides.append(side)
     try:
-        plan = BenchPlan(variants=tuple(opts["variants"]), sizes=tuple(sides),
-                         batch=opts["batch"], reps=opts["repetitions"],
-                         warmup=opts["warmup"], dtype=ctx.dtype,
-                         r_max=opts["r-max"], r_max_policy=opts["r-max-policy"],
-                         feature_dim=opts["feature-dim"],
-                         value_dim=opts["value-dim"], tau=opts["tau"],
-                         seed=ctx.seed)
+        plan = BenchPlan(variants=tuple(opts.variants), sizes=tuple(sides),
+                         batch=opts.batch, reps=opts.repetitions,
+                         warmup=opts.warmup, dtype=opts.dtype,
+                         r_max=opts.r_max, r_max_policy=opts.r_max_policy,
+                         feature_dim=opts.feature_dim,
+                         value_dim=opts.value_dim, tau=opts.tau,
+                         seed=opts.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    records = run_bench(plan, probe_memory=not opts["no-memory"])
+    records = run_bench(plan, probe_memory=not opts.no_memory)
 
     run_dir = ctx.run_dir()
     write_csv(records, run_dir / "bench.csv")
@@ -541,18 +520,12 @@ def cmd_bench(ctx: RunContext) -> int:
 
 
 def cmd_weights(ctx: RunContext) -> int:
-    opts = ctx.options
-    import numpy as np
-
-    from .vicinal import GridShape, PartitionKind, PartitionScheme, group_index
-    from .weights import (LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind,
-                          jsd_grid, scheme_weights_grid)
-
-    side = opts["grid"]
+    opts = ctx.opts
+    side = opts.grid
     shape = GridShape(side, side)
-    if opts["query"]:
+    if opts.query:
         try:
-            row, col = (int(t) for t in opts["query"].split(","))
+            row, col = (int(t) for t in opts.query.split(","))
         except ValueError:
             raise UsageError("query must be 'row,col'") from None
         if not (1 <= row <= side and 1 <= col <= side):
@@ -561,22 +534,22 @@ def cmd_weights(ctx: RunContext) -> int:
         row = col = (side + 1) // 2
     query = (row, col)
 
-    partition = PartitionScheme(kind=PartitionKind(opts["partition"]),
-                                r_max=opts["r-max"], tau=opts["tau"])
-    kind = WeightSchemeKind(opts["scheme"])
-    rng = np.random.Generator(np.random.PCG64(ctx.seed))
-    v = rng.standard_normal((side, side, opts["value-dim"]))
+    partition = PartitionScheme(kind=PartitionKind(opts.partition),
+                                r_max=opts.r_max, tau=opts.tau)
+    kind = WeightSchemeKind(opts.scheme)
+    rng = np.random.Generator(np.random.PCG64(opts.seed))
+    v = rng.standard_normal((side, side, opts.value_dim))
     stick = None
     if kind in LEARNED_KINDS:
-        stick = StickParams(rng.standard_normal((opts["r-max"], opts["stick-dim"])),
-                            rng.standard_normal((opts["stick-dim"], opts["value-dim"])))
+        stick = StickParams(rng.standard_normal((opts.r_max, opts.stick_dim)),
+                            rng.standard_normal((opts.stick_dim, opts.value_dim)))
     wg = scheme_weights_grid(WeightScheme(kind=kind, params=stick), v, shape, partition)
     sw = wg.at(query)
     ref = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
                               v, shape, partition)
     mean_jsd = float(jsd_grid(wg.alphas, ref.alphas, wg.groups).mean())
 
-    print(f"scheme {kind.value}, {opts['partition']} partition, "
+    print(f"scheme {kind.value}, {opts.partition} partition, "
           f"query ({row},{col}) on {side}x{side}")
     print("alpha:", " ".join(f"{a:.6f}" for a in sw.alphas))
     print(f"hat_r: {sw.hat_r}  merged: {sw.merged_weight:.6f}  "
@@ -597,42 +570,33 @@ def cmd_weights(ctx: RunContext) -> int:
 
 
 def cmd_train(ctx: RunContext) -> int:
-    opts = ctx.options
-    import numpy as np
-
-    from .field import DenseField, write_field
-    from .toymodel import (ToyModelConfig, init_model, loss_and_grads,
-                           make_local_majority_batch, make_scattered_clustered_batch,
-                           train_demo)
-    from .vicinal import GridShape, PartitionKind
-    from .weights import WeightSchemeKind
-
-    config = ToyModelConfig(height=opts["grid"], width=opts["grid"],
-                            model_dim=opts["model-dim"], num_heads=opts["heads"],
-                            head_dim=opts["head-dim"], num_layers=opts["layers"],
-                            ripple_layers=opts["ripple-layers"],
-                            r_max=opts["r-max"], tau=opts["tau"],
-                            partition_kind=PartitionKind(opts["partition"]),
-                            scheme_kind=WeightSchemeKind(opts["scheme"]))
-    params = init_model(config, seed=ctx.seed)
+    opts = ctx.opts
+    config = ToyModelConfig(height=opts.grid, width=opts.grid,
+                            model_dim=opts.model_dim, num_heads=opts.heads,
+                            head_dim=opts.head_dim, num_layers=opts.layers,
+                            ripple_layers=opts.ripple_layers,
+                            r_max=opts.r_max, tau=opts.tau,
+                            partition_kind=PartitionKind(opts.partition),
+                            scheme_kind=WeightSchemeKind(opts.scheme))
+    params = init_model(config, seed=opts.seed)
     rows: list[dict] = []
     failure = None
-    if opts["steps"] == 0:
+    if opts.steps == 0:
         makers = {"local-majority": make_local_majority_batch,
                   "scattered-clustered": make_scattered_clustered_batch}
-        rng = np.random.Generator(np.random.PCG64(ctx.seed + 1))
-        imgs, labels = makers[opts["task"]](rng, opts["batch"],
-                                            GridShape(config.height, config.width))
+        rng = np.random.Generator(np.random.PCG64(opts.seed + 1))
+        imgs, labels = makers[opts.task](rng, opts.batch,
+                                         GridShape(config.height, config.width))
         loss, _, aux = loss_and_grads(imgs, labels, params, config)
         rows.append({"step": 0, "loss": float(loss),
                      "accuracy": float(aux["accuracy"]),
                      "mean_jsd": float(aux["mean_jsd"])})
     else:
         try:
-            train_demo(config, task=opts["task"], steps=opts["steps"],
-                       batch=opts["batch"], seed=ctx.seed,
-                       optimizer=opts["optimizer"], lr=opts["lr"],
-                       clip=opts["clip"], log=rows.append, params=params)
+            train_demo(config, task=opts.task, steps=opts.steps,
+                       batch=opts.batch, seed=opts.seed,
+                       optimizer=opts.optimizer, lr=opts.lr,
+                       clip=opts.clip, log=rows.append, params=params)
         except FloatingPointError as exc:
             failure = str(exc)
 
@@ -647,10 +611,8 @@ def cmd_train(ctx: RunContext) -> int:
         print(f"FAIL: {failure} ({len(rows)} steps logged)", file=sys.stderr)
         return 1
 
-    ckpt = run_dir / "checkpoint"
-    ckpt.mkdir()
-    for name in sorted(params):
-        write_field(ckpt / f"{name}.rplt", DenseField.from_array(params[name]))
+    ckpt = run_dir / "checkpoint.npz"
+    np.savez(ckpt, **params)
     if rows:
         first, last = rows[0], rows[-1]
         print(f"steps {len(rows)}: loss {first['loss']:.4f} -> {last['loss']:.4f}, "
@@ -664,39 +626,23 @@ _COMMANDS = {"check": cmd_check, "gradcheck": cmd_gradcheck, "bench": cmd_bench,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        ctx = RunContext(_parse_args(argv))
+    except SystemExit as exc:          # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
-
-    ctx = None
     try:
-        cp = _load_config_file(ns.config) if hasattr(ns, "config") else None
-        glob = _merge(GLOBAL_SPECS, ns, cp, "global")
-        options = _merge(SPECS[ns.command], ns, cp, ns.command)
-        if glob["threads"] >= 1:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ.setdefault(var, str(glob["threads"]))
-        ctx = RunContext(command=ns.command, seed=glob["seed"], dtype=glob["dtype"],
-                         out_root=glob["out"], threads=glob["threads"],
-                         options=options)
-        code = _COMMANDS[ns.command](ctx)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return _COMMANDS[ctx.opts.command](ctx)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if ctx is not None and ctx._run_dir is not None:
+        if ctx._run_dir is not None:
             _write_effective_config(ctx)
             _write_manifest(ctx.run_dir())
             print(f"artifacts: {ctx.run_dir()}")
-    return code
 
 
 if __name__ == "__main__":

@@ -200,7 +200,6 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
     hat = wg.hat
     max_hat = ghead.shape[-1]
     in_head = np.arange(max_hat) < hat[..., None]
-    divisor = (wg.groups - hat) + (1 if scheme.overcount_merge_divisor else 0)
 
     if scheme.kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
         padded = np.concatenate((logits, np.zeros(logits.shape[:-1] + (1,))), axis=-1)
@@ -208,7 +207,7 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
         gamma = np.exp(z)
         gamma /= gamma.sum(axis=-1, keepdims=True)
         ggamma = np.zeros_like(gamma)
-        adj = ghead - np.where(in_head, (gmerged / divisor)[..., None], 0.0)
+        adj = ghead - np.where(in_head, (gmerged / (wg.groups - hat))[..., None], 0.0)
         ggamma[..., :max_hat] = np.where(in_head, adj, 0.0)
         dot = np.einsum("hwr,hwr->hw", ggamma, gamma)
         gfull = gamma * (ggamma - dot[..., None])
@@ -229,7 +228,7 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
                          gh / total[..., None] - (s_dot / (total * total))[..., None],
                          0.0)
     else:
-        adj = ghead - np.where(in_head, (gmerged / divisor)[..., None], 0.0)
+        adj = ghead - np.where(in_head, (gmerged / (wg.groups - hat))[..., None], 0.0)
         gbeta[..., :max_hat] = np.where(in_head, adj, 0.0)
 
     # stick-breaking Jacobian: piece m scales with its own fraction through the

@@ -120,18 +120,3 @@ class SummedAreaTable:
             out = np.where(mask, out, 0.0)
         return out
 
-
-def build_sat(field: np.ndarray) -> SummedAreaTable:
-    return SummedAreaTable(field)
-
-
-def window_sum(sat: SummedAreaTable, center: Position, radius: int) -> np.ndarray:
-    return sat.window_sum(center, radius)
-
-
-def ring_sum(sat: SummedAreaTable, center: Position, radius: int) -> np.ndarray:
-    return sat.ring_sum(center, radius)
-
-
-def band_sum(sat: SummedAreaTable, center: Position, lo: int, hi: int) -> np.ndarray:
-    return sat.band_sum(center, lo, hi)

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .vicinal import GridShape, PartitionKind, PartitionScheme, Position, num_groups_grid
+from .vicinal import GridShape, PartitionScheme, Position, num_groups_grid
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,10 @@ LEARNED_KINDS = (WeightSchemeKind.LEARNED_SBT, WeightSchemeKind.SOFTMAX_WEIGHTS,
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """A weighting rule plus its parameters and compatibility switches.
-
-    saturating_sigmoid: damp logit r by a factor (num_units - r) instead of
-    (num_units - r + 1); the final fraction then saturates to exactly 1 at
-    logit 0+, which zeroes all weight beyond the second-to-last unit.
-    overcount_merge_divisor: share tail mass over one more group than actually
-    exists, so the weights sum to slightly less than 1.
-    Both switches default off; the defaults keep weights on the simplex.
-    """
+    """A weighting rule plus its parameters."""
 
     kind: WeightSchemeKind
     params: StickParams | None = None
-    saturating_sigmoid: bool = False
-    overcount_merge_divisor: bool = False
 
     def __post_init__(self):
         if self.kind in LEARNED_KINDS and self.params is None:
@@ -138,17 +128,16 @@ def stick_logits(value_vector: np.ndarray, params: StickParams) -> np.ndarray:
     return params.unit_embeddings @ (params.value_projection @ v)
 
 
-def modified_sigmoid(logit, index: int, num_units: int, saturating: bool = False):
+def modified_sigmoid(logit, index: int, num_units: int):
     """Squash a logit into a stick fraction, damped more for earlier units.
 
     The damping factor is (num_units - index + 1) for 1-based ``index``, so the
     final unit sees a plain sigmoid (0.5 at logit 0) and earlier units start
-    lower. With ``saturating`` the factor is (num_units - index), which pins
-    the final fraction to exactly 1 regardless of its logit.
+    lower.
     """
     if not 1 <= index <= num_units:
         raise ValueError(f"index must lie in [1, {num_units}], got {index}")
-    factor = num_units - index + (0 if saturating else 1)
+    factor = num_units - index + 1
     return 1.0 / (1.0 + factor * np.exp(-np.asarray(logit, dtype=np.float64)))
 
 
@@ -169,14 +158,13 @@ def stick_breaking(fractions: np.ndarray) -> np.ndarray:
     return np.concatenate((pieces, remaining[-1:]))
 
 
-def adaptive_truncate(alphas: np.ndarray, tau: float,
-                      overcount_merge_divisor: bool = False) -> SpatialWeights:
+def adaptive_truncate(alphas: np.ndarray, tau: float) -> SpatialWeights:
     """Halt the weight sweep once the tail mass drops below tau, then share
     that mass uniformly over the remaining groups.
 
     hat_r is the smallest index whose running weight sum leaves less than tau;
-    the head weights below hat_r are kept verbatim. The default divisor equals
-    the number of merged groups, so the output still sums to 1.
+    the head weights below hat_r are kept verbatim. The tail mass is divided
+    by the number of merged groups, so the output still sums to 1.
     """
     a = np.asarray(alphas, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] < 1:
@@ -186,14 +174,12 @@ def adaptive_truncate(alphas: np.ndarray, tau: float,
     remaining = 1.0 - np.cumsum(a)
     below = np.flatnonzero(remaining < tau)
     hat = int(below[0]) if below.size else a.shape[0] - 1
-    return _merge_tail(a[:hat], a.shape[0], hat, overcount_merge_divisor)
+    return _merge_tail(a[:hat], a.shape[0], hat)
 
 
-def _merge_tail(head: np.ndarray, groups: int, hat: int,
-                overcount: bool) -> SpatialWeights:
+def _merge_tail(head: np.ndarray, groups: int, hat: int) -> SpatialWeights:
     mass = 1.0 - float(head.sum())
-    divisor = (groups - hat) + (1 if overcount else 0)
-    merged = mass / divisor
+    merged = mass / (groups - hat)
     alphas = np.concatenate((head, np.full(groups - hat, merged)))
     return SpatialWeights(alphas=alphas, hat_r=hat, merged_weight=merged)
 
@@ -227,7 +213,7 @@ def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarr
     if kind is WeightSchemeKind.FIXED_EXPONENTIAL:
         hat = min(r_max, groups - 1)
         head = 0.5 ** (np.arange(hat) + 1.0)
-        return _merge_tail(head, groups, hat, scheme.overcount_merge_divisor)
+        return _merge_tail(head, groups, hat)
 
     if kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
         logits = stick_logits(value_vector, scheme.params)
@@ -236,12 +222,12 @@ def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarr
         gamma = np.exp(z)
         gamma /= gamma.sum()
         hat = min(r_max, groups - 1)
-        return _merge_tail(gamma[:hat], groups, hat, scheme.overcount_merge_divisor)
+        return _merge_tail(gamma[:hat], groups, hat)
 
     logits = stick_logits(value_vector, scheme.params)
     if logits.shape[0] < r_max:
         raise ValueError(f"scheme has {logits.shape[0]} stick units, r_max={r_max} needs at least that many")
-    factors = _sigmoid_factors(r_max, scheme.saturating_sigmoid)
+    factors = _sigmoid_factors(r_max)
     fracs = 1.0 / (1.0 + factors * np.exp(-logits[:r_max]))
     beta = stick_breaking(fracs)
 
@@ -256,14 +242,13 @@ def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarr
         return SpatialWeights(alphas=alphas, hat_r=cut, merged_weight=0.0)
 
     hat = min(_tau_halt_index(beta, tau), r_max, groups - 1)
-    return _merge_tail(beta[:hat], groups, hat, scheme.overcount_merge_divisor)
+    return _merge_tail(beta[:hat], groups, hat)
 
 
 # ---------- schemes, whole grid at once ----------
 
-def _sigmoid_factors(r_max: int, saturating: bool) -> np.ndarray:
-    base = r_max - np.arange(1, r_max + 1, dtype=np.float64)
-    return base if saturating else base + 1.0
+def _sigmoid_factors(r_max: int) -> np.ndarray:
+    return np.arange(r_max, 0, -1, dtype=np.float64)
 
 
 def grid_stick_fractions(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
@@ -272,7 +257,7 @@ def grid_stick_fractions(value_grid: np.ndarray, scheme: WeightScheme, r_max: in
     p = scheme.params
     projected = value_grid.astype(np.float64) @ p.value_projection.T
     logits = projected @ p.unit_embeddings[:r_max].T
-    factors = _sigmoid_factors(r_max, scheme.saturating_sigmoid)
+    factors = _sigmoid_factors(r_max)
     fracs = 1.0 / (1.0 + factors * np.exp(-logits))
     return fracs, logits, projected
 
@@ -310,7 +295,7 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
         hat = np.minimum(r_max, groups - 1)
         beta_row = 0.5 ** (span + 1.0)
         head = np.broadcast_to(beta_row, (h, w, gmax))
-        return _assemble_merged(head, hat, groups, gmax, scheme.overcount_merge_divisor)
+        return _assemble_merged(head, hat, groups, gmax)
 
     if kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
         _, logits, _ = grid_stick_fractions(value_grid, scheme, r_max)
@@ -320,7 +305,7 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
         gamma /= gamma.sum(axis=-1, keepdims=True)
         hat = np.minimum(r_max, groups - 1)
         head = _pad_last(gamma, gmax)
-        return _assemble_merged(head, hat, groups, gmax, scheme.overcount_merge_divisor)
+        return _assemble_merged(head, hat, groups, gmax)
 
     fracs, _, _ = grid_stick_fractions(value_grid, scheme, r_max)
     beta, _ = _grid_stick_breaking(fracs)
@@ -342,7 +327,7 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
     hat_tau = np.where(below.any(axis=-1), np.argmax(below, axis=-1), beta.shape[-1] - 1)
     hat = np.minimum(np.minimum(hat_tau, r_max), groups - 1)
     head = _pad_last(beta, gmax)
-    return _assemble_merged(head, hat, groups, gmax, scheme.overcount_merge_divisor)
+    return _assemble_merged(head, hat, groups, gmax)
 
 
 def _pad_last(arr: np.ndarray, length: int) -> np.ndarray:
@@ -353,15 +338,14 @@ def _pad_last(arr: np.ndarray, length: int) -> np.ndarray:
 
 
 def _assemble_merged(head: np.ndarray, hat: np.ndarray, groups: np.ndarray,
-                     gmax: int, overcount: bool) -> WeightGrid:
+                     gmax: int) -> WeightGrid:
     """Expand (head, hat) into full per-query vectors with a uniform shared tail."""
     span = np.arange(gmax)
     in_head = span < hat[..., None]
     cumsum = np.cumsum(np.where(in_head, head, 0.0), axis=-1)
     head_sum = np.where(hat > 0, np.take_along_axis(
         cumsum, np.maximum(hat - 1, 0)[..., None], axis=-1)[..., 0], 0.0)
-    divisor = (groups - hat) + (1 if overcount else 0)
-    merged = (1.0 - head_sum) / divisor
+    merged = (1.0 - head_sum) / (groups - hat)
     in_grid = span < groups[..., None]
     alphas = np.where(in_head, head, np.where(in_grid, merged[..., None], 0.0))
     return WeightGrid(alphas=alphas, hat=hat.astype(np.int64), merged=merged,

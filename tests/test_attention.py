@@ -32,14 +32,14 @@ ALL_SCHEMES = list(WeightSchemeKind)
 
 def make_config(kind, partition_kind, rng, value_dim, r_max=3, tau=0.05,
                 d=5, epsilon=DEFAULT_EPSILON,
-                featmap_kind=FeatureMapKind.DETERMINISTIC_ADAPTIVE, **flags):
+                featmap_kind=FeatureMapKind.DETERMINISTIC_ADAPTIVE):
     partition = PartitionScheme(kind=partition_kind, r_max=r_max, tau=tau)
     params = None
     if kind in LEARNED_KINDS:
         params = StickParams(
             unit_embeddings=rng.standard_normal((r_max, 4)),
             value_projection=rng.standard_normal((4, value_dim)))
-    scheme = WeightScheme(kind=kind, params=params, **flags)
+    scheme = WeightScheme(kind=kind, params=params)
     featmap = init_feature_map(featmap_kind, d, rng)
     return AttentionConfig(scheme=scheme, partition=partition,
                            featmap=featmap, epsilon=epsilon)
@@ -277,19 +277,6 @@ def test_dyadic_dp_matches_naive():
         got = ripple_dp(q, k, v, cfg).out
         want = ripple_naive(q, k, v, cfg).out
         assert np.abs(got - want).max() < 1e-10, (kind, h, w)
-
-
-def test_dp_matches_naive_with_scheme_flags():
-    rng = np.random.default_rng(17)
-    q, k, v = random_grids(rng, 6, 5)
-    for flags in ({"saturating_sigmoid": True},
-                  {"overcount_merge_divisor": True},
-                  {"saturating_sigmoid": True, "overcount_merge_divisor": True}):
-        cfg = make_config(WeightSchemeKind.LEARNED_SBT, PartitionKind.UNIT_RING,
-                          rng, v.shape[2], **flags)
-        got = ripple_dp(q, k, v, cfg).out
-        want = ripple_naive(q, k, v, cfg).out
-        assert np.abs(got - want).max() < 1e-10, flags
 
 
 def test_grid_shape_validation():

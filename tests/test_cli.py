@@ -2,11 +2,9 @@ import hashlib
 import json
 
 import numpy as np
-import pytest
 
 import ripplegrid_cli
 from ripplegrid.cli import main
-from ripplegrid.field import read_field
 
 
 def run_dirs(out_root):
@@ -39,15 +37,21 @@ def test_check_sabotage_fails_and_dumps_worst(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
     (run,) = run_dirs(tmp_path)
     assert json.loads((run / "summary.json").read_text())["passed"] is False
-    for name in ("q", "k", "v", "exact", "got"):
-        field = read_field(run / f"worst_{name}.rplt")
-        assert field.data.size > 0
+    with np.load(run / "worst.npz", allow_pickle=False) as worst:
+        assert sorted(worst.files) == ["exact", "got", "k", "q", "v"]
+        for name in worst.files:
+            assert worst[name].shape == (4, 4, 6)
+    assert "worst.npz" in (run / "MANIFEST").read_text()
 
 
 def test_check_size_guardrail(tmp_path, capsys):
     code = main(["check", "--sizes", "40", "--out", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # a config-file force lifts the guardrail just as the flag does
+    cfg = tmp_path / "force.ini"
+    cfg.write_text("[check]\nforce = true\nsizes = 17\nschemes = uniform\ntrials = 1\n")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_check_dyadic_partition(tmp_path):
@@ -155,12 +159,10 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     rows = (run / "metrics.csv").read_text().strip().splitlines()
     assert len(rows) == 3
     assert rows[0] == "step,loss,accuracy,mean_jsd"
-    ckpt = sorted((run / "checkpoint").glob("*.rplt"))
-    assert len(ckpt) > 0
-    names = {p.stem for p in ckpt}
-    assert "embed.w" in names and "head.b" in names
-    embed = read_field(run / "checkpoint" / "embed.w.rplt")
-    assert embed.data.shape == (8, 1)
+    with np.load(run / "checkpoint.npz", allow_pickle=False) as ckpt:
+        assert "embed.w" in ckpt.files and "head.b" in ckpt.files
+        assert ckpt["embed.w"].shape == (8, 1)
+    assert "checkpoint.npz" in (run / "MANIFEST").read_text()
 
 
 def test_train_zero_steps_evaluates_once(tmp_path):
@@ -214,6 +216,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     cfg.write_text("[chekc]\nsizes = 4\n")
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    # the thread count is pinned before a config file can be read
+    cfg.write_text("[global]\nthreads = 4\n")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    # config values get the same checks as the flags they stand for, and a
+    # malformed file is a usage error too
+    for text in ("[global]\ndtype = f16\n", "[check]\npartition = hex\n",
+                 "[check]\nsabotage = maybe\n", "[check\nsizes = 4\n"):
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
+        assert "error:" in capsys.readouterr().err
+    assert run_dirs(tmp_path) == []        # usage errors leave no run directory
 
 
 def test_manifest_digests_verify(tmp_path):

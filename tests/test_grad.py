@@ -47,14 +47,14 @@ FD_EPSILON = 1e-3
 
 def make_config(kind, partition_kind, rng, value_dim, r_max=3, tau=0.05,
                 d=4, epsilon=FD_EPSILON,
-                featmap_kind=FeatureMapKind.DETERMINISTIC_ADAPTIVE, **flags):
+                featmap_kind=FeatureMapKind.DETERMINISTIC_ADAPTIVE):
     partition = PartitionScheme(kind=partition_kind, r_max=r_max, tau=tau)
     params = None
     if kind in LEARNED_KINDS:
         params = StickParams(
             unit_embeddings=rng.standard_normal((r_max, 3)),
             value_projection=rng.standard_normal((3, value_dim)))
-    scheme = WeightScheme(kind=kind, params=params, **flags)
+    scheme = WeightScheme(kind=kind, params=params)
     featmap = init_feature_map(featmap_kind, d, rng)
     return AttentionConfig(scheme=scheme, partition=partition,
                            featmap=featmap, epsilon=epsilon)
@@ -218,9 +218,7 @@ def ripple_loss_fn(cfg, shape, probe, forward):
             scheme = WeightScheme(
                 kind=scheme.kind,
                 params=StickParams(unit_embeddings=params["emb"],
-                                   value_projection=params["proj"]),
-                saturating_sigmoid=scheme.saturating_sigmoid,
-                overcount_merge_divisor=scheme.overcount_merge_divisor)
+                                   value_projection=params["proj"]))
         c2 = AttentionConfig(scheme=scheme, partition=cfg.partition,
                              featmap=featmap, epsilon=cfg.epsilon)
         res = forward(params["q"], params["k"], params["v"], c2)
@@ -275,21 +273,6 @@ def test_ripple_vjp_dyadic_partition():
                                    tolerance=1e-6, mode="sample", sample=8,
                                    rng=np.random.default_rng(101))
         assert report.passed, (kind, str(report))
-
-
-def test_ripple_vjp_scheme_flags():
-    rng = np.random.default_rng(9)
-    for flags in ({"saturating_sigmoid": True},
-                  {"overcount_merge_divisor": True}):
-        q, k, v = random_grids(rng, 4, 4)
-        cfg = make_config(WeightSchemeKind.LEARNED_SBT, PartitionKind.UNIT_RING,
-                          rng, v.shape[2], r_max=2, **flags)
-        probe = rng.standard_normal((4, 4, v.shape[2]))
-        loss = ripple_loss_fn(cfg, GridShape(4, 4), probe, ripple_dp)
-        report = finite_diff_check(loss, base_params(cfg, q, k, v),
-                                   tolerance=1e-6, mode="sample", sample=8,
-                                   rng=np.random.default_rng(102))
-        assert report.passed, (flags, str(report))
 
 
 def test_ripple_vjp_naive_tape():

@@ -20,12 +20,12 @@ from ripplegrid.weights import (
 ALL_KINDS = list(WeightSchemeKind)
 
 
-def make_scheme(kind, rng, r_max=3, c=5, e=4, **flags):
+def make_scheme(kind, rng, r_max=3, c=5, e=4):
     params = None
     if kind in LEARNED_KINDS:
         params = StickParams(rng.standard_normal((r_max, e)),
                              rng.standard_normal((e, c)))
-    return WeightScheme(kind=kind, params=params, **flags)
+    return WeightScheme(kind=kind, params=params)
 
 
 # ---------- stick pipeline ----------
@@ -49,9 +49,6 @@ def test_modified_sigmoid_values():
     assert modified_sigmoid(0.0, 1, 3) == pytest.approx(0.25)
     assert modified_sigmoid(0.0, 3, 3) == pytest.approx(0.5)
     assert modified_sigmoid(0.0, 2, 3) == pytest.approx(1.0 / 3.0)
-    # saturating variant pins the last unit to exactly 1
-    assert modified_sigmoid(-17.3, 3, 3, saturating=True) == 1.0
-    assert modified_sigmoid(0.0, 1, 3, saturating=True) == pytest.approx(1.0 / 3.0)
 
 
 def test_modified_sigmoid_monotone_in_logit():
@@ -125,14 +122,6 @@ def test_adaptive_truncate_edge_cases():
     np.testing.assert_allclose(sw.alphas[2:], [0.1, 0.1], rtol=1e-12)
 
 
-def test_adaptive_truncate_overcount_divisor():
-    # sharing over one extra group leaves total mass below 1
-    sw = adaptive_truncate(np.array([0.6, 0.3, 0.05, 0.03, 0.02]), tau=0.1,
-                           overcount_merge_divisor=True)
-    assert sw.merged_weight == pytest.approx(0.1 / 4.0)
-    assert sw.alphas.sum() == pytest.approx(0.975)
-
-
 # ---------- full schemes ----------
 
 def test_uniform_scheme():
@@ -183,23 +172,6 @@ def test_single_group_degenerate():
         np.testing.assert_allclose(sw.alphas, [1.0], rtol=1e-12)
 
 
-def test_saturating_sigmoid_exhausts_stick():
-    """The saturating factor pins the last fraction to 1, so the terminal
-    remainder is exactly zero and the tau halt fires one unit early."""
-    rng = np.random.default_rng(6)
-    params = StickParams(rng.standard_normal((3, 4)), rng.standard_normal((4, 5)))
-    v = rng.standard_normal(5)
-    plain = scheme_weights(WeightScheme(kind=WeightSchemeKind.LEARNED_SBT,
-                                        params=params),
-                           (1, 1), v, groups=8, r_max=3, tau=1e-12)
-    sat = scheme_weights(WeightScheme(kind=WeightSchemeKind.LEARNED_SBT,
-                                      params=params, saturating_sigmoid=True),
-                         (1, 1), v, groups=8, r_max=3, tau=1e-12)
-    assert plain.hat_r == 3
-    assert sat.hat_r == 2
-    assert sat.alphas.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 # ---------- grid pipeline vs scalar pipeline ----------
 
 def test_grid_matches_scalar():
@@ -244,21 +216,6 @@ def test_grid_fewer_groups_than_breaks():
                                      groups, 3, 0.05)
                 np.testing.assert_allclose(wg.at((i, j)).alphas, ref.alphas,
                                            rtol=1e-10, atol=1e-12)
-
-
-def test_grid_overcount_and_saturating_flags():
-    rng = np.random.default_rng(8)
-    shape = GridShape(5, 5)
-    v = rng.standard_normal((5, 5, 4))
-    partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05)
-    for flags in ({"saturating_sigmoid": True}, {"overcount_merge_divisor": True}):
-        scheme = make_scheme(WeightSchemeKind.LEARNED_SBT, rng, r_max=3, c=4, **flags)
-        wg = scheme_weights_grid(scheme, v, shape, partition)
-        for (i, j) in [(1, 1), (3, 3), (5, 2)]:
-            groups = num_groups(partition, shape, (i, j))
-            ref = scheme_weights(scheme, (i, j), v[i - 1, j - 1], groups, 3, 0.05)
-            np.testing.assert_allclose(wg.at((i, j)).alphas, ref.alphas,
-                                       rtol=1e-10, atol=1e-12)
 
 
 def test_learned_scheme_requires_params():
