@@ -45,7 +45,6 @@ class BenchPlan:
     r_max_policy: str = "fixed"
     feature_dim: int = 32
     value_dim: int = 32
-    tau: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -152,8 +151,10 @@ def _grid_inputs(side: int, plan: BenchPlan):
 
 def _grouped_config(variant: str, side: int, plan: BenchPlan) -> AttentionConfig:
     kind = PartitionKind.DYADIC if variant == "dyadic" else PartitionKind.UNIT_RING
+    # the fixed-exponential scheme never reads tau; PartitionScheme still
+    # needs a valid one
     partition = PartitionScheme(kind=kind, r_max=plan.resolved_r_max(side),
-                                tau=plan.tau)
+                                tau=0.05)
     _, _, _, fm = _grid_inputs(side, plan)
     scheme = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
     return AttentionConfig(scheme=scheme, partition=partition, featmap=fm)
@@ -301,7 +302,7 @@ def summarize(records: list[BenchRecord], plan: BenchPlan) -> dict:
                  "dtype": plan.dtype, "r_max": plan.r_max,
                  "r_max_policy": plan.r_max_policy,
                  "feature_dim": plan.feature_dim, "value_dim": plan.value_dim,
-                 "tau": plan.tau, "seed": plan.seed},
+                 "seed": plan.seed},
         "records": [{"variant": r.variant, "tokens": r.tokens, "status": r.status,
                      "median_ns": r.median_ns, "peak_bytes": r.peak_bytes}
                     for r in records],

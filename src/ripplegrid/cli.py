@@ -11,6 +11,8 @@ check or criterion failure, 2 usage error.
 
 --threads is command-line only: the ripplegrid_cli entry point pins the BLAS
 thread count before numpy loads, which is before any config file is read.
+For the same reason this module refuses to run as ``python -m ripplegrid.cli``:
+the package import has loaded numpy before anything could pin threads.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ def _choice(*names: str):
     return parse
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 SCHEME_NAMES = ("uniform", "fixed-exponential", "learned-sbt", "truncated", "softmax")
 SCHEME = _choice(*SCHEME_NAMES)
 PARTITION = _choice("unit-ring", "dyadic")
@@ -117,7 +126,6 @@ OPTIONS = {
                              default="fixed"),
         "feature-dim": dict(type=int, default=32),
         "value-dim": dict(type=int, default=32),
-        "tau": dict(type=float, default=0.05),
         "no-memory": dict(action="store_true", help="skip the peak-allocation probe"),
     },
     "weights": {
@@ -181,9 +189,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     "verification, benchmarks, and a training demo")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
-        p = sub.add_parser(command, help=HELPS[command])
+        # no abbreviated flags: the entry point finds --threads by its full
+        # spelling before this parser exists
+        p = sub.add_parser(command, help=HELPS[command], allow_abbrev=False)
         p.add_argument("--config", help="INI file with [global] and per-command sections")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="BLAS thread count (1 = bitwise replay; command line only)")
         for name, kwargs in {**GLOBAL_OPTIONS, **options}.items():
             p.add_argument("--" + name, **kwargs)
@@ -493,8 +503,7 @@ def cmd_bench(ctx: RunContext) -> int:
                          warmup=opts.warmup, dtype=opts.dtype,
                          r_max=opts.r_max, r_max_policy=opts.r_max_policy,
                          feature_dim=opts.feature_dim,
-                         value_dim=opts.value_dim, tau=opts.tau,
-                         seed=opts.seed)
+                         value_dim=opts.value_dim, seed=opts.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -646,4 +655,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    print("error: numpy is already loaded, so --threads cannot take effect; "
+          "run `ripplegrid` or `python -m ripplegrid_cli` instead", file=sys.stderr)
+    sys.exit(2)

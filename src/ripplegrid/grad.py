@@ -99,6 +99,19 @@ def _sweep_cotangents(tape: AttentionTape, upstream: np.ndarray):
     return gboth, np.einsum("hwd,hwc->hwdc", tape.phi_q, gboth)
 
 
+def _feature_grads(q, k, featmap, grad_pq, grad_pk):
+    """Pull the phi_q and phi_k cotangents through the shared feature map:
+    the token gradients of q and k, and the parameter gradients summed over
+    both streams."""
+    fq = feature_vjp(q, featmap, grad_pq)
+    fk = feature_vjp(k, featmap, grad_pk)
+    params = FeatureParamGrads(
+        w1=fq.grad_w1 + fk.grad_w1,
+        w2=None if fq.grad_w2 is None else fq.grad_w2 + fk.grad_w2,
+        b2=None if fq.grad_b2 is None else fq.grad_b2 + fk.grad_b2)
+    return fq.grad_x, fk.grad_x, params
+
+
 def _window_dots(sat: SummedAreaTable, cot: np.ndarray, kind: PartitionKind,
                  length: int) -> np.ndarray:
     """Inner products <cot, W_g> per query for g < length, after a leading zero
@@ -274,13 +287,9 @@ def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> RippleGradients:
                                        ghead, gmerged)
     grad_v = grad_v + gv_stick
 
-    fq = feature_vjp(tape.q, cfg.featmap, grad_pq)
-    fk = feature_vjp(tape.k, cfg.featmap, grad_pk)
-    featmap = FeatureParamGrads(
-        w1=fq.grad_w1 + fk.grad_w1,
-        w2=None if fq.grad_w2 is None else fq.grad_w2 + fk.grad_w2,
-        b2=None if fq.grad_b2 is None else fq.grad_b2 + fk.grad_b2)
-    return RippleGradients(grad_q=fq.grad_x, grad_k=fk.grad_x, grad_v=grad_v,
+    grad_q, grad_k, featmap = _feature_grads(tape.q, tape.k, cfg.featmap,
+                                             grad_pq, grad_pk)
+    return RippleGradients(grad_q=grad_q, grad_k=grad_k, grad_v=grad_v,
                            grad_alpha_head=ghead, grad_merged=gmerged,
                            featmap=featmap, stick=stick)
 
@@ -293,13 +302,9 @@ def linearized_vjp(tape: LinearTape, upstream: np.ndarray) -> LinearizedGradient
     gz2 = np.einsum("hwd,hw->d", tape.phi_q, gden)
     grad_pk = np.einsum("dc,hwc->hwd", gz1, tape.v) + gz2
     grad_v = np.einsum("dc,hwd->hwc", gz1, tape.phi_k)
-    fq = feature_vjp(tape.q, tape.featmap, grad_pq)
-    fk = feature_vjp(tape.k, tape.featmap, grad_pk)
-    featmap = FeatureParamGrads(
-        w1=fq.grad_w1 + fk.grad_w1,
-        w2=None if fq.grad_w2 is None else fq.grad_w2 + fk.grad_w2,
-        b2=None if fq.grad_b2 is None else fq.grad_b2 + fk.grad_b2)
-    return LinearizedGradients(grad_q=fq.grad_x, grad_k=fk.grad_x,
+    grad_q, grad_k, featmap = _feature_grads(tape.q, tape.k, tape.featmap,
+                                             grad_pq, grad_pk)
+    return LinearizedGradients(grad_q=grad_q, grad_k=grad_k,
                                grad_v=grad_v, featmap=featmap)
 
 

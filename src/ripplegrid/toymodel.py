@@ -216,9 +216,9 @@ def model_backward(tape: ModelTape, params: dict, config: ToyModelConfig,
     return grads
 
 
-def _accumulate(into: dict, add: dict, scale: float = 1.0) -> None:
+def _accumulate(into: dict, add: dict) -> None:
     for name, g in add.items():
-        into[name] += scale * g
+        into[name] += g
 
 
 def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,

@@ -26,10 +26,6 @@ class GridShape:
         if self.height < 1 or self.width < 1:
             raise ValueError(f"grid sides must be >= 1, got {self.height}x{self.width}")
 
-    @property
-    def num_tokens(self) -> int:
-        return self.height * self.width
-
 
 class PartitionKind(Enum):
     UNIT_RING = "unit-ring"

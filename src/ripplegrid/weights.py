@@ -171,9 +171,7 @@ def adaptive_truncate(alphas: np.ndarray, tau: float) -> SpatialWeights:
         raise ValueError("need a 1-d weight vector")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    remaining = 1.0 - np.cumsum(a)
-    below = np.flatnonzero(remaining < tau)
-    hat = int(below[0]) if below.size else a.shape[0] - 1
+    hat = _tau_halt_index(a, tau)
     return _merge_tail(a[:hat], a.shape[0], hat)
 
 
@@ -227,8 +225,7 @@ def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarr
     logits = stick_logits(value_vector, scheme.params)
     if logits.shape[0] < r_max:
         raise ValueError(f"scheme has {logits.shape[0]} stick units, r_max={r_max} needs at least that many")
-    factors = _sigmoid_factors(r_max)
-    fracs = 1.0 / (1.0 + factors * np.exp(-logits[:r_max]))
+    fracs = np.array([modified_sigmoid(logits[m], m + 1, r_max) for m in range(r_max)])
     beta = stick_breaking(fracs)
 
     if kind is WeightSchemeKind.TRUNCATED:
@@ -247,17 +244,13 @@ def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarr
 
 # ---------- schemes, whole grid at once ----------
 
-def _sigmoid_factors(r_max: int) -> np.ndarray:
-    return np.arange(r_max, 0, -1, dtype=np.float64)
-
-
 def grid_stick_fractions(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
     """Stick fractions for every query: (H, W, r_max). Also returns the
     projected value grid, which the backward pass reuses."""
     p = scheme.params
     projected = value_grid.astype(np.float64) @ p.value_projection.T
     logits = projected @ p.unit_embeddings[:r_max].T
-    factors = _sigmoid_factors(r_max)
+    factors = np.arange(r_max, 0, -1, dtype=np.float64)  # modified_sigmoid's damping
     fracs = 1.0 / (1.0 + factors * np.exp(-logits))
     return fracs, logits, projected
 

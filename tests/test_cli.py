@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -258,6 +261,8 @@ def test_peek_threads():
     assert ripplegrid_cli._peek_threads(["bench", "--threads", "4"]) == "4"
     assert ripplegrid_cli._peek_threads(["--threads=7", "check"]) == "7"
     assert ripplegrid_cli._peek_threads(["check", "--sizes", "4"]) is None
+    # argparse keeps the last value, so the pinned count must be that one
+    assert ripplegrid_cli._peek_threads(["--threads", "2", "--threads=4"]) == "4"
 
 
 def test_shim_main_delegates(tmp_path, capsys):
@@ -265,3 +270,47 @@ def test_shim_main_delegates(tmp_path, capsys):
                                 "--out", str(tmp_path)])
     assert code == 0
     assert "alpha:" in capsys.readouterr().out
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_shim_threads_beat_inherited_env(tmp_path, monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "1")
+    assert ripplegrid_cli.main(["weights", "--grid", "5", "--threads", "4",
+                                "--out", str(tmp_path / "a")]) == 0
+    assert [os.environ[var] for var in BLAS_VARS] == ["4"] * 3
+    (run,) = run_dirs(tmp_path / "a")
+    assert "ran with --threads 4;" in (run / "effective_config.ini").read_text()
+    # without the flag the count is the default 1, not the inherited value
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "3")
+    assert ripplegrid_cli.main(["weights", "--grid", "5",
+                                "--out", str(tmp_path / "b")]) == 0
+    assert [os.environ[var] for var in BLAS_VARS] == ["1"] * 3
+    (run,) = run_dirs(tmp_path / "b")
+    assert "ran with --threads 1;" in (run / "effective_config.ini").read_text()
+
+
+def test_threads_below_one_rejected(tmp_path, monkeypatch, capsys):
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "2")
+    for argv in (["weights", "--threads", "0"], ["weights", "--threads=-1"]):
+        assert ripplegrid_cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert [os.environ[var] for var in BLAS_VARS] == ["2"] * 3
+    # an abbreviation would reach argparse but not the thread pinning
+    assert main(["weights", "--thread", "4", "--out", str(tmp_path)]) == 2
+    assert run_dirs(tmp_path) == []
+
+
+def test_module_run_of_package_cli_refused(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(ripplegrid_cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "ripplegrid.cli", "weights",
+                           "--out", str(tmp_path)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 2
+    assert "python -m ripplegrid_cli" in done.stderr
+    assert run_dirs(tmp_path) == []

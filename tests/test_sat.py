@@ -7,13 +7,15 @@ from ripplegrid.sat import (
     reset_fetch_count,
     sabotage_radius_offset,
 )
-from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme, group_members
+from ripplegrid.vicinal import (GridShape, PartitionKind, PartitionScheme, group_members,
+                                group_span)
 
 FIELD_2X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
 
 def brute_window(field, center, radius):
-    """Direct summation over the clipped window; the oracle for window_sum."""
+    """Direct summation over the clipped window, one position at a time; the
+    oracle for window_sum_grid."""
     h, w = field.shape[:2]
     i, j = center
     acc = np.zeros(field.shape[2:])
@@ -43,99 +45,62 @@ def test_prefix_table_matches_brute_force():
 
 def test_window_sum_values():
     sat = SummedAreaTable(FIELD_2X3)
-    assert sat.window_sum((2, 2), 0) == 5.0
-    assert sat.window_sum((1, 1), 1) == 12.0   # cells (1,1),(1,2),(2,1),(2,2)
-    assert sat.window_sum((1, 3), 50) == 21.0  # window swallows the grid
+    assert sat.window_sum_grid(0)[1, 1] == 5.0
+    assert sat.window_sum_grid(1)[0, 0] == 12.0   # cells (1,1),(1,2),(2,1),(2,2)
+    assert np.all(sat.window_sum_grid(50) == 21.0)  # window swallows the grid
 
 
-def test_window_sum_matches_brute_force():
-    rng = np.random.default_rng(1)
-    field = rng.standard_normal((6, 9, 2))
-    sat = SummedAreaTable(field)
-    for i in range(1, 7):
-        for j in range(1, 10):
-            for r in range(0, 10):
-                np.testing.assert_allclose(
-                    sat.window_sum((i, j), r), brute_window(field, (i, j), r),
-                    rtol=1e-12, atol=1e-12)
+def test_window_sum_grid_matches_pointwise():
+    rng = np.random.default_rng(5)
+    for shape in ((6, 7, 3), (1, 7), (9, 1), (6, 9, 2)):
+        field = rng.standard_normal(shape)
+        sat = SummedAreaTable(field)
+        h, w = shape[:2]
+        for r in range(0, 9):
+            grid = sat.window_sum_grid(r)
+            assert grid.shape == shape
+            for i in range(1, h + 1):
+                for j in range(1, w + 1):
+                    np.testing.assert_allclose(
+                        grid[i - 1, j - 1], brute_window(field, (i, j), r),
+                        rtol=1e-12, atol=1e-12)
 
 
-def test_ring_sum_matches_group_members():
+def test_window_differences_match_group_members():
+    """Group r of a query is the window out to its outer radius minus the
+    window just inside its inner radius; rings past the grid edge are empty."""
     rng = np.random.default_rng(2)
     field = rng.standard_normal((9, 9, 3))
     sat = SummedAreaTable(field)
-    scheme = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05)
     shape = GridShape(9, 9)
-    for i in range(1, 10):
-        for j in range(1, 10):
-            for r in range(0, 9):
-                members = group_members(scheme, shape, (i, j), r)
-                want = sum((field[m - 1, n - 1] for m, n in members),
-                           np.zeros(3))
-                np.testing.assert_allclose(sat.ring_sum((i, j), r), want,
-                                           rtol=1e-10, atol=1e-10)
-
-
-def test_ring_sum_degenerate_cases():
-    sat = SummedAreaTable(FIELD_2X3)
-    assert sat.ring_sum((2, 2), 0) == 5.0
-    # ring fully outside the grid is an empty sum
-    assert sat.ring_sum((1, 1), 40) == 0.0
-
-
-def test_band_sum():
-    rng = np.random.default_rng(3)
-    field = rng.standard_normal((8, 8))
-    sat = SummedAreaTable(field)
-    np.testing.assert_allclose(sat.band_sum((3, 5), 0, 100), field.sum())
-    for r in range(5):
-        np.testing.assert_allclose(sat.band_sum((3, 5), r, r),
-                                   sat.ring_sum((3, 5), r), atol=1e-12)
-    want = sum(sat.ring_sum((4, 4), r) for r in (2, 3))
-    np.testing.assert_allclose(sat.band_sum((4, 4), 2, 3), want, atol=1e-12)
-    with pytest.raises(ValueError):
-        sat.band_sum((1, 1), 3, 2)
+    for kind, groups in ((PartitionKind.UNIT_RING, 11), (PartitionKind.DYADIC, 5)):
+        scheme = PartitionScheme(kind=kind, r_max=3, tau=0.05)
+        for r in range(groups):
+            lo, hi = group_span(kind, r)
+            band = sat.window_sum_grid(hi)
+            if lo > 0:
+                band = band - sat.window_sum_grid(lo - 1)
+            for i in range(1, 10):
+                for j in range(1, 10):
+                    members = group_members(scheme, shape, (i, j), r)
+                    want = sum((field[m - 1, n - 1] for m, n in members),
+                               np.zeros(3))
+                    np.testing.assert_allclose(band[i - 1, j - 1], want,
+                                               rtol=1e-10, atol=1e-10)
 
 
 def test_rings_telescope_to_total():
     rng = np.random.default_rng(4)
     field = rng.standard_normal((7, 11, 2))
     sat = SummedAreaTable(field)
-    total = sat.total()
-    for i in range(1, 8):
-        for j in range(1, 12):
-            acc = np.zeros(2)
-            for r in range(11):
-                acc = acc + sat.ring_sum((i, j), r)
-            np.testing.assert_allclose(acc, total, rtol=1e-9)
-
-
-def test_window_sum_grid_matches_pointwise():
-    rng = np.random.default_rng(5)
-    field = rng.standard_normal((6, 7, 3))
-    sat = SummedAreaTable(field)
-    for r in range(0, 8):
-        grid = sat.window_sum_grid(r)
-        for i in range(1, 7):
-            for j in range(1, 8):
-                np.testing.assert_array_equal(grid[i - 1, j - 1],
-                                              sat.window_sum((i, j), r))
-
-
-def test_window_sum_grid_per_position_radii():
-    rng = np.random.default_rng(6)
-    field = rng.standard_normal((5, 5))
-    sat = SummedAreaTable(field)
-    radii = rng.integers(-1, 4, size=(5, 5))
-    grid = sat.window_sum_grid(radii)
-    for i in range(1, 6):
-        for j in range(1, 6):
-            r = int(radii[i - 1, j - 1])
-            if r < 0:
-                assert grid[i - 1, j - 1] == 0.0  # empty window, exact zero
-            else:
-                np.testing.assert_array_equal(grid[i - 1, j - 1],
-                                              sat.window_sum((i, j), r))
+    acc = np.zeros(field.shape)
+    prev = np.zeros(field.shape)
+    for r in range(11):
+        cur = sat.window_sum_grid(r)
+        acc = acc + (cur - prev)
+        prev = cur
+    np.testing.assert_allclose(acc, np.broadcast_to(sat.total(), acc.shape),
+                               rtol=1e-9)
 
 
 def test_f32_field_accumulates_f64():
@@ -148,15 +113,13 @@ def test_f32_field_accumulates_f64():
 
 
 def test_fetch_counting():
-    field = np.ones((4, 4))
-    sat = SummedAreaTable(field)
+    sat = SummedAreaTable(np.ones((4, 5)))
     reset_fetch_count()
-    sat.window_sum((2, 2), 1)
-    assert fetch_count() == 1
-    sat.ring_sum((2, 2), 2)        # two windows
-    assert fetch_count() == 3
     sat.window_sum_grid(1)         # one fetch per grid position
-    assert fetch_count() == 3 + 16
+    assert fetch_count() == 20
+    sat.window_sum_grid(0)
+    sat.total()                    # the corner read is not a window
+    assert fetch_count() == 40
     reset_fetch_count()
     assert fetch_count() == 0
 
@@ -168,11 +131,11 @@ def test_sabotage_radius_offset():
     with sabotage_radius_offset(1):
         broken = SummedAreaTable(field)
     # a table built inside the context corrupts windows and the total alike
-    assert broken.window_sum((3, 3), 1) != pytest.approx(float(clean.window_sum((3, 3), 1)))
+    assert broken.window_sum_grid(1)[2, 2] != pytest.approx(float(clean.window_sum_grid(1)[2, 2]))
     assert broken.total() != pytest.approx(float(clean.total()))
     # the fault does not leak out of the context
     after = SummedAreaTable(field)
-    np.testing.assert_array_equal(after.window_sum((3, 3), 1), clean.window_sum((3, 3), 1))
+    np.testing.assert_array_equal(after.window_sum_grid(1), clean.window_sum_grid(1))
     np.testing.assert_array_equal(after.total(), clean.total())
 
 
@@ -181,6 +144,4 @@ def test_validation():
         SummedAreaTable(np.ones(5))
     sat = SummedAreaTable(np.ones((3, 3)))
     with pytest.raises(ValueError):
-        sat.window_sum((0, 1), 1)
-    with pytest.raises(ValueError):
-        sat.window_sum((1, 1), -1)
+        sat.window_sum_grid(-1)
