@@ -50,9 +50,22 @@ def test_window_sum_values():
     assert np.all(sat.window_sum_grid(50) == 21.0)  # window swallows the grid
 
 
+def test_window_sum_matches_brute_force():
+    rng = np.random.default_rng(1)
+    field = rng.standard_normal((6, 9, 2))
+    sat = SummedAreaTable(field)
+    for r in range(0, 10):
+        grid = sat.window_sum_grid(r)
+        for i in range(1, 7):
+            for j in range(1, 10):
+                np.testing.assert_allclose(
+                    grid[i - 1, j - 1], brute_window(field, (i, j), r),
+                    rtol=1e-12, atol=1e-12)
+
+
 def test_window_sum_grid_matches_pointwise():
     rng = np.random.default_rng(5)
-    for shape in ((6, 7, 3), (1, 7), (9, 1), (6, 9, 2)):
+    for shape in ((6, 7, 3), (1, 7), (9, 1)):
         field = rng.standard_normal(shape)
         sat = SummedAreaTable(field)
         h, w = shape[:2]
