@@ -156,6 +156,10 @@ def _featurize(qgrid, kgrid, vgrid, config: AttentionConfig):
         raise ValueError("q, k, v must be (H, W, dim) grids over the same shape")
     if q.shape[2] != k.shape[2]:
         raise ValueError("query and key widths must match")
+    # one inf in k would poison the whole prefix table (inf - inf)
+    for name, a in (("q", q), ("k", k), ("v", v)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite values")
     shape = GridShape(q.shape[0], q.shape[1])
     pq = feature_forward(q, config.featmap)
     pk = feature_forward(k, config.featmap)
@@ -215,9 +219,11 @@ def _sweep(sat: SummedAreaTable, wg: WeightGrid, kind: PartitionKind) -> np.ndar
     coefs = wg.window_coefs()
     lift = (1,) * len(sat.channels)
     y = wg.merged.reshape(wg.merged.shape + lift) * sat.total()
+    window = np.empty_like(y)
     for g in range(coefs.shape[-1]):
-        coef = coefs[..., g].reshape(coefs.shape[:2] + lift)
-        y += coef * sat.window_sum_grid(group_span(kind, g)[1])
+        sat.window_sum_grid(group_span(kind, g)[1], out=window)
+        window *= coefs[..., g].reshape(coefs.shape[:2] + lift)
+        y += window
     return y
 
 

@@ -119,9 +119,10 @@ def _window_dots(sat: SummedAreaTable, cot: np.ndarray, kind: PartitionKind,
     group-g band's inner product; groups past a query's own count difference
     to exactly zero because their clipped windows coincide."""
     out = np.zeros(cot.shape[:2] + (length + 1,))
+    window = np.empty(cot.shape)
     for g in range(length):
-        out[..., g + 1] = np.einsum("hwdc,hwdc->hw", cot,
-                                    sat.window_sum_grid(group_span(kind, g)[1]))
+        sat.window_sum_grid(group_span(kind, g)[1], out=window)
+        out[..., g + 1] = np.einsum("hwdc,hwdc->hw", cot, window)
     return out
 
 
@@ -160,9 +161,14 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     tail = (weights.merged.reshape(lift) * g).sum(axis=(0, 1))
     out = np.broadcast_to(tail, g.shape).copy()
     coefs = weights.window_coefs()
+    scratch = np.empty_like(g)
     for r in range(coefs.shape[-1]):
-        sat = SummedAreaTable(coefs[..., r].reshape(lift) * g)
-        out += sat.window_sum_grid(group_span(partition.kind, r)[1])
+        # the table holds all it needs of the weighted field, so the window
+        # overwrites the field's buffer
+        np.multiply(coefs[..., r].reshape(lift), g, out=scratch)
+        SummedAreaTable(scratch).window_sum_grid(group_span(partition.kind, r)[1],
+                                                 out=scratch)
+        out += scratch
     return out
 
 

@@ -291,6 +291,28 @@ def test_grid_shape_validation():
         ripple_naive(q, k[..., :3], v, cfg)
 
 
+def test_non_finite_inputs_rejected():
+    # an inf in k would otherwise turn every output NaN through the prefix
+    # table, and a NaN in q would silently poison its own query
+    rng = np.random.default_rng(23)
+    cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, PartitionKind.UNIT_RING,
+                      rng, 4)
+    q, k, v = random_grids(rng, 5, 5)
+    bad_q = q.copy()
+    bad_q[2, 3, 1] = np.nan
+    bad_k = k.copy()
+    bad_k[0, 4, 0] = np.inf
+    bad_v = v.copy()
+    bad_v[1, 1, 2] = -np.inf
+    for fn in (ripple_dp, ripple_naive):
+        with pytest.raises(ValueError, match="q contains non-finite"):
+            fn(bad_q, k, v, cfg)
+        with pytest.raises(ValueError, match="k contains non-finite"):
+            fn(q, bad_k, v, cfg)
+        with pytest.raises(ValueError, match="v contains non-finite"):
+            fn(q, k, bad_v, cfg)
+
+
 def test_query_purity():
     # weights come from the values, so nudging one query can only move the
     # output row at that position

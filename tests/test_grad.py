@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -451,6 +454,28 @@ def test_forward_backward_fetch_budget():
         assert forward <= budget, (side, r_max, forward, budget)
         assert total <= budget, (side, r_max, total, budget)
         reset_fetch_count()
+
+
+def test_forward_backward_peak_memory():
+    """Forward plus backward allocates at most 8 (H, W, Dp, C + 1) f64 arrays
+    at their peak: the tape's table and sweep, the cotangent field, the
+    table, window and intermediate of one token-gradient group, and the
+    gradient being summed. Gather-sized window temporaries break the bound."""
+    rng = np.random.default_rng(17)
+    side, width = 32, 32
+    q, k, v = random_grids(rng, side, side, d=width, c=width)
+    cfg = make_config(WeightSchemeKind.LEARNED_SBT, PartitionKind.DYADIC, rng,
+                      width, r_max=4, d=width)
+    probe = rng.standard_normal((side, side, width))
+    unit = side * side * width * (width + 1) * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ripple_vjp(ripple_dp(q, k, v, cfg).tape, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / unit <= 8.0, f"peak {peak / unit:.2f}x one (H, W, Dp, C+1) array"
 
 
 # ---------- the audit harness itself ----------

@@ -3,6 +3,7 @@ import pytest
 
 from ripplegrid.sat import (
     SummedAreaTable,
+    _axis_runs,
     fetch_count,
     reset_fetch_count,
     sabotage_radius_offset,
@@ -65,18 +66,50 @@ def test_window_sum_matches_brute_force():
 
 def test_window_sum_grid_matches_pointwise():
     rng = np.random.default_rng(5)
-    for shape in ((6, 7, 3), (1, 7), (9, 1)):
+    for shape in ((6, 7, 3), (1, 7), (9, 1), (1, 1)):
         field = rng.standard_normal(shape)
         sat = SummedAreaTable(field)
         h, w = shape[:2]
-        for r in range(0, 9):
+        buf = np.full(shape, np.nan)   # one buffer reused across radii
+        for r in range(0, max(h, w) + 3):
             grid = sat.window_sum_grid(r)
             assert grid.shape == shape
+            assert sat.window_sum_grid(r, out=buf) is buf
+            np.testing.assert_array_equal(buf, grid)
             for i in range(1, h + 1):
                 for j in range(1, w + 1):
                     np.testing.assert_allclose(
                         grid[i - 1, j - 1], brute_window(field, (i, j), r),
                         rtol=1e-12, atol=1e-12)
+
+
+def test_axis_runs_match_clipped_edges():
+    """The runs expand to the clipped edge vectors min(i + 1 + r, n) and
+    max(i - r, 0), in table indices, including r >= n where every window
+    spans the whole axis."""
+    for n in range(1, 14):
+        pos = np.arange(n)
+        for r in range(20):
+            runs = _axis_runs(n, r)
+            assert len(runs) <= 3
+            hi = np.full(n, -1)
+            lo = np.full(n, -1)
+            covered = []
+            for dst, hi_sl, lo_sl in runs:
+                span = np.arange(n)[dst]
+                assert span.size > 0
+                covered.extend(span)
+                # table without its zero row: index + 1 is the table index
+                hi[dst] = np.broadcast_to(np.arange(n)[hi_sl] + 1, span.shape)
+                if lo_sl is None:
+                    lo[dst] = 0
+                else:
+                    lo[dst] = np.broadcast_to(np.arange(n)[lo_sl] + 1, span.shape)
+                    assert lo_sl.stop - lo_sl.start == span.size
+                assert hi_sl.stop - hi_sl.start in (1, span.size)
+            assert covered == list(pos), (n, r)
+            np.testing.assert_array_equal(hi, np.minimum(pos + 1 + r, n))
+            np.testing.assert_array_equal(lo, np.maximum(pos - r, 0))
 
 
 def test_window_differences_match_group_members():
@@ -123,6 +156,9 @@ def test_f32_field_accumulates_f64():
     # f32 accumulation of 2500 terms would drift far beyond this tolerance
     np.testing.assert_allclose(sat.total(), np.float64(np.float32(0.1)) * 2500,
                                rtol=1e-12)
+    mixed = np.random.default_rng(8).standard_normal((9, 6, 3)).astype(np.float32)
+    np.testing.assert_array_equal(SummedAreaTable(mixed).table,
+                                  SummedAreaTable(mixed.astype(np.float64)).table)
 
 
 def test_fetch_counting():
@@ -133,6 +169,8 @@ def test_fetch_counting():
     sat.window_sum_grid(0)
     sat.total()                    # the corner read is not a window
     assert fetch_count() == 40
+    sat.window_sum_grid(2, out=np.empty((4, 5)))
+    assert fetch_count() == 60
     reset_fetch_count()
     assert fetch_count() == 0
 
@@ -158,3 +196,5 @@ def test_validation():
     sat = SummedAreaTable(np.ones((3, 3)))
     with pytest.raises(ValueError):
         sat.window_sum_grid(-1)
+    with pytest.raises(ValueError):
+        sat.window_sum_grid(1, out=np.empty((3, 4)))
