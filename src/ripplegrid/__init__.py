@@ -14,7 +14,7 @@ from .attention import (AttentionConfig, AttentionOutput, AttentionTape,
                         multi_head_forward, ripple_dp, ripple_naive,
                         ripple_softmax_reference, softmax_attention)
 from .bench import (BenchPlan, BenchRecord, SlopeFit, fit_loglog, fit_slope,
-                    memory_probe, run_bench, summarize, write_csv)
+                    memory_probe, run_bench)
 from .featmap import (FeatureMapKind, FeatureMapParams, feature_forward,
                       feature_vjp, init_feature_map)
 from .grad import (FiniteDiffReport, LinearizedGradients, MultiHeadGradients,
@@ -28,7 +28,7 @@ from .toymodel import (Adam, SgdMomentum, ToyModelConfig, clip_grad_norm,
                        make_scattered_clustered_batch, model_forward,
                        train_demo)
 from .vicinal import (GridShape, PartitionKind, PartitionScheme, chebyshev,
-                      group_index, group_members, group_of_distance,
+                      group_members, group_of_distance,
                       group_span, max_chebyshev, num_groups, num_groups_grid)
 from .weights import (SpatialWeights, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, adaptive_truncate, jsd, jsd_grid,

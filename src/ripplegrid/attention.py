@@ -77,13 +77,21 @@ class AttentionOutput:
 def _as_float(a) -> np.ndarray:
     """Pass float32/float64 through untouched, promote everything else to f64.
 
-    The flat reference paths honor a 32-bit input dtype so they can be
-    benchmarked in single precision; the grid paths always accumulate in f64.
+    The flat reference paths honor a 32-bit input dtype; the grid paths
+    always accumulate in f64.
     """
     a = np.asarray(a)
     if a.dtype in (np.float32, np.float64):
         return a
     return a.astype(np.float64)
+
+
+def _check_finite(q, k, v) -> None:
+    """One inf in k or v would poison every sum it enters (a prefix table
+    turns it into inf - inf), so non-finite inputs are rejected by name."""
+    for name, a in (("q", q), ("k", k), ("v", v)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite values")
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -107,6 +115,7 @@ def linearized_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                          featmap: FeatureMapParams,
                          epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Feature-factorized attention: one pass over keys, one over queries."""
+    _check_finite(q, k, v)
     pq = feature_forward(q, featmap)
     pk = feature_forward(k, featmap)
     z1 = pk.T @ _as_float(v)
@@ -156,10 +165,7 @@ def _featurize(qgrid, kgrid, vgrid, config: AttentionConfig):
         raise ValueError("q, k, v must be (H, W, dim) grids over the same shape")
     if q.shape[2] != k.shape[2]:
         raise ValueError("query and key widths must match")
-    # one inf in k would poison the whole prefix table (inf - inf)
-    for name, a in (("q", q), ("k", k), ("v", v)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} contains non-finite values")
+    _check_finite(q, k, v)
     shape = GridShape(q.shape[0], q.shape[1])
     pq = feature_forward(q, config.featmap)
     pk = feature_forward(k, config.featmap)
@@ -231,7 +237,11 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
               weights: WeightGrid | None = None) -> AttentionOutput:
     """Prefix-sum forward for either partition; equals ripple_naive. Over
     dyadic bands the per-query sweep length drops from the grid radius to its
-    logarithm."""
+    logarithm.
+
+    A ``weights=`` override is used as given and not checked against the
+    simplex: it is the finite-difference seam through which the gradient
+    tests perturb single weights off the simplex on purpose."""
     q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
@@ -292,6 +302,7 @@ def linearized_grid(qgrid, kgrid, vgrid, featmap: FeatureMapParams,
     q = np.asarray(qgrid, dtype=np.float64)
     k = np.asarray(kgrid, dtype=np.float64)
     v = np.asarray(vgrid, dtype=np.float64)
+    _check_finite(q, k, v)
     pq = feature_forward(q, featmap)
     pk = feature_forward(k, featmap)
     z1 = np.einsum("hwd,hwc->dc", pk, v)

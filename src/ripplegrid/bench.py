@@ -8,16 +8,16 @@ machine-dependent and never asserted, only slopes and ratios.
 
 Grouped variants must pass the oracle-equivalence gate at the smallest planned
 size before any timing happens: speed numbers for wrong results are worthless.
-Timed regions assume the process is already single-threaded (the CLI pins
-thread counts before numpy loads); the grid paths accumulate in f64 regardless
-of the requested dtype, which only the flat reference paths honor fully.
+Inputs are f64. Timed regions assume the process is already
+single-threaded (the ``ripplegrid`` entry point pins thread counts before
+numpy loads).
 """
 from __future__ import annotations
 
 import gc
 import time
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -29,7 +29,7 @@ from .vicinal import PartitionKind, PartitionScheme
 from .weights import WeightScheme, WeightSchemeKind
 
 VARIANTS = ("softmax", "linearized", "naive", "dp", "dyadic")
-R_MAX_POLICIES = ("fixed", "linear-in-side", "dyadic")
+R_MAX_POLICIES = ("fixed", "linear-in-side")
 GATE_TOLERANCE = 1e-8
 
 
@@ -40,7 +40,6 @@ class BenchPlan:
     batch: int = 1
     reps: int = 3
     warmup: int = 1
-    dtype: str = "f64"
     r_max: int = 4
     r_max_policy: str = "fixed"
     feature_dim: int = 32
@@ -59,17 +58,13 @@ class BenchPlan:
             raise ValueError(f"unknown variants {sorted(unknown)}; options: {VARIANTS}")
         if self.r_max_policy not in R_MAX_POLICIES:
             raise ValueError(f"r_max_policy must be one of {R_MAX_POLICIES}")
-        if self.dtype not in ("f32", "f64"):
-            raise ValueError("dtype must be 'f32' or 'f64'")
         if len(self.sizes) < 1 or any(s < 2 for s in self.sizes):
             raise ValueError("sizes must be grid sides >= 2")
 
     def resolved_r_max(self, side: int) -> int:
         if self.r_max_policy == "fixed":
             return self.r_max
-        if self.r_max_policy == "linear-in-side":
-            return max(1, side - 1)
-        return max(1, int(side - 1).bit_length())
+        return max(1, side - 1)
 
 
 @dataclass
@@ -77,7 +72,6 @@ class BenchRecord:
     variant: str
     side: int
     tokens: int
-    dtype: str
     r_max: int
     median_ns: float
     mean_ns: float
@@ -134,16 +128,11 @@ def fit_slope(records: list[BenchRecord]) -> SlopeFit:
 
 # ---------- workloads ----------
 
-def _np_dtype(name: str):
-    return np.float32 if name == "f32" else np.float64
-
-
 def _grid_inputs(side: int, plan: BenchPlan):
     rng = np.random.Generator(np.random.PCG64(plan.seed))
-    dt = _np_dtype(plan.dtype)
-    q = rng.standard_normal((side, side, plan.feature_dim)).astype(dt)
-    k = rng.standard_normal((side, side, plan.feature_dim)).astype(dt)
-    v = rng.standard_normal((side, side, plan.value_dim)).astype(dt)
+    q = rng.standard_normal((side, side, plan.feature_dim))
+    k = rng.standard_normal((side, side, plan.feature_dim))
+    v = rng.standard_normal((side, side, plan.value_dim))
     fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, plan.feature_dim,
                           np.random.Generator(np.random.PCG64(plan.seed + 1)))
     return q, k, v, fm
@@ -182,9 +171,8 @@ def _gate(variant: str, plan: BenchPlan) -> None:
     if variant not in ("dp", "dyadic", "naive"):
         return
     side = min(plan.sizes)
-    f64_plan = replace(plan, dtype="f64")
-    q, k, v, _ = _grid_inputs(side, f64_plan)
-    cfg = _grouped_config(variant, side, f64_plan)
+    q, k, v, _ = _grid_inputs(side, plan)
+    cfg = _grouped_config(variant, side, plan)
     oracle = ripple_naive(q, k, v, cfg, build_tape=False).out
     if variant == "naive":
         candidate = oracle  # the enumeration path is the oracle
@@ -231,7 +219,7 @@ def run_bench(plan: BenchPlan, probe_memory: bool = True) -> list[BenchRecord]:
         for side in plan.sizes:
             r_max = plan.resolved_r_max(side)
             base = dict(variant=variant, side=side, tokens=side * side,
-                        dtype=plan.dtype, r_max=r_max)
+                        r_max=r_max)
             try:
                 fn = _make_runner(variant, side, plan)
                 for _ in range(plan.warmup):
@@ -260,51 +248,3 @@ def run_bench(plan: BenchPlan, probe_memory: bool = True) -> list[BenchRecord]:
                 r.slope = fit.slope
                 r.slope_ci = fit.ci
     return records
-
-
-# ---------- output ----------
-
-CSV_COLUMNS = ("variant", "tokens", "dtype", "r_max", "median_ns", "mean_ns",
-               "stddev_ns", "peak_bytes")
-
-
-def write_csv(records: list[BenchRecord], path) -> None:
-    """Measured rows only; skipped sizes are reported in the JSON summary."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(CSV_COLUMNS)
-        for r in records:
-            if r.status != "ok":
-                continue
-            out.writerow([r.variant, r.tokens, r.dtype, r.r_max,
-                          int(r.median_ns), int(r.mean_ns), int(r.stddev_ns),
-                          r.peak_bytes])
-
-
-def summarize(records: list[BenchRecord], plan: BenchPlan) -> dict:
-    """JSON-compatible summary embedding the plan and seed for replay.
-
-    Replay reproduces the computed values (inputs, gate results, slopes given
-    the same times); wall times themselves are machine noise by nature.
-    """
-    slopes = {}
-    for variant in plan.variants:
-        mine = [r for r in records if r.variant == variant and r.status == "ok"]
-        if len(mine) >= 3:
-            fit = fit_slope(mine)
-            slopes[variant] = {"slope": fit.slope, "intercept": fit.intercept,
-                               "r_squared": fit.r_squared,
-                               "ci": list(fit.ci)}
-    return {
-        "plan": {"variants": list(plan.variants), "sizes": list(plan.sizes),
-                 "batch": plan.batch, "reps": plan.reps, "warmup": plan.warmup,
-                 "dtype": plan.dtype, "r_max": plan.r_max,
-                 "r_max_policy": plan.r_max_policy,
-                 "feature_dim": plan.feature_dim, "value_dim": plan.value_dim,
-                 "seed": plan.seed},
-        "records": [{"variant": r.variant, "tokens": r.tokens, "status": r.status,
-                     "median_ns": r.median_ns, "peak_bytes": r.peak_bytes}
-                    for r in records],
-        "slopes": slopes,
-    }

@@ -1,5 +1,7 @@
-"""Command-line driver: oracle checks, gradient checks, benchmarks, weight
-inspection, and the training demo.
+"""Command-line driver: ``check`` sweeps the prefix-sum forward against the
+quadratic enumeration oracle, ``train`` runs the grid classification demo.
+Gradient audits live in the test suite and speed measurements in
+``perfbench/run.py``.
 
 Every run writes its artifacts under a fresh timestamped directory containing
 an effective_config.ini (rerunnable via --config, bitwise with --threads 1)
@@ -22,7 +24,6 @@ import configparser
 import csv
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -31,17 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttentionConfig, ripple_dp, ripple_naive
-from .bench import BenchPlan, run_bench, summarize, write_csv
-from .featmap import (FeatureMapKind, FeatureMapParams, feature_forward, feature_vjp,
-                      init_feature_map)
-from .grad import finite_diff_check, ripple_vjp
+from .featmap import FeatureMapKind, init_feature_map
 from .sat import sabotage_radius_offset
 from .toymodel import (ToyModelConfig, init_model, loss_and_grads,
                        make_local_majority_batch, make_scattered_clustered_batch,
                        train_demo)
-from .vicinal import GridShape, PartitionKind, PartitionScheme, group_index
-from .weights import (LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind,
-                      jsd_grid, scheme_weights_grid)
+from .vicinal import GridShape, PartitionKind, PartitionScheme
+from .weights import LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind
 
 
 class UsageError(Exception):
@@ -83,8 +80,6 @@ PARTITION = _choice("unit-ring", "dyadic")
 # key (--config and --threads are command line only)
 GLOBAL_OPTIONS = {
     "seed": dict(type=int, default=0, help="base RNG seed"),
-    "dtype": dict(type=_choice("f32", "f64"), default="f64",
-                  help="input dtype for check/bench (other commands run f64)"),
     "out": dict(type=str, default="runs", help="parent directory for run artifacts"),
 }
 
@@ -98,46 +93,11 @@ OPTIONS = {
         "r-max": dict(type=int, default=3),
         "tau": dict(type=float, default=0.05),
         "epsilon": dict(type=float, default=1e-6),
+        "dtype": dict(type=_choice("f32", "f64"), default="f64", help="input dtype"),
         "force": dict(action="store_true",
                       help="allow sizes beyond the quadratic-oracle guardrail (16)"),
         "sabotage": dict(action="store_true",
                          help="corrupt the prefix tables (harness self-test; must fail)"),
-    },
-    "gradcheck": {
-        "scope": dict(type=_choice("featmap", "weights", "attention", "model"),
-                      default="attention"),
-        "tolerance": dict(type=float, default=0.0,
-                          help="max relative error (0 = per-scope default)"),
-        "grid": dict(type=int, default=4, help="grid side"),
-        "step": dict(type=float, default=0.0,
-                     help="central-difference step (0 = per-scope default)"),
-        "mode": dict(type=_choice("auto", "full", "sample"), default="auto"),
-        "sample": dict(type=int, default=12, help="coordinates per tensor in sample mode"),
-    },
-    "bench": {
-        "variants": dict(type=_strs, default=("softmax", "naive", "dp")),
-        "sizes": dict(type=_ints, default=(64, 144, 256, 576),
-                      help="token counts (perfect squares)"),
-        "batch": dict(type=int, default=1, help="forward passes per timed repetition"),
-        "repetitions": dict(type=int, default=3),
-        "warmup": dict(type=int, default=1),
-        "r-max": dict(type=int, default=4),
-        "r-max-policy": dict(type=_choice("fixed", "linear-in-side", "dyadic"),
-                             default="fixed"),
-        "feature-dim": dict(type=int, default=32),
-        "value-dim": dict(type=int, default=32),
-        "no-memory": dict(action="store_true", help="skip the peak-allocation probe"),
-    },
-    "weights": {
-        "scheme": dict(type=SCHEME, default="learned-sbt"),
-        "partition": dict(type=PARTITION, default="unit-ring"),
-        "grid": dict(type=int, default=9, help="grid side"),
-        "query": dict(type=str, default="",
-                      help="query position as 'row,col' (1-based; default center)"),
-        "r-max": dict(type=int, default=3),
-        "tau": dict(type=float, default=0.05),
-        "value-dim": dict(type=int, default=8),
-        "stick-dim": dict(type=int, default=6),
     },
     "train": {
         "task": dict(type=_choice("local-majority", "scattered-clustered"),
@@ -162,9 +122,6 @@ OPTIONS = {
 }
 
 HELPS = {"check": "DP forward vs the quadratic enumeration oracle",
-         "gradcheck": "analytic gradients vs central finite differences",
-         "bench": "timing/memory scaling with correctness gates",
-         "weights": "inspect spatial weights for one query",
          "train": "train the grid classification demo"}
 
 
@@ -186,7 +143,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="ripplegrid",
         description="spatially weighted linear attention on 2D grids: "
-                    "verification, benchmarks, and a training demo")
+                    "oracle checks and a training demo")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
         # no abbreviated flags: the entry point finds --threads by its full
@@ -365,219 +322,6 @@ def cmd_check(ctx: RunContext) -> int:
     return 0
 
 
-def _gradcheck_problem(scope: str, seed: int, side: int):
-    """Returns (loss_fn, params, default_mode). loss_fn obeys the
-    finite_diff_check contract: params dict -> (loss, grads dict)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    d = 4
-    partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05)
-
-    if scope == "featmap":
-        x = rng.standard_normal((side, side, d))
-        fm0 = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, d, rng)
-        gseed = rng.standard_normal((side, side, fm0.out_dim))
-        params = {"w1": fm0.w1, "w2": fm0.w2, "b2": fm0.b2}
-
-        def loss_fn(p):
-            fm = FeatureMapParams(kind=fm0.kind, w1=p["w1"], w2=p["w2"], b2=p["b2"])
-            phi = feature_forward(x, fm)
-            g = feature_vjp(x, fm, gseed)
-            return float((phi * gseed).sum()), {"w1": g.grad_w1, "w2": g.grad_w2,
-                                                "b2": g.grad_b2}
-        return loss_fn, params, "full"
-
-    if scope in ("weights", "attention"):
-        q, k, v = (rng.standard_normal((side, side, d)) for _ in range(3))
-        fm0 = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, d, rng)
-        emb = rng.standard_normal((2, 3))
-        proj = rng.standard_normal((3, d))
-        gseed = rng.standard_normal((side, side, d))
-
-        def run(p):
-            stick = StickParams(p["emb"], p["proj"])
-            fm = FeatureMapParams(kind=fm0.kind, w1=p.get("w1", fm0.w1),
-                                  w2=p.get("w2", fm0.w2), b2=p.get("b2", fm0.b2))
-            config = AttentionConfig(
-                scheme=WeightScheme(kind=WeightSchemeKind.LEARNED_SBT, params=stick),
-                partition=partition, featmap=fm)
-            res = ripple_dp(p.get("q", q), p.get("k", k), p.get("v", v), config)
-            grads = ripple_vjp(res.tape, gseed)
-            return float((res.out * gseed).sum()), grads
-
-        if scope == "weights":
-            params = {"emb": emb, "proj": proj}
-
-            def loss_fn(p):
-                loss, g = run(p)
-                return loss, {"emb": g.stick.unit_embeddings,
-                              "proj": g.stick.value_projection}
-        else:
-            params = {"q": q, "k": k, "v": v, "w1": fm0.w1, "w2": fm0.w2,
-                      "b2": fm0.b2, "emb": emb, "proj": proj}
-
-            def loss_fn(p):
-                loss, g = run(p)
-                return loss, {"q": g.grad_q, "k": g.grad_k, "v": g.grad_v,
-                              "w1": g.featmap.w1, "w2": g.featmap.w2,
-                              "b2": g.featmap.b2,
-                              "emb": g.stick.unit_embeddings,
-                              "proj": g.stick.value_projection}
-        return loss_fn, params, "full"
-
-    # model scope
-    # epsilon 1e-3: the attention quotient's curvature scales like 1/den^2,
-    # and central differences at step 1e-5 lose ~3 digits to it when den can
-    # reach the default 1e-6. The gradient formula itself is epsilon-blind.
-    config = ToyModelConfig(height=side, width=side, model_dim=8, num_heads=2,
-                            head_dim=4, num_layers=2, ripple_layers=1, r_max=2,
-                            epsilon=1e-3)
-    params = init_model(config, seed=seed)
-    data_rng = np.random.Generator(np.random.PCG64(seed + 1))
-    imgs, labels = make_local_majority_batch(data_rng, 2, GridShape(side, side))
-
-    def loss_fn(p):
-        loss, grads, _ = loss_and_grads(imgs, labels, p, config)
-        return loss, grads
-    return loss_fn, params, "sample"
-
-
-def cmd_gradcheck(ctx: RunContext) -> int:
-    opts = ctx.opts
-    scope = opts.scope
-    tolerance = opts.tolerance
-    if tolerance <= 0.0:
-        tolerance = {"featmap": 1e-6, "weights": 1e-4,
-                     "attention": 1e-4, "model": 1e-3}[scope]
-    step = opts.step
-    if step <= 0.0:
-        # the model stacks many ReLU units, so a wide central difference can
-        # straddle a kink; 3e-6 stays one-sided on the default instances
-        step = 3e-6 if scope == "model" else 1e-5
-    loss_fn, params, default_mode = _gradcheck_problem(scope, opts.seed, opts.grid)
-    mode = default_mode if opts.mode == "auto" else opts.mode
-
-    def checked_loss_fn(p):
-        loss, grads = loss_fn(p)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite loss {loss} in scope {scope!r}")
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for {name!r}")
-        return loss, grads
-
-    run_dir = ctx.run_dir()
-    try:
-        report = finite_diff_check(checked_loss_fn, params, step=step,
-                                   tolerance=tolerance, mode=mode,
-                                   sample=opts.sample,
-                                   rng=np.random.default_rng(opts.seed + 2))
-    except FloatingPointError as exc:
-        (run_dir / "report.json").write_text(json.dumps(
-            {"scope": scope, "passed": False, "error": str(exc)}, indent=2) + "\n")
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-
-    print(f"scope {scope}: {report}")
-    payload = {"scope": scope, "passed": bool(report.passed),
-               "tolerance": report.tolerance, "mode": mode,
-               "max_rel_error": report.max_rel_error,
-               "worst_param": report.worst_param,
-               "worst_index": list(report.worst_index),
-               "checked": report.checked, "loss": report.loss,
-               "per_param": report.per_param}
-    (run_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return 0 if report.passed else 1
-
-
-def cmd_bench(ctx: RunContext) -> int:
-    opts = ctx.opts
-    sides = []
-    for tokens in opts.sizes:
-        side = math.isqrt(tokens)
-        if side * side != tokens:
-            raise UsageError(f"token count {tokens} is not a perfect square")
-        sides.append(side)
-    try:
-        plan = BenchPlan(variants=tuple(opts.variants), sizes=tuple(sides),
-                         batch=opts.batch, reps=opts.repetitions,
-                         warmup=opts.warmup, dtype=opts.dtype,
-                         r_max=opts.r_max, r_max_policy=opts.r_max_policy,
-                         feature_dim=opts.feature_dim,
-                         value_dim=opts.value_dim, seed=opts.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    records = run_bench(plan, probe_memory=not opts.no_memory)
-
-    run_dir = ctx.run_dir()
-    write_csv(records, run_dir / "bench.csv")
-    summary = summarize(records, plan)
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-
-    print(f"{'variant':<12} {'tokens':>7} {'median ms':>10} {'peak MiB':>9}")
-    for r in records:
-        if r.status != "ok":
-            print(f"{r.variant:<12} {r.tokens:>7} {'skipped':>10}")
-            continue
-        print(f"{r.variant:<12} {r.tokens:>7} {r.median_ns / 1e6:>10.3f} "
-              f"{r.peak_bytes / 2**20:>9.2f}")
-    for variant, fit in summary["slopes"].items():
-        lo, hi = fit["ci"]
-        print(f"slope {variant}: {fit['slope']:.3f} (95% ci {lo:.3f}..{hi:.3f}, "
-              f"r^2 {fit['r_squared']:.4f})")
-    return 0
-
-
-def cmd_weights(ctx: RunContext) -> int:
-    opts = ctx.opts
-    side = opts.grid
-    shape = GridShape(side, side)
-    if opts.query:
-        try:
-            row, col = (int(t) for t in opts.query.split(","))
-        except ValueError:
-            raise UsageError("query must be 'row,col'") from None
-        if not (1 <= row <= side and 1 <= col <= side):
-            raise UsageError(f"query out of range for a {side}x{side} grid")
-    else:
-        row = col = (side + 1) // 2
-    query = (row, col)
-
-    partition = PartitionScheme(kind=PartitionKind(opts.partition),
-                                r_max=opts.r_max, tau=opts.tau)
-    kind = WeightSchemeKind(opts.scheme)
-    rng = np.random.Generator(np.random.PCG64(opts.seed))
-    v = rng.standard_normal((side, side, opts.value_dim))
-    stick = None
-    if kind in LEARNED_KINDS:
-        stick = StickParams(rng.standard_normal((opts.r_max, opts.stick_dim)),
-                            rng.standard_normal((opts.stick_dim, opts.value_dim)))
-    wg = scheme_weights_grid(WeightScheme(kind=kind, params=stick), v, shape, partition)
-    sw = wg.at(query)
-    ref = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
-                              v, shape, partition)
-    mean_jsd = float(jsd_grid(wg.alphas, ref.alphas, wg.groups).mean())
-
-    print(f"scheme {kind.value}, {opts.partition} partition, "
-          f"query ({row},{col}) on {side}x{side}")
-    print("alpha:", " ".join(f"{a:.6f}" for a in sw.alphas))
-    print(f"hat_r: {sw.hat_r}  merged: {sw.merged_weight:.6f}  "
-          f"sum: {sw.alphas.sum():.9f}")
-    print(f"mean JSD vs fixed-exponential: {mean_jsd:.6f}")
-
-    dist = np.empty((side, side))
-    for m in range(1, side + 1):
-        for n in range(1, side + 1):
-            dist[m - 1, n - 1] = sw.alphas[group_index(partition, query, (m, n))]
-    run_dir = ctx.run_dir()
-    with open(run_dir / "alpha_grid.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for m in range(side):
-            writer.writerow([f"{x:.12g}" for x in dist[m]])
-    print(f"per-position weight grid: {run_dir / 'alpha_grid.csv'}")
-    return 0
-
-
 def cmd_train(ctx: RunContext) -> int:
     opts = ctx.opts
     config = ToyModelConfig(height=opts.grid, width=opts.grid,
@@ -630,8 +374,7 @@ def cmd_train(ctx: RunContext) -> int:
     return 0
 
 
-_COMMANDS = {"check": cmd_check, "gradcheck": cmd_gradcheck, "bench": cmd_bench,
-             "weights": cmd_weights, "train": cmd_train}
+_COMMANDS = {"check": cmd_check, "train": cmd_train}
 
 
 def main(argv=None) -> int:

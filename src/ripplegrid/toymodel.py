@@ -239,7 +239,10 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     correct = 0
     jsd_vals = []
-    fixed = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
+    # the fixed-exponential profile reads only the grid shape and the
+    # partition, so one reference serves every sample and head
+    ref = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
+                              imgs[0], GridShape(*imgs.shape[1:3]), config.partition)
     for b in range(batch):
         logits, tape = model_forward(imgs[b], params, config)
         loss, gz = cross_entropy(logits, int(labels[b]))
@@ -249,9 +252,6 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
         for l in range(config.ripple_layers):
             for htape in tape.mh_tapes[l].head_tapes:
                 wg = htape.weights
-                ref = scheme_weights_grid(fixed, htape.v,
-                                          GridShape(*htape.v.shape[:2]),
-                                          config.partition)
                 jsd_vals.append(jsd_grid(wg.alphas, ref.alphas, wg.groups).mean())
     if reduction == "mean":
         total /= batch

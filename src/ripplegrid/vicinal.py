@@ -94,12 +94,6 @@ def group_span(kind: PartitionKind, r: int) -> tuple[int, int]:
     return 2 ** (r - 1), 2 ** r - 1
 
 
-def group_index(scheme: PartitionScheme, query: Position, token: Position,
-                shape: GridShape | None = None) -> int:
-    """Index of the group of ``query`` that ``token`` belongs to."""
-    return group_of_distance(scheme.kind, chebyshev(query, token, shape))
-
-
 def num_groups(scheme: PartitionScheme, shape: GridShape, query: Position) -> int:
     """Number of non-empty-eligible groups for this query: indices 0..num_groups-1
     are exactly those whose distance band intersects the grid."""

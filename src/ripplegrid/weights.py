@@ -96,13 +96,6 @@ class WeightGrid:
     merged: np.ndarray      # (H, W) float64
     groups: np.ndarray      # (H, W) int64
 
-    def at(self, query: Position) -> SpatialWeights:
-        i, j = query[0] - 1, query[1] - 1
-        g = int(self.groups[i, j])
-        return SpatialWeights(alphas=self.alphas[i, j, :g].copy(),
-                              hat_r=int(self.hat[i, j]),
-                              merged_weight=float(self.merged[i, j]))
-
     def window_coefs(self) -> np.ndarray:
         """Coefficients of the nested windows in the grouped sum taken by parts.
 

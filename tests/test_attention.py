@@ -293,7 +293,8 @@ def test_grid_shape_validation():
 
 def test_non_finite_inputs_rejected():
     # an inf in k would otherwise turn every output NaN through the prefix
-    # table, and a NaN in q would silently poison its own query
+    # table (or the global sums of the linearized forms), and a NaN in q
+    # would silently poison its own query
     rng = np.random.default_rng(23)
     cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, PartitionKind.UNIT_RING,
                       rng, 4)
@@ -304,7 +305,14 @@ def test_non_finite_inputs_rejected():
     bad_k[0, 4, 0] = np.inf
     bad_v = v.copy()
     bad_v[1, 1, 2] = -np.inf
-    for fn in (ripple_dp, ripple_naive):
+
+    def grid(q, k, v, cfg):
+        return linearized_grid(q, k, v, cfg.featmap)
+
+    def flat(q, k, v, cfg):
+        return linearized_attention(*(a.reshape(25, -1) for a in (q, k, v)), cfg.featmap)
+
+    for fn in (ripple_dp, ripple_naive, grid, flat):
         with pytest.raises(ValueError, match="q contains non-finite"):
             fn(bad_q, k, v, cfg)
         with pytest.raises(ValueError, match="k contains non-finite"):

@@ -1,10 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
 from ripplegrid.bench import (
-    CSV_COLUMNS,
     GATE_TOLERANCE,
     BenchPlan,
     BenchRecord,
@@ -12,8 +9,6 @@ from ripplegrid.bench import (
     fit_slope,
     memory_probe,
     run_bench,
-    summarize,
-    write_csv,
 )
 from ripplegrid.sat import sabotage_radius_offset
 
@@ -48,7 +43,7 @@ def test_fit_loglog_needs_three_points():
 
 def make_record(variant, side, median, status="ok"):
     return BenchRecord(variant=variant, side=side, tokens=side * side,
-                       dtype="f64", r_max=4, median_ns=median,
+                       r_max=4, median_ns=median,
                        mean_ns=median, stddev_ns=0.0, peak_bytes=0,
                        status=status)
 
@@ -82,8 +77,6 @@ def test_bench_plan_validation():
     with pytest.raises(ValueError):
         BenchPlan(r_max_policy="sqrt")
     with pytest.raises(ValueError):
-        BenchPlan(dtype="f16")
-    with pytest.raises(ValueError):
         BenchPlan(sizes=())
     with pytest.raises(ValueError):
         BenchPlan(sizes=(8, 1))
@@ -94,9 +87,6 @@ def test_resolved_r_max_policies():
     linear = BenchPlan(r_max_policy="linear-in-side")
     assert linear.resolved_r_max(9) == 8
     assert linear.resolved_r_max(2) == 1
-    dyadic = BenchPlan(r_max_policy="dyadic")
-    assert dyadic.resolved_r_max(9) == 4    # covers distance 8 in 4 bands
-    assert dyadic.resolved_r_max(2) == 1
 
 
 # ---------- gating and measurement ----------
@@ -143,39 +133,6 @@ def test_memory_probe_dp():
     plan = BenchPlan(variants=("dp",), sizes=(8,), reps=3, warmup=1,
                      feature_dim=8, value_dim=8, r_max=2)
     assert memory_probe("dp", 8, plan) > 0
-
-
-# ---------- outputs ----------
-
-def test_write_csv_measured_rows_only(tmp_path):
-    records = [make_record("dp", s, 5.0 * s * s) for s in (8, 12)]
-    records.append(make_record("dp", 16, 0.0, status="skipped"))
-    path = tmp_path / "bench.csv"
-    write_csv(records, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS)
-    assert len(rows) == 3   # header + the two measured rows
-    assert rows[1][0] == "dp" and rows[1][1] == "64"
-
-
-def test_summarize_structure():
-    plan = BenchPlan(variants=("dp",), sizes=(8, 12, 16), reps=3, warmup=1)
-    records = [make_record("dp", s, 5.0 * s * s) for s in (8, 12, 16)]
-    summary = summarize(records, plan)
-    assert summary["plan"]["seed"] == plan.seed
-    assert summary["plan"]["sizes"] == [8, 12, 16]
-    assert len(summary["records"]) == 3
-    slope = summary["slopes"]["dp"]
-    assert abs(slope["slope"] - 1.0) < 1e-9
-    assert abs(slope["r_squared"] - 1.0) < 1e-9
-    assert slope["ci"][0] <= slope["slope"] <= slope["ci"][1]
-
-
-def test_summarize_omits_underfilled_slopes():
-    plan = BenchPlan(variants=("dp",), sizes=(8, 12), reps=3, warmup=1)
-    records = [make_record("dp", s, 5.0 * s * s) for s in (8, 12)]
-    assert summarize(records, plan)["slopes"] == {}
 
 
 def test_gate_tolerance_is_strict():

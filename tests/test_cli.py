@@ -14,6 +14,10 @@ def run_dirs(out_root):
     return sorted(p for p in out_root.iterdir() if p.is_dir())
 
 
+# the cheapest full run of a command: one 4x4 instance
+CHEAP_CHECK = ["check", "--sizes", "4", "--trials", "1", "--schemes", "uniform"]
+
+
 # ---------- check ----------
 
 def test_check_passes_and_records_artifacts(tmp_path, capsys):
@@ -62,89 +66,6 @@ def test_check_dyadic_partition(tmp_path):
                  "--partition", "dyadic", "--schemes", "fixed-exponential",
                  "--out", str(tmp_path)])
     assert code == 0
-
-
-# ---------- gradcheck ----------
-
-def test_gradcheck_featmap_full(tmp_path, capsys):
-    code = main(["gradcheck", "--scope", "featmap", "--out", str(tmp_path)])
-    assert code == 0
-    assert "gradcheck ok" in capsys.readouterr().out
-    (run,) = run_dirs(tmp_path)
-    report = json.loads((run / "report.json").read_text())
-    assert report["passed"] is True
-    assert report["max_rel_error"] < report["tolerance"]
-    assert report["checked"] > 0
-
-
-def test_gradcheck_weights_scope(tmp_path):
-    assert main(["gradcheck", "--scope", "weights", "--out", str(tmp_path)]) == 0
-
-
-def test_gradcheck_bad_scope(tmp_path, capsys):
-    assert main(["gradcheck", "--scope", "everything",
-                 "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-# ---------- bench ----------
-
-def test_bench_writes_csv_and_slopes(tmp_path, capsys):
-    code = main(["bench", "--variants", "dp", "--sizes", "16,36,64",
-                 "--repetitions", "3", "--warmup", "1", "--feature-dim", "8",
-                 "--value-dim", "8", "--r-max", "2", "--no-memory",
-                 "--out", str(tmp_path)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "slope dp:" in text
-    (run,) = run_dirs(tmp_path)
-    rows = (run / "bench.csv").read_text().strip().splitlines()
-    assert len(rows) == 4                      # header + three sizes
-    assert rows[0].startswith("variant,")
-    summary = json.loads((run / "summary.json").read_text())
-    assert "dp" in summary["slopes"]
-    assert summary["plan"]["sizes"] == [4, 6, 8]   # tokens turned into sides
-
-
-def test_bench_rejects_non_square_tokens(tmp_path, capsys):
-    assert main(["bench", "--sizes", "60,80", "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_bench_rejects_bad_reps(tmp_path):
-    assert main(["bench", "--repetitions", "1", "--out", str(tmp_path)]) == 2
-
-
-# ---------- weights ----------
-
-def test_weights_uniform_center_query(tmp_path, capsys):
-    code = main(["weights", "--scheme", "uniform", "--grid", "9",
-                 "--out", str(tmp_path)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "alpha: 0.200000 0.200000 0.200000 0.200000 0.200000" in text
-    assert "sum: 1.000000" in text
-    (run,) = run_dirs(tmp_path)
-    grid_rows = (run / "alpha_grid.csv").read_text().strip().splitlines()
-    assert len(grid_rows) == 9                 # one line per grid row
-    # uniform: the center query weighs every position equally
-    assert all(row.split(",") == ["0.2"] * 9 for row in grid_rows)
-
-
-def test_weights_fixed_exponential_halving(tmp_path, capsys):
-    code = main(["weights", "--scheme", "fixed-exponential", "--grid", "9",
-                 "--out", str(tmp_path)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "alpha: 0.500000 0.250000 0.125000 0.062500 0.062500" in text
-    assert "mean JSD vs fixed-exponential: 0.000000" in text
-
-
-def test_weights_bad_query(tmp_path, capsys):
-    assert main(["weights", "--grid", "5", "--query", "9,9",
-                 "--out", str(tmp_path)]) == 2
-    assert main(["weights", "--grid", "5", "--query", "abc",
-                 "--out", str(tmp_path)]) == 2
 
 
 # ---------- train ----------
@@ -225,16 +146,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
     # config values get the same checks as the flags they stand for, and a
     # malformed file is a usage error too
-    for text in ("[global]\ndtype = f16\n", "[check]\npartition = hex\n",
+    for text in ("[check]\ndtype = f16\n", "[check]\npartition = hex\n",
                  "[check]\nsabotage = maybe\n", "[check\nsizes = 4\n"):
         cfg.write_text(text)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
         assert "error:" in capsys.readouterr().err
+    # dtype belongs to check alone: train neither takes nor records it
+    cfg.write_text("[global]\ndtype = f64\n")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert main(["train", "--dtype", "f32", "--out", str(tmp_path)]) == 2
     assert run_dirs(tmp_path) == []        # usage errors leave no run directory
 
 
 def test_manifest_digests_verify(tmp_path):
-    assert main(["weights", "--grid", "5", "--out", str(tmp_path)]) == 0
+    assert main(["train", "--steps", "0", "--batch", "1", "--grid", "4",
+                 "--out", str(tmp_path)]) == 0
     (run,) = run_dirs(tmp_path)
     manifest = (run / "MANIFEST").read_text().strip().splitlines()
     assert manifest
@@ -244,8 +170,9 @@ def test_manifest_digests_verify(tmp_path):
         data = (run / rel).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, rel
         listed.add(rel)
-    assert "summary.json" not in listed        # weights writes no summary
-    assert "alpha_grid.csv" in listed
+    assert "summary.json" not in listed        # train writes no summary
+    assert "metrics.csv" in listed
+    assert "checkpoint.npz" in listed
     assert "effective_config.ini" in listed
     assert "MANIFEST" not in listed            # it cannot hash itself
 
@@ -255,10 +182,12 @@ def test_manifest_digests_verify(tmp_path):
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["transmogrify"]) == 2
+    for command in ("gradcheck", "bench", "weights"):
+        assert main([command]) == 2, command
 
 
 def test_peek_threads():
-    assert ripplegrid_cli._peek_threads(["bench", "--threads", "4"]) == "4"
+    assert ripplegrid_cli._peek_threads(["train", "--threads", "4"]) == "4"
     assert ripplegrid_cli._peek_threads(["--threads=7", "check"]) == "7"
     assert ripplegrid_cli._peek_threads(["check", "--sizes", "4"]) is None
     # argparse keeps the last value, so the pinned count must be that one
@@ -266,10 +195,9 @@ def test_peek_threads():
 
 
 def test_shim_main_delegates(tmp_path, capsys):
-    code = ripplegrid_cli.main(["weights", "--grid", "5",
-                                "--out", str(tmp_path)])
+    code = ripplegrid_cli.main(CHEAP_CHECK + ["--out", str(tmp_path)])
     assert code == 0
-    assert "alpha:" in capsys.readouterr().out
+    assert "ok: 1 instances" in capsys.readouterr().out
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -278,16 +206,15 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def test_shim_threads_beat_inherited_env(tmp_path, monkeypatch):
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "1")
-    assert ripplegrid_cli.main(["weights", "--grid", "5", "--threads", "4",
-                                "--out", str(tmp_path / "a")]) == 0
+    assert ripplegrid_cli.main(CHEAP_CHECK + ["--threads", "4",
+                                              "--out", str(tmp_path / "a")]) == 0
     assert [os.environ[var] for var in BLAS_VARS] == ["4"] * 3
     (run,) = run_dirs(tmp_path / "a")
     assert "ran with --threads 4;" in (run / "effective_config.ini").read_text()
     # without the flag the count is the default 1, not the inherited value
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "3")
-    assert ripplegrid_cli.main(["weights", "--grid", "5",
-                                "--out", str(tmp_path / "b")]) == 0
+    assert ripplegrid_cli.main(CHEAP_CHECK + ["--out", str(tmp_path / "b")]) == 0
     assert [os.environ[var] for var in BLAS_VARS] == ["1"] * 3
     (run,) = run_dirs(tmp_path / "b")
     assert "ran with --threads 1;" in (run / "effective_config.ini").read_text()
@@ -296,19 +223,19 @@ def test_shim_threads_beat_inherited_env(tmp_path, monkeypatch):
 def test_threads_below_one_rejected(tmp_path, monkeypatch, capsys):
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "2")
-    for argv in (["weights", "--threads", "0"], ["weights", "--threads=-1"]):
+    for argv in (CHEAP_CHECK + ["--threads", "0"], CHEAP_CHECK + ["--threads=-1"]):
         assert ripplegrid_cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "--threads" in capsys.readouterr().err
         assert main(argv + ["--out", str(tmp_path)]) == 2
     assert [os.environ[var] for var in BLAS_VARS] == ["2"] * 3
     # an abbreviation would reach argparse but not the thread pinning
-    assert main(["weights", "--thread", "4", "--out", str(tmp_path)]) == 2
+    assert main(CHEAP_CHECK + ["--thread", "4", "--out", str(tmp_path)]) == 2
     assert run_dirs(tmp_path) == []
 
 
 def test_module_run_of_package_cli_refused(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(ripplegrid_cli.__file__))
-    done = subprocess.run([sys.executable, "-m", "ripplegrid.cli", "weights",
+    done = subprocess.run([sys.executable, "-m", "ripplegrid.cli", "check",
                            "--out", str(tmp_path)], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert done.returncode == 2

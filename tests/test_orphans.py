@@ -9,7 +9,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = ("sat", "attention", "grad", "weights", "vicinal", "featmap")
+MODULES = ("sat", "attention", "grad", "weights", "vicinal", "featmap", "bench",
+           "toymodel", "cli")
 
 REFERENCES = {
     "scheme_weights": "scalar oracle that scheme_weights_grid is tested against",
@@ -23,6 +24,9 @@ REFERENCES = {
     "init_multi_head": "parameter initializer for the multi-head wrapper",
     "fetch_count": "read by the fetch budgets of the scaling tests",
     "reset_fetch_count": "zeroes the fetch counter before a measured pass",
+    "run_bench": "scaling harness of acceptance criteria 4 and 5",
+    "finite_diff_check": "central-difference auditor of every analytic gradient",
+    "chebyshev": "scalar distance the partition tests build group indices from",
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ripplegrid import toymodel
 from ripplegrid.grad import finite_diff_check
 from ripplegrid.toymodel import (
     Adam,
@@ -18,7 +19,8 @@ from ripplegrid.toymodel import (
     train_demo,
 )
 from ripplegrid.vicinal import GridShape
-from ripplegrid.weights import WeightSchemeKind
+from ripplegrid.weights import (WeightScheme, WeightSchemeKind, jsd_grid,
+                                scheme_weights_grid)
 
 
 def small_config(**over):
@@ -71,6 +73,38 @@ def test_batch_reduction_additivity():
         np.testing.assert_allclose(gmean[name], want / 3.0, atol=1e-12)
     with pytest.raises(ValueError):
         loss_and_grads(imgs, labels, params, config, reduction="median")
+
+
+def test_fixed_reference_built_once_per_call(monkeypatch):
+    # the mean_jsd reference reads only the grid shape and the partition, so
+    # one build serves every sample and every grouped head
+    config = small_config()
+    params = init_model(config, seed=2)
+    rng = np.random.Generator(np.random.PCG64(5))
+    imgs, labels = make_local_majority_batch(rng, 3, GridShape(4, 4))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scheme_weights_grid(*args, **kwargs)
+
+    monkeypatch.setattr(toymodel, "scheme_weights_grid", counting)
+    _, _, aux = loss_and_grads(imgs, labels, params, config)
+    assert len(calls) == 1
+
+    fixed = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
+    jsds, correct = [], 0
+    for img, label in zip(imgs, labels):
+        logits, tape = model_forward(img, params, config)
+        correct += int(np.argmax(logits) == label)
+        for htape in tape.mh_tapes[0].head_tapes:
+            ref = scheme_weights_grid(fixed, htape.v, GridShape(4, 4), config.partition)
+            wg = htape.weights
+            jsds.append(jsd_grid(wg.alphas, ref.alphas, wg.groups).mean())
+    assert len(jsds) == 3 * config.num_heads
+    assert aux["mean_jsd"] > 0.0
+    assert aux["mean_jsd"] == float(np.mean(jsds))      # bitwise
+    assert aux["accuracy"] == correct / 3
 
 
 def test_constant_input_gives_uniform_token_outputs():

@@ -6,7 +6,6 @@ from ripplegrid.vicinal import (
     PartitionKind,
     PartitionScheme,
     chebyshev,
-    group_index,
     group_members,
     group_of_distance,
     group_span,
@@ -41,10 +40,10 @@ def test_chebyshev_rejects_out_of_grid():
 
 
 def test_group_index_values():
-    assert group_index(UNIT, (5, 5), (3, 7)) == 2
+    assert group_of_distance(UNIT.kind, chebyshev((5, 5), (3, 7))) == 2
     # distance 5 lands in the dyadic band 4 <= d < 8
-    assert group_index(DYADIC, (1, 1), (1, 6)) == 3
-    assert group_index(DYADIC, (4, 4), (4, 4)) == 0
+    assert group_of_distance(DYADIC.kind, chebyshev((1, 1), (1, 6))) == 3
+    assert group_of_distance(DYADIC.kind, chebyshev((4, 4), (4, 4))) == 0
 
 
 def test_group_of_distance_dyadic_bands():
@@ -118,7 +117,7 @@ def test_membership_symmetry():
         for _ in range(50):
             a = (int(rng.integers(1, 9)), int(rng.integers(1, 7)))
             b = (int(rng.integers(1, 9)), int(rng.integers(1, 7)))
-            r = group_index(scheme, a, b)
+            r = group_of_distance(scheme.kind, chebyshev(a, b))
             assert b in group_members(scheme, shape, a, r)
             assert a in group_members(scheme, shape, b, r)
 

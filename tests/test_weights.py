@@ -188,11 +188,10 @@ def test_grid_matches_scalar():
                     groups = num_groups(partition, shape, (i, j))
                     ref = scheme_weights(scheme, (i, j), v[i - 1, j - 1],
                                          groups, 3, 0.05)
-                    got = wg.at((i, j))
-                    np.testing.assert_allclose(got.alphas, ref.alphas,
-                                               rtol=1e-10, atol=1e-12)
-                    assert got.hat_r == ref.hat_r
-                    assert got.merged_weight == pytest.approx(
+                    np.testing.assert_allclose(wg.alphas[i - 1, j - 1, :groups],
+                                               ref.alphas, rtol=1e-10, atol=1e-12)
+                    assert wg.hat[i - 1, j - 1] == ref.hat_r
+                    assert wg.merged[i - 1, j - 1] == pytest.approx(
                         ref.merged_weight, abs=1e-12)
                     # padding beyond the query's groups stays zero
                     assert np.all(wg.alphas[i - 1, j - 1, groups:] == 0.0)
@@ -214,8 +213,8 @@ def test_grid_fewer_groups_than_breaks():
                 groups = num_groups(partition, shape, (i, j))
                 ref = scheme_weights(scheme, (i, j), v[i - 1, j - 1],
                                      groups, 3, 0.05)
-                np.testing.assert_allclose(wg.at((i, j)).alphas, ref.alphas,
-                                           rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(wg.alphas[i - 1, j - 1, :groups],
+                                           ref.alphas, rtol=1e-10, atol=1e-12)
 
 
 def test_learned_scheme_requires_params():
