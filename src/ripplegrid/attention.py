@@ -12,27 +12,38 @@ of group g (alpha_g before the halting index hat, m from it on),
     sum_g alpha_g (W_g - W_{g-1}) + m (T - W_{hat-1})
         = m T + sum_{g < hat} (a_g - a_{g+1}) W_g,
 
-so each head group costs one window and the tail costs none. The numerator
-and denominator of the linear-attention quotient share that sweep: it runs
-once over the field phi_k (x) [v, 1], whose last value column is the
-denominator stream.
+so each head group costs one window and the tail costs none; W_0 is the
+field itself (group 0 is radius 0 in both partitions). The numerator and
+denominator of the linear-attention quotient share that sweep: it runs over
+the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 
-Forward passes record a tape holding every intermediate the analytic backward
-pass needs, so gradients never re-derive the forward numerics.
+The sweep is linear in each feature channel until it meets phi_q, so it runs
+over channel blocks (see BLOCK_BYTES), each tabled, swept and contracted with
+its slice of phi_q into one (H, W, C + 1) accumulator; no whole table or
+swept field ever exists. The tape holds inputs, features, weights and the
+quotient, and the backward pass rebuilds each block's table.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .featmap import FeatureMapParams, feature_forward
-from .sat import SummedAreaTable
+from .sat import SummedAreaTable, counting_fetches
 from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members, group_span
 from .weights import (StickParams, WeightGrid, WeightScheme, WeightSchemeKind,
                       scheme_weights_grid)
 
 DEFAULT_EPSILON = 1e-6
+
+BLOCK_BYTES = 4 << 20
+"""Bytes of phi_k (x) [v, 1] per channel block. A pass holds a few arrays of
+this size, not whole (H, W, Dp, C + 1) ones; narrower blocks run numpy's
+inner loops too short. On a 2-vCPU Xeon (Dp = C = 32, one BLAS thread) 4 MiB
+beat 2 MiB by 10-20% at 48x48 and 64x64 and tied at 32x32; 1 MiB, 0.5 MiB
+and one unblocked table were slower. 8x8 toy grids run as one block."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +70,7 @@ class AttentionTape:
     v: np.ndarray
     phi_q: np.ndarray          # (H, W, Dp)
     phi_k: np.ndarray          # (H, W, Dp)
-    sat: SummedAreaTable       # prefix sums of phi_k (x) [v, 1], channels (Dp, C + 1)
     weights: WeightGrid
-    y: np.ndarray              # (H, W, Dp, C + 1) weighted group sums, denominator last
     num: np.ndarray            # (H, W, C)
     den: np.ndarray            # (H, W), stabilizer included
 
@@ -104,6 +113,7 @@ def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray
     v = _as_float(v)
     if q.shape[-1] != k.shape[-1] or k.shape[0] != v.shape[0]:
         raise ValueError("query/key widths and key/value counts must match")
+    _check_finite(q, k, v)
     scores = q @ k.T
     scores -= scores.max(axis=1, keepdims=True)  # shift-invariant, avoids overflow
     wts = np.exp(scores)
@@ -132,7 +142,10 @@ def linearized_attention_into(out: np.ndarray, q: np.ndarray, k: np.ndarray,
                               chunk: int = 512) -> None:
     """Streaming form for the benchmark memory probe: tokens are featurized in
     fixed-size chunks and reduced into running statistics, so peak transient
-    allocation is independent of the token count."""
+    allocation is independent of the token count; so is the finiteness check,
+    which runs before anything is written."""
+    for lo in range(0, max(len(q), len(k)), chunk):
+        _check_finite(q[lo:lo + chunk], k[lo:lo + chunk], v[lo:lo + chunk])
     v = _as_float(v)
     dp = featmap.out_dim
     z1 = np.zeros((dp, v.shape[1]), dtype=v.dtype)
@@ -172,15 +185,38 @@ def _featurize(qgrid, kgrid, vgrid, config: AttentionConfig):
     return q, k, v, shape, pq, pk
 
 
-def _augment(pk, v):
-    """phi_k (x) [v, 1]: the numerator stream with the denominator stream as its
-    last value column."""
-    ones = np.ones(v.shape[:2] + (1,))
-    return np.einsum("hwd,hwc->hwdc", pk, np.concatenate((v, ones), axis=-1))
+def _value_streams(v):
+    """[v, 1]: the numerator streams, then the denominator stream."""
+    return np.concatenate((v, np.ones(v.shape[:2] + (1,))), axis=-1)
 
 
-def _finalize(pq, y, epsilon):
-    both = np.einsum("hwd,hwdc->hwc", pq, y)
+def channel_blocks(field_shape: tuple) -> list[slice]:
+    """Split the Dp axis of an (H, W, Dp, C + 1) field into blocks of about
+    BLOCK_BYTES each, of equal width except a narrower last one."""
+    dp = field_shape[2]
+    count = -(-math.prod(field_shape) * 8 // BLOCK_BYTES)
+    width = -(-dp // min(max(count, 1), dp))
+    return [slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)]
+
+
+def block_tables(pk, v):
+    """Yield (blk, field, sat): each channel block's slice of phi_k (x) [v, 1]
+    and its table. Blocks of one width refill the same buffers; callers drop
+    theirs after each block so a narrower last one can reuse the memory, and
+    may overwrite the field meanwhile, as the table holds all windows need."""
+    streams = _value_streams(v)
+    field = sat = None
+    for blk in channel_blocks(pk.shape + streams.shape[-1:]):
+        shape = pk.shape[:2] + (blk.stop - blk.start,) + streams.shape[-1:]
+        if field is None or field.shape != shape:
+            field = sat = None       # released before the new block allocates
+            field = np.empty(shape)
+        np.multiply(pk[..., blk, None], streams[..., None, :], out=field)
+        sat = SummedAreaTable(field) if sat is None else sat.rebuild(field)
+        yield blk, field, sat
+
+
+def _finalize(both, epsilon):
     num, den = both[..., :-1], both[..., -1] + epsilon
     _check_denominator(den)
     return num, den, num / den[..., None]
@@ -198,7 +234,7 @@ def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
     h, w = shape.height, shape.width
-    x = _augment(pk, v)
+    x = pk[..., None] * _value_streams(v)[..., None, :]
     y = np.zeros(x.shape)
     for i in range(1, h + 1):
         for j in range(1, w + 1):
@@ -210,27 +246,12 @@ def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
                 cols = np.fromiter((m[1] - 1 for m in members), dtype=np.int64)
                 a = wg.alphas[i - 1, j - 1, r]
                 y[i - 1, j - 1] += a * x[rows, cols].sum(axis=0)
-    num, den, out = _finalize(pq, y, config.epsilon)
+    num, den, out = _finalize(np.einsum("hwd,hwdc->hwc", pq, y), config.epsilon)
     tape = None
     if build_tape:
         tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
-                             sat=SummedAreaTable(x), weights=wg, y=y, num=num,
-                             den=den)
+                             weights=wg, num=num, den=den)
     return AttentionOutput(out=out, tape=tape)
-
-
-def _sweep(sat: SummedAreaTable, wg: WeightGrid, kind: PartitionKind) -> np.ndarray:
-    """Weighted group sums of the tabled field by parts: m T plus one window
-    per head group."""
-    coefs = wg.window_coefs()
-    lift = (1,) * len(sat.channels)
-    y = wg.merged.reshape(wg.merged.shape + lift) * sat.total()
-    window = np.empty_like(y)
-    for g in range(coefs.shape[-1]):
-        sat.window_sum_grid(group_span(kind, g)[1], out=window)
-        window *= coefs[..., g].reshape(coefs.shape[:2] + lift)
-        y += window
-    return y
 
 
 def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
@@ -245,11 +266,20 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
     q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
-    sat = SummedAreaTable(_augment(pk, v))
-    y = _sweep(sat, wg, config.partition.kind)
-    num, den, out = _finalize(pq, y, config.epsilon)
+    coefs = wg.window_coefs()
+    both = np.zeros(v.shape[:2] + (v.shape[2] + 1,))
+    for blk, buf, sat in block_tables(pk, v):
+        with counting_fetches(blk.start == 0):
+            both += wg.merged[..., None] * (pq[..., blk] @ sat.total())
+            # W_0 is the field itself; each later window overwrites it
+            for g in range(coefs.shape[-1]):
+                if g:
+                    sat.window_sum_grid(group_span(config.partition.kind, g)[1], out=buf)
+                both += coefs[..., g, None] * np.einsum("hwd,hwdc->hwc", pq[..., blk], buf)
+        del buf, sat
+    num, den, out = _finalize(both, config.epsilon)
     tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
-                         sat=sat, weights=wg, y=y, num=num, den=den)
+                         weights=wg, num=num, den=den)
     return AttentionOutput(out=out, tape=tape)
 
 

@@ -5,14 +5,16 @@ tapes the forward passes record; nothing is differentiated numerically except
 in finite_diff_check, which exists to audit the rest of this module.
 
 The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
-(see the attention module), so its backward needs no new structure. The
-weight gradients are inner products of the cotangent with each window W_g,
-differenced over g. The token gradients are the sweep's adjoint: a Chebyshev
+(see the attention module). The tape keeps no table: the backward walks the
+forward's channel blocks and rebuilds each block's table. Each window gives
+z_g = W_g . gboth against the quotient cotangent, which feeds the weight
+gradients (phi_q . z_g, differenced over g) and the phi_q gradient
+(sum_g c_g z_g). The token gradients are the sweep's adjoint: a Chebyshev
 window around a query contains a token exactly when the same window around
-the token contains the query, so the gradient a token receives is one window
-of the field c_g * cotangent per group, plus the broadcast sum of
-m * cotangent. Both directions read one window per head group, matching the
-forward's fetch count.
+the token contains the query, so a token receives one window of the field
+c_g * cotangent per group, plus the broadcast sum of m * cotangent; each
+block's share goes straight into the phi_k and v gradients. Both directions
+read one window per head group past group 0, as the forward does.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionTape, LinearTape, MultiHeadTape
+from .attention import AttentionTape, LinearTape, MultiHeadTape, block_tables
 from .featmap import feature_vjp
-from .sat import SummedAreaTable
-from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members, group_span
+from .sat import SummedAreaTable, counting_fetches
+from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, _grid_stick_breaking, grid_stick_fractions)
 
@@ -92,11 +94,42 @@ def _quotient_streams(num, den, upstream):
     return gnum, gden
 
 
-def _sweep_cotangents(tape: AttentionTape, upstream: np.ndarray):
-    """Cotangent of [num, den] per query, and of the swept field y it projects."""
+def _blocked_backward(tape: AttentionTape, upstream: np.ndarray, length: int):
+    """One pass over the forward's channel blocks, rebuilding each table.
+
+    With cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
+    per query for g < length after a leading zero for the empty W_{-1} (their
+    differences are the band inner products, exactly zero past a query's
+    group count), <cot, T>, and the phi_q, phi_k and v gradients."""
+    wg, v, pq, pk = tape.weights, tape.v, tape.phi_q, tape.phi_k
+    kind = tape.config.partition.kind
     gnum, gden = _quotient_streams(tape.num, tape.den, upstream)
     gboth = np.concatenate((gnum, gden[..., None]), axis=-1)
-    return gboth, np.einsum("hwd,hwc->hwdc", tape.phi_q, gboth)
+    coefs = wg.window_coefs()
+    dots = np.zeros(gboth.shape[:2] + (length + 1,))
+    tail = np.zeros(gboth.shape[:2])
+    grad_pq = np.empty_like(pq)
+    grad_pk = np.empty_like(pk)
+    grad_v = np.zeros_like(v)
+    for blk, buf, sat in block_tables(pk, v):
+        z = np.empty(buf.shape[:3] + (length,))     # z[..., g] = W_g . gboth
+        with counting_fetches(blk.start == 0):
+            zt = gboth @ sat.total().T                  # T . gboth
+            for g in range(length):
+                if g:
+                    sat.window_sum_grid(group_span(kind, g)[1], out=buf)
+                np.einsum("hwdc,hwc->hwd", buf, gboth, out=z[..., g])
+            # the block's cotangent phi_q (x) gboth takes the field's buffer
+            np.multiply(pq[..., blk, None], gboth[..., None, :], out=buf)
+            gx = grad_pixels(wg, buf, tape.config.partition)
+        grad_pk[..., blk] = np.einsum("hwdc,hwc->hwd", gx[..., :-1], v) + gx[..., -1]
+        grad_v += np.einsum("hwdc,hwd->hwc", gx[..., :-1], pk[..., blk])
+        del buf, sat, gx
+        tail += np.einsum("hwd,hwd->hw", pq[..., blk], zt)
+        dots[..., 1:] += np.einsum("hwd,hwdg->hwg", pq[..., blk], z)
+        grad_pq[..., blk] = (wg.merged[..., None] * zt
+                             + np.einsum("hwdg,hwg->hwd", z[..., :coefs.shape[-1]], coefs))
+    return dots, tail, grad_pq, grad_pk, grad_v
 
 
 def _feature_grads(q, k, featmap, grad_pq, grad_pk):
@@ -112,20 +145,6 @@ def _feature_grads(q, k, featmap, grad_pq, grad_pk):
     return fq.grad_x, fk.grad_x, params
 
 
-def _window_dots(sat: SummedAreaTable, cot: np.ndarray, kind: PartitionKind,
-                 length: int) -> np.ndarray:
-    """Inner products <cot, W_g> per query for g < length, after a leading zero
-    that stands for the empty window W_{-1}. Differencing neighbours gives the
-    group-g band's inner product; groups past a query's own count difference
-    to exactly zero because their clipped windows coincide."""
-    out = np.zeros(cot.shape[:2] + (length + 1,))
-    window = np.empty(cot.shape)
-    for g in range(length):
-        sat.window_sum_grid(group_span(kind, g)[1], out=window)
-        out[..., g + 1] = np.einsum("hwdc,hwdc->hw", cot, window)
-    return out
-
-
 # ---------- weight gradients, expanded form ----------
 
 def grad_alpha(tape: AttentionTape, upstream: np.ndarray) -> np.ndarray:
@@ -136,9 +155,7 @@ def grad_alpha(tape: AttentionTape, upstream: np.ndarray) -> np.ndarray:
     structure is ignored here, so rows with a shared tail report one gradient
     per underlying group, not one for the shared value.
     """
-    _, cot = _sweep_cotangents(tape, upstream)
-    dots = _window_dots(tape.sat, cot, tape.config.partition.kind,
-                        tape.weights.alphas.shape[-1])
+    dots = _blocked_backward(tape, upstream, tape.weights.alphas.shape[-1])[0]
     return np.diff(dots, axis=-1)
 
 
@@ -153,7 +170,8 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     the (i, j)-(m, n) distance] * upstream[i, j]. This is the adjoint of the
     forward sweep: the merged weight pushes one global sum to every token,
     and head group r adds one window of weights.window_coefs()[..., r] *
-    upstream, so the cost is O(H W hat_max) fetches.
+    upstream, so the cost is O(H W hat_max) fetches. Group 0's window is the
+    weighted field itself; later groups refill one table.
     """
     g = np.asarray(upstream_field, dtype=np.float64)
     h, w = g.shape[:2]
@@ -162,12 +180,12 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     out = np.broadcast_to(tail, g.shape).copy()
     coefs = weights.window_coefs()
     scratch = np.empty_like(g)
+    sat = None
     for r in range(coefs.shape[-1]):
-        # the table holds all it needs of the weighted field, so the window
-        # overwrites the field's buffer
         np.multiply(coefs[..., r].reshape(lift), g, out=scratch)
-        SummedAreaTable(scratch).window_sum_grid(group_span(partition.kind, r)[1],
-                                                 out=scratch)
+        if r:    # the table holds all the window needs: it overwrites the field
+            sat = SummedAreaTable(scratch) if sat is None else sat.rebuild(scratch)
+            sat.window_sum_grid(group_span(partition.kind, r)[1], out=scratch)
         out += scratch
     return out
 
@@ -275,19 +293,12 @@ def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> RippleGradients:
     """
     cfg = tape.config
     wg = tape.weights
-    gboth, cot = _sweep_cotangents(tape, upstream)
-    grad_pq = np.einsum("hwdc,hwc->hwd", tape.y, gboth)
-
     max_hat = int(wg.hat.max())
-    dots = _window_dots(tape.sat, cot, cfg.partition.kind, max_hat)
+    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(tape, upstream, max_hat)
     in_head = np.arange(max_hat) < wg.hat[..., None]
     ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
     covered = np.take_along_axis(dots, wg.hat[..., None], axis=-1)[..., 0]
-    gmerged = np.einsum("hwdc,dc->hw", cot, tape.sat.total()) - covered
-
-    grad_x = grad_pixels(wg, cot, cfg.partition)          # (H, W, Dp, C + 1)
-    grad_pk = np.einsum("hwdc,hwc->hwd", grad_x[..., :-1], tape.v) + grad_x[..., -1]
-    grad_v = np.einsum("hwdc,hwd->hwc", grad_x[..., :-1], tape.phi_k)
+    gmerged = tail - covered
 
     gv_stick, stick = _scheme_backward(cfg.scheme, cfg.partition, wg, tape.v,
                                        ghead, gmerged)

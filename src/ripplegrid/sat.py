@@ -19,6 +19,8 @@ clamped low edge is the zero row or column, so that run is a copy.
 
 The module keeps a running count of window evaluations so tests can assert
 the sub-quadratic access pattern of the dynamic-programming attention paths.
+A fetch is one position of one window in one pass, so a pass over channel
+blocks counts its first block only: the rest read the same positions.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import numpy as np
 from .vicinal import GridShape
 
 _fetch_count = 0
+_counting = True
 _row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
 
 
@@ -43,10 +46,22 @@ def fetch_count() -> int:
 
 
 @contextmanager
+def counting_fetches(on: bool):
+    """Windows taken inside add to the fetch count only when ``on``."""
+    global _counting
+    saved, _counting = _counting, on
+    try:
+        yield
+    finally:
+        _counting = saved
+
+
+@contextmanager
 def sabotage_radius_offset(offset: int = 1):
-    """Fault injection for harness self-tests: tables built inside the context
-    are shifted down by ``offset`` rows, so their windows and totals are both
-    wrong. Lookups read no fault state; tables built outside stay clean."""
+    """Fault injection for harness self-tests: tables built or rebuilt inside
+    the context are shifted down by ``offset`` rows, so their windows and
+    totals are both wrong. Lookups read no fault state; tables built outside
+    stay clean."""
     global _row_shift
     _row_shift = offset
     try:
@@ -88,15 +103,26 @@ class SummedAreaTable:
         h, w = field.shape[:2]
         self.shape = GridShape(h, w)
         self.channels = field.shape[2:]
-        table = np.zeros((h + 1, w + 1) + self.channels, dtype=np.float64)
+        self.table = np.zeros((h + 1, w + 1) + self.channels, dtype=np.float64)
+        self._rows = np.empty(field.shape)   # every window's row differences
+        self.rebuild(field)
+
+    def rebuild(self, field: np.ndarray) -> SummedAreaTable:
+        """Refill the table in place from a field of the shape it was built
+        for, and return it; the zero row and column are never written."""
+        h, w = self.shape.height, self.shape.width
+        if field.shape != (h, w) + self.channels:
+            raise ValueError(f"field must have shape {(h, w) + self.channels}, "
+                             f"got {field.shape}")
+        table = self.table
         for i in range(h):
             np.add(table[i, 1:], field[i], out=table[i + 1, 1:])
         for j in range(1, w):
             np.add(table[1:, j], table[1:, j + 1], out=table[1:, j + 1])
         if _row_shift:
-            table = np.roll(table, _row_shift, axis=0)
+            table[:] = np.roll(table, _row_shift, axis=0)
             table[:_row_shift] = 0.0
-        self.table = table
+        return self
 
     def total(self) -> np.ndarray:
         """Sum of the whole field (the far corner of the table)."""
@@ -117,9 +143,10 @@ class SummedAreaTable:
             out = np.empty(full)
         elif out.shape != full:
             raise ValueError(f"out must have shape {full}, got {out.shape}")
-        _fetch_count += h * w
+        if _counting:
+            _fetch_count += h * w
         prefix = self.table[1:, 1:]
-        rows = np.empty(full)
+        rows = self._rows
         for dst, hi, lo in _axis_runs(h, radius):
             if lo is None:
                 np.copyto(rows[dst], prefix[hi])

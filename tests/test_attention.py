@@ -312,7 +312,17 @@ def test_non_finite_inputs_rejected():
     def flat(q, k, v, cfg):
         return linearized_attention(*(a.reshape(25, -1) for a in (q, k, v)), cfg.featmap)
 
-    for fn in (ripple_dp, ripple_naive, grid, flat):
+    def streaming(q, k, v, cfg):
+        out = np.zeros((25, v.shape[2]))
+        linearized_attention_into(out, *(a.reshape(25, -1) for a in (q, k, v)),
+                                  cfg.featmap, chunk=7)
+        # the check runs before any chunk is written
+        assert not out.any()
+
+    def softmax(q, k, v, cfg):
+        return softmax_attention(*(a.reshape(25, -1) for a in (q, k, v)))
+
+    for fn in (ripple_dp, ripple_naive, grid, flat, streaming, softmax):
         with pytest.raises(ValueError, match="q contains non-finite"):
             fn(bad_q, k, v, cfg)
         with pytest.raises(ValueError, match="k contains non-finite"):
@@ -356,10 +366,12 @@ def test_tape_reproduces_output():
     t = res.tape
     np.testing.assert_array_equal(t.num / t.den[..., None], res.out)
     assert t.phi_q.shape == (4, 4, cfg.featmap.out_dim)
-    assert t.y.shape == (4, 4, cfg.featmap.out_dim, v.shape[2] + 1)
     assert t.weights.alphas.shape[:2] == (4, 4)
     assert np.all(t.den > 0)
-    # skipping the tape skips the prefix tables too
+    # the tape keeps inputs and the quotient; the backward rebuilds each
+    # block's table, so neither the table nor the swept field is stored
+    for tape in (t, ripple_naive(q, k, v, cfg).tape):
+        assert not hasattr(tape, "sat") and not hasattr(tape, "y")
     assert ripple_naive(q, k, v, cfg, build_tape=False).tape is None
 
 
