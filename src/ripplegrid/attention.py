@@ -18,20 +18,21 @@ denominator of the linear-attention quotient share that sweep: it runs over
 the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 
 The sweep is linear in each feature channel until it meets phi_q, so it runs
-over channel blocks (see BLOCK_BYTES), each tabled, swept and contracted with
-its slice of phi_q into one (H, W, C + 1) accumulator; no whole table or
-swept field ever exists. The tape holds inputs, features, weights and the
-quotient, and the backward pass rebuilds each block's table.
+over channel blocks (BLOCK_BYTES) in buffers kept between passes, each block
+tabled, swept and contracted with its slice of phi_q into one (H, W, C + 1)
+accumulator. The tape holds inputs, features, weights and the quotient, and
+the backward pass rebuilds each block's table.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .featmap import FeatureMapParams, feature_forward
-from .sat import SummedAreaTable, counting_fetches
+from .sat import SummedAreaTable
 from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members, group_span
 from .weights import (StickParams, WeightGrid, WeightScheme, WeightSchemeKind,
                       scheme_weights_grid)
@@ -39,11 +40,11 @@ from .weights import (StickParams, WeightGrid, WeightScheme, WeightSchemeKind,
 DEFAULT_EPSILON = 1e-6
 
 BLOCK_BYTES = 4 << 20
-"""Bytes of phi_k (x) [v, 1] per channel block. A pass holds a few arrays of
-this size, not whole (H, W, Dp, C + 1) ones; narrower blocks run numpy's
-inner loops too short. On a 2-vCPU Xeon (Dp = C = 32, one BLAS thread) 4 MiB
-beat 2 MiB by 10-20% at 48x48 and 64x64 and tied at 32x32; 1 MiB, 0.5 MiB
-and one unblocked table were slower. 8x8 toy grids run as one block."""
+"""Bytes of phi_k (x) [v, 1] per channel block; a pass holds a few arrays of
+this size. On a 2-vCPU Xeon (Dp = C = 32, one BLAS thread) 4 MiB beat 2 MiB
+by 2-14% on a 48x48 forward and 32x32 and 64x64 dyadic forward plus
+backward passes, 1 MiB was slower still, and 8 MiB came within 5% of 4 MiB
+for twice the buffer memory. 8x8 toy grids run as one block."""
 
 
 @dataclass(frozen=True)
@@ -199,20 +200,37 @@ def channel_blocks(field_shape: tuple) -> list[slice]:
     return [slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)]
 
 
+_kept = threading.local()
+
+
+def kept_array(name: str, shape: tuple) -> np.ndarray:
+    """An array of ``shape`` over the thread's kept flat buffer ``name``,
+    grown when short. Fresh multi-MB arrays fault in every page they touch:
+    a quarter of an 8x8 forward at Dp = C = 64, a sixth of a 32x32 forward
+    plus backward. Passes take turns with the buffers: none nests."""
+    size = math.prod(shape)
+    if not hasattr(_kept, name) or getattr(_kept, name).size < size:
+        setattr(_kept, name, np.empty(size))
+    return getattr(_kept, name)[:size].reshape(shape)
+
+
+def release_kept_buffers() -> None:
+    """Drop the thread's kept buffers, e.g. before measuring a cold pass."""
+    _kept.__dict__.clear()
+
+
 def block_tables(pk, v):
     """Yield (blk, field, sat): each channel block's slice of phi_k (x) [v, 1]
-    and its table. Blocks of one width refill the same buffers; callers drop
-    theirs after each block so a narrower last one can reuse the memory, and
-    may overwrite the field meanwhile, as the table holds all windows need."""
+    and its table, in kept buffers that the next block refills. Callers may
+    overwrite the field, as the table holds all windows need. Only the first
+    block's table counts fetches: later blocks read the same positions."""
     streams = _value_streams(v)
-    field = sat = None
     for blk in channel_blocks(pk.shape + streams.shape[-1:]):
-        shape = pk.shape[:2] + (blk.stop - blk.start,) + streams.shape[-1:]
-        if field is None or field.shape != shape:
-            field = sat = None       # released before the new block allocates
-            field = np.empty(shape)
+        field = kept_array("field", pk.shape[:2] + (blk.stop - blk.start,) + streams.shape[-1:])
         np.multiply(pk[..., blk, None], streams[..., None, :], out=field)
-        sat = SummedAreaTable(field) if sat is None else sat.rebuild(field)
+        sat = getattr(_kept, "sat", None)
+        sat = _kept.sat = SummedAreaTable(field) if sat is None else sat.rebuild(field)
+        sat.counted = blk.start == 0
         yield blk, field, sat
 
 
@@ -269,14 +287,12 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
     coefs = wg.window_coefs()
     both = np.zeros(v.shape[:2] + (v.shape[2] + 1,))
     for blk, buf, sat in block_tables(pk, v):
-        with counting_fetches(blk.start == 0):
-            both += wg.merged[..., None] * (pq[..., blk] @ sat.total())
-            # W_0 is the field itself; each later window overwrites it
-            for g in range(coefs.shape[-1]):
-                if g:
-                    sat.window_sum_grid(group_span(config.partition.kind, g)[1], out=buf)
-                both += coefs[..., g, None] * np.einsum("hwd,hwdc->hwc", pq[..., blk], buf)
-        del buf, sat
+        both += wg.merged[..., None] * (pq[..., blk] @ sat.total())
+        # W_0 is the field itself; each later window overwrites it
+        for g in range(coefs.shape[-1]):
+            if g:
+                sat.window_sum_grid(group_span(config.partition.kind, g)[1], out=buf)
+            both += coefs[..., g, None] * np.einsum("hwd,hwdc->hwc", pq[..., blk], buf)
     num, den, out = _finalize(both, config.epsilon)
     tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
                          weights=wg, num=num, den=den)

@@ -22,8 +22,8 @@ from statistics import median
 
 import numpy as np
 
-from .attention import (AttentionConfig, linearized_attention_into, ripple_dp,
-                        ripple_naive, softmax_attention)
+from .attention import (AttentionConfig, linearized_attention_into, release_kept_buffers,
+                        ripple_dp, ripple_naive, softmax_attention)
 from .featmap import FeatureMapKind, init_feature_map
 from .vicinal import PartitionKind, PartitionScheme
 from .weights import WeightScheme, WeightSchemeKind
@@ -192,10 +192,11 @@ def memory_probe(variant: str, side: int, plan: BenchPlan | None = None) -> int:
 
     Inputs, parameters, and (for the streaming variant) the output buffer are
     allocated before tracing starts, so the number reflects what the pass
-    itself allocates.
+    itself allocates, block buffers kept from earlier passes included.
     """
     plan = plan if plan is not None else BenchPlan()
     fn = _make_runner(variant, side, plan)
+    release_kept_buffers()
     gc.collect()
     tracemalloc.start()
     try:

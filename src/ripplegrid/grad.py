@@ -12,9 +12,10 @@ gradients (phi_q . z_g, differenced over g) and the phi_q gradient
 (sum_g c_g z_g). The token gradients are the sweep's adjoint: a Chebyshev
 window around a query contains a token exactly when the same window around
 the token contains the query, so a token receives one window of the field
-c_g * cotangent per group, plus the broadcast sum of m * cotangent; each
-block's share goes straight into the phi_k and v gradients. Both directions
-read one window per head group past group 0, as the forward does.
+c_g * cotangent per group, plus the broadcast sum of m * cotangent. That
+adjoint refills the block's table and buffers, and its share goes straight
+into the phi_k and v gradients. Both directions read one window per head
+group past group 0, as the forward does.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionTape, LinearTape, MultiHeadTape, block_tables
+from .attention import AttentionTape, LinearTape, MultiHeadTape, block_tables, kept_array
 from .featmap import feature_vjp
-from .sat import SummedAreaTable, counting_fetches
+from .sat import SummedAreaTable
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, _grid_stick_breaking, grid_stick_fractions)
@@ -108,23 +109,20 @@ def _blocked_backward(tape: AttentionTape, upstream: np.ndarray, length: int):
     coefs = wg.window_coefs()
     dots = np.zeros(gboth.shape[:2] + (length + 1,))
     tail = np.zeros(gboth.shape[:2])
-    grad_pq = np.empty_like(pq)
-    grad_pk = np.empty_like(pk)
-    grad_v = np.zeros_like(v)
+    grad_pq, grad_pk, grad_v = np.empty_like(pq), np.empty_like(pk), np.zeros_like(v)
     for blk, buf, sat in block_tables(pk, v):
-        z = np.empty(buf.shape[:3] + (length,))     # z[..., g] = W_g . gboth
-        with counting_fetches(blk.start == 0):
-            zt = gboth @ sat.total().T                  # T . gboth
-            for g in range(length):
-                if g:
-                    sat.window_sum_grid(group_span(kind, g)[1], out=buf)
-                np.einsum("hwdc,hwc->hwd", buf, gboth, out=z[..., g])
-            # the block's cotangent phi_q (x) gboth takes the field's buffer
-            np.multiply(pq[..., blk, None], gboth[..., None, :], out=buf)
-            gx = grad_pixels(wg, buf, tape.config.partition)
+        gx, scratch = kept_array("gx", buf.shape), kept_array("scratch", buf.shape)
+        z = kept_array("z", buf.shape[:3] + (length,))   # z[..., g] = W_g . gboth
+        zt = gboth @ sat.total().T                  # T . gboth
+        for g in range(length):
+            if g:
+                sat.window_sum_grid(group_span(kind, g)[1], out=buf)
+            np.einsum("hwdc,hwc->hwd", buf, gboth, out=z[..., g])
+        # the block's cotangent phi_q (x) gboth: its token adjoint refills the table
+        np.multiply(pq[..., blk, None], gboth[..., None, :], out=buf)
+        _scatter_groups(wg, buf, tape.config.partition, gx, scratch, sat)
         grad_pk[..., blk] = np.einsum("hwdc,hwc->hwd", gx[..., :-1], v) + gx[..., -1]
         grad_v += np.einsum("hwdc,hwd->hwc", gx[..., :-1], pk[..., blk])
-        del buf, sat, gx
         tail += np.einsum("hwd,hwd->hw", pq[..., blk], zt)
         dots[..., 1:] += np.einsum("hwd,hwdg->hwg", pq[..., blk], z)
         grad_pq[..., blk] = (wg.merged[..., None] * zt
@@ -174,13 +172,18 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     weighted field itself; later groups refill one table.
     """
     g = np.asarray(upstream_field, dtype=np.float64)
-    h, w = g.shape[:2]
-    lift = (h, w) + (1,) * (g.ndim - 2)
-    tail = (weights.merged.reshape(lift) * g).sum(axis=(0, 1))
-    out = np.broadcast_to(tail, g.shape).copy()
+    return _scatter_groups(weights, g, partition, np.empty_like(g), np.empty_like(g))
+
+
+def _scatter_groups(weights: WeightGrid, g: np.ndarray, partition: PartitionScheme,
+                    out: np.ndarray, scratch: np.ndarray,
+                    sat: SummedAreaTable | None = None) -> np.ndarray:
+    """grad_pixels of ``g`` written into ``out`` and returned. ``scratch``
+    (g's shape) holds each group's weighted field; ``sat``, a table of that
+    shape or None to build one, is refilled for every group past 0."""
+    lift = g.shape[:2] + (1,) * (g.ndim - 2)
+    out[...] = np.tensordot(weights.merged, g, axes=([0, 1], [0, 1]))
     coefs = weights.window_coefs()
-    scratch = np.empty_like(g)
-    sat = None
     for r in range(coefs.shape[-1]):
         np.multiply(coefs[..., r].reshape(lift), g, out=scratch)
         if r:    # the table holds all the window needs: it overwrites the field

@@ -19,11 +19,12 @@ clamped low edge is the zero row or column, so that run is a copy.
 
 The module keeps a running count of window evaluations so tests can assert
 the sub-quadratic access pattern of the dynamic-programming attention paths.
-A fetch is one position of one window in one pass, so a pass over channel
-blocks counts its first block only: the rest read the same positions.
+A fetch is one position of one window in one pass, so tables of a pass's
+later channel blocks are marked uncounted.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -32,7 +33,6 @@ import numpy as np
 from .vicinal import GridShape
 
 _fetch_count = 0
-_counting = True
 _row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
 
 
@@ -43,17 +43,6 @@ def reset_fetch_count() -> None:
 
 def fetch_count() -> int:
     return _fetch_count
-
-
-@contextmanager
-def counting_fetches(on: bool):
-    """Windows taken inside add to the fetch count only when ``on``."""
-    global _counting
-    saved, _counting = _counting, on
-    try:
-        yield
-    finally:
-        _counting = saved
 
 
 @contextmanager
@@ -97,23 +86,29 @@ def _axis_runs(n: int, radius: int) -> tuple:
 class SummedAreaTable:
     """table[i, j] = field[:i, :j].sum(axis=(0,1)); row 0 and column 0 are zero."""
 
+    counted = True   # whether windows add to the fetch count
+
     def __init__(self, field: np.ndarray):
-        if field.ndim < 2:
-            raise ValueError("field must be at least 2-dimensional (H, W, ...)")
-        h, w = field.shape[:2]
-        self.shape = GridShape(h, w)
-        self.channels = field.shape[2:]
-        self.table = np.zeros((h + 1, w + 1) + self.channels, dtype=np.float64)
-        self._rows = np.empty(field.shape)   # every window's row differences
+        self._field_shape, self._stores = None, (np.empty(0), np.empty(0))
         self.rebuild(field)
 
     def rebuild(self, field: np.ndarray) -> SummedAreaTable:
-        """Refill the table in place from a field of the shape it was built
-        for, and return it; the zero row and column are never written."""
-        h, w = self.shape.height, self.shape.width
-        if field.shape != (h, w) + self.channels:
-            raise ValueError(f"field must have shape {(h, w) + self.channels}, "
-                             f"got {field.shape}")
+        """Refill the table in place from a field of any shape, and return it.
+        The table and window rows view flat storage grown to the largest field
+        seen; the zero row and column are rewritten when the shape changes."""
+        if field.ndim < 2:
+            raise ValueError("field must be at least 2-dimensional (H, W, ...)")
+        h, w = field.shape[:2]
+        if field.shape != self._field_shape:
+            self._field_shape, self.shape = field.shape, GridShape(h, w)
+            self.channels = field.shape[2:]
+            shapes = ((h + 1, w + 1) + self.channels, field.shape)
+            self._stores = tuple(s if s.size >= math.prod(f) else np.empty(math.prod(f))
+                                 for s, f in zip(self._stores, shapes))
+            self.table, self._rows = (s[:math.prod(f)].reshape(f)
+                                      for s, f in zip(self._stores, shapes))
+            self.table[0] = 0.0
+            self.table[:, 0] = 0.0
         table = self.table
         for i in range(h):
             np.add(table[i, 1:], field[i], out=table[i + 1, 1:])
@@ -143,7 +138,7 @@ class SummedAreaTable:
             out = np.empty(full)
         elif out.shape != full:
             raise ValueError(f"out must have shape {full}, got {out.shape}")
-        if _counting:
+        if self.counted:
             _fetch_count += h * w
         prefix = self.table[1:, 1:]
         rows = self._rows

@@ -12,7 +12,6 @@ points from the same number of points scattered across several clusters.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -347,28 +346,21 @@ def make_local_majority_batch(rng: np.random.Generator, batch: int,
     return imgs, labels
 
 
-def _count_components(mask: np.ndarray) -> int:
-    """8-connected components of a boolean grid, breadth-first."""
-    seen = np.zeros_like(mask, dtype=bool)
+def _grow(mask: np.ndarray) -> np.ndarray:
+    """The mask with its 8-connected neighbours added."""
     h, w = mask.shape
-    count = 0
-    for si in range(h):
-        for sj in range(w):
-            if not mask[si, sj] or seen[si, sj]:
-                continue
-            count += 1
-            queue = deque([(si, sj)])
-            seen[si, sj] = True
-            while queue:
-                ci, cj = queue.popleft()
-                for di in (-1, 0, 1):
-                    for dj in (-1, 0, 1):
-                        ni, nj = ci + di, cj + dj
-                        if 0 <= ni < h and 0 <= nj < w and mask[ni, nj] \
-                                and not seen[ni, nj]:
-                            seen[ni, nj] = True
-                            queue.append((ni, nj))
-    return count
+    padded = np.pad(mask, 1)
+    return np.logical_or.reduce([padded[i:i + h, j:j + w] for i in range(3) for j in range(3)])
+
+
+def _one_cluster(mask: np.ndarray) -> bool:
+    """Whether a boolean grid's foreground is one 8-connected cluster: the
+    first foreground pixel's component, grown until it stops, is all of it."""
+    reach = np.zeros_like(mask)
+    reach.flat[np.argmax(mask)] = True
+    while (grown := _grow(reach) & mask).sum() > reach.sum():
+        reach = grown
+    return bool((reach == mask).all())
 
 
 def make_scattered_clustered_batch(rng: np.random.Generator, batch: int,
@@ -389,20 +381,13 @@ def make_scattered_clustered_batch(rng: np.random.Generator, batch: int,
             si, sj = int(rng.integers(h)), int(rng.integers(w))
             mask[si, sj] = True
             while mask.sum() < points:
-                cand = set()
-                for ci, cj in zip(*np.nonzero(mask)):
-                    for di in (-1, 0, 1):
-                        for dj in (-1, 0, 1):
-                            ni, nj = ci + di, cj + dj
-                            if 0 <= ni < h and 0 <= nj < w and not mask[ni, nj]:
-                                cand.add((ni, nj))
-                ni, nj = sorted(cand)[int(rng.integers(len(cand)))]
-                mask[ni, nj] = True
+                cand = np.flatnonzero(_grow(mask) & ~mask)   # row-major order
+                mask.flat[cand[int(rng.integers(len(cand)))]] = True
         else:
             flat = rng.choice(h * w, size=points, replace=False)
             mask[np.unravel_index(flat, (h, w))] = True
         imgs[b, :, :, 0] = mask.astype(np.float64)
-        labels[b] = 1 if _count_components(mask) == 1 else 0
+        labels[b] = int(_one_cluster(mask))
     return imgs, labels
 
 

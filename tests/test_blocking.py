@@ -5,13 +5,16 @@ are, and ripple_vjp must give the same gradients and the same fetch count
 under every block size: one block, single-channel blocks, and equal blocks
 with a narrower last one.
 """
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripplegrid import attention
-from ripplegrid.attention import AttentionConfig, ripple_dp, ripple_naive
+from ripplegrid.attention import (AttentionConfig, release_kept_buffers, ripple_dp,
+                                  ripple_naive)
 from ripplegrid.featmap import FeatureMapKind, init_feature_map
 from ripplegrid.grad import ripple_vjp
 from ripplegrid.sat import fetch_count, reset_fetch_count
@@ -107,3 +110,42 @@ def test_blocked_core_matches_oracle_under_every_block_size(
             assert got.shape == reference[key].shape
             err = float(np.abs(got - reference[key]).max(initial=0.0))
             assert err <= 1e-12 * scale, (name, key, err, scale)
+
+
+def small_case(side, seed):
+    rng = np.random.default_rng(seed)
+    q, k = (rng.standard_normal((side, side, 4)) for _ in range(2))
+    v = rng.standard_normal((side, side, VALUES))
+    cfg = AttentionConfig(
+        scheme=WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
+        partition=PartitionScheme(kind=PartitionKind.DYADIC, r_max=4, tau=0.05),
+        featmap=init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng,
+                                 out_dim=FEATURES))
+    return q, k, v, cfg, rng.standard_normal((side, side, VALUES))
+
+
+def test_kept_buffers_carry_nothing_between_passes():
+    """Passes over other grids and block sizes in between leave a pass's
+    output and gradients bit for bit as they were on cold buffers."""
+    q, k, v, cfg, upstream = small_case(9, 1)
+    release_kept_buffers()
+    cold = run(q, k, v, cfg, upstream, *block_sizes(9, 9)["ragged"])
+    for side in (12, 4):
+        other = small_case(side, side)
+        run(*other, *block_sizes(side, side)["one"])
+    warm = run(q, k, v, cfg, upstream, *block_sizes(9, 9)["ragged"])
+    np.testing.assert_array_equal(warm[0], cold[0])
+    for key, got in flat_grads(warm[1]).items():
+        np.testing.assert_array_equal(got, flat_grads(cold[1])[key])
+
+
+def test_threads_keep_their_own_block_buffers():
+    q, k, v, cfg, upstream = small_case(10, 2)
+    want = ripple_naive(q, k, v, cfg, build_tape=False).out
+    release_kept_buffers()
+    got = {}
+    worker = threading.Thread(target=lambda: got.update(out=ripple_dp(q, k, v, cfg).out))
+    worker.start()
+    worker.join()
+    assert rel_error(got["out"], want) <= 1e-8
+    assert not vars(attention._kept)     # the worker's buffers were its own

@@ -198,3 +198,22 @@ def test_validation():
         sat.window_sum_grid(-1)
     with pytest.raises(ValueError):
         sat.window_sum_grid(1, out=np.empty((3, 4)))
+
+
+def test_rebuild_takes_any_field():
+    """A table refilled from fields of other channel and grid shapes, smaller
+    and larger, equals a table built afresh each time, zero row and column
+    included."""
+    rng = np.random.default_rng(9)
+    wide, narrow, taller = (rng.standard_normal(shape) for shape in
+                            ((5, 7, 4, 3), (5, 7, 2, 3), (9, 7, 4, 3)))
+    sat = SummedAreaTable(wide)
+    for field in (narrow, wide, taller, narrow, FIELD_2X3):
+        fresh = SummedAreaTable(field)
+        assert sat.rebuild(field) is sat
+        assert sat.shape == fresh.shape and sat.channels == fresh.channels
+        np.testing.assert_array_equal(sat.table, fresh.table)
+        for r in (0, 1, 3):
+            np.testing.assert_array_equal(sat.window_sum_grid(r), fresh.window_sum_grid(r))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        sat.rebuild(np.zeros(4))

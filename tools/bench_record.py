@@ -1,16 +1,17 @@
 """Record alternating perfbench pairs of two source trees into one JSON file.
 
-    python3 tools/bench_record.py --base DIR --base-sha SHA --out BENCH_7.json
+    python3 tools/bench_record.py --base DIR --base-sha SHA --head-sha SHA --out BENCH_7.json
 
 ``--base`` is a tree of the commit to compare against, for example made with
-``git archive SHA | tar -x -C DIR``; ``--head`` (default: this checkout) is
-the change. For every perfbench workload, pair i runs
+``git archive SHA | tar -x -C DIR``; the change is this checkout. For every
+perfbench workload, pair i of ten runs
 ``perfbench/run.py --workload W --seed i --seconds 30 --trace 0`` once in
 each tree, the base first on odd pairs and the head first on even ones.
 Each tree then times ``ripple_dp`` and ``ripple_dp`` + ``ripple_vjp`` over
-16x16 .. 96x96 grids in fresh single-threaded processes and fits log-log
-slopes of time against token count. The file holds every run, per-metric
-medians and quartiles, pair wins, and the slopes; nothing here is a gate.
+16x16 .. 96x96 grids in fresh single-threaded processes, and this
+checkout's ``ripplegrid.bench.fit_loglog`` fits log-log slopes of time
+against token count. The file holds every run, per-metric medians and
+quartiles, pair wins, and the slopes; nothing here is a gate.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
+SECONDS = 30
 WORKLOADS = ("ring-fwd-48", "dyadic-fwdbwd-32", "toy-train-8")
 HIGHER_IS_BETTER = {"tokens_per_s"}
 SIDES = (16, 24, 32, 48, 64, 96)
@@ -32,9 +35,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     detail = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
@@ -93,13 +96,6 @@ def scaling_job(src: str) -> dict:
     return times
 
 
-def loglog_slope(times: dict) -> float:
-    import numpy as np
-    x = np.log([side * side for side in times])
-    y = np.log(list(times.values()))
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def scaling(tree: Path) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     proc = subprocess.run([sys.executable, __file__, "--scaling-src", str(tree / "src")],
@@ -111,11 +107,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path)
     parser.add_argument("--base-sha", default="unknown")
-    parser.add_argument("--head", type=Path, default=ROOT)
     parser.add_argument("--head-sha", default="unknown")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--scaling-src", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.scaling_src:
@@ -123,17 +116,19 @@ def main() -> int:
         return 0
     if args.base is None or args.out is None:
         parser.error("--base and --out are required")
-    trees = {"base": args.base.resolve(), "head": args.head.resolve()}
-    record = {"command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
+    sys.path.insert(0, str(ROOT / "src"))
+    from ripplegrid.bench import fit_loglog
+    trees = {"base": args.base.resolve(), "head": ROOT}
+    record = {"command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
               "shas": {"base": args.base_sha, "head": args.head_sha},
               "machine": None, "workloads": {}, "scaling": {}}
     for workload in WORKLOADS:
         pairs = []
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                result = perfbench(trees[side], workload, seed, args.seconds)
+                result = perfbench(trees[side], workload, seed)
                 record["machine"] = record["machine"] or result.pop("env")
                 result.pop("env", None)
                 pair[side] = result
@@ -150,7 +145,7 @@ def main() -> int:
                          for s in SIDES} for mode in ("forward", "forward_vjp")}
         record["scaling"][side] = {
             "ms": merged, "jobs": jobs,
-            "slope_16_96": {mode: loglog_slope({int(s): t for s, t in ms.items()})
+            "slope_16_96": {mode: fit_loglog([int(s) ** 2 for s in ms], list(ms.values())).slope
                             for mode, ms in merged.items()}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
