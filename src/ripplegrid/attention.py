@@ -22,16 +22,23 @@ over channel blocks (BLOCK_BYTES) in buffers kept between passes, each block
 tabled, swept and contracted with its slice of phi_q into one (H, W, C + 1)
 accumulator. The tape holds inputs, features, weights and the quotient, and
 the backward pass rebuilds each block's table.
+
+The sweep runs on (H, W, heads, ...) arrays: a multi-head layer stacks its
+heads on axis 2 and makes one pass, with one table per channel block over
+(heads, Dp, C + 1) channels. The single-head entry points run the same
+sweep with a head axis of length 1.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .featmap import FeatureMapParams, feature_forward
+from .heads import matmul, outer_sum
 from .sat import SummedAreaTable
 from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members, group_span
 from .weights import (StickParams, WeightGrid, WeightScheme, WeightSchemeKind,
@@ -188,13 +195,19 @@ def _featurize(qgrid, kgrid, vgrid, config: AttentionConfig):
 
 def _value_streams(v):
     """[v, 1]: the numerator streams, then the denominator stream."""
-    return np.concatenate((v, np.ones(v.shape[:2] + (1,))), axis=-1)
+    return np.concatenate((v, np.ones(v.shape[:-1] + (1,))), axis=-1)
+
+
+def _one_head(*arrays):
+    """Stacks of one head: a head axis of length 1 after (H, W)."""
+    return [a[:, :, None] for a in arrays]
 
 
 def channel_blocks(field_shape: tuple) -> list[slice]:
-    """Split the Dp axis of an (H, W, Dp, C + 1) field into blocks of about
-    BLOCK_BYTES each, of equal width except a narrower last one."""
-    dp = field_shape[2]
+    """Split the Dp axis of an (H, W, heads, Dp, C + 1) field into blocks of
+    about BLOCK_BYTES each over all heads together, of equal width except a
+    narrower last one."""
+    dp = field_shape[-2]
     count = -(-math.prod(field_shape) * 8 // BLOCK_BYTES)
     width = -(-dp // min(max(count, 1), dp))
     return [slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)]
@@ -221,17 +234,58 @@ def release_kept_buffers() -> None:
 
 def block_tables(pk, v):
     """Yield (blk, field, sat): each channel block's slice of phi_k (x) [v, 1]
-    and its table, in kept buffers that the next block refills. Callers may
+    over (H, W, heads, Dp) features and (H, W, heads, C) values, and its
+    table, in kept buffers that the next block refills. Callers may
     overwrite the field, as the table holds all windows need. Only the first
     block's table counts fetches: later blocks read the same positions."""
     streams = _value_streams(v)
     for blk in channel_blocks(pk.shape + streams.shape[-1:]):
-        field = kept_array("field", pk.shape[:2] + (blk.stop - blk.start,) + streams.shape[-1:])
+        field = kept_array("field", pk.shape[:-1] + (blk.stop - blk.start,) + streams.shape[-1:])
         np.multiply(pk[..., blk, None], streams[..., None, :], out=field)
         sat = getattr(_kept, "sat", None)
         sat = _kept.sat = SummedAreaTable(field) if sat is None else sat.rebuild(field)
         sat.counted = blk.start == 0
         yield blk, field, sat
+
+
+def _sweep(pq, pk, v, wg: WeightGrid, kind: PartitionKind) -> np.ndarray:
+    """The blocked prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
+    features, (H, W, heads, C) values and weights with the head axis. Returns
+    the (H, W, heads, C + 1) numerator and denominator streams."""
+    coefs = wg.window_coefs()
+    both = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    for blk, buf, sat in block_tables(pk, v):
+        both += wg.merged[..., None] * matmul(pq[..., blk], sat.total())
+        # W_0 is the field itself; each later window overwrites it
+        for g in range(coefs.shape[-1]):
+            if g:
+                sat.window_sum_grid(group_span(kind, g)[1], out=buf)
+            both += coefs[..., g, None] * np.einsum("...d,...dc->...c", pq[..., blk], buf)
+    return both
+
+
+def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
+    """_sweep's streams with every group summed member by member."""
+    h, w = pq.shape[:2]
+    x = pk[..., None] * _value_streams(v)[..., None, :]
+    y = np.zeros(x.shape)
+    for i in range(1, h + 1):
+        for j in range(1, w + 1):
+            for r in range(int(wg.groups[i - 1, j - 1].max())):
+                members = group_members(partition, GridShape(h, w), (i, j), r)
+                if not members:
+                    continue
+                rows = np.fromiter((m[0] - 1 for m in members), dtype=np.int64)
+                cols = np.fromiter((m[1] - 1 for m in members), dtype=np.int64)
+                a = wg.alphas[i - 1, j - 1, :, r]
+                y[i - 1, j - 1] += a[:, None, None] * x[rows, cols].sum(axis=0)
+    return np.einsum("...d,...dc->...c", pq, y)
+
+
+def _global_total(pk, v) -> np.ndarray:
+    """Each head's grid total of phi_k (x) [v, 1], (heads, Dp, C + 1): what
+    linearized attention's quotient streams contract phi_q with."""
+    return outer_sum(pk, _value_streams(v), heads=True)
 
 
 def _finalize(both, epsilon):
@@ -251,20 +305,8 @@ def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
     q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
-    h, w = shape.height, shape.width
-    x = pk[..., None] * _value_streams(v)[..., None, :]
-    y = np.zeros(x.shape)
-    for i in range(1, h + 1):
-        for j in range(1, w + 1):
-            for r in range(int(wg.groups[i - 1, j - 1])):
-                members = group_members(config.partition, shape, (i, j), r)
-                if not members:
-                    continue
-                rows = np.fromiter((m[0] - 1 for m in members), dtype=np.int64)
-                cols = np.fromiter((m[1] - 1 for m in members), dtype=np.int64)
-                a = wg.alphas[i - 1, j - 1, r]
-                y[i - 1, j - 1] += a * x[rows, cols].sum(axis=0)
-    num, den, out = _finalize(np.einsum("hwd,hwdc->hwc", pq, y), config.epsilon)
+    both = _naive_sweep(*_one_head(pq, pk, v), wg.head_axis(), config.partition)
+    num, den, out = _finalize(both[:, :, 0], config.epsilon)
     tape = None
     if build_tape:
         tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
@@ -284,16 +326,8 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
     q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
     wg = weights if weights is not None else scheme_weights_grid(
         config.scheme, v, shape, config.partition)
-    coefs = wg.window_coefs()
-    both = np.zeros(v.shape[:2] + (v.shape[2] + 1,))
-    for blk, buf, sat in block_tables(pk, v):
-        both += wg.merged[..., None] * (pq[..., blk] @ sat.total())
-        # W_0 is the field itself; each later window overwrites it
-        for g in range(coefs.shape[-1]):
-            if g:
-                sat.window_sum_grid(group_span(config.partition.kind, g)[1], out=buf)
-            both += coefs[..., g, None] * np.einsum("hwd,hwdc->hwc", pq[..., blk], buf)
-    num, den, out = _finalize(both, config.epsilon)
+    both = _sweep(*_one_head(pq, pk, v), wg.head_axis(), config.partition.kind)
+    num, den, out = _finalize(both[:, :, 0], config.epsilon)
     tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
                          weights=wg, num=num, den=den)
     return AttentionOutput(out=out, tape=tape)
@@ -351,14 +385,10 @@ def linearized_grid(qgrid, kgrid, vgrid, featmap: FeatureMapParams,
     _check_finite(q, k, v)
     pq = feature_forward(q, featmap)
     pk = feature_forward(k, featmap)
-    z1 = np.einsum("hwd,hwc->dc", pk, v)
-    z2 = pk.sum(axis=(0, 1))
-    num = pq @ z1
-    den = pq @ z2 + epsilon
-    _check_denominator(den)
-    out = num / den[..., None]
-    tape = LinearTape(featmap=featmap, epsilon=epsilon, q=q, k=k, v=v,
-                      phi_q=pq, phi_k=pk, z1=z1, z2=z2, num=num, den=den)
+    total = _global_total(*_one_head(pk, v))
+    num, den, out = _finalize(matmul(pq[:, :, None], total)[:, :, 0], epsilon)
+    tape = LinearTape(featmap=featmap, epsilon=epsilon, q=q, k=k, v=v, phi_q=pq,
+                      phi_k=pk, z1=total[0, :, :-1], z2=total[0, :, -1], num=num, den=den)
     return out, tape
 
 
@@ -375,9 +405,28 @@ class HeadParams:
 
 @dataclass(frozen=True)
 class MultiHeadParams:
+    """A layer's heads, plus their parameters stacked on a head axis (built
+    on first use and kept with the object, so build it once per step)."""
+
     heads: tuple[HeadParams, ...]
     w_out: np.ndarray              # (model_dim, num_heads * head_dim)
     b_out: np.ndarray              # (model_dim,)
+
+    @cached_property
+    def w_qkv(self) -> np.ndarray:
+        """(3 * num_heads * head_dim, model_dim): every Wq, then Wk, then Wv."""
+        return np.concatenate([h.wq for h in self.heads] + [h.wk for h in self.heads]
+                              + [h.wv for h in self.heads])
+
+    @cached_property
+    def featmap(self) -> FeatureMapParams:
+        return FeatureMapParams.stack([h.featmap for h in self.heads])
+
+    @cached_property
+    def stick(self) -> StickParams | None:
+        if self.heads[0].stick is None:
+            return None
+        return StickParams.stack([h.stick for h in self.heads])
 
 
 @dataclass(frozen=True)
@@ -387,16 +436,21 @@ class MultiHeadConfig:
     epsilon: float = DEFAULT_EPSILON
     attention: str = "ripple"      # "ripple" or "linearized"
 
-    def head_config(self, head: HeadParams) -> AttentionConfig:
-        scheme = WeightScheme(kind=self.scheme_kind, params=head.stick)
-        return AttentionConfig(scheme=scheme, partition=self.partition,
-                               featmap=head.featmap, epsilon=self.epsilon)
-
 
 @dataclass
 class MultiHeadTape:
+    """One layer's forward record. Per-head arrays carry the head axis after
+    (H, W): q, k, v (H, W, heads, head_dim), phi_q, phi_k (H, W, heads, Dp)."""
+
     x: np.ndarray
-    head_tapes: list
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    phi_q: np.ndarray
+    phi_k: np.ndarray
+    weights: WeightGrid | None     # None in linearized mode
+    num: np.ndarray
+    den: np.ndarray
     concat: np.ndarray
     config: MultiHeadConfig
     params: MultiHeadParams
@@ -428,29 +482,30 @@ def init_multi_head(rng: np.random.Generator, model_dim: int, num_heads: int,
 
 def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
                        oracle: bool = False):
-    """Project per head, attend per head, concatenate, mix. Returns (out, tape).
+    """Project, attend and mix every head of a layer in one pass. Returns
+    (out, tape).
 
-    With ``oracle`` the group attention runs through the enumeration path, so
-    the wrapper can be checked end to end against trusted sums.
+    One matmul against the stacked Wq, Wk and Wv gives (H, W, heads,
+    head_dim) queries, keys and values; one featurize over queries and keys,
+    the weight grid and the sweep then run once over the head axis. With
+    ``oracle`` the group attention runs through the enumeration path, so the
+    wrapper can be checked end to end against trusted sums.
     """
     x = np.asarray(xgrid, dtype=np.float64)
-    head_outs = []
-    head_tapes = []
-    for head in params.heads:
-        q = x @ head.wq.T
-        k = x @ head.wk.T
-        v = x @ head.wv.T
-        if config.attention == "linearized":
-            out_h, tape_h = linearized_grid(q, k, v, head.featmap, config.epsilon)
-        else:
-            cfg = config.head_config(head)
-            res = ripple_naive(q, k, v, cfg) if oracle else ripple_dp(q, k, v, cfg)
-            out_h, tape_h = res.out, res.tape
-        head_outs.append(out_h)
-        head_tapes.append(tape_h)
-    concat = np.concatenate(head_outs, axis=-1)
-    out = concat @ params.w_out.T + params.b_out
-    tape = MultiHeadTape(x=x, head_tapes=head_tapes, concat=concat,
-                         config=config, params=params)
-    return out, tape
-
+    qkv = (x @ params.w_qkv.T).reshape(x.shape[:2] + (3, len(params.heads), -1))
+    q, k, v = np.moveaxis(qkv, 2, 0)
+    _check_finite(q, k, v)
+    pq, pk = np.moveaxis(feature_forward(qkv[:, :, :2], params.featmap), 2, 0)
+    wg = None
+    if config.attention == "linearized":
+        both = matmul(pq, _global_total(pk, v))
+    else:
+        scheme = WeightScheme(kind=config.scheme_kind, params=params.stick)
+        wg = scheme_weights_grid(scheme, v, GridShape(*x.shape[:2]), config.partition)
+        both = (_naive_sweep(pq, pk, v, wg, config.partition) if oracle
+                else _sweep(pq, pk, v, wg, config.partition.kind))
+    num, den, out = _finalize(both, config.epsilon)
+    concat = out.reshape(x.shape[:2] + (-1,))
+    tape = MultiHeadTape(x=x, q=q, k=k, v=v, phi_q=pq, phi_k=pk, weights=wg, num=num,
+                         den=den, concat=concat, config=config, params=params)
+    return concat @ params.w_out.T + params.b_out, tape

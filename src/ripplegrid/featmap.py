@@ -4,6 +4,9 @@ The adaptive map passes sin/cos projections of the input through a learned
 affine layer and a ReLU, so downstream dot products stay non-negative. The
 random-trig map keeps the classical frozen random-feature form and exists as
 a baseline; its projection matrix receives no gradient by contract.
+
+Parameters stacked on a leading head axis (``FeatureMapParams.stack``) map
+(..., heads, in_dim) inputs, each head through its own weights.
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .heads import matmul, outer_sum
 
 
 class FeatureMapKind(Enum):
@@ -27,14 +32,15 @@ class FeatureMapParams:
     exp_norm_scale: bool = False  # random-trig: multiply by exp(|x|^2 / 2)
 
     def __post_init__(self):
-        if self.w1.ndim != 2:
-            raise ValueError("w1 must be a matrix")
+        if self.w1.ndim not in (2, 3):
+            raise ValueError("w1 must be a matrix, or one matrix per head")
         if self.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
             if self.w2 is None or self.b2 is None:
                 raise ValueError("adaptive map needs w2 and b2")
-            if self.w2.shape[1] != 2 * self.w1.shape[0]:
+            if self.w2.shape[:-2] != self.w1.shape[:-2] \
+                    or self.w2.shape[-1] != 2 * self.w1.shape[-2]:
                 raise ValueError("w2 columns must equal twice the frequency count")
-            if self.b2.shape != (self.w2.shape[0],):
+            if self.b2.shape != self.w2.shape[:-1]:
                 raise ValueError("b2 must match w2 rows")
             if self.exp_norm_scale:
                 raise ValueError("exp_norm_scale applies to the random-trig map only")
@@ -44,13 +50,23 @@ class FeatureMapParams:
 
     @property
     def in_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[-1]
 
     @property
     def out_dim(self) -> int:
         if self.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
-            return self.w2.shape[0]
-        return 2 * self.w1.shape[0]
+            return self.w2.shape[-2]
+        return 2 * self.w1.shape[-2]
+
+    @staticmethod
+    def stack(maps) -> FeatureMapParams:
+        """One head per map, stacked on a leading head axis."""
+        first = maps[0]
+        if any((m.kind, m.exp_norm_scale) != (first.kind, first.exp_norm_scale) for m in maps):
+            raise ValueError("stacked feature maps must share their kind")
+        arrays = (None if getattr(first, f) is None else np.stack([getattr(m, f) for m in maps])
+                  for f in ("w1", "w2", "b2"))
+        return FeatureMapParams(first.kind, *arrays, exp_norm_scale=first.exp_norm_scale)
 
 
 @dataclass
@@ -76,16 +92,24 @@ def init_feature_map(kind: FeatureMapKind, in_dim: int, rng: np.random.Generator
     return FeatureMapParams(kind=kind, w1=w1, w2=w2, b2=b2)
 
 
+def _trig(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
+    """[sin z, cos z] of z = x w1^T."""
+    z = matmul(x, np.swapaxes(params.w1, -1, -2))
+    return np.concatenate((np.sin(z), np.cos(z)), axis=-1)
+
+
 def feature_forward(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
-    """Map (..., in_dim) vectors to (..., out_dim) features."""
+    """Map (..., in_dim) vectors to (..., out_dim) features, or
+    (..., heads, in_dim) ones when the parameters carry a head axis."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != params.in_dim:
-        raise ValueError(f"input width {x.shape[-1]} does not match map width {params.in_dim}")
-    z = x @ params.w1.T
-    u = np.concatenate((np.sin(z), np.cos(z)), axis=-1)
+    heads = params.w1.shape[:-2]
+    if x.shape[-1] != params.in_dim or x.shape[-1 - len(heads):-1] != heads:
+        raise ValueError(f"input shape {x.shape} does not match map width "
+                         f"{params.in_dim} over {heads or 'no'} heads")
+    u = _trig(x, params)
     if params.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
-        return np.maximum(u @ params.w2.T + params.b2, 0.0)
-    out = u / np.sqrt(params.w1.shape[0])
+        return np.maximum(matmul(u, np.swapaxes(params.w2, -1, -2)) + params.b2, 0.0)
+    out = u / np.sqrt(params.w1.shape[-2])
     if params.exp_norm_scale:
         out = out * np.exp(0.5 * np.sum(x * x, axis=-1, keepdims=True))
     return out
@@ -95,32 +119,29 @@ def feature_vjp(x: np.ndarray, params: FeatureMapParams,
                 upstream: np.ndarray) -> FeatureMapGrads:
     """Pull an (..., out_dim) cotangent back to the input and the parameters.
 
-    Parameter gradients are summed over all leading axes. The ReLU uses the
-    zero subgradient at its kink, and the frozen random-trig w1 reports an
-    exactly zero gradient while the input gradient still flows.
+    Parameter gradients are summed over all leading axes but a stacked
+    map's head axis. The ReLU uses the zero subgradient at its kink, and the
+    frozen random-trig w1 reports an exactly zero gradient while the input
+    gradient still flows.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != x.shape[:-1] + (params.out_dim,):
         raise ValueError("upstream shape does not match the forward output")
-    freq = params.w1.shape[0]
-    z = x @ params.w1.T
-    sin_z, cos_z = np.sin(z), np.cos(z)
-    u = np.concatenate((sin_z, cos_z), axis=-1)
-    batch_axes = tuple(range(x.ndim - 1))
+    freq = params.w1.shape[-2]
+    heads = params.w1.ndim == 3
+    u = _trig(x, params)
+    sin_z, cos_z = u[..., :freq], u[..., freq:]
 
     if params.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
-        a = u @ params.w2.T + params.b2
+        a = matmul(u, np.swapaxes(params.w2, -1, -2)) + params.b2
         ga = np.where(a > 0.0, g, 0.0)
-        grad_b2 = ga.sum(axis=batch_axes) if batch_axes else ga.copy()
-        grad_w2 = np.tensordot(ga, u, axes=(batch_axes, batch_axes)) if batch_axes \
-            else np.outer(ga, u)
-        gu = ga @ params.w2
+        gu = matmul(ga, params.w2)
         gz = gu[..., :freq] * cos_z - gu[..., freq:] * sin_z
-        grad_w1 = np.tensordot(gz, x, axes=(batch_axes, batch_axes)) if batch_axes \
-            else np.outer(gz, x)
-        return FeatureMapGrads(grad_x=gz @ params.w1, grad_w1=grad_w1,
-                               grad_w2=grad_w2, grad_b2=grad_b2)
+        return FeatureMapGrads(grad_x=matmul(gz, params.w1),
+                               grad_w1=outer_sum(gz, x, heads),
+                               grad_w2=outer_sum(ga, u, heads),
+                               grad_b2=ga.reshape((-1,) + params.b2.shape).sum(axis=0))
 
     scale = 1.0 / np.sqrt(freq)
     if params.exp_norm_scale:
@@ -134,6 +155,6 @@ def feature_vjp(x: np.ndarray, params: FeatureMapParams,
         gu = g * scale
         extra = 0.0
     gz = gu[..., :freq] * cos_z - gu[..., freq:] * sin_z
-    grad_x = gz @ params.w1 + extra
+    grad_x = matmul(gz, params.w1) + extra
     return FeatureMapGrads(grad_x=grad_x, grad_w1=np.zeros_like(params.w1),
                            grad_w2=None, grad_b2=None)

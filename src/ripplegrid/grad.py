@@ -15,7 +15,9 @@ the token contains the query, so a token receives one window of the field
 c_g * cotangent per group, plus the broadcast sum of m * cotangent. That
 adjoint refills the block's table and buffers, and its share goes straight
 into the phi_k and v gradients. Both directions read one window per head
-group past group 0, as the forward does.
+group past group 0, as the forward does. Like the forward sweep, the
+backward runs on (H, W, heads, ...) arrays: once per multi-head layer, and
+with a head axis of length 1 for ripple_vjp.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
@@ -26,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionTape, LinearTape, MultiHeadTape, block_tables, kept_array
+from .attention import (AttentionTape, LinearTape, MultiHeadTape, _global_total, _one_head,
+                        _value_streams, block_tables, kept_array)
 from .featmap import feature_vjp
+from .heads import matmul, outer_sum
 from .sat import SummedAreaTable
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
@@ -87,46 +91,43 @@ class MultiHeadGradients:
 
 # ---------- shared pieces ----------
 
-def _quotient_streams(num, den, upstream):
-    """Split d(num/den) into cotangents for the two accumulated streams."""
+def _quotient_cotangent(num, den, upstream):
+    """d(num/den) as one cotangent over the accumulated [num, den] streams."""
     g = np.asarray(upstream, dtype=np.float64)
-    gnum = g / den[..., None]
-    gden = -np.einsum("hwc,hwc->hw", g, num) / (den * den)
-    return gnum, gden
+    gden = -np.einsum("...c,...c->...", g, num) / (den * den)
+    return np.concatenate((g / den[..., None], gden[..., None]), axis=-1)
 
 
-def _blocked_backward(tape: AttentionTape, upstream: np.ndarray, length: int):
+def _blocked_backward(pq, pk, v, wg: WeightGrid, partition: PartitionScheme,
+                      gboth: np.ndarray, length: int):
     """One pass over the forward's channel blocks, rebuilding each table.
 
-    With cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
+    Arrays carry the head axis after (H, W), as in the forward sweep. With
+    cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
     per query for g < length after a leading zero for the empty W_{-1} (their
     differences are the band inner products, exactly zero past a query's
     group count), <cot, T>, and the phi_q, phi_k and v gradients."""
-    wg, v, pq, pk = tape.weights, tape.v, tape.phi_q, tape.phi_k
-    kind = tape.config.partition.kind
-    gnum, gden = _quotient_streams(tape.num, tape.den, upstream)
-    gboth = np.concatenate((gnum, gden[..., None]), axis=-1)
     coefs = wg.window_coefs()
-    dots = np.zeros(gboth.shape[:2] + (length + 1,))
-    tail = np.zeros(gboth.shape[:2])
+    dots = np.zeros(gboth.shape[:-1] + (length + 1,))
+    tail = np.zeros(gboth.shape[:-1])
     grad_pq, grad_pk, grad_v = np.empty_like(pq), np.empty_like(pk), np.zeros_like(v)
     for blk, buf, sat in block_tables(pk, v):
         gx, scratch = kept_array("gx", buf.shape), kept_array("scratch", buf.shape)
-        z = kept_array("z", buf.shape[:3] + (length,))   # z[..., g] = W_g . gboth
-        zt = gboth @ sat.total().T                  # T . gboth
+        z = kept_array("z", buf.shape[:-1] + (length,))   # z[..., g] = W_g . gboth
+        zt = matmul(gboth, np.swapaxes(sat.total(), -1, -2))    # T . gboth
         for g in range(length):
             if g:
-                sat.window_sum_grid(group_span(kind, g)[1], out=buf)
-            np.einsum("hwdc,hwc->hwd", buf, gboth, out=z[..., g])
+                sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
+            np.einsum("...dc,...c->...d", buf, gboth, out=z[..., g])
         # the block's cotangent phi_q (x) gboth: its token adjoint refills the table
         np.multiply(pq[..., blk, None], gboth[..., None, :], out=buf)
-        _scatter_groups(wg, buf, tape.config.partition, gx, scratch, sat)
-        grad_pk[..., blk] = np.einsum("hwdc,hwc->hwd", gx[..., :-1], v) + gx[..., -1]
-        grad_v += np.einsum("hwdc,hwd->hwc", gx[..., :-1], pk[..., blk])
-        tail += np.einsum("hwd,hwd->hw", pq[..., blk], zt)
-        dots[..., 1:] += np.einsum("hwd,hwdg->hwg", pq[..., blk], z)
+        _scatter_groups(wg, coefs, buf, partition, gx, scratch, sat)
+        grad_pk[..., blk] = np.einsum("...dc,...c->...d", gx[..., :-1], v) + gx[..., -1]
+        grad_v += np.einsum("...dc,...d->...c", gx[..., :-1], pk[..., blk])
+        tail += np.einsum("...d,...d->...", pq[..., blk], zt)
+        dots[..., 1:] += np.einsum("...d,...dg->...g", pq[..., blk], z)
         grad_pq[..., blk] = (wg.merged[..., None] * zt
-                             + np.einsum("hwdg,hwg->hwd", z[..., :coefs.shape[-1]], coefs))
+                             + np.einsum("...dg,...g->...d", z[..., :coefs.shape[-1]], coefs))
     return dots, tail, grad_pq, grad_pk, grad_v
 
 
@@ -153,8 +154,11 @@ def grad_alpha(tape: AttentionTape, upstream: np.ndarray) -> np.ndarray:
     structure is ignored here, so rows with a shared tail report one gradient
     per underlying group, not one for the shared value.
     """
-    dots = _blocked_backward(tape, upstream, tape.weights.alphas.shape[-1])[0]
-    return np.diff(dots, axis=-1)
+    gboth = _quotient_cotangent(tape.num, tape.den, upstream)
+    dots = _blocked_backward(*_one_head(tape.phi_q, tape.phi_k, tape.v),
+                             tape.weights.head_axis(), tape.config.partition,
+                             gboth[:, :, None], tape.weights.alphas.shape[-1])[0]
+    return np.diff(dots[:, :, 0], axis=-1)
 
 
 # ---------- token-position gradients ----------
@@ -171,19 +175,23 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     upstream, so the cost is O(H W hat_max) fetches. Group 0's window is the
     weighted field itself; later groups refill one table.
     """
-    g = np.asarray(upstream_field, dtype=np.float64)
-    return _scatter_groups(weights, g, partition, np.empty_like(g), np.empty_like(g))
+    g = np.asarray(upstream_field, dtype=np.float64)[:, :, None]
+    one_head = weights.head_axis()
+    return _scatter_groups(one_head, one_head.window_coefs(), g, partition,
+                           np.empty_like(g), np.empty_like(g))[:, :, 0]
 
 
-def _scatter_groups(weights: WeightGrid, g: np.ndarray, partition: PartitionScheme,
-                    out: np.ndarray, scratch: np.ndarray,
+def _scatter_groups(weights: WeightGrid, coefs: np.ndarray, g: np.ndarray,
+                    partition: PartitionScheme, out: np.ndarray, scratch: np.ndarray,
                     sat: SummedAreaTable | None = None) -> np.ndarray:
-    """grad_pixels of ``g`` written into ``out`` and returned. ``scratch``
-    (g's shape) holds each group's weighted field; ``sat``, a table of that
-    shape or None to build one, is refilled for every group past 0."""
-    lift = g.shape[:2] + (1,) * (g.ndim - 2)
-    out[...] = np.tensordot(weights.merged, g, axes=([0, 1], [0, 1]))
-    coefs = weights.window_coefs()
+    """grad_pixels of ``g`` (H, W, heads, ...) under weights with the head
+    axis and their window coefficients, written into ``out`` and returned.
+    ``scratch`` (g's shape) holds each group's weighted field; ``sat``, a
+    table of that shape or None to build one, is refilled for every group
+    past 0."""
+    lift = coefs.shape[:-1] + (1,) * (g.ndim - 3)
+    per_head = g.reshape(g.shape[:3] + (-1,))
+    out[...] = outer_sum(weights.merged[..., None], per_head, heads=True).reshape(g.shape[2:])
     for r in range(coefs.shape[-1]):
         np.multiply(coefs[..., r].reshape(lift), g, out=scratch)
         if r:    # the table holds all the window needs: it overwrites the field
@@ -215,12 +223,13 @@ def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,
 def _stick_param_grads(params: StickParams, projected: np.ndarray,
                        v: np.ndarray, glogits: np.ndarray, r_max: int):
     """Pull per-query logit cotangents back to the stick parameters and v."""
-    used = params.unit_embeddings[:r_max]
+    heads = params.unit_embeddings.ndim == 3
+    used = params.unit_embeddings[..., :r_max, :]
     g_units = np.zeros_like(params.unit_embeddings)
-    g_units[:r_max] = np.einsum("hwr,hwe->re", glogits, projected)
-    gproj = np.einsum("hwr,re->hwe", glogits, used)
-    g_proj_mat = np.einsum("hwe,hwc->ec", gproj, v)
-    gv = gproj @ params.value_projection
+    g_units[..., :r_max, :] = outer_sum(glogits, projected, heads)
+    gproj = matmul(glogits, used)
+    g_proj_mat = outer_sum(gproj, v, heads)
+    gv = matmul(gproj, params.value_projection)
     return gv, StickGrads(unit_embeddings=g_units, value_projection=g_proj_mat)
 
 
@@ -249,7 +258,7 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
         ggamma = np.zeros_like(gamma)
         adj = ghead - np.where(in_head, (gmerged / (wg.groups - hat))[..., None], 0.0)
         ggamma[..., :max_hat] = np.where(in_head, adj, 0.0)
-        dot = np.einsum("hwr,hwr->hw", ggamma, gamma)
+        dot = np.einsum("...r,...r->...", ggamma, gamma)
         gfull = gamma * (ggamma - dot[..., None])
         return _stick_param_grads(scheme.params, projected, v, gfull[..., :r_max], r_max)
 
@@ -263,7 +272,7 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
         total = headb.sum(axis=-1)
         gh = np.zeros_like(beta)
         gh[..., :max_hat] = ghead
-        s_dot = np.einsum("hwr,hwr->hw", gh, headb)
+        s_dot = np.einsum("...r,...r->...", gh, headb)
         gbeta = np.where(keep,
                          gh / total[..., None] - (s_dot / (total * total))[..., None],
                          0.0)
@@ -288,6 +297,31 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
 
 # ---------- full backward passes ----------
 
+def _ripple_backward(pq, pk, v, wg: WeightGrid, scheme: WeightScheme,
+                     partition: PartitionScheme, gboth: np.ndarray):
+    """The blocked backward and the weight pipeline's, over a stack of heads.
+    Returns the phi_q, phi_k and v gradients (v's through the weights
+    included), the head and tail weight gradients, and the stick grads."""
+    max_hat = int(wg.hat.max())
+    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(pq, pk, v, wg, partition,
+                                                             gboth, max_hat)
+    in_head = np.arange(max_hat) < wg.hat[..., None]
+    ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
+    covered = np.take_along_axis(dots, wg.hat[..., None], axis=-1)[..., 0]
+    gmerged = tail - covered
+    gv_stick, stick = _scheme_backward(scheme, partition, wg, v, ghead, gmerged)
+    return grad_pq, grad_pk, grad_v + gv_stick, ghead, gmerged, stick
+
+
+def _linear_backward(pq, pk, v, total, gboth):
+    """phi_q, phi_k and v gradients of linearized attention over a stack of
+    heads, given each head's total of phi_k (x) [v, 1]."""
+    gtotal = outer_sum(pq, gboth, heads=True)
+    return (matmul(gboth, np.swapaxes(total, -1, -2)),
+            matmul(_value_streams(v), np.swapaxes(gtotal, -1, -2)),
+            matmul(pk, gtotal[..., :-1]))
+
+
 def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> RippleGradients:
     """Backward pass of the prefix-sum group attention.
 
@@ -295,66 +329,56 @@ def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> RippleGradients:
     gradients, the same order as the forward sweep.
     """
     cfg = tape.config
-    wg = tape.weights
-    max_hat = int(wg.hat.max())
-    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(tape, upstream, max_hat)
-    in_head = np.arange(max_hat) < wg.hat[..., None]
-    ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
-    covered = np.take_along_axis(dots, wg.hat[..., None], axis=-1)[..., 0]
-    gmerged = tail - covered
-
-    gv_stick, stick = _scheme_backward(cfg.scheme, cfg.partition, wg, tape.v,
-                                       ghead, gmerged)
-    grad_v = grad_v + gv_stick
-
+    gboth = _quotient_cotangent(tape.num, tape.den, upstream)
+    grad_pq, grad_pk, grad_v, ghead, gmerged, stick = _ripple_backward(
+        *_one_head(tape.phi_q, tape.phi_k, tape.v), tape.weights.head_axis(), cfg.scheme,
+        cfg.partition, gboth[:, :, None])
     grad_q, grad_k, featmap = _feature_grads(tape.q, tape.k, cfg.featmap,
-                                             grad_pq, grad_pk)
-    return RippleGradients(grad_q=grad_q, grad_k=grad_k, grad_v=grad_v,
-                           grad_alpha_head=ghead, grad_merged=gmerged,
+                                             grad_pq[:, :, 0], grad_pk[:, :, 0])
+    return RippleGradients(grad_q=grad_q, grad_k=grad_k, grad_v=grad_v[:, :, 0],
+                           grad_alpha_head=ghead[:, :, 0], grad_merged=gmerged[:, :, 0],
                            featmap=featmap, stick=stick)
 
 
 def linearized_vjp(tape: LinearTape, upstream: np.ndarray) -> LinearizedGradients:
     """Backward pass of the global linearized attention."""
-    gnum, gden = _quotient_streams(tape.num, tape.den, upstream)
-    grad_pq = np.einsum("hwc,dc->hwd", gnum, tape.z1) + gden[..., None] * tape.z2
-    gz1 = np.einsum("hwd,hwc->dc", tape.phi_q, gnum)
-    gz2 = np.einsum("hwd,hw->d", tape.phi_q, gden)
-    grad_pk = np.einsum("dc,hwc->hwd", gz1, tape.v) + gz2
-    grad_v = np.einsum("dc,hwd->hwc", gz1, tape.phi_k)
+    gboth = _quotient_cotangent(tape.num, tape.den, upstream)
+    total = np.concatenate((tape.z1, tape.z2[:, None]), axis=-1)[None]
+    grad_pq, grad_pk, grad_v = _linear_backward(*_one_head(tape.phi_q, tape.phi_k, tape.v),
+                                                total, gboth[:, :, None])
     grad_q, grad_k, featmap = _feature_grads(tape.q, tape.k, tape.featmap,
-                                             grad_pq, grad_pk)
+                                             grad_pq[:, :, 0], grad_pk[:, :, 0])
     return LinearizedGradients(grad_q=grad_q, grad_k=grad_k,
-                               grad_v=grad_v, featmap=featmap)
+                               grad_v=grad_v[:, :, 0], featmap=featmap)
 
 
 def multi_head_vjp(tape: MultiHeadTape, upstream: np.ndarray) -> MultiHeadGradients:
-    """Backward pass of the multi-head wrapper: output mix, heads, projections."""
+    """Backward pass of the multi-head wrapper: output mix, heads, projections.
+    Every head's gradients come from one backward over the head axis."""
     g = np.asarray(upstream, dtype=np.float64)
-    params = tape.params
-    b_out = g.sum(axis=(0, 1))
-    w_out = np.einsum("hwm,hwn->mn", g, tape.concat)
-    gconcat = g @ params.w_out
-    x = tape.x
-    grad_x = np.zeros_like(x)
-    heads = []
-    offset = 0
-    for head, htape in zip(params.heads, tape.head_tapes):
-        head_dim = head.wq.shape[0]
-        gout = gconcat[..., offset:offset + head_dim]
-        offset += head_dim
-        if isinstance(htape, LinearTape):
-            hg = linearized_vjp(htape, gout)
-            gq, gk, gv, fg, stick = hg.grad_q, hg.grad_k, hg.grad_v, hg.featmap, None
-        else:
-            rg = ripple_vjp(htape, gout)
-            gq, gk, gv, fg, stick = rg.grad_q, rg.grad_k, rg.grad_v, rg.featmap, rg.stick
-        heads.append(HeadGradients(wq=np.einsum("hwd,hwm->dm", gq, x),
-                                   wk=np.einsum("hwd,hwm->dm", gk, x),
-                                   wv=np.einsum("hwd,hwm->dm", gv, x),
-                                   featmap=fg, stick=stick))
-        grad_x += gq @ head.wq + gk @ head.wk + gv @ head.wv
-    return MultiHeadGradients(grad_x=grad_x, heads=heads, w_out=w_out, b_out=b_out)
+    params, cfg, x = tape.params, tape.config, tape.x
+    gboth = _quotient_cotangent(tape.num, tape.den,
+                                (g @ params.w_out).reshape(tape.num.shape))
+    stick = None
+    if tape.weights is None:
+        grad_pq, grad_pk, grad_v = _linear_backward(
+            tape.phi_q, tape.phi_k, tape.v, _global_total(tape.phi_k, tape.v), gboth)
+    else:
+        scheme = WeightScheme(kind=cfg.scheme_kind, params=params.stick)
+        grad_pq, grad_pk, grad_v, _, _, stick = _ripple_backward(
+            tape.phi_q, tape.phi_k, tape.v, tape.weights, scheme, cfg.partition, gboth)
+    grad_q, grad_k, fm = _feature_grads(tape.q, tape.k, params.featmap, grad_pq, grad_pk)
+    gqkv = np.stack((grad_q, grad_k, grad_v), axis=2).reshape(x.shape[:2] + (-1,))
+    gw = outer_sum(gqkv, x, heads=False).reshape((3, len(params.heads), -1, x.shape[-1]))
+    heads = [HeadGradients(wq=gw[0, h], wk=gw[1, h], wv=gw[2, h],
+                           featmap=FeatureParamGrads(*(None if a is None else a[h]
+                                                       for a in (fm.w1, fm.w2, fm.b2))),
+                           stick=None if stick is None else StickGrads(
+                               stick.unit_embeddings[h], stick.value_projection[h]))
+             for h in range(len(params.heads))]
+    return MultiHeadGradients(grad_x=gqkv @ params.w_qkv, heads=heads,
+                              w_out=np.einsum("hwm,hwn->mn", g, tape.concat),
+                              b_out=g.sum(axis=(0, 1)))
 
 
 # ---------- numerical audit ----------

@@ -1,0 +1,29 @@
+"""Matrix products over a head axis.
+
+A layer's heads ride as axis -2 of its token arrays, (..., heads, dim), and
+as a leading axis of their parameters, (heads, i, j). These products give
+each head its own matrix in one BLAS call per head; with a plain (i, j)
+matrix they are the ordinary products, so one code path serves a single
+head and a stacked layer.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+
+def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w over the last axis of x. A (heads, i, j) w multiplies each
+    head's slice x[..., h, :] by w[h]."""
+    if w.ndim == 2:     # one product over all leading axes, not one per row
+        return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+    flat = x.reshape(-1, *x.shape[-2:]).transpose(1, 0, 2)
+    return (flat @ w).transpose(1, 0, 2).reshape(x.shape[:-1] + w.shape[-1:])
+
+
+def outer_sum(a: np.ndarray, b: np.ndarray, heads: bool) -> np.ndarray:
+    """Sum of a[..., :, None] * b[..., None, :] over the leading axes: (i, j),
+    or (heads, i, j) with axis -2 kept apart when ``heads``."""
+    if not heads:
+        return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    return (a.reshape(-1, *a.shape[-2:]).transpose(1, 2, 0)
+            @ b.reshape(-1, *b.shape[-2:]).transpose(1, 0, 2))

@@ -96,6 +96,7 @@ def init_model(config: ToyModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
 
 
 def _layer_params(params: dict, config: ToyModelConfig, layer: int) -> MultiHeadParams:
+    """One layer's heads; its stacked arrays are built on first use."""
     heads = []
     for h in range(config.num_heads):
         pre = f"block{layer}.head{h}"
@@ -153,7 +154,6 @@ def cross_entropy(logits: np.ndarray, label: int):
 @dataclass
 class ModelTape:
     img: np.ndarray
-    block_inputs: list
     ln_caches: list
     mh_tapes: list
     final: np.ndarray
@@ -161,31 +161,35 @@ class ModelTape:
     logits: np.ndarray
 
 
-def model_forward(img: np.ndarray, params: dict, config: ToyModelConfig):
-    """One image (H, W, in_dim) to class logits. Returns (logits, tape)."""
+def model_forward(img: np.ndarray, params: dict, config: ToyModelConfig,
+                  layers: list[MultiHeadParams] | None = None):
+    """One image (H, W, in_dim) to class logits. Returns (logits, tape).
+    ``layers`` holds each layer's heads as ``_layer_params`` builds them from
+    ``params``; pass it to share their stacked arrays across samples."""
+    if layers is None:
+        layers = [_layer_params(params, config, l) for l in range(config.num_layers)]
     x = np.asarray(img, dtype=np.float64) @ params["embed.w"].T + params["embed.b"]
-    block_inputs, ln_caches, mh_tapes = [], [], []
+    ln_caches, mh_tapes = [], []
     for l in range(config.num_layers):
-        block_inputs.append(x)
         normed, cache = layer_norm(x, params[f"block{l}.ln.gamma"],
                                    params[f"block{l}.ln.beta"])
         ln_caches.append(cache)
-        attn, tape = multi_head_forward(normed, _layer_params(params, config, l),
-                                        config.block_config(l))
+        attn, tape = multi_head_forward(normed, layers[l], config.block_config(l))
         mh_tapes.append(tape)
         x = x + attn
     pooled = x.mean(axis=(0, 1))
     logits = params["head.w"] @ pooled + params["head.b"]
-    tape = ModelTape(img=np.asarray(img, dtype=np.float64), block_inputs=block_inputs,
+    tape = ModelTape(img=np.asarray(img, dtype=np.float64),
                      ln_caches=ln_caches, mh_tapes=mh_tapes, final=x,
                      pooled=pooled, logits=logits)
     return logits, tape
 
 
 def model_backward(tape: ModelTape, params: dict, config: ToyModelConfig,
-                   grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss wrt every entry of the parameter dict."""
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+                   grad_logits: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Add the gradients of a scalar loss wrt every entry of the parameter
+    dict into ``grads``. Consumes the tape: each layer's multi-head record
+    is dropped once its vjp has run."""
     grads["head.w"] += np.outer(grad_logits, tape.pooled)
     grads["head.b"] += grad_logits
     gpooled = params["head.w"].T @ grad_logits
@@ -193,6 +197,7 @@ def model_backward(tape: ModelTape, params: dict, config: ToyModelConfig,
     gx = np.broadcast_to(gpooled / (h * w), tape.final.shape).copy()
     for l in reversed(range(config.num_layers)):
         mh = multi_head_vjp(tape.mh_tapes[l], gx)
+        tape.mh_tapes[l] = None
         grads[f"block{l}.attn.w_out"] += mh.w_out
         grads[f"block{l}.attn.b_out"] += mh.b_out
         for hd, hg in enumerate(mh.heads):
@@ -212,12 +217,6 @@ def model_backward(tape: ModelTape, params: dict, config: ToyModelConfig,
         gx = gx + gnorm  # residual: d(x + attn(ln(x)))/dx
     grads["embed.w"] += np.einsum("hwm,hwc->mc", gx, tape.img)
     grads["embed.b"] += gx.sum(axis=(0, 1))
-    return grads
-
-
-def _accumulate(into: dict, add: dict) -> None:
-    for name, g in add.items():
-        into[name] += g
 
 
 def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
@@ -242,16 +241,19 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
     # partition, so one reference serves every sample and head
     ref = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
                               imgs[0], GridShape(*imgs.shape[1:3]), config.partition)
+    layers = [_layer_params(params, config, l) for l in range(config.num_layers)]
     for b in range(batch):
-        logits, tape = model_forward(imgs[b], params, config)
+        logits, tape = model_forward(imgs[b], params, config, layers)
         loss, gz = cross_entropy(logits, int(labels[b]))
         total += loss
         correct += int(np.argmax(logits) == labels[b])
-        _accumulate(grads, model_backward(tape, params, config, gz))
         for l in range(config.ripple_layers):
-            for htape in tape.mh_tapes[l].head_tapes:
-                wg = htape.weights
-                jsd_vals.append(jsd_grid(wg.alphas, ref.alphas, wg.groups).mean())
+            wg = tape.mh_tapes[l].weights
+            per_query = jsd_grid(wg.alphas, ref.alphas[:, :, None], wg.groups)
+            # one contiguous row per head, each averaged as a head's own grid
+            jsd_vals.extend(np.moveaxis(per_query, -1, 0).reshape(config.num_heads, -1)
+                            .mean(axis=1))
+        model_backward(tape, params, config, gz, grads)
     if reduction == "mean":
         total /= batch
         for name in grads:

@@ -11,6 +11,10 @@ Weight mass past a halting index is shared uniformly across the outlying
 groups, which is what lets the attention pass replace an unbounded sweep over
 groups with one closed-form tail term. Fixed-exponential, softmax, hard-
 truncated, and uniform schemes cover the ablation grid around the learned one.
+
+The grid functions also take a layer's heads at once: a (H, W, heads, C)
+value grid with stick parameters stacked on a leading head axis gives a
+weight grid whose arrays carry the head axis after (H, W).
 """
 from __future__ import annotations
 
@@ -19,22 +23,25 @@ from enum import Enum
 
 import numpy as np
 
+from .heads import matmul, outer_sum
 from .vicinal import GridShape, PartitionScheme, Position, num_groups_grid
 
 
 @dataclass(frozen=True)
 class StickParams:
-    """Learnable inputs of the stick pipeline for one attention head."""
+    """Learnable inputs of the stick pipeline for one attention head, or for
+    several stacked on a leading head axis."""
 
     unit_embeddings: np.ndarray   # (num_units, embed_dim), one row per stick fraction
     value_projection: np.ndarray  # (embed_dim, value_dim)
 
     def __post_init__(self):
-        if self.unit_embeddings.ndim != 2 or self.value_projection.ndim != 2:
+        emb, proj = self.unit_embeddings, self.value_projection
+        if emb.ndim not in (2, 3) or proj.ndim != emb.ndim:
             raise ValueError("unit_embeddings and value_projection must be matrices")
-        if self.unit_embeddings.shape[0] < 1:
+        if emb.shape[-2] < 1:
             raise ValueError("need at least one stick unit")
-        if self.unit_embeddings.shape[1] != self.value_projection.shape[0]:
+        if emb.shape[:-2] != proj.shape[:-2] or emb.shape[-1] != proj.shape[-2]:
             raise ValueError("embedding width must match projection rows")
         for arr in (self.unit_embeddings, self.value_projection):
             if not np.isfinite(arr).all():
@@ -42,7 +49,13 @@ class StickParams:
 
     @property
     def num_units(self) -> int:
-        return self.unit_embeddings.shape[0]
+        return self.unit_embeddings.shape[-2]
+
+    @staticmethod
+    def stack(sticks) -> StickParams:
+        """One head per stick, stacked on a leading head axis."""
+        return StickParams(np.stack([s.unit_embeddings for s in sticks]),
+                           np.stack([s.value_projection for s in sticks]))
 
 
 class WeightSchemeKind(Enum):
@@ -109,6 +122,11 @@ class WeightGrid:
         a = np.where(np.arange(length) < self.hat[..., None],
                      self.alphas[..., :length], tail)
         return a - np.concatenate((a[..., 1:], tail), axis=-1)
+
+    def head_axis(self) -> WeightGrid:
+        """The same weights as a stack of one head."""
+        return WeightGrid(self.alphas[:, :, None], self.hat[:, :, None],
+                          self.merged[:, :, None], self.groups[:, :, None])
 
 
 # ---------- stick pipeline ----------
@@ -238,11 +256,12 @@ def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarr
 # ---------- schemes, whole grid at once ----------
 
 def grid_stick_fractions(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
-    """Stick fractions for every query: (H, W, r_max). Also returns the
-    projected value grid, which the backward pass reuses."""
+    """Stick fractions for every query: (H, W, r_max), or (H, W, heads, r_max)
+    for stacked parameters. Also returns the projected value grid, which the
+    backward pass reuses."""
     p = scheme.params
-    projected = value_grid.astype(np.float64) @ p.value_projection.T
-    logits = projected @ p.unit_embeddings[:r_max].T
+    projected = matmul(value_grid.astype(np.float64), np.swapaxes(p.value_projection, -1, -2))
+    logits = matmul(projected, np.swapaxes(p.unit_embeddings[..., :r_max, :], -1, -2))
     factors = np.arange(r_max, 0, -1, dtype=np.float64)  # modified_sigmoid's damping
     fracs = 1.0 / (1.0 + factors * np.exp(-logits))
     return fracs, logits, projected
@@ -261,12 +280,15 @@ def _grid_stick_breaking(fracs: np.ndarray):
 def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
                         shape: GridShape, partition: PartitionScheme) -> WeightGrid:
     """scheme_weights for all queries at once; agrees with the scalar op to
-    float roundoff (the batched matmuls may round differently)."""
+    float roundoff (the batched matmuls may round differently). A
+    (H, W, heads, C) value grid weighs every head of a layer at once."""
     h, w = shape.height, shape.width
     if value_grid.shape[:2] != (h, w):
         raise ValueError("value grid does not match the grid shape")
     groups = num_groups_grid(partition.kind, shape)
     gmax = int(groups.max())
+    groups = np.broadcast_to(groups.reshape((h, w) + (1,) * (value_grid.ndim - 3)),
+                             value_grid.shape[:-1])
     r_max, tau = partition.r_max, partition.tau
     kind = scheme.kind
     span = np.arange(gmax)
@@ -274,18 +296,18 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
     if kind is WeightSchemeKind.UNIFORM:
         merged = 1.0 / groups.astype(np.float64)
         alphas = np.where(span < groups[..., None], merged[..., None], 0.0)
-        return WeightGrid(alphas=alphas, hat=np.zeros((h, w), dtype=np.int64),
+        return WeightGrid(alphas=alphas, hat=np.zeros(groups.shape, dtype=np.int64),
                           merged=merged, groups=groups)
 
     if kind is WeightSchemeKind.FIXED_EXPONENTIAL:
         hat = np.minimum(r_max, groups - 1)
         beta_row = 0.5 ** (span + 1.0)
-        head = np.broadcast_to(beta_row, (h, w, gmax))
+        head = np.broadcast_to(beta_row, groups.shape + (gmax,))
         return _assemble_merged(head, hat, groups, gmax)
 
     if kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
         _, logits, _ = grid_stick_fractions(value_grid, scheme, r_max)
-        padded = np.concatenate((logits, np.zeros((h, w, 1))), axis=-1)
+        padded = np.concatenate((logits, np.zeros(groups.shape + (1,))), axis=-1)
         z = padded - padded.max(axis=-1, keepdims=True)
         gamma = np.exp(z)
         gamma /= gamma.sum(axis=-1, keepdims=True)
@@ -305,7 +327,7 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
         total = head.sum(axis=-1, keepdims=True)
         alphas = _pad_last(head / total, gmax)
         return WeightGrid(alphas=alphas, hat=cut.astype(np.int64),
-                          merged=np.zeros((h, w)), groups=groups)
+                          merged=np.zeros(groups.shape), groups=groups)
 
     remaining = 1.0 - np.cumsum(beta, axis=-1)
     below = remaining < tau

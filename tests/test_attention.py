@@ -437,8 +437,10 @@ def test_single_head_identity_mix_reduces_to_ripple():
     x = rng.standard_normal((4, 5, 4))
     out, _ = multi_head_forward(x, params, config)
     head = params.heads[0]
-    want = ripple_dp(x @ head.wq.T, x @ head.wk.T, x @ head.wv.T,
-                     config.head_config(head)).out
+    head_config = AttentionConfig(
+        scheme=WeightScheme(kind=config.scheme_kind, params=head.stick),
+        partition=config.partition, featmap=head.featmap)
+    want = ripple_dp(x @ head.wq.T, x @ head.wk.T, x @ head.wv.T, head_config).out
     np.testing.assert_array_equal(out, want)
 
 
@@ -471,4 +473,4 @@ def test_multi_head_output_mixes_heads():
     assert out.shape == (4, 4, 6)
     want = tape.concat @ params.w_out.T + params.b_out
     np.testing.assert_array_equal(out, want)
-    assert len(tape.head_tapes) == 2
+    assert tape.num.shape == (4, 4, 2, 3)     # both heads ride one stacked pass

@@ -1,0 +1,113 @@
+"""A multi-head layer runs its heads as one stacked pass; these tests hold it
+to a loop of single-head calls and count the tables it fills."""
+import numpy as np
+import pytest
+
+from ripplegrid import sat as sat_module
+from ripplegrid.attention import (
+    AttentionConfig,
+    MultiHeadConfig,
+    channel_blocks,
+    init_multi_head,
+    linearized_grid,
+    multi_head_forward,
+    ripple_dp,
+)
+from ripplegrid.grad import linearized_vjp, multi_head_vjp, ripple_vjp
+from ripplegrid.vicinal import PartitionKind, PartitionScheme
+from ripplegrid.weights import WeightScheme, WeightSchemeKind
+
+SHAPES = ((5, 4), (1, 7))
+MODES = [("ripple", kind) for kind in WeightSchemeKind] + [("linearized", WeightSchemeKind.UNIFORM)]
+
+
+def per_head_loop(x, params, config, upstream):
+    """The layer and its gradients from single-head calls, one head at a time."""
+    outs, grads = [], []
+    gconcat = upstream @ params.w_out
+    width = params.heads[0].wq.shape[0]
+    for h, head in enumerate(params.heads):
+        q, k, v = x @ head.wq.T, x @ head.wk.T, x @ head.wv.T
+        gout = gconcat[..., h * width:(h + 1) * width]
+        if config.attention == "linearized":
+            out, tape = linearized_grid(q, k, v, head.featmap, config.epsilon)
+            hg, stick = linearized_vjp(tape, gout), None
+        else:
+            cfg = AttentionConfig(scheme=WeightScheme(kind=config.scheme_kind, params=head.stick),
+                                  partition=config.partition, featmap=head.featmap,
+                                  epsilon=config.epsilon)
+            res = ripple_dp(q, k, v, cfg)
+            out, hg = res.out, ripple_vjp(res.tape, gout)
+            stick = hg.stick
+        outs.append(out)
+        grads.append((hg, stick))
+    concat = np.concatenate(outs, axis=-1)
+    grad_x = sum(hg.grad_q @ head.wq + hg.grad_k @ head.wk + hg.grad_v @ head.wv
+                 for (hg, _), head in zip(grads, params.heads))
+    return concat @ params.w_out.T + params.b_out, concat, grads, grad_x
+
+
+def assert_close(got, want):
+    scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("num_heads", (1, 2, 3))
+@pytest.mark.parametrize("partition_kind", list(PartitionKind))
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: f"{m[0]}-{m[1].value}")
+def test_stacked_layer_matches_per_head_loop(mode, partition_kind, num_heads, shape):
+    attention, kind = mode
+    rng = np.random.default_rng([num_heads, shape[1], list(WeightSchemeKind).index(kind)])
+    params = init_multi_head(rng, model_dim=5, num_heads=num_heads, head_dim=3, r_max=3,
+                             scheme_kind=kind)
+    config = MultiHeadConfig(partition=PartitionScheme(kind=partition_kind, r_max=3, tau=0.05),
+                             scheme_kind=kind, attention=attention)
+    x = rng.standard_normal(shape + (5,))
+    upstream = rng.standard_normal(shape + (5,))
+    out, tape = multi_head_forward(x, params, config)
+    mg = multi_head_vjp(tape, upstream)
+    want, concat, grads, grad_x = per_head_loop(x, params, config, upstream)
+
+    assert_close(out, want)
+    assert_close(mg.grad_x, grad_x)
+    assert_close(mg.w_out, np.einsum("hwm,hwn->mn", upstream, concat))
+    assert_close(mg.b_out, upstream.sum(axis=(0, 1)))
+    for got, (hg, stick) in zip(mg.heads, grads):
+        for name, g in (("wq", hg.grad_q), ("wk", hg.grad_k), ("wv", hg.grad_v)):
+            assert_close(getattr(got, name), np.einsum("hwd,hwm->dm", g, x))
+        for name in ("w1", "w2", "b2"):
+            assert_close(getattr(got.featmap, name), getattr(hg.featmap, name))
+        assert (got.stick is None) == (stick is None)
+        if stick is not None:
+            assert_close(got.stick.unit_embeddings, stick.unit_embeddings)
+            assert_close(got.stick.value_projection, stick.value_projection)
+
+
+def test_table_fills_do_not_grow_with_heads(monkeypatch):
+    # a table is filled by rebuild, which the constructor also calls
+    fills = []
+    rebuild = sat_module.SummedAreaTable.rebuild
+
+    def counting(self, field):
+        fills.append(field.shape)
+        return rebuild(self, field)
+
+    monkeypatch.setattr(sat_module.SummedAreaTable, "rebuild", counting)
+    counts = []
+    for num_heads in (1, 2, 3):
+        rng = np.random.default_rng(num_heads)
+        params = init_multi_head(rng, model_dim=6, num_heads=num_heads, head_dim=4,
+                                 r_max=3, scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
+        config = MultiHeadConfig(
+            partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05),
+            scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
+        x = rng.standard_normal((6, 6, 6))
+        assert len(channel_blocks((6, 6, num_heads, 4, 5))) == 1
+        fills.clear()
+        _, tape = multi_head_forward(x, params, config)
+        multi_head_vjp(tape, rng.standard_normal((6, 6, 6)))
+        assert all(f[2] == num_heads for f in fills)    # every table holds all heads
+        counts.append(len(fills))
+    # forward 1, backward 1, token adjoint 1 per group past 0 (hat = 3)
+    assert counts == [4, 4, 4]

@@ -97,10 +97,11 @@ def test_fixed_reference_built_once_per_call(monkeypatch):
     for img, label in zip(imgs, labels):
         logits, tape = model_forward(img, params, config)
         correct += int(np.argmax(logits) == label)
-        for htape in tape.mh_tapes[0].head_tapes:
-            ref = scheme_weights_grid(fixed, htape.v, GridShape(4, 4), config.partition)
-            wg = htape.weights
-            jsds.append(jsd_grid(wg.alphas, ref.alphas, wg.groups).mean())
+        mh = tape.mh_tapes[0]
+        for h in range(config.num_heads):
+            ref = scheme_weights_grid(fixed, mh.v[:, :, h], GridShape(4, 4), config.partition)
+            alphas, groups = mh.weights.alphas[:, :, h], mh.weights.groups[:, :, h]
+            jsds.append(jsd_grid(alphas, ref.alphas, groups).mean())
     assert len(jsds) == 3 * config.num_heads
     assert aux["mean_jsd"] > 0.0
     assert aux["mean_jsd"] == float(np.mean(jsds))      # bitwise
