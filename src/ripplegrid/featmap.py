@@ -92,12 +92,6 @@ def init_feature_map(kind: FeatureMapKind, in_dim: int, rng: np.random.Generator
     return FeatureMapParams(kind=kind, w1=w1, w2=w2, b2=b2)
 
 
-def _trig(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
-    """[sin z, cos z] of z = x w1^T."""
-    z = matmul(x, np.swapaxes(params.w1, -1, -2))
-    return np.concatenate((np.sin(z), np.cos(z)), axis=-1)
-
-
 def feature_forward(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
     """Map (..., in_dim) vectors to (..., out_dim) features, or
     (..., heads, in_dim) ones when the parameters carry a head axis."""
@@ -106,7 +100,8 @@ def feature_forward(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
     if x.shape[-1] != params.in_dim or x.shape[-1 - len(heads):-1] != heads:
         raise ValueError(f"input shape {x.shape} does not match map width "
                          f"{params.in_dim} over {heads or 'no'} heads")
-    u = _trig(x, params)
+    z = matmul(x, np.swapaxes(params.w1, -1, -2))
+    u = np.concatenate((np.sin(z), np.cos(z)), axis=-1)
     if params.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
         return np.maximum(matmul(u, np.swapaxes(params.w2, -1, -2)) + params.b2, 0.0)
     out = u / np.sqrt(params.w1.shape[-2])
@@ -130,8 +125,9 @@ def feature_vjp(x: np.ndarray, params: FeatureMapParams,
         raise ValueError("upstream shape does not match the forward output")
     freq = params.w1.shape[-2]
     heads = params.w1.ndim == 3
-    u = _trig(x, params)
-    sin_z, cos_z = u[..., :freq], u[..., freq:]
+    z = matmul(x, np.swapaxes(params.w1, -1, -2))
+    sin_z, cos_z = np.sin(z), np.cos(z)
+    u = np.concatenate((sin_z, cos_z), axis=-1)
 
     if params.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
         a = matmul(u, np.swapaxes(params.w2, -1, -2)) + params.b2
