@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .heads import matmul, outer_sum
+from .heads import matmul
 from .vicinal import GridShape, PartitionScheme, Position, num_groups_grid
 
 
