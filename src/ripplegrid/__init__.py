@@ -7,7 +7,7 @@ index. Includes exact quadratic references, an analytic backward pass, a tiny
 trainable model, and a benchmark harness.
 """
 from .attention import (AttentionConfig, AttentionOutput, AttentionTape,
-                        DEFAULT_EPSILON, HeadParams, LinearTape,
+                        DEFAULT_EPSILON, LinearTape,
                         MultiHeadConfig, MultiHeadParams, MultiHeadTape,
                         init_multi_head, linearized_attention,
                         linearized_attention_into, linearized_grid,

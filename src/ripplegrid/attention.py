@@ -33,16 +33,15 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .featmap import FeatureMapParams, feature_forward
+from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
 from .sat import SummedAreaTable
-from .vicinal import GridShape, PartitionKind, PartitionScheme, group_members, group_span
-from .weights import (StickParams, WeightGrid, WeightScheme, WeightSchemeKind,
-                      scheme_weights_grid)
+from .vicinal import GridShape, PartitionScheme, group_members, group_span
+from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
+                      WeightSchemeKind, scheme_weights_grid)
 
 DEFAULT_EPSILON = 1e-6
 
@@ -248,7 +247,7 @@ def block_tables(pk, v):
         yield blk, field, sat
 
 
-def _sweep(pq, pk, v, wg: WeightGrid, kind: PartitionKind) -> np.ndarray:
+def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     """The blocked prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
     features, (H, W, heads, C) values and weights with the head axis. Returns
     the (H, W, heads, C + 1) numerator and denominator streams."""
@@ -259,7 +258,7 @@ def _sweep(pq, pk, v, wg: WeightGrid, kind: PartitionKind) -> np.ndarray:
         # W_0 is the field itself; each later window overwrites it
         for g in range(coefs.shape[-1]):
             if g:
-                sat.window_sum_grid(group_span(kind, g)[1], out=buf)
+                sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
             both += coefs[..., g, None] * np.einsum("...d,...dc->...c", pq[..., blk], buf)
     return both
 
@@ -294,6 +293,20 @@ def _finalize(both, epsilon):
     return num, den, num / den[..., None]
 
 
+def _grouped(qgrid, kgrid, vgrid, config: AttentionConfig, weights: WeightGrid | None,
+             sweep) -> AttentionOutput:
+    """Featurize, weigh (unless ``weights`` is given), run ``sweep`` over one
+    head and take the quotient; the frame both grouped forwards share."""
+    q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
+    wg = weights if weights is not None else scheme_weights_grid(
+        config.scheme, v, shape, config.partition)
+    both = sweep(*_one_head(pq, pk, v), wg.head_axis(), config.partition)
+    num, den, out = _finalize(both[:, :, 0], config.epsilon)
+    tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
+                         weights=wg, num=num, den=den)
+    return AttentionOutput(out=out, tape=tape)
+
+
 def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
                  build_tape: bool = True,
                  weights: WeightGrid | None = None) -> AttentionOutput:
@@ -302,16 +315,8 @@ def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
     Cost grows with the square of the group count per query; use it to check
     the dynamic program, not to run at scale.
     """
-    q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
-    wg = weights if weights is not None else scheme_weights_grid(
-        config.scheme, v, shape, config.partition)
-    both = _naive_sweep(*_one_head(pq, pk, v), wg.head_axis(), config.partition)
-    num, den, out = _finalize(both[:, :, 0], config.epsilon)
-    tape = None
-    if build_tape:
-        tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
-                             weights=wg, num=num, den=den)
-    return AttentionOutput(out=out, tape=tape)
+    res = _grouped(qgrid, kgrid, vgrid, config, weights, _naive_sweep)
+    return res if build_tape else AttentionOutput(out=res.out, tape=None)
 
 
 def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
@@ -323,14 +328,7 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
     A ``weights=`` override is used as given and not checked against the
     simplex: it is the finite-difference seam through which the gradient
     tests perturb single weights off the simplex on purpose."""
-    q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
-    wg = weights if weights is not None else scheme_weights_grid(
-        config.scheme, v, shape, config.partition)
-    both = _sweep(*_one_head(pq, pk, v), wg.head_axis(), config.partition.kind)
-    num, den, out = _finalize(both[:, :, 0], config.epsilon)
-    tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
-                         weights=wg, num=num, den=den)
-    return AttentionOutput(out=out, tape=tape)
+    return _grouped(qgrid, kgrid, vgrid, config, weights, _sweep)
 
 
 def ripple_softmax_reference(qgrid, kgrid, vgrid, weights: WeightGrid,
@@ -370,8 +368,7 @@ class LinearTape:
     v: np.ndarray
     phi_q: np.ndarray
     phi_k: np.ndarray
-    z1: np.ndarray   # (Dp, C)
-    z2: np.ndarray   # (Dp,)
+    total: np.ndarray   # (1, Dp, C + 1): phi_k (x) [v, 1] summed over the grid
     num: np.ndarray
     den: np.ndarray
 
@@ -388,45 +385,23 @@ def linearized_grid(qgrid, kgrid, vgrid, featmap: FeatureMapParams,
     total = _global_total(*_one_head(pk, v))
     num, den, out = _finalize(matmul(pq[:, :, None], total)[:, :, 0], epsilon)
     tape = LinearTape(featmap=featmap, epsilon=epsilon, q=q, k=k, v=v, phi_q=pq,
-                      phi_k=pk, z1=total[0, :, :-1], z2=total[0, :, -1], num=num, den=den)
+                      phi_k=pk, total=total, num=num, den=den)
     return out, tape
 
 
 # ---------- multi-head wrapper ----------
 
 @dataclass(frozen=True)
-class HeadParams:
-    wq: np.ndarray                 # (head_dim, model_dim)
-    wk: np.ndarray
-    wv: np.ndarray
-    featmap: FeatureMapParams
-    stick: StickParams | None = None
-
-
-@dataclass(frozen=True)
 class MultiHeadParams:
-    """A layer's heads, plus their parameters stacked on a head axis (built
-    on first use and kept with the object, so build it once per step)."""
+    """A layer's parameters with its heads stacked: ``w_qkv`` is every Wq,
+    then every Wk, then every Wv, (3 * heads * head_dim, model_dim), and
+    ``featmap`` and ``stick`` carry a leading head axis."""
 
-    heads: tuple[HeadParams, ...]
-    w_out: np.ndarray              # (model_dim, num_heads * head_dim)
+    w_qkv: np.ndarray
+    featmap: FeatureMapParams
+    w_out: np.ndarray              # (model_dim, heads * head_dim)
     b_out: np.ndarray              # (model_dim,)
-
-    @cached_property
-    def w_qkv(self) -> np.ndarray:
-        """(3 * num_heads * head_dim, model_dim): every Wq, then Wk, then Wv."""
-        return np.concatenate([h.wq for h in self.heads] + [h.wk for h in self.heads]
-                              + [h.wv for h in self.heads])
-
-    @cached_property
-    def featmap(self) -> FeatureMapParams:
-        return FeatureMapParams.stack([h.featmap for h in self.heads])
-
-    @cached_property
-    def stick(self) -> StickParams | None:
-        if self.heads[0].stick is None:
-            return None
-        return StickParams.stack([h.stick for h in self.heads])
+    stick: StickParams | None = None
 
 
 @dataclass(frozen=True)
@@ -435,6 +410,13 @@ class MultiHeadConfig:
     scheme_kind: WeightSchemeKind
     epsilon: float = DEFAULT_EPSILON
     attention: str = "ripple"      # "ripple" or "linearized"
+
+    def __post_init__(self):
+        if self.attention not in ("ripple", "linearized"):
+            raise ValueError(f"attention must be 'ripple' or 'linearized', "
+                             f"got {self.attention!r}")
+        if self.epsilon < 0.0:
+            raise ValueError("epsilon must be >= 0")
 
 
 @dataclass
@@ -457,27 +439,28 @@ class MultiHeadTape:
 
 
 def init_multi_head(rng: np.random.Generator, model_dim: int, num_heads: int,
-                    head_dim: int, r_max: int, scheme_kind: WeightSchemeKind,
+                    head_dim: int, r_max: int, scheme_kind: WeightSchemeKind | None,
                     stick_dim: int | None = None) -> MultiHeadParams:
-    from .featmap import FeatureMapKind, init_feature_map
-    from .weights import LEARNED_KINDS
+    """Fresh stacked parameters, drawn head by head: Wq, Wk, Wv, the feature
+    map and, for a learned ``scheme_kind``, the stick. Pass None for a layer
+    that learns no weights, such as a linearized one."""
     stick_dim = head_dim if stick_dim is None else stick_dim
-    heads = []
     scale = 1.0 / np.sqrt(model_dim)
+    draws = []
     for _ in range(num_heads):
-        wq = rng.standard_normal((head_dim, model_dim)) * scale
-        wk = rng.standard_normal((head_dim, model_dim)) * scale
-        wv = rng.standard_normal((head_dim, model_dim)) * scale
+        head = [rng.standard_normal((head_dim, model_dim)) * scale for _ in range(3)]
         fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, head_dim, rng)
-        stick = None
+        head += [fm.w1, fm.w2, fm.b2]
         if scheme_kind in LEARNED_KINDS:
-            stick = StickParams(
-                unit_embeddings=rng.standard_normal((r_max, stick_dim)),
-                value_projection=rng.standard_normal((stick_dim, head_dim)) / np.sqrt(head_dim))
-        heads.append(HeadParams(wq=wq, wk=wk, wv=wv, featmap=fm, stick=stick))
+            head += [rng.standard_normal((r_max, stick_dim)),
+                     rng.standard_normal((stick_dim, head_dim)) / np.sqrt(head_dim)]
+        draws.append(head)
+    wq, wk, wv, w1, w2, b2, *stick = (np.stack(a) for a in zip(*draws))
     w_out = rng.standard_normal((model_dim, num_heads * head_dim)) / np.sqrt(num_heads * head_dim)
-    b_out = np.zeros(model_dim)
-    return MultiHeadParams(heads=tuple(heads), w_out=w_out, b_out=b_out)
+    return MultiHeadParams(
+        w_qkv=np.concatenate((wq, wk, wv)).reshape(-1, model_dim),
+        featmap=FeatureMapParams(FeatureMapKind.DETERMINISTIC_ADAPTIVE, w1, w2, b2),
+        w_out=w_out, b_out=np.zeros(model_dim), stick=StickParams(*stick) if stick else None)
 
 
 def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
@@ -492,7 +475,7 @@ def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
     wrapper can be checked end to end against trusted sums.
     """
     x = np.asarray(xgrid, dtype=np.float64)
-    qkv = (x @ params.w_qkv.T).reshape(x.shape[:2] + (3, len(params.heads), -1))
+    qkv = (x @ params.w_qkv.T).reshape(x.shape[:2] + (3, -1, params.featmap.in_dim))
     q, k, v = np.moveaxis(qkv, 2, 0)
     _check_finite(q, k, v)
     pq, pk = np.moveaxis(feature_forward(qkv[:, :, :2], params.featmap), 2, 0)
@@ -502,8 +485,7 @@ def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
     else:
         scheme = WeightScheme(kind=config.scheme_kind, params=params.stick)
         wg = scheme_weights_grid(scheme, v, GridShape(*x.shape[:2]), config.partition)
-        both = (_naive_sweep(pq, pk, v, wg, config.partition) if oracle
-                else _sweep(pq, pk, v, wg, config.partition.kind))
+        both = (_naive_sweep if oracle else _sweep)(pq, pk, v, wg, config.partition)
     num, den, out = _finalize(both, config.epsilon)
     concat = out.reshape(x.shape[:2] + (-1,))
     tape = MultiHeadTape(x=x, q=q, k=k, v=v, phi_q=pq, phi_k=pk, weights=wg, num=num,

@@ -34,9 +34,7 @@ import numpy as np
 from .attention import AttentionConfig, ripple_dp, ripple_naive
 from .featmap import FeatureMapKind, init_feature_map
 from .sat import sabotage_radius_offset
-from .toymodel import (ToyModelConfig, init_model, loss_and_grads,
-                       make_local_majority_batch, make_scattered_clustered_batch,
-                       train_demo)
+from .toymodel import TASKS, ToyModelConfig, init_model, loss_and_grads, train_demo
 from .vicinal import GridShape, PartitionKind, PartitionScheme
 from .weights import LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind
 
@@ -100,8 +98,7 @@ OPTIONS = {
                          help="corrupt the prefix tables (harness self-test; must fail)"),
     },
     "train": {
-        "task": dict(type=_choice("local-majority", "scattered-clustered"),
-                     default="local-majority"),
+        "task": dict(type=_choice(*TASKS), default="local-majority"),
         "steps": dict(type=int, default=200),
         "batch": dict(type=int, default=8),
         "lr": dict(type=float, default=0.05),
@@ -335,11 +332,9 @@ def cmd_train(ctx: RunContext) -> int:
     rows: list[dict] = []
     failure = None
     if opts.steps == 0:
-        makers = {"local-majority": make_local_majority_batch,
-                  "scattered-clustered": make_scattered_clustered_batch}
         rng = np.random.Generator(np.random.PCG64(opts.seed + 1))
-        imgs, labels = makers[opts.task](rng, opts.batch,
-                                         GridShape(config.height, config.width))
+        imgs, labels = TASKS[opts.task](rng, opts.batch,
+                                        GridShape(config.height, config.width))
         loss, _, aux = loss_and_grads(imgs, labels, params, config)
         rows.append({"step": 0, "loss": float(loss),
                      "accuracy": float(aux["accuracy"]),

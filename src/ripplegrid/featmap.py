@@ -5,8 +5,8 @@ affine layer and a ReLU, so downstream dot products stay non-negative. The
 random-trig map keeps the classical frozen random-feature form and exists as
 a baseline; its projection matrix receives no gradient by contract.
 
-Parameters stacked on a leading head axis (``FeatureMapParams.stack``) map
-(..., heads, in_dim) inputs, each head through its own weights.
+Parameters stacked on a leading head axis map (..., heads, in_dim) inputs,
+each head through its own weights.
 """
 from __future__ import annotations
 
@@ -57,16 +57,6 @@ class FeatureMapParams:
         if self.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
             return self.w2.shape[-2]
         return 2 * self.w1.shape[-2]
-
-    @staticmethod
-    def stack(maps) -> FeatureMapParams:
-        """One head per map, stacked on a leading head axis."""
-        first = maps[0]
-        if any((m.kind, m.exp_norm_scale) != (first.kind, first.exp_norm_scale) for m in maps):
-            raise ValueError("stacked feature maps must share their kind")
-        arrays = (None if getattr(first, f) is None else np.stack([getattr(m, f) for m in maps])
-                  for f in ("w1", "w2", "b2"))
-        return FeatureMapParams(first.kind, *arrays, exp_norm_scale=first.exp_norm_scale)
 
 
 @dataclass

@@ -73,20 +73,15 @@ class LinearizedGradients:
 
 
 @dataclass
-class HeadGradients:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    featmap: FeatureParamGrads
-    stick: StickGrads | None
-
-
-@dataclass
 class MultiHeadGradients:
+    """A layer's gradients, stacked as MultiHeadParams stacks its parameters."""
+
     grad_x: np.ndarray
-    heads: list[HeadGradients]
+    w_qkv: np.ndarray
+    featmap: FeatureParamGrads
     w_out: np.ndarray
     b_out: np.ndarray
+    stick: StickGrads | None
 
 
 # ---------- shared pieces ----------
@@ -343,9 +338,8 @@ def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> RippleGradients:
 def linearized_vjp(tape: LinearTape, upstream: np.ndarray) -> LinearizedGradients:
     """Backward pass of the global linearized attention."""
     gboth = _quotient_cotangent(tape.num, tape.den, upstream)
-    total = np.concatenate((tape.z1, tape.z2[:, None]), axis=-1)[None]
     grad_pq, grad_pk, grad_v = _linear_backward(*_one_head(tape.phi_q, tape.phi_k, tape.v),
-                                                total, gboth[:, :, None])
+                                                tape.total, gboth[:, :, None])
     grad_q, grad_k, featmap = _feature_grads(tape.q, tape.k, tape.featmap,
                                              grad_pq[:, :, 0], grad_pk[:, :, 0])
     return LinearizedGradients(grad_q=grad_q, grad_k=grad_k,
@@ -354,7 +348,8 @@ def linearized_vjp(tape: LinearTape, upstream: np.ndarray) -> LinearizedGradient
 
 def multi_head_vjp(tape: MultiHeadTape, upstream: np.ndarray) -> MultiHeadGradients:
     """Backward pass of the multi-head wrapper: output mix, heads, projections.
-    Every head's gradients come from one backward over the head axis."""
+    Every head's gradients come from one backward over the head axis, stacked
+    as the layer's parameters are."""
     g = np.asarray(upstream, dtype=np.float64)
     params, cfg, x = tape.params, tape.config, tape.x
     gboth = _quotient_cotangent(tape.num, tape.den,
@@ -369,16 +364,9 @@ def multi_head_vjp(tape: MultiHeadTape, upstream: np.ndarray) -> MultiHeadGradie
             tape.phi_q, tape.phi_k, tape.v, tape.weights, scheme, cfg.partition, gboth)
     grad_q, grad_k, fm = _feature_grads(tape.q, tape.k, params.featmap, grad_pq, grad_pk)
     gqkv = np.stack((grad_q, grad_k, grad_v), axis=2).reshape(x.shape[:2] + (-1,))
-    gw = outer_sum(gqkv, x, heads=False).reshape((3, len(params.heads), -1, x.shape[-1]))
-    heads = [HeadGradients(wq=gw[0, h], wk=gw[1, h], wv=gw[2, h],
-                           featmap=FeatureParamGrads(*(None if a is None else a[h]
-                                                       for a in (fm.w1, fm.w2, fm.b2))),
-                           stick=None if stick is None else StickGrads(
-                               stick.unit_embeddings[h], stick.value_projection[h]))
-             for h in range(len(params.heads))]
-    return MultiHeadGradients(grad_x=gqkv @ params.w_qkv, heads=heads,
-                              w_out=np.einsum("hwm,hwn->mn", g, tape.concat),
-                              b_out=g.sum(axis=(0, 1)))
+    return MultiHeadGradients(grad_x=gqkv @ params.w_qkv, w_qkv=outer_sum(gqkv, x, heads=False),
+                              featmap=fm, w_out=np.einsum("hwm,hwn->mn", g, tape.concat),
+                              b_out=g.sum(axis=(0, 1)), stick=stick)
 
 
 # ---------- numerical audit ----------

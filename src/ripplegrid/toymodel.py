@@ -4,7 +4,8 @@ Pre-norm residual blocks of multi-head attention only (no feed-forward), a
 per-pixel linear embedding in front, mean pooling and a linear classifier on
 top. Lower blocks run the grouped local attention, upper blocks the global
 linearized form. Parameters live in one flat name -> array dict so the
-finite-difference auditor and the optimizers can treat the model uniformly.
+finite-difference auditor and the optimizers can treat the model uniformly;
+a layer's entries are its stacked arrays, every head in one.
 
 Two synthetic image tasks exercise spatial locality: classifying the majority
 color inside a noisy rectangular blob, and telling one 8-connected cluster of
@@ -16,13 +17,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .attention import (HeadParams, MultiHeadConfig, MultiHeadParams,
+from .attention import (MultiHeadConfig, MultiHeadParams, init_multi_head,
                         multi_head_forward)
 from .featmap import FeatureMapKind, FeatureMapParams
-from .grad import multi_head_vjp
+from .grad import MultiHeadGradients, multi_head_vjp
 from .vicinal import GridShape, PartitionKind, PartitionScheme
-from .weights import (LEARNED_KINDS, StickParams, WeightScheme,
-                      WeightSchemeKind, jsd_grid, scheme_weights_grid)
+from .weights import (StickParams, WeightScheme, WeightSchemeKind, jsd_grid,
+                      scheme_weights_grid)
 
 LN_EPS = 1e-5
 
@@ -66,8 +67,7 @@ def init_model(config: ToyModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Flat parameter dict; stick parameters exist only where a block both
     runs the grouped attention and uses a learned weight scheme."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    m, hd = config.model_dim, config.head_dim
-    stick_dim = hd if config.stick_dim is None else config.stick_dim
+    m = config.model_dim
     params: dict[str, np.ndarray] = {
         "embed.w": rng.standard_normal((m, config.in_dim)) / np.sqrt(config.in_dim),
         "embed.b": np.zeros(m),
@@ -75,43 +75,40 @@ def init_model(config: ToyModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     for l in range(config.num_layers):
         params[f"block{l}.ln.gamma"] = np.ones(m)
         params[f"block{l}.ln.beta"] = np.zeros(m)
-        for h in range(config.num_heads):
-            pre = f"block{l}.head{h}"
-            scale = 1.0 / np.sqrt(m)
-            params[f"{pre}.wq"] = rng.standard_normal((hd, m)) * scale
-            params[f"{pre}.wk"] = rng.standard_normal((hd, m)) * scale
-            params[f"{pre}.wv"] = rng.standard_normal((hd, m)) * scale
-            params[f"{pre}.fm.w1"] = rng.standard_normal((hd, hd))
-            params[f"{pre}.fm.w2"] = rng.standard_normal((hd, 2 * hd)) / np.sqrt(2.0 * hd)
-            params[f"{pre}.fm.b2"] = np.zeros(hd)
-            if config.block_attention(l) == "ripple" and config.scheme_kind in LEARNED_KINDS:
-                params[f"{pre}.stick.emb"] = rng.standard_normal((config.r_max, stick_dim))
-                params[f"{pre}.stick.proj"] = rng.standard_normal((stick_dim, hd)) / np.sqrt(hd)
-        params[f"block{l}.attn.w_out"] = rng.standard_normal(
-            (m, config.num_heads * hd)) / np.sqrt(config.num_heads * hd)
-        params[f"block{l}.attn.b_out"] = np.zeros(m)
+        ripple = config.block_attention(l) == "ripple"
+        layer = init_multi_head(rng, m, config.num_heads, config.head_dim, config.r_max,
+                                config.scheme_kind if ripple else None, config.stick_dim)
+        params.update(_layer_arrays(layer, l))
     params["head.w"] = rng.standard_normal((config.num_classes, m)) / np.sqrt(m)
     params["head.b"] = np.zeros(config.num_classes)
     return params
 
 
-def _layer_params(params: dict, config: ToyModelConfig, layer: int) -> MultiHeadParams:
-    """One layer's heads; its stacked arrays are built on first use."""
-    heads = []
-    for h in range(config.num_heads):
-        pre = f"block{layer}.head{h}"
-        fm = FeatureMapParams(kind=FeatureMapKind.DETERMINISTIC_ADAPTIVE,
-                              w1=params[f"{pre}.fm.w1"], w2=params[f"{pre}.fm.w2"],
-                              b2=params[f"{pre}.fm.b2"])
-        stick = None
-        if f"{pre}.stick.emb" in params:
-            stick = StickParams(unit_embeddings=params[f"{pre}.stick.emb"],
-                                value_projection=params[f"{pre}.stick.proj"])
-        heads.append(HeadParams(wq=params[f"{pre}.wq"], wk=params[f"{pre}.wk"],
-                                wv=params[f"{pre}.wv"], featmap=fm, stick=stick))
-    return MultiHeadParams(heads=tuple(heads),
-                           w_out=params[f"block{layer}.attn.w_out"],
-                           b_out=params[f"block{layer}.attn.b_out"])
+def _layer_arrays(layer: MultiHeadParams | MultiHeadGradients, index: int) -> dict:
+    """Layer ``index``'s parameters or gradients, which share their field
+    names, under their flat-dict keys."""
+    pre = f"block{index}."
+    arrays = {pre + "attn.w_qkv": layer.w_qkv, pre + "fm.w1": layer.featmap.w1,
+              pre + "fm.w2": layer.featmap.w2, pre + "fm.b2": layer.featmap.b2}
+    if layer.stick is not None:
+        arrays[pre + "stick.emb"] = layer.stick.unit_embeddings
+        arrays[pre + "stick.proj"] = layer.stick.value_projection
+    arrays[pre + "attn.w_out"] = layer.w_out
+    arrays[pre + "attn.b_out"] = layer.b_out
+    return arrays
+
+
+def _layer_params(params: dict, index: int) -> MultiHeadParams:
+    """Layer ``index``'s stacked parameters, read from the flat dict."""
+    pre = f"block{index}."
+    stick = None
+    if pre + "stick.emb" in params:
+        stick = StickParams(params[pre + "stick.emb"], params[pre + "stick.proj"])
+    return MultiHeadParams(
+        w_qkv=params[pre + "attn.w_qkv"],
+        featmap=FeatureMapParams(FeatureMapKind.DETERMINISTIC_ADAPTIVE, params[pre + "fm.w1"],
+                                 params[pre + "fm.w2"], params[pre + "fm.b2"]),
+        w_out=params[pre + "attn.w_out"], b_out=params[pre + "attn.b_out"], stick=stick)
 
 
 # ---------- layer norm ----------
@@ -164,10 +161,10 @@ class ModelTape:
 def model_forward(img: np.ndarray, params: dict, config: ToyModelConfig,
                   layers: list[MultiHeadParams] | None = None):
     """One image (H, W, in_dim) to class logits. Returns (logits, tape).
-    ``layers`` holds each layer's heads as ``_layer_params`` builds them from
-    ``params``; pass it to share their stacked arrays across samples."""
+    ``layers`` holds each layer's parameters as ``_layer_params`` reads them
+    from ``params``; pass it to read them once for many samples."""
     if layers is None:
-        layers = [_layer_params(params, config, l) for l in range(config.num_layers)]
+        layers = [_layer_params(params, l) for l in range(config.num_layers)]
     x = np.asarray(img, dtype=np.float64) @ params["embed.w"].T + params["embed.b"]
     ln_caches, mh_tapes = [], []
     for l in range(config.num_layers):
@@ -198,19 +195,8 @@ def model_backward(tape: ModelTape, params: dict, config: ToyModelConfig,
     for l in reversed(range(config.num_layers)):
         mh = multi_head_vjp(tape.mh_tapes[l], gx)
         tape.mh_tapes[l] = None
-        grads[f"block{l}.attn.w_out"] += mh.w_out
-        grads[f"block{l}.attn.b_out"] += mh.b_out
-        for hd, hg in enumerate(mh.heads):
-            pre = f"block{l}.head{hd}"
-            grads[f"{pre}.wq"] += hg.wq
-            grads[f"{pre}.wk"] += hg.wk
-            grads[f"{pre}.wv"] += hg.wv
-            grads[f"{pre}.fm.w1"] += hg.featmap.w1
-            grads[f"{pre}.fm.w2"] += hg.featmap.w2
-            grads[f"{pre}.fm.b2"] += hg.featmap.b2
-            if hg.stick is not None:
-                grads[f"{pre}.stick.emb"] += hg.stick.unit_embeddings
-                grads[f"{pre}.stick.proj"] += hg.stick.value_projection
+        for name, g in _layer_arrays(mh, l).items():
+            grads[name] += g
         gnorm, ggamma, gbeta = layer_norm_vjp(tape.ln_caches[l], mh.grad_x)
         grads[f"block{l}.ln.gamma"] += ggamma
         grads[f"block{l}.ln.beta"] += gbeta
@@ -241,7 +227,7 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
     # partition, so one reference serves every sample and head
     ref = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
                               imgs[0], GridShape(*imgs.shape[1:3]), config.partition)
-    layers = [_layer_params(params, config, l) for l in range(config.num_layers)]
+    layers = [_layer_params(params, l) for l in range(config.num_layers)]
     for b in range(batch):
         logits, tape = model_forward(imgs[b], params, config, layers)
         loss, gz = cross_entropy(logits, int(labels[b]))
@@ -393,6 +379,11 @@ def make_scattered_clustered_batch(rng: np.random.Generator, batch: int,
     return imgs, labels
 
 
+TASKS = {"local-majority": make_local_majority_batch,
+         "scattered-clustered": make_scattered_clustered_batch}
+"""Synthetic task name -> batch maker (rng, batch, shape) -> (imgs, labels)."""
+
+
 # ---------- training loop ----------
 
 def train_demo(config: ToyModelConfig, task: str = "local-majority",
@@ -405,10 +396,8 @@ def train_demo(config: ToyModelConfig, task: str = "local-majority",
     Pass ``params`` to train an existing parameter dict in place (the
     optimizer mutates it), e.g. to checkpoint the final state.
     """
-    makers = {"local-majority": make_local_majority_batch,
-              "scattered-clustered": make_scattered_clustered_batch}
-    if task not in makers:
-        raise ValueError(f"unknown task {task!r}; options: {sorted(makers)}")
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; options: {sorted(TASKS)}")
     if optimizer == "sgd":
         opt = SgdMomentum(lr=lr)
     elif optimizer == "adam":
@@ -421,7 +410,7 @@ def train_demo(config: ToyModelConfig, task: str = "local-majority",
     shape = GridShape(config.height, config.width)
     rows = []
     for step in range(steps):
-        imgs, labels = makers[task](rng, batch, shape)
+        imgs, labels = TASKS[task](rng, batch, shape)
         loss, grads, aux = loss_and_grads(imgs, labels, params, config)
         if not np.isfinite(loss):
             raise FloatingPointError(

@@ -51,12 +51,6 @@ class StickParams:
     def num_units(self) -> int:
         return self.unit_embeddings.shape[-2]
 
-    @staticmethod
-    def stack(sticks) -> StickParams:
-        """One head per stick, stacked on a leading head axis."""
-        return StickParams(np.stack([s.unit_embeddings for s in sticks]),
-                           np.stack([s.value_projection for s in sticks]))
-
 
 class WeightSchemeKind(Enum):
     LEARNED_SBT = "learned-sbt"

@@ -368,7 +368,7 @@ def test_criterion_3_gradients(capsys):
         return value, grads
 
     check = finite_diff_check(model_loss, params, step=3e-6, tolerance=1e-3,
-                              mode="sample", sample=6,
+                              mode="sample", sample=16,
                               rng=np.random.default_rng(2))
     if not check.passed:
         failures.append(f"model: {check}")

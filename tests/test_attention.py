@@ -26,6 +26,7 @@ from ripplegrid.weights import (
     WeightScheme,
     WeightSchemeKind,
 )
+from stacked import head_params
 
 ALL_SCHEMES = list(WeightSchemeKind)
 
@@ -436,11 +437,11 @@ def test_single_head_identity_mix_reduces_to_ripple():
         scheme_kind=WeightSchemeKind.LEARNED_SBT)
     x = rng.standard_normal((4, 5, 4))
     out, _ = multi_head_forward(x, params, config)
-    head = params.heads[0]
+    wq, wk, wv, featmap, stick = head_params(params, 0)
     head_config = AttentionConfig(
-        scheme=WeightScheme(kind=config.scheme_kind, params=head.stick),
-        partition=config.partition, featmap=head.featmap)
-    want = ripple_dp(x @ head.wq.T, x @ head.wk.T, x @ head.wv.T, head_config).out
+        scheme=WeightScheme(kind=config.scheme_kind, params=stick),
+        partition=config.partition, featmap=featmap)
+    want = ripple_dp(x @ wq.T, x @ wk.T, x @ wv.T, head_config).out
     np.testing.assert_array_equal(out, want)
 
 
@@ -454,9 +455,8 @@ def test_multi_head_linearized_mode():
         scheme_kind=WeightSchemeKind.UNIFORM, attention="linearized")
     x = rng.standard_normal((3, 6, 4))
     out, tape = multi_head_forward(x, params, config)
-    head = params.heads[0]
-    want, _ = linearized_grid(x @ head.wq.T, x @ head.wk.T, x @ head.wv.T,
-                              head.featmap)
+    wq, wk, wv, featmap, _ = head_params(params, 0)
+    want, _ = linearized_grid(x @ wq.T, x @ wk.T, x @ wv.T, featmap)
     np.testing.assert_array_equal(out, want)
     assert tape.concat.shape == (3, 6, 4)
 
@@ -474,3 +474,13 @@ def test_multi_head_output_mixes_heads():
     want = tape.concat @ params.w_out.T + params.b_out
     np.testing.assert_array_equal(out, want)
     assert tape.num.shape == (4, 4, 2, 3)     # both heads ride one stacked pass
+
+
+@pytest.mark.parametrize("bad", [dict(attention="linear"), dict(attention="Ripple"),
+                                 dict(attention=""), dict(epsilon=-1e-6)], ids=str)
+def test_multi_head_config_rejects_bad_fields(bad):
+    # an unknown attention name used to run ripple attention, and a negative
+    # epsilon to flip the sign of small denominators
+    with pytest.raises(ValueError, match="must be"):
+        MultiHeadConfig(partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05),
+                        scheme_kind=WeightSchemeKind.UNIFORM, **bad)

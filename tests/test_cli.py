@@ -86,6 +86,10 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     with np.load(run / "checkpoint.npz", allow_pickle=False) as ckpt:
         assert "embed.w" in ckpt.files and "head.b" in ckpt.files
         assert ckpt["embed.w"].shape == (8, 1)
+        # one entry per stacked array of a layer: 1 head of width 4, r_max 2
+        assert ckpt["block0.attn.w_qkv"].shape == (12, 8)
+        assert ckpt["block0.fm.w1"].shape == (1, 4, 4)
+        assert ckpt["block0.stick.emb"].shape == (1, 2, 4)
     assert "checkpoint.npz" in (run / "MANIFEST").read_text()
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from ripplegrid.attention import (
     AttentionConfig,
-    HeadParams,
     MultiHeadConfig,
     MultiHeadParams,
     init_multi_head,
@@ -42,6 +41,7 @@ from ripplegrid.weights import (
     WeightSchemeKind,
     scheme_weights_grid,
 )
+from stacked import head_arrays
 
 # conditioning for finite-difference probes: with the default 1e-6 stabilizer
 # the output quotient's curvature can reach 1/epsilon^2 and central
@@ -371,33 +371,28 @@ def test_linearized_vjp_finite_diff():
 
 
 def head_param_dict(params):
+    """A layer's parameters, or its gradients (same field names), with every
+    head's arrays under its own keys."""
     out = {"w_out": params.w_out, "b_out": params.b_out}
-    for n, head in enumerate(params.heads):
-        out[f"h{n}.wq"] = head.wq
-        out[f"h{n}.wk"] = head.wk
-        out[f"h{n}.wv"] = head.wv
-        out[f"h{n}.w1"] = head.featmap.w1
-        out[f"h{n}.w2"] = head.featmap.w2
-        out[f"h{n}.b2"] = head.featmap.b2
-        if head.stick is not None:
-            out[f"h{n}.emb"] = head.stick.unit_embeddings
-            out[f"h{n}.proj"] = head.stick.value_projection
+    for n in range(params.featmap.w1.shape[0]):
+        out.update({f"h{n}.{name}": a for name, a in head_arrays(params, n).items()})
     return out
 
 
-def rebuild_heads(template, params):
-    heads = []
-    for n, head in enumerate(template.heads):
-        fm = FeatureMapParams(kind=head.featmap.kind, w1=params[f"h{n}.w1"],
-                              w2=params[f"h{n}.w2"], b2=params[f"h{n}.b2"])
-        stick = None
-        if head.stick is not None:
-            stick = StickParams(unit_embeddings=params[f"h{n}.emb"],
-                                value_projection=params[f"h{n}.proj"])
-        heads.append(HeadParams(wq=params[f"h{n}.wq"], wk=params[f"h{n}.wk"],
-                                wv=params[f"h{n}.wv"], featmap=fm, stick=stick))
-    return MultiHeadParams(heads=tuple(heads), w_out=params["w_out"],
-                           b_out=params["b_out"])
+def stack_heads(template, params):
+    """head_param_dict inverted: the per-head keys stacked into the layer."""
+    def stacked(name):
+        return np.stack([params[f"h{n}.{name}"] for n in range(template.featmap.w1.shape[0])])
+
+    stick = None
+    if template.stick is not None:
+        stick = StickParams(unit_embeddings=stacked("emb"), value_projection=stacked("proj"))
+    w_qkv = np.concatenate([stacked(name) for name in ("wq", "wk", "wv")])
+    return MultiHeadParams(
+        w_qkv=w_qkv.reshape(-1, template.w_qkv.shape[1]),
+        featmap=FeatureMapParams(kind=template.featmap.kind, w1=stacked("w1"),
+                                 w2=stacked("w2"), b2=stacked("b2")),
+        w_out=params["w_out"], b_out=params["b_out"], stick=stick)
 
 
 def test_multi_head_vjp_finite_diff():
@@ -411,21 +406,9 @@ def test_multi_head_vjp_finite_diff():
     probe = rng.standard_normal((4, 4, 4))
 
     def loss(params):
-        mh = rebuild_heads(template, params)
-        out, tape = multi_head_forward(params["x"], mh, config)
+        out, tape = multi_head_forward(params["x"], stack_heads(template, params), config)
         mg = multi_head_vjp(tape, probe)
-        grads = {"x": mg.grad_x, "w_out": mg.w_out, "b_out": mg.b_out}
-        for n, hg in enumerate(mg.heads):
-            grads[f"h{n}.wq"] = hg.wq
-            grads[f"h{n}.wk"] = hg.wk
-            grads[f"h{n}.wv"] = hg.wv
-            grads[f"h{n}.w1"] = hg.featmap.w1
-            grads[f"h{n}.w2"] = hg.featmap.w2
-            grads[f"h{n}.b2"] = hg.featmap.b2
-            if hg.stick is not None:
-                grads[f"h{n}.emb"] = hg.stick.unit_embeddings
-                grads[f"h{n}.proj"] = hg.stick.value_projection
-        return float((out * probe).sum()), grads
+        return float((out * probe).sum()), dict(head_param_dict(mg), x=mg.grad_x)
 
     params = dict(head_param_dict(template), x=x)
     report = finite_diff_check(loss, params, tolerance=1e-6, mode="sample",
@@ -445,18 +428,9 @@ def test_multi_head_vjp_linearized_mode():
     probe = rng.standard_normal((3, 5, 4))
 
     def loss(params):
-        mh = rebuild_heads(template, params)
-        out, tape = multi_head_forward(params["x"], mh, config)
+        out, tape = multi_head_forward(params["x"], stack_heads(template, params), config)
         mg = multi_head_vjp(tape, probe)
-        grads = {"x": mg.grad_x, "w_out": mg.w_out, "b_out": mg.b_out}
-        for n, hg in enumerate(mg.heads):
-            grads[f"h{n}.wq"] = hg.wq
-            grads[f"h{n}.wk"] = hg.wk
-            grads[f"h{n}.wv"] = hg.wv
-            grads[f"h{n}.w1"] = hg.featmap.w1
-            grads[f"h{n}.w2"] = hg.featmap.w2
-            grads[f"h{n}.b2"] = hg.featmap.b2
-        return float((out * probe).sum()), grads
+        return float((out * probe).sum()), dict(head_param_dict(mg), x=mg.grad_x)
 
     params = dict(head_param_dict(template), x=x)
     report = finite_diff_check(loss, params, tolerance=1e-6, mode="sample",

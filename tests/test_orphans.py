@@ -23,7 +23,6 @@ REFERENCES = {
     "grad_pixels_reference": "quadratic scatter oracle for grad_pixels",
     "ripple_softmax_reference": "quadratic per-group softmax reference semantics",
     "linearized_attention": "flat-sequence form of the factorized quotient",
-    "init_multi_head": "parameter initializer for the multi-head wrapper",
     "linearized_grid": "single-head linearized layer; the benchmark's yardstick",
     "linearized_vjp": "backward of the single-head linearized layer",
     "ripple_vjp": "single-head backward; the benchmark's dyadic step calls it",

@@ -16,6 +16,7 @@ from ripplegrid.attention import (
 from ripplegrid.grad import linearized_vjp, multi_head_vjp, ripple_vjp
 from ripplegrid.vicinal import PartitionKind, PartitionScheme
 from ripplegrid.weights import WeightScheme, WeightSchemeKind
+from stacked import head_arrays, head_params
 
 SHAPES = ((5, 4), (1, 7))
 MODES = [("ripple", kind) for kind in WeightSchemeKind] + [("linearized", WeightSchemeKind.UNIFORM)]
@@ -23,27 +24,27 @@ MODES = [("ripple", kind) for kind in WeightSchemeKind] + [("linearized", Weight
 
 def per_head_loop(x, params, config, upstream):
     """The layer and its gradients from single-head calls, one head at a time."""
-    outs, grads = [], []
+    outs, grads, grad_x = [], [], 0.0
     gconcat = upstream @ params.w_out
-    width = params.heads[0].wq.shape[0]
-    for h, head in enumerate(params.heads):
-        q, k, v = x @ head.wq.T, x @ head.wk.T, x @ head.wv.T
+    width = params.featmap.in_dim
+    for h in range(params.featmap.w1.shape[0]):
+        wq, wk, wv, featmap, head_stick = head_params(params, h)
+        q, k, v = x @ wq.T, x @ wk.T, x @ wv.T
         gout = gconcat[..., h * width:(h + 1) * width]
         if config.attention == "linearized":
-            out, tape = linearized_grid(q, k, v, head.featmap, config.epsilon)
+            out, tape = linearized_grid(q, k, v, featmap, config.epsilon)
             hg, stick = linearized_vjp(tape, gout), None
         else:
-            cfg = AttentionConfig(scheme=WeightScheme(kind=config.scheme_kind, params=head.stick),
-                                  partition=config.partition, featmap=head.featmap,
+            cfg = AttentionConfig(scheme=WeightScheme(kind=config.scheme_kind, params=head_stick),
+                                  partition=config.partition, featmap=featmap,
                                   epsilon=config.epsilon)
             res = ripple_dp(q, k, v, cfg)
             out, hg = res.out, ripple_vjp(res.tape, gout)
             stick = hg.stick
         outs.append(out)
         grads.append((hg, stick))
+        grad_x = grad_x + (hg.grad_q @ wq + hg.grad_k @ wk + hg.grad_v @ wv)
     concat = np.concatenate(outs, axis=-1)
-    grad_x = sum(hg.grad_q @ head.wq + hg.grad_k @ head.wk + hg.grad_v @ head.wv
-                 for (hg, _), head in zip(grads, params.heads))
     return concat @ params.w_out.T + params.b_out, concat, grads, grad_x
 
 
@@ -73,15 +74,16 @@ def test_stacked_layer_matches_per_head_loop(mode, partition_kind, num_heads, sh
     assert_close(mg.grad_x, grad_x)
     assert_close(mg.w_out, np.einsum("hwm,hwn->mn", upstream, concat))
     assert_close(mg.b_out, upstream.sum(axis=(0, 1)))
-    for got, (hg, stick) in zip(mg.heads, grads):
+    assert (mg.stick is None) == (grads[0][1] is None)
+    for h, (hg, stick) in enumerate(grads):
+        got = head_arrays(mg, h)
         for name, g in (("wq", hg.grad_q), ("wk", hg.grad_k), ("wv", hg.grad_v)):
-            assert_close(getattr(got, name), np.einsum("hwd,hwm->dm", g, x))
+            assert_close(got[name], np.einsum("hwd,hwm->dm", g, x))
         for name in ("w1", "w2", "b2"):
-            assert_close(getattr(got.featmap, name), getattr(hg.featmap, name))
-        assert (got.stick is None) == (stick is None)
+            assert_close(got[name], getattr(hg.featmap, name))
         if stick is not None:
-            assert_close(got.stick.unit_embeddings, stick.unit_embeddings)
-            assert_close(got.stick.value_projection, stick.value_projection)
+            assert_close(got["emb"], stick.unit_embeddings)
+            assert_close(got["proj"], stick.value_projection)
 
 
 def test_table_fills_do_not_grow_with_heads(monkeypatch):

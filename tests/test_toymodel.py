@@ -48,7 +48,7 @@ def test_model_gradients_match_finite_differences():
         return value, grads
 
     report = finite_diff_check(loss, params, step=3e-6, tolerance=1e-3,
-                               mode="sample", sample=6,
+                               mode="sample", sample=16,
                                rng=np.random.default_rng(2))
     assert report.passed, str(report)
 
