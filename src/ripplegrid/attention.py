@@ -13,7 +13,8 @@ of group g (alpha_g before the halting index hat, m from it on),
         = m T + sum_{g < hat} (a_g - a_{g+1}) W_g,
 
 so each head group costs one window and the tail costs none; W_0 is the
-field itself (group 0 is radius 0 in both partitions). The numerator and
+field itself (group 0 is radius 0 in both partitions), so its term is
+(a_0 - a_1) (phi_q . phi_k) [v, 1] and takes no window. The numerator and
 denominator of the linear-attention quotient share that sweep: it runs over
 the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 
@@ -231,16 +232,15 @@ def release_kept_buffers() -> None:
     _kept.__dict__.clear()
 
 
-def block_tables(pk, v):
+def block_tables(pk, streams):
     """Yield (blk, field, sat): each channel block's slice of phi_k (x) [v, 1]
-    over (H, W, heads, Dp) features and (H, W, heads, C) values, and its
-    table, in kept buffers that the next block refills. Callers may
+    over (H, W, heads, Dp) features and (H, W, heads, C + 1) value streams,
+    and its table, in kept buffers that the next block refills. Callers may
     overwrite the field, as the table holds all windows need. Only the first
     block's table counts fetches: later blocks read the same positions."""
-    streams = _value_streams(v)
     for blk in channel_blocks(pk.shape + streams.shape[-1:]):
         field = kept_array("field", pk.shape[:-1] + (blk.stop - blk.start,) + streams.shape[-1:])
-        np.multiply(pk[..., blk, None], streams[..., None, :], out=field)
+        np.einsum("...d,...c->...dc", pk[..., blk], streams, out=field)
         sat = getattr(_kept, "sat", None)
         sat = _kept.sat = SummedAreaTable(field) if sat is None else sat.rebuild(field)
         sat.counted = blk.start == 0
@@ -252,15 +252,26 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     features, (H, W, heads, C) values and weights with the head axis. Returns
     the (H, W, heads, C + 1) numerator and denominator streams."""
     coefs = wg.window_coefs()
-    both = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
-    for blk, buf, sat in block_tables(pk, v):
-        both += wg.merged[..., None] * matmul(pq[..., blk], sat.total())
-        # W_0 is the field itself; each later window overwrites it
-        for g in range(coefs.shape[-1]):
-            if g:
-                sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
-            both += coefs[..., g, None] * np.einsum("...d,...dc->...c", pq[..., blk], buf)
+    streams = _value_streams(v)
+    both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
+    part = kept_array("part", both.shape)
+    for blk, buf, sat in block_tables(pk, streams):
+        matmul(pq[..., blk], sat.total(), out=part)
+        part *= wg.merged[..., None]
+        both += part
+        for g in range(1, coefs.shape[-1]):     # each window overwrites the field
+            sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
+            np.einsum("...d,...dc->...c", pq[..., blk], buf, out=part)
+            part *= coefs[..., g, None]
+            both += part
     return both
+
+
+def _radius_zero_coef(coefs):
+    """c_0, the radius-0 window's coefficient per query: zero where every
+    hat is 0 and there are no window coefficients. W_0 is the field itself,
+    so its term is c_0 (phi_q . phi_k) [v, 1] and takes no table."""
+    return coefs[..., 0] if coefs.shape[-1] else np.zeros(coefs.shape[:-1])
 
 
 def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
@@ -475,6 +486,10 @@ def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
     wrapper can be checked end to end against trusted sums.
     """
     x = np.asarray(xgrid, dtype=np.float64)
+    model_dim = params.w_qkv.shape[1]
+    if x.ndim != 3 or x.shape[2] != model_dim:
+        raise ValueError(f"input grid must have shape (H, W, model_dim) = (H, W, {model_dim}), "
+                         f"got {x.shape}")
     qkv = (x @ params.w_qkv.T).reshape(x.shape[:2] + (3, -1, params.featmap.in_dim))
     q, k, v = np.moveaxis(qkv, 2, 0)
     _check_finite(q, k, v)

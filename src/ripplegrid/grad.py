@@ -9,15 +9,19 @@ The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
 forward's channel blocks and rebuilds each block's table. Each window gives
 z_g = W_g . gboth against the quotient cotangent, which feeds the weight
 gradients (phi_q . z_g, differenced over g) and the phi_q gradient
-(sum_g c_g z_g). The token gradients are the sweep's adjoint: a Chebyshev
-window around a query contains a token exactly when the same window around
-the token contains the query, so a token receives one window of the field
-c_g * cotangent per group, plus the broadcast sum of m * cotangent. That
-adjoint refills the block's table and buffers, and its share goes straight
-into the phi_k and v gradients. Both directions read one window per head
-group past group 0, as the forward does. Like the forward sweep, the
-backward runs on (H, W, heads, ...) arrays: once per multi-head layer, and
-with a head axis of length 1 for ripple_vjp.
+(sum_g c_g z_g). The token gradients are the sweep's adjoint: a token
+receives the transposed window of the field c_g * cotangent per group, plus
+the broadcast sum of m * cotangent. Since W_g = Diff_g(Prefix(F)), those
+sum to Prefix^T(sum_g Diff_g^T(...)): each group past 0 scatters into one
+shared accumulator, the tail enters at its far corner as the adjoint of
+the grid total, and one suffix sum per block finishes them, with no table
+built (see the sat module). Group 0's window is the token itself, so its
+share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp)
+arrays. The block's share goes straight into the phi_k and v gradients.
+Both directions read one window per head group past group 0, as the
+forward does. Like the forward sweep, the backward runs on (H, W, heads,
+...) arrays: once per multi-head layer, and with a head axis of length 1
+for ripple_vjp.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
@@ -29,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (AttentionTape, LinearTape, MultiHeadTape, _global_total, _one_head,
-                        _value_streams, block_tables, kept_array)
+                        _radius_zero_coef, _value_streams, block_tables, kept_array)
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
-from .sat import SummedAreaTable
+from .sat import scatter_window, suffix_sum
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, _grid_stick_breaking, grid_stick_fractions)
@@ -101,23 +105,31 @@ def _blocked_backward(pq, pk, v, wg: WeightGrid, partition: PartitionScheme,
     cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
     per query for g < length after a leading zero for the empty W_{-1} (their
     differences are the band inner products, exactly zero past a query's
-    group count), <cot, T>, and the phi_q, phi_k and v gradients."""
+    group count), <cot, T>, and the phi_q, phi_k and v gradients. Terms of
+    the radius-0 window and the merged tail take only small arrays: W_0 is
+    the field itself and T one matrix per head."""
     coefs = wg.window_coefs()
+    streams = _value_streams(v)
+    sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
     dots = np.zeros(gboth.shape[:-1] + (length + 1,))
     tail = np.zeros(gboth.shape[:-1])
-    grad_pq, grad_pk, grad_v = np.empty_like(pq), np.empty_like(pk), np.zeros_like(v)
-    for blk, buf, sat in block_tables(pk, v):
-        gx, scratch = kept_array("gx", buf.shape), kept_array("scratch", buf.shape)
+    tail_cot = outer_sum(wg.merged[..., None] * pq, gboth, heads=True)   # (heads, Dp, C + 1)
+    c_0 = _radius_zero_coef(coefs)
+    grad_pq = np.empty_like(pq)
+    grad_pk = (c_0 * sg)[..., None] * pq
+    grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
+    for blk, buf, sat in block_tables(pk, streams):
+        gx, rows = kept_array("gx", buf.shape), kept_array("scratch", buf.shape)
         z = kept_array("z", buf.shape[:-1] + (length,))   # z[..., g] = W_g . gboth
         zt = matmul(gboth, np.swapaxes(sat.total(), -1, -2))    # T . gboth
-        for g in range(length):
-            if g:
-                sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
+        if length:
+            np.multiply(pk[..., blk], sg[..., None], out=z[..., 0])
+        for g in range(1, length):
+            sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
             np.einsum("...dc,...c->...d", buf, gboth, out=z[..., g])
-        # the block's cotangent phi_q (x) gboth: its token adjoint refills the table
-        np.multiply(pq[..., blk, None], gboth[..., None, :], out=buf)
-        _scatter_groups(wg, coefs, buf, partition, gx, scratch, sat)
-        grad_pk[..., blk] = np.einsum("...dc,...c->...d", gx[..., :-1], v) + gx[..., -1]
+        _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], partition,
+                        gx, buf, rows, sat.counted)
+        grad_pk[..., blk] += np.einsum("...dc,...c->...d", gx, streams)
         grad_v += np.einsum("...dc,...d->...c", gx[..., :-1], pk[..., blk])
         tail += np.einsum("...d,...d->...", pq[..., blk], zt)
         dots[..., 1:] += np.einsum("...d,...dg->...g", pq[..., blk], z)
@@ -166,34 +178,44 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     gradient at token (m, n) is sum over queries (i, j) of alpha(i, j)[group of
     the (i, j)-(m, n) distance] * upstream[i, j]. This is the adjoint of the
     forward sweep: the merged weight pushes one global sum to every token,
-    and head group r adds one window of weights.window_coefs()[..., r] *
-    upstream, so the cost is O(H W hat_max) fetches. Group 0's window is the
-    weighted field itself; later groups refill one table.
+    and head group r adds one transposed window of
+    weights.window_coefs()[..., r] * upstream, so the cost is O(H W hat_max)
+    fetches. Group 0's window is the weighted field itself; later groups
+    scatter into one accumulator that one suffix sum finishes, and no table
+    is built.
     """
     g = np.asarray(upstream_field, dtype=np.float64)[:, :, None]
     one_head = weights.head_axis()
-    return _scatter_groups(one_head, one_head.window_coefs(), g, partition,
-                           np.empty_like(g), np.empty_like(g))[:, :, 0]
+    coefs = one_head.window_coefs()
+    rhs = g.reshape(g.shape[:3] + (-1,))
+    lhs = np.ones(rhs.shape[:3] + (1,))
+    out, field, rows = (np.empty(rhs.shape[:3] + (1,) + rhs.shape[3:]) for _ in range(3))
+    _scatter_groups(coefs, lhs, rhs, outer_sum(one_head.merged[..., None], rhs, heads=True),
+                    partition, out, field, rows)
+    if coefs.shape[-1]:
+        out += (coefs[..., 0, None] * rhs)[..., None, :]
+    return out.reshape(g.shape)[:, :, 0]
 
 
-def _scatter_groups(weights: WeightGrid, coefs: np.ndarray, g: np.ndarray,
-                    partition: PartitionScheme, out: np.ndarray, scratch: np.ndarray,
-                    sat: SummedAreaTable | None = None) -> np.ndarray:
-    """grad_pixels of ``g`` (H, W, heads, ...) under weights with the head
-    axis and their window coefficients, written into ``out`` and returned.
-    ``scratch`` (g's shape) holds each group's weighted field; ``sat``, a
-    table of that shape or None to build one, is refilled for every group
-    past 0."""
-    lift = coefs.shape[:-1] + (1,) * (g.ndim - 3)
-    per_head = g.reshape(g.shape[:3] + (-1,))
-    out[...] = outer_sum(weights.merged[..., None], per_head, heads=True).reshape(g.shape[2:])
-    for r in range(coefs.shape[-1]):
-        np.multiply(coefs[..., r].reshape(lift), g, out=scratch)
-        if r:    # the table holds all the window needs: it overwrites the field
-            sat = SummedAreaTable(scratch) if sat is None else sat.rebuild(scratch)
-            sat.window_sum_grid(group_span(partition.kind, r)[1], out=scratch)
-        out += scratch
-    return out
+def _scatter_groups(coefs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tail: np.ndarray,
+                    partition: PartitionScheme, out: np.ndarray, field: np.ndarray,
+                    rows: np.ndarray, counted: bool = True) -> np.ndarray:
+    """The token adjoint of the windows past radius 0 and of the merged
+    tail, written into ``out`` and returned: sum over groups r >= 1 of the
+    transposed window of (coefs[..., r] lhs) (x) rhs, with (H, W, heads, d)
+    lhs and (H, W, heads, c) rhs, plus the (heads, d, c) ``tail`` at every
+    token. Each group's field is written into ``field`` and scattered into
+    ``out`` (``rows`` is scratch; all three (H, W, heads, d, c)); the tail
+    enters at the far corner, as the adjoint of the grid total, and one
+    suffix sum finishes all of it."""
+    for r in range(1, coefs.shape[-1]):
+        np.einsum("...d,...c->...dc", coefs[..., r, None] * lhs, rhs, out=field)
+        scatter_window(field, group_span(partition.kind, r)[1], out, rows,
+                       overwrite=r == 1, counted=counted)
+    if coefs.shape[-1] < 2:
+        out.fill(0.0)
+    out[-1, -1] += tail
+    return suffix_sum(out)
 
 
 def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,

@@ -11,13 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ w over the last axis of x. A (heads, i, j) w multiplies each
-    head's slice x[..., h, :] by w[h]."""
+    head's slice x[..., h, :] by w[h]. The product is written into ``out``
+    (a C-contiguous array of the result's shape) when given, and returned."""
+    shape = x.shape[:-1] + w.shape[-1:]
     if w.ndim == 2:     # one product over all leading axes, not one per row
-        return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
-    flat = x.reshape(-1, *x.shape[-2:]).transpose(1, 0, 2)
-    return (flat @ w).transpose(1, 0, 2).reshape(x.shape[:-1] + w.shape[-1:])
+        flat, view = x.reshape(-1, x.shape[-1]), (-1, w.shape[-1])
+    else:
+        flat, view = x.reshape(-1, *x.shape[-2:]).transpose(1, 0, 2), (-1,) + w.shape[::2]
+    if out is None:
+        out = np.empty(shape)
+    np.matmul(flat, w, out=out.reshape(view).swapaxes(0, w.ndim - 2))
+    return out
 
 
 def outer_sum(a: np.ndarray, b: np.ndarray, heads: bool) -> np.ndarray:

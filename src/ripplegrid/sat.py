@@ -17,10 +17,21 @@ an edge is either a contiguous slice of the table or one fixed index that
 broadcasts. Both passes are therefore whole-slice subtractions on views; a
 clamped low edge is the zero row or column, so that run is a copy.
 
-The module keeps a running count of window evaluations so tests can assert
-the sub-quadratic access pattern of the dynamic-programming attention paths.
-A fetch is one position of one window in one pass, so tables of a pass's
-later channel blocks are marked uncounted.
+Both steps have exact adjoints. A window is W_r(F) = Diff_r(Prefix(F)), so
+a sum of windows of several fields is the transpose of one build:
+sum_r W_r^T(Y_r) = Prefix^T(sum_r Diff_r^T(Y_r)). scatter_window is
+Diff_r^T: along each axis, over the same runs, a position's value goes to
+its hi edge and, negated, to its lo edge (a clamped hi edge collects its
+whole run; the zero row or column drops its share). suffix_sum is Prefix^T:
+sums toward the far corner, one row and then one column at a time. A
+transposed sum over many radii thus costs one scatter per radius into a
+shared accumulator and one suffix sum, and builds no table.
+
+The module keeps a running count of window evaluations, transposed ones
+included, so tests can assert the sub-quadratic access pattern of the
+dynamic-programming attention paths. A fetch is one position of one window
+in one pass, so tables and scatters of a pass's later channel blocks are
+marked uncounted.
 """
 from __future__ import annotations
 
@@ -153,3 +164,65 @@ class SummedAreaTable:
             else:
                 np.subtract(rows[:, hi], rows[:, lo], out=out[:, dst])
         return out
+
+
+def _axis_scatter(src: np.ndarray, dst: np.ndarray, axis: int, radius: int,
+                  overwrite: bool) -> None:
+    """Add to ``dst`` the transpose of one axis of a radius-r window
+    difference of ``src``: each position goes to its hi edge and, negated,
+    to its lo edge. With ``overwrite`` dst is written in full instead: the
+    edges below ``radius`` that no hi edge reaches are zeroed, and every hi
+    edge is written before a lo edge lands on it (a lo edge lies r + 1
+    positions before its run's position, a hi edge r after it)."""
+    n = src.shape[axis]
+    lead = (slice(None),) * axis
+    if overwrite:
+        dst[lead + (slice(0, min(radius, n - 1)),)] = 0.0
+    fresh_last = overwrite
+    for run, hi, lo in _axis_runs(n, radius):
+        part, edge = src[lead + (run,)], dst[lead + (hi,)]
+        if hi.stop == n:    # the clamped hi edge collects its whole run
+            if fresh_last:
+                np.sum(part, axis=axis, keepdims=True, out=edge)
+            else:
+                edge += part.sum(axis=axis, keepdims=True)
+            fresh_last = False
+        elif overwrite:
+            np.copyto(edge, part)
+        else:
+            edge += part
+        if lo is not None:
+            low = dst[lead + (lo,)]
+            np.subtract(low, part, out=low)
+
+
+def scatter_window(field: np.ndarray, radius: int, out: np.ndarray, rows: np.ndarray,
+                   overwrite: bool = False, counted: bool = True) -> np.ndarray:
+    """The transpose of a radius-r window's table differences: adds to
+    ``out`` (the field's shape) the table, without its zero row and column,
+    whose window_sum_grid cotangent is ``field``; suffix_sum of the result
+    is the transposed window. ``rows`` is scratch of the field's shape. With
+    ``overwrite`` out is written instead, so it needs no zero fill. Counts
+    one fetch per position when ``counted``, as a window does."""
+    global _fetch_count
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if field.ndim < 2 or out.shape != field.shape or rows.shape != field.shape:
+        raise ValueError("field, out and rows must share one (H, W, ...) shape")
+    if counted:
+        _fetch_count += field.shape[0] * field.shape[1]
+    _axis_scatter(field, rows, 1, radius, overwrite=True)
+    _axis_scatter(rows, out, 0, radius, overwrite)
+    return out
+
+
+def suffix_sum(acc: np.ndarray) -> np.ndarray:
+    """The transpose of the table build, in place: acc[i, j] becomes the sum
+    of acc[i:, j:], taken one row and then one column at a time as the build
+    takes its prefix sums. Returns acc."""
+    h, w = acc.shape[:2]
+    for i in range(h - 2, -1, -1):
+        np.add(acc[i], acc[i + 1], out=acc[i])
+    for j in range(w - 2, -1, -1):
+        np.add(acc[:, j], acc[:, j + 1], out=acc[:, j])
+    return acc

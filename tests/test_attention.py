@@ -476,6 +476,20 @@ def test_multi_head_output_mixes_heads():
     assert tape.num.shape == (4, 4, 2, 3)     # both heads ride one stacked pass
 
 
+@pytest.mark.parametrize("shape", [(16, 6), (4, 4, 5), (2, 4, 4, 6)], ids=str)
+def test_multi_head_forward_rejects_bad_input_grid(shape):
+    # a token list, a wrong model width and a batch used to fail deep inside
+    # the projection or the feature map with messages naming neither
+    rng = np.random.default_rng(30)
+    params = init_multi_head(rng, model_dim=6, num_heads=2, head_dim=3,
+                             r_max=2, scheme_kind=WeightSchemeKind.UNIFORM)
+    config = MultiHeadConfig(
+        partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05),
+        scheme_kind=WeightSchemeKind.UNIFORM)
+    with pytest.raises(ValueError, match=r"\(H, W, model_dim\) = \(H, W, 6\)"):
+        multi_head_forward(rng.standard_normal(shape), params, config)
+
+
 @pytest.mark.parametrize("bad", [dict(attention="linear"), dict(attention="Ripple"),
                                  dict(attention=""), dict(epsilon=-1e-6)], ids=str)
 def test_multi_head_config_rejects_bad_fields(bad):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripplegrid.sat import (
     SummedAreaTable,
@@ -7,6 +9,8 @@ from ripplegrid.sat import (
     fetch_count,
     reset_fetch_count,
     sabotage_radius_offset,
+    scatter_window,
+    suffix_sum,
 )
 from ripplegrid.vicinal import (GridShape, PartitionKind, PartitionScheme, group_members,
                                 group_span)
@@ -171,8 +175,52 @@ def test_fetch_counting():
     assert fetch_count() == 40
     sat.window_sum_grid(2, out=np.empty((4, 5)))
     assert fetch_count() == 60
+    # a transposed window fetches what a window does; a pass's later
+    # channel blocks count nothing, forward or transposed
+    acc, rows = np.empty((4, 5)), np.empty((4, 5))
+    scatter_window(np.ones((4, 5)), 1, acc, rows, overwrite=True)
+    assert fetch_count() == 80
+    scatter_window(np.ones((4, 5)), 3, acc, rows)
+    suffix_sum(acc)                # the suffix sum is not a window
+    assert fetch_count() == 100
+    sat.counted = False
+    sat.window_sum_grid(1)
+    scatter_window(np.ones((4, 5)), 1, acc, rows, counted=False)
+    assert fetch_count() == 100
     reset_fetch_count()
     assert fetch_count() == 0
+
+
+def inner(a, b):
+    return float(np.vdot(a, b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), extra=st.integers(0, 14),
+       channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_scatter_and_suffix_sum_are_exact_adjoints(h, w, extra, channels, seed):
+    """<W_r(F), Y> = <F, suffix_sum(scatter_window(Y))> for every radius up
+    to past the grid's side, overwriting or adding into the accumulator, and
+    suffix_sum alone is the transpose of the table build."""
+    rng = np.random.default_rng(seed)
+    shape = (h, w) + tuple(channels)
+    radius = extra % (max(h, w) + 3)
+    field, cot = rng.standard_normal(shape), rng.standard_normal(shape)
+    sat = SummedAreaTable(field)
+    want = inner(sat.window_sum_grid(radius), cot)
+    scale = np.abs(field).sum() * np.abs(cot).sum()
+    rows = np.full(shape, np.nan)     # scratch is written before it is read
+    acc = np.full(shape, np.nan)      # overwrite needs no zero fill
+    got = inner(field, suffix_sum(scatter_window(cot, radius, acc, rows, overwrite=True)))
+    assert abs(got - want) <= 1e-12 * scale, (shape, radius)
+    start = rng.standard_normal(shape)
+    added = scatter_window(cot, radius, start.copy(), rows)
+    np.testing.assert_allclose(added - start,
+                               scatter_window(cot, radius, np.empty(shape), rows,
+                                              overwrite=True), rtol=0, atol=1e-12 * scale)
+    prefix = sat.table[1:, 1:]
+    assert abs(inner(prefix, cot) - inner(field, suffix_sum(cot.copy()))) <= 1e-12 * scale
 
 
 def test_sabotage_radius_offset():
@@ -198,6 +246,10 @@ def test_validation():
         sat.window_sum_grid(-1)
     with pytest.raises(ValueError):
         sat.window_sum_grid(1, out=np.empty((3, 4)))
+    with pytest.raises(ValueError):
+        scatter_window(np.ones((3, 3)), -1, np.empty((3, 3)), np.empty((3, 3)))
+    with pytest.raises(ValueError):
+        scatter_window(np.ones((3, 3)), 1, np.empty((3, 4)), np.empty((3, 3)))
 
 
 def test_rebuild_takes_any_field():
