@@ -21,7 +21,8 @@ from .grad import (FiniteDiffReport, LinearizedGradients, MultiHeadGradients,
                    RippleGradients, finite_diff_check, grad_alpha, grad_pixels,
                    grad_pixels_reference, linearized_vjp, multi_head_vjp,
                    ripple_vjp)
-from .sat import SummedAreaTable, fetch_count, reset_fetch_count
+from .sat import (fetch_count, prefix_sum, reset_fetch_count, scatter_window, suffix_sum,
+                  window_sum)
 from .toymodel import (Adam, SgdMomentum, ToyModelConfig, clip_grad_norm,
                        cross_entropy, init_model, layer_norm, loss_and_grads,
                        make_local_majority_batch,

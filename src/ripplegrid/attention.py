@@ -39,7 +39,7 @@ import numpy as np
 
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
-from .sat import SummedAreaTable
+from .sat import prefix_sum, window_sum
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
@@ -178,19 +178,16 @@ def _check_denominator(den: np.ndarray) -> None:
 
 # ---------- grouped attention over grids ----------
 
-def _featurize(qgrid, kgrid, vgrid, config: AttentionConfig):
+def _featurize(qgrid, kgrid, vgrid, featmap: FeatureMapParams):
     q = np.asarray(qgrid, dtype=np.float64)
     k = np.asarray(kgrid, dtype=np.float64)
     v = np.asarray(vgrid, dtype=np.float64)
-    if q.ndim != 3 or k.shape[:2] != q.shape[:2] or v.shape[:2] != q.shape[:2]:
+    if any(a.ndim != 3 for a in (q, k, v)) or not q.shape[:2] == k.shape[:2] == v.shape[:2]:
         raise ValueError("q, k, v must be (H, W, dim) grids over the same shape")
     if q.shape[2] != k.shape[2]:
         raise ValueError("query and key widths must match")
     _check_finite(q, k, v)
-    shape = GridShape(q.shape[0], q.shape[1])
-    pq = feature_forward(q, config.featmap)
-    pk = feature_forward(k, config.featmap)
-    return q, k, v, shape, pq, pk
+    return q, k, v, feature_forward(q, featmap), feature_forward(k, featmap)
 
 
 def _value_streams(v):
@@ -233,18 +230,15 @@ def release_kept_buffers() -> None:
 
 
 def block_tables(pk, streams):
-    """Yield (blk, field, sat): each channel block's slice of phi_k (x) [v, 1]
+    """Yield (blk, table): each channel block's slice of phi_k (x) [v, 1]
     over (H, W, heads, Dp) features and (H, W, heads, C + 1) value streams,
-    and its table, in kept buffers that the next block refills. Callers may
-    overwrite the field, as the table holds all windows need. Only the first
-    block's table counts fetches: later blocks read the same positions."""
+    summed in place into its prefix table, in a kept buffer that the next
+    block refills. Callers count a pass's fetches on its first block only
+    (blk.start == 0): later blocks read the same positions."""
     for blk in channel_blocks(pk.shape + streams.shape[-1:]):
-        field = kept_array("field", pk.shape[:-1] + (blk.stop - blk.start,) + streams.shape[-1:])
-        np.einsum("...d,...c->...dc", pk[..., blk], streams, out=field)
-        sat = getattr(_kept, "sat", None)
-        sat = _kept.sat = SummedAreaTable(field) if sat is None else sat.rebuild(field)
-        sat.counted = blk.start == 0
-        yield blk, field, sat
+        table = kept_array("table", pk.shape[:-1] + (blk.stop - blk.start,) + streams.shape[-1:])
+        np.einsum("...d,...c->...dc", pk[..., blk], streams, out=table)
+        yield blk, prefix_sum(table)
 
 
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
@@ -255,13 +249,15 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, buf, sat in block_tables(pk, streams):
-        matmul(pq[..., blk], sat.total(), out=part)
+    for blk, table in block_tables(pk, streams):
+        window, rows = kept_array("window", table.shape), kept_array("rows", table.shape)
+        matmul(pq[..., blk], table[-1, -1], out=part)
         part *= wg.merged[..., None]
         both += part
-        for g in range(1, coefs.shape[-1]):     # each window overwrites the field
-            sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
-            np.einsum("...d,...dc->...c", pq[..., blk], buf, out=part)
+        for g in range(1, coefs.shape[-1]):
+            window_sum(table, group_span(partition.kind, g)[1], window, rows,
+                       counted=blk.start == 0)
+            np.einsum("...d,...dc->...c", pq[..., blk], window, out=part)
             part *= coefs[..., g, None]
             both += part
     return both
@@ -308,9 +304,9 @@ def _grouped(qgrid, kgrid, vgrid, config: AttentionConfig, weights: WeightGrid |
              sweep) -> AttentionOutput:
     """Featurize, weigh (unless ``weights`` is given), run ``sweep`` over one
     head and take the quotient; the frame both grouped forwards share."""
-    q, k, v, shape, pq, pk = _featurize(qgrid, kgrid, vgrid, config)
+    q, k, v, pq, pk = _featurize(qgrid, kgrid, vgrid, config.featmap)
     wg = weights if weights is not None else scheme_weights_grid(
-        config.scheme, v, shape, config.partition)
+        config.scheme, v, GridShape(*q.shape[:2]), config.partition)
     both = sweep(*_one_head(pq, pk, v), wg.head_axis(), config.partition)
     num, den, out = _finalize(both[:, :, 0], config.epsilon)
     tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
@@ -387,12 +383,7 @@ class LinearTape:
 def linearized_grid(qgrid, kgrid, vgrid, featmap: FeatureMapParams,
                     epsilon: float = DEFAULT_EPSILON):
     """Global linearized attention with grid-shaped inputs; returns (out, tape)."""
-    q = np.asarray(qgrid, dtype=np.float64)
-    k = np.asarray(kgrid, dtype=np.float64)
-    v = np.asarray(vgrid, dtype=np.float64)
-    _check_finite(q, k, v)
-    pq = feature_forward(q, featmap)
-    pk = feature_forward(k, featmap)
+    q, k, v, pq, pk = _featurize(qgrid, kgrid, vgrid, featmap)
     total = _global_total(*_one_head(pk, v))
     num, den, out = _finalize(matmul(pq[:, :, None], total)[:, :, 0], epsilon)
     tape = LinearTape(featmap=featmap, epsilon=epsilon, q=q, k=k, v=v, phi_q=pq,

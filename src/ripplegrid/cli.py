@@ -34,7 +34,8 @@ import numpy as np
 from .attention import AttentionConfig, ripple_dp, ripple_naive
 from .featmap import FeatureMapKind, init_feature_map
 from .sat import sabotage_radius_offset
-from .toymodel import TASKS, ToyModelConfig, init_model, loss_and_grads, train_demo
+from .toymodel import (TASKS, ToyModelConfig, clip_grad_norm, init_model, loss_and_grads,
+                       train_demo)
 from .vicinal import GridShape, PartitionKind, PartitionScheme
 from .weights import LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind
 
@@ -335,10 +336,11 @@ def cmd_train(ctx: RunContext) -> int:
         rng = np.random.Generator(np.random.PCG64(opts.seed + 1))
         imgs, labels = TASKS[opts.task](rng, opts.batch,
                                         GridShape(config.height, config.width))
-        loss, _, aux = loss_and_grads(imgs, labels, params, config)
+        loss, grads, aux = loss_and_grads(imgs, labels, params, config)
         rows.append({"step": 0, "loss": float(loss),
                      "accuracy": float(aux["accuracy"]),
-                     "mean_jsd": float(aux["mean_jsd"])})
+                     "mean_jsd": float(aux["mean_jsd"]),
+                     "grad_norm": float(clip_grad_norm(grads, np.inf))})
     else:
         try:
             train_demo(config, task=opts.task, steps=opts.steps,
@@ -350,7 +352,8 @@ def cmd_train(ctx: RunContext) -> int:
 
     run_dir = ctx.run_dir()
     with open(run_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=("step", "loss", "accuracy", "mean_jsd"))
+        writer = csv.DictWriter(
+            fh, fieldnames=("step", "loss", "accuracy", "mean_jsd", "grad_norm"))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v

@@ -36,7 +36,7 @@ from .attention import (AttentionTape, LinearTape, MultiHeadTape, _global_total,
                         _radius_zero_coef, _value_streams, block_tables, kept_array)
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
-from .sat import scatter_window, suffix_sum
+from .sat import scatter_window, suffix_sum, window_sum
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, _grid_stick_breaking, grid_stick_fractions)
@@ -118,17 +118,18 @@ def _blocked_backward(pq, pk, v, wg: WeightGrid, partition: PartitionScheme,
     grad_pq = np.empty_like(pq)
     grad_pk = (c_0 * sg)[..., None] * pq
     grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
-    for blk, buf, sat in block_tables(pk, streams):
-        gx, rows = kept_array("gx", buf.shape), kept_array("scratch", buf.shape)
-        z = kept_array("z", buf.shape[:-1] + (length,))   # z[..., g] = W_g . gboth
-        zt = matmul(gboth, np.swapaxes(sat.total(), -1, -2))    # T . gboth
+    for blk, table in block_tables(pk, streams):
+        counted = blk.start == 0
+        window, rows = kept_array("window", table.shape), kept_array("rows", table.shape)
+        gx = kept_array("gx", table.shape)
+        z = kept_array("z", table.shape[:-1] + (length,))   # z[..., g] = W_g . gboth
+        zt = matmul(gboth, np.swapaxes(table[-1, -1], -1, -2))    # T . gboth
         if length:
             np.multiply(pk[..., blk], sg[..., None], out=z[..., 0])
         for g in range(1, length):
-            sat.window_sum_grid(group_span(partition.kind, g)[1], out=buf)
-            np.einsum("...dc,...c->...d", buf, gboth, out=z[..., g])
-        _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], partition,
-                        gx, buf, rows, sat.counted)
+            window_sum(table, group_span(partition.kind, g)[1], window, rows, counted)
+            np.einsum("...dc,...c->...d", window, gboth, out=z[..., g])
+        _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], partition, gx, counted)
         grad_pk[..., blk] += np.einsum("...dc,...c->...d", gx, streams)
         grad_v += np.einsum("...dc,...d->...c", gx[..., :-1], pk[..., blk])
         tail += np.einsum("...d,...d->...", pq[..., blk], zt)
@@ -189,25 +190,26 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     coefs = one_head.window_coefs()
     rhs = g.reshape(g.shape[:3] + (-1,))
     lhs = np.ones(rhs.shape[:3] + (1,))
-    out, field, rows = (np.empty(rhs.shape[:3] + (1,) + rhs.shape[3:]) for _ in range(3))
+    out = np.empty(rhs.shape[:3] + (1,) + rhs.shape[3:])
     _scatter_groups(coefs, lhs, rhs, outer_sum(one_head.merged[..., None], rhs, heads=True),
-                    partition, out, field, rows)
+                    partition, out)
     if coefs.shape[-1]:
         out += (coefs[..., 0, None] * rhs)[..., None, :]
     return out.reshape(g.shape)[:, :, 0]
 
 
 def _scatter_groups(coefs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tail: np.ndarray,
-                    partition: PartitionScheme, out: np.ndarray, field: np.ndarray,
-                    rows: np.ndarray, counted: bool = True) -> np.ndarray:
+                    partition: PartitionScheme, out: np.ndarray,
+                    counted: bool = True) -> np.ndarray:
     """The token adjoint of the windows past radius 0 and of the merged
-    tail, written into ``out`` and returned: sum over groups r >= 1 of the
-    transposed window of (coefs[..., r] lhs) (x) rhs, with (H, W, heads, d)
-    lhs and (H, W, heads, c) rhs, plus the (heads, d, c) ``tail`` at every
-    token. Each group's field is written into ``field`` and scattered into
-    ``out`` (``rows`` is scratch; all three (H, W, heads, d, c)); the tail
-    enters at the far corner, as the adjoint of the grid total, and one
-    suffix sum finishes all of it."""
+    tail, written into ``out`` ((H, W, heads, d, c)) and returned: sum over
+    groups r >= 1 of the transposed window of (coefs[..., r] lhs) (x) rhs,
+    with (H, W, heads, d) lhs and (H, W, heads, c) rhs, plus the (heads, d,
+    c) ``tail`` at every token. Each group's field is written into the kept
+    window buffer and scattered into ``out``; the tail enters at the far
+    corner, as the adjoint of the grid total, and one suffix sum finishes
+    all of it."""
+    field, rows = kept_array("window", out.shape), kept_array("rows", out.shape)
     for r in range(1, coefs.shape[-1]):
         np.einsum("...d,...c->...dc", coefs[..., r, None] * lhs, rhs, out=field)
         scatter_window(field, group_span(partition.kind, r)[1], out, rows,

@@ -1,47 +1,42 @@
-"""Zero-padded 2D prefix sums with constant-time clipped window reductions.
+"""2D prefix sums and clipped window sums, with their exact adjoints.
 
-A table built over an (H, W, ...) field answers "sum of the field over the
-square window of radius r around every position, clipped to the grid" in
-O(1) work per position. Accumulation is always float64, even when the field
-is float32, so cancellation error stays at the double rounding level.
+Every array here is border-less, of one (H, W, ...) field's shape, f64.
+The module is two adjoint pairs:
 
-The table is built one row at a time (each row is the row above plus one
-field row) and then one column at a time (each column is the column to its
-left plus itself), which adds in the same order as two cumulative sums.
+- prefix_sum builds the table in place: acc[i, j] becomes the sum of
+  acc[:i+1, :j+1], one row at a time (each row plus the row above) and then
+  one column at a time (each column plus the column to its left). Its
+  transpose, suffix_sum, sums toward the far corner in the same two loops.
+- window_sum reads the sums over the square window of radius r around
+  every position, clipped to the grid, from a table in O(1) work per
+  position: the clipped difference of table rows, then of the result's
+  columns. Along an axis of length n, the clipped edges min(i + r, n - 1)
+  and i - r - 1 (before the grid when negative) split the positions into
+  at most three runs (clamped low, interior, clamped high), and in each
+  run an edge is either a contiguous slice of the table or one fixed index
+  that broadcasts, so both passes are whole-slice subtractions on views;
+  where the low edge falls before the grid, the run is a copy. Its
+  transpose, scatter_window, walks the same runs: a position's value goes
+  to its hi edge and, negated, to its lo edge (a clamped hi edge collects
+  its whole run; an edge before the grid drops its share).
 
-A window is separable: the clipped difference of table rows, then the
-clipped difference of the result's columns. Along an axis of length n, the
-clipped edges min(i + 1 + r, n) and max(i - r, 0) split the positions into
-at most three runs (clamped low, interior, clamped high), and in each run
-an edge is either a contiguous slice of the table or one fixed index that
-broadcasts. Both passes are therefore whole-slice subtractions on views; a
-clamped low edge is the zero row or column, so that run is a copy.
-
-Both steps have exact adjoints. A window is W_r(F) = Diff_r(Prefix(F)), so
-a sum of windows of several fields is the transpose of one build:
-sum_r W_r^T(Y_r) = Prefix^T(sum_r Diff_r^T(Y_r)). scatter_window is
-Diff_r^T: along each axis, over the same runs, a position's value goes to
-its hi edge and, negated, to its lo edge (a clamped hi edge collects its
-whole run; the zero row or column drops its share). suffix_sum is Prefix^T:
-sums toward the far corner, one row and then one column at a time. A
-transposed sum over many radii thus costs one scatter per radius into a
-shared accumulator and one suffix sum, and builds no table.
+The far corner table[-1, -1] is the field's total. Since a window is
+W_r(F) = Diff_r(Prefix(F)), a sum of transposed windows over several radii
+is sum_r W_r^T(Y_r) = Prefix^T(sum_r Diff_r^T(Y_r)): one scatter per radius
+into a shared accumulator and one suffix sum, with no table built.
 
 The module keeps a running count of window evaluations, transposed ones
 included, so tests can assert the sub-quadratic access pattern of the
 dynamic-programming attention paths. A fetch is one position of one window
-in one pass, so tables and scatters of a pass's later channel blocks are
-marked uncounted.
+in one pass, so callers pass counted=False for a pass's later channel
+blocks.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
-
-from .vicinal import GridShape
 
 _fetch_count = 0
 _row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
@@ -58,10 +53,11 @@ def fetch_count() -> int:
 
 @contextmanager
 def sabotage_radius_offset(offset: int = 1):
-    """Fault injection for harness self-tests: tables built or rebuilt inside
-    the context are shifted down by ``offset`` rows, so their windows and
-    totals are both wrong. Lookups read no fault state; tables built outside
-    stay clean."""
+    """Fault injection for harness self-tests: prefix_sum inside the context
+    shifts its table down by ``offset`` rows (zeros enter at the top), so
+    the windows and the total read from it are both wrong. window_sum,
+    scatter_window and suffix_sum read no fault state; tables built outside
+    the context stay clean."""
     global _row_shift
     _row_shift = offset
     try:
@@ -74,14 +70,12 @@ def sabotage_radius_offset(offset: int = 1):
 def _axis_runs(n: int, radius: int) -> tuple:
     """Clipped window edges along one axis of length n, as slices.
 
-    Returns (dst, hi, lo) runs covering positions 0..n-1 in order. Indices
-    are into the table without its zero row and column (table index minus
-    one): hi holds min(i + 1 + r, n) - 1 and lo holds max(i - r, 0) - 1, with
-    lo None where the edge is the zero row or column. A clamped hi edge is a
-    length-1 slice.
+    Returns (dst, hi, lo) runs covering positions 0..n-1 in order: hi holds
+    min(i + r, n - 1) and lo holds i - r - 1, with lo None where that edge
+    falls before the grid. A clamped hi edge is a length-1 slice.
     """
-    low_end = min(radius + 1, n)        # positions below it have lo clamped to 0
-    high_start = max(n - 1 - radius, 0)  # positions from it on have hi clamped to n
+    low_end = min(radius + 1, n)        # positions below it have no lo edge
+    high_start = max(n - 1 - radius, 0)  # positions from it on have hi clamped to n - 1
     cuts = sorted({0, low_end, high_start, n})
     runs = []
     for start, stop in zip(cuts[:-1], cuts[1:]):
@@ -94,76 +88,55 @@ def _axis_runs(n: int, radius: int) -> tuple:
     return tuple(runs)
 
 
-class SummedAreaTable:
-    """table[i, j] = field[:i, :j].sum(axis=(0,1)); row 0 and column 0 are zero."""
+def prefix_sum(acc: np.ndarray) -> np.ndarray:
+    """The table build, in place: acc[i, j] becomes the sum of
+    acc[:i+1, :j+1], taken one row and then one column at a time. ``acc``
+    must be float64, so the sums accumulate in double precision whatever
+    the field was computed in. Returns acc."""
+    if acc.ndim < 2:
+        raise ValueError("field must be at least 2-dimensional (H, W, ...)")
+    if acc.dtype != np.float64:
+        raise ValueError(f"prefix_sum accumulates in place in float64, got {acc.dtype}")
+    h, w = acc.shape[:2]
+    for i in range(1, h):
+        np.add(acc[i - 1], acc[i], out=acc[i])
+    for j in range(1, w):
+        np.add(acc[:, j - 1], acc[:, j], out=acc[:, j])
+    if _row_shift:
+        acc[:] = np.roll(acc, _row_shift, axis=0)
+        acc[:_row_shift] = 0.0
+    return acc
 
-    counted = True   # whether windows add to the fetch count
 
-    def __init__(self, field: np.ndarray):
-        self._field_shape, self._stores = None, (np.empty(0), np.empty(0))
-        self.rebuild(field)
+def _check_buffers(radius: int, field: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if field.ndim < 2 or out.shape != field.shape or rows.shape != field.shape:
+        raise ValueError("field, out and rows must share one (H, W, ...) shape")
 
-    def rebuild(self, field: np.ndarray) -> SummedAreaTable:
-        """Refill the table in place from a field of any shape, and return it.
-        The table and window rows view flat storage grown to the largest field
-        seen; the zero row and column are rewritten when the shape changes."""
-        if field.ndim < 2:
-            raise ValueError("field must be at least 2-dimensional (H, W, ...)")
-        h, w = field.shape[:2]
-        if field.shape != self._field_shape:
-            self._field_shape, self.shape = field.shape, GridShape(h, w)
-            self.channels = field.shape[2:]
-            shapes = ((h + 1, w + 1) + self.channels, field.shape)
-            self._stores = tuple(s if s.size >= math.prod(f) else np.empty(math.prod(f))
-                                 for s, f in zip(self._stores, shapes))
-            self.table, self._rows = (s[:math.prod(f)].reshape(f)
-                                      for s, f in zip(self._stores, shapes))
-            self.table[0] = 0.0
-            self.table[:, 0] = 0.0
-        table = self.table
-        for i in range(h):
-            np.add(table[i, 1:], field[i], out=table[i + 1, 1:])
-        for j in range(1, w):
-            np.add(table[1:, j], table[1:, j + 1], out=table[1:, j + 1])
-        if _row_shift:
-            table[:] = np.roll(table, _row_shift, axis=0)
-            table[:_row_shift] = 0.0
-        return self
 
-    def total(self) -> np.ndarray:
-        """Sum of the whole field (the far corner of the table)."""
-        return self.table[self.shape.height, self.shape.width]
-
-    def window_sum_grid(self, radius: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Sums over the (2r+1)-square around every grid position at once,
-        each clipped to the grid; shape (H, W) + channels.
-
-        The result is written to ``out`` when given (a float64 array of that
-        shape, which a caller can reuse across radii) and returned."""
-        global _fetch_count
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        h, w = self.shape.height, self.shape.width
-        full = (h, w) + self.channels
-        if out is None:
-            out = np.empty(full)
-        elif out.shape != full:
-            raise ValueError(f"out must have shape {full}, got {out.shape}")
-        if self.counted:
-            _fetch_count += h * w
-        prefix = self.table[1:, 1:]
-        rows = self._rows
-        for dst, hi, lo in _axis_runs(h, radius):
-            if lo is None:
-                np.copyto(rows[dst], prefix[hi])
-            else:
-                np.subtract(prefix[hi], prefix[lo], out=rows[dst])
-        for dst, hi, lo in _axis_runs(w, radius):
-            if lo is None:
-                np.copyto(out[:, dst], rows[:, hi])
-            else:
-                np.subtract(rows[:, hi], rows[:, lo], out=out[:, dst])
-        return out
+def window_sum(table: np.ndarray, radius: int, out: np.ndarray, rows: np.ndarray,
+               counted: bool = True) -> np.ndarray:
+    """Sums over the (2r+1)-square around every grid position at once, each
+    clipped to the grid, from a prefix_sum table; written into ``out`` (the
+    table's shape) and returned. ``rows`` is scratch of the same shape.
+    Counts one fetch per position when ``counted``."""
+    global _fetch_count
+    _check_buffers(radius, table, out, rows)
+    h, w = table.shape[:2]
+    if counted:
+        _fetch_count += h * w
+    for dst, hi, lo in _axis_runs(h, radius):
+        if lo is None:
+            np.copyto(rows[dst], table[hi])
+        else:
+            np.subtract(table[hi], table[lo], out=rows[dst])
+    for dst, hi, lo in _axis_runs(w, radius):
+        if lo is None:
+            np.copyto(out[:, dst], rows[:, hi])
+        else:
+            np.subtract(rows[:, hi], rows[:, lo], out=out[:, dst])
+    return out
 
 
 def _axis_scatter(src: np.ndarray, dst: np.ndarray, axis: int, radius: int,
@@ -198,17 +171,14 @@ def _axis_scatter(src: np.ndarray, dst: np.ndarray, axis: int, radius: int,
 
 def scatter_window(field: np.ndarray, radius: int, out: np.ndarray, rows: np.ndarray,
                    overwrite: bool = False, counted: bool = True) -> np.ndarray:
-    """The transpose of a radius-r window's table differences: adds to
-    ``out`` (the field's shape) the table, without its zero row and column,
-    whose window_sum_grid cotangent is ``field``; suffix_sum of the result
-    is the transposed window. ``rows`` is scratch of the field's shape. With
-    ``overwrite`` out is written instead, so it needs no zero fill. Counts
-    one fetch per position when ``counted``, as a window does."""
+    """The transpose of window_sum's table differences: adds to ``out`` (the
+    field's shape) the table cotangent of a radius-r window whose cotangent
+    is ``field``; suffix_sum of the result is the transposed window.
+    ``rows`` is scratch of the field's shape. With ``overwrite`` out is
+    written instead, so it needs no zero fill. Counts one fetch per position
+    when ``counted``, as a window does."""
     global _fetch_count
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if field.ndim < 2 or out.shape != field.shape or rows.shape != field.shape:
-        raise ValueError("field, out and rows must share one (H, W, ...) shape")
+    _check_buffers(radius, field, out, rows)
     if counted:
         _fetch_count += field.shape[0] * field.shape[1]
     _axis_scatter(field, rows, 1, radius, overwrite=True)
@@ -217,9 +187,9 @@ def scatter_window(field: np.ndarray, radius: int, out: np.ndarray, rows: np.nda
 
 
 def suffix_sum(acc: np.ndarray) -> np.ndarray:
-    """The transpose of the table build, in place: acc[i, j] becomes the sum
-    of acc[i:, j:], taken one row and then one column at a time as the build
-    takes its prefix sums. Returns acc."""
+    """The transpose of prefix_sum, in place: acc[i, j] becomes the sum of
+    acc[i:, j:], taken one row and then one column at a time as prefix_sum
+    takes its sums. Returns acc."""
     h, w = acc.shape[:2]
     for i in range(h - 2, -1, -1):
         np.add(acc[i], acc[i + 1], out=acc[i])

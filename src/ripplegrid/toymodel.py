@@ -392,7 +392,8 @@ def train_demo(config: ToyModelConfig, task: str = "local-majority",
                log=None, params: dict | None = None) -> list[dict]:
     """Train from scratch on freshly sampled batches; returns one metrics row
     per step. Raises FloatingPointError the moment the loss stops being finite.
-    ``clip`` bounds the global gradient norm (<= 0 disables clipping).
+    ``clip`` bounds the global gradient norm (<= 0 disables clipping); each
+    row's ``grad_norm`` is the norm before clipping.
     Pass ``params`` to train an existing parameter dict in place (the
     optimizer mutates it), e.g. to checkpoint the final state.
     """
@@ -416,12 +417,11 @@ def train_demo(config: ToyModelConfig, task: str = "local-majority",
             raise FloatingPointError(
                 f"loss diverged to {loss} at step {step}; lower the learning "
                 f"rate or epsilon={config.epsilon} may be too small")
-        if clip > 0.0:
-            clip_grad_norm(grads, clip)
+        grad_norm = clip_grad_norm(grads, clip if clip > 0.0 else np.inf)
         opt.step(params, grads)
         row = {"step": step, "loss": float(loss),
                "accuracy": float(aux["accuracy"]),
-               "mean_jsd": float(aux["mean_jsd"])}
+               "mean_jsd": float(aux["mean_jsd"]), "grad_norm": float(grad_norm)}
         rows.append(row)
         if log is not None:
             log(row)

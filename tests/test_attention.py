@@ -292,6 +292,32 @@ def test_grid_shape_validation():
         ripple_naive(q, k[..., :3], v, cfg)
 
 
+def linearized_grid_of(q, k, v, cfg):
+    return linearized_grid(q, k, v, cfg.featmap)
+
+
+def test_mismatched_grids_rejected():
+    # a (4, 6) key grid against a (6, 4) value grid holds as many tokens, so
+    # without the check the linearized form paired them by flat index
+    rng = np.random.default_rng(29)
+    cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, PartitionKind.UNIT_RING, rng, 3)
+    q, k = (rng.standard_normal((4, 6, 5)) for _ in range(2))
+    v = rng.standard_normal((6, 4, 3))
+    for fn in (ripple_dp, ripple_naive, linearized_grid_of):
+        with pytest.raises(ValueError, match="grids over the same shape"):
+            fn(q, k, v, cfg)
+
+
+def test_two_dimensional_value_grid_rejected():
+    # one value per token still needs its channel axis: (H, W, 1), not (H, W)
+    rng = np.random.default_rng(31)
+    cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, PartitionKind.UNIT_RING, rng, 1)
+    q, k, v = random_grids(rng, 4, 4, c=1)
+    for fn in (ripple_dp, ripple_naive, linearized_grid_of):
+        with pytest.raises(ValueError, match=r"\(H, W, dim\) grids"):
+            fn(q, k, v[..., 0], cfg)
+
+
 def test_non_finite_inputs_rejected():
     # an inf in k would otherwise turn every output NaN through the prefix
     # table (or the global sums of the linearized forms), and a NaN in q
@@ -307,9 +333,6 @@ def test_non_finite_inputs_rejected():
     bad_v = v.copy()
     bad_v[1, 1, 2] = -np.inf
 
-    def grid(q, k, v, cfg):
-        return linearized_grid(q, k, v, cfg.featmap)
-
     def flat(q, k, v, cfg):
         return linearized_attention(*(a.reshape(25, -1) for a in (q, k, v)), cfg.featmap)
 
@@ -323,7 +346,7 @@ def test_non_finite_inputs_rejected():
     def softmax(q, k, v, cfg):
         return softmax_attention(*(a.reshape(25, -1) for a in (q, k, v)))
 
-    for fn in (ripple_dp, ripple_naive, grid, flat, streaming, softmax):
+    for fn in (ripple_dp, ripple_naive, linearized_grid_of, flat, streaming, softmax):
         with pytest.raises(ValueError, match="q contains non-finite"):
             fn(bad_q, k, v, cfg)
         with pytest.raises(ValueError, match="k contains non-finite"):

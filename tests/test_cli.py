@@ -82,7 +82,7 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     (run,) = run_dirs(tmp_path)
     rows = (run / "metrics.csv").read_text().strip().splitlines()
     assert len(rows) == 3
-    assert rows[0] == "step,loss,accuracy,mean_jsd"
+    assert rows[0] == "step,loss,accuracy,mean_jsd,grad_norm"
     with np.load(run / "checkpoint.npz", allow_pickle=False) as ckpt:
         assert "embed.w" in ckpt.files and "head.b" in ckpt.files
         assert ckpt["embed.w"].shape == (8, 1)
@@ -102,6 +102,8 @@ def test_train_zero_steps_evaluates_once(tmp_path):
     (run,) = run_dirs(tmp_path)
     rows = (run / "metrics.csv").read_text().strip().splitlines()
     assert len(rows) == 2
+    assert rows[0] == "step,loss,accuracy,mean_jsd,grad_norm"
+    assert float(rows[1].split(",")[-1]) > 0.0      # the initial gradient's norm
 
 
 def test_train_bad_task(tmp_path):

@@ -15,7 +15,7 @@ from ripplegrid.attention import (
     release_kept_buffers,
     ripple_naive,
 )
-from ripplegrid import sat as sat_module
+from ripplegrid import attention as attention_module
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
 from ripplegrid.grad import (
     finite_diff_check,
@@ -109,16 +109,16 @@ def test_grad_pixels_channel_field():
 
 def test_grad_pixels_constructs_no_table(monkeypatch):
     # group 0 is the weighted field itself and every later group scatters
-    # into one accumulator that one suffix sum finishes: no table is built
-    # or refilled, however long the sweep (rebuild also runs in __init__)
+    # into one accumulator that one suffix sum finishes: no table is built,
+    # however long the sweep
     fills = []
-    rebuild = sat_module.SummedAreaTable.rebuild
+    build = attention_module.prefix_sum
 
-    def counting(self, field):
-        fills.append(field.shape)
-        return rebuild(self, field)
+    def counting(acc):
+        fills.append(acc.shape)
+        return build(acc)
 
-    monkeypatch.setattr(sat_module.SummedAreaTable, "rebuild", counting)
+    monkeypatch.setattr(attention_module, "prefix_sum", counting)
     rng = np.random.default_rng(7)
     fixed = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
     for pk, r_max in ((PartitionKind.UNIT_RING, 6), (PartitionKind.DYADIC, 4),
@@ -474,13 +474,16 @@ def peak_units(fn, side, width):
 
 
 def test_forward_backward_peak_memory():
-    """Forward plus backward peaks at 2.42 (H, W, Dp, C + 1) f64 arrays at
+    """Forward plus backward peaks at 2.05 (H, W, Dp, C + 1) f64 arrays at
     32x32: the tape's inputs, features and quotient, then, for one channel
-    block of 11 of the 32 channels, the field (holding each group's
-    cotangent in turn), its table and window rows, and the token gradient's
-    accumulator and scatter scratch. The bound adds about 12% to that; the
-    layout that kept the whole table and swept field on the tape peaked at
-    7.33, and a backward with a table of its own per block at 2.78."""
+    block of 11 of the 32 channels, the four kept block arrays: the table,
+    the window (holding each window, then each group's cotangent in turn),
+    the scratch that window_sum and scatter_window share, and the token
+    gradient's accumulator. The bound of 2.7 dates from when the table
+    kept its own bordered storage beside the field and the pass peaked at
+    2.40 to 2.42; the layout that kept the whole table and swept field on
+    the tape peaked at 7.33, and a backward with a table of its own per
+    block at 2.78."""
     rng = np.random.default_rng(17)
     side, width = 32, 32
     q, k, v = random_grids(rng, side, side, d=width, c=width)
@@ -494,8 +497,8 @@ def test_forward_backward_peak_memory():
 
 def test_forward_peak_below_one_field():
     """A forward never holds the whole field phi_k (x) [v, 1]: at 48x48 it
-    peaks at 0.88 of one (H, W, Dp, C + 1) array (one block's field, table
-    and window rows of 7 of the 32 channels, plus the tape), where the
+    peaks at 0.87 of one (H, W, Dp, C + 1) array (one block's table, window
+    and window scratch of 7 of the 32 channels, plus the tape), where the
     unblocked forward reached 4.16."""
     rng = np.random.default_rng(18)
     side, width = 48, 32

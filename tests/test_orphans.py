@@ -9,8 +9,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = ("sat", "attention", "grad", "weights", "vicinal", "featmap", "bench",
-           "toymodel", "cli")
+MODULES = ("sat", "attention", "grad", "weights", "vicinal", "featmap", "heads",
+           "bench", "toymodel", "cli")
 
 REFERENCES = {
     "scheme_weights": "scalar oracle that scheme_weights_grid is tested against",
@@ -18,8 +18,8 @@ REFERENCES = {
     "jsd": "scalar oracle that jsd_grid is tested against",
     "num_groups": "scalar oracle that num_groups_grid is tested against",
     "grad_alpha": "per-group weight gradient, audited by central differences",
-    "grad_pixels": "token adjoint on fresh buffers (scatter, one suffix sum, no "
-                   "table); the blocked backward runs its core on kept ones, and "
+    "grad_pixels": "token adjoint into a fresh output (scatter, one suffix sum, "
+                   "no table); the blocked backward runs its core per block, and "
                    "the tests audit that core through it",
     "grad_pixels_reference": "quadratic scatter oracle for grad_pixels",
     "ripple_softmax_reference": "quadratic per-group softmax reference semantics",

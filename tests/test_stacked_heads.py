@@ -3,7 +3,7 @@ to a loop of single-head calls and count the tables it fills."""
 import numpy as np
 import pytest
 
-from ripplegrid import sat as sat_module
+from ripplegrid import attention as attention_module
 from ripplegrid.attention import (
     AttentionConfig,
     MultiHeadConfig,
@@ -87,15 +87,15 @@ def test_stacked_layer_matches_per_head_loop(mode, partition_kind, num_heads, sh
 
 
 def test_table_fills_do_not_grow_with_heads(monkeypatch):
-    # a table is filled by rebuild, which the constructor also calls
+    # block_tables fills every table with prefix_sum
     fills = []
-    rebuild = sat_module.SummedAreaTable.rebuild
+    build = attention_module.prefix_sum
 
-    def counting(self, field):
-        fills.append(field.shape)
-        return rebuild(self, field)
+    def counting(acc):
+        fills.append(acc.shape)
+        return build(acc)
 
-    monkeypatch.setattr(sat_module.SummedAreaTable, "rebuild", counting)
+    monkeypatch.setattr(attention_module, "prefix_sum", counting)
     counts = []
     for num_heads in (1, 2, 3):
         rng = np.random.default_rng(num_heads)

@@ -303,6 +303,7 @@ def test_train_demo_smoke():
         assert np.isfinite(row["loss"]) and row["loss"] > 0
         assert 0.0 <= row["accuracy"] <= 1.0
         assert 0.0 <= row["mean_jsd"] <= 1.0
+        assert np.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
 
 
 def test_train_demo_zero_lr_fixes_params():
@@ -312,6 +313,24 @@ def test_train_demo_zero_lr_fixes_params():
     train_demo(config, steps=3, batch=2, seed=13, lr=0.0, params=params)
     for name in frozen:
         np.testing.assert_array_equal(params[name], frozen[name])
+
+
+def test_train_demo_logs_pre_clip_grad_norm():
+    # with lr 0 every step sees the initial parameters, so each row's norm
+    # is the norm of that step's batch gradient, clipped or not
+    config = small_config()
+    params = init_model(config, seed=16)
+    rng = np.random.Generator(np.random.PCG64(16 + 1))      # train_demo's stream
+    want = []
+    for _ in range(3):
+        imgs, labels = make_local_majority_batch(rng, 2, GridShape(4, 4))
+        grads = loss_and_grads(imgs, labels, params, config)[1]
+        want.append(float(np.sqrt(sum(float((g * g).sum()) for g in grads.values()))))
+    for clip in (1e-3, 0.0, -1.0):
+        rows = train_demo(config, steps=3, batch=2, seed=16, lr=0.0, clip=clip,
+                          params={n: a.copy() for n, a in params.items()})
+        np.testing.assert_allclose([r["grad_norm"] for r in rows], want, rtol=1e-12)
+    assert min(want) > 1e-3        # the norms above were logged before clipping
 
 
 def test_train_demo_mutates_given_params():
