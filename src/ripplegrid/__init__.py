@@ -7,8 +7,7 @@ index. Includes exact quadratic references, an analytic backward pass, a tiny
 trainable model, and a benchmark harness.
 """
 from .attention import (AttentionConfig, AttentionOutput, AttentionTape,
-                        DEFAULT_EPSILON, LinearTape,
-                        MultiHeadConfig, MultiHeadParams, MultiHeadTape,
+                        DEFAULT_EPSILON, MultiHeadConfig, MultiHeadParams, MultiHeadTape,
                         init_multi_head, linearized_attention,
                         linearized_attention_into, linearized_grid,
                         multi_head_forward, ripple_dp, ripple_naive,
@@ -17,8 +16,8 @@ from .bench import (BenchPlan, BenchRecord, SlopeFit, fit_loglog, fit_slope,
                     memory_probe, run_bench)
 from .featmap import (FeatureMapKind, FeatureMapParams, feature_forward,
                       feature_vjp, init_feature_map)
-from .grad import (FiniteDiffReport, LinearizedGradients, MultiHeadGradients,
-                   RippleGradients, finite_diff_check, grad_alpha, grad_pixels,
+from .grad import (AttentionGradients, FiniteDiffReport, MultiHeadGradients,
+                   finite_diff_check, grad_alpha, grad_pixels,
                    grad_pixels_reference, linearized_vjp, multi_head_vjp,
                    ripple_vjp)
 from .sat import (fetch_count, prefix_sum, reset_fetch_count, scatter_window, suffix_sum,

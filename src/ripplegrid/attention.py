@@ -24,10 +24,10 @@ tabled, swept and contracted with its slice of phi_q into one (H, W, C + 1)
 accumulator. The tape holds inputs, features, weights and the quotient, and
 the backward pass rebuilds each block's table.
 
-The sweep runs on (H, W, heads, ...) arrays: a multi-head layer stacks its
-heads on axis 2 and makes one pass, with one table per channel block over
-(heads, Dp, C + 1) channels. The single-head entry points run the same
-sweep with a head axis of length 1.
+One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
+multi-head layer stacks its heads on axis 2, with one table per channel
+block over (heads, Dp, C + 1) channels, and the single-head entry points
+have a head axis of length 1. Linearized attention skips the weights.
 """
 from __future__ import annotations
 
@@ -70,17 +70,23 @@ class AttentionConfig:
 
 @dataclass
 class AttentionTape:
-    """Everything the backward pass consumes, captured during one forward."""
+    """Everything the backward pass consumes, captured during one forward.
+    Arrays and weights carry a head axis after (H, W), of length 1 from the
+    single-head entry points; den includes the stabilizer. In linearized
+    mode scheme and weights are None."""
 
-    config: AttentionConfig
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    phi_q: np.ndarray          # (H, W, Dp)
-    phi_k: np.ndarray          # (H, W, Dp)
-    weights: WeightGrid
-    num: np.ndarray            # (H, W, C)
-    den: np.ndarray            # (H, W), stabilizer included
+    phi_q: np.ndarray
+    phi_k: np.ndarray
+    featmap: FeatureMapParams
+    scheme: WeightScheme | None
+    partition: PartitionScheme | None
+    weights: WeightGrid | None
+    epsilon: float
+    num: np.ndarray
+    den: np.ndarray
 
 
 @dataclass
@@ -179,6 +185,7 @@ def _check_denominator(den: np.ndarray) -> None:
 # ---------- grouped attention over grids ----------
 
 def _featurize(qgrid, kgrid, vgrid, featmap: FeatureMapParams):
+    """One head's checked (H, W, dim) grids and features, head axis added."""
     q = np.asarray(qgrid, dtype=np.float64)
     k = np.asarray(kgrid, dtype=np.float64)
     v = np.asarray(vgrid, dtype=np.float64)
@@ -187,17 +194,13 @@ def _featurize(qgrid, kgrid, vgrid, featmap: FeatureMapParams):
     if q.shape[2] != k.shape[2]:
         raise ValueError("query and key widths must match")
     _check_finite(q, k, v)
+    q, k, v = q[:, :, None], k[:, :, None], v[:, :, None]
     return q, k, v, feature_forward(q, featmap), feature_forward(k, featmap)
 
 
 def _value_streams(v):
     """[v, 1]: the numerator streams, then the denominator stream."""
     return np.concatenate((v, np.ones(v.shape[:-1] + (1,))), axis=-1)
-
-
-def _one_head(*arrays):
-    """Stacks of one head: a head axis of length 1 after (H, W)."""
-    return [a[:, :, None] for a in arrays]
 
 
 def channel_blocks(field_shape: tuple) -> list[slice]:
@@ -288,30 +291,37 @@ def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.nd
     return np.einsum("...d,...dc->...c", pq, y)
 
 
-def _global_total(pk, v) -> np.ndarray:
-    """Each head's grid total of phi_k (x) [v, 1], (heads, Dp, C + 1): what
-    linearized attention's quotient streams contract phi_q with."""
-    return outer_sum(pk, _value_streams(v), heads=True)
-
-
-def _finalize(both, epsilon):
+def _attend(q, k, v, phi_q, phi_k, featmap: FeatureMapParams, epsilon: float,
+            scheme: WeightScheme | None = None, partition: PartitionScheme | None = None,
+            weights: WeightGrid | None = None, sweep=_sweep):
+    """The attention quotient over a stack of heads, on (H, W, heads, ...)
+    arrays; returns (out, tape). With a ``scheme``, tokens are weighted by
+    group: ``sweep`` runs over ``weights``, or over the scheme's weight grid
+    when none is given. Without one, every token weighs the same and the
+    quotient is global linearized attention."""
+    if scheme is None:      # phi_q against each head's total of phi_k (x) [v, 1]
+        both = matmul(phi_q, outer_sum(phi_k, _value_streams(v), heads=True))
+    else:
+        if weights is None:
+            weights = scheme_weights_grid(scheme, v, GridShape(*q.shape[:2]), partition)
+        elif weights.alphas.shape[:3] != q.shape[:3]:
+            raise ValueError(f"weights over a {weights.alphas.shape[:2]} grid do not match "
+                             f"the {q.shape[:2]} token grid")
+        both = sweep(phi_q, phi_k, v, weights, partition)
     num, den = both[..., :-1], both[..., -1] + epsilon
     _check_denominator(den)
-    return num, den, num / den[..., None]
+    return num / den[..., None], AttentionTape(
+        q=q, k=k, v=v, phi_q=phi_q, phi_k=phi_k, featmap=featmap, scheme=scheme,
+        partition=partition, weights=weights, epsilon=epsilon, num=num, den=den)
 
 
 def _grouped(qgrid, kgrid, vgrid, config: AttentionConfig, weights: WeightGrid | None,
              sweep) -> AttentionOutput:
-    """Featurize, weigh (unless ``weights`` is given), run ``sweep`` over one
-    head and take the quotient; the frame both grouped forwards share."""
-    q, k, v, pq, pk = _featurize(qgrid, kgrid, vgrid, config.featmap)
-    wg = weights if weights is not None else scheme_weights_grid(
-        config.scheme, v, GridShape(*q.shape[:2]), config.partition)
-    both = sweep(*_one_head(pq, pk, v), wg.head_axis(), config.partition)
-    num, den, out = _finalize(both[:, :, 0], config.epsilon)
-    tape = AttentionTape(config=config, q=q, k=k, v=v, phi_q=pq, phi_k=pk,
-                         weights=wg, num=num, den=den)
-    return AttentionOutput(out=out, tape=tape)
+    """One head's grouped attention: the frame both grouped forwards share."""
+    out, tape = _attend(*_featurize(qgrid, kgrid, vgrid, config.featmap), config.featmap,
+                        config.epsilon, config.scheme, config.partition,
+                        None if weights is None else weights.head_axis(), sweep)
+    return AttentionOutput(out=out[:, :, 0], tape=tape)
 
 
 def ripple_naive(qgrid, kgrid, vgrid, config: AttentionConfig,
@@ -332,9 +342,10 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
     dyadic bands the per-query sweep length drops from the grid radius to its
     logarithm.
 
-    A ``weights=`` override is used as given and not checked against the
-    simplex: it is the finite-difference seam through which the gradient
-    tests perturb single weights off the simplex on purpose."""
+    A ``weights=`` override must cover the input grid, but is used as given
+    and not checked against the simplex: it is the finite-difference seam
+    through which the gradient tests perturb single weights off the simplex
+    on purpose."""
     return _grouped(qgrid, kgrid, vgrid, config, weights, _sweep)
 
 
@@ -366,29 +377,11 @@ def ripple_softmax_reference(qgrid, kgrid, vgrid, weights: WeightGrid,
 
 # ---------- linearized attention on grids (for the hybrid model) ----------
 
-@dataclass
-class LinearTape:
-    featmap: FeatureMapParams
-    epsilon: float
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    phi_q: np.ndarray
-    phi_k: np.ndarray
-    total: np.ndarray   # (1, Dp, C + 1): phi_k (x) [v, 1] summed over the grid
-    num: np.ndarray
-    den: np.ndarray
-
-
 def linearized_grid(qgrid, kgrid, vgrid, featmap: FeatureMapParams,
                     epsilon: float = DEFAULT_EPSILON):
     """Global linearized attention with grid-shaped inputs; returns (out, tape)."""
-    q, k, v, pq, pk = _featurize(qgrid, kgrid, vgrid, featmap)
-    total = _global_total(*_one_head(pk, v))
-    num, den, out = _finalize(matmul(pq[:, :, None], total)[:, :, 0], epsilon)
-    tape = LinearTape(featmap=featmap, epsilon=epsilon, q=q, k=k, v=v, phi_q=pq,
-                      phi_k=pk, total=total, num=num, den=den)
-    return out, tape
+    out, tape = _attend(*_featurize(qgrid, kgrid, vgrid, featmap), featmap, epsilon)
+    return out[:, :, 0], tape
 
 
 # ---------- multi-head wrapper ----------
@@ -423,20 +416,12 @@ class MultiHeadConfig:
 
 @dataclass
 class MultiHeadTape:
-    """One layer's forward record. Per-head arrays carry the head axis after
-    (H, W): q, k, v (H, W, heads, head_dim), phi_q, phi_k (H, W, heads, Dp)."""
+    """One layer's forward record: its input, the attention pass over the
+    stacked heads, the heads' concatenated outputs and the parameters."""
 
     x: np.ndarray
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    phi_q: np.ndarray
-    phi_k: np.ndarray
-    weights: WeightGrid | None     # None in linearized mode
-    num: np.ndarray
-    den: np.ndarray
+    attn: AttentionTape
     concat: np.ndarray
-    config: MultiHeadConfig
     params: MultiHeadParams
 
 
@@ -465,16 +450,13 @@ def init_multi_head(rng: np.random.Generator, model_dim: int, num_heads: int,
         w_out=w_out, b_out=np.zeros(model_dim), stick=StickParams(*stick) if stick else None)
 
 
-def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
-                       oracle: bool = False):
+def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig):
     """Project, attend and mix every head of a layer in one pass. Returns
     (out, tape).
 
     One matmul against the stacked Wq, Wk and Wv gives (H, W, heads,
-    head_dim) queries, keys and values; one featurize over queries and keys,
-    the weight grid and the sweep then run once over the head axis. With
-    ``oracle`` the group attention runs through the enumeration path, so the
-    wrapper can be checked end to end against trusted sums.
+    head_dim) queries, keys and values; one featurize over queries and keys
+    and one attention pass then run over the head axis.
     """
     x = np.asarray(xgrid, dtype=np.float64)
     model_dim = params.w_qkv.shape[1]
@@ -485,15 +467,10 @@ def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig,
     q, k, v = np.moveaxis(qkv, 2, 0)
     _check_finite(q, k, v)
     pq, pk = np.moveaxis(feature_forward(qkv[:, :, :2], params.featmap), 2, 0)
-    wg = None
-    if config.attention == "linearized":
-        both = matmul(pq, _global_total(pk, v))
-    else:
-        scheme = WeightScheme(kind=config.scheme_kind, params=params.stick)
-        wg = scheme_weights_grid(scheme, v, GridShape(*x.shape[:2]), config.partition)
-        both = (_naive_sweep if oracle else _sweep)(pq, pk, v, wg, config.partition)
-    num, den, out = _finalize(both, config.epsilon)
+    scheme = (WeightScheme(kind=config.scheme_kind, params=params.stick)
+              if config.attention == "ripple" else None)
+    out, attn = _attend(q, k, v, pq, pk, params.featmap, config.epsilon, scheme,
+                        config.partition)
     concat = out.reshape(x.shape[:2] + (-1,))
-    tape = MultiHeadTape(x=x, q=q, k=k, v=v, phi_q=pq, phi_k=pk, weights=wg, num=num,
-                         den=den, concat=concat, config=config, params=params)
+    tape = MultiHeadTape(x=x, attn=attn, concat=concat, params=params)
     return concat @ params.w_out.T + params.b_out, tape

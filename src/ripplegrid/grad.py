@@ -19,27 +19,27 @@ built (see the sat module). Group 0's window is the token itself, so its
 share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp)
 arrays. The block's share goes straight into the phi_k and v gradients.
 Both directions read one window per head group past group 0, as the
-forward does. Like the forward sweep, the backward runs on (H, W, heads,
-...) arrays: once per multi-head layer, and with a head axis of length 1
-for ripple_vjp.
+forward does. Like the forward, the backward is one pass, _attend_vjp, on
+the tape's (H, W, heads, ...) arrays, with a head axis of length 1 for
+the single-head entry points; linearized attention skips the weights.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import (AttentionTape, LinearTape, MultiHeadTape, _global_total, _one_head,
-                        _radius_zero_coef, _value_streams, block_tables, kept_array)
+from .attention import (AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams,
+                        block_tables, kept_array)
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
 from .sat import scatter_window, suffix_sum, window_sum
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
-from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
-                      WeightSchemeKind, _grid_stick_breaking, grid_stick_fractions)
+from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightSchemeKind,
+                      _grid_stick_breaking, grid_stick_fractions)
 
 
 @dataclass
@@ -58,22 +58,18 @@ class StickGrads:
 
 
 @dataclass
-class RippleGradients:
+class AttentionGradients:
+    """Gradients of one attention pass, with the tape's head axis after
+    (H, W) from a multi-head layer and without it from the single-head
+    entry points. The weight fields are None in linearized mode."""
+
     grad_q: np.ndarray
     grad_k: np.ndarray
     grad_v: np.ndarray
-    grad_alpha_head: np.ndarray   # (H, W, max hat), zero past each query's hat
-    grad_merged: np.ndarray       # (H, W), gradient of the shared tail weight
+    grad_alpha_head: np.ndarray | None   # (H, W, max hat), zero past each query's hat
+    grad_merged: np.ndarray | None       # (H, W), gradient of the shared tail weight
     featmap: FeatureParamGrads
     stick: StickGrads | None
-
-
-@dataclass
-class LinearizedGradients:
-    grad_q: np.ndarray
-    grad_k: np.ndarray
-    grad_v: np.ndarray
-    featmap: FeatureParamGrads
 
 
 @dataclass
@@ -90,15 +86,30 @@ class MultiHeadGradients:
 
 # ---------- shared pieces ----------
 
-def _quotient_cotangent(num, den, upstream):
-    """d(num/den) as one cotangent over the accumulated [num, den] streams."""
+def _checked_upstream(upstream, shape: tuple) -> np.ndarray:
+    """The upstream gradient as f64, rejected unless it has the forward
+    output's shape. Non-finite values pass: a diverged step reports them."""
     g = np.asarray(upstream, dtype=np.float64)
+    if g.shape != shape:
+        raise ValueError(f"upstream shape {g.shape} does not match the forward "
+                         f"output shape {shape}")
+    return g
+
+
+def _quotient_cotangent(num, den, g):
+    """d(num/den) as one cotangent over the accumulated [num, den] streams."""
     gden = -np.einsum("...c,...c->...", g, num) / (den * den)
     return np.concatenate((g / den[..., None], gden[..., None]), axis=-1)
 
 
-def _blocked_backward(pq, pk, v, wg: WeightGrid, partition: PartitionScheme,
-                      gboth: np.ndarray, length: int):
+def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
+    """The cotangent of a single-head forward, whose (H, W, C) output has
+    no head axis."""
+    g = _checked_upstream(upstream, tape.num.shape[:2] + tape.num.shape[3:])
+    return _quotient_cotangent(tape.num, tape.den, g[:, :, None])
+
+
+def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
     """One pass over the forward's channel blocks, rebuilding each table.
 
     Arrays carry the head axis after (H, W), as in the forward sweep. With
@@ -108,8 +119,9 @@ def _blocked_backward(pq, pk, v, wg: WeightGrid, partition: PartitionScheme,
     group count), <cot, T>, and the phi_q, phi_k and v gradients. Terms of
     the radius-0 window and the merged tail take only small arrays: W_0 is
     the field itself and T one matrix per head."""
+    pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
-    streams = _value_streams(v)
+    streams = _value_streams(tape.v)
     sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
     dots = np.zeros(gboth.shape[:-1] + (length + 1,))
     tail = np.zeros(gboth.shape[:-1])
@@ -139,33 +151,18 @@ def _blocked_backward(pq, pk, v, wg: WeightGrid, partition: PartitionScheme,
     return dots, tail, grad_pq, grad_pk, grad_v
 
 
-def _feature_grads(q, k, featmap, grad_pq, grad_pk):
-    """Pull the phi_q and phi_k cotangents through the shared feature map:
-    the token gradients of q and k, and the parameter gradients summed over
-    both streams."""
-    fq = feature_vjp(q, featmap, grad_pq)
-    fk = feature_vjp(k, featmap, grad_pk)
-    params = FeatureParamGrads(
-        w1=fq.grad_w1 + fk.grad_w1,
-        w2=None if fq.grad_w2 is None else fq.grad_w2 + fk.grad_w2,
-        b2=None if fq.grad_b2 is None else fq.grad_b2 + fk.grad_b2)
-    return fq.grad_x, fk.grad_x, params
-
-
 # ---------- weight gradients, expanded form ----------
 
 def grad_alpha(tape: AttentionTape, upstream: np.ndarray) -> np.ndarray:
     """Gradient of the loss wrt every entry of the padded weight grid.
 
-    Treats each alphas[i, j, r] as an independent weight (the enumeration
-    oracle's view); shape matches tape.weights.alphas. The merged-tail
-    structure is ignored here, so rows with a shared tail report one gradient
-    per underlying group, not one for the shared value.
+    Treats each alphas[i, j, r] of a single-head forward as an independent
+    weight (the enumeration oracle's view); shape (H, W, L), the tape's
+    weight grid without its head axis. The merged tail is not shared here:
+    it reports one gradient per underlying group, not one for its value.
     """
-    gboth = _quotient_cotangent(tape.num, tape.den, upstream)
-    dots = _blocked_backward(*_one_head(tape.phi_q, tape.phi_k, tape.v),
-                             tape.weights.head_axis(), tape.config.partition,
-                             gboth[:, :, None], tape.weights.alphas.shape[-1])[0]
+    dots = _blocked_backward(tape, _single_head_cotangent(tape, upstream),
+                             tape.weights.alphas.shape[-1])[0]
     return np.diff(dots[:, :, 0], axis=-1)
 
 
@@ -252,18 +249,16 @@ def _stick_param_grads(params: StickParams, projected: np.ndarray,
     return gv, StickGrads(unit_embeddings=g_units, value_projection=g_proj_mat)
 
 
-def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
-                     wg: WeightGrid, v: np.ndarray, ghead: np.ndarray,
-                     gmerged: np.ndarray):
+def _scheme_backward(tape: AttentionTape, ghead: np.ndarray, gmerged: np.ndarray):
     """Route head/tail weight gradients into the stick parameters.
 
     ghead must already be zero at and past each query's hat. Returns the value
     gradient through the weight pipeline plus parameter grads, or (0, None)
     for schemes with nothing to learn.
     """
+    scheme, wg, v, r_max = tape.scheme, tape.weights, tape.v, tape.partition.r_max
     if scheme.kind not in LEARNED_KINDS:
         return 0.0, None
-    r_max = partition.r_max
     fracs, logits, projected = grid_stick_fractions(v, scheme, r_max)
     hat = wg.hat
     max_hat = ghead.shape[-1]
@@ -316,81 +311,80 @@ def _scheme_backward(scheme: WeightScheme, partition: PartitionScheme,
 
 # ---------- full backward passes ----------
 
-def _ripple_backward(pq, pk, v, wg: WeightGrid, scheme: WeightScheme,
-                     partition: PartitionScheme, gboth: np.ndarray):
+def _ripple_backward(tape: AttentionTape, gboth: np.ndarray):
     """The blocked backward and the weight pipeline's, over a stack of heads.
     Returns the phi_q, phi_k and v gradients (v's through the weights
     included), the head and tail weight gradients, and the stick grads."""
+    wg = tape.weights
     max_hat = int(wg.hat.max())
-    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(pq, pk, v, wg, partition,
-                                                             gboth, max_hat)
+    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(tape, gboth, max_hat)
     in_head = np.arange(max_hat) < wg.hat[..., None]
     ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
     covered = np.take_along_axis(dots, wg.hat[..., None], axis=-1)[..., 0]
     gmerged = tail - covered
-    gv_stick, stick = _scheme_backward(scheme, partition, wg, v, ghead, gmerged)
+    gv_stick, stick = _scheme_backward(tape, ghead, gmerged)
     return grad_pq, grad_pk, grad_v + gv_stick, ghead, gmerged, stick
 
 
-def _linear_backward(pq, pk, v, total, gboth):
+def _linear_backward(tape: AttentionTape, gboth: np.ndarray):
     """phi_q, phi_k and v gradients of linearized attention over a stack of
-    heads, given each head's total of phi_k (x) [v, 1]."""
+    heads; each head's total of phi_k (x) [v, 1] is summed again."""
+    pq, pk, v = tape.phi_q, tape.phi_k, tape.v
     gtotal = outer_sum(pq, gboth, heads=True)
-    return (matmul(gboth, np.swapaxes(total, -1, -2)),
+    return (matmul(gboth, np.swapaxes(outer_sum(pk, _value_streams(v), heads=True), -1, -2)),
             matmul(_value_streams(v), np.swapaxes(gtotal, -1, -2)),
             matmul(pk, gtotal[..., :-1]))
 
 
-def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> RippleGradients:
-    """Backward pass of the prefix-sum group attention.
+def _attend_vjp(tape: AttentionTape, gboth: np.ndarray) -> AttentionGradients:
+    """Backward of one attention pass, given the [num, den] cotangent. The
+    phi_q and phi_k cotangents go through the shared feature map, whose
+    parameter gradients are summed over both streams."""
+    ghead = gmerged = stick = None
+    if tape.weights is None:
+        grad_pq, grad_pk, grad_v = _linear_backward(tape, gboth)
+    else:
+        grad_pq, grad_pk, grad_v, ghead, gmerged, stick = _ripple_backward(tape, gboth)
+    fq = feature_vjp(tape.q, tape.featmap, grad_pq)
+    fk = feature_vjp(tape.k, tape.featmap, grad_pk)
+    featmap = FeatureParamGrads(
+        w1=fq.grad_w1 + fk.grad_w1,
+        w2=None if fq.grad_w2 is None else fq.grad_w2 + fk.grad_w2,
+        b2=None if fq.grad_b2 is None else fq.grad_b2 + fk.grad_b2)
+    return AttentionGradients(grad_q=fq.grad_x, grad_k=fk.grad_x, grad_v=grad_v,
+                              grad_alpha_head=ghead, grad_merged=gmerged,
+                              featmap=featmap, stick=stick)
+
+
+def ripple_vjp(tape: AttentionTape, upstream: np.ndarray) -> AttentionGradients:
+    """Backward pass of a single-head forward: ripple_dp, ripple_naive or
+    linearized_grid.
 
     Fetch cost is O(H W) per head group in each of the weight and token
     gradients, the same order as the forward sweep.
     """
-    cfg = tape.config
-    gboth = _quotient_cotangent(tape.num, tape.den, upstream)
-    grad_pq, grad_pk, grad_v, ghead, gmerged, stick = _ripple_backward(
-        *_one_head(tape.phi_q, tape.phi_k, tape.v), tape.weights.head_axis(), cfg.scheme,
-        cfg.partition, gboth[:, :, None])
-    grad_q, grad_k, featmap = _feature_grads(tape.q, tape.k, cfg.featmap,
-                                             grad_pq[:, :, 0], grad_pk[:, :, 0])
-    return RippleGradients(grad_q=grad_q, grad_k=grad_k, grad_v=grad_v[:, :, 0],
-                           grad_alpha_head=ghead[:, :, 0], grad_merged=gmerged[:, :, 0],
-                           featmap=featmap, stick=stick)
+    g = _attend_vjp(tape, _single_head_cotangent(tape, upstream))
+    # drop the head axis of length 1 from every array field
+    return replace(g, **{name: a[:, :, 0] for name, a in vars(g).items()
+                         if isinstance(a, np.ndarray)})
 
 
-def linearized_vjp(tape: LinearTape, upstream: np.ndarray) -> LinearizedGradients:
-    """Backward pass of the global linearized attention."""
-    gboth = _quotient_cotangent(tape.num, tape.den, upstream)
-    grad_pq, grad_pk, grad_v = _linear_backward(*_one_head(tape.phi_q, tape.phi_k, tape.v),
-                                                tape.total, gboth[:, :, None])
-    grad_q, grad_k, featmap = _feature_grads(tape.q, tape.k, tape.featmap,
-                                             grad_pq[:, :, 0], grad_pk[:, :, 0])
-    return LinearizedGradients(grad_q=grad_q, grad_k=grad_k,
-                               grad_v=grad_v[:, :, 0], featmap=featmap)
+# the backward of linearized_grid is the same pass, kept under its own name
+linearized_vjp = ripple_vjp
 
 
 def multi_head_vjp(tape: MultiHeadTape, upstream: np.ndarray) -> MultiHeadGradients:
     """Backward pass of the multi-head wrapper: output mix, heads, projections.
     Every head's gradients come from one backward over the head axis, stacked
     as the layer's parameters are."""
-    g = np.asarray(upstream, dtype=np.float64)
-    params, cfg, x = tape.params, tape.config, tape.x
-    gboth = _quotient_cotangent(tape.num, tape.den,
-                                (g @ params.w_out).reshape(tape.num.shape))
-    stick = None
-    if tape.weights is None:
-        grad_pq, grad_pk, grad_v = _linear_backward(
-            tape.phi_q, tape.phi_k, tape.v, _global_total(tape.phi_k, tape.v), gboth)
-    else:
-        scheme = WeightScheme(kind=cfg.scheme_kind, params=params.stick)
-        grad_pq, grad_pk, grad_v, _, _, stick = _ripple_backward(
-            tape.phi_q, tape.phi_k, tape.v, tape.weights, scheme, cfg.partition, gboth)
-    grad_q, grad_k, fm = _feature_grads(tape.q, tape.k, params.featmap, grad_pq, grad_pk)
-    gqkv = np.stack((grad_q, grad_k, grad_v), axis=2).reshape(x.shape[:2] + (-1,))
+    params, attn, x = tape.params, tape.attn, tape.x
+    g = _checked_upstream(upstream, x.shape[:2] + params.b_out.shape)
+    ag = _attend_vjp(attn, _quotient_cotangent(
+        attn.num, attn.den, (g @ params.w_out).reshape(attn.num.shape)))
+    gqkv = np.stack((ag.grad_q, ag.grad_k, ag.grad_v), axis=2).reshape(x.shape[:2] + (-1,))
     return MultiHeadGradients(grad_x=gqkv @ params.w_qkv, w_qkv=outer_sum(gqkv, x, heads=False),
-                              featmap=fm, w_out=np.einsum("hwm,hwn->mn", g, tape.concat),
-                              b_out=g.sum(axis=(0, 1)), stick=stick)
+                              featmap=ag.featmap, w_out=np.einsum("hwm,hwn->mn", g, tape.concat),
+                              b_out=g.sum(axis=(0, 1)), stick=ag.stick)
 
 
 # ---------- numerical audit ----------

@@ -234,7 +234,7 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
         total += loss
         correct += int(np.argmax(logits) == labels[b])
         for l in range(config.ripple_layers):
-            wg = tape.mh_tapes[l].weights
+            wg = tape.mh_tapes[l].attn.weights
             per_query = jsd_grid(wg.alphas, ref.alphas[:, :, None], wg.groups)
             # one contiguous row per head, each averaged as a head's own grid
             jsd_vals.extend(np.moveaxis(per_query, -1, 0).reshape(config.num_heads, -1)

@@ -25,8 +25,9 @@ from ripplegrid.weights import (
     WeightGrid,
     WeightScheme,
     WeightSchemeKind,
+    scheme_weights_grid,
 )
-from stacked import head_params
+from stacked import head_params, naive_layer
 
 ALL_SCHEMES = list(WeightSchemeKind)
 
@@ -308,6 +309,18 @@ def test_mismatched_grids_rejected():
             fn(q, k, v, cfg)
 
 
+def test_weight_grid_for_another_shape_rejected():
+    # a weight grid made for a (1, 6) grid used to broadcast silently over
+    # (5, 6) inputs and return a (5, 6, 4) output
+    rng = np.random.default_rng(32)
+    cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, PartitionKind.UNIT_RING, rng, 4)
+    q, k, v = random_grids(rng, 5, 6)
+    wg = scheme_weights_grid(cfg.scheme, v[:1], GridShape(1, 6), cfg.partition)
+    for fn in (ripple_dp, ripple_naive):
+        with pytest.raises(ValueError, match=r"\(1, 6\) grid .* \(5, 6\) token grid"):
+            fn(q, k, v, cfg, weights=wg)
+
+
 def test_two_dimensional_value_grid_rejected():
     # one value per token still needs its channel axis: (H, W, 1), not (H, W)
     rng = np.random.default_rng(31)
@@ -388,9 +401,10 @@ def test_tape_reproduces_output():
                       rng, v.shape[2])
     res = ripple_dp(q, k, v, cfg)
     t = res.tape
-    np.testing.assert_array_equal(t.num / t.den[..., None], res.out)
-    assert t.phi_q.shape == (4, 4, cfg.featmap.out_dim)
-    assert t.weights.alphas.shape[:2] == (4, 4)
+    # the tape carries a head axis of length 1 after (H, W)
+    np.testing.assert_array_equal(t.num[:, :, 0] / t.den[:, :, 0, None], res.out)
+    assert t.phi_q.shape == (4, 4, 1, cfg.featmap.out_dim)
+    assert t.weights.alphas.shape[:3] == (4, 4, 1)
     assert np.all(t.den > 0)
     # the tape keeps inputs and the quotient; the backward rebuilds each
     # block's table, so neither the table nor the swept field is stored
@@ -424,7 +438,6 @@ def test_softmax_reference_weight_scaling():
     # doubles the output
     rng = np.random.default_rng(25)
     q, k, v = random_grids(rng, 3, 5)
-    from ripplegrid.weights import scheme_weights_grid
     partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05)
     wg = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
                              v, GridShape(3, 5), partition)
@@ -446,8 +459,7 @@ def test_multi_head_oracle_path_agrees():
         scheme_kind=WeightSchemeKind.LEARNED_SBT)
     x = rng.standard_normal((5, 4, 6))
     fast, _ = multi_head_forward(x, params, config)
-    slow, _ = multi_head_forward(x, params, config, oracle=True)
-    np.testing.assert_allclose(fast, slow, atol=1e-10)
+    np.testing.assert_allclose(fast, naive_layer(x, params, config), atol=1e-10)
 
 
 def test_single_head_identity_mix_reduces_to_ripple():
@@ -496,7 +508,7 @@ def test_multi_head_output_mixes_heads():
     assert out.shape == (4, 4, 6)
     want = tape.concat @ params.w_out.T + params.b_out
     np.testing.assert_array_equal(out, want)
-    assert tape.num.shape == (4, 4, 2, 3)     # both heads ride one stacked pass
+    assert tape.attn.num.shape == (4, 4, 2, 3)    # both heads ride one stacked pass
 
 
 @pytest.mark.parametrize("shape", [(16, 6), (4, 4, 5), (2, 4, 4, 6)], ids=str)

@@ -25,8 +25,6 @@ REFERENCES = {
     "ripple_softmax_reference": "quadratic per-group softmax reference semantics",
     "linearized_attention": "flat-sequence form of the factorized quotient",
     "linearized_grid": "single-head linearized layer; the benchmark's yardstick",
-    "linearized_vjp": "backward of the single-head linearized layer",
-    "ripple_vjp": "single-head backward; the benchmark's dyadic step calls it",
     "fetch_count": "read by the fetch budgets of the scaling tests",
     "reset_fetch_count": "zeroes the fetch counter before a measured pass",
     "run_bench": "scaling harness of acceptance criteria 4 and 5",

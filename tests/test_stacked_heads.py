@@ -16,10 +16,9 @@ from ripplegrid.attention import (
 from ripplegrid.grad import linearized_vjp, multi_head_vjp, ripple_vjp
 from ripplegrid.vicinal import PartitionKind, PartitionScheme
 from ripplegrid.weights import WeightScheme, WeightSchemeKind
-from stacked import head_arrays, head_params
+from stacked import MODES, head_arrays, head_params
 
 SHAPES = ((5, 4), (1, 7))
-MODES = [("ripple", kind) for kind in WeightSchemeKind] + [("linearized", WeightSchemeKind.UNIFORM)]
 
 
 def per_head_loop(x, params, config, upstream):

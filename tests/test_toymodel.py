@@ -97,10 +97,10 @@ def test_fixed_reference_built_once_per_call(monkeypatch):
     for img, label in zip(imgs, labels):
         logits, tape = model_forward(img, params, config)
         correct += int(np.argmax(logits) == label)
-        mh = tape.mh_tapes[0]
+        attn = tape.mh_tapes[0].attn
         for h in range(config.num_heads):
-            ref = scheme_weights_grid(fixed, mh.v[:, :, h], GridShape(4, 4), config.partition)
-            alphas, groups = mh.weights.alphas[:, :, h], mh.weights.groups[:, :, h]
+            ref = scheme_weights_grid(fixed, attn.v[:, :, h], GridShape(4, 4), config.partition)
+            alphas, groups = attn.weights.alphas[:, :, h], attn.weights.groups[:, :, h]
             jsds.append(jsd_grid(alphas, ref.alphas, groups).mean())
     assert len(jsds) == 3 * config.num_heads
     assert aux["mean_jsd"] > 0.0
