@@ -21,7 +21,7 @@ from .grad import (AttentionGradients, FiniteDiffReport, MultiHeadGradients,
                    grad_pixels_reference, linearized_vjp, multi_head_vjp,
                    ripple_vjp)
 from .sat import (fetch_count, prefix_sum, reset_fetch_count, scatter_window, suffix_sum,
-                  window_sum)
+                  window_corners)
 from .toymodel import (Adam, SgdMomentum, ToyModelConfig, clip_grad_norm,
                        cross_entropy, init_model, layer_norm, loss_and_grads,
                        make_local_majority_batch,

@@ -18,15 +18,21 @@ field itself (group 0 is radius 0 in both partitions), so its term is
 denominator of the linear-attention quotient share that sweep: it runs over
 the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 
-The sweep is linear in each feature channel until it meets phi_q, so it runs
-over channel blocks (BLOCK_BYTES) in buffers kept between passes, each block
-tabled, swept and contracted with its slice of phi_q into one (H, W, C + 1)
-accumulator. The tape holds inputs, features, weights and the quotient, and
-the backward pass rebuilds each block's table.
+The sweep is linear in each feature channel until it meets phi_q, so it
+streams the prefix table of that field over strips of grid rows, at full
+channel width: a band kept between passes holds the table rows one strip's
+windows reach, each row built once on the row above it. A window is four
+corner reads of the band (Crow's summed-area table), and each corner is
+contracted with the strip's phi_q straight into the (H, W, C + 1)
+accumulator, so no window is written out. The band is sized in bytes
+(BLOCK_BYTES): the strip shortens as the radius grows, and channels split
+only when a band of one-row strips would not fit. The tape holds inputs,
+features, weights and the quotient, and the backward pass streams the same
+band again.
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
-multi-head layer stacks its heads on axis 2, with one table per channel
-block over (heads, Dp, C + 1) channels, and the single-head entry points
+multi-head layer stacks its heads on axis 2, with one band over
+(heads, Dp, C + 1) channels, and the single-head entry points
 have a head axis of length 1. Linearized attention skips the weights.
 """
 from __future__ import annotations
@@ -39,19 +45,24 @@ import numpy as np
 
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
-from .sat import prefix_sum, window_sum
+from .sat import prefix_sum, window_corners
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
 
 DEFAULT_EPSILON = 1e-6
 
-BLOCK_BYTES = 4 << 20
-"""Bytes of phi_k (x) [v, 1] per channel block; a pass holds a few arrays of
-this size. On a 2-vCPU Xeon (Dp = C = 32, one BLAS thread) 4 MiB beat 2 MiB
-by 2-14% on a 48x48 forward and 32x32 and 64x64 dyadic forward plus
-backward passes, 1 MiB was slower still, and 8 MiB came within 5% of 4 MiB
-for twice the buffer memory. 8x8 toy grids run as one block."""
+BLOCK_BYTES = 10 << 20
+"""Bytes of the band of prefix-table rows a pass streams, and of the token
+adjoint's three channel-block arrays, which borrow the band's buffer. The
+strip height is what the budget leaves after the 2R + 1 rows strips share.
+At 10 MiB a 48x48 unit-ring forward (Dp = C = 32, radius 3) runs strips
+of 15 rows, a 32x32 dyadic one (radius 7) strips of 11, and a 128x128
+dyadic one splits its channels in two. A larger budget leaves less margin
+under the one-field forward peak at 48x48, and at 32x32 a short-radius
+band (the whole grid, 10.35 MB at radius 1) would fall short of what a
+long-radius one fills, against acceptance 5's flat peak over r_max. 8x8
+toy grids run as one strip."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +75,13 @@ class AttentionConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        _check_epsilon(self.epsilon)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """A negative stabilizer can cancel a denominator or flip its sign."""
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be >= 0")
 
 
 @dataclass
@@ -139,6 +155,7 @@ def linearized_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                          featmap: FeatureMapParams,
                          epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Feature-factorized attention: one pass over keys, one over queries."""
+    _check_epsilon(epsilon)
     _check_finite(q, k, v)
     pq = feature_forward(q, featmap)
     pk = feature_forward(k, featmap)
@@ -158,6 +175,7 @@ def linearized_attention_into(out: np.ndarray, q: np.ndarray, k: np.ndarray,
     fixed-size chunks and reduced into running statistics, so peak transient
     allocation is independent of the token count; so is the finiteness check,
     which runs before anything is written."""
+    _check_epsilon(epsilon)
     for lo in range(0, max(len(q), len(k)), chunk):
         _check_finite(q[lo:lo + chunk], k[lo:lo + chunk], v[lo:lo + chunk])
     v = _as_float(v)
@@ -203,14 +221,29 @@ def _value_streams(v):
     return np.concatenate((v, np.ones(v.shape[:-1] + (1,))), axis=-1)
 
 
-def channel_blocks(field_shape: tuple) -> list[slice]:
-    """Split the Dp axis of an (H, W, heads, Dp, C + 1) field into blocks of
-    about BLOCK_BYTES each over all heads together, of equal width except a
-    narrower last one."""
-    dp = field_shape[-2]
-    count = -(-math.prod(field_shape) * 8 // BLOCK_BYTES)
-    width = -(-dp // min(max(count, 1), dp))
+def channel_blocks(dp: int, nbytes: int) -> list[slice]:
+    """Split Dp channels into blocks of equal width, except a narrower last
+    one, so that ``nbytes`` of full-width arrays come to about BLOCK_BYTES
+    per block, or to one channel each."""
+    count = min(max(-(-nbytes // BLOCK_BYTES), 1), dp)
+    width = -(-dp // count)
     return [slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)]
+
+
+def band_plan(field_shape: tuple, radius: int):
+    """How a pass streams the table of an (H, W, heads, Dp, C + 1) field
+    whose windows reach out to ``radius``: (channel blocks, strip height,
+    pads). A pad is the radius clipped to its grid axis, since a window
+    that long spans the axis anyway. A band holds a strip's rows plus
+    2 ph + 1 shared ones; channels split only when a band of one-row strips
+    overflows BLOCK_BYTES, and the strip grows to fill it."""
+    h, w = field_shape[:2]
+    pads = (min(radius, h - 1), min(radius, w - 1))
+    margin = 2 * pads[0] + 1
+    row = (w + 2 * pads[1] + 1) * math.prod(field_shape[2:]) * 8    # one full-width band row
+    blocks = channel_blocks(field_shape[-2], (margin + 1) * row)
+    height = BLOCK_BYTES * field_shape[-2] // ((blocks[0].stop - blocks[0].start) * row) - margin
+    return blocks, min(max(height, 1), h), pads
 
 
 _kept = threading.local()
@@ -232,36 +265,76 @@ def release_kept_buffers() -> None:
     _kept.__dict__.clear()
 
 
-def block_tables(pk, streams):
-    """Yield (blk, table): each channel block's slice of phi_k (x) [v, 1]
-    over (H, W, heads, Dp) features and (H, W, heads, C + 1) value streams,
-    summed in place into its prefix table, in a kept buffer that the next
-    block refills. Callers count a pass's fetches on its first block only
+def table_bands(pk, streams, radius: int):
+    """Yield (blk, rows, band, pads) for every channel block and strip of
+    grid rows [a, b): the band holds the padded prefix table rows
+    [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's channels, in
+    the layout sat.window_corners reads, in the kept buffer "band".
+
+    Each table row is built once: its field is written below the row
+    above, with zeros in the pad columns so that their sums repeat the last
+    column's, and run onto it by prefix_sum with a carry. The field is a
+    matmul, which writes into the band's strided rows without the
+    temporaries np.multiply and np.einsum allocate there. The 2 ph + 1 rows
+    a strip shares with the next move up the band, and rows past the grid
+    repeat the last, so the last strip's far corner is the block's grid
+    total. Callers count a pass's fetches on its first block only
     (blk.start == 0): later blocks read the same positions."""
-    for blk in channel_blocks(pk.shape + streams.shape[-1:]):
-        table = kept_array("table", pk.shape[:-1] + (blk.stop - blk.start,) + streams.shape[-1:])
-        np.einsum("...d,...c->...dc", pk[..., blk], streams, out=table)
-        yield blk, prefix_sum(table)
+    h, w = pk.shape[:2]
+    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radius)
+    ph, pw = pads
+    margin = 2 * ph + 1
+    grid = slice(pw + 1, pw + 1 + w)
+    for blk in blocks:
+        band = kept_array("band", (height + margin, w + 2 * pw + 1) + pk.shape[2:-1]
+                          + (blk.stop - blk.start,) + streams.shape[-1:])
+        band[:ph + 1] = 0.0         # the table before the grid
+        band[:, :pw + 1] = 0.0
+        ready = ph + 1              # band rows that hold table rows
+        for a in range(0, h, height):
+            b = min(a + height, h)
+            top = a - ph - 1        # the table row in band row 0
+            if a:
+                for k in range(0, margin, height):
+                    n = min(height, margin - k)
+                    band[k:k + n] = band[k + height:k + height + n]
+                ready = margin
+            built, stop = min(b + ph, h) - top, b - a + margin
+            if built > ready:       # zero fields in the pad columns repeat the last sum
+                new = slice(ready, built)
+                np.matmul(pk[top + ready:top + built, ..., blk, None],
+                          streams[top + ready:top + built, ..., None, :], out=band[new, grid])
+                band[new, grid.stop:] = 0.0
+                prefix_sum(band[ready - 1:built, grid.start:], carry=True)
+                ready = built
+            band[ready:stop] = band[ready - 1]
+            yield blk, slice(a, b), band[:stop], pads
 
 
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
-    """The blocked prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
+    """The banded prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
     features, (H, W, heads, C) values and weights with the head axis. Returns
-    the (H, W, heads, C + 1) numerator and denominator streams."""
+    the (H, W, heads, C + 1) numerator and denominator streams. Each window
+    is contracted straight from its four corners into the strip of the
+    result, with its coefficient folded into phi_q."""
     coefs = wg.window_coefs()
+    radii = [group_span(partition.kind, g)[1] for g in range(1, coefs.shape[-1])]
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, table in block_tables(pk, streams):
-        window, rows = kept_array("window", table.shape), kept_array("rows", table.shape)
-        matmul(pq[..., blk], table[-1, -1], out=part)
-        part *= wg.merged[..., None]
-        both += part
-        for g in range(1, coefs.shape[-1]):
-            window_sum(table, group_span(partition.kind, g)[1], window, rows,
-                       counted=blk.start == 0)
-            np.einsum("...d,...dc->...c", pq[..., blk], window, out=part)
-            part *= coefs[..., g, None]
+    for blk, rows, band, pads in table_bands(pk, streams, max(radii, default=0)):
+        strip, term = both[rows], part[rows][..., None, :]
+        scaled = kept_array("scaled", strip.shape[:-1] + (len(radii), blk.stop - blk.start))
+        np.multiply(coefs[rows, ..., 1:, None], pq[rows][..., None, blk], out=scaled)
+        for g, radius in enumerate(radii):
+            added, subtracted = window_corners(band, radius, pads, counted=blk.start == 0)
+            for corners, combine in ((added, np.add), (subtracted, np.subtract)):
+                for corner in corners:
+                    np.matmul(scaled[..., g, None, :], corner, out=term)
+                    combine(strip, term[..., 0, :], out=strip)
+        if rows.stop == len(pq):    # the far corner of the last strip is the total
+            matmul(pq[..., blk], band[-1, -1], out=part)
+            part *= wg.merged[..., None]
             both += part
     return both
 
@@ -380,6 +453,7 @@ def ripple_softmax_reference(qgrid, kgrid, vgrid, weights: WeightGrid,
 def linearized_grid(qgrid, kgrid, vgrid, featmap: FeatureMapParams,
                     epsilon: float = DEFAULT_EPSILON):
     """Global linearized attention with grid-shaped inputs; returns (out, tape)."""
+    _check_epsilon(epsilon)
     out, tape = _attend(*_featurize(qgrid, kgrid, vgrid, featmap), featmap, epsilon)
     return out[:, :, 0], tape
 
@@ -410,8 +484,7 @@ class MultiHeadConfig:
         if self.attention not in ("ripple", "linearized"):
             raise ValueError(f"attention must be 'ripple' or 'linearized', "
                              f"got {self.attention!r}")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass

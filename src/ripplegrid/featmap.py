@@ -100,12 +100,14 @@ def feature_forward(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
     return out
 
 
-def feature_vjp(x: np.ndarray, params: FeatureMapParams,
-                upstream: np.ndarray) -> FeatureMapGrads:
+def feature_vjp(x: np.ndarray, params: FeatureMapParams, upstream: np.ndarray,
+                features: np.ndarray | None = None) -> FeatureMapGrads:
     """Pull an (..., out_dim) cotangent back to the input and the parameters.
 
     Parameter gradients are summed over all leading axes but a stacked
-    map's head axis. The ReLU uses the zero subgradient at its kink, and the
+    map's head axis. The ReLU passes the cotangent where the forward's
+    ``features`` at x are positive, which is where its pre-activation is
+    (the zero subgradient at its kink); they are recomputed when None. The
     frozen random-trig w1 reports an exactly zero gradient while the input
     gradient still flows.
     """
@@ -113,6 +115,8 @@ def feature_vjp(x: np.ndarray, params: FeatureMapParams,
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != x.shape[:-1] + (params.out_dim,):
         raise ValueError("upstream shape does not match the forward output")
+    if features is not None and np.shape(features) != g.shape:
+        raise ValueError("features shape does not match the forward output")
     freq = params.w1.shape[-2]
     heads = params.w1.ndim == 3
     z = matmul(x, np.swapaxes(params.w1, -1, -2))
@@ -120,8 +124,9 @@ def feature_vjp(x: np.ndarray, params: FeatureMapParams,
     u = np.concatenate((sin_z, cos_z), axis=-1)
 
     if params.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
-        a = matmul(u, np.swapaxes(params.w2, -1, -2)) + params.b2
-        ga = np.where(a > 0.0, g, 0.0)
+        if features is None:
+            features = feature_forward(x, params)
+        ga = np.where(features > 0.0, g, 0.0)
         gu = matmul(ga, params.w2)
         gz = gu[..., :freq] * cos_z - gu[..., freq:] * sin_z
         return FeatureMapGrads(grad_x=matmul(gz, params.w1),

@@ -5,38 +5,41 @@ tapes the forward passes record; nothing is differentiated numerically except
 in finite_diff_check, which exists to audit the rest of this module.
 
 The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
-(see the attention module). The tape keeps no table: the backward walks the
-forward's channel blocks and rebuilds each block's table. Each window gives
-z_g = W_g . gboth against the quotient cotangent, which feeds the weight
-gradients (phi_q . z_g, differenced over g) and the phi_q gradient
-(sum_g c_g z_g). The token gradients are the sweep's adjoint: a token
-receives the transposed window of the field c_g * cotangent per group, plus
-the broadcast sum of m * cotangent. Since W_g = Diff_g(Prefix(F)), those
-sum to Prefix^T(sum_g Diff_g^T(...)): each group past 0 scatters into one
+(see the attention module). The tape keeps no table: the backward streams
+the forward's band of table rows again. Each window gives
+z_g = W_g . gboth against the quotient cotangent, contracted from the
+window's four corners into the strip, which feeds the weight gradients
+(phi_q . z_g, differenced over g) and the phi_q gradient (sum_g c_g z_g).
+The token gradients are the sweep's adjoint: a token receives the
+transposed window of the field c_g * cotangent per group, plus the
+broadcast sum of m * cotangent. Since W_g = Diff_g(Prefix(F)), those sum
+to Prefix^T(sum_g Diff_g^T(...)): each group past 0 scatters into one
 shared accumulator, the tail enters at its far corner as the adjoint of
-the grid total, and one suffix sum per block finishes them, with no table
-built (see the sat module). Group 0's window is the token itself, so its
-share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp)
-arrays. The block's share goes straight into the phi_k and v gradients.
-Both directions read one window per head group past group 0, as the
-forward does. Like the forward, the backward is one pass, _attend_vjp, on
-the tape's (H, W, heads, ...) arrays, with a head axis of length 1 for
-the single-head entry points; linearized attention skips the weights.
+the grid total, and one suffix sum per channel block finishes them, with no
+table built (see the sat module); the block's arrays borrow the band's
+buffer. Group 0's window is the token itself, so its share, like
+z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp) arrays. The
+block's share goes straight into the phi_k and v gradients. Both
+directions read one window per head group past group 0, as the forward
+does. Like the forward, the backward is one pass, _attend_vjp, on the
+tape's (H, W, heads, ...) arrays, with a head axis of length 1 for the
+single-head entry points; linearized attention skips the weights.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import (AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams,
-                        block_tables, kept_array)
+                        channel_blocks, kept_array, table_bands)
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
-from .sat import scatter_window, suffix_sum, window_sum
+from .sat import scatter_window, suffix_sum, window_corners
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightSchemeKind,
                       _grid_stick_breaking, grid_stick_fractions)
@@ -110,17 +113,21 @@ def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
 
 
 def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
-    """One pass over the forward's channel blocks, rebuilding each table.
+    """One pass over the forward's bands, then one over channel blocks for
+    the token adjoint.
 
     Arrays carry the head axis after (H, W), as in the forward sweep. With
     cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
     per query for g < length after a leading zero for the empty W_{-1} (their
     differences are the band inner products, exactly zero past a query's
-    group count), <cot, T>, and the phi_q, phi_k and v gradients. Terms of
-    the radius-0 window and the merged tail take only small arrays: W_0 is
-    the field itself and T one matrix per head."""
+    group count), <cot, T>, and the phi_q, phi_k and v gradients. Each
+    z_g = W_g . gboth is contracted from the window's four corners into
+    the strip. Terms of the radius-0 window and the merged tail take only
+    small arrays: W_0 is the field itself and T one matrix per head. The
+    token adjoint's three block arrays borrow the band's kept buffer."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
+    radii = [group_span(partition.kind, g)[1] for g in range(1, length)]
     streams = _value_streams(tape.v)
     sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
     dots = np.zeros(gboth.shape[:-1] + (length + 1,))
@@ -130,24 +137,35 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
     grad_pq = np.empty_like(pq)
     grad_pk = (c_0 * sg)[..., None] * pq
     grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
-    for blk, table in block_tables(pk, streams):
-        counted = blk.start == 0
-        window, rows = kept_array("window", table.shape), kept_array("rows", table.shape)
-        gx = kept_array("gx", table.shape)
-        z = kept_array("z", table.shape[:-1] + (length,))   # z[..., g] = W_g . gboth
-        zt = matmul(gboth, np.swapaxes(table[-1, -1], -1, -2))    # T . gboth
+    for blk, rows, band, pads in table_bands(pk, streams, max(radii, default=0)):
+        pqs = pq[rows][..., blk]
+        z = kept_array("z", pqs.shape[:-1] + (length, pqs.shape[-1]))   # z[..., g, :] = W_g . gboth
+        term = kept_array("term", pqs.shape + (1,))
+        gb = gboth[rows][..., None]
         if length:
-            np.multiply(pk[..., blk], sg[..., None], out=z[..., 0])
-        for g in range(1, length):
-            window_sum(table, group_span(partition.kind, g)[1], window, rows, counted)
-            np.einsum("...dc,...c->...d", window, gboth, out=z[..., g])
-        _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], partition, gx, counted)
+            np.multiply(pk[rows][..., blk], sg[rows][..., None], out=z[..., 0, :])
+        for g, radius in enumerate(radii, 1):
+            (first, second), subtracted = window_corners(band, radius, pads, blk.start == 0)
+            zg = z[..., g, :, None]
+            np.matmul(first, gb, out=zg)
+            for corner, combine in ((second, np.add), *((c, np.subtract) for c in subtracted)):
+                np.matmul(corner, gb, out=term)
+                combine(zg, term, out=zg)
+        dots[rows, ..., 1:] += np.einsum("...d,...gd->...g", pqs, z)
+        grad_pq[rows, ..., blk] = np.einsum("...gd,...g->...d", z[..., :coefs.shape[-1], :],
+                                            coefs[rows])
+        if rows.stop == len(pq):    # the far corner of the last strip is the total
+            zt = matmul(gboth, np.swapaxes(band[-1, -1], -1, -2))    # T . gboth
+            tail += np.einsum("...d,...d->...", pq[..., blk], zt)
+            grad_pq[..., blk] += wg.merged[..., None] * zt
+    field_shape = pk.shape + streams.shape[-1:]
+    for blk in channel_blocks(pk.shape[-1], 3 * math.prod(field_shape) * 8):
+        gx, *scratch = kept_array("band", (3,) + field_shape[:-2]
+                                  + (blk.stop - blk.start,) + field_shape[-1:])
+        _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], partition, gx, scratch,
+                        blk.start == 0)
         grad_pk[..., blk] += np.einsum("...dc,...c->...d", gx, streams)
         grad_v += np.einsum("...dc,...d->...c", gx[..., :-1], pk[..., blk])
-        tail += np.einsum("...d,...d->...", pq[..., blk], zt)
-        dots[..., 1:] += np.einsum("...d,...dg->...g", pq[..., blk], z)
-        grad_pq[..., blk] = (wg.merged[..., None] * zt
-                             + np.einsum("...dg,...g->...d", z[..., :coefs.shape[-1]], coefs))
     return dots, tail, grad_pq, grad_pk, grad_v
 
 
@@ -189,24 +207,24 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     lhs = np.ones(rhs.shape[:3] + (1,))
     out = np.empty(rhs.shape[:3] + (1,) + rhs.shape[3:])
     _scatter_groups(coefs, lhs, rhs, outer_sum(one_head.merged[..., None], rhs, heads=True),
-                    partition, out)
+                    partition, out, kept_array("band", (2,) + out.shape))
     if coefs.shape[-1]:
         out += (coefs[..., 0, None] * rhs)[..., None, :]
     return out.reshape(g.shape)[:, :, 0]
 
 
 def _scatter_groups(coefs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tail: np.ndarray,
-                    partition: PartitionScheme, out: np.ndarray,
+                    partition: PartitionScheme, out: np.ndarray, scratch,
                     counted: bool = True) -> np.ndarray:
     """The token adjoint of the windows past radius 0 and of the merged
     tail, written into ``out`` ((H, W, heads, d, c)) and returned: sum over
     groups r >= 1 of the transposed window of (coefs[..., r] lhs) (x) rhs,
     with (H, W, heads, d) lhs and (H, W, heads, c) rhs, plus the (heads, d,
-    c) ``tail`` at every token. Each group's field is written into the kept
-    window buffer and scattered into ``out``; the tail enters at the far
-    corner, as the adjoint of the grid total, and one suffix sum finishes
-    all of it."""
-    field, rows = kept_array("window", out.shape), kept_array("rows", out.shape)
+    c) ``tail`` at every token. Each group's field is written into the
+    first of the two ``scratch`` arrays of out's shape and scattered into
+    ``out`` through the second; the tail enters at the far corner, as the
+    adjoint of the grid total, and one suffix sum finishes all of it."""
+    field, rows = scratch
     for r in range(1, coefs.shape[-1]):
         np.einsum("...d,...c->...dc", coefs[..., r, None] * lhs, rhs, out=field)
         scatter_window(field, group_span(partition.kind, r)[1], out, rows,
@@ -345,8 +363,8 @@ def _attend_vjp(tape: AttentionTape, gboth: np.ndarray) -> AttentionGradients:
         grad_pq, grad_pk, grad_v = _linear_backward(tape, gboth)
     else:
         grad_pq, grad_pk, grad_v, ghead, gmerged, stick = _ripple_backward(tape, gboth)
-    fq = feature_vjp(tape.q, tape.featmap, grad_pq)
-    fk = feature_vjp(tape.k, tape.featmap, grad_pk)
+    fq = feature_vjp(tape.q, tape.featmap, grad_pq, tape.phi_q)
+    fk = feature_vjp(tape.k, tape.featmap, grad_pk, tape.phi_k)
     featmap = FeatureParamGrads(
         w1=fq.grad_w1 + fk.grad_w1,
         w2=None if fq.grad_w2 is None else fq.grad_w2 + fk.grad_w2,

@@ -1,29 +1,31 @@
-"""2D prefix sums and clipped window sums, with their exact adjoints.
+"""2D prefix sums and the window sums read from them, with their exact adjoints.
 
-Every array here is border-less, of one (H, W, ...) field's shape, f64.
-The module is two adjoint pairs:
+Every array here is f64 with the grid on its first two axes.
 
 - prefix_sum builds the table in place: acc[i, j] becomes the sum of
-  acc[:i+1, :j+1], one row at a time (each row plus the row above) and then
-  one column at a time (each column plus the column to its left). Its
-  transpose, suffix_sum, sums toward the far corner in the same two loops.
-- window_sum reads the sums over the square window of radius r around
-  every position, clipped to the grid, from a table in O(1) work per
-  position: the clipped difference of table rows, then of the result's
-  columns. Along an axis of length n, the clipped edges min(i + r, n - 1)
-  and i - r - 1 (before the grid when negative) split the positions into
-  at most three runs (clamped low, interior, clamped high), and in each
-  run an edge is either a contiguous slice of the table or one fixed index
-  that broadcasts, so both passes are whole-slice subtractions on views;
-  where the low edge falls before the grid, the run is a copy. Its
-  transpose, scatter_window, walks the same runs: a position's value goes
-  to its hi edge and, negated, to its lo edge (a clamped hi edge collects
-  its whole run; an edge before the grid drops its share).
+  acc[:i+1, :j+1], one column and then one row at a time. It can also
+  continue a table: given a finished table row as a carry, it turns the
+  field rows below it into the table rows that follow. Its transpose,
+  suffix_sum, sums toward the far corner.
+- window_corners reads the sums over the square window of radius r around
+  every position, clipped to the grid, as four corner views of a padded
+  table: table entries before the grid are zero rows and columns, and
+  entries past its last row or column repeat that row or column, so the
+  clipped edges min(i + r, n - 1) and i - r - 1 are plain shifted slices
+  and a window is hi-hi + lo-lo - hi-lo - lo-hi. Callers contract each
+  corner directly and never write a window out. The padded table may be a
+  band of rows: the table rows one strip of grid rows reads.
+- scatter_window is the transpose of a window's table differences, on a
+  border-less field: along an axis of length n, the clipped edges split
+  the positions into at most three runs (clamped low, interior, clamped
+  high), a position's value goes to its hi edge and, negated, to its lo
+  edge, a clamped hi edge collects its whole run, and an edge before the
+  grid drops its share.
 
-The far corner table[-1, -1] is the field's total. Since a window is
-W_r(F) = Diff_r(Prefix(F)), a sum of transposed windows over several radii
-is sum_r W_r^T(Y_r) = Prefix^T(sum_r Diff_r^T(Y_r)): one scatter per radius
-into a shared accumulator and one suffix sum, with no table built.
+Since a window is W_r(F) = Diff_r(Prefix(F)), a sum of transposed windows
+over several radii is sum_r W_r^T(Y_r) = Prefix^T(sum_r Diff_r^T(Y_r)):
+one scatter per radius into a shared accumulator and one suffix sum, with
+no table built.
 
 The module keeps a running count of window evaluations, transposed ones
 included, so tests can assert the sub-quadratic access pattern of the
@@ -54,10 +56,10 @@ def fetch_count() -> int:
 @contextmanager
 def sabotage_radius_offset(offset: int = 1):
     """Fault injection for harness self-tests: prefix_sum inside the context
-    shifts its table down by ``offset`` rows (zeros enter at the top), so
-    the windows and the total read from it are both wrong. window_sum,
-    scatter_window and suffix_sum read no fault state; tables built outside
-    the context stay clean."""
+    shifts the table rows it builds down by ``offset`` rows (zeros enter at
+    the top), so the windows and the total read from them are both wrong.
+    window_corners, scatter_window and suffix_sum read no fault state;
+    tables built outside the context stay clean."""
     global _row_shift
     _row_shift = offset
     try:
@@ -88,24 +90,54 @@ def _axis_runs(n: int, radius: int) -> tuple:
     return tuple(runs)
 
 
-def prefix_sum(acc: np.ndarray) -> np.ndarray:
+def prefix_sum(acc: np.ndarray, carry: bool = False) -> np.ndarray:
     """The table build, in place: acc[i, j] becomes the sum of
-    acc[:i+1, :j+1], taken one row and then one column at a time. ``acc``
-    must be float64, so the sums accumulate in double precision whatever
-    the field was computed in. Returns acc."""
+    acc[:i+1, :j+1], taken one column and then one row at a time. With
+    ``carry``, acc[0] is a finished table row and is left as it is: the
+    field rows below it become the table rows that continue it.
+    ``acc`` must be float64, so the sums accumulate in double precision
+    whatever the field was computed in. Returns acc."""
     if acc.ndim < 2:
         raise ValueError("field must be at least 2-dimensional (H, W, ...)")
     if acc.dtype != np.float64:
         raise ValueError(f"prefix_sum accumulates in place in float64, got {acc.dtype}")
-    h, w = acc.shape[:2]
-    for i in range(1, h):
+    built = acc[1:] if carry else acc
+    for j in range(1, acc.shape[1]):
+        np.add(built[:, j - 1], built[:, j], out=built[:, j])
+    for i in range(1, acc.shape[0]):
         np.add(acc[i - 1], acc[i], out=acc[i])
-    for j in range(1, w):
-        np.add(acc[:, j - 1], acc[:, j], out=acc[:, j])
     if _row_shift:
-        acc[:] = np.roll(acc, _row_shift, axis=0)
-        acc[:_row_shift] = 0.0
+        built[:] = np.roll(built, _row_shift, axis=0)
+        built[:_row_shift] = 0.0
     return acc
+
+
+def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = True):
+    """The radius-r windows around every position of a strip, as corner
+    views of its band: ((hi-hi, lo-lo), (hi-lo, lo-hi)), so that each
+    window sum is the first pair's sum minus the second's.
+
+    With ``pads`` (ph, pw), the band holds the padded table rows that a
+    strip of band.shape[0] - 2 ph - 1 grid rows reads: ph + 1 rows and
+    pw + 1 columns of zeros stand for the table before the grid, ph rows
+    and pw columns repeat its last row and column, and the grid's W =
+    band.shape[1] - 2 pw - 1 columns lie between. ``radius`` may not exceed
+    the radius the band was padded for, except that a pad smaller than it
+    reaches across the whole grid axis and clips it. Counts one fetch per
+    strip position when ``counted``."""
+    global _fetch_count
+    ph, pw = pads
+    h, w = band.shape[0] - 2 * ph - 1, band.shape[1] - 2 * pw - 1
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if min(ph, pw) < 0 or h < 1 or w < 1:
+        raise ValueError(f"a {band.shape[:2]} band cannot hold pads {pads} around a strip")
+    if counted:
+        _fetch_count += h * w
+    rh, rw = min(radius, ph), min(radius, pw)
+    hi_r, lo_r = slice(ph + 1 + rh, ph + 1 + rh + h), slice(ph - rh, ph - rh + h)
+    hi_c, lo_c = slice(pw + 1 + rw, pw + 1 + rw + w), slice(pw - rw, pw - rw + w)
+    return (band[hi_r, hi_c], band[lo_r, lo_c]), (band[hi_r, lo_c], band[lo_r, hi_c])
 
 
 def _check_buffers(radius: int, field: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
@@ -113,30 +145,6 @@ def _check_buffers(radius: int, field: np.ndarray, out: np.ndarray, rows: np.nda
         raise ValueError(f"radius must be >= 0, got {radius}")
     if field.ndim < 2 or out.shape != field.shape or rows.shape != field.shape:
         raise ValueError("field, out and rows must share one (H, W, ...) shape")
-
-
-def window_sum(table: np.ndarray, radius: int, out: np.ndarray, rows: np.ndarray,
-               counted: bool = True) -> np.ndarray:
-    """Sums over the (2r+1)-square around every grid position at once, each
-    clipped to the grid, from a prefix_sum table; written into ``out`` (the
-    table's shape) and returned. ``rows`` is scratch of the same shape.
-    Counts one fetch per position when ``counted``."""
-    global _fetch_count
-    _check_buffers(radius, table, out, rows)
-    h, w = table.shape[:2]
-    if counted:
-        _fetch_count += h * w
-    for dst, hi, lo in _axis_runs(h, radius):
-        if lo is None:
-            np.copyto(rows[dst], table[hi])
-        else:
-            np.subtract(table[hi], table[lo], out=rows[dst])
-    for dst, hi, lo in _axis_runs(w, radius):
-        if lo is None:
-            np.copyto(out[:, dst], rows[:, hi])
-        else:
-            np.subtract(rows[:, hi], rows[:, lo], out=out[:, dst])
-    return out
 
 
 def _axis_scatter(src: np.ndarray, dst: np.ndarray, axis: int, radius: int,
@@ -171,7 +179,7 @@ def _axis_scatter(src: np.ndarray, dst: np.ndarray, axis: int, radius: int,
 
 def scatter_window(field: np.ndarray, radius: int, out: np.ndarray, rows: np.ndarray,
                    overwrite: bool = False, counted: bool = True) -> np.ndarray:
-    """The transpose of window_sum's table differences: adds to ``out`` (the
+    """The transpose of a window's table differences: adds to ``out`` (the
     field's shape) the table cotangent of a radius-r window whose cotangent
     is ``field``; suffix_sum of the result is the transposed window.
     ``rows`` is scratch of the field's shape. With ``overwrite`` out is
@@ -188,8 +196,7 @@ def scatter_window(field: np.ndarray, radius: int, out: np.ndarray, rows: np.nda
 
 def suffix_sum(acc: np.ndarray) -> np.ndarray:
     """The transpose of prefix_sum, in place: acc[i, j] becomes the sum of
-    acc[i:, j:], taken one row and then one column at a time as prefix_sum
-    takes its sums. Returns acc."""
+    acc[i:, j:], taken one row and then one column at a time. Returns acc."""
     h, w = acc.shape[:2]
     for i in range(h - 2, -1, -1):
         np.add(acc[i], acc[i + 1], out=acc[i])

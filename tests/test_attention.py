@@ -207,6 +207,24 @@ def test_negative_epsilon_rejected():
                     value_dim=3, epsilon=-1e-9)
 
 
+def test_linearized_forms_reject_negative_epsilon():
+    """The linearized entry points take a raw epsilon and refuse a negative
+    one as the configs do, before any output: at -5 a 3x3 grid would
+    otherwise divide by negative denominators."""
+    rng = np.random.default_rng(19)
+    q, k, v = random_grids(rng, 3, 3)
+    fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, q.shape[2], rng)
+    flat = [a.reshape(9, -1) for a in (q, k, v)]
+    out = np.full(flat[2].shape, np.nan)
+    for call in (lambda eps: linearized_grid(q, k, v, fm, epsilon=eps),
+                 lambda eps: linearized_attention(*flat, fm, epsilon=eps),
+                 lambda eps: linearized_attention_into(out, *flat, fm, epsilon=eps)):
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            call(-5.0)
+        call(0.0)
+    assert np.isfinite(out).all()
+
+
 # ---------- grouped attention: degeneracies ----------
 
 def test_single_cell_grid_returns_value():

@@ -1,9 +1,10 @@
-"""The channel-blocked sweep and its backward, fuzzed.
+"""The banded sweep and its backward, fuzzed over the band's byte budget.
 
-ripple_dp must equal the enumeration oracle whatever the channel blocks
-are, and ripple_vjp must give the same gradients and the same fetch count
-under every block size: one block, single-channel blocks, and equal blocks
-with a narrower last one.
+ripple_dp must equal the enumeration oracle whatever the strips and channel
+blocks are, and ripple_vjp must give the same gradients and the same fetch
+count under every budget: one strip over the whole grid, one-row strips,
+strips shorter than the widest window's radius, single-channel blocks, and
+equal blocks with a narrower last one.
 """
 import threading
 
@@ -18,30 +19,46 @@ from ripplegrid.attention import (AttentionConfig, release_kept_buffers, ripple_
 from ripplegrid.featmap import FeatureMapKind, init_feature_map
 from ripplegrid.grad import ripple_vjp
 from ripplegrid.sat import fetch_count, reset_fetch_count
-from ripplegrid.vicinal import PartitionKind, PartitionScheme
-from ripplegrid.weights import LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind
+from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme, group_span
+from ripplegrid.weights import (LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind,
+                                scheme_weights_grid)
 
 FEATURES = 5      # phi width Dp: odd, so blocks of two leave a last block of one
 VALUES = 3
 
 
-def block_sizes(h, w):
-    """BLOCK_BYTES values, each with the block count it must give: one
-    block, blocks of one channel, and blocks of two with a last one of one."""
-    channel = h * w * (VALUES + 1) * 8
-    return {"one": (channel * FEATURES, 1), "single": (1, FEATURES),
-            "ragged": (2 * channel, 3)}
+def sweep_radius(cfg, v):
+    """The widest window radius a forward and its backward read."""
+    hat = int(scheme_weights_grid(cfg.scheme, v[:, :, None], GridShape(*v.shape[:2]),
+                                  cfg.partition).hat.max())
+    return group_span(cfg.partition.kind, hat - 1)[1] if hat > 1 else 0
+
+
+def budgets(h, w, radius):
+    """BLOCK_BYTES values, each with the (channel blocks, strip height) it
+    must give: one strip over the whole grid, one-row strips, strips
+    shorter than the radius (one row when it is 0 or 1), blocks of one
+    channel, and blocks of two with a last one of one."""
+    ph, pw = min(radius, h - 1), min(radius, w - 1)
+    margin = 2 * ph + 1
+    row = (w + 2 * pw + 1) * FEATURES * (VALUES + 1) * 8     # one full-width band row
+    short = max(ph - 1, 1)
+    return {"whole": (1 << 40, 1, h), "one-row": ((margin + 1) * row, 1, 1),
+            "short": ((margin + short) * row, 1, min(short, h)),
+            "single": (1, FEATURES, 1), "ragged": ((margin + 1) * row * 2 // FEATURES, 3, 1)}
 
 
 def rel_error(got, want):
     return float(np.abs(got - want).max() / max(float(np.abs(want).max()), 1e-300))
 
 
-def run(q, k, v, cfg, upstream, block_bytes, blocks):
-    """Forward, backward and the fetches they counted, under one block size."""
+def run(q, k, v, cfg, upstream, budget, blocks, height):
+    """Forward, backward and the fetches they counted, under one budget."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attention, "BLOCK_BYTES", block_bytes)
-        assert len(attention.channel_blocks(q.shape[:2] + (FEATURES, VALUES + 1))) == blocks
+        mp.setattr(attention, "BLOCK_BYTES", budget)
+        plan = attention.band_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
+                                   sweep_radius(cfg, v))
+        assert (len(plan[0]), plan[1]) == (blocks, height)
         reset_fetch_count()
         res = ripple_dp(q, k, v, cfg)
         forward = fetch_count()
@@ -68,7 +85,7 @@ def flat_grads(grads):
        r_max=st.integers(1, 14),
        epsilon=st.sampled_from([0.0, 1e-6, 1e-3]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_blocked_core_matches_oracle_under_every_block_size(
+def test_banded_core_matches_oracle_under_every_budget(
         h, w, kind, partition_kind, r_max, epsilon, seed):
     rng = np.random.default_rng(seed)
     q, k = (rng.standard_normal((h, w, 4)) for _ in range(2))
@@ -88,15 +105,15 @@ def test_blocked_core_matches_oracle_under_every_block_size(
         want = ripple_naive(q, k, v, cfg, build_tape=False).out
     except FloatingPointError:
         # at epsilon 0 a query whose features all clamp to zero has no
-        # denominator; every block size must refuse it the same way
-        for size in block_sizes(h, w).values():
+        # denominator; every budget must refuse it the same way
+        for size in budgets(h, w, sweep_radius(cfg, v)).values():
             with pytest.raises(FloatingPointError):
                 run(q, k, v, cfg, upstream, *size)
         return
 
     results = {name: run(q, k, v, cfg, upstream, *size)
-               for name, size in block_sizes(h, w).items()}
-    _, one_grads, one_fetches = results["one"]
+               for name, size in budgets(h, w, sweep_radius(cfg, v)).items()}
+    _, one_grads, one_fetches = results["whole"]
     reference = flat_grads(one_grads)
     # gradients are compared relative to the largest entry of any of them:
     # some are zero in exact arithmetic (a 1x1 grid's output does not depend
@@ -104,7 +121,7 @@ def test_blocked_core_matches_oracle_under_every_block_size(
     scale = max(float(np.abs(g).max(initial=0.0)) for g in reference.values())
     for name, (out, grads, fetches) in results.items():
         assert rel_error(out, want) <= 1e-8, name
-        # a fetch is one position per radius per pass, not per block
+        # a fetch is one position per radius per pass, not per block or strip
         assert fetches == one_fetches, (name, fetches, one_fetches)
         for key, got in flat_grads(grads).items():
             assert got.shape == reference[key].shape
@@ -125,15 +142,15 @@ def small_case(side, seed):
 
 
 def test_kept_buffers_carry_nothing_between_passes():
-    """Passes over other grids and block sizes in between leave a pass's
+    """Passes over other grids and budgets in between leave a pass's
     output and gradients bit for bit as they were on cold buffers."""
     q, k, v, cfg, upstream = small_case(9, 1)
     release_kept_buffers()
-    cold = run(q, k, v, cfg, upstream, *block_sizes(9, 9)["ragged"])
+    cold = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radius(cfg, v))["short"])
     for side in (12, 4):
         other = small_case(side, side)
-        run(*other, *block_sizes(side, side)["one"])
-    warm = run(q, k, v, cfg, upstream, *block_sizes(9, 9)["ragged"])
+        run(*other, *budgets(side, side, sweep_radius(other[3], other[2]))["whole"])
+    warm = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radius(cfg, v))["short"])
     np.testing.assert_array_equal(warm[0], cold[0])
     for key, got in flat_grads(warm[1]).items():
         np.testing.assert_array_equal(got, flat_grads(cold[1])[key])
@@ -149,3 +166,30 @@ def test_threads_keep_their_own_block_buffers():
     worker.join()
     assert rel_error(got["out"], want) <= 1e-8
     assert not vars(attention._kept)     # the worker's buffers were its own
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 11), w=st.integers(1, 11), radius=st.integers(0, 13),
+       budget=st.sampled_from(["whole", "one-row", "short", "single", "ragged"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, seed):
+    """Each strip's band equals its rows of the whole table padded as
+    sat.window_corners reads it: rows moved up from the strip before,
+    rows built on a carry and rows past the grid alike."""
+    rng = np.random.default_rng(seed)
+    pk = rng.standard_normal((h, w, 2, FEATURES))
+    streams = rng.standard_normal((h, w, 2, VALUES + 1))
+    table = np.einsum("...d,...c->...dc", pk, streams).cumsum(0).cumsum(1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attention, "BLOCK_BYTES", budgets(h, w, radius)[budget][0])
+        covered = {}
+        for blk, rows, band, (ph, pw) in attention.table_bands(pk, streams, radius):
+            rest = ((0, 0),) * 3
+            edged = np.pad(table[..., blk, :], ((0, ph), (0, pw)) + rest, mode="edge")
+            full = np.pad(edged, ((ph + 1, 0), (pw + 1, 0)) + rest)
+            np.testing.assert_allclose(band, full[rows.start:rows.stop + 2 * ph + 1],
+                                       rtol=1e-12, atol=1e-12)
+            covered.setdefault(blk.start, []).append((rows.start, rows.stop))
+    for strips in covered.values():     # the strips tile the grid's rows in order
+        assert [a for a, _ in strips] == [0] + [b for _, b in strips[:-1]]
+        assert strips[-1][1] == h

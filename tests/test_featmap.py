@@ -164,3 +164,23 @@ def test_relu_kink_uses_zero_subgradient():
     assert np.all(g.grad_x == 0.0)
     assert np.all(g.grad_w2 == 0.0)
     assert np.all(g.grad_b2 == 0.0)
+
+
+def test_vjp_reads_relu_mask_from_forward_features():
+    """Given the forward's features, the ReLU passes the cotangent where
+    they are positive, bit for bit as a recomputed pre-activation does; a
+    feature at zero passes nothing."""
+    rng = np.random.default_rng(9)
+    fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng, out_dim=6)
+    x = rng.standard_normal((5, 4))
+    upstream = rng.standard_normal((5, 6))
+    phi = feature_forward(x, fm)
+    assert 0.0 < (phi > 0.0).mean() < 1.0
+    given, recomputed = feature_vjp(x, fm, upstream, phi), feature_vjp(x, fm, upstream)
+    for name in ("grad_x", "grad_w1", "grad_w2", "grad_b2"):
+        np.testing.assert_array_equal(getattr(given, name), getattr(recomputed, name))
+    closed = feature_vjp(x, fm, upstream, np.zeros_like(phi))
+    for arr in (closed.grad_x, closed.grad_w1, closed.grad_w2, closed.grad_b2):
+        assert np.all(arr == 0.0)
+    with pytest.raises(ValueError, match="features"):
+        feature_vjp(x, fm, upstream, phi[:2])

@@ -2,8 +2,10 @@
 the package, or is named in REFERENCES with the reason it is kept anyway.
 
 References are read from the source with ``ast``: a name counts as used
-when some module under src/ other than a package ``__init__`` loads it as a
-plain name or as an attribute. Exports alone do not count.
+when some module under src/ other than a package ``__init__`` reads it as a
+plain name or as an attribute. Exports alone do not count, and neither do
+stores or a module-level alias such as ``linearized_vjp = ripple_vjp``:
+naming a function twice is not calling it.
 """
 import ast
 from pathlib import Path
@@ -25,6 +27,8 @@ REFERENCES = {
     "ripple_softmax_reference": "quadratic per-group softmax reference semantics",
     "linearized_attention": "flat-sequence form of the factorized quotient",
     "linearized_grid": "single-head linearized layer; the benchmark's yardstick",
+    "ripple_vjp": "single-head backward of ripple_dp, ripple_naive and linearized_grid "
+                  "(also exported as linearized_vjp); the layer runs multi_head_vjp",
     "fetch_count": "read by the fetch budgets of the scaling tests",
     "reset_fetch_count": "zeroes the fetch counter before a measured pass",
     "run_bench": "scaling harness of acceptance criteria 4 and 5",
@@ -47,15 +51,25 @@ def _defined():
                         yield f"{mod}.{node.name}.{item.name}", item.name
 
 
+def _aliased(tree: ast.Module) -> set:
+    """The right-hand names of module-level aliases ``a = b``."""
+    return {id(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+            and all(isinstance(t, ast.Name) for t in node.targets)}
+
+
 def _referenced() -> set:
     names = set()
     for path in SRC.rglob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(path.read_text())
+        aliased = _aliased(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                    and id(node) not in aliased:
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 

@@ -11,7 +11,7 @@ from ripplegrid.sat import (
     sabotage_radius_offset,
     scatter_window,
     suffix_sum,
-    window_sum,
+    window_corners,
 )
 from ripplegrid.vicinal import (GridShape, PartitionKind, PartitionScheme, group_members,
                                 group_span)
@@ -21,7 +21,7 @@ FIELD_2X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
 def brute_window(field, center, radius):
     """Direct summation over the clipped window, one position at a time; the
-    oracle for window_sum."""
+    oracle for the corner read."""
     h, w = field.shape[:2]
     i, j = center
     acc = np.zeros(field.shape[2:])
@@ -36,9 +36,23 @@ def table_of(field):
     return prefix_sum(np.array(field, dtype=np.float64))
 
 
-def window(table, radius, **kwargs):
-    """window_sum on fresh buffers."""
-    return window_sum(table, radius, np.empty(table.shape), np.empty(table.shape), **kwargs)
+def padded(table, radius):
+    """A whole table as one band, padded as window_corners reads it for
+    ``radius``: zeros before the grid, its last row and column repeated
+    after it. Returns (band, pads)."""
+    h, w = table.shape[:2]
+    pads = (min(radius, h - 1), min(radius, w - 1))
+    rest = ((0, 0),) * (table.ndim - 2)
+    edged = np.pad(table, ((0, pads[0]), (0, pads[1])) + rest, mode="edge")
+    return np.pad(edged, ((pads[0] + 1, 0), (pads[1] + 1, 0)) + rest), pads
+
+
+def window(table, radius, pad_radius=None, **kwargs):
+    """The radius-r window sums of a table, read at the four corners of its
+    band padded for ``pad_radius`` (``radius`` when None)."""
+    band, pads = padded(table, radius if pad_radius is None else pad_radius)
+    (hi_hi, lo_lo), (hi_lo, lo_hi) = window_corners(band, radius, pads, **kwargs)
+    return hi_hi + lo_lo - hi_lo - lo_hi
 
 
 def test_prefix_table_values():
@@ -60,14 +74,28 @@ def test_prefix_table_matches_brute_force():
                 acc[i - 1, j - 1], field[:i, :j].sum(axis=(0, 1)), atol=1e-12)
 
 
-def test_window_sum_values():
+def test_prefix_sum_continues_a_table_from_a_carry_row():
+    """Built in row chunks, each on the finished row above it, the table is
+    the one built whole."""
+    rng = np.random.default_rng(3)
+    field = rng.standard_normal((9, 5, 2))
+    acc = field.copy()
+    prefix_sum(acc[:4])
+    assert prefix_sum(acc[3:7], carry=True).base is acc
+    prefix_sum(acc[6:], carry=True)
+    np.testing.assert_allclose(acc, table_of(field), rtol=1e-13, atol=1e-13)
+    # a lone carry row is left as it is
+    np.testing.assert_array_equal(prefix_sum(acc[-1:].copy(), carry=True), acc[-1:])
+
+
+def test_window_values():
     table = table_of(FIELD_2X3)
     assert window(table, 0)[1, 1] == 5.0
     assert window(table, 1)[0, 0] == 12.0   # cells (1,1),(1,2),(2,1),(2,2)
     assert np.all(window(table, 50) == 21.0)  # window swallows the grid
 
 
-def test_window_sum_matches_brute_force():
+def test_window_matches_brute_force():
     rng = np.random.default_rng(1)
     field = rng.standard_normal((6, 9, 2))
     table = table_of(field)
@@ -80,25 +108,36 @@ def test_window_sum_matches_brute_force():
                     rtol=1e-12, atol=1e-12)
 
 
-def test_window_sum_matches_pointwise():
+def test_window_matches_pointwise():
+    """Every radius up to past the grid's side, read from a band padded for
+    that radius and from one padded for the largest: a band serves every
+    radius up to its own, and a pad clipped to the grid serves all."""
     rng = np.random.default_rng(5)
     for shape in ((6, 7, 3), (1, 7), (9, 1), (1, 1)):
         field = rng.standard_normal(shape)
         table = table_of(field)
         h, w = shape[:2]
-        # one output and one scratch buffer reused across radii; both are
-        # written before they are read
-        buf, rows = np.full(shape, np.nan), np.full(shape, np.nan)
-        for r in range(0, max(h, w) + 3):
+        widest = max(h, w) + 2
+        for r in range(0, widest + 1):
             grid = window(table, r)
             assert grid.shape == shape
-            assert window_sum(table, r, buf, rows) is buf
-            np.testing.assert_array_equal(buf, grid)
+            np.testing.assert_array_equal(window(table, r, pad_radius=widest), grid)
             for i in range(1, h + 1):
                 for j in range(1, w + 1):
                     np.testing.assert_allclose(
                         grid[i - 1, j - 1], brute_window(field, (i, j), r),
                         rtol=1e-12, atol=1e-12)
+
+
+def test_corners_are_views_of_the_band():
+    """No window is written out: the corners are shifted slices of the band,
+    each the strip's shape."""
+    table = table_of(np.arange(24.0).reshape(4, 6))
+    band, pads = padded(table, 2)
+    corners = window_corners(band, 1, pads)
+    for corner in (*corners[0], *corners[1]):
+        assert corner.base is band or corner.base is band.base
+        assert corner.shape == (4, 6)
 
 
 def test_axis_runs_match_clipped_edges():
@@ -183,26 +222,27 @@ def test_prefix_sum_accumulates_in_f64_only():
 
 def test_fetch_counting():
     table = table_of(np.ones((4, 5)))
-    out, rows = np.empty((4, 5)), np.empty((4, 5))
+    band, pads = padded(table, 2)
     reset_fetch_count()
-    window_sum(table, 1, out, rows)    # one fetch per grid position
+    window_corners(band, 1, pads)      # one fetch per strip position
     assert fetch_count() == 20
-    window_sum(table, 0, out, rows)
+    window_corners(band, 0, pads)
     prefix_sum(np.ones((4, 5)))        # the build is not a window
     assert fetch_count() == 40
-    window_sum(table, 2, out, rows)
-    assert fetch_count() == 60
+    window_corners(band, 2, pads)
+    window_corners(band[1:-1], 2, pads)  # a strip of two rows
+    assert fetch_count() == 70
     # a transposed window fetches what a window does; a pass's later
     # channel blocks count nothing, forward or transposed
-    acc = np.empty((4, 5))
+    acc, rows = np.empty((4, 5)), np.empty((4, 5))
     scatter_window(np.ones((4, 5)), 1, acc, rows, overwrite=True)
-    assert fetch_count() == 80
+    assert fetch_count() == 90
     scatter_window(np.ones((4, 5)), 3, acc, rows)
     suffix_sum(acc)                    # the suffix sum is not a window
-    assert fetch_count() == 100
-    window_sum(table, 1, out, rows, counted=False)
+    assert fetch_count() == 110
+    window_corners(band, 1, pads, counted=False)
     scatter_window(np.ones((4, 5)), 1, acc, rows, counted=False)
-    assert fetch_count() == 100
+    assert fetch_count() == 110
     reset_fetch_count()
     assert fetch_count() == 0
 
@@ -216,9 +256,10 @@ def inner(a, b):
        channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1))
 def test_scatter_and_suffix_sum_are_exact_adjoints(h, w, extra, channels, seed):
-    """<prefix_sum(F), Y> = <F, suffix_sum(Y)>, and <window_sum(F), Y> =
-    <F, suffix_sum(scatter_window(Y))> for every radius up to past the
-    grid's side, overwriting or adding into the accumulator."""
+    """<prefix_sum(F), Y> = <F, suffix_sum(Y)>, and <W_r F, Y> =
+    <F, suffix_sum(scatter_window(Y))>, with W_r F read at the table's
+    corners, for every radius up to past the grid's side, overwriting or
+    adding into the accumulator."""
     rng = np.random.default_rng(seed)
     shape = (h, w) + tuple(channels)
     radius = extra % (max(h, w) + 3)
@@ -257,12 +298,13 @@ def test_validation():
     with pytest.raises(ValueError, match="2-dimensional"):
         prefix_sum(np.ones(5))
     table = table_of(np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        window_sum(table, -1, np.empty((3, 3)), np.empty((3, 3)))
-    with pytest.raises(ValueError):
-        window_sum(table, 1, np.empty((3, 4)), np.empty((3, 3)))
-    with pytest.raises(ValueError):
-        window_sum(table, 1, np.empty((3, 3)), np.empty((3, 4)))
+    band, pads = padded(table, 1)
+    with pytest.raises(ValueError, match="radius"):
+        window_corners(band, -1, pads)
+    with pytest.raises(ValueError, match="pads"):
+        window_corners(band, 1, (3, 1))      # no strip row left between the pads
+    with pytest.raises(ValueError, match="pads"):
+        window_corners(band, 1, (1, -1))
     with pytest.raises(ValueError):
         scatter_window(np.ones((3, 3)), -1, np.empty((3, 3)), np.empty((3, 3)))
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from ripplegrid import attention as attention_module
 from ripplegrid.attention import (
     AttentionConfig,
     MultiHeadConfig,
-    channel_blocks,
+    band_plan,
     init_multi_head,
     linearized_grid,
     multi_head_forward,
@@ -86,13 +86,13 @@ def test_stacked_layer_matches_per_head_loop(mode, partition_kind, num_heads, sh
 
 
 def test_table_fills_do_not_grow_with_heads(monkeypatch):
-    # block_tables fills every table with prefix_sum
+    # table_bands fills every band with prefix_sum, once per strip
     fills = []
     build = attention_module.prefix_sum
 
-    def counting(acc):
+    def counting(acc, *args, **kwargs):
         fills.append(acc.shape)
-        return build(acc)
+        return build(acc, *args, **kwargs)
 
     monkeypatch.setattr(attention_module, "prefix_sum", counting)
     counts = []
@@ -104,7 +104,8 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
             partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05),
             scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
         x = rng.standard_normal((6, 6, 6))
-        assert len(channel_blocks((6, 6, num_heads, 4, 5))) == 1
+        blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), 2)
+        assert (len(blocks), height) == (1, 6)      # one block, one strip
         fills.clear()
         _, tape = multi_head_forward(x, params, config)
         multi_head_vjp(tape, rng.standard_normal((6, 6, 6)))

@@ -8,7 +8,7 @@ perfbench workload, pair i of ten runs
 ``perfbench/run.py --workload W --seed i --seconds 30 --trace 0`` once in
 each tree, the base first on odd pairs and the head first on even ones.
 Each tree then times ``ripple_dp`` and ``ripple_dp`` + ``ripple_vjp`` over
-16x16 .. 96x96 grids in fresh single-threaded processes, and this
+16x16 .. 128x128 grids in fresh single-threaded processes, and this
 checkout's ``ripplegrid.bench.fit_loglog`` fits log-log slopes of time
 against token count. The file holds every run, per-metric medians and
 quartiles, pair wins, and the slopes; nothing here is a gate.
@@ -29,7 +29,7 @@ PAIRS = 10
 SECONDS = 30
 WORKLOADS = ("ring-fwd-48", "dyadic-fwdbwd-32", "toy-train-8")
 HIGHER_IS_BETTER = {"tokens_per_s"}
-SIDES = (16, 24, 32, 48, 64, 96)
+SIDES = (16, 24, 32, 48, 64, 96, 128)
 SCALING_REPS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
