@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import ripplegrid_cli
 from ripplegrid.cli import main
@@ -49,6 +50,19 @@ def test_check_sabotage_fails_and_dumps_worst(tmp_path, capsys):
         for name in worst.files:
             assert worst[name].shape == (4, 4, 6)
     assert "worst.npz" in (run / "MANIFEST").read_text()
+
+
+@pytest.mark.parametrize("partition", ["unit-ring", "dyadic"])
+@pytest.mark.parametrize("scheme", ["uniform", "fixed-exponential", "learned-sbt",
+                                    "truncated", "softmax"])
+def test_check_sabotage_fails_every_scheme(tmp_path, capsys, scheme, partition):
+    """The fault reaches the band's table rows, so every scheme on both
+    partitions fails the oracle under it and passes without it."""
+    args = ["check", "--sizes", "4,6", "--trials", "1", "--schemes", scheme,
+            "--partition", partition, "--out", str(tmp_path)]
+    assert main(args + ["--sabotage"]) == 1
+    assert main(args) == 0
+    capsys.readouterr()
 
 
 def test_check_size_guardrail(tmp_path, capsys):

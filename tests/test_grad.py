@@ -588,16 +588,18 @@ def peak_units(fn, side, width):
 
 
 def test_forward_backward_peak_memory():
-    """Forward plus backward peaks at 2.05 (H, W, Dp, C + 1) f64 arrays at
-    32x32: the tape's inputs, features and quotient, then, for one channel
-    block of 11 of the 32 channels, the four kept block arrays: the table,
-    the window (holding each window, then each group's cotangent in turn),
-    the scratch that window_sum and scatter_window share, and the token
-    gradient's accumulator. The bound of 2.3 sits about 12% above that, so
-    one more block-sized array (0.34 at 32x32) fails it. The table's own
-    bordered storage beside the field peaked at 2.40 to 2.42, the layout
-    that kept the whole table and swept field on the tape at 7.33, and a
-    backward with a table of its own per block at 2.78."""
+    """Forward plus backward peaks at 1.88 (H, W, Dp, C + 1) f64 arrays at
+    32x32: the tape's inputs, features and quotient, the strip-sized z and
+    corner terms, and one kept buffer of 1.19: the band (26 rows of the
+    dyadic radius-7 padded table, at full channel width), which the token
+    adjoint's three block arrays of 11 of the 32 channels (its field, the
+    scratch scatter_window uses and the accumulator) borrow after the band
+    pass. The bound of 2.3 is unchanged. A forward band kept beside the
+    four block arrays the channel-blocked backward used measured 3.14, the
+    channel-blocked core with those four arrays 2.05, the table's own
+    bordered storage beside the field 2.40 to 2.42, the layout that kept the
+    whole table and swept field on the tape 7.33, and a backward with a
+    table of its own per block 2.78."""
     rng = np.random.default_rng(17)
     side, width = 32, 32
     q, k, v = random_grids(rng, side, side, d=width, c=width)
@@ -611,9 +613,11 @@ def test_forward_backward_peak_memory():
 
 def test_forward_peak_below_one_field():
     """A forward never holds the whole field phi_k (x) [v, 1]: at 48x48 it
-    peaks at 0.87 of one (H, W, Dp, C + 1) array (one block's table, window
-    and window scratch of 7 of the 32 channels, plus the tape), where the
-    unblocked forward reached 4.16."""
+    peaks at 0.77 of one (H, W, Dp, C + 1) array: the band of 22 padded
+    table rows at full channel width (0.52; strips of 15 rows at radius 3)
+    plus the tape. The channel-blocked forward peaked at 0.87 with one
+    block's table, window and window scratch, and the unblocked forward
+    reached 4.16."""
     rng = np.random.default_rng(18)
     side, width = 48, 32
     q, k, v = random_grids(rng, side, side, d=width, c=width)
