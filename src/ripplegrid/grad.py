@@ -145,10 +145,12 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
         if length:
             np.multiply(pk[rows][..., blk], sg[rows][..., None], out=z[..., 0, :])
         for g, radius in enumerate(radii, 1):
-            (first, second), subtracted = window_corners(band, radius, pads, blk.start == 0)
+            (first, second), (third, fourth) = window_corners(band, radius, pads,
+                                                              blk.start == 0)
             zg = z[..., g, :, None]
             np.matmul(first, gb, out=zg)
-            for corner, combine in ((second, np.add), *((c, np.subtract) for c in subtracted)):
+            for corner, combine in ((second, np.add), (third, np.subtract),
+                                    (fourth, np.subtract)):
                 np.matmul(corner, gb, out=term)
                 combine(zg, term, out=zg)
         dots[rows, ..., 1:] += np.einsum("...d,...gd->...g", pqs, z)
