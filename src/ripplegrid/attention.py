@@ -24,11 +24,12 @@ channel width: a band kept between passes holds the table rows one strip's
 windows reach, each row built once on the row above it. A window is four
 corner reads of the band (Crow's summed-area table), and each corner is
 contracted with the strip's phi_q straight into the (H, W, C + 1)
-accumulator, so no window is written out. The band is sized in bytes
-(BLOCK_BYTES): the strip shortens as the radius grows, and channels split
-only when a band of one-row strips would not fit. The tape holds inputs,
-features, weights and the quotient, and the backward pass streams the same
-band again.
+accumulator, so no window is written out. The band and the strip's
+per-query vectors are sized in bytes together (BLOCK_BYTES): the strip
+shortens as the radius and the window count grow, and channels split
+only when the shared rows and one strip row would not fit. The tape
+holds inputs, features, weights and the quotient, and the backward pass
+streams the same band again.
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
 multi-head layer stacks its heads on axis 2, with one band over
@@ -53,16 +54,17 @@ from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
 DEFAULT_EPSILON = 1e-6
 
 BLOCK_BYTES = 10 << 20
-"""Bytes of the band of prefix-table rows a pass streams, and of the token
-adjoint's three channel-block arrays, which borrow the band's buffer. The
-strip height is what the budget leaves after the 2R + 1 rows strips share.
-At 10 MiB a 48x48 unit-ring forward (Dp = C = 32, radius 3) runs strips
-of 15 rows, a 32x32 dyadic one (radius 7) strips of 11, and a 128x128
-dyadic one splits its channels in two. A larger budget leaves less margin
-under the one-field forward peak at 48x48, and at 32x32 a short-radius
-band (the whole grid, 10.35 MB at radius 1) would fall short of what a
-long-radius one fills, against acceptance 5's flat peak over r_max. 8x8
-toy grids run as one strip."""
+"""Bytes of the band of prefix-table rows a pass streams with the
+per-query vectors its strip keeps, and of the token adjoint's three
+channel-block arrays, which borrow the band's buffer. The strip height is
+what the budget leaves after the 2R + 1 rows strips share (see
+band_plan). At 10 MiB a 48x48 unit-ring forward (Dp = C = 32, radius 3)
+runs strips of 13 rows, a 32x32 dyadic one (radius 7) strips of 10, and
+a 128x128 dyadic one splits its channels in two. A larger budget leaves
+less margin under the one-field forward peak at 48x48, and at 32x32 a
+short-radius band (29-row strips, 9.46 MB at radius 1) would fall short
+of what a long-radius one fills, against acceptance 5's flat peak over
+r_max. 8x8 toy grids run as one strip."""
 
 
 @dataclass(frozen=True)
@@ -230,20 +232,24 @@ def channel_blocks(dp: int, nbytes: int) -> list[slice]:
     return [slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)]
 
 
-def band_plan(field_shape: tuple, radius: int):
+def band_plan(field_shape: tuple, radii: list[int]):
     """How a pass streams the table of an (H, W, heads, Dp, C + 1) field
-    whose windows reach out to ``radius``: (channel blocks, strip height,
-    pads). A pad is the radius clipped to its grid axis, since a window
-    that long spans the axis anyway. A band holds a strip's rows plus
-    2 ph + 1 shared ones; channels split only when a band of one-row strips
-    overflows BLOCK_BYTES, and the strip grows to fill it."""
+    whose windows have ``radii``: (channel blocks, strip height, pads). A
+    pad is the largest radius clipped to its grid axis, since a window that
+    long spans the axis anyway. A band holds a strip's rows plus 2 ph + 1
+    shared ones, and each strip row also brings the block-width vectors a
+    pass keeps per query: one per window and two more (the backward's z_0
+    and corner term). Channels split only when the shared rows and one
+    strip row overflow BLOCK_BYTES, and the strip grows to fill it."""
     h, w = field_shape[:2]
+    radius = max(radii, default=0)
     pads = (min(radius, h - 1), min(radius, w - 1))
     margin = 2 * pads[0] + 1
-    row = (w + 2 * pads[1] + 1) * math.prod(field_shape[2:]) * 8    # one full-width band row
-    blocks = channel_blocks(field_shape[-2], (margin + 1) * row)
-    height = BLOCK_BYTES * field_shape[-2] // ((blocks[0].stop - blocks[0].start) * row) - margin
-    return blocks, min(max(height, 1), h), pads
+    band_row = (w + 2 * pads[1] + 1) * math.prod(field_shape[2:]) * 8    # at full width
+    strip_row = band_row + w * math.prod(field_shape[2:-1]) * (len(radii) + 2) * 8
+    blocks = channel_blocks(field_shape[-2], margin * band_row + strip_row)
+    budget = BLOCK_BYTES * field_shape[-2] // (blocks[0].stop - blocks[0].start)
+    return blocks, min(max((budget - margin * band_row) // strip_row, 1), h), pads
 
 
 _kept = threading.local()
@@ -265,23 +271,25 @@ def release_kept_buffers() -> None:
     _kept.__dict__.clear()
 
 
-def table_bands(pk, streams, radius: int):
+def table_bands(pk, streams, radii: list[int]):
     """Yield (blk, rows, band, pads) for every channel block and strip of
     grid rows [a, b): the band holds the padded prefix table rows
     [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's channels, in
     the layout sat.window_corners reads, in the kept buffer "band".
 
     Each table row is built once: its field is written below the row
-    above, with zeros in the pad columns so that their sums repeat the last
-    column's, and run onto it by prefix_sum with a carry. The field is a
-    matmul, which writes into the band's strided rows without the
-    temporaries np.multiply and np.einsum allocate there. The 2 ph + 1 rows
+    above and run onto it by prefix_sum with a carry, over the grid's
+    columns only; the pad columns then copy the last one, a column at a
+    time, since a broadcast copy within the band would go through a
+    temporary of all pw columns. The field is a matmul, which writes into
+    the band's strided rows without the temporaries np.multiply and
+    np.einsum allocate there. The 2 ph + 1 rows
     a strip shares with the next move up the band, and rows past the grid
     repeat the last, so the last strip's far corner is the block's grid
     total. Callers count a pass's fetches on its first block only
     (blk.start == 0): later blocks read the same positions."""
     h, w = pk.shape[:2]
-    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radius)
+    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii)
     ph, pw = pads
     margin = 2 * ph + 1
     grid = slice(pw + 1, pw + 1 + w)
@@ -300,12 +308,13 @@ def table_bands(pk, streams, radius: int):
                     band[k:k + n] = band[k + height:k + height + n]
                 ready = margin
             built, stop = min(b + ph, h) - top, b - a + margin
-            if built > ready:       # zero fields in the pad columns repeat the last sum
+            if built > ready:
                 new = slice(ready, built)
                 np.matmul(pk[top + ready:top + built, ..., blk, None],
                           streams[top + ready:top + built, ..., None, :], out=band[new, grid])
-                band[new, grid.stop:] = 0.0
-                prefix_sum(band[ready - 1:built, grid.start:], carry=True)
+                prefix_sum(band[ready - 1:built, grid], carry=True)
+                for pad in range(grid.stop, band.shape[1]):
+                    band[new, pad] = band[new, grid.stop - 1]
                 ready = built
             band[ready:stop] = band[ready - 1]
             yield blk, slice(a, b), band[:stop], pads
@@ -322,7 +331,7 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, rows, band, pads in table_bands(pk, streams, max(radii, default=0)):
+    for blk, rows, band, pads in table_bands(pk, streams, radii):
         strip, term = both[rows], part[rows][..., None, :]
         scaled = kept_array("scaled", strip.shape[:-1] + (len(radii), blk.stop - blk.start))
         np.multiply(coefs[rows, ..., 1:, None], pq[rows][..., None, blk], out=scaled)

@@ -101,21 +101,21 @@ def feature_forward(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
 
 
 def feature_vjp(x: np.ndarray, params: FeatureMapParams, upstream: np.ndarray,
-                features: np.ndarray | None = None) -> FeatureMapGrads:
-    """Pull an (..., out_dim) cotangent back to the input and the parameters.
+                features: np.ndarray) -> FeatureMapGrads:
+    """Pull an (..., out_dim) cotangent back to the input and the parameters,
+    given the forward's ``features`` at x.
 
     Parameter gradients are summed over all leading axes but a stacked
-    map's head axis. The ReLU passes the cotangent where the forward's
-    ``features`` at x are positive, which is where its pre-activation is
-    (the zero subgradient at its kink); they are recomputed when None. The
-    frozen random-trig w1 reports an exactly zero gradient while the input
-    gradient still flows.
+    map's head axis. The ReLU passes the cotangent where the features are
+    positive, which is where its pre-activation is (the zero subgradient at
+    its kink). The frozen random-trig w1 reports an exactly zero gradient
+    while the input gradient still flows.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != x.shape[:-1] + (params.out_dim,):
         raise ValueError("upstream shape does not match the forward output")
-    if features is not None and np.shape(features) != g.shape:
+    if np.shape(features) != g.shape:
         raise ValueError("features shape does not match the forward output")
     freq = params.w1.shape[-2]
     heads = params.w1.ndim == 3
@@ -124,8 +124,6 @@ def feature_vjp(x: np.ndarray, params: FeatureMapParams, upstream: np.ndarray,
     u = np.concatenate((sin_z, cos_z), axis=-1)
 
     if params.kind is FeatureMapKind.DETERMINISTIC_ADAPTIVE:
-        if features is None:
-            features = feature_forward(x, params)
         ga = np.where(features > 0.0, g, 0.0)
         gu = matmul(ga, params.w2)
         gz = gu[..., :freq] * cos_z - gu[..., freq:] * sin_z

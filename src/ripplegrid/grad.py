@@ -137,7 +137,7 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
     grad_pq = np.empty_like(pq)
     grad_pk = (c_0 * sg)[..., None] * pq
     grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
-    for blk, rows, band, pads in table_bands(pk, streams, max(radii, default=0)):
+    for blk, rows, band, pads in table_bands(pk, streams, radii):
         pqs = pq[rows][..., blk]
         z = kept_array("z", pqs.shape[:-1] + (length, pqs.shape[-1]))   # z[..., g, :] = W_g . gboth
         term = kept_array("term", pqs.shape + (1,))

@@ -27,25 +27,26 @@ FEATURES = 5      # phi width Dp: odd, so blocks of two leave a last block of on
 VALUES = 3
 
 
-def sweep_radius(cfg, v):
-    """The widest window radius a forward and its backward read."""
+def sweep_radii(cfg, v):
+    """The window radii a forward and its backward read."""
     hat = int(scheme_weights_grid(cfg.scheme, v[:, :, None], GridShape(*v.shape[:2]),
                                   cfg.partition).hat.max())
-    return group_span(cfg.partition.kind, hat - 1)[1] if hat > 1 else 0
+    return [group_span(cfg.partition.kind, g)[1] for g in range(1, hat)]
 
 
-def budgets(h, w, radius):
+def budgets(h, w, radii):
     """BLOCK_BYTES values, each with the (channel blocks, strip height) it
     must give: one strip over the whole grid, one-row strips, strips
     shorter than the radius (one row when it is 0 or 1), blocks of one
     channel, and blocks of two with a last one of one."""
+    radius = max(radii, default=0)
     ph, pw = min(radius, h - 1), min(radius, w - 1)
-    margin = 2 * ph + 1
-    row = (w + 2 * pw + 1) * FEATURES * (VALUES + 1) * 8     # one full-width band row
+    shared = (2 * ph + 1) * (w + 2 * pw + 1) * FEATURES * (VALUES + 1) * 8
+    row = shared // (2 * ph + 1) + w * FEATURES * (len(radii) + 2) * 8   # one strip row
     short = max(ph - 1, 1)
-    return {"whole": (1 << 40, 1, h), "one-row": ((margin + 1) * row, 1, 1),
-            "short": ((margin + short) * row, 1, min(short, h)),
-            "single": (1, FEATURES, 1), "ragged": ((margin + 1) * row * 2 // FEATURES, 3, 1)}
+    return {"whole": (1 << 40, 1, h), "one-row": (shared + row, 1, 1),
+            "short": (shared + short * row, 1, min(short, h)),
+            "single": (1, FEATURES, 1), "ragged": ((shared + row) * 2 // FEATURES, 3, 1)}
 
 
 def rel_error(got, want):
@@ -57,7 +58,7 @@ def run(q, k, v, cfg, upstream, budget, blocks, height):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attention, "BLOCK_BYTES", budget)
         plan = attention.band_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
-                                   sweep_radius(cfg, v))
+                                   sweep_radii(cfg, v))
         assert (len(plan[0]), plan[1]) == (blocks, height)
         reset_fetch_count()
         res = ripple_dp(q, k, v, cfg)
@@ -106,13 +107,13 @@ def test_banded_core_matches_oracle_under_every_budget(
     except FloatingPointError:
         # at epsilon 0 a query whose features all clamp to zero has no
         # denominator; every budget must refuse it the same way
-        for size in budgets(h, w, sweep_radius(cfg, v)).values():
+        for size in budgets(h, w, sweep_radii(cfg, v)).values():
             with pytest.raises(FloatingPointError):
                 run(q, k, v, cfg, upstream, *size)
         return
 
     results = {name: run(q, k, v, cfg, upstream, *size)
-               for name, size in budgets(h, w, sweep_radius(cfg, v)).items()}
+               for name, size in budgets(h, w, sweep_radii(cfg, v)).items()}
     _, one_grads, one_fetches = results["whole"]
     reference = flat_grads(one_grads)
     # gradients are compared relative to the largest entry of any of them:
@@ -146,11 +147,11 @@ def test_kept_buffers_carry_nothing_between_passes():
     output and gradients bit for bit as they were on cold buffers."""
     q, k, v, cfg, upstream = small_case(9, 1)
     release_kept_buffers()
-    cold = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radius(cfg, v))["short"])
+    cold = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radii(cfg, v))["short"])
     for side in (12, 4):
         other = small_case(side, side)
-        run(*other, *budgets(side, side, sweep_radius(other[3], other[2]))["whole"])
-    warm = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radius(cfg, v))["short"])
+        run(*other, *budgets(side, side, sweep_radii(other[3], other[2]))["whole"])
+    warm = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radii(cfg, v))["short"])
     np.testing.assert_array_equal(warm[0], cold[0])
     for key, got in flat_grads(warm[1]).items():
         np.testing.assert_array_equal(got, flat_grads(cold[1])[key])
@@ -181,9 +182,10 @@ def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, see
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
     table = np.einsum("...d,...c->...dc", pk, streams).cumsum(0).cumsum(1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attention, "BLOCK_BYTES", budgets(h, w, radius)[budget][0])
+        radii = list(range(1, radius + 1))
+        mp.setattr(attention, "BLOCK_BYTES", budgets(h, w, radii)[budget][0])
         covered = {}
-        for blk, rows, band, (ph, pw) in attention.table_bands(pk, streams, radius):
+        for blk, rows, band, (ph, pw) in attention.table_bands(pk, streams, radii):
             rest = ((0, 0),) * 3
             edged = np.pad(table[..., blk, :], ((0, ph), (0, pw)) + rest, mode="edge")
             full = np.pad(edged, ((ph + 1, 0), (pw + 1, 0)) + rest)

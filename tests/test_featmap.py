@@ -87,7 +87,8 @@ def test_param_validation():
 def test_vjp_zero_upstream():
     rng = np.random.default_rng(5)
     fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng)
-    g = feature_vjp(rng.standard_normal((2, 4)), fm, np.zeros((2, 4)))
+    x = rng.standard_normal((2, 4))
+    g = feature_vjp(x, fm, np.zeros((2, 4)), feature_forward(x, fm))
     for arr in (g.grad_x, g.grad_w1, g.grad_w2, g.grad_b2):
         assert np.all(arr == 0.0)
 
@@ -95,7 +96,8 @@ def test_vjp_zero_upstream():
 def test_vjp_frozen_trig_w1():
     rng = np.random.default_rng(6)
     fm = init_feature_map(FeatureMapKind.RANDOM_TRIG, 4, rng, freq_dim=3)
-    g = feature_vjp(rng.standard_normal(4), fm, rng.standard_normal(6))
+    x = rng.standard_normal(4)
+    g = feature_vjp(x, fm, rng.standard_normal(6), feature_forward(x, fm))
     assert np.all(g.grad_w1 == 0.0)       # frozen by contract
     assert np.any(g.grad_x != 0.0)        # input gradient still flows
     assert g.grad_w2 is None and g.grad_b2 is None
@@ -126,7 +128,7 @@ def test_vjp_matches_finite_differences():
     def loss():
         return float((feature_forward(x, fm) * upstream).sum())
 
-    g = feature_vjp(x, fm, upstream)
+    g = feature_vjp(x, fm, upstream, feature_forward(x, fm))
     for arr, got in ((x, g.grad_x), (fm.w1, g.grad_w1),
                      (fm.w2, g.grad_w2), (fm.b2, g.grad_b2)):
         fd = _fd_grad(loss, arr)
@@ -146,7 +148,7 @@ def test_vjp_trig_matches_finite_differences():
         def loss():
             return float((feature_forward(x, fm) * upstream).sum())
 
-        g = feature_vjp(x, fm, upstream)
+        g = feature_vjp(x, fm, upstream, feature_forward(x, fm))
         fd = _fd_grad(loss, x)
         scale = max(np.abs(fd).max(), np.abs(g.grad_x).max(), 1e-12)
         assert np.abs(g.grad_x - fd).max() / scale < 1e-6
@@ -160,25 +162,31 @@ def test_relu_kink_uses_zero_subgradient():
                           b2=np.array([-1.0]))
     x = np.array([0.7])
     assert feature_forward(x, fm) == pytest.approx(0.0)
-    g = feature_vjp(x, fm, np.array([5.0]))
+    g = feature_vjp(x, fm, np.array([5.0]), feature_forward(x, fm))
     assert np.all(g.grad_x == 0.0)
     assert np.all(g.grad_w2 == 0.0)
     assert np.all(g.grad_b2 == 0.0)
 
 
 def test_vjp_reads_relu_mask_from_forward_features():
-    """Given the forward's features, the ReLU passes the cotangent where
-    they are positive, bit for bit as a recomputed pre-activation does; a
-    feature at zero passes nothing."""
+    """The ReLU passes the cotangent where the forward's features are
+    positive, bit for bit as a mask on the pre-activation u w2^T + b2
+    does; a feature at zero passes nothing."""
     rng = np.random.default_rng(9)
     fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng, out_dim=6)
     x = rng.standard_normal((5, 4))
     upstream = rng.standard_normal((5, 6))
     phi = feature_forward(x, fm)
     assert 0.0 < (phi > 0.0).mean() < 1.0
-    given, recomputed = feature_vjp(x, fm, upstream, phi), feature_vjp(x, fm, upstream)
-    for name in ("grad_x", "grad_w1", "grad_w2", "grad_b2"):
-        np.testing.assert_array_equal(getattr(given, name), getattr(recomputed, name))
+    z = x @ fm.w1.T
+    u = np.concatenate((np.sin(z), np.cos(z)), axis=-1)
+    ga = np.where(u @ fm.w2.T + fm.b2 > 0.0, upstream, 0.0)
+    gu = ga @ fm.w2
+    gz = gu[:, :4] * np.cos(z) - gu[:, 4:] * np.sin(z)
+    given = feature_vjp(x, fm, upstream, phi)
+    for got, want in ((given.grad_x, gz @ fm.w1), (given.grad_w1, gz.T @ x),
+                      (given.grad_w2, ga.T @ u), (given.grad_b2, ga.sum(axis=0))):
+        np.testing.assert_array_equal(got, want)
     closed = feature_vjp(x, fm, upstream, np.zeros_like(phi))
     for arr in (closed.grad_x, closed.grad_w1, closed.grad_w2, closed.grad_b2):
         assert np.all(arr == 0.0)

@@ -588,18 +588,19 @@ def peak_units(fn, side, width):
 
 
 def test_forward_backward_peak_memory():
-    """Forward plus backward peaks at 1.88 (H, W, Dp, C + 1) f64 arrays at
+    """Forward plus backward peaks at 1.83 (H, W, Dp, C + 1) f64 arrays at
     32x32: the tape's inputs, features and quotient, the strip-sized z and
-    corner terms, and one kept buffer of 1.19: the band (26 rows of the
+    corner terms, and one kept buffer of 1.15: the band (25 rows of the
     dyadic radius-7 padded table, at full channel width), which the token
     adjoint's three block arrays of 11 of the 32 channels (its field, the
     scratch scatter_window uses and the accumulator) borrow after the band
-    pass. The bound of 2.3 is unchanged. A forward band kept beside the
-    four block arrays the channel-blocked backward used measured 3.14, the
-    channel-blocked core with those four arrays 2.05, the table's own
-    bordered storage beside the field 2.40 to 2.42, the layout that kept the
-    whole table and swept field on the tape 7.33, and a backward with a
-    table of its own per block 2.78."""
+    pass. The bound of 2.3 is unchanged. A band sized without the strip's
+    vectors measured 1.88, a forward band kept beside the four block
+    arrays the channel-blocked backward used 3.14, the channel-blocked
+    core with those four arrays 2.05, the table's own bordered storage
+    beside the field 2.40 to 2.42, the layout that kept the whole table
+    and swept field on the tape 7.33, and a backward with a table of its
+    own per block 2.78."""
     rng = np.random.default_rng(17)
     side, width = 32, 32
     q, k, v = random_grids(rng, side, side, d=width, c=width)
@@ -613,11 +614,12 @@ def test_forward_backward_peak_memory():
 
 def test_forward_peak_below_one_field():
     """A forward never holds the whole field phi_k (x) [v, 1]: at 48x48 it
-    peaks at 0.77 of one (H, W, Dp, C + 1) array: the band of 22 padded
-    table rows at full channel width (0.52; strips of 15 rows at radius 3)
-    plus the tape. The channel-blocked forward peaked at 0.87 with one
+    peaks at 0.72 of one (H, W, Dp, C + 1) array: the band of 20 padded
+    table rows at full channel width (0.48; strips of 13 rows at radius 3)
+    plus the tape. A band sized without the strip's vectors (strips of 15
+    rows) peaked at 0.77, the channel-blocked forward at 0.87 with one
     block's table, window and window scratch, and the unblocked forward
-    reached 4.16."""
+    at 4.16."""
     rng = np.random.default_rng(18)
     side, width = 48, 32
     q, k, v = random_grids(rng, side, side, d=width, c=width)

@@ -104,7 +104,7 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
             partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05),
             scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
         x = rng.standard_normal((6, 6, 6))
-        blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), 2)
+        blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), [1, 2])
         assert (len(blocks), height) == (1, 6)      # one block, one strip
         fills.clear()
         _, tape = multi_head_forward(x, params, config)
