@@ -10,7 +10,7 @@ each tree, the base first on odd pairs and the head first on even ones.
 Each tree then times ``ripple_dp`` and ``ripple_dp`` + ``ripple_vjp`` over
 16x16 .. 128x128 grids in fresh single-threaded processes, and this
 checkout's ``ripplegrid.bench.fit_loglog`` fits log-log slopes of time
-against token count. The file holds every run, per-metric medians and
+against token count over 16x16 .. 96x96, as earlier records did. The file holds every run, per-metric medians and
 quartiles, pair wins, and the slopes; nothing here is a gate.
 """
 from __future__ import annotations
@@ -145,7 +145,8 @@ def main() -> int:
                          for s in SIDES} for mode in ("forward", "forward_vjp")}
         record["scaling"][side] = {
             "ms": merged, "jobs": jobs,
-            "slope_16_96": {mode: fit_loglog([int(s) ** 2 for s in ms], list(ms.values())).slope
+            "slope_16_96": {mode: fit_loglog(*zip(*((int(s) ** 2, t) for s, t in ms.items()
+                                                   if int(s) <= 96))).slope
                             for mode, ms in merged.items()}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
