@@ -34,15 +34,15 @@ def sweep_radii(cfg, v):
     return [group_span(cfg.partition.kind, g)[1] for g in range(1, hat)]
 
 
-def budgets(h, w, radii):
+def budgets(h, w, radii, heads=1):
     """BLOCK_BYTES values, each with the (channel blocks, strip height) it
     must give: one strip over the whole grid, one-row strips, strips
     shorter than the radius (one row when it is 0 or 1), blocks of one
     channel, and blocks of two with a last one of one."""
     radius = max(radii, default=0)
     ph, pw = min(radius, h - 1), min(radius, w - 1)
-    shared = (2 * ph + 1) * (w + 2 * pw + 1) * FEATURES * (VALUES + 1) * 8
-    row = shared // (2 * ph + 1) + w * FEATURES * (len(radii) + 2) * 8   # one strip row
+    shared = (2 * ph + 1) * (w + 2 * pw + 1) * heads * FEATURES * (VALUES + 1) * 8
+    row = shared // (2 * ph + 1) + w * heads * FEATURES * (len(radii) + 2) * 8   # a strip row
     short = max(ph - 1, 1)
     return {"whole": (1 << 40, 1, h), "one-row": (shared + row, 1, 1),
             "short": (shared + short * row, 1, min(short, h)),
@@ -176,14 +176,16 @@ def test_threads_keep_their_own_block_buffers():
 def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, seed):
     """Each strip's band equals its rows of the whole table padded as
     sat.window_corners reads it: rows moved up from the strip before,
-    rows built on a carry and rows past the grid alike."""
+    rows built on a carry and rows past the grid alike. The strips and
+    blocks are the ones the budget names."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, 2, FEATURES))
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
     table = np.einsum("...d,...c->...dc", pk, streams).cumsum(0).cumsum(1)
     with pytest.MonkeyPatch.context() as mp:
         radii = list(range(1, radius + 1))
-        mp.setattr(attention, "BLOCK_BYTES", budgets(h, w, radii)[budget][0])
+        nbytes, blocks, height = budgets(h, w, radii, heads=2)[budget]
+        mp.setattr(attention, "BLOCK_BYTES", nbytes)
         covered = {}
         for blk, rows, band, (ph, pw) in attention.table_bands(pk, streams, radii):
             rest = ((0, 0),) * 3
@@ -192,6 +194,8 @@ def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, see
             np.testing.assert_allclose(band, full[rows.start:rows.stop + 2 * ph + 1],
                                        rtol=1e-12, atol=1e-12)
             covered.setdefault(blk.start, []).append((rows.start, rows.stop))
+    assert len(covered) == blocks
     for strips in covered.values():     # the strips tile the grid's rows in order
         assert [a for a, _ in strips] == [0] + [b for _, b in strips[:-1]]
         assert strips[-1][1] == h
+        assert all(b - a == height for a, b in strips[:-1]) and strips[-1][1] - strips[-1][0] <= height
