@@ -283,10 +283,9 @@ def table_bands(pk, streams, radii: list[int]):
     time, since a broadcast copy within the band would go through a
     temporary of all pw columns. The field is a matmul, which writes into
     the band's strided rows without the temporaries np.multiply and
-    np.einsum allocate there. The 2 ph + 1 rows
-    a strip shares with the next move up the band, and rows past the grid
-    repeat the last, so the last strip's far corner is the block's grid
-    total. Callers count a pass's fetches on its first block only
+    np.einsum allocate there. The 2 ph + 1 rows a strip shares with the
+    next move up the band, and rows past the grid repeat the last, so the
+    last strip's far corner is the block's grid total. Callers count a pass's fetches on its first block only
     (blk.start == 0): later blocks read the same positions."""
     h, w = pk.shape[:2]
     blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii)
