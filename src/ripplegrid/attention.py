@@ -55,8 +55,9 @@ DEFAULT_EPSILON = 1e-6
 
 BLOCK_BYTES = 10 << 20
 """Bytes of the band of prefix-table rows a pass streams with the
-per-query vectors its strip keeps, and of the token adjoint's three
-channel-block arrays, which borrow the band's buffer. The strip height is
+per-query vectors its strip keeps, and of the token adjoint's two
+channel-block arrays (a padded accumulator and a field), which borrow the
+band's buffer. The strip height is
 what the budget leaves after the 2R + 1 rows strips share (see
 band_plan). At 10 MiB a 48x48 unit-ring forward (Dp = C = 32, radius 3)
 runs strips of 13 rows, a 32x32 dyadic one (radius 7) strips of 10, and
@@ -285,8 +286,9 @@ def table_bands(pk, streams, radii: list[int]):
     the band's strided rows without the temporaries np.multiply and
     np.einsum allocate there. The 2 ph + 1 rows a strip shares with the
     next move up the band, and rows past the grid repeat the last, so the
-    last strip's far corner is the block's grid total. Callers count a pass's fetches on its first block only
-    (blk.start == 0): later blocks read the same positions."""
+    last strip's far corner is the block's grid total. Callers count a
+    pass's fetches on its first block only (blk.start == 0): later blocks
+    read the same positions."""
     h, w = pk.shape[:2]
     blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii)
     ph, pw = pads

@@ -28,7 +28,7 @@ from .featmap import FeatureMapKind, init_feature_map
 from .vicinal import PartitionKind, PartitionScheme
 from .weights import WeightScheme, WeightSchemeKind
 
-VARIANTS = ("softmax", "linearized", "naive", "dp", "dyadic")
+VARIANTS = ("softmax", "linearized", "naive", "dp")
 R_MAX_POLICIES = ("fixed", "linear-in-side")
 GATE_TOLERANCE = 1e-8
 
@@ -138,12 +138,11 @@ def _grid_inputs(side: int, plan: BenchPlan):
     return q, k, v, fm
 
 
-def _grouped_config(variant: str, side: int, plan: BenchPlan) -> AttentionConfig:
-    kind = PartitionKind.DYADIC if variant == "dyadic" else PartitionKind.UNIT_RING
+def _grouped_config(side: int, plan: BenchPlan) -> AttentionConfig:
     # the fixed-exponential scheme never reads tau; PartitionScheme still
     # needs a valid one
-    partition = PartitionScheme(kind=kind, r_max=plan.resolved_r_max(side),
-                                tau=0.05)
+    partition = PartitionScheme(kind=PartitionKind.UNIT_RING,
+                                r_max=plan.resolved_r_max(side), tau=0.05)
     _, _, _, fm = _grid_inputs(side, plan)
     scheme = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
     return AttentionConfig(scheme=scheme, partition=partition, featmap=fm)
@@ -159,7 +158,7 @@ def _make_runner(variant: str, side: int, plan: BenchPlan):
         qf, kf, vf = (a.reshape(side * side, -1) for a in (q, k, v))
         out = np.empty((side * side, plan.value_dim), dtype=v.dtype)
         return lambda: linearized_attention_into(out, qf, kf, vf, fm)
-    cfg = _grouped_config(variant, side, plan)
+    cfg = _grouped_config(side, plan)
     if variant == "naive":
         return lambda: ripple_naive(q, k, v, cfg, build_tape=False)
     return lambda: ripple_dp(q, k, v, cfg)
@@ -168,11 +167,11 @@ def _make_runner(variant: str, side: int, plan: BenchPlan):
 def _gate(variant: str, plan: BenchPlan) -> None:
     """Oracle equivalence at the smallest size; only grouped variants have an
     oracle to agree with."""
-    if variant not in ("dp", "dyadic", "naive"):
+    if variant not in ("dp", "naive"):
         return
     side = min(plan.sizes)
     q, k, v, _ = _grid_inputs(side, plan)
-    cfg = _grouped_config(variant, side, plan)
+    cfg = _grouped_config(side, plan)
     oracle = ripple_naive(q, k, v, cfg, build_tape=False).out
     if variant == "naive":
         candidate = oracle  # the enumeration path is the oracle

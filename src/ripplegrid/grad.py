@@ -13,13 +13,14 @@ window's four corners into the strip, which feeds the weight gradients
 The token gradients are the sweep's adjoint: a token receives the
 transposed window of the field c_g * cotangent per group, plus the
 broadcast sum of m * cotangent. Since W_g = Diff_g(Prefix(F)), those sum
-to Prefix^T(sum_g Diff_g^T(...)): each group past 0 scatters into one
-shared accumulator, the tail enters at its far corner as the adjoint of
-the grid total, and one suffix sum per channel block finishes them, with no
-table built (see the sat module); the block's arrays borrow the band's
-buffer. Group 0's window is the token itself, so its share, like
-z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp) arrays. The
-block's share goes straight into the phi_k and v gradients. Both
+to Prefix^T(sum_g Diff_g^T(...)): each group past 0 adds into the corner
+views of one accumulator padded as the band is, the tail enters at its far
+corner as the adjoint of the grid total, and one suffix sum per channel
+block finishes them, with no table built (see the sat module); the
+accumulator and the group's field borrow the band's buffer. Group 0's
+window is the token itself, so its share, like z_0 = phi_k ([v, 1] .
+gboth), takes only (H, W, heads, Dp) arrays. The block's share goes
+straight into the phi_k and v gradients. Both
 directions read one window per head group past group 0, as the forward
 does. Like the forward, the backward is one pass, _attend_vjp, on the
 tape's (H, W, heads, ...) arrays, with a head axis of length 1 for the
@@ -36,10 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import (AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams,
-                        channel_blocks, kept_array, table_bands)
+                        band_plan, channel_blocks, kept_array, table_bands)
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
-from .sat import scatter_window, suffix_sum, window_corners
+from .sat import suffix_sum, window_corners
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightSchemeKind,
                       _grid_stick_breaking, grid_stick_fractions)
@@ -124,7 +125,7 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
     z_g = W_g . gboth is contracted from the window's four corners into
     the strip. Terms of the radius-0 window and the merged tail take only
     small arrays: W_0 is the field itself and T one matrix per head. The
-    token adjoint's three block arrays borrow the band's kept buffer."""
+    token adjoint's accumulator and field borrow the band's kept buffer."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
     radii = [group_span(partition.kind, g)[1] for g in range(1, length)]
@@ -160,12 +161,12 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
             zt = matmul(gboth, np.swapaxes(band[-1, -1], -1, -2))    # T . gboth
             tail += np.einsum("...d,...d->...", pq[..., blk], zt)
             grad_pq[..., blk] += wg.merged[..., None] * zt
-    field_shape = pk.shape + streams.shape[-1:]
-    for blk in channel_blocks(pk.shape[-1], 3 * math.prod(field_shape) * 8):
-        gx, *scratch = kept_array("band", (3,) + field_shape[:-2]
-                                  + (blk.stop - blk.start,) + field_shape[-1:])
-        _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], partition, gx, scratch,
-                        blk.start == 0)
+    field_shape, (h, w) = pk.shape + streams.shape[-1:], pk.shape[:2]
+    ph, pw = pads = band_plan(field_shape, radii)[2]
+    cells = (h + 2 * ph + 1) * (w + 2 * pw + 1) + h * w     # the accumulator's and the field's
+    for blk in channel_blocks(pk.shape[-1], cells * math.prod(field_shape[2:]) * 8):
+        gx = _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], radii, pads,
+                             blk.start == 0)
         grad_pk[..., blk] += np.einsum("...dc,...c->...d", gx, streams)
         grad_v += np.einsum("...dc,...d->...c", gx[..., :-1], pk[..., blk])
     return dots, tail, grad_pq, grad_pk, grad_v
@@ -188,6 +189,15 @@ def grad_alpha(tape: AttentionTape, upstream: np.ndarray) -> np.ndarray:
 
 # ---------- token-position gradients ----------
 
+def _checked_field(weights: WeightGrid, upstream_field) -> np.ndarray:
+    """The upstream field as f64, rejected unless its (H, W) is the weight grid's."""
+    g = np.asarray(upstream_field, dtype=np.float64)
+    if g.shape[:2] != weights.groups.shape:
+        raise ValueError(f"upstream field shape {g.shape} does not match the weight grid's "
+                         f"(H, W) {weights.groups.shape}")
+    return g
+
+
 def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
                 partition: PartitionScheme) -> np.ndarray:
     """Gradient each token position receives through the weighted group sums.
@@ -199,48 +209,56 @@ def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
     and head group r adds one transposed window of
     weights.window_coefs()[..., r] * upstream, so the cost is O(H W hat_max)
     fetches. Group 0's window is the weighted field itself; later groups
-    scatter into one accumulator that one suffix sum finishes, and no table
-    is built.
+    add into one padded accumulator that one suffix sum finishes
+    (_scatter_groups), and no table is built.
     """
-    g = np.asarray(upstream_field, dtype=np.float64)[:, :, None]
+    g = _checked_field(weights, upstream_field)[:, :, None]
     one_head = weights.head_axis()
     coefs = one_head.window_coefs()
+    radii = [group_span(partition.kind, r)[1] for r in range(1, coefs.shape[-1])]
     rhs = g.reshape(g.shape[:3] + (-1,))
     lhs = np.ones(rhs.shape[:3] + (1,))
-    out = np.empty(rhs.shape[:3] + (1,) + rhs.shape[3:])
-    _scatter_groups(coefs, lhs, rhs, outer_sum(one_head.merged[..., None], rhs, heads=True),
-                    partition, out, kept_array("band", (2,) + out.shape))
-    if coefs.shape[-1]:
-        out += (coefs[..., 0, None] * rhs)[..., None, :]
+    grid = _scatter_groups(coefs, lhs, rhs, outer_sum(one_head.merged[..., None], rhs, heads=True),
+                           radii, band_plan(lhs.shape + rhs.shape[-1:], radii)[2])
+    out = grid + (_radius_zero_coef(coefs)[..., None] * rhs)[..., None, :]
     return out.reshape(g.shape)[:, :, 0]
 
 
 def _scatter_groups(coefs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tail: np.ndarray,
-                    partition: PartitionScheme, out: np.ndarray, scratch,
-                    counted: bool = True) -> np.ndarray:
+                    radii: list[int], pads: tuple, counted: bool = True) -> np.ndarray:
     """The token adjoint of the windows past radius 0 and of the merged
-    tail, written into ``out`` ((H, W, heads, d, c)) and returned: sum over
-    groups r >= 1 of the transposed window of (coefs[..., r] lhs) (x) rhs,
-    with (H, W, heads, d) lhs and (H, W, heads, c) rhs, plus the (heads, d,
-    c) ``tail`` at every token. Each group's field is written into the
-    first of the two ``scratch`` arrays of out's shape and scattered into
-    ``out`` through the second; the tail enters at the far corner, as the
-    adjoint of the grid total, and one suffix sum finishes all of it."""
-    field, rows = scratch
-    for r in range(1, coefs.shape[-1]):
+    tail, with (H, W, heads, d) lhs and (H, W, heads, c) rhs: sum over
+    groups 0 < r < coefs.shape[-1] of the transposed radius-radii[r - 1]
+    window of (coefs[..., r] lhs) (x) rhs, plus the (heads, d, c) ``tail``
+    at every token, as an (H, W, heads, d, c) view of the kept buffer
+    "band".
+
+    The accumulator is padded as window_corners reads a band of the whole
+    grid, with ``pads`` from band_plan: each group's field is added into
+    the corner views a window adds and subtracted from the others, the
+    tail enters at the far corner as the adjoint of the grid total, and one
+    suffix_sum from the grid's first row and column finishes them (see the
+    sat module)."""
+    (h, w), (ph, pw), shape = lhs.shape[:2], pads, lhs.shape + rhs.shape[-1:]
+    padded = (h + 2 * ph + 1, w + 2 * pw + 1) + shape[2:]
+    split = math.prod(padded)
+    flat = kept_array("band", (split + math.prod(shape),))
+    acc, field = flat[:split].reshape(padded), flat[split:].reshape(shape)
+    acc.fill(0.0)
+    for r, radius in zip(range(1, coefs.shape[-1]), radii):
         np.einsum("...d,...c->...dc", coefs[..., r, None] * lhs, rhs, out=field)
-        scatter_window(field, group_span(partition.kind, r)[1], out, rows,
-                       overwrite=r == 1, counted=counted)
-    if coefs.shape[-1] < 2:
-        out.fill(0.0)
-    out[-1, -1] += tail
-    return suffix_sum(out)
+        for corners, combine in zip(window_corners(acc, radius, pads, counted),
+                                    (np.add, np.subtract)):
+            for corner in corners:
+                combine(corner, field, out=corner)
+    acc[-1, -1] += tail
+    return suffix_sum(acc[ph + 1:, pw + 1:])[:h, :w]
 
 
 def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,
                           partition: PartitionScheme) -> np.ndarray:
     """Brute-force scatter over explicit group members; quadratic, for tests."""
-    g = np.asarray(upstream_field, dtype=np.float64)
+    g = _checked_field(weights, upstream_field)
     h, w = g.shape[:2]
     shape = GridShape(h, w)
     out = np.zeros_like(g)

@@ -15,17 +15,15 @@ Every array here is f64 with the grid on its first two axes.
   and a window is hi-hi + lo-lo - hi-lo - lo-hi. Callers contract each
   corner directly and never write a window out. The padded table may be a
   band of rows: the table rows one strip of grid rows reads.
-- scatter_window is the transpose of a window's table differences, on a
-  border-less field: along an axis of length n, the clipped edges split
-  the positions into at most three runs (clamped low, interior, clamped
-  high), a position's value goes to its hi edge and, negated, to its lo
-  edge, a clamped hi edge collects its whole run, and an edge before the
-  grid drops its share.
 
-Since a window is W_r(F) = Diff_r(Prefix(F)), a sum of transposed windows
-over several radii is sum_r W_r^T(Y_r) = Prefix^T(sum_r Diff_r^T(Y_r)):
-one scatter per radius into a shared accumulator and one suffix sum, with
-no table built.
+The same views of an accumulator padded as the table is give the
+transpose: add a window's cotangent into the hi-hi and lo-lo views and
+subtract it from the others. suffix_sum over the accumulator from the
+grid's first row and column on then drops the shares before the grid, the
+transpose of reading zeros, and folds those past it onto its last row and
+column, the transpose of repeating them. Since W_r(F) = Diff_r(Prefix(F)),
+transposed windows of several radii share one accumulator and one suffix
+sum, and no table is built.
 
 The module keeps a running count of window evaluations, transposed ones
 included, so tests can assert the sub-quadratic access pattern of the
@@ -36,7 +34,6 @@ blocks.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +55,7 @@ def sabotage_radius_offset(offset: int = 1):
     """Fault injection for harness self-tests: prefix_sum inside the context
     shifts the table rows it builds down by ``offset`` rows (zeros enter at
     the top), so the windows and the total read from them are both wrong.
-    window_corners, scatter_window and suffix_sum read no fault state;
+    window_corners and suffix_sum read no fault state;
     tables built outside the context stay clean."""
     global _row_shift
     _row_shift = offset
@@ -66,28 +63,6 @@ def sabotage_radius_offset(offset: int = 1):
         yield
     finally:
         _row_shift = 0
-
-
-@lru_cache(maxsize=256)
-def _axis_runs(n: int, radius: int) -> tuple:
-    """Clipped window edges along one axis of length n, as slices.
-
-    Returns (dst, hi, lo) runs covering positions 0..n-1 in order: hi holds
-    min(i + r, n - 1) and lo holds i - r - 1, with lo None where that edge
-    falls before the grid. A clamped hi edge is a length-1 slice.
-    """
-    low_end = min(radius + 1, n)        # positions below it have no lo edge
-    high_start = max(n - 1 - radius, 0)  # positions from it on have hi clamped to n - 1
-    cuts = sorted({0, low_end, high_start, n})
-    runs = []
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        if start >= high_start:
-            hi = slice(n - 1, n)
-        else:
-            hi = slice(start + radius, stop + radius)
-        lo = None if stop <= low_end else slice(start - radius - 1, stop - radius - 1)
-        runs.append((slice(start, stop), hi, lo))
-    return tuple(runs)
 
 
 def prefix_sum(acc: np.ndarray, carry: bool = False) -> np.ndarray:
@@ -115,7 +90,8 @@ def prefix_sum(acc: np.ndarray, carry: bool = False) -> np.ndarray:
 def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = True):
     """The radius-r windows around every position of a strip, as corner
     views of its band: ((hi-hi, lo-lo), (hi-lo, lo-hi)), so that each
-    window sum is the first pair's sum minus the second's.
+    window sum is the first pair's sum minus the second's (adding into the
+    first pair and subtracting from the second transposes it).
 
     With ``pads`` (ph, pw), the band holds the padded table rows that a
     strip of band.shape[0] - 2 ph - 1 grid rows reads: ph + 1 rows and
@@ -138,60 +114,6 @@ def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = T
     hi_r, lo_r = slice(ph + 1 + rh, ph + 1 + rh + h), slice(ph - rh, ph - rh + h)
     hi_c, lo_c = slice(pw + 1 + rw, pw + 1 + rw + w), slice(pw - rw, pw - rw + w)
     return (band[hi_r, hi_c], band[lo_r, lo_c]), (band[hi_r, lo_c], band[lo_r, hi_c])
-
-
-def _check_buffers(radius: int, field: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if field.ndim < 2 or out.shape != field.shape or rows.shape != field.shape:
-        raise ValueError("field, out and rows must share one (H, W, ...) shape")
-
-
-def _axis_scatter(src: np.ndarray, dst: np.ndarray, axis: int, radius: int,
-                  overwrite: bool) -> None:
-    """Add to ``dst`` the transpose of one axis of a radius-r window
-    difference of ``src``: each position goes to its hi edge and, negated,
-    to its lo edge. With ``overwrite`` dst is written in full instead: the
-    edges below ``radius`` that no hi edge reaches are zeroed, and every hi
-    edge is written before a lo edge lands on it (a lo edge lies r + 1
-    positions before its run's position, a hi edge r after it)."""
-    n = src.shape[axis]
-    lead = (slice(None),) * axis
-    if overwrite:
-        dst[lead + (slice(0, min(radius, n - 1)),)] = 0.0
-    fresh_last = overwrite
-    for run, hi, lo in _axis_runs(n, radius):
-        part, edge = src[lead + (run,)], dst[lead + (hi,)]
-        if hi.stop == n:    # the clamped hi edge collects its whole run
-            if fresh_last:
-                np.sum(part, axis=axis, keepdims=True, out=edge)
-            else:
-                edge += part.sum(axis=axis, keepdims=True)
-            fresh_last = False
-        elif overwrite:
-            np.copyto(edge, part)
-        else:
-            edge += part
-        if lo is not None:
-            low = dst[lead + (lo,)]
-            np.subtract(low, part, out=low)
-
-
-def scatter_window(field: np.ndarray, radius: int, out: np.ndarray, rows: np.ndarray,
-                   overwrite: bool = False, counted: bool = True) -> np.ndarray:
-    """The transpose of a window's table differences: adds to ``out`` (the
-    field's shape) the table cotangent of a radius-r window whose cotangent
-    is ``field``; suffix_sum of the result is the transposed window.
-    ``rows`` is scratch of the field's shape. With ``overwrite`` out is
-    written instead, so it needs no zero fill. Counts one fetch per position
-    when ``counted``, as a window does."""
-    global _fetch_count
-    _check_buffers(radius, field, out, rows)
-    if counted:
-        _fetch_count += field.shape[0] * field.shape[1]
-    _axis_scatter(field, rows, 1, radius, overwrite=True)
-    _axis_scatter(rows, out, 0, radius, overwrite)
-    return out
 
 
 def suffix_sum(acc: np.ndarray) -> np.ndarray:

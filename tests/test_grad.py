@@ -152,6 +152,24 @@ def test_grad_pixels_truncated_tail_scatters_nothing():
                                atol=1e-12)
 
 
+def test_grad_pixels_rejects_upstream_off_the_weight_grid():
+    # grad_pixels used to fail inside numpy's matmul with a core-dimension
+    # message, and the reference returned a field of the upstream's shape
+    # or ran past the grid with an IndexError
+    rng = np.random.default_rng(20)
+    partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05)
+    wg = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
+                             rng.standard_normal((5, 5, 3)), GridShape(5, 5), partition)
+    for bad in ((1, 5, 3), (5, 1, 3), (4, 5, 3), (6, 6, 3), (5,)):
+        shown = rf"\({', '.join(map(str, bad))},?\)"
+        for fn in (grad_pixels, grad_pixels_reference):
+            with pytest.raises(ValueError, match=rf"upstream field shape {shown}.* \(5, 5\)"):
+                fn(wg, rng.standard_normal(bad), partition)
+    g = rng.standard_normal((5, 5, 3))
+    np.testing.assert_allclose(grad_pixels(wg, g, partition),
+                               grad_pixels_reference(wg, g, partition), atol=1e-12)
+
+
 # ---------- per-group weight gradients ----------
 
 def free_alpha_grid(rng, shape, partition):
@@ -592,15 +610,17 @@ def test_forward_backward_peak_memory():
     32x32: the tape's inputs, features and quotient, the strip-sized z and
     corner terms, and one kept buffer of 1.15: the band (25 rows of the
     dyadic radius-7 padded table, at full channel width), which the token
-    adjoint's three block arrays of 11 of the 32 channels (its field, the
-    scratch scatter_window uses and the accumulator) borrow after the band
-    pass. The bound of 2.3 is unchanged. A band sized without the strip's
-    vectors measured 1.88, a forward band kept beside the four block
-    arrays the channel-blocked backward used 3.14, the channel-blocked
-    core with those four arrays 2.05, the table's own bordered storage
-    beside the field 2.40 to 2.42, the layout that kept the whole table
-    and swept field on the tape 7.33, and a backward with a table of its
-    own per block 2.78."""
+    adjoint's two block arrays of 11 of the 32 channels borrow after the
+    band pass: its accumulator, padded as a band of the whole grid is
+    (47x47 cells), and a group's field, 1.08 together. The bound of 2.3 is
+    unchanged. Three grid-sized block arrays (field, scatter scratch and
+    accumulator) also measured 1.83, a band sized without the strip's
+    vectors 1.88, a forward band kept beside the four block arrays the
+    channel-blocked backward used 3.14, the channel-blocked core with
+    those four arrays 2.05, the table's own bordered storage beside the
+    field 2.40 to 2.42, the layout that kept the whole table and swept
+    field on the tape 7.33, and a backward with a table of its own per
+    block 2.78."""
     rng = np.random.default_rng(17)
     side, width = 32, 32
     q, k, v = random_grids(rng, side, side, d=width, c=width)

@@ -20,9 +20,10 @@ REFERENCES = {
     "jsd": "scalar oracle that jsd_grid is tested against",
     "num_groups": "scalar oracle that num_groups_grid is tested against",
     "grad_alpha": "per-group weight gradient, audited by central differences",
-    "grad_pixels": "token adjoint into a fresh output (scatter, one suffix sum, "
-                   "no table); the blocked backward runs its core per block, and "
-                   "the tests audit that core through it",
+    "grad_pixels": "token adjoint into a fresh output (a padded accumulator written "
+                   "through window_corners' views, one suffix sum, no table); the "
+                   "blocked backward runs its core per block, and the tests audit "
+                   "that core through it",
     "grad_pixels_reference": "quadratic scatter oracle for grad_pixels",
     "ripple_softmax_reference": "quadratic per-group softmax reference semantics",
     "linearized_attention": "flat-sequence form of the factorized quotient",

@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripplegrid.sat import (
-    _axis_runs,
     fetch_count,
     prefix_sum,
     reset_fetch_count,
     sabotage_radius_offset,
-    scatter_window,
     suffix_sum,
     window_corners,
 )
@@ -36,12 +34,16 @@ def table_of(field):
     return prefix_sum(np.array(field, dtype=np.float64))
 
 
+def pads_for(shape, radius):
+    """The pads a whole-grid band of ``shape`` takes for ``radius``."""
+    return min(radius, shape[0] - 1), min(radius, shape[1] - 1)
+
+
 def padded(table, radius):
     """A whole table as one band, padded as window_corners reads it for
     ``radius``: zeros before the grid, its last row and column repeated
     after it. Returns (band, pads)."""
-    h, w = table.shape[:2]
-    pads = (min(radius, h - 1), min(radius, w - 1))
+    pads = pads_for(table.shape, radius)
     rest = ((0, 0),) * (table.ndim - 2)
     edged = np.pad(table, ((0, pads[0]), (0, pads[1])) + rest, mode="edge")
     return np.pad(edged, ((pads[0] + 1, 0), (pads[1] + 1, 0)) + rest), pads
@@ -53,6 +55,28 @@ def window(table, radius, pad_radius=None, **kwargs):
     band, pads = padded(table, radius if pad_radius is None else pad_radius)
     (hi_hi, lo_lo), (hi_lo, lo_hi) = window_corners(band, radius, pads, **kwargs)
     return hi_hi + lo_lo - hi_lo - lo_hi
+
+
+def inner(a, b):
+    return float(np.vdot(a, b))
+
+
+def scatter(acc, cot, radius, pads, **kwargs):
+    """Adds the transpose of a window's corner differences into ``acc``:
+    ``cot`` into the views a window adds, negated into those it subtracts."""
+    added, subtracted = window_corners(acc, radius, pads, **kwargs)
+    for corner in added:
+        corner += cot
+    for corner in subtracted:
+        corner -= cot
+    return acc
+
+
+def transposed(acc, pads, shape):
+    """The grid part of the suffix sum over ``acc`` from the grid's first
+    row and column: shares past the grid fold back onto it, shares before
+    it are dropped."""
+    return suffix_sum(acc[pads[0] + 1:, pads[1] + 1:])[:shape[0], :shape[1]]
 
 
 def test_prefix_table_values():
@@ -140,34 +164,6 @@ def test_corners_are_views_of_the_band():
         assert corner.shape == (4, 6)
 
 
-def test_axis_runs_match_clipped_edges():
-    """The runs expand to the clipped edge vectors min(i + r, n - 1) and
-    i - r - 1 (no lo edge where that is negative, read as -1 here),
-    including r >= n where every window spans the whole axis."""
-    for n in range(1, 14):
-        pos = np.arange(n)
-        for r in range(20):
-            runs = _axis_runs(n, r)
-            assert len(runs) <= 3
-            hi = np.full(n, -1)
-            lo = np.full(n, -1)
-            covered = []
-            for dst, hi_sl, lo_sl in runs:
-                span = np.arange(n)[dst]
-                assert span.size > 0
-                covered.extend(span)
-                hi[dst] = np.broadcast_to(np.arange(n)[hi_sl], span.shape)
-                if lo_sl is None:
-                    lo[dst] = -1
-                else:
-                    lo[dst] = np.broadcast_to(np.arange(n)[lo_sl], span.shape)
-                    assert lo_sl.stop - lo_sl.start == span.size
-                assert hi_sl.stop - hi_sl.start in (1, span.size)
-            assert covered == list(pos), (n, r)
-            np.testing.assert_array_equal(hi, np.minimum(pos + r, n - 1))
-            np.testing.assert_array_equal(lo, np.maximum(pos - r - 1, -1))
-
-
 def test_window_differences_match_group_members():
     """Group r of a query is the window out to its outer radius minus the
     window just inside its inner radius; rings past the grid edge are empty."""
@@ -232,50 +228,52 @@ def test_fetch_counting():
     window_corners(band, 2, pads)
     window_corners(band[1:-1], 2, pads)  # a strip of two rows
     assert fetch_count() == 70
-    # a transposed window fetches what a window does; a pass's later
+    # a transposed window reads the same corners of an accumulator padded
+    # as the band is, and fetches what a window does; a pass's later
     # channel blocks count nothing, forward or transposed
-    acc, rows = np.empty((4, 5)), np.empty((4, 5))
-    scatter_window(np.ones((4, 5)), 1, acc, rows, overwrite=True)
+    acc = np.zeros_like(band)
+    scatter(acc, np.ones((4, 5)), 1, pads)
     assert fetch_count() == 90
-    scatter_window(np.ones((4, 5)), 3, acc, rows)
-    suffix_sum(acc)                    # the suffix sum is not a window
+    scatter(acc, np.ones((4, 5)), 2, pads)
+    suffix_sum(acc[pads[0] + 1:, pads[1] + 1:])  # the suffix sum is not a window
     assert fetch_count() == 110
     window_corners(band, 1, pads, counted=False)
-    scatter_window(np.ones((4, 5)), 1, acc, rows, counted=False)
+    scatter(acc, np.ones((4, 5)), 1, pads, counted=False)
     assert fetch_count() == 110
     reset_fetch_count()
     assert fetch_count() == 0
 
 
-def inner(a, b):
-    return float(np.vdot(a, b))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(h=st.integers(1, 12), w=st.integers(1, 12), extra=st.integers(0, 14),
-       channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       wider=st.integers(0, 4), channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1))
-def test_scatter_and_suffix_sum_are_exact_adjoints(h, w, extra, channels, seed):
-    """<prefix_sum(F), Y> = <F, suffix_sum(Y)>, and <W_r F, Y> =
-    <F, suffix_sum(scatter_window(Y))>, with W_r F read at the table's
-    corners, for every radius up to past the grid's side, overwriting or
-    adding into the accumulator."""
+def test_scatter_and_suffix_sum_are_exact_adjoints(h, w, extra, wider, channels, seed):
+    """<prefix_sum(F), Y> = <F, suffix_sum(Y)>, and <W_r F, Y> = <F, grid
+    part of the suffix sum of Y scattered through the corner views>, with
+    W_r F read at the same corners of the table, for every radius up to
+    past the grid's side and pads up to ``wider`` past the radius. A second
+    radius and the grid total's cotangent, added at the far corner, share
+    the accumulator, as the token adjoint's groups and tail do."""
     rng = np.random.default_rng(seed)
     shape = (h, w) + tuple(channels)
     radius = extra % (max(h, w) + 3)
-    field, cot = rng.standard_normal(shape), rng.standard_normal(shape)
+    second = int(rng.integers(0, radius + 1))
+    pads = pads_for(shape, radius + wider)
+    field, cot, cot2 = (rng.standard_normal(shape) for _ in range(3))
+    total_cot = rng.standard_normal(shape[2:])
     table = table_of(field)
-    want = inner(window(table, radius), cot)
-    scale = np.abs(field).sum() * np.abs(cot).sum()
-    rows = np.full(shape, np.nan)     # scratch is written before it is read
-    acc = np.full(shape, np.nan)      # overwrite needs no zero fill
-    got = inner(field, suffix_sum(scatter_window(cot, radius, acc, rows, overwrite=True)))
-    assert abs(got - want) <= 1e-12 * scale, (shape, radius)
-    start = rng.standard_normal(shape)
-    added = scatter_window(cot, radius, start.copy(), rows)
-    np.testing.assert_allclose(added - start,
-                               scatter_window(cot, radius, np.empty(shape), rows,
-                                              overwrite=True), rtol=0, atol=1e-12 * scale)
+    want = (inner(window(table, radius, radius + wider), cot)
+            + inner(window(table, second, radius + wider), cot2)
+            + inner(table[-1, -1], total_cot))
+    scale = np.abs(field).sum() * (np.abs(cot).sum() + np.abs(cot2).sum()
+                                   + np.abs(total_cot).sum())
+    acc = np.zeros((h + 2 * pads[0] + 1, w + 2 * pads[1] + 1) + shape[2:])
+    scatter(acc, cot, radius, pads)
+    scatter(acc, cot2, second, pads)
+    acc[-1, -1] += total_cot
+    got = inner(field, transposed(acc, pads, shape))
+    assert abs(got - want) <= 1e-12 * scale, (shape, radius, second, pads)
     assert abs(inner(table, cot) - inner(field, suffix_sum(cot.copy()))) <= 1e-12 * scale
 
 
@@ -305,7 +303,3 @@ def test_validation():
         window_corners(band, 1, (3, 1))      # no strip row left between the pads
     with pytest.raises(ValueError, match="pads"):
         window_corners(band, 1, (1, -1))
-    with pytest.raises(ValueError):
-        scatter_window(np.ones((3, 3)), -1, np.empty((3, 3)), np.empty((3, 3)))
-    with pytest.raises(ValueError):
-        scatter_window(np.ones((3, 3)), 1, np.empty((3, 4)), np.empty((3, 3)))
