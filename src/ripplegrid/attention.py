@@ -54,18 +54,17 @@ from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
 DEFAULT_EPSILON = 1e-6
 
 BLOCK_BYTES = 10 << 20
-"""Bytes of the band of prefix-table rows a pass streams with the
-per-query vectors its strip keeps, and of the token adjoint's two
-channel-block arrays (a padded accumulator and a field), which borrow the
-band's buffer. The strip height is
-what the budget leaves after the 2R + 1 rows strips share (see
-band_plan). At 10 MiB a 48x48 unit-ring forward (Dp = C = 32, radius 3)
-runs strips of 13 rows, a 32x32 dyadic one (radius 7) strips of 10, and
-a 128x128 dyadic one splits its channels in two. A larger budget leaves
-less margin under the one-field forward peak at 48x48, and at 32x32 a
-short-radius band (29-row strips, 9.46 MB at radius 1) would fall short
-of what a long-radius one fills, against acceptance 5's flat peak over
-r_max. 8x8 toy grids run as one strip."""
+"""Bytes of the band of prefix-table rows a pass streams with the per-query
+vectors its strip keeps, and of the token adjoint's two channel-block
+arrays (a padded accumulator and a field), which borrow the band's
+buffer. The strip height is what the budget leaves after the 2R + 1 rows
+strips share (see band_plan). At 10 MiB a 48x48 unit-ring forward
+(Dp = C = 32, radius 3) runs strips of 13 rows, a 32x32 dyadic one
+(radius 7) strips of 10, and a 128x128 dyadic one splits its channels in
+two. A larger budget leaves less margin under the one-field forward peak
+at 48x48, and at 32x32 a short-radius band (29-row strips, 9.46 MB at
+radius 1) would fall short of what a long-radius one fills, against
+acceptance 5's flat peak over r_max. 8x8 toy grids run as one strip."""
 
 
 @dataclass(frozen=True)
