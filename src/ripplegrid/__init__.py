@@ -8,8 +8,7 @@ trainable model, and a benchmark harness.
 """
 from .attention import (AttentionConfig, AttentionOutput, AttentionTape,
                         DEFAULT_EPSILON, MultiHeadConfig, MultiHeadParams, MultiHeadTape,
-                        init_multi_head, linearized_attention,
-                        linearized_attention_into, linearized_grid,
+                        init_multi_head, linearized_attention, linearized_grid,
                         multi_head_forward, ripple_dp, ripple_naive,
                         ripple_softmax_reference, softmax_attention)
 from .bench import (BenchPlan, BenchRecord, SlopeFit, fit_loglog, fit_slope,
@@ -17,9 +16,8 @@ from .bench import (BenchPlan, BenchRecord, SlopeFit, fit_loglog, fit_slope,
 from .featmap import (FeatureMapKind, FeatureMapParams, feature_forward,
                       feature_vjp, init_feature_map)
 from .grad import (AttentionGradients, FiniteDiffReport, MultiHeadGradients,
-                   finite_diff_check, grad_alpha, grad_pixels,
-                   grad_pixels_reference, linearized_vjp, multi_head_vjp,
-                   ripple_vjp)
+                   finite_diff_check, grad_pixels_reference, linearized_vjp,
+                   multi_head_vjp, ripple_vjp)
 from .sat import fetch_count, prefix_sum, reset_fetch_count, suffix_sum, window_corners
 from .toymodel import (Adam, SgdMomentum, ToyModelConfig, clip_grad_norm,
                        cross_entropy, init_model, layer_norm, loss_and_grads,

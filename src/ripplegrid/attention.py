@@ -81,9 +81,10 @@ class AttentionConfig:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    """A negative stabilizer can cancel a denominator or flip its sign."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    """A negative stabilizer can cancel a denominator or flip its sign; a NaN
+    one turns every row NaN and an infinite one every row zero."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be >= 0 and finite, got {epsilon}")
 
 
 @dataclass
@@ -167,32 +168,6 @@ def linearized_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     den = pq @ z2 + epsilon
     _check_denominator(den)
     return num / den[:, None]
-
-
-def linearized_attention_into(out: np.ndarray, q: np.ndarray, k: np.ndarray,
-                              v: np.ndarray, featmap: FeatureMapParams,
-                              epsilon: float = DEFAULT_EPSILON,
-                              chunk: int = 512) -> None:
-    """Streaming form for the benchmark memory probe: tokens are featurized in
-    fixed-size chunks and reduced into running statistics, so peak transient
-    allocation is independent of the token count; so is the finiteness check,
-    which runs before anything is written."""
-    _check_epsilon(epsilon)
-    for lo in range(0, max(len(q), len(k)), chunk):
-        _check_finite(q[lo:lo + chunk], k[lo:lo + chunk], v[lo:lo + chunk])
-    v = _as_float(v)
-    dp = featmap.out_dim
-    z1 = np.zeros((dp, v.shape[1]), dtype=v.dtype)
-    z2 = np.zeros(dp, dtype=v.dtype)
-    for lo in range(0, k.shape[0], chunk):
-        pk = feature_forward(k[lo:lo + chunk], featmap)
-        z1 += pk.T @ v[lo:lo + chunk]
-        z2 += pk.sum(axis=0)
-    for lo in range(0, q.shape[0], chunk):
-        pq = feature_forward(q[lo:lo + chunk], featmap)
-        den = pq @ z2 + epsilon
-        _check_denominator(den)
-        out[lo:lo + chunk] = (pq @ z1) / den[:, None]
 
 
 def _check_denominator(den: np.ndarray) -> None:

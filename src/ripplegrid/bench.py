@@ -1,8 +1,8 @@
 """Runtime and memory scaling harness for the attention variants.
 
 Times forward passes over square token grids at several sizes, fits log-log
-slopes of median wall time against token count, and probes peak transient
-allocation with tracemalloc. Softmax and naive enumeration should come out
+slopes of median wall time against token count, and probes the peak transient
+allocation of one pass with tracemalloc. Softmax and naive enumeration should come out
 near slope 2, the prefix-sum variants near slope 1; absolute times are
 machine-dependent and never asserted, only slopes and ratios.
 
@@ -22,13 +22,13 @@ from statistics import median
 
 import numpy as np
 
-from .attention import (AttentionConfig, linearized_attention_into, release_kept_buffers,
-                        ripple_dp, ripple_naive, softmax_attention)
+from .attention import (AttentionConfig, release_kept_buffers, ripple_dp, ripple_naive,
+                        softmax_attention)
 from .featmap import FeatureMapKind, init_feature_map
 from .vicinal import PartitionKind, PartitionScheme
 from .weights import WeightScheme, WeightSchemeKind
 
-VARIANTS = ("softmax", "linearized", "naive", "dp")
+VARIANTS = ("softmax", "naive", "dp")
 R_MAX_POLICIES = ("fixed", "linear-in-side")
 GATE_TOLERANCE = 1e-8
 
@@ -74,25 +74,12 @@ class BenchRecord:
     tokens: int
     r_max: int
     median_ns: float
-    mean_ns: float
-    stddev_ns: float
-    peak_bytes: int
-    status: str = "ok"
     slope: float | None = None
-    slope_ci: tuple[float, float] | None = None
 
 
 @dataclass
 class SlopeFit:
     slope: float
-    intercept: float
-    r_squared: float
-    stderr: float
-
-    @property
-    def ci(self) -> tuple[float, float]:
-        half = 1.96 * self.stderr
-        return (self.slope - half, self.slope + half)
 
 
 # ---------- fitting ----------
@@ -104,26 +91,15 @@ def fit_loglog(tokens, times_ns) -> SlopeFit:
     if x.shape != y.shape or x.size < 3:
         raise ValueError("slope fit needs at least 3 (tokens, time) points")
     xm = x - x.mean()
-    sxx = float(xm @ xm)
-    slope = float(xm @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    rss = float(resid @ resid)
-    tss = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
-    dof = x.size - 2
-    stderr = float(np.sqrt(rss / dof / sxx)) if dof > 0 else 0.0
-    return SlopeFit(slope=slope, intercept=intercept, r_squared=r_squared,
-                    stderr=stderr)
+    return SlopeFit(slope=float(xm @ (y - y.mean())) / float(xm @ xm))
 
 
 def fit_slope(records: list[BenchRecord]) -> SlopeFit:
-    """Fit one variant's records (medians only, skipped rows excluded)."""
-    usable = [r for r in records if r.status == "ok"]
-    variants = {r.variant for r in usable}
+    """Fit one variant's records by their medians."""
+    variants = {r.variant for r in records}
     if len(variants) > 1:
         raise ValueError(f"records mix variants {sorted(variants)}")
-    return fit_loglog([r.tokens for r in usable], [r.median_ns for r in usable])
+    return fit_loglog([r.tokens for r in records], [r.median_ns for r in records])
 
 
 # ---------- workloads ----------
@@ -150,14 +126,10 @@ def _grouped_config(side: int, plan: BenchPlan) -> AttentionConfig:
 
 def _make_runner(variant: str, side: int, plan: BenchPlan):
     """Build inputs up front and return a no-argument callable to time."""
-    q, k, v, fm = _grid_inputs(side, plan)
+    q, k, v, _ = _grid_inputs(side, plan)
     if variant == "softmax":
         qf, kf, vf = (a.reshape(side * side, -1) for a in (q, k, v))
         return lambda: softmax_attention(qf, kf, vf)
-    if variant == "linearized":
-        qf, kf, vf = (a.reshape(side * side, -1) for a in (q, k, v))
-        out = np.empty((side * side, plan.value_dim), dtype=v.dtype)
-        return lambda: linearized_attention_into(out, qf, kf, vf, fm)
     cfg = _grouped_config(side, plan)
     if variant == "naive":
         return lambda: ripple_naive(q, k, v, cfg, build_tape=False)
@@ -189,9 +161,9 @@ def _gate(variant: str, plan: BenchPlan) -> None:
 def memory_probe(variant: str, side: int, plan: BenchPlan | None = None) -> int:
     """Peak transient allocation (bytes) of one forward pass.
 
-    Inputs, parameters, and (for the streaming variant) the output buffer are
-    allocated before tracing starts, so the number reflects what the pass
-    itself allocates, block buffers kept from earlier passes included.
+    Inputs and parameters are allocated before tracing starts, so the number
+    reflects what the pass itself allocates, block buffers kept from earlier
+    passes included.
     """
     plan = plan if plan is not None else BenchPlan()
     fn = _make_runner(variant, side, plan)
@@ -206,45 +178,30 @@ def memory_probe(variant: str, side: int, plan: BenchPlan | None = None) -> int:
     return int(peak)
 
 
-def run_bench(plan: BenchPlan, probe_memory: bool = True) -> list[BenchRecord]:
-    """Gate, warm up, time, and fit every variant in the plan.
-
-    Out-of-memory at a size marks that record skipped and the run continues.
-    Slopes (with a 95% confidence band from the residual spread) are stamped
-    onto every usable record of a variant once at least 3 sizes succeeded.
-    """
+def run_bench(plan: BenchPlan) -> list[BenchRecord]:
+    """Gate, warm up, time, and fit every variant in the plan. Once a
+    variant has at least 3 sizes, its fitted slope is stamped onto each of
+    its records."""
     records: list[BenchRecord] = []
     for variant in plan.variants:
         _gate(variant, plan)
         for side in plan.sizes:
-            r_max = plan.resolved_r_max(side)
-            base = dict(variant=variant, side=side, tokens=side * side,
-                        r_max=r_max)
-            try:
-                fn = _make_runner(variant, side, plan)
-                for _ in range(plan.warmup):
+            fn = _make_runner(variant, side, plan)
+            for _ in range(plan.warmup):
+                fn()
+            samples = []
+            for _ in range(plan.reps):
+                t0 = time.perf_counter_ns()
+                for _ in range(plan.batch):
                     fn()
-                samples = []
-                for _ in range(plan.reps):
-                    t0 = time.perf_counter_ns()
-                    for _ in range(plan.batch):
-                        fn()
-                    samples.append((time.perf_counter_ns() - t0) / plan.batch)
-                peak = memory_probe(variant, side, plan) if probe_memory else 0
-                records.append(BenchRecord(
-                    median_ns=float(median(samples)),
-                    mean_ns=float(np.mean(samples)),
-                    stddev_ns=float(np.std(samples)),
-                    peak_bytes=peak, **base))
-            except MemoryError:
-                records.append(BenchRecord(median_ns=0.0, mean_ns=0.0,
-                                           stddev_ns=0.0, peak_bytes=0,
-                                           status="skipped", **base))
+                samples.append((time.perf_counter_ns() - t0) / plan.batch)
+            records.append(BenchRecord(variant=variant, side=side, tokens=side * side,
+                                       r_max=plan.resolved_r_max(side),
+                                       median_ns=float(median(samples))))
     for variant in plan.variants:
-        mine = [r for r in records if r.variant == variant and r.status == "ok"]
+        mine = [r for r in records if r.variant == variant]
         if len(mine) >= 3:
-            fit = fit_slope(mine)
+            slope = fit_slope(mine).slope
             for r in mine:
-                r.slope = fit.slope
-                r.slope_ci = fit.ci
+                r.slope = slope
     return records

@@ -47,11 +47,14 @@ class UsageError(Exception):
 # ---------- options ----------
 
 def _ints(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    return tuple(int(t) for t in _strs(text))
 
 
 def _strs(text: str) -> tuple:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+    items = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not items:
+        raise argparse.ArgumentTypeError("needs at least one comma-separated item")
+    return items
 
 
 def _choice(*names: str):
@@ -64,11 +67,17 @@ def _choice(*names: str):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 SCHEME_NAMES = ("uniform", "fixed-exponential", "learned-sbt", "truncated", "softmax")
@@ -87,7 +96,7 @@ OPTIONS = {
         "sizes": dict(type=_ints, default=(4, 6, 9, 12), help="grid sides to test"),
         "schemes": dict(type=_strs, default=SCHEME_NAMES, help="weight schemes to test"),
         "partition": dict(type=PARTITION, default="unit-ring"),
-        "trials": dict(type=int, default=3, help="random instances per (size, scheme)"),
+        "trials": dict(type=_positive_int, default=3, help="random instances per (size, scheme)"),
         "tolerance": dict(type=float, default=1e-8, help="max relative error accepted"),
         "r-max": dict(type=int, default=3),
         "tau": dict(type=float, default=0.05),
@@ -100,8 +109,8 @@ OPTIONS = {
     },
     "train": {
         "task": dict(type=_choice(*TASKS), default="local-majority"),
-        "steps": dict(type=int, default=200),
-        "batch": dict(type=int, default=8),
+        "steps": dict(type=_int_at_least(0), default=200),
+        "batch": dict(type=_positive_int, default=8),
         "lr": dict(type=float, default=0.05),
         "optimizer": dict(type=_choice("sgd", "adam"), default="sgd"),
         "clip": dict(type=float, default=1.0,
@@ -109,7 +118,7 @@ OPTIONS = {
         "grid": dict(type=int, default=8),
         "layers": dict(type=int, default=2),
         "ripple-layers": dict(type=int, default=1),
-        "heads": dict(type=int, default=2),
+        "heads": dict(type=_positive_int, default=2),
         "model-dim": dict(type=int, default=16),
         "head-dim": dict(type=int, default=8),
         "r-max": dict(type=int, default=3),

@@ -24,7 +24,10 @@ straight into the phi_k and v gradients. Both
 directions read one window per head group past group 0, as the forward
 does. Like the forward, the backward is one pass, _attend_vjp, on the
 tape's (H, W, heads, ...) arrays, with a head axis of length 1 for the
-single-head entry points; linearized attention skips the weights.
+single-head entry points; linearized attention skips the weights. Its
+entry points are ripple_vjp (also named linearized_vjp) and
+multi_head_vjp; grad_pixels_reference is the quadratic oracle that the
+token gradients are tested against.
 
 Halting indices and group counts are integers and are treated as locally
 constant, which matches central differences at generic points.
@@ -113,21 +116,22 @@ def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
     return _quotient_cotangent(tape.num, tape.den, g[:, :, None])
 
 
-def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
+def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
     """One pass over the forward's bands, then one over channel blocks for
     the token adjoint.
 
     Arrays carry the head axis after (H, W), as in the forward sweep. With
     cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
-    per query for g < length after a leading zero for the empty W_{-1} (their
-    differences are the band inner products, exactly zero past a query's
-    group count), <cot, T>, and the phi_q, phi_k and v gradients. Each
+    per query for g below the largest hat after a leading zero for the
+    empty W_{-1} (their differences are the band inner products), <cot, T>,
+    and the phi_q, phi_k and v gradients. Each
     z_g = W_g . gboth is contracted from the window's four corners into
     the strip. Terms of the radius-0 window and the merged tail take only
     small arrays: W_0 is the field itself and T one matrix per head. The
     token adjoint's accumulator and field borrow the band's kept buffer."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
+    length = coefs.shape[-1]
     radii = [group_span(partition.kind, g)[1] for g in range(1, length)]
     streams = _value_streams(tape.v)
     sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
@@ -155,8 +159,7 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
                 np.matmul(corner, gb, out=term)
                 combine(zg, term, out=zg)
         dots[rows, ..., 1:] += np.einsum("...d,...gd->...g", pqs, z)
-        grad_pq[rows, ..., blk] = np.einsum("...gd,...g->...d", z[..., :coefs.shape[-1], :],
-                                            coefs[rows])
+        grad_pq[rows, ..., blk] = np.einsum("...gd,...g->...d", z, coefs[rows])
         if rows.stop == len(pq):    # the far corner of the last strip is the total
             zt = matmul(gboth, np.swapaxes(band[-1, -1], -1, -2))    # T . gboth
             tail += np.einsum("...d,...d->...", pq[..., blk], zt)
@@ -172,60 +175,10 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray, length: int):
     return dots, tail, grad_pq, grad_pk, grad_v
 
 
-# ---------- weight gradients, expanded form ----------
-
-def grad_alpha(tape: AttentionTape, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of the loss wrt every entry of the padded weight grid.
-
-    Treats each alphas[i, j, r] of a single-head forward as an independent
-    weight (the enumeration oracle's view); shape (H, W, L), the tape's
-    weight grid without its head axis. The merged tail is not shared here:
-    it reports one gradient per underlying group, not one for its value.
-    """
-    dots = _blocked_backward(tape, _single_head_cotangent(tape, upstream),
-                             tape.weights.alphas.shape[-1])[0]
-    return np.diff(dots[:, :, 0], axis=-1)
-
-
 # ---------- token-position gradients ----------
 
-def _checked_field(weights: WeightGrid, upstream_field) -> np.ndarray:
-    """The upstream field as f64, rejected unless its (H, W) is the weight grid's."""
-    g = np.asarray(upstream_field, dtype=np.float64)
-    if g.shape[:2] != weights.groups.shape:
-        raise ValueError(f"upstream field shape {g.shape} does not match the weight grid's "
-                         f"(H, W) {weights.groups.shape}")
-    return g
-
-
-def grad_pixels(weights: WeightGrid, upstream_field: np.ndarray,
-                partition: PartitionScheme) -> np.ndarray:
-    """Gradient each token position receives through the weighted group sums.
-
-    For out[i, j] accumulating alpha_r(i, j) * sum over the group-r band, the
-    gradient at token (m, n) is sum over queries (i, j) of alpha(i, j)[group of
-    the (i, j)-(m, n) distance] * upstream[i, j]. This is the adjoint of the
-    forward sweep: the merged weight pushes one global sum to every token,
-    and head group r adds one transposed window of
-    weights.window_coefs()[..., r] * upstream, so the cost is O(H W hat_max)
-    fetches. Group 0's window is the weighted field itself; later groups
-    add into one padded accumulator that one suffix sum finishes
-    (_scatter_groups), and no table is built.
-    """
-    g = _checked_field(weights, upstream_field)[:, :, None]
-    one_head = weights.head_axis()
-    coefs = one_head.window_coefs()
-    radii = [group_span(partition.kind, r)[1] for r in range(1, coefs.shape[-1])]
-    rhs = g.reshape(g.shape[:3] + (-1,))
-    lhs = np.ones(rhs.shape[:3] + (1,))
-    grid = _scatter_groups(coefs, lhs, rhs, outer_sum(one_head.merged[..., None], rhs, heads=True),
-                           radii, band_plan(lhs.shape + rhs.shape[-1:], radii)[2])
-    out = grid + (_radius_zero_coef(coefs)[..., None] * rhs)[..., None, :]
-    return out.reshape(g.shape)[:, :, 0]
-
-
 def _scatter_groups(coefs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tail: np.ndarray,
-                    radii: list[int], pads: tuple, counted: bool = True) -> np.ndarray:
+                    radii: list[int], pads: tuple, counted: bool) -> np.ndarray:
     """The token adjoint of the windows past radius 0 and of the merged
     tail, with (H, W, heads, d) lhs and (H, W, heads, c) rhs: sum over
     groups 0 < r < coefs.shape[-1] of the transposed radius-radii[r - 1]
@@ -257,8 +210,13 @@ def _scatter_groups(coefs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tail: n
 
 def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,
                           partition: PartitionScheme) -> np.ndarray:
-    """Brute-force scatter over explicit group members; quadratic, for tests."""
-    g = _checked_field(weights, upstream_field)
+    """Brute-force scatter over explicit group members; quadratic, for tests.
+    Token (m, n) receives alpha(i, j)[group of (m, n)] * upstream[i, j] from
+    every query (i, j): the adjoint _scatter_groups takes by windows."""
+    g = np.asarray(upstream_field, dtype=np.float64)
+    if g.shape[:2] != weights.groups.shape:
+        raise ValueError(f"upstream field shape {g.shape} does not match the weight grid's "
+                         f"(H, W) {weights.groups.shape}")
     h, w = g.shape[:2]
     shape = GridShape(h, w)
     out = np.zeros_like(g)
@@ -355,7 +313,7 @@ def _ripple_backward(tape: AttentionTape, gboth: np.ndarray):
     included), the head and tail weight gradients, and the stick grads."""
     wg = tape.weights
     max_hat = int(wg.hat.max())
-    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(tape, gboth, max_hat)
+    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(tape, gboth)
     in_head = np.arange(max_hat) < wg.hat[..., None]
     ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
     covered = np.take_along_axis(dots, wg.hat[..., None], axis=-1)[..., 0]

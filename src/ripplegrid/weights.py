@@ -319,6 +319,8 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
         keep = np.arange(beta.shape[-1]) < cut[..., None]
         head = np.where(keep, beta, 0.0)
         total = head.sum(axis=-1, keepdims=True)
+        if np.any(total <= 0.0):
+            raise ValueError("truncated scheme has no head mass to renormalize")
         alphas = _pad_last(head / total, gmax)
         return WeightGrid(alphas=alphas, hat=cut.astype(np.int64),
                           merged=np.zeros(groups.shape), groups=groups)

@@ -24,13 +24,7 @@ from ripplegrid.attention import (
 )
 from ripplegrid.bench import BenchPlan, memory_probe, run_bench
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
-from ripplegrid.grad import (
-    finite_diff_check,
-    grad_alpha,
-    grad_pixels,
-    grad_pixels_reference,
-    ripple_vjp,
-)
+from ripplegrid.grad import finite_diff_check, grad_pixels_reference, ripple_vjp
 from ripplegrid.sat import fetch_count, reset_fetch_count
 from ripplegrid.toymodel import (
     ToyModelConfig,
@@ -251,25 +245,33 @@ def test_criterion_3_gradients(capsys):
     # curvature finite-difference friendly; the formulas never read epsilon
     fd_eps = 1e-3
 
-    # position scatter vs its quadratic brute force
+    # the backward's token gradients vs the quadratic position scatter: a
+    # fixed-exponential forward over learned weights, whose v gradient is
+    # phi_k against the scatter of phi_q (x) g / den
     rng = np.random.default_rng(31)
     pixels_err = 0.0
     for pk in (PartitionKind.UNIT_RING, PartitionKind.DYADIC):
         partition = PartitionScheme(kind=pk, r_max=3, tau=0.05)
+        q = rng.standard_normal((6, 6, 6))
+        k = rng.standard_normal((6, 6, 6))
         v = rng.standard_normal((6, 6, 4))
         stick = StickParams(unit_embeddings=rng.standard_normal((3, 4)),
                             value_projection=rng.standard_normal((4, 4)))
         wg = scheme_weights_grid(
             WeightScheme(kind=WeightSchemeKind.LEARNED_SBT, params=stick), v,
             GridShape(6, 6), partition)
-        g = rng.standard_normal((6, 6, 3))
-        err = float(np.abs(grad_pixels(wg, g, partition)
-                           - grad_pixels_reference(wg, g, partition)).max())
+        cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, pk, rng, 4, epsilon=fd_eps)
+        tape = ripple_dp(q, k, v, cfg, weights=wg).tape
+        g = rng.standard_normal((6, 6, 4))
+        phi_q, phi_k, den = tape.phi_q[:, :, 0], tape.phi_k[:, :, 0], tape.den[:, :, 0]
+        field = phi_q[..., :, None] * (g / den[..., None])[..., None, :]
+        want = np.einsum("hwd,hwdc->hwc", phi_k, grad_pixels_reference(wg, field, partition))
+        err = float(np.abs(ripple_vjp(tape, g).grad_v - want).max())
         pixels_err = max(pixels_err, err)
         if err >= 1e-10:
-            failures.append(f"grad_pixels {pk.value} err {err:.2e}")
+            failures.append(f"token gradients {pk.value} err {err:.2e}")
 
-    # position scatter vs central differences through an explicit
+    # the position scatter vs central differences through an explicit
     # member-enumeration forward (the gather whose adjoint it is)
     partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3,
                                 tau=0.05)
@@ -292,7 +294,7 @@ def test_criterion_3_gradients(capsys):
                         total += probe[i - 1, j - 1] * a * field[m - 1, n - 1]
         return total
 
-    analytic = grad_pixels(wg, probe, partition)
+    analytic = grad_pixels_reference(wg, probe, partition)
     field = rng.standard_normal((4, 4))
     step = 1e-5
     scatter_fd = 0.0
@@ -303,7 +305,7 @@ def test_criterion_3_gradients(capsys):
         scatter_fd = max(scatter_fd,
                          abs(analytic[idx] - fd) / max(abs(fd), 1.0))
     if scatter_fd >= 1e-4:
-        failures.append(f"grad_pixels FD rel err {scatter_fd:.2e}")
+        failures.append(f"position scatter FD rel err {scatter_fd:.2e}")
 
     # per-group weight gradient vs central differences
     rng = np.random.default_rng(32)
@@ -319,7 +321,8 @@ def test_criterion_3_gradients(capsys):
     wg = WeightGrid(alphas=alphas, hat=groups.copy(),
                     merged=np.zeros((4, 4)), groups=groups)
     probe = rng.standard_normal((4, 4, 5))
-    got = grad_alpha(ripple_dp(q, k, v, cfg, weights=wg).tape, probe)
+    # hat equals the group count, so every alpha is a head weight
+    got = ripple_vjp(ripple_dp(q, k, v, cfg, weights=wg).tape, probe).grad_alpha_head
 
     def alpha_loss(a):
         w2 = WeightGrid(alphas=a, hat=wg.hat, merged=wg.merged,
@@ -335,7 +338,7 @@ def test_criterion_3_gradients(capsys):
         fd = (alpha_loss(hi) - alpha_loss(lo)) / (2 * step)
         alpha_fd = max(alpha_fd, abs(got[idx] - fd) / max(abs(fd), 1.0))
     if alpha_fd >= 1e-4:
-        failures.append(f"grad_alpha rel err {alpha_fd:.2e}")
+        failures.append(f"grad_alpha_head rel err {alpha_fd:.2e}")
 
     # full backward pass vs central differences at 4x4 and 6x6
     vjp_err = 0.0
@@ -394,11 +397,11 @@ def test_criterion_4_runtime_scaling(capsys):
     # softmax first and a collect between plans: the naive runs leave large
     # transients behind, and a churned heap inflates the small-size medians
     # of whatever is timed next, flattening its fitted slope
-    softmax_recs = run_bench(softmax_plan, probe_memory=False)
+    softmax_recs = run_bench(softmax_plan)
     gc.collect()
-    dp_recs = run_bench(dp_plan, probe_memory=False)
+    dp_recs = run_bench(dp_plan)
     gc.collect()
-    naive_recs = run_bench(naive_plan, probe_memory=False)
+    naive_recs = run_bench(naive_plan)
 
     dp_slope = dp_recs[0].slope
     naive_slope = naive_recs[0].slope

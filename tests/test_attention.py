@@ -9,7 +9,6 @@ from ripplegrid.attention import (
     MultiHeadConfig,
     init_multi_head,
     linearized_attention,
-    linearized_attention_into,
     linearized_grid,
     multi_head_forward,
     ripple_dp,
@@ -168,18 +167,6 @@ def test_linearized_key_permutation_invariance():
                                linearized_attention(q, k, v, fm), atol=1e-10)
 
 
-def test_linearized_into_matches_plain():
-    rng = np.random.default_rng(9)
-    fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng)
-    q = rng.standard_normal((10, 4))
-    k = rng.standard_normal((10, 4))
-    v = rng.standard_normal((10, 3))
-    out = np.empty((10, 3))
-    linearized_attention_into(out, q, k, v, fm, chunk=3)
-    np.testing.assert_allclose(out, linearized_attention(q, k, v, fm),
-                               atol=1e-12)
-
-
 def test_zero_denominator_raises_at_eps_zero():
     # second layer clamps every feature to ReLU(-1) = 0
     fm = FeatureMapParams(kind=FeatureMapKind.DETERMINISTIC_ADAPTIVE,
@@ -200,29 +187,32 @@ def test_zero_denominator_raises_at_eps_zero():
         ripple_naive(*grid, cfg)
 
 
+# a NaN stabilizer used to give NaN rows and an infinite one all-zero rows
+BAD_EPSILONS = (-1e-9, np.nan, np.inf, -np.inf)
+
+
 def test_negative_epsilon_rejected():
     rng = np.random.default_rng(11)
-    with pytest.raises(ValueError):
-        make_config(WeightSchemeKind.UNIFORM, PartitionKind.UNIT_RING, rng,
-                    value_dim=3, epsilon=-1e-9)
+    for epsilon in BAD_EPSILONS:
+        with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
+            make_config(WeightSchemeKind.UNIFORM, PartitionKind.UNIT_RING, rng,
+                        value_dim=3, epsilon=epsilon)
 
 
 def test_linearized_forms_reject_negative_epsilon():
     """The linearized entry points take a raw epsilon and refuse a negative
-    one as the configs do, before any output: at -5 a 3x3 grid would
-    otherwise divide by negative denominators."""
+    or non-finite one as the configs do, before any output: at -5 a 3x3
+    grid would otherwise divide by negative denominators."""
     rng = np.random.default_rng(19)
     q, k, v = random_grids(rng, 3, 3)
     fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, q.shape[2], rng)
     flat = [a.reshape(9, -1) for a in (q, k, v)]
-    out = np.full(flat[2].shape, np.nan)
-    for call in (lambda eps: linearized_grid(q, k, v, fm, epsilon=eps),
-                 lambda eps: linearized_attention(*flat, fm, epsilon=eps),
-                 lambda eps: linearized_attention_into(out, *flat, fm, epsilon=eps)):
-        with pytest.raises(ValueError, match="epsilon must be >= 0"):
-            call(-5.0)
-        call(0.0)
-    assert np.isfinite(out).all()
+    for call in (lambda eps: linearized_grid(q, k, v, fm, epsilon=eps)[0],
+                 lambda eps: linearized_attention(*flat, fm, epsilon=eps)):
+        for epsilon in (-5.0,) + BAD_EPSILONS:
+            with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
+                call(epsilon)
+        assert np.isfinite(call(0.0)).all()
 
 
 # ---------- grouped attention: degeneracies ----------
@@ -367,17 +357,10 @@ def test_non_finite_inputs_rejected():
     def flat(q, k, v, cfg):
         return linearized_attention(*(a.reshape(25, -1) for a in (q, k, v)), cfg.featmap)
 
-    def streaming(q, k, v, cfg):
-        out = np.zeros((25, v.shape[2]))
-        linearized_attention_into(out, *(a.reshape(25, -1) for a in (q, k, v)),
-                                  cfg.featmap, chunk=7)
-        # the check runs before any chunk is written
-        assert not out.any()
-
     def softmax(q, k, v, cfg):
         return softmax_attention(*(a.reshape(25, -1) for a in (q, k, v)))
 
-    for fn in (ripple_dp, ripple_naive, linearized_grid_of, flat, streaming, softmax):
+    for fn in (ripple_dp, ripple_naive, linearized_grid_of, flat, softmax):
         with pytest.raises(ValueError, match="q contains non-finite"):
             fn(bad_q, k, v, cfg)
         with pytest.raises(ValueError, match="k contains non-finite"):
@@ -544,10 +527,12 @@ def test_multi_head_forward_rejects_bad_input_grid(shape):
 
 
 @pytest.mark.parametrize("bad", [dict(attention="linear"), dict(attention="Ripple"),
-                                 dict(attention=""), dict(epsilon=-1e-6)], ids=str)
+                                 dict(attention=""), dict(epsilon=-1e-6),
+                                 dict(epsilon=np.nan), dict(epsilon=np.inf)], ids=str)
 def test_multi_head_config_rejects_bad_fields(bad):
-    # an unknown attention name used to run ripple attention, and a negative
-    # epsilon to flip the sign of small denominators
+    # an unknown attention name used to run ripple attention, a negative
+    # epsilon to flip the sign of small denominators, and a non-finite one
+    # to turn every output NaN or zero
     with pytest.raises(ValueError, match="must be"):
         MultiHeadConfig(partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05),
                         scheme_kind=WeightSchemeKind.UNIFORM, **bad)

@@ -17,12 +17,9 @@ from ripplegrid.attention import (
     release_kept_buffers,
     ripple_naive,
 )
-from ripplegrid import attention as attention_module
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
 from ripplegrid.grad import (
     finite_diff_check,
-    grad_alpha,
-    grad_pixels,
     grad_pixels_reference,
     linearized_vjp,
     multi_head_vjp,
@@ -74,100 +71,57 @@ def random_grids(rng, h, w, d=4, c=3):
 
 # ---------- token-position scatter ----------
 
+def token_adjoint(rng, scheme, partition, h, w):
+    """ripple_vjp's v gradient for a fixed-exponential forward run over
+    ``scheme``'s weight grid, and the same gradient from the quadratic
+    scatter oracle: v enters only the numerator, as phi_k (x) v, so its
+    gradient is phi_k against the scatter of phi_q (x) g / den."""
+    q, k, v = random_grids(rng, h, w)
+    wg = scheme_weights_grid(scheme, v, GridShape(h, w), partition)
+    cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, partition.kind, rng, v.shape[2],
+                      r_max=partition.r_max, tau=partition.tau)
+    tape = ripple_dp(q, k, v, cfg, weights=wg).tape
+    g = rng.standard_normal(v.shape)
+    pq, pk, den = tape.phi_q[:, :, 0], tape.phi_k[:, :, 0], tape.den[:, :, 0]
+    field = pq[..., :, None] * (g / den[..., None])[..., None, :]
+    want = np.einsum("hwd,hwdc->hwc", pk, grad_pixels_reference(wg, field, partition))
+    return ripple_vjp(tape, g).grad_v, want, wg
+
+
 def test_grad_pixels_matches_reference():
+    # every scheme's weights on 1xN, Nx1 and square grids, hat 0 and
+    # cut == groups included; the field has (Dp, C) channels per token
     rng = np.random.default_rng(0)
-    fixed = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
     for pk in (PartitionKind.UNIT_RING, PartitionKind.DYADIC):
         partition = PartitionScheme(kind=pk, r_max=3, tau=0.05)
-        cases = [(fixed, shape) for shape in ((4, 5), (6, 6), (5, 7))]
-        # 1xN and Nx1 grids under every scheme, hat 0 and cut == groups included
-        cases += [(make_config(kind, pk, rng, 3).scheme, shape)
-                  for kind in WeightSchemeKind
-                  for shape in ((1, 1), (1, 7), (9, 1), (1, 12))]
-        for scheme, (h, w) in cases:
-            v = rng.standard_normal((h, w, 3))
-            wg = scheme_weights_grid(scheme, v, GridShape(h, w), partition)
-            g = rng.standard_normal((h, w))
-            np.testing.assert_allclose(
-                grad_pixels(wg, g, partition),
-                grad_pixels_reference(wg, g, partition), atol=1e-12)
-
-
-def test_grad_pixels_channel_field():
-    # the scatter broadcasts over trailing channel axes
-    rng = np.random.default_rng(1)
-    partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05)
-    v = rng.standard_normal((5, 4, 2))
-    stick = StickParams(unit_embeddings=rng.standard_normal((3, 3)),
-                        value_projection=rng.standard_normal((3, 2)))
-    wg = scheme_weights_grid(
-        WeightScheme(kind=WeightSchemeKind.LEARNED_SBT, params=stick), v,
-        GridShape(5, 4), partition)
-    g = rng.standard_normal((5, 4, 3, 2))
-    np.testing.assert_allclose(grad_pixels(wg, g, partition),
-                               grad_pixels_reference(wg, g, partition),
-                               atol=1e-12)
-
-
-def test_grad_pixels_constructs_no_table(monkeypatch):
-    # group 0 is the weighted field itself and every later group scatters
-    # into one accumulator that one suffix sum finishes: no table is built,
-    # however long the sweep
-    fills = []
-    build = attention_module.prefix_sum
-
-    def counting(acc, *args, **kwargs):
-        fills.append(acc.shape)
-        return build(acc, *args, **kwargs)
-
-    monkeypatch.setattr(attention_module, "prefix_sum", counting)
-    rng = np.random.default_rng(7)
-    fixed = WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL)
-    for pk, r_max in ((PartitionKind.UNIT_RING, 6), (PartitionKind.DYADIC, 4),
-                      (PartitionKind.UNIT_RING, 1)):
-        partition = PartitionScheme(kind=pk, r_max=r_max, tau=1e-9)
-        wg = scheme_weights_grid(fixed, rng.standard_normal((9, 9, 2)),
-                                 GridShape(9, 9), partition)
-        g = rng.standard_normal((9, 9, 3))
-        fills.clear()
-        got = grad_pixels(wg, g, partition)
-        assert fills == [], (pk, r_max, fills)
-        np.testing.assert_allclose(got, grad_pixels_reference(wg, g, partition),
-                                   atol=1e-12)
+        for kind in WeightSchemeKind:
+            scheme = make_config(kind, pk, rng, 3).scheme
+            for h, w in ((1, 1), (1, 7), (9, 1), (5, 7), (6, 6)):
+                got, want, _ = token_adjoint(rng, scheme, partition, h, w)
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_grad_pixels_truncated_tail_scatters_nothing():
     rng = np.random.default_rng(2)
     partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05)
-    v = rng.standard_normal((6, 6, 2))
-    stick = StickParams(unit_embeddings=rng.standard_normal((2, 3)),
-                        value_projection=rng.standard_normal((3, 2)))
-    wg = scheme_weights_grid(
-        WeightScheme(kind=WeightSchemeKind.TRUNCATED, params=stick), v,
-        GridShape(6, 6), partition)
+    scheme = make_config(WeightSchemeKind.TRUNCATED, partition.kind, rng, 3, r_max=2).scheme
+    got, want, wg = token_adjoint(rng, scheme, partition, 6, 6)
     assert np.all(wg.merged == 0.0)
-    g = rng.standard_normal((6, 6))
-    np.testing.assert_allclose(grad_pixels(wg, g, partition),
-                               grad_pixels_reference(wg, g, partition),
-                               atol=1e-12)
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_grad_pixels_rejects_upstream_off_the_weight_grid():
-    # grad_pixels used to fail inside numpy's matmul with a core-dimension
-    # message, and the reference returned a field of the upstream's shape
-    # or ran past the grid with an IndexError
+    # the reference used to return a field of the upstream's shape or run
+    # past the grid with an IndexError
     rng = np.random.default_rng(20)
     partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05)
     wg = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
                              rng.standard_normal((5, 5, 3)), GridShape(5, 5), partition)
     for bad in ((1, 5, 3), (5, 1, 3), (4, 5, 3), (6, 6, 3), (5,)):
         shown = rf"\({', '.join(map(str, bad))},?\)"
-        for fn in (grad_pixels, grad_pixels_reference):
-            with pytest.raises(ValueError, match=rf"upstream field shape {shown}.* \(5, 5\)"):
-                fn(wg, rng.standard_normal(bad), partition)
-    g = rng.standard_normal((5, 5, 3))
-    np.testing.assert_allclose(grad_pixels(wg, g, partition),
-                               grad_pixels_reference(wg, g, partition), atol=1e-12)
+        with pytest.raises(ValueError, match=rf"upstream field shape {shown}.* \(5, 5\)"):
+            grad_pixels_reference(wg, rng.standard_normal(bad), partition)
+    assert grad_pixels_reference(wg, rng.standard_normal((5, 5, 3)), partition).shape == (5, 5, 3)
 
 
 # ---------- per-group weight gradients ----------
@@ -192,8 +146,10 @@ def test_grad_alpha_matches_finite_differences():
     wg = free_alpha_grid(rng, shape, cfg.partition)
     probe = rng.standard_normal((4, 5, v.shape[2]))
 
+    # hat equals the group count, so every alpha is a head weight
     res = ripple_dp(q, k, v, cfg, weights=wg)
-    got = grad_alpha(res.tape, probe)
+    got = ripple_vjp(res.tape, probe).grad_alpha_head
+    assert got.shape == wg.alphas.shape
 
     def loss(alphas):
         w2 = WeightGrid(alphas=alphas, hat=wg.hat, merged=wg.merged,
@@ -214,9 +170,11 @@ def test_grad_alpha_zero_past_group_count():
     q, k, v = random_grids(rng, 5, 6)
     cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL,
                       PartitionKind.UNIT_RING, rng, v.shape[2])
-    res = ripple_dp(q, k, v, cfg)
-    g = grad_alpha(res.tape, np.ones_like(res.out))
-    pad = np.arange(g.shape[-1]) >= res.tape.weights.groups[:, :, 0, None]
+    wg = free_alpha_grid(rng, GridShape(5, 6), cfg.partition)
+    res = ripple_dp(q, k, v, cfg, weights=wg)
+    g = ripple_vjp(res.tape, np.ones_like(res.out)).grad_alpha_head
+    pad = np.arange(g.shape[-1]) >= wg.groups[..., None]
+    assert pad.any() and not pad.all()
     np.testing.assert_array_equal(g[pad], 0.0)
 
 
@@ -241,21 +199,6 @@ def test_grad_merged_matches_finite_differences():
             return float((ripple_dp(q, k, v, cfg, weights=w2).out * probe).sum())
         fd = (loss(wg.merged[cell] + step) - loss(wg.merged[cell] - step)) / (2 * step)
         assert abs(gm[cell] - fd) <= 1e-6 * max(abs(fd), 1.0), cell
-
-
-def test_vjp_head_grads_agree_with_expanded_form():
-    rng = np.random.default_rng(6)
-    q, k, v = random_grids(rng, 5, 4)
-    cfg = make_config(WeightSchemeKind.LEARNED_SBT, PartitionKind.UNIT_RING,
-                      rng, v.shape[2])
-    res = ripple_dp(q, k, v, cfg)
-    probe = rng.standard_normal(res.out.shape)
-    full = grad_alpha(res.tape, probe)
-    rg = ripple_vjp(res.tape, probe)
-    max_hat = rg.grad_alpha_head.shape[-1]
-    in_head = np.arange(max_hat) < res.tape.weights.hat[:, :, 0, None]
-    np.testing.assert_array_equal(rg.grad_alpha_head,
-                                  np.where(in_head, full[..., :max_hat], 0.0))
 
 
 # ---------- full backward pass vs central differences ----------
@@ -547,7 +490,7 @@ def test_backward_rejects_mismatched_upstream():
     cfg = make_config(WeightSchemeKind.LEARNED_SBT, PartitionKind.UNIT_RING, rng, v.shape[2])
     tape = ripple_dp(q, k, v, cfg).tape
     _, lin_tape = linearized_grid(q, k, v, cfg.featmap)
-    for vjp, t in ((ripple_vjp, tape), (grad_alpha, tape), (linearized_vjp, lin_tape)):
+    for vjp, t in ((ripple_vjp, tape), (linearized_vjp, lin_tape)):
         for bad in ((4, 5, 4), (5, 4, 3), (4, 5, 1, 3)):
             with pytest.raises(ValueError, match=rf"upstream shape \({', '.join(map(str, bad))}\)"
                                                  r".* \(4, 5, 3\)"):

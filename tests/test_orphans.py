@@ -11,20 +11,15 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = ("sat", "attention", "grad", "weights", "vicinal", "featmap", "heads",
-           "bench", "toymodel", "cli")
+MODULES = tuple(sorted(p.stem for p in (SRC / "ripplegrid").glob("*.py")
+                       if p.name != "__init__.py"))
 
 REFERENCES = {
     "scheme_weights": "scalar oracle that scheme_weights_grid is tested against",
     "adaptive_truncate": "scalar oracle for the tau halting of learned weights",
     "jsd": "scalar oracle that jsd_grid is tested against",
     "num_groups": "scalar oracle that num_groups_grid is tested against",
-    "grad_alpha": "per-group weight gradient, audited by central differences",
-    "grad_pixels": "token adjoint into a fresh output (a padded accumulator written "
-                   "through window_corners' views, one suffix sum, no table); the "
-                   "blocked backward runs its core per block, and the tests audit "
-                   "that core through it",
-    "grad_pixels_reference": "quadratic scatter oracle for grad_pixels",
+    "grad_pixels_reference": "quadratic scatter oracle for the backward's token gradients",
     "ripple_softmax_reference": "quadratic per-group softmax reference semantics",
     "linearized_attention": "flat-sequence form of the factorized quotient",
     "linearized_grid": "single-head linearized layer; the benchmark's yardstick",
@@ -32,7 +27,8 @@ REFERENCES = {
                   "(also exported as linearized_vjp); the layer runs multi_head_vjp",
     "fetch_count": "read by the fetch budgets of the scaling tests",
     "reset_fetch_count": "zeroes the fetch counter before a measured pass",
-    "run_bench": "scaling harness of acceptance criteria 4 and 5",
+    "run_bench": "scaling harness of acceptance criterion 4",
+    "memory_probe": "peak transient allocation of one pass, read by acceptance criterion 5",
     "finite_diff_check": "central-difference auditor of every analytic gradient",
     "chebyshev": "scalar distance the partition tests build group indices from",
 }

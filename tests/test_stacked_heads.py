@@ -14,7 +14,7 @@ from ripplegrid.attention import (
     ripple_dp,
 )
 from ripplegrid.grad import linearized_vjp, multi_head_vjp, ripple_vjp
-from ripplegrid.vicinal import PartitionKind, PartitionScheme
+from ripplegrid.vicinal import PartitionKind, PartitionScheme, group_span
 from ripplegrid.weights import WeightScheme, WeightSchemeKind
 from stacked import MODES, head_arrays, head_params
 
@@ -95,22 +95,26 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
         return build(acc, *args, **kwargs)
 
     monkeypatch.setattr(attention_module, "prefix_sum", counting)
-    counts = []
-    for num_heads in (1, 2, 3):
-        rng = np.random.default_rng(num_heads)
-        params = init_multi_head(rng, model_dim=6, num_heads=num_heads, head_dim=4,
-                                 r_max=3, scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
-        config = MultiHeadConfig(
-            partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=3, tau=0.05),
-            scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
-        x = rng.standard_normal((6, 6, 6))
-        blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), [1, 2])
-        assert (len(blocks), height) == (1, 6)      # one block, one strip
-        fills.clear()
-        _, tape = multi_head_forward(x, params, config)
-        multi_head_vjp(tape, rng.standard_normal((6, 6, 6)))
-        assert all(f[2] == num_heads for f in fills)    # every table holds all heads
-        counts.append(len(fills))
-    # forward 1, backward 1; the token adjoint scatters and suffix-sums
-    # without a table (hat = 3)
-    assert counts == [2, 2, 2]
+    for partition_kind, r_max in ((PartitionKind.UNIT_RING, 3), (PartitionKind.UNIT_RING, 6),
+                                  (PartitionKind.DYADIC, 4)):
+        partition = PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05)
+        counts = []
+        for num_heads in (1, 2, 3):
+            rng = np.random.default_rng(num_heads)
+            params = init_multi_head(rng, model_dim=6, num_heads=num_heads, head_dim=4,
+                                     r_max=r_max, scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
+            config = MultiHeadConfig(partition=partition,
+                                     scheme_kind=WeightSchemeKind.FIXED_EXPONENTIAL)
+            x = rng.standard_normal((6, 6, 6))
+            fills.clear()
+            _, tape = multi_head_forward(x, params, config)
+            hat = int(tape.attn.weights.hat.max())
+            radii = [group_span(partition_kind, g)[1] for g in range(1, hat)]
+            blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), radii)
+            assert (len(blocks), height) == (1, 6)      # one block, one strip
+            multi_head_vjp(tape, rng.standard_normal((6, 6, 6)))
+            assert all(f[2] == num_heads for f in fills)    # every table holds all heads
+            counts.append(len(fills))
+        # forward 1, backward 1; the token adjoint scatters and suffix-sums
+        # without a table, however long the sweep (hat 3 to 5)
+        assert counts == [2, 2, 2], (partition_kind, r_max, hat)

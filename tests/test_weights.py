@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ripplegrid.attention import AttentionConfig, ripple_dp
+from ripplegrid.featmap import FeatureMapKind, init_feature_map
 from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme, num_groups
 from ripplegrid.weights import (
     LEARNED_KINDS,
@@ -147,6 +149,26 @@ def test_truncated_scheme_hard_zero_tail():
     assert np.all(sw.alphas[4:] == 0.0)
     assert sw.alphas[:4].sum() == pytest.approx(1.0, abs=1e-12)
     assert sw.merged_weight == 0.0
+
+
+def test_truncated_scheme_without_head_mass_rejected():
+    # a stick whose every fraction underflows to 0 leaves the head empty; the
+    # grid form used to renormalize by 0 and hand ripple_dp NaN weights
+    scheme = WeightScheme(kind=WeightSchemeKind.TRUNCATED,
+                          params=StickParams(np.full((2, 1), -1.0), np.full((1, 4), 300.0)))
+    v = np.ones((3, 3, 4))
+    partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05)
+    message = "truncated scheme has no head mass to renormalize"
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=message):
+            scheme_weights(scheme, (2, 2), v[1, 1], groups=2, r_max=2, tau=0.05)
+        with pytest.raises(ValueError, match=message):
+            scheme_weights_grid(scheme, v, GridShape(3, 3), partition)
+        cfg = AttentionConfig(scheme=scheme, partition=partition,
+                              featmap=init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4,
+                                                       np.random.default_rng(0)))
+        with pytest.raises(ValueError, match=message):
+            ripple_dp(v, v, v, cfg)
 
 
 def test_simplex_property_random_sweep():
