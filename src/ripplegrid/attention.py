@@ -29,7 +29,8 @@ per-query vectors are sized in bytes together (BLOCK_BYTES): the strip
 shortens as the radius and the window count grow, and channels split
 only when the shared rows and one strip row would not fit. The tape
 holds inputs, features, weights and the quotient, and the backward pass
-streams the same band again.
+streams the same band again, with the token adjoint's band beside it in
+the same buffer (see the grad module).
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
 multi-head layer stacks its heads on axis 2, with one band over
@@ -55,16 +56,18 @@ DEFAULT_EPSILON = 1e-6
 
 BLOCK_BYTES = 10 << 20
 """Bytes of the band of prefix-table rows a pass streams with the per-query
-vectors its strip keeps, and of the token adjoint's two channel-block
-arrays (a padded accumulator and a field), which borrow the band's
-buffer. The strip height is what the budget leaves after the 2R + 1 rows
-strips share (see band_plan). At 10 MiB a 48x48 unit-ring forward
-(Dp = C = 32, radius 3) runs strips of 13 rows, a 32x32 dyadic one
-(radius 7) strips of 10, and a 128x128 dyadic one splits its channels in
-two. A larger budget leaves less margin under the one-field forward peak
-at 48x48, and at 32x32 a short-radius band (29-row strips, 9.46 MB at
-radius 1) would fall short of what a long-radius one fills, against
-acceptance 5's flat peak over r_max. 8x8 toy grids run as one strip."""
+vectors its strip keeps; in the backward, the band's buffer also holds the
+token adjoint's band and the strip's field. The strip height is what the
+budget leaves after the 2R + 1 rows strips share (see band_plan). At
+10 MiB a 48x48 unit-ring forward (Dp = C = 32, radius 3) runs strips of
+13 rows, a 32x32 dyadic one (radius 7) strips of 10, and a 128x128
+dyadic one splits its channels in two; the 32x32 dyadic backward runs
+two blocks of 16 channels in strips of 7 rows, the 128x128 one four
+blocks of 8 in strips of one row. A larger budget leaves less margin
+under the one-field forward peak at 48x48, and at 32x32 a short-radius
+band (29-row strips, 9.46 MB at radius 1) would fall short of what a
+long-radius one fills, against acceptance 5's flat peak over r_max. 8x8
+toy grids run as one strip."""
 
 
 @dataclass(frozen=True)
@@ -198,33 +201,32 @@ def _value_streams(v):
     return np.concatenate((v, np.ones(v.shape[:-1] + (1,))), axis=-1)
 
 
-def channel_blocks(dp: int, nbytes: int) -> list[slice]:
-    """Split Dp channels into blocks of equal width, except a narrower last
-    one, so that ``nbytes`` of full-width arrays come to about BLOCK_BYTES
-    per block, or to one channel each."""
-    count = min(max(-(-nbytes // BLOCK_BYTES), 1), dp)
-    width = -(-dp // count)
-    return [slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)]
-
-
-def band_plan(field_shape: tuple, radii: list[int]):
+def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
     """How a pass streams the table of an (H, W, heads, Dp, C + 1) field
     whose windows have ``radii``: (channel blocks, strip height, pads). A
     pad is the largest radius clipped to its grid axis, since a window that
     long spans the axis anyway. A band holds a strip's rows plus 2 ph + 1
     shared ones, and each strip row also brings the block-width vectors a
     pass keeps per query: one per window and two more (the backward's z_0
-    and corner term). Channels split only when the shared rows and one
-    strip row overflow BLOCK_BYTES, and the strip grows to fill it."""
+    and corner term). The ``backward`` keeps 2 ph + 2 more shared band rows
+    and two more per strip row: the token adjoint's and the field's.
+    Channels split into equal blocks (but a narrower last one) only when
+    the shared rows and one strip row overflow BLOCK_BYTES, and the strip
+    grows to fill it."""
     h, w = field_shape[:2]
+    dp = field_shape[-2]
     radius = max(radii, default=0)
     pads = (min(radius, h - 1), min(radius, w - 1))
     margin = 2 * pads[0] + 1
     band_row = (w + 2 * pads[1] + 1) * math.prod(field_shape[2:]) * 8    # at full width
     strip_row = band_row + w * math.prod(field_shape[2:-1]) * (len(radii) + 2) * 8
-    blocks = channel_blocks(field_shape[-2], margin * band_row + strip_row)
-    budget = BLOCK_BYTES * field_shape[-2] // (blocks[0].stop - blocks[0].start)
-    return blocks, min(max((budget - margin * band_row) // strip_row, 1), h), pads
+    shared = margin * band_row
+    if backward:
+        shared, strip_row = shared + (margin + 1) * band_row, strip_row + 2 * band_row
+    width = -(-dp // min(max(-(-(shared + strip_row) // BLOCK_BYTES), 1), dp))
+    budget = BLOCK_BYTES * dp // width
+    return ([slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)],
+            min(max((budget - shared) // strip_row, 1), h), pads)
 
 
 _kept = threading.local()
@@ -234,11 +236,13 @@ def kept_array(name: str, shape: tuple) -> np.ndarray:
     """An array of ``shape`` over the thread's kept flat buffer ``name``,
     grown when short. Fresh multi-MB arrays fault in every page they touch:
     a quarter of an 8x8 forward at Dp = C = 64, a sixth of a 32x32 forward
-    plus backward. Passes take turns with the buffers: none nests."""
-    size = math.prod(shape)
-    if not hasattr(_kept, name) or getattr(_kept, name).size < size:
-        setattr(_kept, name, np.empty(size))
-    return getattr(_kept, name)[:size].reshape(shape)
+    plus backward. Passes take turns with the buffers: none nests. A short
+    buffer is freed before its successor is allocated."""
+    size, kept = math.prod(shape), _kept.__dict__
+    if name not in kept or kept[name].size < size:
+        kept.pop(name, None)
+        kept[name] = np.empty(size)
+    return kept[name][:size].reshape(shape)
 
 
 def release_kept_buffers() -> None:
@@ -246,11 +250,20 @@ def release_kept_buffers() -> None:
     _kept.__dict__.clear()
 
 
-def table_bands(pk, streams, radii: list[int]):
-    """Yield (blk, rows, band, pads) for every channel block and strip of
-    grid rows [a, b): the band holds the padded prefix table rows
+def move_up(band: np.ndarray, rows: int, by: int) -> None:
+    """Moves band rows [by, by + rows) up to [0, rows), ``by`` rows at a
+    time: a copy that overlapped itself would go through a temporary."""
+    for k in range(0, rows, by):
+        band[k:min(k + by, rows)] = band[k + by:min(k + by, rows) + by]
+
+
+def table_bands(pk, streams, radii: list[int], backward: bool = False):
+    """Yield (blk, rows, band, pads, spare) for every channel block and
+    strip of grid rows [a, b): the band holds the padded prefix table rows
     [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's channels, in
-    the layout sat.window_corners reads, in the kept buffer "band".
+    the layout sat.window_corners reads, in the kept buffer "band", as
+    band_plan plans the pass. spare is the rest of the block's kept buffer,
+    rows that only the ``backward`` has.
 
     Each table row is built once: its field is written below the row
     above and run onto it by prefix_sum with a carry, over the grid's
@@ -264,13 +277,15 @@ def table_bands(pk, streams, radii: list[int]):
     pass's fetches on its first block only (blk.start == 0): later blocks
     read the same positions."""
     h, w = pk.shape[:2]
-    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii)
+    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii, backward)
     ph, pw = pads
     margin = 2 * ph + 1
+    kept_rows = 3 * height + 2 * margin + 1 if backward else height + margin
     grid = slice(pw + 1, pw + 1 + w)
     for blk in blocks:
-        band = kept_array("band", (height + margin, w + 2 * pw + 1) + pk.shape[2:-1]
+        kept = kept_array("band", (kept_rows, w + 2 * pw + 1) + pk.shape[2:-1]
                           + (blk.stop - blk.start,) + streams.shape[-1:])
+        band, spare = kept[:height + margin], kept[height + margin:]
         band[:ph + 1] = 0.0         # the table before the grid
         band[:, :pw + 1] = 0.0
         ready = ph + 1              # band rows that hold table rows
@@ -278,9 +293,7 @@ def table_bands(pk, streams, radii: list[int]):
             b = min(a + height, h)
             top = a - ph - 1        # the table row in band row 0
             if a:
-                for k in range(0, margin, height):
-                    n = min(height, margin - k)
-                    band[k:k + n] = band[k + height:k + height + n]
+                move_up(band, margin, height)
                 ready = margin
             built, stop = min(b + ph, h) - top, b - a + margin
             if built > ready:
@@ -292,7 +305,7 @@ def table_bands(pk, streams, radii: list[int]):
                     band[new, pad] = band[new, grid.stop - 1]
                 ready = built
             band[ready:stop] = band[ready - 1]
-            yield blk, slice(a, b), band[:stop], pads
+            yield blk, slice(a, b), band[:stop], pads, spare
 
 
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
@@ -306,7 +319,7 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, rows, band, pads in table_bands(pk, streams, radii):
+    for blk, rows, band, pads, _ in table_bands(pk, streams, radii):
         strip, term = both[rows], part[rows][..., None, :]
         scaled = kept_array("scaled", strip.shape[:-1] + (len(radii), blk.stop - blk.start))
         np.multiply(coefs[rows, ..., 1:, None], pq[rows][..., None, blk], out=scaled)

@@ -179,25 +179,26 @@ def memory_probe(variant: str, side: int, plan: BenchPlan | None = None) -> int:
 
 
 def run_bench(plan: BenchPlan) -> list[BenchRecord]:
-    """Gate, warm up, time, and fit every variant in the plan. Once a
-    variant has at least 3 sizes, its fitted slope is stamped onto each of
-    its records."""
+    """Gate, warm up, time, and fit every variant in the plan. Its sizes are
+    timed round-robin, so that drift on the machine lands on each alike
+    instead of tilting the fitted slope. Once a variant has at least 3
+    sizes, its fitted slope is stamped onto each of its records."""
     records: list[BenchRecord] = []
     for variant in plan.variants:
         _gate(variant, plan)
-        for side in plan.sizes:
-            fn = _make_runner(variant, side, plan)
-            for _ in range(plan.warmup):
-                fn()
-            samples = []
-            for _ in range(plan.reps):
+        runners = [_make_runner(variant, side, plan) for side in plan.sizes]
+        for fn in runners * plan.warmup:
+            fn()
+        samples = [[] for _ in runners]
+        for _ in range(plan.reps):
+            for fn, mine in zip(runners, samples):
                 t0 = time.perf_counter_ns()
                 for _ in range(plan.batch):
                     fn()
-                samples.append((time.perf_counter_ns() - t0) / plan.batch)
-            records.append(BenchRecord(variant=variant, side=side, tokens=side * side,
-                                       r_max=plan.resolved_r_max(side),
-                                       median_ns=float(median(samples))))
+                mine.append((time.perf_counter_ns() - t0) / plan.batch)
+        records += [BenchRecord(variant=variant, side=side, tokens=side * side,
+                                r_max=plan.resolved_r_max(side), median_ns=float(median(mine)))
+                    for side, mine in zip(plan.sizes, samples)]
     for variant in plan.variants:
         mine = [r for r in records if r.variant == variant]
         if len(mine) >= 3:

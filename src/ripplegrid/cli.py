@@ -46,10 +46,6 @@ class UsageError(Exception):
 
 # ---------- options ----------
 
-def _ints(text: str) -> tuple:
-    return tuple(int(t) for t in _strs(text))
-
-
 def _strs(text: str) -> tuple:
     items = tuple(t.strip() for t in text.split(",") if t.strip())
     if not items:
@@ -80,6 +76,10 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _positive_ints(text: str) -> tuple:
+    return tuple(_positive_int(t) for t in _strs(text))
+
+
 SCHEME_NAMES = ("uniform", "fixed-exponential", "learned-sbt", "truncated", "softmax")
 SCHEME = _choice(*SCHEME_NAMES)
 PARTITION = _choice("unit-ring", "dyadic")
@@ -93,7 +93,7 @@ GLOBAL_OPTIONS = {
 
 OPTIONS = {
     "check": {
-        "sizes": dict(type=_ints, default=(4, 6, 9, 12), help="grid sides to test"),
+        "sizes": dict(type=_positive_ints, default=(4, 6, 9, 12), help="grid sides to test"),
         "schemes": dict(type=_strs, default=SCHEME_NAMES, help="weight schemes to test"),
         "partition": dict(type=PARTITION, default="unit-ring"),
         "trials": dict(type=_positive_int, default=3, help="random instances per (size, scheme)"),

@@ -12,20 +12,18 @@ window's four corners into the strip, which feeds the weight gradients
 (phi_q . z_g, differenced over g) and the phi_q gradient (sum_g c_g z_g).
 The token gradients are the sweep's adjoint: a token receives the
 transposed window of the field c_g * cotangent per group, plus the
-broadcast sum of m * cotangent. Since W_g = Diff_g(Prefix(F)), those sum
-to Prefix^T(sum_g Diff_g^T(...)): each group past 0 adds into the corner
-views of one accumulator padded as the band is, the tail enters at its far
-corner as the adjoint of the grid total, and one suffix sum per channel
-block finishes them, with no table built (see the sat module); the
-accumulator and the group's field borrow the band's buffer. Group 0's
-window is the token itself, so its share, like z_0 = phi_k ([v, 1] .
-gboth), takes only (H, W, heads, Dp) arrays. The block's share goes
-straight into the phi_k and v gradients. Both
-directions read one window per head group past group 0, as the forward
-does. Like the forward, the backward is one pass, _attend_vjp, on the
-tape's (H, W, heads, ...) arrays, with a head axis of length 1 for the
-single-head entry points; linearized attention skips the weights. Its
-entry points are ripple_vjp (also named linearized_vjp) and
+broadcast sum of m * cotangent. Since W_g = Diff'_g(Suffix(F)) as well,
+those sum to Prefix(sum_g Diff'_g^T(...)) (see the sat module): in the
+same strip loop, each group past 0 adds into the corner views of an
+adjoint band in the band's buffer, the tail enters at padded (0, 0), and
+prefix_sum finishes the rows top down as they become final, straight
+into the phi_k and v gradients. Group 0's window is the token itself, so
+its share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads,
+Dp) arrays. Both directions read one window per head group past group
+0, as the forward does. Like the forward, the backward is one pass,
+_attend_vjp, on the tape's (H, W, heads, ...) arrays, with a head axis
+of length 1 for the single-head entry points; linearized attention skips
+the weights. Its entry points are ripple_vjp (also named linearized_vjp) and
 multi_head_vjp; grad_pixels_reference is the quadratic oracle that the
 token gradients are tested against.
 
@@ -34,16 +32,15 @@ constant, which matches central differences at generic points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import (AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams,
-                        band_plan, channel_blocks, kept_array, table_bands)
+                        kept_array, move_up, table_bands)
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
-from .sat import suffix_sum, window_corners
+from .sat import prefix_sum, window_corners
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightSchemeKind,
                       _grid_stick_breaking, grid_stick_fractions)
@@ -117,18 +114,26 @@ def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
 
 
 def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
-    """One pass over the forward's bands, then one over channel blocks for
-    the token adjoint.
+    """One pass over the backward's bands, top down, for the weight and
+    the token gradients.
 
     Arrays carry the head axis after (H, W), as in the forward sweep. With
     cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
     per query for g below the largest hat after a leading zero for the
     empty W_{-1} (their differences are the band inner products), <cot, T>,
-    and the phi_q, phi_k and v gradients. Each
-    z_g = W_g . gboth is contracted from the window's four corners into
-    the strip. Terms of the radius-0 window and the merged tail take only
-    small arrays: W_0 is the field itself and T one matrix per head. The
-    token adjoint's accumulator and field borrow the band's kept buffer."""
+    and the phi_q, phi_k and v gradients. Each z_g = W_g . gboth is
+    contracted from the window's four corners into the strip, and each
+    group's field c_g cot is added into the same corners of the adjoint
+    band. Terms of the radius-0 window and the merged tail take only small
+    arrays: W_0 is the field itself and T one matrix per head.
+
+    The adjoint band holds the table band's padded rows in the suffix
+    layout, after a carry row, and the strip's field follows it, in the
+    rows table_bands spares. Grid row i is padded row i + ph, and padded
+    row p is final once query rows up to p have been added: after strip
+    [a, b) rows [a, b) are, and after the last every row down to the
+    grid's last. prefix_sum on the carry finishes them, and the carry and
+    the shared rows then move up as the table band's do."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
     length = coefs.shape[-1]
@@ -142,11 +147,22 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
     grad_pq = np.empty_like(pq)
     grad_pk = (c_0 * sg)[..., None] * pq
     grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
-    for blk, rows, band, pads in table_bands(pk, streams, radii):
+    h, w = pk.shape[:2]
+    for blk, rows, band, pads, spare in table_bands(pk, streams, radii, backward=True):
+        (a, b), (ph, pw) = (rows.start, rows.stop), pads
         pqs = pq[rows][..., blk]
         z = kept_array("z", pqs.shape[:-1] + (length, pqs.shape[-1]))   # z[..., g, :] = W_g . gboth
         term = kept_array("term", pqs.shape + (1,))
         gb = gboth[rows][..., None]
+        if a:
+            move_up(adjoint, 2 * ph + 2, height)     # the carry and the shared rows
+            adjoint[2 * ph + 2:] = 0.0
+        else:
+            height, adjoint = b, spare[:len(band) + 1]
+            adjoint.fill(0.0)
+            adjoint[1, 0] = tail_cot[:, blk]    # the tail, at padded (0, 0)
+        field = spare[len(adjoint):].reshape(-1)[:pqs.size * gboth.shape[-1]]
+        field = field.reshape(pqs.shape + gboth.shape[-1:])
         if length:
             np.multiply(pk[rows][..., blk], sg[rows][..., None], out=z[..., 0, :])
         for g, radius in enumerate(radii, 1):
@@ -158,61 +174,35 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
                                     (fourth, np.subtract)):
                 np.matmul(corner, gb, out=term)
                 combine(zg, term, out=zg)
+            np.einsum("...d,...c->...dc", coefs[rows, ..., g, None] * pqs, gboth[rows],
+                      out=field)
+            for corners, combine in zip(window_corners(adjoint[1:1 + len(band)], radius,
+                                                       pads, blk.start == 0),
+                                        (np.add, np.subtract)):
+                for corner in corners:
+                    combine(corner, field, out=corner)
         dots[rows, ..., 1:] += np.einsum("...d,...gd->...g", pqs, z)
         grad_pq[rows, ..., blk] = np.einsum("...gd,...g->...d", z, coefs[rows])
-        if rows.stop == len(pq):    # the far corner of the last strip is the total
+        if b == h:      # the far corner of the last strip is the total
             zt = matmul(gboth, np.swapaxes(band[-1, -1], -1, -2))    # T . gboth
             tail += np.einsum("...d,...d->...", pq[..., blk], zt)
             grad_pq[..., blk] += wg.merged[..., None] * zt
-    field_shape, (h, w) = pk.shape + streams.shape[-1:], pk.shape[:2]
-    ph, pw = pads = band_plan(field_shape, radii)[2]
-    cells = (h + 2 * ph + 1) * (w + 2 * pw + 1) + h * w     # the accumulator's and the field's
-    for blk in channel_blocks(pk.shape[-1], cells * math.prod(field_shape[2:]) * 8):
-        gx = _scatter_groups(coefs, pq[..., blk], gboth, tail_cot[:, blk], radii, pads,
-                             blk.start == 0)
-        grad_pk[..., blk] += np.einsum("...dc,...c->...d", gx, streams)
-        grad_v += np.einsum("...dc,...d->...c", gx[..., :-1], pk[..., blk])
+        done = (h + ph if b == h else b) - a    # adjoint rows final from here up
+        prefix_sum(adjoint[:1 + done, :pw + w], carry=True)
+        final = slice(max(a - ph, 0), max(a + done - ph, 0))     # their grid rows
+        gx = adjoint[1 + final.start + ph - a:1 + done, pw:pw + w]
+        grad_pk[final, ..., blk] += np.einsum("...dc,...c->...d", gx, streams[final])
+        grad_v[final] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[final, ..., blk])
     return dots, tail, grad_pq, grad_pk, grad_v
 
 
 # ---------- token-position gradients ----------
 
-def _scatter_groups(coefs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tail: np.ndarray,
-                    radii: list[int], pads: tuple, counted: bool) -> np.ndarray:
-    """The token adjoint of the windows past radius 0 and of the merged
-    tail, with (H, W, heads, d) lhs and (H, W, heads, c) rhs: sum over
-    groups 0 < r < coefs.shape[-1] of the transposed radius-radii[r - 1]
-    window of (coefs[..., r] lhs) (x) rhs, plus the (heads, d, c) ``tail``
-    at every token, as an (H, W, heads, d, c) view of the kept buffer
-    "band".
-
-    The accumulator is padded as window_corners reads a band of the whole
-    grid, with ``pads`` from band_plan: each group's field is added into
-    the corner views a window adds and subtracted from the others, the
-    tail enters at the far corner as the adjoint of the grid total, and one
-    suffix_sum from the grid's first row and column finishes them (see the
-    sat module)."""
-    (h, w), (ph, pw), shape = lhs.shape[:2], pads, lhs.shape + rhs.shape[-1:]
-    padded = (h + 2 * ph + 1, w + 2 * pw + 1) + shape[2:]
-    split = math.prod(padded)
-    flat = kept_array("band", (split + math.prod(shape),))
-    acc, field = flat[:split].reshape(padded), flat[split:].reshape(shape)
-    acc.fill(0.0)
-    for r, radius in zip(range(1, coefs.shape[-1]), radii):
-        np.einsum("...d,...c->...dc", coefs[..., r, None] * lhs, rhs, out=field)
-        for corners, combine in zip(window_corners(acc, radius, pads, counted),
-                                    (np.add, np.subtract)):
-            for corner in corners:
-                combine(corner, field, out=corner)
-    acc[-1, -1] += tail
-    return suffix_sum(acc[ph + 1:, pw + 1:])[:h, :w]
-
-
 def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,
                           partition: PartitionScheme) -> np.ndarray:
     """Brute-force scatter over explicit group members; quadratic, for tests.
     Token (m, n) receives alpha(i, j)[group of (m, n)] * upstream[i, j] from
-    every query (i, j): the adjoint _scatter_groups takes by windows."""
+    every query (i, j): the adjoint the backward takes by windows."""
     g = np.asarray(upstream_field, dtype=np.float64)
     if g.shape[:2] != weights.groups.shape:
         raise ValueError(f"upstream field shape {g.shape} does not match the weight grid's "

@@ -5,8 +5,7 @@ Every array here is f64 with the grid on its first two axes.
 - prefix_sum builds the table in place: acc[i, j] becomes the sum of
   acc[:i+1, :j+1], one column and then one row at a time. It can also
   continue a table: given a finished table row as a carry, it turns the
-  field rows below it into the table rows that follow. Its transpose,
-  suffix_sum, sums toward the far corner.
+  field rows below it into the table rows that follow.
 - window_corners reads the sums over the square window of radius r around
   every position, clipped to the grid, as four corner views of a padded
   table: table entries before the grid are zero rows and columns, and
@@ -16,14 +15,17 @@ Every array here is f64 with the grid on its first two axes.
   corner directly and never write a window out. The padded table may be a
   band of rows: the table rows one strip of grid rows reads.
 
-The same views of an accumulator padded as the table is give the
-transpose: add a window's cotangent into the hi-hi and lo-lo views and
-subtract it from the others. suffix_sum over the accumulator from the
-grid's first row and column on then drops the shares before the grid, the
-transpose of reading zeros, and folds those past it onto its last row and
-column, the transpose of repeating them. Since W_r(F) = Diff_r(Prefix(F)),
-transposed windows of several radii share one accumulator and one suffix
-sum, and no table is built.
+The same views give the transpose in the suffix layout, where a window is
+the same corner sum of the suffix table S[i, j] = sum of F[i:, j:] padded
+with copies of its first row and column before the grid and zeros after
+it: grid row i sits at padded row i + ph. Since W_r = Diff'_r(Suffix(F)),
+its transpose is Prefix(Diff'_r^T(Y)): add a window's cotangent into the
+hi-hi and lo-lo views of an accumulator padded as the table is, subtract
+it from the others, and run prefix_sum from the first padded row and
+column. That folds the shares before the grid onto it, the transpose of
+repeating its edge; shares past it are never read. Transposed windows of
+several radii share one accumulator and one prefix sum, which can run in
+row chunks on a carry, since row p depends only on rows up to p.
 
 The module keeps a running count of window evaluations, transposed ones
 included, so tests can assert the sub-quadratic access pattern of the
@@ -55,8 +57,8 @@ def sabotage_radius_offset(offset: int = 1):
     """Fault injection for harness self-tests: prefix_sum inside the context
     shifts the table rows it builds down by ``offset`` rows (zeros enter at
     the top), so the windows and the total read from them are both wrong.
-    window_corners and suffix_sum read no fault state;
-    tables built outside the context stay clean."""
+    window_corners reads no fault state; tables built outside the context
+    stay clean."""
     global _row_shift
     _row_shift = offset
     try:
@@ -114,14 +116,3 @@ def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = T
     hi_r, lo_r = slice(ph + 1 + rh, ph + 1 + rh + h), slice(ph - rh, ph - rh + h)
     hi_c, lo_c = slice(pw + 1 + rw, pw + 1 + rw + w), slice(pw - rw, pw - rw + w)
     return (band[hi_r, hi_c], band[lo_r, lo_c]), (band[hi_r, lo_c], band[lo_r, hi_c])
-
-
-def suffix_sum(acc: np.ndarray) -> np.ndarray:
-    """The transpose of prefix_sum, in place: acc[i, j] becomes the sum of
-    acc[i:, j:], taken one row and then one column at a time. Returns acc."""
-    h, w = acc.shape[:2]
-    for i in range(h - 2, -1, -1):
-        np.add(acc[i], acc[i + 1], out=acc[i])
-    for j in range(w - 2, -1, -1):
-        np.add(acc[:, j], acc[:, j + 1], out=acc[:, j])
-    return acc

@@ -4,7 +4,9 @@ ripple_dp must equal the enumeration oracle whatever the strips and channel
 blocks are, and ripple_vjp must give the same gradients and the same fetch
 count under every budget: one strip over the whole grid, one-row strips,
 strips shorter than the widest window's radius, single-channel blocks, and
-equal blocks with a narrower last one.
+equal blocks with a narrower last one. The backward plans its own strips
+and blocks, since its band also keeps the token adjoint's rows, and some
+budgets give it one-row strips and strips shorter than the radius.
 """
 import threading
 
@@ -34,32 +36,61 @@ def sweep_radii(cfg, v):
     return [group_span(cfg.partition.kind, g)[1] for g in range(1, hat)]
 
 
+def fitted(budget, shared, row, h):
+    """The plan a budget must give a pass whose band keeps ``shared`` bytes
+    of rows at full channel width, plus ``row`` per strip row: the fewest
+    equal channel blocks (the last one may be narrower) whose shared rows
+    and one strip row fit, then strips as tall as the rest allows, but at
+    least one row and at most the grid."""
+    count = min(max(-(-(shared + row) // budget), 1), FEATURES)
+    width = -(-FEATURES // count)
+    return -(-FEATURES // width), min(max((budget * FEATURES // width - shared) // row, 1), h)
+
+
 def budgets(h, w, radii, heads=1):
     """BLOCK_BYTES values, each with the (channel blocks, strip height) it
-    must give: one strip over the whole grid, one-row strips, strips
-    shorter than the radius (one row when it is 0 or 1), blocks of one
-    channel, and blocks of two with a last one of one."""
+    must give the forward and the backward: one strip over the whole grid,
+    one-row strips, strips shorter than the radius (one row when it is 0 or
+    1), blocks of one channel, and blocks of two with a last one of one,
+    sized for the forward, and one-row and short strips sized for the
+    backward. The backward's band keeps the token adjoint's band, with a
+    carry row, and the strip's field beside the table's, so on its one-row
+    and short strips an adjoint row near the top of the grid is finished
+    only on a later strip."""
     radius = max(radii, default=0)
     ph, pw = min(radius, h - 1), min(radius, w - 1)
-    shared = (2 * ph + 1) * (w + 2 * pw + 1) * heads * FEATURES * (VALUES + 1) * 8
-    row = shared // (2 * ph + 1) + w * heads * FEATURES * (len(radii) + 2) * 8   # a strip row
+    band_row = (w + 2 * pw + 1) * heads * FEATURES * (VALUES + 1) * 8
+    shared = (2 * ph + 1) * band_row
+    row = band_row + w * heads * FEATURES * (len(radii) + 2) * 8   # a strip row
+    back_shared, back_row = shared + (2 * ph + 2) * band_row, row + 2 * band_row
     short = max(ph - 1, 1)
-    return {"whole": (1 << 40, 1, h), "one-row": (shared + row, 1, 1),
-            "short": (shared + short * row, 1, min(short, h)),
-            "single": (1, FEATURES, 1), "ragged": ((shared + row) * 2 // FEATURES, 3, 1)}
+    sizes = {"whole": (1 << 40, 1, h), "one-row": (shared + row, 1, 1),
+             "short": (shared + short * row, 1, min(short, h)),
+             "single": (1, FEATURES, 1), "ragged": ((shared + row) * 2 // FEATURES, 3, 1),
+             "back-one-row": (back_shared + back_row,) + fitted(back_shared + back_row,
+                                                                shared, row, h),
+             "back-short": (back_shared + short * back_row,)
+             + fitted(back_shared + short * back_row, shared, row, h)}
+    backward = {"whole": (1, h), "single": (FEATURES, 1), "back-one-row": (1, 1),
+                "back-short": (1, min(short, h))}
+    return {name: (budget, forward, height,
+                   backward.get(name) or fitted(budget, back_shared, back_row, h))
+            for name, (budget, forward, height) in sizes.items()}
 
 
 def rel_error(got, want):
     return float(np.abs(got - want).max() / max(float(np.abs(want).max()), 1e-300))
 
 
-def run(q, k, v, cfg, upstream, budget, blocks, height):
-    """Forward, backward and the fetches they counted, under one budget."""
+def run(q, k, v, cfg, upstream, budget, blocks, height, backward):
+    """Forward, backward and the fetches they counted, under one budget
+    whose forward plan is (blocks, height) and backward plan ``backward``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attention, "BLOCK_BYTES", budget)
-        plan = attention.band_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
-                                   sweep_radii(cfg, v))
-        assert (len(plan[0]), plan[1]) == (blocks, height)
+        for planned, want in ((False, (blocks, height)), (True, backward)):
+            plan = attention.band_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
+                                       sweep_radii(cfg, v), planned)
+            assert (len(plan[0]), plan[1]) == want, planned
         reset_fetch_count()
         res = ripple_dp(q, k, v, cfg)
         forward = fetch_count()
@@ -171,28 +202,35 @@ def test_threads_keep_their_own_block_buffers():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(h=st.integers(1, 11), w=st.integers(1, 11), radius=st.integers(0, 13),
-       budget=st.sampled_from(["whole", "one-row", "short", "single", "ragged"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, seed):
+       budget=st.sampled_from(["whole", "one-row", "short", "single", "ragged",
+                               "back-one-row", "back-short"]),
+       backward=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, backward, seed):
     """Each strip's band equals its rows of the whole table padded as
     sat.window_corners reads it: rows moved up from the strip before,
     rows built on a carry and rows past the grid alike. The strips and
-    blocks are the ones the budget names."""
+    blocks are the ones the budget names for the pass, and only the
+    backward's kept buffer has rows to spare after the band: an adjoint
+    band one row taller than the first strip's and a field of its rows."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, 2, FEATURES))
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
     table = np.einsum("...d,...c->...dc", pk, streams).cumsum(0).cumsum(1)
     with pytest.MonkeyPatch.context() as mp:
         radii = list(range(1, radius + 1))
-        nbytes, blocks, height = budgets(h, w, radii, heads=2)[budget]
+        nbytes, *plans = budgets(h, w, radii, heads=2)[budget]
+        blocks, height = plans[2] if backward else plans[:2]
         mp.setattr(attention, "BLOCK_BYTES", nbytes)
         covered = {}
-        for blk, rows, band, (ph, pw) in attention.table_bands(pk, streams, radii):
+        for blk, rows, band, (ph, pw), spare in attention.table_bands(pk, streams, radii,
+                                                                     backward):
             rest = ((0, 0),) * 3
             edged = np.pad(table[..., blk, :], ((0, ph), (0, pw)) + rest, mode="edge")
             full = np.pad(edged, ((ph + 1, 0), (pw + 1, 0)) + rest)
             np.testing.assert_allclose(band, full[rows.start:rows.stop + 2 * ph + 1],
                                        rtol=1e-12, atol=1e-12)
+            assert spare.shape[1:] == band.shape[1:]
+            assert len(spare) == (2 * height + 2 * ph + 2 if backward else 0)
             covered.setdefault(blk.start, []).append((rows.start, rows.stop))
     assert len(covered) == blocks
     for strips in covered.values():     # the strips tile the grid's rows in order

@@ -209,14 +209,18 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ["check", "--sizes", "4", "--trials", "0"],
     ["check", "--trials", "1", "--sizes", ","],
+    ["check", "--trials", "1", "--sizes", "-2"],
+    ["check", "--trials", "1", "--sizes", "4,0"],
     ["check", "--sizes", "4", "--schemes", ","],
     ["train", "--batch", "0"],
     ["train", "--steps", "-1"],
     ["train", "--heads", "0"],
 ], ids=" ".join)
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
-    # these used to die with a KeyError or IndexError traceback, or (steps -1)
-    # to train nothing and exit 0; the last option given is the bad one
+    # these used to die with a KeyError or IndexError traceback, numpy's
+    # "negative dimensions" (sizes -2) or a message naming no option (sizes
+    # 0), or (steps -1) to train nothing and exit 0; the last option given
+    # is the bad one
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
     assert run_dirs(tmp_path) == []

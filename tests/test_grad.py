@@ -549,21 +549,23 @@ def peak_units(fn, side, width):
 
 
 def test_forward_backward_peak_memory():
-    """Forward plus backward peaks at 1.83 (H, W, Dp, C + 1) f64 arrays at
+    """Forward plus backward peaks at 1.84 (H, W, Dp, C + 1) f64 arrays at
     32x32: the tape's inputs, features and quotient, the strip-sized z and
-    corner terms, and one kept buffer of 1.15: the band (25 rows of the
-    dyadic radius-7 padded table, at full channel width), which the token
-    adjoint's two block arrays of 11 of the 32 channels borrow after the
-    band pass: its accumulator, padded as a band of the whole grid is
-    (47x47 cells), and a group's field, 1.08 together. The bound of 2.3 is
-    unchanged. Three grid-sized block arrays (field, scatter scratch and
-    accumulator) also measured 1.83, a band sized without the strip's
-    vectors 1.88, a forward band kept beside the four block arrays the
-    channel-blocked backward used 3.14, the channel-blocked core with
-    those four arrays 2.05, the table's own bordered storage beside the
-    field 2.40 to 2.42, the layout that kept the whole table and swept
-    field on the tape 7.33, and a backward with a table of its own per
-    block 2.78."""
+    corner terms, and one kept buffer of 1.19. The backward plans two
+    blocks of 16 channels in strips of 7 rows, and each block's buffer
+    holds the band (22 rows of the dyadic radius-7 padded table), the token
+    adjoint's band (23 rows with its carry) and a strip's field (7 rows).
+    The forward's band (1.15 at full width) is freed before that buffer is
+    allocated; held beside it, the peak read 2.67. The bound of 2.3 is
+    unchanged. The two-pass backward, whose token adjoint borrowed the
+    forward's band for a whole-grid accumulator and field (47x47 cells, 11
+    of the 32 channels), measured 1.83, three grid-sized block arrays (field, scatter scratch
+    and accumulator) 1.83, a band sized without the strip's vectors 1.88,
+    a forward band kept beside the four block arrays the channel-blocked
+    backward used 3.14, the channel-blocked core with those four arrays
+    2.05, the table's own bordered storage beside the field 2.40 to 2.42,
+    the layout that kept the whole table and swept field on the tape 7.33,
+    and a backward with a table of its own per block 2.78."""
     rng = np.random.default_rng(17)
     side, width = 32, 32
     q, k, v = random_grids(rng, side, side, d=width, c=width)

@@ -8,7 +8,6 @@ from ripplegrid.sat import (
     prefix_sum,
     reset_fetch_count,
     sabotage_radius_offset,
-    suffix_sum,
     window_corners,
 )
 from ripplegrid.vicinal import (GridShape, PartitionKind, PartitionScheme, group_members,
@@ -73,10 +72,10 @@ def scatter(acc, cot, radius, pads, **kwargs):
 
 
 def transposed(acc, pads, shape):
-    """The grid part of the suffix sum over ``acc`` from the grid's first
-    row and column: shares past the grid fold back onto it, shares before
-    it are dropped."""
-    return suffix_sum(acc[pads[0] + 1:, pads[1] + 1:])[:shape[0], :shape[1]]
+    """The grid part of the prefix sum over ``acc`` from its first padded
+    row and column, in the suffix layout (grid row i at padded row i + ph):
+    shares before the grid fold onto it, shares past it are never read."""
+    return prefix_sum(acc)[pads[0]:pads[0] + shape[0], pads[1]:pads[1] + shape[1]]
 
 
 def test_prefix_table_values():
@@ -235,7 +234,7 @@ def test_fetch_counting():
     scatter(acc, np.ones((4, 5)), 1, pads)
     assert fetch_count() == 90
     scatter(acc, np.ones((4, 5)), 2, pads)
-    suffix_sum(acc[pads[0] + 1:, pads[1] + 1:])  # the suffix sum is not a window
+    prefix_sum(acc)                    # finishing the adjoint is not a window
     assert fetch_count() == 110
     window_corners(band, 1, pads, counted=False)
     scatter(acc, np.ones((4, 5)), 1, pads, counted=False)
@@ -244,17 +243,12 @@ def test_fetch_counting():
     assert fetch_count() == 0
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(h=st.integers(1, 12), w=st.integers(1, 12), extra=st.integers(0, 14),
-       wider=st.integers(0, 4), channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-       seed=st.integers(0, 2**32 - 1))
-def test_scatter_and_suffix_sum_are_exact_adjoints(h, w, extra, wider, channels, seed):
-    """<prefix_sum(F), Y> = <F, suffix_sum(Y)>, and <W_r F, Y> = <F, grid
-    part of the suffix sum of Y scattered through the corner views>, with
-    W_r F read at the same corners of the table, for every radius up to
-    past the grid's side and pads up to ``wider`` past the radius. A second
-    radius and the grid total's cotangent, added at the far corner, share
-    the accumulator, as the token adjoint's groups and tail do."""
+def transposed_case(h, w, extra, wider, channels, seed):
+    """A random field and <W_r F, Y> for two radii, up to past the grid's
+    side, plus the grid total's cotangent, with the accumulator that the
+    transposed windows and the total's cotangent scatter into: the corner
+    views of a window padded ``wider`` past the radius, and padded (0, 0),
+    which the prefix sum spreads over every token."""
     rng = np.random.default_rng(seed)
     shape = (h, w) + tuple(channels)
     radius = extra % (max(h, w) + 3)
@@ -271,10 +265,41 @@ def test_scatter_and_suffix_sum_are_exact_adjoints(h, w, extra, wider, channels,
     acc = np.zeros((h + 2 * pads[0] + 1, w + 2 * pads[1] + 1) + shape[2:])
     scatter(acc, cot, radius, pads)
     scatter(acc, cot2, second, pads)
-    acc[-1, -1] += total_cot
-    got = inner(field, transposed(acc, pads, shape))
-    assert abs(got - want) <= 1e-12 * scale, (shape, radius, second, pads)
-    assert abs(inner(table, cot) - inner(field, suffix_sum(cot.copy()))) <= 1e-12 * scale
+    acc[0, 0] += total_cot
+    return field, want, scale, acc, pads
+
+
+FUZZ = dict(h=st.integers(1, 12), w=st.integers(1, 12), extra=st.integers(0, 14),
+            wider=st.integers(0, 4), channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+            seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**FUZZ)
+def test_scatter_and_prefix_sum_are_exact_adjoints(h, w, extra, wider, channels, seed):
+    """<W_r F, Y> = <F, grid part of the prefix sum of Y scattered through
+    the corner views, in the suffix layout>, with W_r F read at the same
+    corners of the table, for every radius up to past the grid's side and
+    pads up to ``wider`` past the radius. A second radius and the grid
+    total's cotangent, added at padded (0, 0), share the accumulator, as
+    the token adjoint's groups and tail do."""
+    field, want, scale, acc, pads = transposed_case(h, w, extra, wider, channels, seed)
+    got = inner(field, transposed(acc, pads, field.shape))
+    assert abs(got - want) <= 1e-12 * scale, (field.shape, pads)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chunk=st.integers(1, 5), **FUZZ)
+def test_adjoint_prefix_sum_in_row_chunks(chunk, h, w, extra, wider, channels, seed):
+    """Finished in row chunks of ``chunk`` rows, each on a carry row that
+    holds the finished row above it, as the backward finishes its adjoint
+    band strip by strip, the accumulator is the one finished whole."""
+    _, _, _, acc, _ = transposed_case(h, w, extra, wider, channels, seed)
+    whole = prefix_sum(acc.copy())
+    carried = np.concatenate((np.zeros((1,) + acc.shape[1:]), acc))
+    for top in range(0, len(acc), chunk):
+        prefix_sum(carried[top:top + chunk + 1], carry=True)
+    np.testing.assert_allclose(carried[1:], whole, rtol=1e-12, atol=1e-12 * np.abs(acc).sum())
 
 
 def test_sabotage_radius_offset():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ripplegrid import attention as attention_module
+from ripplegrid import grad as grad_module
 from ripplegrid.attention import (
     AttentionConfig,
     MultiHeadConfig,
@@ -86,7 +87,8 @@ def test_stacked_layer_matches_per_head_loop(mode, partition_kind, num_heads, sh
 
 
 def test_table_fills_do_not_grow_with_heads(monkeypatch):
-    # table_bands fills every band with prefix_sum, once per strip
+    # table_bands fills every band with prefix_sum, once per strip, and the
+    # backward finishes its token adjoint with prefix_sum, once per strip
     fills = []
     build = attention_module.prefix_sum
 
@@ -95,6 +97,7 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
         return build(acc, *args, **kwargs)
 
     monkeypatch.setattr(attention_module, "prefix_sum", counting)
+    monkeypatch.setattr(grad_module, "prefix_sum", counting)
     for partition_kind, r_max in ((PartitionKind.UNIT_RING, 3), (PartitionKind.UNIT_RING, 6),
                                   (PartitionKind.DYADIC, 4)):
         partition = PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05)
@@ -110,11 +113,12 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
             _, tape = multi_head_forward(x, params, config)
             hat = int(tape.attn.weights.hat.max())
             radii = [group_span(partition_kind, g)[1] for g in range(1, hat)]
-            blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), radii)
-            assert (len(blocks), height) == (1, 6)      # one block, one strip
+            for backward in (False, True):      # one block, one strip
+                blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), radii, backward)
+                assert (len(blocks), height) == (1, 6), backward
             multi_head_vjp(tape, rng.standard_normal((6, 6, 6)))
-            assert all(f[2] == num_heads for f in fills)    # every table holds all heads
+            assert all(f[2] == num_heads for f in fills)    # every sum holds all heads
             counts.append(len(fills))
-        # forward 1, backward 1; the token adjoint scatters and suffix-sums
-        # without a table, however long the sweep (hat 3 to 5)
-        assert counts == [2, 2, 2], (partition_kind, r_max, hat)
+        # forward 1 table; backward 1 table and 1 prefix sum that finishes
+        # the token adjoint, however long the sweep (hat 3 to 5)
+        assert counts == [3, 3, 3], (partition_kind, r_max, hat)
