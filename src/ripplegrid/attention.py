@@ -58,12 +58,13 @@ BLOCK_BYTES = 10 << 20
 """Bytes of the band of prefix-table rows a pass streams with the per-query
 vectors its strip keeps; in the backward, the band's buffer also holds the
 token adjoint's band and the strip's field. The strip height is what the
-budget leaves after the 2R + 1 rows strips share (see band_plan). At
-10 MiB a 48x48 unit-ring forward (Dp = C = 32, radius 3) runs strips of
-13 rows, a 32x32 dyadic one (radius 7) strips of 10, and a 128x128
-dyadic one splits its channels in two; the 32x32 dyadic backward runs
-two blocks of 16 channels in strips of 7 rows, the 128x128 one four
-blocks of 8 in strips of one row. A larger budget leaves less margin
+budget leaves after the 2R + 1 rows strips share, once channels have
+split until a strip of R rows fits (see band_plan). At 10 MiB a 48x48
+unit-ring forward (Dp = C = 32, radius 3) runs strips of 13 rows, a
+32x32 dyadic one (radius 7) strips of 10, and a 128x128 dyadic one three
+blocks of 11 channels in strips of 9; the 32x32 dyadic backward runs two
+blocks of 16 channels in strips of 7 rows, the 128x128 one seven blocks
+of 5 in strips of 7. A larger budget leaves less margin
 under the one-field forward peak at 48x48, and at 32x32 a short-radius
 band (29-row strips, 9.46 MB at radius 1) would fall short of what a
 long-radius one fills, against acceptance 5's flat peak over r_max. 8x8
@@ -210,9 +211,10 @@ def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
     pass keeps per query: one per window and two more (the backward's z_0
     and corner term). The ``backward`` keeps 2 ph + 2 more shared band rows
     and two more per strip row: the token adjoint's and the field's.
-    Channels split into equal blocks (but a narrower last one) only when
-    the shared rows and one strip row overflow BLOCK_BYTES, and the strip
-    grows to fill it."""
+    Channels split into the fewest equal blocks (but a narrower last one)
+    whose shared rows and min(max(ph, 1), H) strip rows fit BLOCK_BYTES,
+    so that strips fall below the radius only in blocks of one channel,
+    and the strip grows to fill the budget."""
     h, w = field_shape[:2]
     dp = field_shape[-2]
     radius = max(radii, default=0)
@@ -223,7 +225,8 @@ def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
     shared = margin * band_row
     if backward:
         shared, strip_row = shared + (margin + 1) * band_row, strip_row + 2 * band_row
-    width = -(-dp // min(max(-(-(shared + strip_row) // BLOCK_BYTES), 1), dp))
+    floor = min(max(pads[0], 1), h)     # strip rows the blocks must fit
+    width = -(-dp // min(max(-(-(shared + floor * strip_row) // BLOCK_BYTES), 1), dp))
     budget = BLOCK_BYTES * dp // width
     return ([slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)],
             min(max((budget - shared) // strip_row, 1), h), pads)
@@ -258,12 +261,11 @@ def move_up(band: np.ndarray, rows: int, by: int) -> None:
 
 
 def table_bands(pk, streams, radii: list[int], backward: bool = False):
-    """Yield (blk, rows, band, pads, spare) for every channel block and
-    strip of grid rows [a, b): the band holds the padded prefix table rows
-    [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's channels, in
-    the layout sat.window_corners reads, in the kept buffer "band", as
-    band_plan plans the pass. spare is the rest of the block's kept buffer,
-    rows that only the ``backward`` has.
+    """Yield (blk, rows, band, pads, adjoint, field) for every channel
+    block and strip of grid rows [a, b): the band holds the padded prefix
+    table rows [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's
+    channels, in the layout sat.window_corners reads, in the kept buffer
+    "band", as band_plan plans the pass.
 
     Each table row is built once: its field is written below the row
     above and run onto it by prefix_sum with a carry, over the grid's
@@ -275,7 +277,14 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
     next move up the band, and rows past the grid repeat the last, so the
     last strip's far corner is the block's grid total. Callers count a
     pass's fetches on its first block only (blk.start == 0): later blocks
-    read the same positions."""
+    read the same positions.
+
+    Only the ``backward`` gets the other two views, in the same buffer,
+    and None otherwise. The adjoint is a carry row and then rows shaped
+    as the band's, zero at each block's start; after each strip its carry
+    and shared rows move up with the band's and the rest are zeroed. The
+    field is a (b - a, W, heads, block, C + 1) array for the caller to
+    write."""
     h, w = pk.shape[:2]
     blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii, backward)
     ph, pw = pads
@@ -283,9 +292,14 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
     kept_rows = 3 * height + 2 * margin + 1 if backward else height + margin
     grid = slice(pw + 1, pw + 1 + w)
     for blk in blocks:
-        kept = kept_array("band", (kept_rows, w + 2 * pw + 1) + pk.shape[2:-1]
-                          + (blk.stop - blk.start,) + streams.shape[-1:])
-        band, spare = kept[:height + margin], kept[height + margin:]
+        channels = pk.shape[2:-1] + (blk.stop - blk.start,) + streams.shape[-1:]
+        kept = kept_array("band", (kept_rows, w + 2 * pw + 1) + channels)
+        band, adjoint, field = kept[:height + margin], None, None
+        if backward:
+            adjoint = kept[height + margin:2 * (height + margin) + 1]
+            adjoint.fill(0.0)
+            field = kept[len(band) + len(adjoint):].reshape(-1)[:height * w * math.prod(channels)]
+            field = field.reshape((height, w) + channels)
         band[:ph + 1] = 0.0         # the table before the grid
         band[:, :pw + 1] = 0.0
         ready = ph + 1              # band rows that hold table rows
@@ -295,6 +309,9 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
             if a:
                 move_up(band, margin, height)
                 ready = margin
+                if backward:    # the carry and the shared rows
+                    move_up(adjoint, margin + 1, height)
+                    adjoint[margin + 1:] = 0.0
             built, stop = min(b + ph, h) - top, b - a + margin
             if built > ready:
                 new = slice(ready, built)
@@ -305,7 +322,8 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
                     band[new, pad] = band[new, grid.stop - 1]
                 ready = built
             band[ready:stop] = band[ready - 1]
-            yield blk, slice(a, b), band[:stop], pads, spare
+            views = (adjoint[:stop + 1], field[:b - a]) if backward else (None, None)
+            yield blk, slice(a, b), band[:stop], pads, *views
 
 
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
@@ -319,7 +337,7 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, rows, band, pads, _ in table_bands(pk, streams, radii):
+    for blk, rows, band, pads, *_ in table_bands(pk, streams, radii):
         strip, term = both[rows], part[rows][..., None, :]
         scaled = kept_array("scaled", strip.shape[:-1] + (len(radii), blk.stop - blk.start))
         np.multiply(coefs[rows, ..., 1:, None], pq[rows][..., None, blk], out=scaled)
@@ -496,12 +514,11 @@ class MultiHeadTape:
 
 
 def init_multi_head(rng: np.random.Generator, model_dim: int, num_heads: int,
-                    head_dim: int, r_max: int, scheme_kind: WeightSchemeKind | None,
-                    stick_dim: int | None = None) -> MultiHeadParams:
+                    head_dim: int, r_max: int,
+                    scheme_kind: WeightSchemeKind | None) -> MultiHeadParams:
     """Fresh stacked parameters, drawn head by head: Wq, Wk, Wv, the feature
     map and, for a learned ``scheme_kind``, the stick. Pass None for a layer
     that learns no weights, such as a linearized one."""
-    stick_dim = head_dim if stick_dim is None else stick_dim
     scale = 1.0 / np.sqrt(model_dim)
     draws = []
     for _ in range(num_heads):
@@ -509,8 +526,8 @@ def init_multi_head(rng: np.random.Generator, model_dim: int, num_heads: int,
         fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, head_dim, rng)
         head += [fm.w1, fm.w2, fm.b2]
         if scheme_kind in LEARNED_KINDS:
-            head += [rng.standard_normal((r_max, stick_dim)),
-                     rng.standard_normal((stick_dim, head_dim)) / np.sqrt(head_dim)]
+            head += [rng.standard_normal((r_max, head_dim)),
+                     rng.standard_normal((head_dim, head_dim)) / np.sqrt(head_dim)]
         draws.append(head)
     wq, wk, wv, w1, w2, b2, *stick = (np.stack(a) for a in zip(*draws))
     w_out = rng.standard_normal((model_dim, num_heads * head_dim)) / np.sqrt(num_heads * head_dim)

@@ -74,6 +74,8 @@ class BenchRecord:
     tokens: int
     r_max: int
     median_ns: float
+    min_ns: float       # the fastest and slowest samples, beside the median
+    max_ns: float
     slope: float | None = None
 
 
@@ -197,7 +199,8 @@ def run_bench(plan: BenchPlan) -> list[BenchRecord]:
                     fn()
                 mine.append((time.perf_counter_ns() - t0) / plan.batch)
         records += [BenchRecord(variant=variant, side=side, tokens=side * side,
-                                r_max=plan.resolved_r_max(side), median_ns=float(median(mine)))
+                                r_max=plan.resolved_r_max(side), median_ns=float(median(mine)),
+                                min_ns=min(mine), max_ns=max(mine))
                     for side, mine in zip(plan.sizes, samples)]
     for variant in plan.variants:
         mine = [r for r in records if r.variant == variant]

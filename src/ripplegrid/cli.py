@@ -115,13 +115,14 @@ OPTIONS = {
         "optimizer": dict(type=_choice("sgd", "adam"), default="sgd"),
         "clip": dict(type=float, default=1.0,
                      help="global gradient-norm bound (<= 0 disables)"),
-        "grid": dict(type=int, default=8),
-        "layers": dict(type=int, default=2),
-        "ripple-layers": dict(type=int, default=1),
+        "grid": dict(type=_int_at_least(2), default=8,
+                     help="grid side (tasks draw blobs of at least 2x2)"),
+        "layers": dict(type=_int_at_least(0), default=2),
+        "ripple-layers": dict(type=_int_at_least(0), default=1),
         "heads": dict(type=_positive_int, default=2),
-        "model-dim": dict(type=int, default=16),
-        "head-dim": dict(type=int, default=8),
-        "r-max": dict(type=int, default=3),
+        "model-dim": dict(type=_positive_int, default=16),
+        "head-dim": dict(type=_positive_int, default=8),
+        "r-max": dict(type=_positive_int, default=3),
         "tau": dict(type=float, default=0.05),
         "scheme": dict(type=SCHEME, default="learned-sbt"),
         "partition": dict(type=PARTITION, default="unit-ring"),

@@ -25,10 +25,9 @@ _attend_vjp, on the tape's (H, W, heads, ...) arrays, with a head axis
 of length 1 for the single-head entry points; linearized attention skips
 the weights. Its entry points are ripple_vjp (also named linearized_vjp) and
 multi_head_vjp; grad_pixels_reference is the quadratic oracle that the
-token gradients are tested against.
-
-Halting indices and group counts are integers and are treated as locally
-constant, which matches central differences at generic points.
+token gradients are tested against. The weight module takes the weight
+gradients on from the window coefficients' cotangents to v and the stick
+parameters (WeightGrid.window_coefs_vjp, scheme_weights_vjp).
 """
 from __future__ import annotations
 
@@ -37,13 +36,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import (AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams,
-                        kept_array, move_up, table_bands)
+                        kept_array, table_bands)
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
 from .sat import prefix_sum, window_corners
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
-from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightSchemeKind,
-                      _grid_stick_breaking, grid_stick_fractions)
+from .weights import StickGrads, WeightGrid, scheme_weights_vjp
 
 
 @dataclass
@@ -53,12 +51,6 @@ class FeatureParamGrads:
     w1: np.ndarray
     w2: np.ndarray | None
     b2: np.ndarray | None
-
-
-@dataclass
-class StickGrads:
-    unit_embeddings: np.ndarray   # rows past r_max stay zero: the forward never reads them
-    value_projection: np.ndarray
 
 
 @dataclass
@@ -119,28 +111,27 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
 
     Arrays carry the head axis after (H, W), as in the forward sweep. With
     cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
-    per query for g below the largest hat after a leading zero for the
-    empty W_{-1} (their differences are the band inner products), <cot, T>,
-    and the phi_q, phi_k and v gradients. Each z_g = W_g . gboth is
-    contracted from the window's four corners into the strip, and each
-    group's field c_g cot is added into the same corners of the adjoint
-    band. Terms of the radius-0 window and the merged tail take only small
-    arrays: W_0 is the field itself and T one matrix per head.
+    per query for g below the largest hat (the window coefficients'
+    cotangents), <cot, T>, and the phi_q, phi_k and v gradients. Each
+    z_g = W_g . gboth is contracted from the window's four corners into the
+    strip, and each group's field c_g cot is added into the same corners of
+    the adjoint band. Terms of the radius-0 window and the merged tail take
+    only small arrays: W_0 is the field itself and T one matrix per head.
 
-    The adjoint band holds the table band's padded rows in the suffix
-    layout, after a carry row, and the strip's field follows it, in the
-    rows table_bands spares. Grid row i is padded row i + ph, and padded
-    row p is final once query rows up to p have been added: after strip
-    [a, b) rows [a, b) are, and after the last every row down to the
-    grid's last. prefix_sum on the carry finishes them, and the carry and
-    the shared rows then move up as the table band's do."""
+    table_bands hands out the adjoint band, which holds the table band's
+    padded rows in the suffix layout after a carry row, and the strip's
+    field. Grid row i is padded row i + ph, and padded row p is final once
+    query rows up to p have been added: after strip [a, b) rows [a, b)
+    are, and after the last every row down to the grid's last. prefix_sum
+    on the carry finishes them; table_bands then moves the carry and the
+    shared rows up as the table band's."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
     length = coefs.shape[-1]
     radii = [group_span(partition.kind, g)[1] for g in range(1, length)]
     streams = _value_streams(tape.v)
     sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
-    dots = np.zeros(gboth.shape[:-1] + (length + 1,))
+    dots = np.zeros(gboth.shape[:-1] + (length,))
     tail = np.zeros(gboth.shape[:-1])
     tail_cot = outer_sum(wg.merged[..., None] * pq, gboth, heads=True)   # (heads, Dp, C + 1)
     c_0 = _radius_zero_coef(coefs)
@@ -148,21 +139,15 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
     grad_pk = (c_0 * sg)[..., None] * pq
     grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
     h, w = pk.shape[:2]
-    for blk, rows, band, pads, spare in table_bands(pk, streams, radii, backward=True):
+    for blk, rows, band, pads, adjoint, field in table_bands(pk, streams, radii,
+                                                             backward=True):
         (a, b), (ph, pw) = (rows.start, rows.stop), pads
         pqs = pq[rows][..., blk]
         z = kept_array("z", pqs.shape[:-1] + (length, pqs.shape[-1]))   # z[..., g, :] = W_g . gboth
         term = kept_array("term", pqs.shape + (1,))
         gb = gboth[rows][..., None]
-        if a:
-            move_up(adjoint, 2 * ph + 2, height)     # the carry and the shared rows
-            adjoint[2 * ph + 2:] = 0.0
-        else:
-            height, adjoint = b, spare[:len(band) + 1]
-            adjoint.fill(0.0)
+        if not a:
             adjoint[1, 0] = tail_cot[:, blk]    # the tail, at padded (0, 0)
-        field = spare[len(adjoint):].reshape(-1)[:pqs.size * gboth.shape[-1]]
-        field = field.reshape(pqs.shape + gboth.shape[-1:])
         if length:
             np.multiply(pk[rows][..., blk], sg[rows][..., None], out=z[..., 0, :])
         for g, radius in enumerate(radii, 1):
@@ -176,12 +161,12 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
                 combine(zg, term, out=zg)
             np.einsum("...d,...c->...dc", coefs[rows, ..., g, None] * pqs, gboth[rows],
                       out=field)
-            for corners, combine in zip(window_corners(adjoint[1:1 + len(band)], radius,
-                                                       pads, blk.start == 0),
+            for corners, combine in zip(window_corners(adjoint[1:], radius, pads,
+                                                       blk.start == 0),
                                         (np.add, np.subtract)):
                 for corner in corners:
                     combine(corner, field, out=corner)
-        dots[rows, ..., 1:] += np.einsum("...d,...gd->...g", pqs, z)
+        dots[rows] += np.einsum("...d,...gd->...g", pqs, z)
         grad_pq[rows, ..., blk] = np.einsum("...gd,...g->...d", z, coefs[rows])
         if b == h:      # the far corner of the last strip is the total
             zt = matmul(gboth, np.swapaxes(band[-1, -1], -1, -2))    # T . gboth
@@ -220,95 +205,18 @@ def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,
     return out
 
 
-# ---------- learned-scheme backward ----------
-
-def _stick_param_grads(params: StickParams, projected: np.ndarray,
-                       v: np.ndarray, glogits: np.ndarray, r_max: int):
-    """Pull per-query logit cotangents back to the stick parameters and v."""
-    heads = params.unit_embeddings.ndim == 3
-    used = params.unit_embeddings[..., :r_max, :]
-    g_units = np.zeros_like(params.unit_embeddings)
-    g_units[..., :r_max, :] = outer_sum(glogits, projected, heads)
-    gproj = matmul(glogits, used)
-    g_proj_mat = outer_sum(gproj, v, heads)
-    gv = matmul(gproj, params.value_projection)
-    return gv, StickGrads(unit_embeddings=g_units, value_projection=g_proj_mat)
-
-
-def _scheme_backward(tape: AttentionTape, ghead: np.ndarray, gmerged: np.ndarray):
-    """Route head/tail weight gradients into the stick parameters.
-
-    ghead must already be zero at and past each query's hat. Returns the value
-    gradient through the weight pipeline plus parameter grads, or (0, None)
-    for schemes with nothing to learn.
-    """
-    scheme, wg, v, r_max = tape.scheme, tape.weights, tape.v, tape.partition.r_max
-    if scheme.kind not in LEARNED_KINDS:
-        return 0.0, None
-    fracs, logits, projected = grid_stick_fractions(v, scheme, r_max)
-    hat = wg.hat
-    max_hat = ghead.shape[-1]
-    in_head = np.arange(max_hat) < hat[..., None]
-
-    if scheme.kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
-        padded = np.concatenate((logits, np.zeros(logits.shape[:-1] + (1,))), axis=-1)
-        z = padded - padded.max(axis=-1, keepdims=True)
-        gamma = np.exp(z)
-        gamma /= gamma.sum(axis=-1, keepdims=True)
-        ggamma = np.zeros_like(gamma)
-        adj = ghead - np.where(in_head, (gmerged / (wg.groups - hat))[..., None], 0.0)
-        ggamma[..., :max_hat] = np.where(in_head, adj, 0.0)
-        dot = np.einsum("...r,...r->...", ggamma, gamma)
-        gfull = gamma * (ggamma - dot[..., None])
-        return _stick_param_grads(scheme.params, projected, v, gfull[..., :r_max], r_max)
-
-    beta, remaining = _grid_stick_breaking(fracs)
-    gbeta = np.zeros_like(beta)
-
-    if scheme.kind is WeightSchemeKind.TRUNCATED:
-        cut = hat  # for this scheme hat is the renormalized-head length
-        keep = np.arange(beta.shape[-1]) < cut[..., None]
-        headb = np.where(keep, beta, 0.0)
-        total = headb.sum(axis=-1)
-        gh = np.zeros_like(beta)
-        gh[..., :max_hat] = ghead
-        s_dot = np.einsum("...r,...r->...", gh, headb)
-        gbeta = np.where(keep,
-                         gh / total[..., None] - (s_dot / (total * total))[..., None],
-                         0.0)
-    else:
-        adj = ghead - np.where(in_head, (gmerged / (wg.groups - hat))[..., None], 0.0)
-        gbeta[..., :max_hat] = np.where(in_head, adj, 0.0)
-
-    # stick-breaking Jacobian: piece m scales with its own fraction through the
-    # lead product and shrinks every later piece through (1 - fraction)
-    lead = np.concatenate((np.ones(fracs.shape[:-1] + (1,)),
-                           remaining[..., :-1]), axis=-1)
-    weighted = gbeta * beta
-    rev = np.cumsum(weighted[..., ::-1], axis=-1)[..., ::-1]
-    one_minus = 1.0 - fracs
-    # a fraction pinned at exactly 1 zeroes its own logit sensitivity anyway,
-    # so the guarded quotient never leaks a wrong value into glogits
-    safe = np.where(one_minus > 0.0, one_minus, 1.0)
-    gs = gbeta[..., :r_max] * lead - rev[..., 1:] / safe
-    glogits = gs * fracs * one_minus
-    return _stick_param_grads(scheme.params, projected, v, glogits, r_max)
-
-
 # ---------- full backward passes ----------
 
 def _ripple_backward(tape: AttentionTape, gboth: np.ndarray):
     """The blocked backward and the weight pipeline's, over a stack of heads.
     Returns the phi_q, phi_k and v gradients (v's through the weights
-    included), the head and tail weight gradients, and the stick grads."""
-    wg = tape.weights
-    max_hat = int(wg.hat.max())
+    included), the head and tail weight gradients, and the stick grads. Its
+    temporaries, the size of v's gradient among them, are freed on return,
+    before the feature map's backward runs."""
     dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(tape, gboth)
-    in_head = np.arange(max_hat) < wg.hat[..., None]
-    ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
-    covered = np.take_along_axis(dots, wg.hat[..., None], axis=-1)[..., 0]
-    gmerged = tail - covered
-    gv_stick, stick = _scheme_backward(tape, ghead, gmerged)
+    ghead, gmerged = tape.weights.window_coefs_vjp(dots, tail)
+    gv_stick, stick = scheme_weights_vjp(tape.scheme, tape.v, tape.partition, tape.weights,
+                                         ghead, gmerged)
     return grad_pq, grad_pk, grad_v + gv_stick, ghead, gmerged, stick
 
 

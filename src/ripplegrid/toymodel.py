@@ -44,7 +44,6 @@ class ToyModelConfig:
     partition_kind: PartitionKind = PartitionKind.UNIT_RING
     scheme_kind: WeightSchemeKind = WeightSchemeKind.LEARNED_SBT
     epsilon: float = 1e-6
-    stick_dim: int | None = None
 
     def __post_init__(self):
         if not 0 <= self.ripple_layers <= self.num_layers:
@@ -77,7 +76,7 @@ def init_model(config: ToyModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
         params[f"block{l}.ln.beta"] = np.zeros(m)
         ripple = config.block_attention(l) == "ripple"
         layer = init_multi_head(rng, m, config.num_heads, config.head_dim, config.r_max,
-                                config.scheme_kind if ripple else None, config.stick_dim)
+                                config.scheme_kind if ripple else None)
         params.update(_layer_arrays(layer, l))
     params["head.w"] = rng.standard_normal((config.num_classes, m)) / np.sqrt(m)
     params["head.b"] = np.zeros(config.num_classes)

@@ -15,6 +15,8 @@ truncated, and uniform schemes cover the ablation grid around the learned one.
 The grid functions also take a layer's heads at once: a (H, W, heads, C)
 value grid with stick parameters stacked on a leading head axis gives a
 weight grid whose arrays carry the head axis after (H, W).
+scheme_weights_vjp, the grid's backward, runs the same pipeline and then
+its adjoint, with halting indices held locally constant.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .heads import matmul
+from .heads import matmul, outer_sum
 from .vicinal import GridShape, PartitionScheme, Position, num_groups_grid
 
 
@@ -62,6 +64,12 @@ class WeightSchemeKind(Enum):
 
 LEARNED_KINDS = (WeightSchemeKind.LEARNED_SBT, WeightSchemeKind.SOFTMAX_WEIGHTS,
                  WeightSchemeKind.TRUNCATED)
+
+
+@dataclass
+class StickGrads:
+    unit_embeddings: np.ndarray   # rows past r_max stay zero: the forward never reads them
+    value_projection: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,17 @@ class WeightGrid:
         a = np.where(np.arange(length) < self.hat[..., None],
                      self.alphas[..., :length], tail)
         return a - np.concatenate((a[..., 1:], tail), axis=-1)
+
+    def window_coefs_vjp(self, gcoefs: np.ndarray, gtotal: np.ndarray):
+        """The head and tail weight gradients, from the cotangents of
+        window_coefs (gcoefs[..., g] is window g's) and of merged through its
+        own merged * total term. The head's are zero at and past each
+        query's hat."""
+        # a leading zero for the empty window W_{-1}
+        dots = np.concatenate((np.zeros(gcoefs.shape[:-1] + (1,)), gcoefs), axis=-1)
+        in_head = np.arange(gcoefs.shape[-1]) < self.hat[..., None]
+        ghead = np.where(in_head, np.diff(dots, axis=-1), 0.0)
+        return ghead, gtotal - np.take_along_axis(dots, self.hat[..., None], axis=-1)[..., 0]
 
     def head_axis(self) -> WeightGrid:
         """The same weights as a stack of one head."""
@@ -249,26 +268,38 @@ def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarr
 
 # ---------- schemes, whole grid at once ----------
 
-def grid_stick_fractions(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
-    """Stick fractions for every query: (H, W, r_max), or (H, W, heads, r_max)
-    for stacked parameters. Also returns the projected value grid, which the
-    backward pass reuses."""
+def _stick_pieces(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
+    """The learned pipeline for every query: (projected, pieces, fracs,
+    lead), with r_max + 1 pieces. The projected value grid is dotted with
+    the first r_max unit embeddings into logits. The softmax scheme's
+    pieces are their softmax with a fixed zero tail logit (fracs and lead
+    are None). The stick schemes damp the logits into fractions as
+    modified_sigmoid does and break the stick: piece m is lead[..., m] *
+    fracs[..., m], lead being what the first m fractions left, and the
+    last piece is what all of them left."""
     p = scheme.params
     projected = matmul(value_grid.astype(np.float64), np.swapaxes(p.value_projection, -1, -2))
     logits = matmul(projected, np.swapaxes(p.unit_embeddings[..., :r_max, :], -1, -2))
+    if scheme.kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
+        padded = np.concatenate((logits, np.zeros(logits.shape[:-1] + (1,))), axis=-1)
+        gamma = np.exp(padded - padded.max(axis=-1, keepdims=True))
+        gamma /= gamma.sum(axis=-1, keepdims=True)
+        return projected, gamma, None, None
     factors = np.arange(r_max, 0, -1, dtype=np.float64)  # modified_sigmoid's damping
     fracs = 1.0 / (1.0 + factors * np.exp(-logits))
-    return fracs, logits, projected
-
-
-def _grid_stick_breaking(fracs: np.ndarray):
-    """Vectorized stick break over the trailing axis; returns (beta, remaining)
-    where remaining[..., m] is the stick left after the first m+1 fractions."""
-    one_minus = 1.0 - fracs
-    remaining = np.cumprod(one_minus, axis=-1)
+    remaining = np.cumprod(1.0 - fracs, axis=-1)
     lead = np.concatenate((np.ones(fracs.shape[:-1] + (1,)), remaining[..., :-1]), axis=-1)
     beta = np.concatenate((lead * fracs, remaining[..., -1:]), axis=-1)
-    return beta, remaining
+    return projected, beta, fracs, lead
+
+
+def _truncated_head(pieces: np.ndarray, cut: np.ndarray):
+    """The truncated scheme's head: the mask of the first ``cut`` pieces,
+    the pieces under it (zero past it) and their sum. The mask spans the
+    pieces' own r_max + 1 slots, since a grid may have fewer groups."""
+    keep = np.arange(pieces.shape[-1]) < cut[..., None]
+    head = np.where(keep, pieces, 0.0)
+    return keep, head, head.sum(axis=-1)
 
 
 def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
@@ -299,39 +330,76 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
         head = np.broadcast_to(beta_row, groups.shape + (gmax,))
         return _assemble_merged(head, hat, groups, gmax)
 
+    _, pieces, *_ = _stick_pieces(value_grid, scheme, r_max)
     if kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
-        _, logits, _ = grid_stick_fractions(value_grid, scheme, r_max)
-        padded = np.concatenate((logits, np.zeros(groups.shape + (1,))), axis=-1)
-        z = padded - padded.max(axis=-1, keepdims=True)
-        gamma = np.exp(z)
-        gamma /= gamma.sum(axis=-1, keepdims=True)
         hat = np.minimum(r_max, groups - 1)
-        head = _pad_last(gamma, gmax)
-        return _assemble_merged(head, hat, groups, gmax)
-
-    fracs, _, _ = grid_stick_fractions(value_grid, scheme, r_max)
-    beta, _ = _grid_stick_breaking(fracs)
+        return _assemble_merged(_pad_last(pieces, gmax), hat, groups, gmax)
 
     if kind is WeightSchemeKind.TRUNCATED:
         cut = np.minimum(r_max, groups)
-        # mask over beta's own r_max + 1 slots; span is too short whenever
-        # the grid has fewer groups than r_max + 1
-        keep = np.arange(beta.shape[-1]) < cut[..., None]
-        head = np.where(keep, beta, 0.0)
-        total = head.sum(axis=-1, keepdims=True)
+        _, head, total = _truncated_head(pieces, cut)
         if np.any(total <= 0.0):
             raise ValueError("truncated scheme has no head mass to renormalize")
-        alphas = _pad_last(head / total, gmax)
+        alphas = _pad_last(head / total[..., None], gmax)
         return WeightGrid(alphas=alphas, hat=cut.astype(np.int64),
                           merged=np.zeros(groups.shape), groups=groups)
 
-    remaining = 1.0 - np.cumsum(beta, axis=-1)
+    remaining = 1.0 - np.cumsum(pieces, axis=-1)
     below = remaining < tau
     # argmax of an all-False row is 0; such a row means "never halted", not index 0
-    hat_tau = np.where(below.any(axis=-1), np.argmax(below, axis=-1), beta.shape[-1] - 1)
+    hat_tau = np.where(below.any(axis=-1), np.argmax(below, axis=-1), pieces.shape[-1] - 1)
     hat = np.minimum(np.minimum(hat_tau, r_max), groups - 1)
-    head = _pad_last(beta, gmax)
+    head = _pad_last(pieces, gmax)
     return _assemble_merged(head, hat, groups, gmax)
+
+
+def scheme_weights_vjp(scheme: WeightScheme, value_grid: np.ndarray,
+                       partition: PartitionScheme, weights: WeightGrid,
+                       ghead: np.ndarray, gmerged: np.ndarray):
+    """The backward of scheme_weights_grid: the head and tail weight
+    gradients, as WeightGrid.window_coefs_vjp gives them, pulled back to
+    the value grid and the stick parameters. Returns (value gradient,
+    StickGrads), or (0.0, None) for schemes with nothing to learn.
+
+    The pipeline is run again from the value grid; nothing of the forward's
+    is kept. Halting indices and group counts are integers and are treated
+    as locally constant, which matches central differences at generic
+    points."""
+    if scheme.kind not in LEARNED_KINDS:
+        return 0.0, None
+    p, r_max, hat = scheme.params, partition.r_max, weights.hat
+    projected, pieces, fracs, lead = _stick_pieces(value_grid, scheme, r_max)
+    gpieces = np.zeros_like(pieces)
+    if scheme.kind is WeightSchemeKind.TRUNCATED:     # hat is the renormalized head's length
+        keep, head, total = _truncated_head(pieces, hat)
+        gpieces[..., :ghead.shape[-1]] = ghead
+        s_dot = np.einsum("...r,...r->...", gpieces, head)
+        gpieces = np.where(keep, gpieces / total[..., None]
+                           - (s_dot / (total * total))[..., None], 0.0)
+    else:   # each head piece also takes its mass from the merged tail
+        in_head = np.arange(ghead.shape[-1]) < hat[..., None]
+        adj = ghead - np.where(in_head, (gmerged / (weights.groups - hat))[..., None], 0.0)
+        gpieces[..., :ghead.shape[-1]] = np.where(in_head, adj, 0.0)
+
+    if fracs is None:       # the softmax's Jacobian
+        dot = np.einsum("...r,...r->...", gpieces, pieces)
+        glogits = (pieces * (gpieces - dot[..., None]))[..., :r_max]
+    else:
+        # stick-breaking Jacobian: piece m scales with its own fraction through
+        # the lead product and shrinks every later piece through (1 - fraction)
+        rev = np.cumsum((gpieces * pieces)[..., ::-1], axis=-1)[..., ::-1]
+        one_minus = 1.0 - fracs
+        # a fraction pinned at exactly 1 zeroes its own logit sensitivity anyway,
+        # so the guarded quotient never leaks a wrong value into glogits
+        safe = np.where(one_minus > 0.0, one_minus, 1.0)
+        glogits = (gpieces[..., :r_max] * lead - rev[..., 1:] / safe) * fracs * one_minus
+
+    heads = p.unit_embeddings.ndim == 3
+    g_units = np.zeros_like(p.unit_embeddings)
+    g_units[..., :r_max, :] = outer_sum(glogits, projected, heads)
+    gproj = matmul(glogits, p.unit_embeddings[..., :r_max, :])
+    return matmul(gproj, p.value_projection), StickGrads(
+        unit_embeddings=g_units, value_projection=outer_sum(gproj, value_grid, heads))
 
 
 def _pad_last(arr: np.ndarray, length: int) -> np.ndarray:

@@ -440,10 +440,11 @@ def test_criterion_4_runtime_scaling(capsys):
                             f"at side {side}")
         budget_note = f"fetches {total} <= {budget} at {side}^2"
 
-    # every size's median, pass or fail, so that a failed timing gate can
-    # be read from its message alone
+    # every size's median with its fastest and slowest sample, pass or
+    # fail, so that a failed timing gate can be read from its message alone
     medians = "; ".join(
-        f"{recs[0].variant} ns " + ", ".join(f"{r.side}^2 {r.median_ns:.3g}" for r in recs)
+        f"{recs[0].variant} ns " + ", ".join(
+            f"{r.side}^2 {r.median_ns:.3g} [{r.min_ns:.3g}, {r.max_ns:.3g}]" for r in recs)
         for recs in (dp_recs, naive_recs, softmax_recs))
     report(capsys, 4, not failures, "; ".join(failures + [medians]) if failures else
            f"slopes dp {dp_slope:.2f}, naive {naive_slope:.2f}, "

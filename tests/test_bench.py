@@ -32,7 +32,7 @@ def test_fit_loglog_needs_three_points():
 
 def make_record(variant, side, median):
     return BenchRecord(variant=variant, side=side, tokens=side * side,
-                       r_max=4, median_ns=median)
+                       r_max=4, median_ns=median, min_ns=median, max_ns=median)
 
 
 def test_fit_slope_fits_record_medians():
@@ -94,7 +94,7 @@ def test_run_bench_records_and_slopes():
     assert len(records) == 6
     for r in records:
         assert r.tokens == r.side * r.side
-        assert r.median_ns > 0
+        assert 0 < r.min_ns <= r.median_ns <= r.max_ns
         assert r.slope is not None          # 3 sizes were timed
     by_variant = {r.variant for r in records}
     assert by_variant == {"dp", "softmax"}

@@ -36,13 +36,14 @@ def sweep_radii(cfg, v):
     return [group_span(cfg.partition.kind, g)[1] for g in range(1, hat)]
 
 
-def fitted(budget, shared, row, h):
+def fitted(budget, shared, row, h, ph):
     """The plan a budget must give a pass whose band keeps ``shared`` bytes
     of rows at full channel width, plus ``row`` per strip row: the fewest
     equal channel blocks (the last one may be narrower) whose shared rows
-    and one strip row fit, then strips as tall as the rest allows, but at
-    least one row and at most the grid."""
-    count = min(max(-(-(shared + row) // budget), 1), FEATURES)
+    and min(max(ph, 1), h) strip rows fit, then strips as tall as the rest
+    allows, but at least one row and at most the grid."""
+    floor = min(max(ph, 1), h)
+    count = min(max(-(-(shared + floor * row) // budget), 1), FEATURES)
     width = -(-FEATURES // count)
     return -(-FEATURES // width), min(max((budget * FEATURES // width - shared) // row, 1), h)
 
@@ -50,32 +51,37 @@ def fitted(budget, shared, row, h):
 def budgets(h, w, radii, heads=1):
     """BLOCK_BYTES values, each with the (channel blocks, strip height) it
     must give the forward and the backward: one strip over the whole grid,
-    one-row strips, strips shorter than the radius (one row when it is 0 or
-    1), blocks of one channel, and blocks of two with a last one of one,
-    sized for the forward, and one-row and short strips sized for the
-    backward. The backward's band keeps the token adjoint's band, with a
-    carry row, and the strip's field beside the table's, so on its one-row
-    and short strips an adjoint row near the top of the grid is finished
-    only on a later strip."""
+    blocks of one channel, blocks of two with a last one of one, and, sized
+    for each pass, one-row strips and strips shorter than the radius (one
+    row when it is 0 or 1). A pass splits its channels until its blocks
+    fit strips as tall as the radius, so its one-row and short strips come
+    with blocks of one channel. The backward's band keeps the token
+    adjoint's band, with a carry row, and the strip's field beside the
+    table's, so on its one-row and short strips an adjoint row near the
+    top of the grid is finished only on a later strip."""
     radius = max(radii, default=0)
     ph, pw = min(radius, h - 1), min(radius, w - 1)
     band_row = (w + 2 * pw + 1) * heads * FEATURES * (VALUES + 1) * 8
     shared = (2 * ph + 1) * band_row
     row = band_row + w * heads * FEATURES * (len(radii) + 2) * 8   # a strip row
     back_shared, back_row = shared + (2 * ph + 2) * band_row, row + 2 * band_row
-    short = max(ph - 1, 1)
-    sizes = {"whole": (1 << 40, 1, h), "one-row": (shared + row, 1, 1),
-             "short": (shared + short * row, 1, min(short, h)),
-             "single": (1, FEATURES, 1), "ragged": ((shared + row) * 2 // FEATURES, 3, 1),
-             "back-one-row": (back_shared + back_row,) + fitted(back_shared + back_row,
-                                                                shared, row, h),
-             "back-short": (back_shared + short * back_row,)
-             + fitted(back_shared + short * back_row, shared, row, h)}
-    backward = {"whole": (1, h), "single": (FEATURES, 1), "back-one-row": (1, 1),
-                "back-short": (1, min(short, h))}
-    return {name: (budget, forward, height,
-                   backward.get(name) or fitted(budget, back_shared, back_row, h))
-            for name, (budget, forward, height) in sizes.items()}
+    short = min(max(ph - 1, 1), h)
+    floor = min(max(ph, 1), h)
+    sizes = {"whole": 1 << 40, "single": 1,
+             "ragged": (shared + floor * row) * 2 // FEATURES,
+             "one-row": -(-(shared + row) // FEATURES),
+             "short": -(-(shared + short * row) // FEATURES),
+             "back-one-row": -(-(back_shared + back_row) // FEATURES),
+             "back-short": -(-(back_shared + short * back_row) // FEATURES)}
+    forward = {"whole": (1, h), "single": (FEATURES, 1), "one-row": (FEATURES, 1),
+               "short": (FEATURES, short)}
+    backward = {"whole": (1, h), "single": (FEATURES, 1), "back-one-row": (FEATURES, 1),
+                "back-short": (FEATURES, short)}
+    plans = {name: ((budget,) + (forward.get(name) or fitted(budget, shared, row, h, ph))
+                    + (backward.get(name) or fitted(budget, back_shared, back_row, h, ph),))
+             for name, budget in sizes.items()}
+    assert plans["ragged"][1] == 3      # blocks of 2, 2 and 1 channels
+    return plans
 
 
 def rel_error(got, want):
@@ -161,6 +167,23 @@ def test_banded_core_matches_oracle_under_every_budget(
             assert err <= 1e-12 * scale, (name, key, err, scale)
 
 
+@pytest.mark.parametrize("field, radii, backward, plan", [
+    ((48, 48, 1, 32, 33), [1, 2, 3], False, (1, 32, 13)),    # ring-fwd-48
+    ((32, 32, 1, 32, 33), [1, 3, 7], False, (1, 32, 10)),    # dyadic-fwdbwd-32
+    ((32, 32, 1, 32, 33), [1, 3, 7], True, (2, 16, 7)),
+    ((8, 8, 2, 8, 9), [1, 2], False, (1, 8, 8)),             # toy-train-8
+    ((8, 8, 2, 8, 9), [1, 2], True, (1, 8, 8)),
+    ((128, 128, 1, 32, 33), [1, 3, 7], False, (3, 11, 9)),   # past the workloads
+    ((128, 128, 1, 32, 33), [1, 3, 7], True, (7, 5, 7)),
+])
+def test_workload_plans(field, radii, backward, plan):
+    """The benchmark workloads' plans at the default BLOCK_BYTES, as
+    (channel blocks, channels in the first, strip height); the 128x128
+    dyadic plans show the strip floor of ph rows at work."""
+    blocks, height, _ = attention.band_plan(field, radii, backward)
+    assert (len(blocks), blocks[0].stop - blocks[0].start, height) == plan
+
+
 def small_case(side, seed):
     rng = np.random.default_rng(seed)
     q, k = (rng.standard_normal((side, side, 4)) for _ in range(2))
@@ -209,9 +232,11 @@ def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, bac
     """Each strip's band equals its rows of the whole table padded as
     sat.window_corners reads it: rows moved up from the strip before,
     rows built on a carry and rows past the grid alike. The strips and
-    blocks are the ones the budget names for the pass, and only the
-    backward's kept buffer has rows to spare after the band: an adjoint
-    band one row taller than the first strip's and a field of its rows."""
+    blocks are the ones the budget names for the pass. Only the backward
+    gets an adjoint band, one row taller than the band, and a field of its
+    strip's rows, in the same buffer: the adjoint is zero at each block's
+    start, and later holds the carry and shared rows of the strip before
+    and zeros, whatever the caller wrote into it and into the field."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, 2, FEATURES))
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
@@ -222,15 +247,26 @@ def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, bac
         blocks, height = plans[2] if backward else plans[:2]
         mp.setattr(attention, "BLOCK_BYTES", nbytes)
         covered = {}
-        for blk, rows, band, (ph, pw), spare in attention.table_bands(pk, streams, radii,
-                                                                     backward):
+        for blk, rows, band, (ph, pw), adjoint, field in attention.table_bands(
+                pk, streams, radii, backward):
             rest = ((0, 0),) * 3
             edged = np.pad(table[..., blk, :], ((0, ph), (0, pw)) + rest, mode="edge")
             full = np.pad(edged, ((ph + 1, 0), (pw + 1, 0)) + rest)
             np.testing.assert_allclose(band, full[rows.start:rows.stop + 2 * ph + 1],
                                        rtol=1e-12, atol=1e-12)
-            assert spare.shape[1:] == band.shape[1:]
-            assert len(spare) == (2 * height + 2 * ph + 2 if backward else 0)
+            if not backward:
+                assert adjoint is None and field is None
+            else:
+                assert adjoint.shape == (len(band) + 1,) + band.shape[1:]
+                assert field.shape == (rows.stop - rows.start, w) + band.shape[2:]
+                moved = 2 * ph + 2 if rows.start else 0
+                if moved:
+                    np.testing.assert_array_equal(adjoint[:moved],
+                                                  written[height:height + moved])
+                assert not adjoint[moved:].any()
+                adjoint[:] = rng.standard_normal(adjoint.shape)
+                field[:] = rng.standard_normal(field.shape)
+                written = adjoint.copy()
             covered.setdefault(blk.start, []).append((rows.start, rows.stop))
     assert len(covered) == blocks
     for strips in covered.values():     # the strips tile the grid's rows in order

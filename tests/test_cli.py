@@ -171,6 +171,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         cfg.write_text(text)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
         assert "error:" in capsys.readouterr().err
+    cfg.write_text("[train]\ngrid = 1\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "argument --grid: must be >= 2" in capsys.readouterr().err
     # dtype belongs to check alone: train neither takes nor records it
     cfg.write_text("[global]\ndtype = f64\n")
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -215,12 +218,19 @@ def test_usage_errors(capsys):
     ["train", "--batch", "0"],
     ["train", "--steps", "-1"],
     ["train", "--heads", "0"],
+    ["train", "--grid", "1"],
+    ["train", "--model-dim", "0"],
+    ["train", "--head-dim", "0"],
+    ["train", "--r-max", "0"],
+    ["train", "--ripple-layers", "0", "--layers", "-1"],
+    ["train", "--ripple-layers", "-1"],
 ], ids=" ".join)
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
     # these used to die with a KeyError or IndexError traceback, numpy's
-    # "negative dimensions" (sizes -2) or a message naming no option (sizes
-    # 0), or (steps -1) to train nothing and exit 0; the last option given
-    # is the bad one
+    # "negative dimensions" (sizes -2), "low >= high" (grid 1) or "cannot
+    # reshape" (model-dim 0, head-dim 0), or a message naming no option
+    # (sizes 0) or the wrong one (layers -1 blamed ripple_layers), or (steps
+    # -1) to train nothing and exit 0; the last option given is the bad one
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
     assert run_dirs(tmp_path) == []
