@@ -21,16 +21,19 @@ the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 The sweep is linear in each feature channel until it meets phi_q, so it
 streams the prefix table of that field over strips of grid rows, at full
 channel width: a band kept between passes holds the table rows one strip's
-windows reach, each row built once on the row above it. A window is four
-corner reads of the band (Crow's summed-area table), and each corner is
-contracted with the strip's phi_q straight into the (H, W, C + 1)
-accumulator, so no window is written out. The band and the strip's
-per-query vectors are sized in bytes together (BLOCK_BYTES): the strip
-shortens as the radius and the window count grow, and channels split
-only when the shared rows and one strip row would not fit. The tape
-holds inputs, features, weights and the quotient, and the backward pass
-streams the same band again, with the token adjoint's band beside it in
-the same buffer (see the grad module).
+windows reach, each row built once on the row above it by masked matmuls
+of phi_k against [v, 1] (sat.table_rows), so the field is never written
+out. A window is four corner reads of the band (Crow's summed-area
+table), two on each of two band rows; one matmul per row contracts both
+of its corners with the strip's phi_q, paired d = 2r + 1 columns apart,
+straight into the (H, W, C + 1) accumulator, so no window is written out
+and each window reads 2 (W + d) band entries per row. The band and the
+strip's per-query buffers are sized in bytes together (BLOCK_BYTES): the
+strip shortens as the radius and the window count grow, and channels
+split only when the shared rows and one strip row would not fit. The
+tape holds inputs, features, weights and the quotient, and the backward
+pass streams the same band again, with the token adjoint's band beside it
+in the same buffer (see the grad module).
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
 multi-head layer stacks its heads on axis 2, with one band over
@@ -47,7 +50,7 @@ import numpy as np
 
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
-from .sat import prefix_sum, window_corners
+from .sat import COLUMN_BLOCK, table_rows, window_rows
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
@@ -55,18 +58,19 @@ from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
 DEFAULT_EPSILON = 1e-6
 
 BLOCK_BYTES = 10 << 20
-"""Bytes of the band of prefix-table rows a pass streams with the per-query
-vectors its strip keeps; in the backward, the band's buffer also holds the
-token adjoint's band and the strip's field. The strip height is what the
-budget leaves after the 2R + 1 rows strips share, once channels have
-split until a strip of R rows fits (see band_plan). At 10 MiB a 48x48
-unit-ring forward (Dp = C = 32, radius 3) runs strips of 13 rows, a
-32x32 dyadic one (radius 7) strips of 10, and a 128x128 dyadic one three
-blocks of 11 channels in strips of 9; the 32x32 dyadic backward runs two
-blocks of 16 channels in strips of 7 rows, the 128x128 one seven blocks
-of 5 in strips of 7. A larger budget leaves less margin
-under the one-field forward peak at 48x48, and at 32x32 a short-radius
-band (29-row strips, 9.46 MB at radius 1) would fall short of what a
+"""Bytes of the band of prefix-table rows a pass streams with the buffers
+its strip keeps: the table build's "mask" in both passes, the window
+reads' "pairs" and "paired" in the forward, and in the backward the
+per-window vectors and, in the band's buffer, the token adjoint's band and
+the strip's field (see band_plan). The strip height is what the budget
+leaves after the 2R + 1 rows strips share, once channels have split until
+a strip of R rows fits. At 10 MiB a 48x48 unit-ring forward (Dp = C =
+32, radius 3) runs strips of 13 rows, a 32x32 dyadic one (radius 7)
+strips of 9, and a 128x128 dyadic one three blocks of 11 channels in
+strips of 8; the 32x32 dyadic backward runs three blocks of 11 channels
+in strips of 14 rows, the 128x128 one seven blocks of 5 in strips of 7.
+A larger budget leaves less margin under the one-field forward peak at
+48x48, and at 32x32 a short-radius band would fall short of what a
 long-radius one fills, against acceptance 5's flat peak over r_max. 8x8
 toy grids run as one strip."""
 
@@ -206,30 +210,40 @@ def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
     """How a pass streams the table of an (H, W, heads, Dp, C + 1) field
     whose windows have ``radii``: (channel blocks, strip height, pads). A
     pad is the largest radius clipped to its grid axis, since a window that
-    long spans the axis anyway. A band holds a strip's rows plus 2 ph + 1
-    shared ones, and each strip row also brings the block-width vectors a
-    pass keeps per query: one per window and two more (the backward's z_0
-    and corner term). The ``backward`` keeps 2 ph + 2 more shared band rows
-    and two more per strip row: the token adjoint's and the field's.
-    Channels split into the fewest equal blocks (but a narrower last one)
-    whose shared rows and min(max(ph, 1), H) strip rows fit BLOCK_BYTES,
-    so that strips fall below the radius only in blocks of one channel,
-    and the strip grows to fill the budget."""
+    long spans the axis anyway. A block's bytes are counted at its own
+    width: its band holds a strip's rows plus 2 ph + 1 shared ones, and
+    the table build's "mask" COLUMN_BLOCK^2 entries per channel for each
+    row built (ph more on the first strip). A forward strip row also keeps
+    "pairs" (block-wide, over W + 2 d columns) and "paired" (two C + 1
+    vectors over W + d), with d = 2 pw + 1; a ``backward`` one keeps one
+    block-wide vector per window and two more (z_0 and the corner term)
+    and the token adjoint's and field's band rows, with 2 ph + 2 more
+    shared rows. Channels split into the fewest equal blocks (but a
+    narrower last one) whose shared rows and min(max(ph, 1), H) strip rows
+    fit BLOCK_BYTES, so that strips fall below the radius only in blocks
+    of one channel, and the strip grows to fill the budget."""
     h, w = field_shape[:2]
-    dp = field_shape[-2]
+    heads, dp, values = math.prod(field_shape[2:-2]), field_shape[-2], field_shape[-1]
     radius = max(radii, default=0)
     pads = (min(radius, h - 1), min(radius, w - 1))
-    margin = 2 * pads[0] + 1
-    band_row = (w + 2 * pads[1] + 1) * math.prod(field_shape[2:]) * 8    # at full width
-    strip_row = band_row + w * math.prod(field_shape[2:-1]) * (len(radii) + 2) * 8
-    shared = margin * band_row
-    if backward:
-        shared, strip_row = shared + (margin + 1) * band_row, strip_row + 2 * band_row
+    margin, span = 2 * pads[0] + 1, 2 * pads[1] + 1
     floor = min(max(pads[0], 1), h)     # strip rows the blocks must fit
-    width = -(-dp // min(max(-(-(shared + floor * strip_row) // BLOCK_BYTES), 1), dp))
-    budget = BLOCK_BYTES * dp // width
+    for count in range(1, dp + 1):
+        width = -(-dp // count)
+        lanes = heads * width
+        band_row = (w + span) * lanes * values * 8
+        mask_row = lanes * min(COLUMN_BLOCK, w) ** 2 * 8
+        if backward:
+            shared = (2 * margin + 1) * band_row
+            row = 3 * band_row + w * lanes * (len(radii) + 2) * 8
+        else:
+            shared = margin * band_row
+            row = band_row + ((w + 2 * span) * lanes + (w + span) * heads * 2 * values) * 8
+        shared, row = shared + pads[0] * mask_row, row + mask_row
+        if shared + floor * row <= BLOCK_BYTES:
+            break
     return ([slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)],
-            min(max((budget - shared) // strip_row, 1), h), pads)
+            min(max((BLOCK_BYTES - shared) // row, 1), h), pads)
 
 
 _kept = threading.local()
@@ -264,16 +278,16 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
     """Yield (blk, rows, band, pads, adjoint, field) for every channel
     block and strip of grid rows [a, b): the band holds the padded prefix
     table rows [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's
-    channels, in the layout sat.window_corners reads, in the kept buffer
+    channels, in the layout sat.window_rows reads, in the kept buffer
     "band", as band_plan plans the pass.
 
-    Each table row is built once: its field is written below the row
-    above and run onto it by prefix_sum with a carry, over the grid's
-    columns only; the pad columns then copy the last one, a column at a
+    Each table row is built once, on the row above it, by sat.table_rows
+    over the grid's columns only, with its masked keys in the kept buffer
+    "mask"; the field is never written out, and the matmuls write into the
+    band's strided rows without the temporaries np.multiply and np.einsum
+    allocate there. The pad columns then copy the last one, a column at a
     time, since a broadcast copy within the band would go through a
-    temporary of all pw columns. The field is a matmul, which writes into
-    the band's strided rows without the temporaries np.multiply and
-    np.einsum allocate there. The 2 ph + 1 rows a strip shares with the
+    temporary of all pw columns. The 2 ph + 1 rows a strip shares with the
     next move up the band, and rows past the grid repeat the last, so the
     last strip's far corner is the block's grid total. Callers count a
     pass's fetches on its first block only (blk.start == 0): later blocks
@@ -301,7 +315,7 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
             field = kept[len(band) + len(adjoint):].reshape(-1)[:height * w * math.prod(channels)]
             field = field.reshape((height, w) + channels)
         band[:ph + 1] = 0.0         # the table before the grid
-        band[:, :pw + 1] = 0.0
+        band[ph + 1:, :pw + 1] = 0.0
         ready = ph + 1              # band rows that hold table rows
         for a in range(0, h, height):
             b = min(a + height, h)
@@ -315,9 +329,10 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
             built, stop = min(b + ph, h) - top, b - a + margin
             if built > ready:
                 new = slice(ready, built)
-                np.matmul(pk[top + ready:top + built, ..., blk, None],
-                          streams[top + ready:top + built, ..., None, :], out=band[new, grid])
-                prefix_sum(band[ready - 1:built, grid], carry=True)
+                mask = kept_array("mask", (built - ready,) + channels[:-1]
+                                  + (min(COLUMN_BLOCK, w) ** 2,))
+                table_rows(band[ready - 1:built, grid], pk[top + ready:top + built, ..., blk],
+                           streams[top + ready:top + built], mask)
                 for pad in range(grid.stop, band.shape[1]):
                     band[new, pad] = band[new, grid.stop - 1]
                 ready = built
@@ -330,28 +345,46 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     """The banded prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
     features, (H, W, heads, C) values and weights with the head axis. Returns
     the (H, W, heads, C + 1) numerator and denominator streams. Each window
-    is contracted straight from its four corners into the strip of the
-    result, with its coefficient folded into phi_q."""
+    is contracted from its two band rows straight into the strip of the
+    result, with its coefficient folded into phi_q: one matmul per row
+    reads both of the row's corners (see _paired)."""
     coefs = wg.window_coefs()
     radii = [group_span(partition.kind, g)[1] for g in range(1, coefs.shape[-1])]
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
     for blk, rows, band, pads, *_ in table_bands(pk, streams, radii):
-        strip, term = both[rows], part[rows][..., None, :]
-        scaled = kept_array("scaled", strip.shape[:-1] + (len(radii), blk.stop - blk.start))
-        np.multiply(coefs[rows, ..., 1:, None], pq[rows][..., None, blk], out=scaled)
-        for g, radius in enumerate(radii):
-            added, subtracted = window_corners(band, radius, pads, counted=blk.start == 0)
-            for corners, combine in ((added, np.add), (subtracted, np.subtract)):
-                for corner in corners:
-                    np.matmul(scaled[..., g, None, :], corner, out=term)
-                    combine(strip, term[..., 0, :], out=strip)
+        strip, w = both[rows], both.shape[1]
+        for g, radius in enumerate(radii, 1):
+            rowpair, d = window_rows(band, radius, pads, counted=blk.start == 0)
+            pairs = _paired(coefs[rows, ..., g, None], pq[rows][..., blk], d)
+            paired = kept_array("paired", rowpair[0].shape[:-2] + (2, strip.shape[-1]))
+            for row, (far, near) in zip(rowpair, ((np.add, np.subtract),
+                                                  (np.subtract, np.add))):
+                np.matmul(pairs, row, out=paired)
+                far(strip, paired[:, d:, ..., 0, :], out=strip)
+                near(strip, paired[:, :w, ..., 1, :], out=strip)
         if rows.stop == len(pq):    # the far corner of the last strip is the total
             matmul(pq[..., blk], band[-1, -1], out=part)
             part *= wg.merged[..., None]
             both += part
     return both
+
+
+def _paired(coef, pq, d: int) -> np.ndarray:
+    """The (rows, W + d, ..., 2, block) left operand of a window's row
+    reads: at each of the W + d band columns of window_rows, coef * pq of
+    the queries whose far and near corners sit there, x - d and x. It
+    views the kept buffer "pairs", where d zero columns on each side stand
+    for queries off the grid, whose products are never read."""
+    h, w = pq.shape[:2]
+    pairs = kept_array("pairs", (h, w + 2 * d) + pq.shape[2:])
+    pairs[:, :d] = 0.0
+    np.multiply(coef, pq, out=pairs[:, d:d + w])
+    pairs[:, d + w:] = 0.0
+    strides = pairs.strides     # a view built directly: as_strided costs ~7 us a call
+    return np.ndarray((h, w + d) + pq.shape[2:-1] + (2, pq.shape[-1]), pairs.dtype, pairs,
+                      strides=strides[:-1] + (d * strides[1], strides[-1]))
 
 
 def _radius_zero_coef(coefs):

@@ -34,8 +34,8 @@ import numpy as np
 from .attention import AttentionConfig, ripple_dp, ripple_naive
 from .featmap import FeatureMapKind, init_feature_map
 from .sat import sabotage_radius_offset
-from .toymodel import (TASKS, ToyModelConfig, clip_grad_norm, init_model, loss_and_grads,
-                       train_demo)
+from .toymodel import (TASK_MIN_GRID, TASKS, ToyModelConfig, clip_grad_norm, init_model,
+                       loss_and_grads, train_demo)
 from .vicinal import GridShape, PartitionKind, PartitionScheme
 from .weights import LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind
 
@@ -208,6 +208,9 @@ def _parse_args(argv) -> argparse.Namespace:
         except (UsageError, configparser.Error) as exc:
             sub.error(str(exc))
         opts = parser.parse_args(argv)
+    if opts.command == "train" and opts.grid < TASK_MIN_GRID[opts.task]:
+        commands["train"].error(f"argument --grid: the {opts.task} task needs a grid of "
+                                f"at least {TASK_MIN_GRID[opts.task]}, got {opts.grid}")
     return opts
 
 

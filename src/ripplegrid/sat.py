@@ -6,14 +6,19 @@ Every array here is f64 with the grid on its first two axes.
   acc[:i+1, :j+1], one column and then one row at a time. It can also
   continue a table: given a finished table row as a carry, it turns the
   field rows below it into the table rows that follow.
-- window_corners reads the sums over the square window of radius r around
-  every position, clipped to the grid, as four corner views of a padded
-  table: table entries before the grid are zero rows and columns, and
-  entries past its last row or column repeat that row or column, so the
-  clipped edges min(i + r, n - 1) and i - r - 1 are plain shifted slices
-  and a window is hi-hi + lo-lo - hi-lo - lo-hi. Callers contract each
-  corner directly and never write a window out. The padded table may be a
-  band of rows: the table rows one strip of grid rows reads.
+- table_rows continues a table the same way for a field keys (x) values
+  that it never writes out: per block of COLUMN_BLOCK columns, one matmul
+  of tril (.) keys against the values writes the block's column prefix.
+- window_rows reads the square windows of radius r around every position
+  of a strip, clipped to the grid, from two row views of a padded table:
+  table entries before the grid are zero rows and columns, and entries
+  past its last row or column repeat that row or column, so the clipped
+  edges min(i + r, n - 1) and i - r - 1 are plain shifted slices. On each
+  row a window's near and far corners sit d = 2r + 1 columns apart, and
+  window_corners slices the four corner views out of the two rows: a
+  window is hi-hi + lo-lo - hi-lo - lo-hi. Callers contract the views
+  directly and never write a window out. The padded table may be a band
+  of rows: the table rows one strip of grid rows reads.
 
 The same views give the transpose in the suffix layout, where a window is
 the same corner sum of the suffix table S[i, j] = sum of F[i:, j:] padded
@@ -35,9 +40,12 @@ blocks.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
+
+COLUMN_BLOCK = 8     # grid columns per masked matmul in table_rows
 
 _fetch_count = 0
 _row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
@@ -54,11 +62,11 @@ def fetch_count() -> int:
 
 @contextmanager
 def sabotage_radius_offset(offset: int = 1):
-    """Fault injection for harness self-tests: prefix_sum inside the context
-    shifts the table rows it builds down by ``offset`` rows (zeros enter at
-    the top), so the windows and the total read from them are both wrong.
-    window_corners reads no fault state; tables built outside the context
-    stay clean."""
+    """Fault injection for harness self-tests: prefix_sum and table_rows
+    inside the context shift the table rows they build down by ``offset``
+    rows (zeros enter at the top), so the windows and the total read from
+    them are both wrong. window_rows reads no fault state; tables built
+    outside the context stay clean."""
     global _row_shift
     _row_shift = offset
     try:
@@ -81,6 +89,43 @@ def prefix_sum(acc: np.ndarray, carry: bool = False) -> np.ndarray:
     built = acc[1:] if carry else acc
     for j in range(1, acc.shape[1]):
         np.add(built[:, j - 1], built[:, j], out=built[:, j])
+    return _rows_down(acc, built)
+
+
+def table_rows(acc: np.ndarray, keys: np.ndarray, values: np.ndarray,
+               mask: np.ndarray) -> np.ndarray:
+    """Continue a table by the outer products of ``keys`` (n, W, ..., D)
+    and ``values`` (n, W, ..., C), in place: acc (n + 1, W, ..., D, C)
+    holds a finished table row in acc[0], and acc[1 + i, j] becomes
+    acc[i, j] plus the sum over j' <= j of keys[i, j'] (x) values[i, j'].
+
+    Per block of k columns, the buffer ``mask`` (n, ..., D, k * k) takes
+    tril (.) keys, itself the keys' matmul with a 0/1 spread, and its
+    matmul with the values writes the block's column prefix into acc; the
+    block before's last column and the row above are then added. No field
+    is written out and no column is copied. Returns acc."""
+    rows, k, lanes = acc[1:], math.isqrt(mask.shape[-1]), mask.size // mask.shape[-1]
+    inner = tuple(range(2, keys.ndim))      # the column axis moves past ..., D
+    keys = keys.transpose((0,) + inner + (1,))
+    values = values.transpose((0,) + inner[:-1] + (1, -1))[..., None, :, :]
+    table = rows.transpose((0,) + inner + (1, -1))     # (n, ..., D, W, C)
+    for lo in range(0, acc.shape[1], k):
+        cols = slice(lo, min(lo + k, acc.shape[1]))
+        width = cols.stop - lo
+        masked = mask.reshape(-1)[:lanes * width * width].reshape(mask.shape[:-1] + (-1,))
+        # spread[j', (j, j'')] is 1 where j'' == j' <= j
+        spread = (np.eye(width)[:, None] * np.tri(width)).reshape(width, -1)
+        np.matmul(keys[..., cols], spread, out=masked)
+        np.matmul(masked.reshape(mask.shape[:-1] + (width, width)), values[..., cols, :],
+                  out=table[..., cols, :])
+        if lo:
+            np.add(table[..., cols, :], table[..., lo - 1, None, :], out=table[..., cols, :])
+    return _rows_down(acc, rows)
+
+
+def _rows_down(acc: np.ndarray, built: np.ndarray) -> np.ndarray:
+    """Adds each row of acc into the one below, top down, then applies the
+    fault injection to the ``built`` rows."""
     for i in range(1, acc.shape[0]):
         np.add(acc[i - 1], acc[i], out=acc[i])
     if _row_shift:
@@ -89,11 +134,11 @@ def prefix_sum(acc: np.ndarray, carry: bool = False) -> np.ndarray:
     return acc
 
 
-def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = True):
-    """The radius-r windows around every position of a strip, as corner
-    views of its band: ((hi-hi, lo-lo), (hi-lo, lo-hi)), so that each
-    window sum is the first pair's sum minus the second's (adding into the
-    first pair and subtracting from the second transposes it).
+def window_rows(band: np.ndarray, radius: int, pads: tuple, counted: bool = True):
+    """The radius-r windows around every position of a strip, as the two
+    band rows each reads, ((hi, lo), d): views of band columns [pw - rw,
+    pw + rw + 1 + W), where a window's near corner is column j and its far
+    corner column j + d, d = 2 rw + 1.
 
     With ``pads`` (ph, pw), the band holds the padded table rows that a
     strip of band.shape[0] - 2 ph - 1 grid rows reads: ph + 1 rows and
@@ -101,8 +146,8 @@ def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = T
     and pw columns repeat its last row and column, and the grid's W =
     band.shape[1] - 2 pw - 1 columns lie between. ``radius`` may not exceed
     the radius the band was padded for, except that a pad smaller than it
-    reaches across the whole grid axis and clips it. Counts one fetch per
-    strip position when ``counted``."""
+    reaches across the whole grid axis and clips it (to rh, rw). Counts
+    one fetch per strip position when ``counted``."""
     global _fetch_count
     ph, pw = pads
     h, w = band.shape[0] - 2 * ph - 1, band.shape[1] - 2 * pw - 1
@@ -113,6 +158,15 @@ def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = T
     if counted:
         _fetch_count += h * w
     rh, rw = min(radius, ph), min(radius, pw)
-    hi_r, lo_r = slice(ph + 1 + rh, ph + 1 + rh + h), slice(ph - rh, ph - rh + h)
-    hi_c, lo_c = slice(pw + 1 + rw, pw + 1 + rw + w), slice(pw - rw, pw - rw + w)
-    return (band[hi_r, hi_c], band[lo_r, lo_c]), (band[hi_r, lo_c], band[lo_r, hi_c])
+    cols = slice(pw - rw, pw + rw + 1 + w)
+    return (band[ph + 1 + rh:ph + 1 + rh + h, cols], band[ph - rh:ph - rh + h, cols]), 2 * rw + 1
+
+
+def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = True):
+    """The windows of window_rows as corner views of the band: ((hi-hi,
+    lo-lo), (hi-lo, lo-hi)), so that each window sum is the first pair's
+    sum minus the second's (adding into the first pair and subtracting
+    from the second transposes it)."""
+    (hi, lo), d = window_rows(band, radius, pads, counted)
+    w = hi.shape[1] - d
+    return (hi[:, d:], lo[:, :w]), (hi[:, :w], lo[:, d:])

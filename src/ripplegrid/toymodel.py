@@ -382,6 +382,9 @@ TASKS = {"local-majority": make_local_majority_batch,
          "scattered-clustered": make_scattered_clustered_batch}
 """Synthetic task name -> batch maker (rng, batch, shape) -> (imgs, labels)."""
 
+TASK_MIN_GRID = {"local-majority": 2, "scattered-clustered": 3}
+"""The smallest square grid side each task draws on: a 2x2 blob, 6 points."""
+
 
 # ---------- training loop ----------
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripplegrid.attention import (
     DEFAULT_EPSILON,
@@ -287,6 +289,27 @@ def test_dyadic_dp_matches_naive():
         got = ripple_dp(q, k, v, cfg).out
         want = ripple_naive(q, k, v, cfg).out
         assert np.abs(got - want).max() < 1e-10, (kind, h, w)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                       st.tuples(st.integers(1, 12), st.just(1)),
+                       st.tuples(st.integers(2, 9), st.integers(2, 9))),
+       kind=st.sampled_from([WeightSchemeKind.FIXED_EXPONENTIAL, WeightSchemeKind.LEARNED_SBT,
+                             WeightSchemeKind.UNIFORM]),
+       partition_kind=st.sampled_from(list(PartitionKind)), r_max=st.integers(1, 14),
+       seed=st.integers(0, 2**32 - 1))
+def test_paired_row_reads_match_naive(shape, kind, partition_kind, r_max, seed):
+    """The forward reads both corners of a window's table row with one
+    matmul of paired, coefficient-scaled queries; it equals the member-by-
+    member oracle on single rows and columns and on radii past the grid's
+    side, where the band's pads are smaller than the radius."""
+    rng = np.random.default_rng(seed)
+    q, k, v = random_grids(rng, *shape)
+    cfg = make_config(kind, partition_kind, rng, v.shape[2], r_max=r_max)
+    got = ripple_dp(q, k, v, cfg).out
+    want = ripple_naive(q, k, v, cfg, build_tape=False).out
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def test_grid_shape_validation():

@@ -224,13 +224,15 @@ def test_usage_errors(capsys):
     ["train", "--r-max", "0"],
     ["train", "--ripple-layers", "0", "--layers", "-1"],
     ["train", "--ripple-layers", "-1"],
+    ["train", "--task", "scattered-clustered", "--grid", "2"],
 ], ids=" ".join)
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
     # these used to die with a KeyError or IndexError traceback, numpy's
     # "negative dimensions" (sizes -2), "low >= high" (grid 1) or "cannot
     # reshape" (model-dim 0, head-dim 0), or a message naming no option
     # (sizes 0) or the wrong one (layers -1 blamed ripple_layers), or (steps
-    # -1) to train nothing and exit 0; the last option given is the bad one
+    # -1) to train nothing and exit 0, or (scattered-clustered on a 2x2 grid)
+    # with "more points than grid cells"; the last option given is the bad one
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
     assert run_dirs(tmp_path) == []

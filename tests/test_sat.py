@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripplegrid.sat import (
+    COLUMN_BLOCK,
     fetch_count,
     prefix_sum,
     reset_fetch_count,
     sabotage_radius_offset,
+    table_rows,
     window_corners,
 )
 from ripplegrid.vicinal import (GridShape, PartitionKind, PartitionScheme, group_members,
@@ -109,6 +111,37 @@ def test_prefix_sum_continues_a_table_from_a_carry_row():
     np.testing.assert_allclose(acc, table_of(field), rtol=1e-13, atol=1e-13)
     # a lone carry row is left as it is
     np.testing.assert_array_equal(prefix_sum(acc[-1:].copy(), carry=True), acc[-1:])
+
+
+def outer_rows(rows, w, heads, features, values, seed, wider=3):
+    """Keys and values for ``rows`` table rows, as channel slices of wider
+    arrays (as a block of phi_k is), with their field keys (x) values, and
+    a target table (carry row first) that is a column slice of a wider
+    one, as the grid's columns of a band are."""
+    rng = np.random.default_rng(seed)
+    keys = rng.standard_normal((rows, w, heads, features + wider))[..., 1:1 + features]
+    vals = rng.standard_normal((rows, w, heads, values))
+    field = np.einsum("...d,...c->...dc", keys, vals)
+    band = rng.standard_normal((rows + 1, w + wider, heads, features, values))
+    return keys, vals, field, band[:, wider:]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 5), w=st.integers(1, 20), heads=st.integers(1, 3),
+       features=st.integers(1, 4), values=st.integers(1, 4),
+       block=st.integers(1, COLUMN_BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_table_rows_equal_prefix_sum_of_the_outer_products(rows, w, heads, features, values,
+                                                           block, seed):
+    """Built on a carry row by masked matmuls of ``block`` columns, over
+    widths that are and are not multiples of it, the table rows are
+    prefix_sum's of the materialized field, whatever the mask and the rows
+    below the carry held before."""
+    keys, vals, field, acc = outer_rows(rows, w, heads, features, values, seed)
+    want = prefix_sum(np.concatenate((acc[:1], field)), carry=True)
+    mask = np.full((rows, heads, features, block * block), np.nan)
+    assert table_rows(acc, keys, vals, mask) is acc
+    scale = np.abs(field).sum() + np.abs(acc[0]).max()
+    np.testing.assert_allclose(acc, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_window_values():
@@ -315,6 +348,16 @@ def test_sabotage_radius_offset():
     after = table_of(field)
     np.testing.assert_array_equal(window(after, 1), window(clean, 1))
     np.testing.assert_array_equal(after[-1, -1], clean[-1, -1])
+
+
+def test_sabotage_shifts_table_rows_too():
+    keys, vals, _, acc = outer_rows(4, 6, 1, 2, 3, seed=8)
+    clean = table_rows(acc.copy(), keys, vals, np.empty((4, 1, 2, 36)))
+    with sabotage_radius_offset(1):
+        broken = table_rows(acc.copy(), keys, vals, np.empty((4, 1, 2, 36)))
+    np.testing.assert_array_equal(broken[0], clean[0])      # the carry is kept
+    assert not broken[1].any()
+    np.testing.assert_array_equal(broken[2:], clean[1:-1])
 
 
 def test_validation():

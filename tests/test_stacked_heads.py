@@ -87,17 +87,18 @@ def test_stacked_layer_matches_per_head_loop(mode, partition_kind, num_heads, sh
 
 
 def test_table_fills_do_not_grow_with_heads(monkeypatch):
-    # table_bands fills every band with prefix_sum, once per strip, and the
+    # table_bands fills every band with table_rows, once per strip, and the
     # backward finishes its token adjoint with prefix_sum, once per strip
     fills = []
-    build = attention_module.prefix_sum
 
-    def counting(acc, *args, **kwargs):
-        fills.append(acc.shape)
-        return build(acc, *args, **kwargs)
+    def counting(build):
+        def fill(acc, *args, **kwargs):
+            fills.append(acc.shape)
+            return build(acc, *args, **kwargs)
+        return fill
 
-    monkeypatch.setattr(attention_module, "prefix_sum", counting)
-    monkeypatch.setattr(grad_module, "prefix_sum", counting)
+    monkeypatch.setattr(attention_module, "table_rows", counting(attention_module.table_rows))
+    monkeypatch.setattr(grad_module, "prefix_sum", counting(grad_module.prefix_sum))
     for partition_kind, r_max in ((PartitionKind.UNIT_RING, 3), (PartitionKind.UNIT_RING, 6),
                                   (PartitionKind.DYADIC, 4)):
         partition = PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05)
