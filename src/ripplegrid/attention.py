@@ -382,7 +382,7 @@ def _paired(coef, pq, d: int) -> np.ndarray:
     pairs[:, :d] = 0.0
     np.multiply(coef, pq, out=pairs[:, d:d + w])
     pairs[:, d + w:] = 0.0
-    strides = pairs.strides     # a view built directly: as_strided costs ~7 us a call
+    strides = pairs.strides     # built directly: as_strided takes ~4 us a call
     return np.ndarray((h, w + d) + pq.shape[2:-1] + (2, pq.shape[-1]), pairs.dtype, pairs,
                       strides=strides[:-1] + (d * strides[1], strides[-1]))
 

@@ -62,7 +62,8 @@ def fitted(budget, h, w, radii, heads, backward):
     (the last one may be narrower) whose shared rows and min(max(ph, 1), h)
     strip rows fit, then strips as tall as the rest allows, but at least
     one row and at most the grid."""
-    floor = min(max(min(max(radii, default=0), h - 1), 1), h)
+    ph = min(max(radii, default=0), h - 1)
+    floor = min(max(ph, 1), h)
     for count in range(1, FEATURES + 1):
         width = -(-FEATURES // count)
         shared, row = costs(h, w, radii, heads, width, backward)
