@@ -18,7 +18,7 @@ from .featmap import (FeatureMapKind, FeatureMapParams, feature_forward,
 from .grad import (AttentionGradients, FiniteDiffReport, MultiHeadGradients,
                    finite_diff_check, grad_pixels_reference, linearized_vjp,
                    multi_head_vjp, ripple_vjp)
-from .sat import fetch_count, prefix_sum, reset_fetch_count, window_corners
+from .sat import fetch_count, prefix_sum, reset_fetch_count
 from .toymodel import (Adam, SgdMomentum, ToyModelConfig, clip_grad_norm,
                        cross_entropy, init_model, layer_norm, loss_and_grads,
                        make_local_majority_batch,

@@ -33,7 +33,8 @@ strip shortens as the radius and the window count grow, and channels
 split only when the shared rows and one strip row would not fit. The
 tape holds inputs, features, weights and the quotient, and the backward
 pass streams the same band again, with the token adjoint's band beside it
-in the same buffer (see the grad module).
+in the same buffer, and runs the transpose of the same paired row reads
+(see the grad module).
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
 multi-head layer stacks its heads on axis 2, with one band over
@@ -58,18 +59,18 @@ from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
 DEFAULT_EPSILON = 1e-6
 
 BLOCK_BYTES = 10 << 20
-"""Bytes of the band of prefix-table rows a pass streams with the buffers
-its strip keeps: the table build's "mask" in both passes, the window
-reads' "pairs" and "paired" in the forward, and in the backward the
-per-window vectors and, in the band's buffer, the token adjoint's band and
-the strip's field (see band_plan). The strip height is what the budget
-leaves after the 2R + 1 rows strips share, once channels have split until
-a strip of R rows fits. At 10 MiB a 48x48 unit-ring forward (Dp = C =
-32, radius 3) runs strips of 13 rows, a 32x32 dyadic one (radius 7)
-strips of 9, and a 128x128 dyadic one three blocks of 11 channels in
-strips of 8; the 32x32 dyadic backward runs three blocks of 11 channels
-in strips of 14 rows, the 128x128 one seven blocks of 5 in strips of 7.
-A larger budget leaves less margin under the one-field forward peak at
+"""Bytes of the band of prefix-table rows a pass streams with the buffers its
+strip keeps: the table build's "mask" in both passes, the window reads'
+"pairs" and "paired" in the forward, and in the backward the per-window
+vectors "z", "pairs", "gpairs", "paired" and "scatter" and, in the band's
+buffer, the token adjoint's band (see band_plan). The strip height is what
+the budget leaves after the 2R + 1 rows strips share, once channels have
+split until a strip of R rows fits. At 10 MiB a 48x48 unit-ring forward
+(Dp = C = 32, radius 3) runs strips of 13 rows, a 32x32 dyadic one (radius
+7) strips of 9, and a 128x128 dyadic one three blocks of 11 channels in
+strips of 8; the 32x32 dyadic backward runs three blocks of 11 channels in
+strips of 13 rows, the 128x128 one eight blocks of 4 in strips of 10. A
+larger budget leaves less margin under the one-field forward peak at
 48x48, and at 32x32 a short-radius band would fall short of what a
 long-radius one fills, against acceptance 5's flat peak over r_max. 8x8
 toy grids run as one strip."""
@@ -207,21 +208,22 @@ def _value_streams(v):
 
 
 def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
-    """How a pass streams the table of an (H, W, heads, Dp, C + 1) field
-    whose windows have ``radii``: (channel blocks, strip height, pads). A
-    pad is the largest radius clipped to its grid axis, since a window that
-    long spans the axis anyway. A block's bytes are counted at its own
-    width: its band holds a strip's rows plus 2 ph + 1 shared ones, and
-    the table build's "mask" COLUMN_BLOCK^2 entries per channel for each
-    row built (ph more on the first strip). A forward strip row also keeps
-    "pairs" (block-wide, over W + 2 d columns) and "paired" (two C + 1
-    vectors over W + d), with d = 2 pw + 1; a ``backward`` one keeps one
-    block-wide vector per window and two more (z_0 and the corner term)
-    and the token adjoint's and field's band rows, with 2 ph + 2 more
-    shared rows. Channels split into the fewest equal blocks (but a
-    narrower last one) whose shared rows and min(max(ph, 1), H) strip rows
-    fit BLOCK_BYTES, so that strips fall below the radius only in blocks
-    of one channel, and the strip grows to fill the budget."""
+    """How a pass streams the table of an (H, W, heads, Dp, C + 1) field whose
+    windows have ``radii``: (channel blocks, strip height, pads). A pad is
+    the largest radius clipped to its grid axis, since a window that long
+    spans the axis anyway. A block's bytes are counted at its own width:
+    its band holds a strip's rows plus 2 ph + 1 shared ones, and the table
+    build's "mask" COLUMN_BLOCK^2 entries per channel for each row built
+    (ph more on the first strip). A forward strip row also keeps "pairs"
+    (block-wide, over W + 2 d columns) and "paired" (two C + 1 vectors over
+    W + d), with d = 2 pw + 1. A ``backward`` one keeps the adjoint's band
+    row (2 ph + 2 more shared), "z" (a block-wide vector per window and
+    z_0), "pairs", "gpairs" (two C + 1 vectors over W + 2 d), "paired" (two
+    block-wide vectors over W + d) and "scatter" (a band row). Channels
+    split into the fewest equal blocks (but a narrower last one) whose
+    shared rows and min(max(ph, 1), H) strip rows fit BLOCK_BYTES, so that
+    strips fall below the radius only in blocks of one channel, and the
+    strip grows to fill the budget."""
     h, w = field_shape[:2]
     heads, dp, values = math.prod(field_shape[2:-2]), field_shape[-2], field_shape[-1]
     radius = max(radii, default=0)
@@ -235,7 +237,8 @@ def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
         mask_row = lanes * min(COLUMN_BLOCK, w) ** 2 * 8
         if backward:
             shared = (2 * margin + 1) * band_row
-            row = 3 * band_row + w * lanes * (len(radii) + 2) * 8
+            row = 3 * band_row + ((w * (len(radii) + 1) + w + 2 * span + 2 * (w + span)) * lanes
+                                  + 2 * (w + 2 * span) * heads * values) * 8
         else:
             shared = margin * band_row
             row = band_row + ((w + 2 * span) * lanes + (w + span) * heads * 2 * values) * 8
@@ -275,7 +278,7 @@ def move_up(band: np.ndarray, rows: int, by: int) -> None:
 
 
 def table_bands(pk, streams, radii: list[int], backward: bool = False):
-    """Yield (blk, rows, band, pads, adjoint, field) for every channel
+    """Yield (blk, rows, band, pads, adjoint) for every channel
     block and strip of grid rows [a, b): the band holds the padded prefix
     table rows [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's
     channels, in the layout sat.window_rows reads, in the kept buffer
@@ -293,27 +296,20 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
     pass's fetches on its first block only (blk.start == 0): later blocks
     read the same positions.
 
-    Only the ``backward`` gets the other two views, in the same buffer,
-    and None otherwise. The adjoint is a carry row and then rows shaped
-    as the band's, zero at each block's start; after each strip its carry
-    and shared rows move up with the band's and the rest are zeroed. The
-    field is a (b - a, W, heads, block, C + 1) array for the caller to
-    write."""
+    Only the ``backward`` gets an adjoint, after the band in its buffer: a
+    carry row, then rows shaped as the band's, zero at each block's start
+    and, after each strip, past the carry and shared rows that move up."""
     h, w = pk.shape[:2]
     blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii, backward)
     ph, pw = pads
     margin = 2 * ph + 1
-    kept_rows = 3 * height + 2 * margin + 1 if backward else height + margin
+    kept_rows = 2 * (height + margin) + 1 if backward else height + margin
     grid = slice(pw + 1, pw + 1 + w)
     for blk in blocks:
         channels = pk.shape[2:-1] + (blk.stop - blk.start,) + streams.shape[-1:]
         kept = kept_array("band", (kept_rows, w + 2 * pw + 1) + channels)
-        band, adjoint, field = kept[:height + margin], None, None
-        if backward:
-            adjoint = kept[height + margin:2 * (height + margin) + 1]
-            adjoint.fill(0.0)
-            field = kept[len(band) + len(adjoint):].reshape(-1)[:height * w * math.prod(channels)]
-            field = field.reshape((height, w) + channels)
+        band, adjoint = kept[:height + margin], kept[height + margin:]
+        adjoint.fill(0.0)           # the forward's is empty
         band[:ph + 1] = 0.0         # the table before the grid
         band[ph + 1:, :pw + 1] = 0.0
         ready = ph + 1              # band rows that hold table rows
@@ -337,8 +333,7 @@ def table_bands(pk, streams, radii: list[int], backward: bool = False):
                     band[new, pad] = band[new, grid.stop - 1]
                 ready = built
             band[ready:stop] = band[ready - 1]
-            views = (adjoint[:stop + 1], field[:b - a]) if backward else (None, None)
-            yield blk, slice(a, b), band[:stop], pads, *views
+            yield blk, slice(a, b), band[:stop], pads, adjoint[:stop + 1] if backward else None
 
 
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
@@ -353,7 +348,7 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, rows, band, pads, *_ in table_bands(pk, streams, radii):
+    for blk, rows, band, pads, _ in table_bands(pk, streams, radii):
         strip, w = both[rows], both.shape[1]
         for g, radius in enumerate(radii, 1):
             rowpair, d = window_rows(band, radius, pads, counted=blk.start == 0)
@@ -371,20 +366,23 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     return both
 
 
-def _paired(coef, pq, d: int) -> np.ndarray:
-    """The (rows, W + d, ..., 2, block) left operand of a window's row
-    reads: at each of the W + d band columns of window_rows, coef * pq of
-    the queries whose far and near corners sit there, x - d and x. It
-    views the kept buffer "pairs", where d zero columns on each side stand
-    for queries off the grid, whose products are never read."""
-    h, w = pq.shape[:2]
-    pairs = kept_array("pairs", (h, w + 2 * d) + pq.shape[2:])
-    pairs[:, :d] = 0.0
-    np.multiply(coef, pq, out=pairs[:, d:d + w])
-    pairs[:, d + w:] = 0.0
+def _paired(coef, x, d: int, near: float = 1.0, name: str = "pairs") -> np.ndarray:
+    """The (rows, W + d, ..., 2, K) paired operand of a window's row reads:
+    at each of the W + d band columns of window_rows, coef * x of the
+    queries whose far and near corners sit there, x - d in slot 0 and x,
+    times ``near`` (from a second copy when not 1), in slot 1. It views the
+    kept buffer ``name``, where d zero columns on each side stand for
+    queries off the grid, whose products are never read."""
+    h, w = x.shape[:2]
+    pairs = kept_array(name, (1 + (near != 1.0), h, w + 2 * d) + x.shape[2:])
+    pairs[:, :, :d] = 0.0
+    np.multiply(coef, x, out=pairs[0, :, d:d + w])
+    np.multiply(pairs[0, :, d:d + w], near, out=pairs[1:, :, d:d + w])    # the copy, if any
+    pairs[:, :, d + w:] = 0.0
     strides = pairs.strides     # built directly: as_strided takes ~4 us a call
-    return np.ndarray((h, w + d) + pq.shape[2:-1] + (2, pq.shape[-1]), pairs.dtype, pairs,
-                      strides=strides[:-1] + (d * strides[1], strides[-1]))
+    return np.ndarray((h, w + d) + x.shape[2:-1] + (2, x.shape[-1]), pairs.dtype, pairs,
+                      strides=strides[1:-1] + ((len(pairs) - 1) * strides[0]
+                                               + d * strides[2], strides[-1]))
 
 
 def _radius_zero_coef(coefs):

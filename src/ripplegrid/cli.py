@@ -76,6 +76,16 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:      # nan fails both
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float"      # argparse names it in "invalid float value"
+
+
 def _positive_ints(text: str) -> tuple:
     return tuple(_positive_int(t) for t in _strs(text))
 
@@ -97,8 +107,8 @@ OPTIONS = {
         "schemes": dict(type=_strs, default=SCHEME_NAMES, help="weight schemes to test"),
         "partition": dict(type=PARTITION, default="unit-ring"),
         "trials": dict(type=_positive_int, default=3, help="random instances per (size, scheme)"),
-        "tolerance": dict(type=float, default=1e-8, help="max relative error accepted"),
-        "r-max": dict(type=int, default=3),
+        "tolerance": dict(type=_positive_float, default=1e-8, help="max relative error accepted"),
+        "r-max": dict(type=_positive_int, default=3),
         "tau": dict(type=float, default=0.05),
         "epsilon": dict(type=float, default=1e-6),
         "dtype": dict(type=_choice("f32", "f64"), default="f64", help="input dtype"),

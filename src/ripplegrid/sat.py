@@ -14,20 +14,19 @@ Every array here is f64 with the grid on its first two axes.
   table entries before the grid are zero rows and columns, and entries
   past its last row or column repeat that row or column, so the clipped
   edges min(i + r, n - 1) and i - r - 1 are plain shifted slices. On each
-  row a window's near and far corners sit d = 2r + 1 columns apart, and
-  window_corners slices the four corner views out of the two rows: a
-  window is hi-hi + lo-lo - hi-lo - lo-hi. Callers contract the views
-  directly and never write a window out. The padded table may be a band
-  of rows: the table rows one strip of grid rows reads.
+  row a window's corners sit at columns j and j + d, d = 2r + 1, so that
+  it is hi[j + d] - hi[j] - lo[j + d] + lo[j]; callers contract a row's
+  W + d columns with one matmul and never write a window out. The padded
+  table may be a band of rows: the table rows one strip of grid rows reads.
 
-The same views give the transpose in the suffix layout, where a window is
+The same rows give the transpose in the suffix layout, where a window is
 the same corner sum of the suffix table S[i, j] = sum of F[i:, j:] padded
 with copies of its first row and column before the grid and zeros after
 it: grid row i sits at padded row i + ph. Since W_r = Diff'_r(Suffix(F)),
-its transpose is Prefix(Diff'_r^T(Y)): add a window's cotangent into the
-hi-hi and lo-lo views of an accumulator padded as the table is, subtract
-it from the others, and run prefix_sum from the first padded row and
-column. That folds the shares before the grid onto it, the transpose of
+its transpose is Prefix(Diff'_r^T(Y)): add Y(j - d) - Y(j) into column j
+of the hi row of an accumulator padded as the table is, subtract it from
+the lo row, and run prefix_sum from the first padded row and column.
+That folds the shares before the grid onto it, the transpose of
 repeating its edge; shares past it are never read. Transposed windows of
 several radii share one accumulator and one prefix sum, which can run in
 row chunks on a carry, since row p depends only on rows up to p.
@@ -161,12 +160,3 @@ def window_rows(band: np.ndarray, radius: int, pads: tuple, counted: bool = True
     cols = slice(pw - rw, pw + rw + 1 + w)
     return (band[ph + 1 + rh:ph + 1 + rh + h, cols], band[ph - rh:ph - rh + h, cols]), 2 * rw + 1
 
-
-def window_corners(band: np.ndarray, radius: int, pads: tuple, counted: bool = True):
-    """The windows of window_rows as corner views of the band: ((hi-hi,
-    lo-lo), (hi-lo, lo-hi)), so that each window sum is the first pair's
-    sum minus the second's (adding into the first pair and subtracting
-    from the second transposes it)."""
-    (hi, lo), d = window_rows(band, radius, pads, counted)
-    w = hi.shape[1] - d
-    return (hi[:, d:], lo[:, :w]), (hi[:, :w], lo[:, d:])

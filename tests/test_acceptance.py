@@ -58,8 +58,13 @@ ALL_SCHEMES = tuple(WeightSchemeKind)
 
 
 def report(capsys, n, passed, detail):
+    """Prints the criterion's line as it runs and keeps it among the test's
+    user properties, which tests/conftest.py prints again, whole, at the
+    end of the run."""
+    line = f"ACCEPTANCE {n}: {'PASS' if passed else 'FAIL'} ({detail})"
     with capsys.disabled():
-        print(f"ACCEPTANCE {n}: {'PASS' if passed else 'FAIL'} ({detail})")
+        print(line)
+    capsys.request.node.user_properties.append(("acceptance", line))
     assert passed, f"criterion {n}: {detail}"
 
 

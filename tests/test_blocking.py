@@ -40,8 +40,9 @@ def costs(h, w, radii, heads, width, backward):
     """(shared bytes, bytes per strip row) of a block of ``width`` channels,
     as band_plan counts them: the band's rows and the table build's mask
     rows in both passes; the window pairs and their products in the
-    forward; the per-window vectors, the token adjoint's rows and the
-    field's in the backward."""
+    forward; the per-window vectors, the token adjoint's rows, the window
+    pairs, the paired cotangent, their products and the scatter row in the
+    backward."""
     radius = max(radii, default=0)
     ph, pw = min(radius, h - 1), min(radius, w - 1)
     margin, span = 2 * ph + 1, 2 * pw + 1
@@ -50,7 +51,8 @@ def costs(h, w, radii, heads, width, backward):
     mask_row = lanes * min(COLUMN_BLOCK, w) ** 2 * 8
     if backward:
         shared = (2 * margin + 1) * band_row
-        row = 3 * band_row + w * lanes * (len(radii) + 2) * 8
+        row = 3 * band_row + ((w * (len(radii) + 1) + w + 2 * span + 2 * (w + span)) * lanes
+                              + 2 * (w + 2 * span) * heads * (VALUES + 1)) * 8
     else:
         shared = margin * band_row
         row = band_row + ((w + 2 * span) * lanes + (w + span) * heads * 2 * (VALUES + 1)) * 8
@@ -80,9 +82,9 @@ def budgets(h, w, radii, heads=1):
     row when it is 0 or 1). A pass splits its channels until its blocks
     fit strips as tall as the radius, so its one-row and short strips come
     with blocks of one channel. The backward's band keeps the token
-    adjoint's band, with a carry row, and the strip's field beside the
-    table's, so on its one-row and short strips an adjoint row near the
-    top of the grid is finished only on a later strip."""
+    adjoint's band, with a carry row, beside the table's, so on its
+    one-row and short strips an adjoint row near the top of the grid is
+    finished only on a later strip."""
     ph = min(max(radii, default=0), h - 1)
     short = min(max(ph - 1, 1), h)
     one, back_one = (costs(h, w, radii, heads, 1, backward) for backward in (False, True))
@@ -189,11 +191,11 @@ def test_banded_core_matches_oracle_under_every_budget(
 @pytest.mark.parametrize("field, radii, backward, plan", [
     ((48, 48, 1, 32, 33), [1, 2, 3], False, (1, 32, 13)),    # ring-fwd-48
     ((32, 32, 1, 32, 33), [1, 3, 7], False, (1, 32, 9)),     # dyadic-fwdbwd-32
-    ((32, 32, 1, 32, 33), [1, 3, 7], True, (3, 11, 14)),
+    ((32, 32, 1, 32, 33), [1, 3, 7], True, (3, 11, 13)),
     ((8, 8, 2, 8, 9), [1, 2], False, (1, 8, 8)),             # toy-train-8
     ((8, 8, 2, 8, 9), [1, 2], True, (1, 8, 8)),
     ((128, 128, 1, 32, 33), [1, 3, 7], False, (3, 11, 8)),   # past the workloads
-    ((128, 128, 1, 32, 33), [1, 3, 7], True, (7, 5, 7)),
+    ((128, 128, 1, 32, 33), [1, 3, 7], True, (8, 4, 10)),
 ])
 def test_workload_plans(field, radii, backward, plan):
     """The benchmark workloads' plans at the default BLOCK_BYTES, as
@@ -249,13 +251,12 @@ def test_threads_keep_their_own_block_buffers():
        backward=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, backward, seed):
     """Each strip's band equals its rows of the whole table padded as
-    sat.window_corners reads it: rows moved up from the strip before,
-    rows built on a carry and rows past the grid alike. The strips and
-    blocks are the ones the budget names for the pass. Only the backward
-    gets an adjoint band, one row taller than the band, and a field of its
-    strip's rows, in the same buffer: the adjoint is zero at each block's
-    start, and later holds the carry and shared rows of the strip before
-    and zeros, whatever the caller wrote into it and into the field."""
+    sat.window_rows reads it: rows moved up from the strip before, rows
+    built on a carry and rows past the grid alike. The strips and blocks
+    are the ones the budget names for the pass. Only the backward gets an
+    adjoint band, one row taller than the band, in the same buffer: it is
+    zero at each block's start, and later holds the carry and shared rows
+    of the strip before and zeros, whatever the caller wrote into it."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, 2, FEATURES))
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
@@ -266,7 +267,7 @@ def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, bac
         blocks, height = plans[2] if backward else plans[:2]
         mp.setattr(attention, "BLOCK_BYTES", nbytes)
         covered = {}
-        for blk, rows, band, (ph, pw), adjoint, field in attention.table_bands(
+        for blk, rows, band, (ph, pw), adjoint in attention.table_bands(
                 pk, streams, radii, backward):
             rest = ((0, 0),) * 3
             edged = np.pad(table[..., blk, :], ((0, ph), (0, pw)) + rest, mode="edge")
@@ -274,17 +275,15 @@ def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, bac
             np.testing.assert_allclose(band, full[rows.start:rows.stop + 2 * ph + 1],
                                        rtol=1e-12, atol=1e-12)
             if not backward:
-                assert adjoint is None and field is None
+                assert adjoint is None
             else:
                 assert adjoint.shape == (len(band) + 1,) + band.shape[1:]
-                assert field.shape == (rows.stop - rows.start, w) + band.shape[2:]
                 moved = 2 * ph + 2 if rows.start else 0
                 if moved:
                     np.testing.assert_array_equal(adjoint[:moved],
                                                   written[height:height + moved])
                 assert not adjoint[moved:].any()
                 adjoint[:] = rng.standard_normal(adjoint.shape)
-                field[:] = rng.standard_normal(field.shape)
                 written = adjoint.copy()
             covered.setdefault(blk.start, []).append((rows.start, rows.stop))
     assert len(covered) == blocks

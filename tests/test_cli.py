@@ -215,6 +215,10 @@ def test_usage_errors(capsys):
     ["check", "--trials", "1", "--sizes", "-2"],
     ["check", "--trials", "1", "--sizes", "4,0"],
     ["check", "--sizes", "4", "--schemes", ","],
+    ["check", "--sizes", "4", "--tolerance", "-1"],
+    ["check", "--sizes", "4", "--tolerance", "0"],
+    ["check", "--sizes", "4", "--tolerance", "nan"],
+    ["check", "--sizes", "4", "--r-max", "0"],
     ["train", "--batch", "0"],
     ["train", "--steps", "-1"],
     ["train", "--heads", "0"],
@@ -232,7 +236,9 @@ def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
     # reshape" (model-dim 0, head-dim 0), or a message naming no option
     # (sizes 0) or the wrong one (layers -1 blamed ripple_layers), or (steps
     # -1) to train nothing and exit 0, or (scattered-clustered on a 2x2 grid)
-    # with "more points than grid cells"; the last option given is the bad one
+    # with "more points than grid cells", or (tolerance -1, 0 or nan) to run
+    # every instance and fail a bound nothing can pass, or (check's r-max 0)
+    # with "r_max must be >= 1"; the last option given is the bad one
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
     assert run_dirs(tmp_path) == []

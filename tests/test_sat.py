@@ -10,8 +10,10 @@ from ripplegrid.sat import (
     reset_fetch_count,
     sabotage_radius_offset,
     table_rows,
-    window_corners,
+    window_rows,
 )
+from ripplegrid.attention import _paired
+from ripplegrid.grad import _scatter
 from ripplegrid.vicinal import (GridShape, PartitionKind, PartitionScheme, group_members,
                                 group_span)
 
@@ -41,7 +43,7 @@ def pads_for(shape, radius):
 
 
 def padded(table, radius):
-    """A whole table as one band, padded as window_corners reads it for
+    """A whole table as one band, padded as window_rows reads it for
     ``radius``: zeros before the grid, its last row and column repeated
     after it. Returns (band, pads)."""
     pads = pads_for(table.shape, radius)
@@ -51,11 +53,12 @@ def padded(table, radius):
 
 
 def window(table, radius, pad_radius=None, **kwargs):
-    """The radius-r window sums of a table, read at the four corners of its
-    band padded for ``pad_radius`` (``radius`` when None)."""
+    """The radius-r window sums of a table, read at the corners of the two
+    rows of its band padded for ``pad_radius`` (``radius`` when None)."""
     band, pads = padded(table, radius if pad_radius is None else pad_radius)
-    (hi_hi, lo_lo), (hi_lo, lo_hi) = window_corners(band, radius, pads, **kwargs)
-    return hi_hi + lo_lo - hi_lo - lo_hi
+    (hi, lo), d = window_rows(band, radius, pads, **kwargs)
+    w = table.shape[1]
+    return hi[:, d:] + lo[:, :w] - hi[:, :w] - lo[:, d:]
 
 
 def inner(a, b):
@@ -63,13 +66,13 @@ def inner(a, b):
 
 
 def scatter(acc, cot, radius, pads, **kwargs):
-    """Adds the transpose of a window's corner differences into ``acc``:
-    ``cot`` into the views a window adds, negated into those it subtracts."""
-    added, subtracted = window_corners(acc, radius, pads, **kwargs)
-    for corner in added:
-        corner += cot
-    for corner in subtracted:
-        corner -= cot
+    """Adds the transposed radius-r windows of ``cot`` into ``acc`` by the
+    backward's own paired K = 2 scatter: each channel of ``cot`` is a lane
+    whose field is 1 (x) cot, one key against one value."""
+    d = window_rows(acc, radius, pads, counted=False)[1]
+    values = cot[..., None]
+    _scatter(acc[..., None, None], radius, pads, _paired(1.0, np.ones_like(values), d),
+             _paired(1.0, values, d, near=-1.0, name="gpairs"), **kwargs)
     return acc
 
 
@@ -186,14 +189,18 @@ def test_window_matches_pointwise():
 
 
 def test_corners_are_views_of_the_band():
-    """No window is written out: the corners are shifted slices of the band,
-    each the strip's shape."""
+    """No window is written out: a window's two rows are shifted slices of
+    the band, W + d columns wide, and its corners d columns apart on them
+    are slices of the strip's shape."""
     table = table_of(np.arange(24.0).reshape(4, 6))
     band, pads = padded(table, 2)
-    corners = window_corners(band, 1, pads)
-    for corner in (*corners[0], *corners[1]):
-        assert corner.base is band or corner.base is band.base
-        assert corner.shape == (4, 6)
+    rows, d = window_rows(band, 1, pads)
+    assert d == 3
+    for row in rows:
+        assert row.base is band or row.base is band.base
+        assert row.shape == (4, 6 + d)
+        for corner in (row[:, d:], row[:, :6]):
+            assert np.shares_memory(corner, band) and corner.shape == (4, 6)
 
 
 def test_window_differences_match_group_members():
@@ -252,15 +259,15 @@ def test_fetch_counting():
     table = table_of(np.ones((4, 5)))
     band, pads = padded(table, 2)
     reset_fetch_count()
-    window_corners(band, 1, pads)      # one fetch per strip position
+    window_rows(band, 1, pads)         # one fetch per strip position
     assert fetch_count() == 20
-    window_corners(band, 0, pads)
+    window_rows(band, 0, pads)
     prefix_sum(np.ones((4, 5)))        # the build is not a window
     assert fetch_count() == 40
-    window_corners(band, 2, pads)
-    window_corners(band[1:-1], 2, pads)  # a strip of two rows
+    window_rows(band, 2, pads)
+    window_rows(band[1:-1], 2, pads)   # a strip of two rows
     assert fetch_count() == 70
-    # a transposed window reads the same corners of an accumulator padded
+    # a transposed window reads the same rows of an accumulator padded
     # as the band is, and fetches what a window does; a pass's later
     # channel blocks count nothing, forward or transposed
     acc = np.zeros_like(band)
@@ -269,7 +276,7 @@ def test_fetch_counting():
     scatter(acc, np.ones((4, 5)), 2, pads)
     prefix_sum(acc)                    # finishing the adjoint is not a window
     assert fetch_count() == 110
-    window_corners(band, 1, pads, counted=False)
+    window_rows(band, 1, pads, counted=False)
     scatter(acc, np.ones((4, 5)), 1, pads, counted=False)
     assert fetch_count() == 110
     reset_fetch_count()
@@ -279,8 +286,8 @@ def test_fetch_counting():
 def transposed_case(h, w, extra, wider, channels, seed):
     """A random field and <W_r F, Y> for two radii, up to past the grid's
     side, plus the grid total's cotangent, with the accumulator that the
-    transposed windows and the total's cotangent scatter into: the corner
-    views of a window padded ``wider`` past the radius, and padded (0, 0),
+    transposed windows and the total's cotangent scatter into: the two
+    rows of a window padded ``wider`` past the radius, and padded (0, 0),
     which the prefix sum spreads over every token."""
     rng = np.random.default_rng(seed)
     shape = (h, w) + tuple(channels)
@@ -310,12 +317,12 @@ FUZZ = dict(h=st.integers(1, 12), w=st.integers(1, 12), extra=st.integers(0, 14)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(**FUZZ)
 def test_scatter_and_prefix_sum_are_exact_adjoints(h, w, extra, wider, channels, seed):
-    """<W_r F, Y> = <F, grid part of the prefix sum of Y scattered through
-    the corner views, in the suffix layout>, with W_r F read at the same
-    corners of the table, for every radius up to past the grid's side and
-    pads up to ``wider`` past the radius. A second radius and the grid
-    total's cotangent, added at padded (0, 0), share the accumulator, as
-    the token adjoint's groups and tail do."""
+    """<W_r F, Y> = <F, grid part of the prefix sum of Y scattered by the
+    backward's paired K = 2 scatter, in the suffix layout>, with W_r F read
+    at the corners of the same two rows of the table, for every radius up
+    to past the grid's side and pads up to ``wider`` past the radius. A
+    second radius and the grid total's cotangent, added at padded (0, 0),
+    share the accumulator, as the token adjoint's groups and tail do."""
     field, want, scale, acc, pads = transposed_case(h, w, extra, wider, channels, seed)
     got = inner(field, transposed(acc, pads, field.shape))
     assert abs(got - want) <= 1e-12 * scale, (field.shape, pads)
@@ -366,8 +373,8 @@ def test_validation():
     table = table_of(np.ones((3, 3)))
     band, pads = padded(table, 1)
     with pytest.raises(ValueError, match="radius"):
-        window_corners(band, -1, pads)
+        window_rows(band, -1, pads)
     with pytest.raises(ValueError, match="pads"):
-        window_corners(band, 1, (3, 1))      # no strip row left between the pads
+        window_rows(band, 1, (3, 1))         # no strip row left between the pads
     with pytest.raises(ValueError, match="pads"):
-        window_corners(band, 1, (1, -1))
+        window_rows(band, 1, (1, -1))
