@@ -83,7 +83,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-_positive_float.__name__ = "float"      # argparse names it in "invalid float value"
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not abs(value) < np.inf:      # nan fails too
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+# argparse names them in "invalid float value"
+_positive_float.__name__ = _finite_float.__name__ = "float"
 
 
 def _positive_ints(text: str) -> tuple:
@@ -121,9 +129,9 @@ OPTIONS = {
         "task": dict(type=_choice(*TASKS), default="local-majority"),
         "steps": dict(type=_int_at_least(0), default=200),
         "batch": dict(type=_positive_int, default=8),
-        "lr": dict(type=float, default=0.05),
+        "lr": dict(type=_positive_float, default=0.05),
         "optimizer": dict(type=_choice("sgd", "adam"), default="sgd"),
-        "clip": dict(type=float, default=1.0,
+        "clip": dict(type=_finite_float, default=1.0,
                      help="global gradient-norm bound (<= 0 disables)"),
         "grid": dict(type=_int_at_least(2), default=8,
                      help="grid side (tasks draw blobs of at least 2x2)"),

@@ -411,15 +411,19 @@ def _pad_last(arr: np.ndarray, length: int) -> np.ndarray:
 
 def _assemble_merged(head: np.ndarray, hat: np.ndarray, groups: np.ndarray,
                      gmax: int) -> WeightGrid:
-    """Expand (head, hat) into full per-query vectors with a uniform shared tail."""
+    """Expand (head, hat) into full per-query vectors with a uniform shared
+    tail. Head work runs over the first max(hat) slots only; the tail fill
+    is the one pass over all gmax."""
     span = np.arange(gmax)
-    in_head = span < hat[..., None]
+    live = int(hat.max(initial=1))
+    head = head[..., :live]
+    in_head = span[:live] < hat[..., None]
     cumsum = np.cumsum(np.where(in_head, head, 0.0), axis=-1)
     head_sum = np.where(hat > 0, np.take_along_axis(
         cumsum, np.maximum(hat - 1, 0)[..., None], axis=-1)[..., 0], 0.0)
     merged = (1.0 - head_sum) / (groups - hat)
-    in_grid = span < groups[..., None]
-    alphas = np.where(in_head, head, np.where(in_grid, merged[..., None], 0.0))
+    alphas = np.where(span < groups[..., None], merged[..., None], 0.0)
+    alphas[..., :live] = np.where(in_head, head, alphas[..., :live])
     return WeightGrid(alphas=alphas, hat=hat.astype(np.int64), merged=merged,
                       groups=groups.astype(np.int64))
 

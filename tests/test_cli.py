@@ -229,6 +229,9 @@ def test_usage_errors(capsys):
     ["train", "--ripple-layers", "0", "--layers", "-1"],
     ["train", "--ripple-layers", "-1"],
     ["train", "--task", "scattered-clustered", "--grid", "2"],
+    ["train", "--steps", "1", "--lr", "nan"],
+    ["train", "--steps", "1", "--lr", "-1"],
+    ["train", "--steps", "1", "--clip", "nan"],
 ], ids=" ".join)
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
     # these used to die with a KeyError or IndexError traceback, numpy's
@@ -238,7 +241,9 @@ def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
     # -1) to train nothing and exit 0, or (scattered-clustered on a 2x2 grid)
     # with "more points than grid cells", or (tolerance -1, 0 or nan) to run
     # every instance and fail a bound nothing can pass, or (check's r-max 0)
-    # with "r_max must be >= 1"; the last option given is the bad one
+    # with "r_max must be >= 1", or (lr nan) to write a checkpoint of all
+    # non-finite parameters and exit 0, or (lr -1) to run gradient ascent,
+    # or (clip nan) to turn clipping off; the last option given is the bad one
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
     assert run_dirs(tmp_path) == []

@@ -4,6 +4,7 @@ import pytest
 from ripplegrid.featmap import (
     FeatureMapKind,
     FeatureMapParams,
+    _sin_cos,
     feature_forward,
     feature_vjp,
     init_feature_map,
@@ -27,6 +28,34 @@ def test_shapes_and_defaults():
     assert wide.out_dim == 3
     trig = init_feature_map(FeatureMapKind.RANDOM_TRIG, 5, rng)
     assert trig.out_dim == 10  # [sin; cos] doubles the frequency count
+
+
+def test_sin_cos_matches_libm():
+    rng = np.random.default_rng(10)
+    mag = 10.0 ** rng.uniform(-3.0, 8.0, 200_000)
+    quarter = np.arange(-4000, 4000) * (np.pi / 2)
+    z = np.concatenate((mag, -mag, quarter, quarter + 1e-9, quarter - 1e-12))
+    u = _sin_cos(z[:, None].copy())
+    assert np.abs(u[:, 0] - np.sin(z)).max() <= 5e-16
+    assert np.abs(u[:, 1] - np.cos(z)).max() <= 5e-16
+    zero = _sin_cos(np.array([0.0, -0.0]))
+    np.testing.assert_array_equal(zero, [0.0, -0.0, 1.0, 1.0])
+    assert list(np.signbit(zero)) == [False, True, False, False]
+
+
+@pytest.mark.parametrize("name", ["w1", "w2", "b2"])
+def test_nonfinite_params_rejected(name):
+    rng = np.random.default_rng(11)
+    fm = init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 3, rng)
+    arrays = {"w1": fm.w1, "w2": fm.w2, "b2": fm.b2}
+    for bad in (np.inf, np.nan):
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = bad
+        with pytest.raises(ValueError, match=name):
+            FeatureMapParams(kind=fm.kind, **arrays)
+    trig = init_feature_map(FeatureMapKind.RANDOM_TRIG, 3, rng)
+    with pytest.raises(ValueError, match="w1"):
+        FeatureMapParams(kind=trig.kind, w1=np.full((2, 3), np.inf), w2=None, b2=None)
 
 
 def test_zero_frequencies():
@@ -178,11 +207,11 @@ def test_vjp_reads_relu_mask_from_forward_features():
     upstream = rng.standard_normal((5, 6))
     phi = feature_forward(x, fm)
     assert 0.0 < (phi > 0.0).mean() < 1.0
-    z = x @ fm.w1.T
-    u = np.concatenate((np.sin(z), np.cos(z)), axis=-1)
+    # the library's own sin and cos, so the comparison can stay bitwise
+    u = _sin_cos(x @ fm.w1.T)
     ga = np.where(u @ fm.w2.T + fm.b2 > 0.0, upstream, 0.0)
     gu = ga @ fm.w2
-    gz = gu[:, :4] * np.cos(z) - gu[:, 4:] * np.sin(z)
+    gz = gu[:, :4] * u[:, 4:] - gu[:, 4:] * u[:, :4]
     given = feature_vjp(x, fm, upstream, phi)
     for got, want in ((given.grad_x, gz @ fm.w1), (given.grad_w1, gz.T @ x),
                       (given.grad_w2, ga.T @ u), (given.grad_b2, ga.sum(axis=0))):
