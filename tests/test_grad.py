@@ -549,9 +549,11 @@ def peak_units(fn, side, width):
 
 
 def test_forward_backward_peak_memory():
-    """Forward plus backward peaks at 1.85 (H, W, Dp, C + 1) f64 arrays at
-    32x32: the tape's inputs, features and quotient, the strip-sized z and
-    corner terms, the table build's mask, and one kept buffer. The
+    """Forward plus backward peaks at 1.97 (H, W, Dp, C + 1) f64 arrays at
+    32x32 (2.05 while the feature VJP held sin z and cos z apart from
+    their concatenation): the tape's inputs, features and quotient, the
+    strip-sized z and corner terms, the table build's mask, and one kept
+    buffer. The
     backward plans three blocks of 11 channels in strips of 14 rows, and
     each block's buffer holds the band (29 rows of the dyadic radius-7
     padded table), the token adjoint's band (30 rows with its carry) and a
