@@ -19,22 +19,13 @@ denominator of the linear-attention quotient share that sweep: it runs over
 the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 
 The sweep is linear in each feature channel until it meets phi_q, so it
-streams the prefix table of that field over strips of grid rows, at full
-channel width: a band kept between passes holds the table rows one strip's
-windows reach, each row built once on the row above it by masked matmuls
-of phi_k against [v, 1] (sat.table_rows), so the field is never written
-out. A window is four corner reads of the band (Crow's summed-area
-table), two on each of two band rows; one matmul per row contracts both
-of its corners with the strip's phi_q, paired d = 2r + 1 columns apart,
-straight into the (H, W, C + 1) accumulator, so no window is written out
-and each window reads 2 (W + d) band entries per row. The band and the
-strip's per-query buffers are sized in bytes together (BLOCK_BYTES): the
-strip shortens as the radius and the window count grow, and channels
-split only when the shared rows and one strip row would not fit. The
-tape holds inputs, features, weights and the quotient, and the backward
-pass streams the same band again, with the token adjoint's band beside it
-in the same buffer, and runs the transpose of the same paired row reads
-(see the grad module).
+reads every window from the prefix table of that field, streamed over
+strips of grid rows as a padded band of table rows (see the sat module):
+one read per window contracts the band with the strip's c_g phi_q
+straight into the (H, W, C + 1) accumulator, and the last strip's far
+corner is the grid total. The tape holds inputs, features, weights and
+the quotient, and the backward pass streams the same band again and runs
+the transpose of the same reads (see the grad module).
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
 multi-head layer stacks its heads on axis 2, with one band over
@@ -44,37 +35,18 @@ have a head axis of length 1. Linearized attention skips the weights.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
-from .sat import COLUMN_BLOCK, table_rows, window_rows
+from .sat import kept_array, table_bands
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
 
 DEFAULT_EPSILON = 1e-6
-
-BLOCK_BYTES = 10 << 20
-"""Bytes of the band of prefix-table rows a pass streams with the buffers its
-strip keeps: the table build's "mask" in both passes, the window reads'
-"pairs" and "paired" in the forward, and in the backward the per-window
-vectors "z", "pairs", "gpairs", "paired" and "scatter" and, in the band's
-buffer, the token adjoint's band (see band_plan). The strip height is what
-the budget leaves after the 2R + 1 rows strips share, once channels have
-split until a strip of R rows fits. At 10 MiB a 48x48 unit-ring forward
-(Dp = C = 32, radius 3) runs strips of 13 rows, a 32x32 dyadic one (radius
-7) strips of 9, and a 128x128 dyadic one three blocks of 11 channels in
-strips of 8; the 32x32 dyadic backward runs three blocks of 11 channels in
-strips of 13 rows, the 128x128 one eight blocks of 4 in strips of 10. A
-larger budget leaves less margin under the one-field forward peak at
-48x48, and at 32x32 a short-radius band would fall short of what a
-long-radius one fills, against acceptance 5's flat peak over r_max. 8x8
-toy grids run as one strip."""
-
 
 @dataclass(frozen=True)
 class AttentionConfig:
@@ -207,182 +179,26 @@ def _value_streams(v):
     return np.concatenate((v, np.ones(v.shape[:-1] + (1,))), axis=-1)
 
 
-def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
-    """How a pass streams the table of an (H, W, heads, Dp, C + 1) field whose
-    windows have ``radii``: (channel blocks, strip height, pads). A pad is
-    the largest radius clipped to its grid axis, since a window that long
-    spans the axis anyway. A block's bytes are counted at its own width:
-    its band holds a strip's rows plus 2 ph + 1 shared ones, and the table
-    build's "mask" COLUMN_BLOCK^2 entries per channel for each row built
-    (ph more on the first strip). A forward strip row also keeps "pairs"
-    (block-wide, over W + 2 d columns) and "paired" (two C + 1 vectors over
-    W + d), with d = 2 pw + 1. A ``backward`` one keeps the adjoint's band
-    row (2 ph + 2 more shared), "z" (a block-wide vector per window and
-    z_0), "pairs", "gpairs" (two C + 1 vectors over W + 2 d), "paired" (two
-    block-wide vectors over W + d) and "scatter" (a band row). Channels
-    split into the fewest equal blocks (but a narrower last one) whose
-    shared rows and min(max(ph, 1), H) strip rows fit BLOCK_BYTES, so that
-    strips fall below the radius only in blocks of one channel, and the
-    strip grows to fill the budget."""
-    h, w = field_shape[:2]
-    heads, dp, values = math.prod(field_shape[2:-2]), field_shape[-2], field_shape[-1]
-    radius = max(radii, default=0)
-    pads = (min(radius, h - 1), min(radius, w - 1))
-    margin, span = 2 * pads[0] + 1, 2 * pads[1] + 1
-    floor = min(max(pads[0], 1), h)     # strip rows the blocks must fit
-    for count in range(1, dp + 1):
-        width = -(-dp // count)
-        lanes = heads * width
-        band_row = (w + span) * lanes * values * 8
-        mask_row = lanes * min(COLUMN_BLOCK, w) ** 2 * 8
-        if backward:
-            shared = (2 * margin + 1) * band_row
-            row = 3 * band_row + ((w * (len(radii) + 1) + w + 2 * span + 2 * (w + span)) * lanes
-                                  + 2 * (w + 2 * span) * heads * values) * 8
-        else:
-            shared = margin * band_row
-            row = band_row + ((w + 2 * span) * lanes + (w + span) * heads * 2 * values) * 8
-        shared, row = shared + pads[0] * mask_row, row + mask_row
-        if shared + floor * row <= BLOCK_BYTES:
-            break
-    return ([slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)],
-            min(max((BLOCK_BYTES - shared) // row, 1), h), pads)
-
-
-_kept = threading.local()
-
-
-def kept_array(name: str, shape: tuple) -> np.ndarray:
-    """An array of ``shape`` over the thread's kept flat buffer ``name``,
-    grown when short. Fresh multi-MB arrays fault in every page they touch:
-    a quarter of an 8x8 forward at Dp = C = 64, a sixth of a 32x32 forward
-    plus backward. Passes take turns with the buffers: none nests. A short
-    buffer is freed before its successor is allocated."""
-    size, kept = math.prod(shape), _kept.__dict__
-    if name not in kept or kept[name].size < size:
-        kept.pop(name, None)
-        kept[name] = np.empty(size)
-    return kept[name][:size].reshape(shape)
-
-
-def release_kept_buffers() -> None:
-    """Drop the thread's kept buffers, e.g. before measuring a cold pass."""
-    _kept.__dict__.clear()
-
-
-def move_up(band: np.ndarray, rows: int, by: int) -> None:
-    """Moves band rows [by, by + rows) up to [0, rows), ``by`` rows at a
-    time: a copy that overlapped itself would go through a temporary."""
-    for k in range(0, rows, by):
-        band[k:min(k + by, rows)] = band[k + by:min(k + by, rows) + by]
-
-
-def table_bands(pk, streams, radii: list[int], backward: bool = False):
-    """Yield (blk, rows, band, pads, adjoint) for every channel
-    block and strip of grid rows [a, b): the band holds the padded prefix
-    table rows [a - ph - 1, b + ph) of phi_k (x) [v, 1] over the block's
-    channels, in the layout sat.window_rows reads, in the kept buffer
-    "band", as band_plan plans the pass.
-
-    Each table row is built once, on the row above it, by sat.table_rows
-    over the grid's columns only, with its masked keys in the kept buffer
-    "mask"; the field is never written out, and the matmuls write into the
-    band's strided rows without the temporaries np.multiply and np.einsum
-    allocate there. The pad columns then copy the last one, a column at a
-    time, since a broadcast copy within the band would go through a
-    temporary of all pw columns. The 2 ph + 1 rows a strip shares with the
-    next move up the band, and rows past the grid repeat the last, so the
-    last strip's far corner is the block's grid total. Callers count a
-    pass's fetches on its first block only (blk.start == 0): later blocks
-    read the same positions.
-
-    Only the ``backward`` gets an adjoint, after the band in its buffer: a
-    carry row, then rows shaped as the band's, zero at each block's start
-    and, after each strip, past the carry and shared rows that move up."""
-    h, w = pk.shape[:2]
-    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii, backward)
-    ph, pw = pads
-    margin = 2 * ph + 1
-    kept_rows = 2 * (height + margin) + 1 if backward else height + margin
-    grid = slice(pw + 1, pw + 1 + w)
-    for blk in blocks:
-        channels = pk.shape[2:-1] + (blk.stop - blk.start,) + streams.shape[-1:]
-        kept = kept_array("band", (kept_rows, w + 2 * pw + 1) + channels)
-        band, adjoint = kept[:height + margin], kept[height + margin:]
-        adjoint.fill(0.0)           # the forward's is empty
-        band[:ph + 1] = 0.0         # the table before the grid
-        band[ph + 1:, :pw + 1] = 0.0
-        ready = ph + 1              # band rows that hold table rows
-        for a in range(0, h, height):
-            b = min(a + height, h)
-            top = a - ph - 1        # the table row in band row 0
-            if a:
-                move_up(band, margin, height)
-                ready = margin
-                if backward:    # the carry and the shared rows
-                    move_up(adjoint, margin + 1, height)
-                    adjoint[margin + 1:] = 0.0
-            built, stop = min(b + ph, h) - top, b - a + margin
-            if built > ready:
-                new = slice(ready, built)
-                mask = kept_array("mask", (built - ready,) + channels[:-1]
-                                  + (min(COLUMN_BLOCK, w) ** 2,))
-                table_rows(band[ready - 1:built, grid], pk[top + ready:top + built, ..., blk],
-                           streams[top + ready:top + built], mask)
-                for pad in range(grid.stop, band.shape[1]):
-                    band[new, pad] = band[new, grid.stop - 1]
-                ready = built
-            band[ready:stop] = band[ready - 1]
-            yield blk, slice(a, b), band[:stop], pads, adjoint[:stop + 1] if backward else None
-
-
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     """The banded prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
     features, (H, W, heads, C) values and weights with the head axis. Returns
     the (H, W, heads, C + 1) numerator and denominator streams. Each window
-    is contracted from its two band rows straight into the strip of the
-    result, with its coefficient folded into phi_q: one matmul per row
-    reads both of the row's corners (see _paired)."""
+    is read from the band straight into the strip of the result, with its
+    coefficient folded into phi_q (sat.Band.read)."""
     coefs = wg.window_coefs()
     radii = [group_span(partition.kind, g)[1] for g in range(1, coefs.shape[-1])]
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, rows, band, pads, _ in table_bands(pk, streams, radii):
-        strip, w = both[rows], both.shape[1]
+    for band in table_bands(pk, streams, radii):
+        rows, blk = band.rows, band.blk
         for g, radius in enumerate(radii, 1):
-            rowpair, d = window_rows(band, radius, pads, counted=blk.start == 0)
-            pairs = _paired(coefs[rows, ..., g, None], pq[rows][..., blk], d)
-            paired = kept_array("paired", rowpair[0].shape[:-2] + (2, strip.shape[-1]))
-            for row, (far, near) in zip(rowpair, ((np.add, np.subtract),
-                                                  (np.subtract, np.add))):
-                np.matmul(pairs, row, out=paired)
-                far(strip, paired[:, d:, ..., 0, :], out=strip)
-                near(strip, paired[:, :w, ..., 1, :], out=strip)
-        if rows.stop == len(pq):    # the far corner of the last strip is the total
-            matmul(pq[..., blk], band[-1, -1], out=part)
+            band.read(both[rows], radius, coefs[rows, ..., g, None], pq[rows][..., blk])
+        if band.total is not None:
+            matmul(pq[..., blk], band.total, out=part)
             part *= wg.merged[..., None]
             both += part
     return both
-
-
-def _paired(coef, x, d: int, near: float = 1.0, name: str = "pairs") -> np.ndarray:
-    """The (rows, W + d, ..., 2, K) paired operand of a window's row reads:
-    at each of the W + d band columns of window_rows, coef * x of the
-    queries whose far and near corners sit there, x - d in slot 0 and x,
-    times ``near`` (from a second copy when not 1), in slot 1. It views the
-    kept buffer ``name``, where d zero columns on each side stand for
-    queries off the grid, whose products are never read."""
-    h, w = x.shape[:2]
-    pairs = kept_array(name, (1 + (near != 1.0), h, w + 2 * d) + x.shape[2:])
-    pairs[:, :, :d] = 0.0
-    np.multiply(coef, x, out=pairs[0, :, d:d + w])
-    np.multiply(pairs[0, :, d:d + w], near, out=pairs[1:, :, d:d + w])    # the copy, if any
-    pairs[:, :, d + w:] = 0.0
-    strides = pairs.strides     # built directly: as_strided takes ~4 us a call
-    return np.ndarray((h, w + d) + x.shape[2:-1] + (2, x.shape[-1]), pairs.dtype, pairs,
-                      strides=strides[1:-1] + ((len(pairs) - 1) * strides[0]
-                                               + d * strides[2], strides[-1]))
 
 
 def _radius_zero_coef(coefs):

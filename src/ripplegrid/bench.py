@@ -22,9 +22,9 @@ from statistics import median
 
 import numpy as np
 
-from .attention import (AttentionConfig, release_kept_buffers, ripple_dp, ripple_naive,
-                        softmax_attention)
+from .attention import AttentionConfig, ripple_dp, ripple_naive, softmax_attention
 from .featmap import FeatureMapKind, init_feature_map
+from .sat import release_kept_buffers
 from .vicinal import PartitionKind, PartitionScheme
 from .weights import WeightScheme, WeightSchemeKind
 

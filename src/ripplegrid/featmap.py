@@ -31,7 +31,6 @@ class FeatureMapParams:
     w1: np.ndarray              # (freq_dim, in_dim)
     w2: np.ndarray | None       # (out_dim, 2*freq_dim), adaptive only
     b2: np.ndarray | None       # (out_dim,), adaptive only
-    exp_norm_scale: bool = False  # random-trig: multiply by exp(|x|^2 / 2)
 
     def __post_init__(self):
         if self.w1.ndim not in (2, 3):
@@ -48,8 +47,6 @@ class FeatureMapParams:
                 raise ValueError("w2 columns must equal twice the frequency count")
             if self.b2.shape != self.w2.shape[:-1]:
                 raise ValueError("b2 must match w2 rows")
-            if self.exp_norm_scale:
-                raise ValueError("exp_norm_scale applies to the random-trig map only")
         else:
             if self.w2 is not None or self.b2 is not None:
                 raise ValueError("random-trig map has no second layer")
@@ -74,15 +71,13 @@ class FeatureMapGrads:
 
 
 def init_feature_map(kind: FeatureMapKind, in_dim: int, rng: np.random.Generator,
-                     freq_dim: int | None = None, out_dim: int | None = None,
-                     exp_norm_scale: bool = False) -> FeatureMapParams:
+                     freq_dim: int | None = None, out_dim: int | None = None) -> FeatureMapParams:
     """Fresh parameters; frequency and output widths default to the input width."""
     freq_dim = in_dim if freq_dim is None else freq_dim
     out_dim = in_dim if out_dim is None else out_dim
     w1 = rng.standard_normal((freq_dim, in_dim))
     if kind is FeatureMapKind.RANDOM_TRIG:
-        return FeatureMapParams(kind=kind, w1=w1, w2=None, b2=None,
-                                exp_norm_scale=exp_norm_scale)
+        return FeatureMapParams(kind=kind, w1=w1, w2=None, b2=None)
     w2 = rng.standard_normal((out_dim, 2 * freq_dim)) / np.sqrt(2.0 * freq_dim)
     b2 = np.zeros(out_dim)
     return FeatureMapParams(kind=kind, w1=w1, w2=w2, b2=b2)
@@ -121,10 +116,7 @@ def feature_forward(x: np.ndarray, params: FeatureMapParams) -> np.ndarray:
         a = matmul(u, np.swapaxes(params.w2, -1, -2))
         a += params.b2
         return np.maximum(a, 0.0, out=a)
-    out = u / np.sqrt(params.w1.shape[-2])
-    if params.exp_norm_scale:
-        out = out * np.exp(0.5 * np.sum(x * x, axis=-1, keepdims=True))
-    return out
+    return u / np.sqrt(params.w1.shape[-2])
 
 
 def feature_vjp(x: np.ndarray, params: FeatureMapParams, upstream: np.ndarray,
@@ -158,18 +150,7 @@ def feature_vjp(x: np.ndarray, params: FeatureMapParams, upstream: np.ndarray,
                                grad_w2=outer_sum(ga, u, heads),
                                grad_b2=ga.reshape((-1,) + params.b2.shape).sum(axis=0))
 
-    scale = 1.0 / np.sqrt(freq)
-    if params.exp_norm_scale:
-        norm_half = 0.5 * np.sum(x * x, axis=-1, keepdims=True)
-        prefac = np.exp(norm_half)
-        gu = g * (scale * prefac)
-        base = u * scale
-        # d prefac / dx = prefac * x, applied to the full feature dot product
-        extra = np.sum(g * base, axis=-1, keepdims=True) * prefac * x
-    else:
-        gu = g * scale
-        extra = 0.0
+    gu = g * (1.0 / np.sqrt(freq))
     gz = gu[..., :freq] * cos_z - gu[..., freq:] * sin_z
-    grad_x = matmul(gz, params.w1) + extra
-    return FeatureMapGrads(grad_x=grad_x, grad_w1=np.zeros_like(params.w1),
+    return FeatureMapGrads(grad_x=matmul(gz, params.w1), grad_w1=np.zeros_like(params.w1),
                            grad_w2=None, grad_b2=None)

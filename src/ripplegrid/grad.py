@@ -6,27 +6,24 @@ in finite_diff_check, which exists to audit the rest of this module.
 
 The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
 (see the attention module). The tape keeps no table: the backward streams
-the forward's band again and runs the transposes of its paired row reads.
-Each window gives z_g = W_g . gboth, which feeds the weight gradients
-(phi_q . z_g, differenced over g) and the phi_q gradient (sum_g c_g z_g).
-The token gradients are the sweep's adjoint: a token receives the
-transposed window of the field c_g * cotangent per group, plus the
-broadcast sum of m * cotangent. Since W_g = Diff'_g(Suffix(F)) as well,
-those sum to Prefix(sum_g Diff'_g^T(...)) (see the sat module): in the
-same strip loop, each group past 0 goes into two rows of an adjoint band
-(_scatter), the tail enters at padded (0, 0), and prefix_sum finishes the
-rows top down as they become final, straight into the phi_k and v
-gradients. Group 0's window is the token itself, so its share, like
-z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp) arrays. Both
-directions read one window per head group past group 0, as the forward
-does. Like the forward, the backward is one pass, _attend_vjp, on the
-tape's (H, W, heads, ...) arrays, with a head axis of length 1 for the
-single-head entry points; linearized attention skips the weights. Its
-entry points are ripple_vjp (also named linearized_vjp) and
-multi_head_vjp; grad_pixels_reference is the quadratic oracle that the
-token gradients are tested against. The weight module takes the weight
-gradients on from the window coefficients' cotangents to v and the stick
-parameters (WeightGrid.window_coefs_vjp, scheme_weights_vjp).
+the forward's band again and runs the transposes of its reads (see the
+sat module). Each window gives z_g = W_g . gboth, which feeds the weight
+gradients (phi_q . z_g, differenced over g) and the phi_q gradient
+(sum_g c_g z_g). The token gradients are the sweep's adjoint: a token
+receives the transposed window of the field c_g * cotangent per group,
+plus the broadcast sum of m * cotangent, which the band's token adjoint
+collects in the same strip loop and finishes top down, straight into the
+phi_k and v gradients. Group 0's window is the token itself, so its
+share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp)
+arrays. Both directions read one window per head group past group 0, as
+the forward does. Like the forward, the backward is one pass,
+_attend_vjp, on the tape's (H, W, heads, ...) arrays, with a head axis of
+length 1 for the single-head entry points; linearized attention skips
+the weights. Its entry points are ripple_vjp (also named linearized_vjp)
+and multi_head_vjp; grad_pixels_reference is the quadratic oracle that
+the token gradients are tested against. The weight module takes the
+weight gradients on from the window coefficients' cotangents to v and
+the stick parameters (WeightGrid.window_coefs_vjp, scheme_weights_vjp).
 """
 from __future__ import annotations
 
@@ -34,11 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import (AttentionTape, MultiHeadTape, _paired, _radius_zero_coef,
-                        _value_streams, kept_array, table_bands)
+from .attention import AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
-from .sat import prefix_sum, window_rows
+from .sat import kept_array, table_bands
 from .vicinal import GridShape, PartitionScheme, group_members, group_span
 from .weights import StickGrads, WeightGrid, scheme_weights_vjp
 
@@ -111,18 +107,11 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
     cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
     per query for g below the largest hat (the window coefficients'
     cotangents), <cot, T>, and the phi_q, phi_k and v gradients. Per
-    window and band row, one matmul against "gpairs", gboth of x - d and
-    -gboth of x paired as the forward pairs phi_q, gives the row's share of
-    z_g = W_g . gboth; _scatter adds c_g cot into the same two rows of the
-    adjoint band. Terms of the radius-0 window and the merged tail take
-    only small arrays: W_0 is the field itself and T one matrix per head.
-
-    table_bands hands out the adjoint band, which holds the table band's
-    padded rows in the suffix layout after a carry row. Grid row i is
-    padded row i + ph, and padded row p is final once query rows up to p
-    have been added: after strip [a, b) rows [a, b) are, and after the
-    last every row down to the grid's last. prefix_sum on the carry
-    finishes them, and table_bands moves the carry and shared rows up."""
+    window, sat.Band.read_vjp adds z_g = W_g . gboth into "z" and c_g cot
+    into the token adjoint, which takes the merged tail's m cot as the grid
+    total's cotangent and hands back finished rows after each strip. The
+    radius-0 window and the tail take only small arrays: W_0 is the field
+    itself and T one matrix per head."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
     length = coefs.shape[-1]
@@ -136,50 +125,25 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
     grad_pq = np.empty_like(pq)
     grad_pk = (c_0 * sg)[..., None] * pq
     grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
-    h, w = pk.shape[:2]
-    for blk, rows, band, pads, adjoint in table_bands(pk, streams, radii, backward=True):
-        (a, b), (ph, pw) = (rows.start, rows.stop), pads
+    for band in table_bands(pk, streams, radii, total_cot=tail_cot):
+        rows, blk = band.rows, band.blk
         pqs = pq[rows][..., blk]
         z = kept_array("z", pqs.shape[:-1] + (length, pqs.shape[-1]))   # z[..., g, :] = W_g . gboth
         z[..., 1:, :] = 0.0
-        if not a:
-            adjoint[1, 0] = tail_cot[:, blk]    # the tail, at padded (0, 0)
         if length:
             np.multiply(pk[rows][..., blk], sg[rows][..., None], out=z[..., 0, :])
         for g, radius in enumerate(radii, 1):
-            rowpair, d = window_rows(band, radius, pads, blk.start == 0)
-            gpairs = _paired(1.0, gboth[rows], d, near=-1.0, name="gpairs")
-            paired, zg = kept_array("paired", rowpair[0].shape[:-1] + (2,)), z[..., g, :]
-            for row, combine in zip(rowpair, (np.add, np.subtract)):
-                np.matmul(row, np.swapaxes(gpairs, -1, -2), out=paired)
-                combine(zg, paired[:, d:, ..., 0], out=zg)
-                combine(zg, paired[:, :w, ..., 1], out=zg)
-            _scatter(adjoint[1:], radius, pads, _paired(coefs[rows, ..., g, None], pqs, d),
-                     gpairs, blk.start == 0)
+            band.read_vjp(z[..., g, :], radius, coefs[rows, ..., g, None], pqs, gboth[rows])
         dots[rows] += np.einsum("...d,...gd->...g", pqs, z)
         grad_pq[rows, ..., blk] = np.einsum("...gd,...g->...d", z, coefs[rows])
-        if b == h:      # the far corner of the last strip is the total
-            zt = matmul(gboth, np.swapaxes(band[-1, -1], -1, -2))    # T . gboth
+        if band.total is not None:
+            zt = matmul(gboth, np.swapaxes(band.total, -1, -2))    # T . gboth
             tail += np.einsum("...d,...d->...", pq[..., blk], zt)
             grad_pq[..., blk] += wg.merged[..., None] * zt
-        done = (h + ph if b == h else b) - a    # adjoint rows final from here up
-        prefix_sum(adjoint[:1 + done, :pw + w], carry=True)
-        final = slice(max(a - ph, 0), max(a + done - ph, 0))     # their grid rows
-        gx = adjoint[1 + final.start + ph - a:1 + done, pw:pw + w]
+        final, gx = band.finish()
         grad_pk[final, ..., blk] += np.einsum("...dc,...c->...d", gx, streams[final])
         grad_v[final] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[final, ..., blk])
     return dots, tail, grad_pq, grad_pk, grad_v
-
-
-def _scatter(adjoint, radius: int, pads: tuple, keys, values, counted: bool = True) -> None:
-    """Adds the transposed radius-r windows of F = keys (x) values into the
-    adjoint band: the K = 2 matmul of the _paired ``keys`` and ``values``
-    (near slot negated) writes F(x - d) - F(x) into the kept buffer
-    "scatter", which window_rows' hi row adds and its lo row subtracts."""
-    (hi, lo), _ = window_rows(adjoint, radius, pads, counted)
-    scatter = np.matmul(np.swapaxes(keys, -1, -2), values, out=kept_array("scatter", hi.shape))
-    hi += scatter
-    lo -= scatter
 
 
 # ---------- token-position gradients ----------

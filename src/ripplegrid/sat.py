@@ -1,4 +1,5 @@
-"""2D prefix sums and the window sums read from them, with their exact adjoints.
+"""2D prefix sums, the padded band of table rows both attention passes
+stream, and the window reads of that band with their exact adjoints.
 
 Every array here is f64 with the grid on its first two axes.
 
@@ -15,39 +16,59 @@ Every array here is f64 with the grid on its first two axes.
   past its last row or column repeat that row or column, so the clipped
   edges min(i + r, n - 1) and i - r - 1 are plain shifted slices. On each
   row a window's corners sit at columns j and j + d, d = 2r + 1, so that
-  it is hi[j + d] - hi[j] - lo[j + d] + lo[j]; callers contract a row's
-  W + d columns with one matmul and never write a window out. The padded
-  table may be a band of rows: the table rows one strip of grid rows reads.
+  it is hi[j + d] - hi[j] - lo[j + d] + lo[j].
 
-The same rows give the transpose in the suffix layout, where a window is
-the same corner sum of the suffix table S[i, j] = sum of F[i:, j:] padded
-with copies of its first row and column before the grid and zeros after
-it: grid row i sits at padded row i + ph. Since W_r = Diff'_r(Suffix(F)),
-its transpose is Prefix(Diff'_r^T(Y)): add Y(j - d) - Y(j) into column j
-of the hi row of an accumulator padded as the table is, subtract it from
-the lo row, and run prefix_sum from the first padded row and column.
-That folds the shares before the grid onto it, the transpose of
-repeating its edge; shares past it are never read. Transposed windows of
-several radii share one accumulator and one prefix sum, which can run in
-row chunks on a carry, since row p depends only on rows up to p.
+The band. No pass holds the table of its (H, W, heads, Dp, C + 1) field
+phi_k (x) [v, 1] whole: table_bands streams it over strips of grid rows
+and blocks of channels, as band_plan sizes them within BLOCK_BYTES. With
+pads (ph, pw), the widest radius clipped to each grid axis, the Band of
+strip rows [a, b) holds the padded table rows [a - ph - 1, b + ph) that
+window_rows reads; the last strip's far corner is the grid total.
+Band.read contracts each of a window's two rows with one matmul against
+a paired operand, coef * x of the queries whose far (x - d) and near (x)
+corners sit at each of the W + d columns, so no window is written out.
+The backward's read against the cotangent is the same routine on the
+band's transposed view (Band.read_vjp).
 
-The module keeps a running count of window evaluations, transposed ones
-included, so tests can assert the sub-quadratic access pattern of the
-dynamic-programming attention paths. A fetch is one position of one window
-in one pass, so callers pass counted=False for a pass's later channel
-blocks.
+The adjoint. A window is also the same corner sum of the suffix table
+S[i, j] = sum of F[i:, j:] padded with copies of its first row and column
+before the grid and zeros after it: grid row i sits at padded row i + ph.
+Since W_r = Diff'_r(Suffix(F)), its transpose is Prefix(Diff'_r^T(Y)):
+add Y(j - d) - Y(j) into column j of the hi row of an accumulator padded
+as the table is (_scatter), subtract it from the lo row, and run
+prefix_sum from the first padded row and column. That folds the shares
+before the grid onto it, the transpose of repeating its edge; shares past
+it are never read. A backward's Band carries such an accumulator after a
+carry row, with the grid total's cotangent at padded (0, 0), and
+Band.finish sums the rows no later strip writes, since row p depends
+only on rows up to p.
+
+The module counts window evaluations, transposed ones included, so tests
+can assert the passes' sub-quadratic access pattern. A fetch is one
+position of one window in one pass: later channel blocks count none.
 """
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 COLUMN_BLOCK = 8     # grid columns per masked matmul in table_rows
 
+BLOCK_BYTES = 10 << 20
+"""Bytes of the band of table rows a pass streams with the buffers it keeps
+for the band's strip (see band_plan). At 10 MiB, with Dp = C = 32, a 48x48
+unit-ring forward runs 13-row strips and a 32x32 dyadic backward three
+blocks of 11 channels in 13-row strips; 8x8 toy grids run as one strip. A
+larger budget leaves less margin under the one-field forward peak at
+48x48, and at 32x32 a short-radius band would fall short of what a
+long-radius one fills, against acceptance 5's flat peak over r_max."""
+
 _fetch_count = 0
 _row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
+_kept = threading.local()
 
 
 def reset_fetch_count() -> None:
@@ -160,3 +181,206 @@ def window_rows(band: np.ndarray, radius: int, pads: tuple, counted: bool = True
     cols = slice(pw - rw, pw + rw + 1 + w)
     return (band[ph + 1 + rh:ph + 1 + rh + h, cols], band[ph - rh:ph - rh + h, cols]), 2 * rw + 1
 
+
+# ---------- the band ----------
+
+def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
+    """How a pass streams the table of an (H, W, heads, Dp, C + 1) field whose
+    windows have ``radii``: (channel blocks, strip height, pads). A pad is
+    the largest radius clipped to its grid axis, since a window that long
+    spans the axis anyway. A block's bytes are counted at its own width:
+    its band holds a strip's rows plus 2 ph + 1 shared ones, and the table
+    build's "mask" COLUMN_BLOCK^2 entries per channel for each row built
+    (ph more on the first strip). A forward strip row also keeps "pairs"
+    (block-wide, over W + 2 d columns) and "paired" (two C + 1 vectors over
+    W + d), with d = 2 pw + 1. A ``backward`` one keeps the adjoint's band
+    row (2 ph + 2 more shared), "z" (a block-wide vector per window and
+    z_0), "pairs", "gpairs" (two C + 1 vectors over W + 2 d), "paired" (two
+    block-wide vectors over W + d) and "scatter" (a band row). Channels
+    split into the fewest equal blocks (but a narrower last one) whose
+    shared rows and min(max(ph, 1), H) strip rows fit BLOCK_BYTES, so that
+    strips fall below the radius only in blocks of one channel, and the
+    strip grows to fill the budget."""
+    h, w = field_shape[:2]
+    heads, dp, values = math.prod(field_shape[2:-2]), field_shape[-2], field_shape[-1]
+    radius = max(radii, default=0)
+    pads = (min(radius, h - 1), min(radius, w - 1))
+    margin, span = 2 * pads[0] + 1, 2 * pads[1] + 1
+    floor = min(max(pads[0], 1), h)     # strip rows the blocks must fit
+    for count in range(1, dp + 1):
+        width = -(-dp // count)
+        lanes = heads * width
+        band_row = (w + span) * lanes * values * 8
+        mask_row = lanes * min(COLUMN_BLOCK, w) ** 2 * 8
+        if backward:
+            shared = (2 * margin + 1) * band_row
+            row = 3 * band_row + ((w * (len(radii) + 1) + w + 2 * span + 2 * (w + span)) * lanes
+                                  + 2 * (w + 2 * span) * heads * values) * 8
+        else:
+            shared = margin * band_row
+            row = band_row + ((w + 2 * span) * lanes + (w + span) * heads * 2 * values) * 8
+        shared, row = shared + pads[0] * mask_row, row + mask_row
+        if shared + floor * row <= BLOCK_BYTES:
+            break
+    return ([slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)],
+            min(max((BLOCK_BYTES - shared) // row, 1), h), pads)
+
+
+def kept_array(name: str, shape: tuple) -> np.ndarray:
+    """An array of ``shape`` over the thread's kept flat buffer ``name``,
+    grown when short, so that passes do not fault in fresh pages on every
+    call. Passes take turns with the buffers: none nests. A short buffer is
+    freed before its successor is allocated."""
+    size, kept = math.prod(shape), _kept.__dict__
+    if name not in kept or kept[name].size < size:
+        kept.pop(name, None)
+        kept[name] = np.empty(size)
+    return kept[name][:size].reshape(shape)
+
+
+def release_kept_buffers() -> None:
+    """Drop the thread's kept buffers, e.g. before measuring a cold pass."""
+    _kept.__dict__.clear()
+
+
+def _move_up(band: np.ndarray, rows: int, by: int) -> None:
+    """Moves band rows [by, by + rows) up to [0, rows), ``by`` rows at a
+    time: a copy that overlapped itself would go through a temporary."""
+    for k in range(0, rows, by):
+        band[k:min(k + by, rows)] = band[k + by:min(k + by, rows) + by]
+
+
+def table_bands(pk, streams, radii: list[int], total_cot=None):
+    """Yield a Band for every channel block and strip of grid rows of the
+    table of phi_k (x) [v, 1], as band_plan plans the pass, over the kept
+    buffer "band". With ``total_cot``, the cotangent of each head's grid
+    total (heads, Dp, C + 1), the pass is a backward, and the buffer also
+    holds the token adjoint: zero at each block's start but for total_cot
+    at padded (0, 0); after each strip its carry and shared rows move up
+    with the band's, and the rest is zeroed. Table rows are built by
+    table_rows straight into the band's strided grid columns, with masked
+    keys in the kept buffer "mask"; the pad columns then copy the last one
+    a column at a time, since a broadcast copy within the band would go
+    through a temporary of all pw columns."""
+    h, w = pk.shape[:2]
+    backward = total_cot is not None
+    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii, backward)
+    ph, pw = pads
+    margin = 2 * ph + 1
+    kept_rows = 2 * (height + margin) + 1 if backward else height + margin
+    grid = slice(pw + 1, pw + 1 + w)
+    for blk in blocks:
+        channels = pk.shape[2:-1] + (blk.stop - blk.start,) + streams.shape[-1:]
+        kept = kept_array("band", (kept_rows, w + 2 * pw + 1) + channels)
+        band, adjoint = kept[:height + margin], kept[height + margin:]
+        adjoint.fill(0.0)           # the forward's is empty
+        if backward:
+            adjoint[1, 0] = total_cot[..., blk, :]
+        band[:ph + 1] = 0.0         # the table before the grid
+        band[ph + 1:, :pw + 1] = 0.0
+        ready = ph + 1              # band rows that hold table rows
+        for a in range(0, h, height):
+            b = min(a + height, h)
+            top = a - ph - 1        # the table row in band row 0
+            if a:
+                _move_up(band, margin, height)
+                ready = margin
+                if backward:    # the carry and the shared rows
+                    _move_up(adjoint, margin + 1, height)
+                    adjoint[margin + 1:] = 0.0
+            built, stop = min(b + ph, h) - top, b - a + margin
+            if built > ready:
+                new = slice(ready, built)
+                mask = kept_array("mask", (built - ready,) + channels[:-1]
+                                  + (min(COLUMN_BLOCK, w) ** 2,))
+                table_rows(band[ready - 1:built, grid], pk[top + ready:top + built, ..., blk],
+                           streams[top + ready:top + built], mask)
+                for pad in range(grid.stop, band.shape[1]):
+                    band[new, pad] = band[new, grid.stop - 1]
+                ready = built
+            band[ready:stop] = band[ready - 1]
+            yield Band(blk, slice(a, b), band[:stop], pads,
+                       adjoint[:stop + 1] if backward else None, b == h)
+
+
+class Band:
+    """The channel block ``blk`` of the table rows that the strip of grid
+    rows ``rows`` reads, padded for ``pads`` (``table``), with the token
+    adjoint's rows after a carry row in a backward (``adjoint``, else
+    None). ``total`` is the block's grid total on the last strip and None
+    before it. Only the first block counts fetches."""
+
+    def __init__(self, blk: slice, rows: slice, table, pads: tuple, adjoint, last: bool):
+        self.blk, self.rows, self.table, self.pads, self.adjoint = blk, rows, table, pads, adjoint
+        self.total = table[-1, -1] if last else None
+
+    def read(self, out, radius: int, coef, x) -> None:
+        """out (strip, W, ..., C + 1) += the strip's radius-r windows of the
+        table contracted with coef * x (strip, W, ..., block)."""
+        rows, d = window_rows(self.table, radius, self.pads, self.blk.start == 0)
+        _read(out, rows, d, _paired(coef, x, d))
+
+    def read_vjp(self, z, radius: int, coef, x, cot) -> None:
+        """The transpose of read(out, radius, coef, x) for the cotangent
+        ``cot`` of out: z (strip, W, ..., block) += the windows contracted
+        with cot, read as read reads on the band's transposed view, and the
+        adjoint takes the transposed windows of (coef * x) (x) cot."""
+        counted = self.blk.start == 0
+        rows, d = window_rows(self.table, radius, self.pads, counted)
+        pairs, signed = _paired(1.0, cot, d, name="gpairs", signed=True)
+        _read(z, [np.swapaxes(row, -1, -2) for row in rows], d, pairs)
+        _scatter(self.adjoint[1:], radius, self.pads, _paired(coef, x, d), signed, counted)
+
+    def finish(self):
+        """Finishes, by prefix_sum on the carry, the adjoint rows no later
+        strip writes: padded rows up to b after strip [a, b), and every row
+        after the last. Returns (their grid rows, their grid part): the
+        cotangent of the block's field at those tokens."""
+        (ph, pw), a = self.pads, self.rows.start
+        done = self.rows.stop - a + (0 if self.total is None else ph)
+        prefix_sum(self.adjoint[:1 + done, :-pw - 1], carry=True)   # up to the grid's last column
+        final = slice(max(a - ph, 0), max(a + done - ph, 0))
+        return final, self.adjoint[1 + final.start + ph - a:1 + done, pw:-pw - 1]
+
+
+def _paired(coef, x, d: int, name: str = "pairs", signed: bool = False):
+    """The (rows, W + d, ..., 2, K) paired operand of a window's row reads:
+    at each of the W + d band columns of window_rows, coef * x of the
+    queries whose far and near corners sit there, x - d in slot 0 and x in
+    slot 1, over the kept buffer ``name`` with d zero columns on each side
+    for queries off the grid. With ``signed``, returns it with a second
+    operand whose slot 1 reads a negated copy: (paired, signed)."""
+    h, w = x.shape[:2]
+    pairs = kept_array(name, (1 + signed, h, w + 2 * d) + x.shape[2:])
+    pairs[:, :, :d] = 0.0
+    np.multiply(coef, x, out=pairs[0, :, d:d + w])
+    np.negative(pairs[0, :, d:d + w], out=pairs[1:, :, d:d + w])    # the copy, if any
+    pairs[:, :, d + w:] = 0.0
+    strides = pairs.strides     # built directly: as_strided takes ~4 us a call
+    views = [np.ndarray((h, w + d) + x.shape[2:-1] + (2, x.shape[-1]), pairs.dtype, pairs,
+                        strides=strides[1:-1] + (copy * strides[0] + d * strides[2], strides[-1]))
+             for copy in range(len(pairs))]
+    return views if signed else views[0]
+
+
+def _read(out, rows, d: int, pairs) -> None:
+    """out (strip, W, ..., K) += the windows on ``rows``, the (hi, lo) of
+    window_rows or their transposed views, contracted with ``pairs``: one
+    matmul per row into the kept buffer "paired", whose far corners add on
+    hi and subtract on lo, and near corners the reverse."""
+    paired = kept_array("paired", rows[0].shape[:-2] + (2, rows[0].shape[-1]))
+    for row, (far, near) in zip(rows, ((np.add, np.subtract), (np.subtract, np.add))):
+        np.matmul(pairs, row, out=paired)
+        far(out, paired[:, d:, ..., 0, :], out=out)
+        near(out, paired[:, :out.shape[1], ..., 1, :], out=out)
+
+
+def _scatter(adjoint, radius: int, pads: tuple, keys, values, counted: bool = True) -> None:
+    """Adds the transposed radius-r windows of F = keys (x) values into
+    ``adjoint``, padded as the table is: the K = 2 matmul of the paired keys
+    and values (near slot negated) writes F(x - d) - F(x) into the kept
+    buffer "scatter", which window_rows' hi row adds and its lo row subtracts."""
+    (hi, lo), _ = window_rows(adjoint, radius, pads, counted)
+    scatter = np.matmul(np.swapaxes(keys, -1, -2), values, out=kept_array("scatter", hi.shape))
+    hi += scatter
+    lo -= scatter

@@ -388,12 +388,19 @@ TASK_MIN_GRID = {"local-majority": 2, "scattered-clustered": 3}
 
 # ---------- training loop ----------
 
+def _diverged(step: int, what: str, config: ToyModelConfig) -> FloatingPointError:
+    return FloatingPointError(f"training diverged at step {step}: {what}; lower the "
+                              f"learning rate or epsilon={config.epsilon} may be too small")
+
+
 def train_demo(config: ToyModelConfig, task: str = "local-majority",
                steps: int = 200, batch: int = 8, seed: int = 0,
                optimizer: str = "sgd", lr: float = 0.05, clip: float = 1.0,
                log=None, params: dict | None = None) -> list[dict]:
     """Train from scratch on freshly sampled batches; returns one metrics row
-    per step. Raises FloatingPointError the moment the loss stops being finite.
+    per step. Raises FloatingPointError, naming the step, the moment the
+    loss, the gradient norm, an updated parameter or a later step's forward
+    stops being finite.
     ``clip`` bounds the global gradient norm (<= 0 disables clipping); each
     row's ``grad_norm`` is the norm before clipping.
     Pass ``params`` to train an existing parameter dict in place (the
@@ -414,13 +421,19 @@ def train_demo(config: ToyModelConfig, task: str = "local-majority",
     rows = []
     for step in range(steps):
         imgs, labels = TASKS[task](rng, batch, shape)
-        loss, grads, aux = loss_and_grads(imgs, labels, params, config)
-        if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"loss diverged to {loss} at step {step}; lower the learning "
-                f"rate or epsilon={config.epsilon} may be too small")
+        try:
+            loss, grads, aux = loss_and_grads(imgs, labels, params, config)
+        except ValueError as exc:
+            if not step:        # the run's own inputs and options
+                raise
+            # later steps differ only in values, which finite parameters can overflow
+            raise _diverged(step, str(exc), config) from exc
         grad_norm = clip_grad_norm(grads, clip if clip > 0.0 else np.inf)
+        if not (np.isfinite(loss) and np.isfinite(grad_norm)):
+            raise _diverged(step, f"loss {loss}, gradient norm {grad_norm}", config)
         opt.step(params, grads)
+        if not all(np.isfinite(p).all() for p in params.values()):
+            raise _diverged(step, "the updated parameters are not finite", config)
         row = {"step": step, "loss": float(loss),
                "accuracy": float(aux["accuracy"]),
                "mean_jsd": float(aux["mean_jsd"]), "grad_norm": float(grad_norm)}

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripplegrid import attention
-from ripplegrid.attention import (AttentionConfig, release_kept_buffers, ripple_dp,
-                                  ripple_naive)
+from ripplegrid import sat
+from ripplegrid.attention import AttentionConfig, ripple_dp, ripple_naive
 from ripplegrid.featmap import FeatureMapKind, init_feature_map
 from ripplegrid.grad import ripple_vjp
-from ripplegrid.sat import COLUMN_BLOCK, fetch_count, reset_fetch_count
+from ripplegrid.sat import COLUMN_BLOCK, fetch_count, release_kept_buffers, reset_fetch_count
 from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme, group_span
 from ripplegrid.weights import (LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind,
                                 scheme_weights_grid)
@@ -113,9 +112,9 @@ def run(q, k, v, cfg, upstream, budget, blocks, height, backward):
     """Forward, backward and the fetches they counted, under one budget
     whose forward plan is (blocks, height) and backward plan ``backward``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attention, "BLOCK_BYTES", budget)
+        mp.setattr(sat, "BLOCK_BYTES", budget)
         for planned, want in ((False, (blocks, height)), (True, backward)):
-            plan = attention.band_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
+            plan = sat.band_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
                                        sweep_radii(cfg, v), planned)
             assert (len(plan[0]), plan[1]) == want, planned
         reset_fetch_count()
@@ -201,7 +200,7 @@ def test_workload_plans(field, radii, backward, plan):
     """The benchmark workloads' plans at the default BLOCK_BYTES, as
     (channel blocks, channels in the first, strip height); the 128x128
     dyadic plans show the strip floor of ph rows at work."""
-    blocks, height, _ = attention.band_plan(field, radii, backward)
+    blocks, height, _ = sat.band_plan(field, radii, backward)
     assert (len(blocks), blocks[0].stop - blocks[0].start, height) == plan
 
 
@@ -241,7 +240,52 @@ def test_threads_keep_their_own_block_buffers():
     worker.start()
     worker.join()
     assert rel_error(got["out"], want) <= 1e-8
-    assert not vars(attention._kept)     # the worker's buffers were its own
+    assert not vars(sat._kept)     # the worker's buffers were its own
+
+
+def kept_bytes():
+    """Bytes of the thread's kept buffers, but the forward's grid-sized "part"."""
+    return sum(a.nbytes for name, a in vars(sat._kept).items() if name != "part")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12),
+       kind=st.sampled_from(list(WeightSchemeKind)),
+       partition_kind=st.sampled_from(list(PartitionKind)), r_max=st.integers(1, 14),
+       budget=st.sampled_from(["whole", "one-row", "short", "single", "ragged",
+                               "back-one-row", "back-short"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kept_buffers_fit_the_budget(h, w, kind, partition_kind, r_max, budget, seed):
+    """What a pass keeps, from released buffers, is what band_plan charges
+    it: within BLOCK_BYTES whenever blocks of one channel fit their shared
+    rows and floor strip rows, for a forward and for a backward alike."""
+    rng = np.random.default_rng(seed)
+    q, k = (rng.standard_normal((h, w, 4)) for _ in range(2))
+    v = rng.standard_normal((h, w, VALUES))
+    stick = None
+    if kind in LEARNED_KINDS:
+        stick = StickParams(unit_embeddings=rng.standard_normal((r_max, 3)),
+                            value_projection=rng.standard_normal((3, VALUES)))
+    cfg = AttentionConfig(
+        scheme=WeightScheme(kind=kind, params=stick),
+        partition=PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05),
+        featmap=init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng,
+                                 out_dim=FEATURES))
+    radii = sweep_radii(cfg, v)
+    nbytes = budgets(h, w, radii)[budget][0]
+    ph = min(max(radii, default=0), h - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sat, "BLOCK_BYTES", nbytes)
+        release_kept_buffers()
+        res = ripple_dp(q, k, v, cfg)
+        kept = {False: kept_bytes()}
+        release_kept_buffers()
+        ripple_vjp(res.tape, rng.standard_normal((h, w, VALUES)))
+        kept[True] = kept_bytes()
+    for backward, used in kept.items():
+        shared, row = costs(h, w, radii, 1, 1, backward)
+        if shared + min(max(ph, 1), h) * row <= nbytes:     # the plan is above its floor
+            assert used <= nbytes, (backward, used, nbytes)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -254,34 +298,39 @@ def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, bac
     sat.window_rows reads it: rows moved up from the strip before, rows
     built on a carry and rows past the grid alike. The strips and blocks
     are the ones the budget names for the pass. Only the backward gets an
-    adjoint band, one row taller than the band, in the same buffer: it is
-    zero at each block's start, and later holds the carry and shared rows
-    of the strip before and zeros, whatever the caller wrote into it."""
+    adjoint band, one row taller than the band, in the same buffer: at
+    each block's start it is zero but for the grid total's cotangent at
+    padded (0, 0), and later holds the carry and shared rows of the strip
+    before and zeros, whatever the caller wrote into it."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, 2, FEATURES))
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
+    total_cot = rng.standard_normal((2, FEATURES, VALUES + 1)) if backward else None
     table = np.einsum("...d,...c->...dc", pk, streams).cumsum(0).cumsum(1)
     with pytest.MonkeyPatch.context() as mp:
         radii = list(range(1, radius + 1))
         nbytes, *plans = budgets(h, w, radii, heads=2)[budget]
         blocks, height = plans[2] if backward else plans[:2]
-        mp.setattr(attention, "BLOCK_BYTES", nbytes)
+        mp.setattr(sat, "BLOCK_BYTES", nbytes)
         covered = {}
-        for blk, rows, band, (ph, pw), adjoint in attention.table_bands(
-                pk, streams, radii, backward):
+        for band in sat.table_bands(pk, streams, radii, total_cot):
+            blk, rows, adjoint, (ph, pw) = band.blk, band.rows, band.adjoint, band.pads
             rest = ((0, 0),) * 3
             edged = np.pad(table[..., blk, :], ((0, ph), (0, pw)) + rest, mode="edge")
             full = np.pad(edged, ((ph + 1, 0), (pw + 1, 0)) + rest)
-            np.testing.assert_allclose(band, full[rows.start:rows.stop + 2 * ph + 1],
+            np.testing.assert_allclose(band.table, full[rows.start:rows.stop + 2 * ph + 1],
                                        rtol=1e-12, atol=1e-12)
             if not backward:
                 assert adjoint is None
             else:
-                assert adjoint.shape == (len(band) + 1,) + band.shape[1:]
+                assert adjoint.shape == (len(band.table) + 1,) + band.table.shape[1:]
                 moved = 2 * ph + 2 if rows.start else 0
                 if moved:
                     np.testing.assert_array_equal(adjoint[:moved],
                                                   written[height:height + moved])
+                else:
+                    np.testing.assert_array_equal(adjoint[1, 0], total_cot[..., blk, :])
+                    adjoint[1, 0] = 0.0
                 assert not adjoint[moved:].any()
                 adjoint[:] = rng.standard_normal(adjoint.shape)
                 written = adjoint.copy()

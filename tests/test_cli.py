@@ -107,6 +107,20 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert "checkpoint.npz" in (run / "MANIFEST").read_text()
 
 
+def test_train_divergence_keeps_the_logged_rows(tmp_path, capsys):
+    """An update so large that the next forward overflows is a divergence,
+    not a usage error: exit 1, with the rows logged before it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        code = main(TRAIN_ARGS[:2] + ["40", "--lr", "1e100", "--clip", "0"] + TRAIN_ARGS[3:]
+                    + ["--out", str(tmp_path)])
+    assert code == 1
+    assert "diverged at step 1" in capsys.readouterr().err
+    (run,) = run_dirs(tmp_path)
+    rows = (run / "metrics.csv").read_text().strip().splitlines()
+    assert rows[0] == "step,loss,accuracy,mean_jsd,grad_norm"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0"]
+
+
 def test_train_zero_steps_evaluates_once(tmp_path):
     code = main(["train", "--steps", "0", "--batch", "2", "--grid", "4",
                  "--model-dim", "8", "--heads", "1", "--head-dim", "4",

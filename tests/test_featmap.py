@@ -91,10 +91,6 @@ def test_random_trig_formula():
     z = fm.w1 @ x
     want = np.concatenate((np.sin(z), np.cos(z))) / np.sqrt(5)
     np.testing.assert_allclose(feature_forward(x, fm), want, rtol=1e-12)
-    scaled = FeatureMapParams(kind=FeatureMapKind.RANDOM_TRIG, w1=fm.w1,
-                              w2=None, b2=None, exp_norm_scale=True)
-    np.testing.assert_allclose(feature_forward(x, scaled),
-                               want * np.exp(0.5 * x @ x), rtol=1e-12)
 
 
 def test_param_validation():
@@ -168,19 +164,17 @@ def test_vjp_matches_finite_differences():
 def test_vjp_trig_matches_finite_differences():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(5)
-    for exp_scale in (False, True):
-        fm = FeatureMapParams(kind=FeatureMapKind.RANDOM_TRIG,
-                              w1=rng.standard_normal((4, 5)), w2=None, b2=None,
-                              exp_norm_scale=exp_scale)
-        upstream = rng.standard_normal(8)
+    fm = FeatureMapParams(kind=FeatureMapKind.RANDOM_TRIG,
+                          w1=rng.standard_normal((4, 5)), w2=None, b2=None)
+    upstream = rng.standard_normal(8)
 
-        def loss():
-            return float((feature_forward(x, fm) * upstream).sum())
+    def loss():
+        return float((feature_forward(x, fm) * upstream).sum())
 
-        g = feature_vjp(x, fm, upstream, feature_forward(x, fm))
-        fd = _fd_grad(loss, x)
-        scale = max(np.abs(fd).max(), np.abs(g.grad_x).max(), 1e-12)
-        assert np.abs(g.grad_x - fd).max() / scale < 1e-6
+    g = feature_vjp(x, fm, upstream, feature_forward(x, fm))
+    fd = _fd_grad(loss, x)
+    scale = max(np.abs(fd).max(), np.abs(g.grad_x).max(), 1e-12)
+    assert np.abs(g.grad_x - fd).max() / scale < 1e-6
 
 
 def test_relu_kink_uses_zero_subgradient():

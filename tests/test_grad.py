@@ -14,7 +14,6 @@ from ripplegrid.attention import (
     linearized_grid,
     multi_head_forward,
     ripple_dp,
-    release_kept_buffers,
     ripple_naive,
 )
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
@@ -25,7 +24,7 @@ from ripplegrid.grad import (
     multi_head_vjp,
     ripple_vjp,
 )
-from ripplegrid.sat import fetch_count, reset_fetch_count
+from ripplegrid.sat import fetch_count, release_kept_buffers, reset_fetch_count
 from ripplegrid.vicinal import (
     GridShape,
     PartitionKind,

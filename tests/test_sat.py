@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from ripplegrid.sat import (
     COLUMN_BLOCK,
+    _paired,
+    _scatter,
     fetch_count,
     prefix_sum,
     reset_fetch_count,
@@ -12,8 +14,6 @@ from ripplegrid.sat import (
     table_rows,
     window_rows,
 )
-from ripplegrid.attention import _paired
-from ripplegrid.grad import _scatter
 from ripplegrid.vicinal import (GridShape, PartitionKind, PartitionScheme, group_members,
                                 group_span)
 
@@ -72,7 +72,7 @@ def scatter(acc, cot, radius, pads, **kwargs):
     d = window_rows(acc, radius, pads, counted=False)[1]
     values = cot[..., None]
     _scatter(acc[..., None, None], radius, pads, _paired(1.0, np.ones_like(values), d),
-             _paired(1.0, values, d, near=-1.0, name="gpairs"), **kwargs)
+             _paired(1.0, values, d, name="gpairs", signed=True)[1], **kwargs)
     return acc
 
 

@@ -3,18 +3,17 @@ to a loop of single-head calls and count the tables it fills."""
 import numpy as np
 import pytest
 
-from ripplegrid import attention as attention_module
-from ripplegrid import grad as grad_module
+from ripplegrid import sat as sat_module
 from ripplegrid.attention import (
     AttentionConfig,
     MultiHeadConfig,
-    band_plan,
     init_multi_head,
     linearized_grid,
     multi_head_forward,
     ripple_dp,
 )
 from ripplegrid.grad import linearized_vjp, multi_head_vjp, ripple_vjp
+from ripplegrid.sat import band_plan
 from ripplegrid.vicinal import PartitionKind, PartitionScheme, group_span
 from ripplegrid.weights import WeightScheme, WeightSchemeKind
 from stacked import MODES, head_arrays, head_params
@@ -97,8 +96,8 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
             return build(acc, *args, **kwargs)
         return fill
 
-    monkeypatch.setattr(attention_module, "table_rows", counting(attention_module.table_rows))
-    monkeypatch.setattr(grad_module, "prefix_sum", counting(grad_module.prefix_sum))
+    monkeypatch.setattr(sat_module, "table_rows", counting(sat_module.table_rows))
+    monkeypatch.setattr(sat_module, "prefix_sum", counting(sat_module.prefix_sum))
     for partition_kind, r_max in ((PartitionKind.UNIT_RING, 3), (PartitionKind.UNIT_RING, 6),
                                   (PartitionKind.DYADIC, 4)):
         partition = PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05)

@@ -343,11 +343,22 @@ def test_train_demo_mutates_given_params():
     assert any(not np.array_equal(params[n], before[n]) for n in before)
 
 
-def test_train_demo_divergence_raises():
-    config = small_config()
+@pytest.mark.parametrize("lr, step, what", [
+    (500.0, 2, "loss inf"),
+    (1e100, 1, "q contains non-finite values"),     # finite parameters overflow q
+    (1e308, 0, "updated parameters are not finite"),
+])
+def test_train_demo_divergence_raises(lr, step, what):
+    """Whatever turns non-finite first, the loss, the gradient norm, an
+    updated parameter or an activation of the next forward, the run stops
+    with one FloatingPointError naming the step, after logging the steps
+    before it."""
+    rows = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError):
-            train_demo(config, steps=40, batch=2, seed=0, lr=500.0, clip=0.0)
+        with pytest.raises(FloatingPointError, match=f"diverged at step {step}: .*{what}"):
+            train_demo(small_config(), steps=40, batch=2, seed=0, lr=lr, clip=0.0,
+                       log=rows.append)
+    assert [row["step"] for row in rows] == list(range(step))
 
 
 def test_train_demo_adam_and_log_callback():
