@@ -1,9 +1,9 @@
-"""Attention variants over 2D token grids.
+"""Attention over 2D token grids.
 
-Exact quadratic references (softmax over all pairs, per-group softmax), the
-linearized global form, and the locality-weighted group mechanism in two
-implementations that must agree: a per-member enumeration oracle and a
-prefix-sum sweep.
+The locality-weighted group mechanism in two implementations that must
+agree, a per-member enumeration oracle (ripple_naive) and a prefix-sum
+sweep (ripple_dp), beside global linearized attention on grids and the
+multi-head layer that runs either.
 
 The sweep sums groups by parts. With W_g the clipped window out to group g's
 outer radius, T the grid total, m the merged tail weight and a_g the weight
@@ -42,7 +42,7 @@ import numpy as np
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
 from .sat import kept_array, table_bands
-from .vicinal import GridShape, PartitionScheme, group_members, group_span
+from .vicinal import GridShape, PartitionScheme, group_span, query_groups
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
 
@@ -95,60 +95,14 @@ class AttentionOutput:
     tape: AttentionTape | None
 
 
-# ---------- flat-sequence references ----------
-
-def _as_float(a) -> np.ndarray:
-    """Pass float32/float64 through untouched, promote everything else to f64.
-
-    The flat reference paths honor a 32-bit input dtype; the grid paths
-    always accumulate in f64.
-    """
-    a = np.asarray(a)
-    if a.dtype in (np.float32, np.float64):
-        return a
-    return a.astype(np.float64)
-
-
-def _check_finite(q, k, v) -> None:
+def _check_finite(arrays: dict, error=ValueError,
+                  what: str = "contains non-finite values") -> None:
     """One inf in k or v would poison every sum it enters (a prefix table
-    turns it into inf - inf), so non-finite inputs are rejected by name."""
-    for name, a in (("q", q), ("k", k), ("v", v)):
+    turns it into inf - inf), so non-finite arrays are rejected by name,
+    as input with a ValueError unless ``error`` says otherwise."""
+    for name, a in arrays.items():
         if not np.isfinite(a).all():
-            raise ValueError(f"{name} contains non-finite values")
-
-
-def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exact softmax attention over flat sequences; no scaling factor.
-
-    q: (N, D), k: (M, D), v: (M, C) -> (N, C). Quadratic time and memory.
-    """
-    q = _as_float(q)
-    k = _as_float(k)
-    v = _as_float(v)
-    if q.shape[-1] != k.shape[-1] or k.shape[0] != v.shape[0]:
-        raise ValueError("query/key widths and key/value counts must match")
-    _check_finite(q, k, v)
-    scores = q @ k.T
-    scores -= scores.max(axis=1, keepdims=True)  # shift-invariant, avoids overflow
-    wts = np.exp(scores)
-    wts /= wts.sum(axis=1, keepdims=True)
-    return wts @ v
-
-
-def linearized_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                         featmap: FeatureMapParams,
-                         epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Feature-factorized attention: one pass over keys, one over queries."""
-    _check_epsilon(epsilon)
-    _check_finite(q, k, v)
-    pq = feature_forward(q, featmap)
-    pk = feature_forward(k, featmap)
-    z1 = pk.T @ _as_float(v)
-    z2 = pk.sum(axis=0)
-    num = pq @ z1
-    den = pq @ z2 + epsilon
-    _check_denominator(den)
-    return num / den[:, None]
+            raise error(f"{name} {what}")
 
 
 def _check_denominator(den: np.ndarray) -> None:
@@ -169,7 +123,7 @@ def _featurize(qgrid, kgrid, vgrid, featmap: FeatureMapParams):
         raise ValueError("q, k, v must be (H, W, dim) grids over the same shape")
     if q.shape[2] != k.shape[2]:
         raise ValueError("query and key widths must match")
-    _check_finite(q, k, v)
+    _check_finite({"q": q, "k": k, "v": v})
     q, k, v = q[:, :, None], k[:, :, None], v[:, :, None]
     return q, k, v, feature_forward(q, featmap), feature_forward(k, featmap)
 
@@ -210,19 +164,10 @@ def _radius_zero_coef(coefs):
 
 def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     """_sweep's streams with every group summed member by member."""
-    h, w = pq.shape[:2]
     x = pk[..., None] * _value_streams(v)[..., None, :]
     y = np.zeros(x.shape)
-    for i in range(1, h + 1):
-        for j in range(1, w + 1):
-            for r in range(int(wg.groups[i - 1, j - 1].max())):
-                members = group_members(partition, GridShape(h, w), (i, j), r)
-                if not members:
-                    continue
-                rows = np.fromiter((m[0] - 1 for m in members), dtype=np.int64)
-                cols = np.fromiter((m[1] - 1 for m in members), dtype=np.int64)
-                a = wg.alphas[i - 1, j - 1, :, r]
-                y[i - 1, j - 1] += a[:, None, None] * x[rows, cols].sum(axis=0)
+    for i, j, r, rows, cols in query_groups(partition, wg.groups.max(axis=-1)):
+        y[i, j] += wg.alphas[i, j, :, r][:, None, None] * x[rows, cols].sum(axis=0)
     return np.einsum("...d,...dc->...c", pq, y)
 
 
@@ -282,32 +227,6 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
     through which the gradient tests perturb single weights off the simplex
     on purpose."""
     return _grouped(qgrid, kgrid, vgrid, config, weights, _sweep)
-
-
-def ripple_softmax_reference(qgrid, kgrid, vgrid, weights: WeightGrid,
-                             partition: PartitionScheme) -> np.ndarray:
-    """Quadratic reference with an explicit softmax inside every group.
-
-    This variant defines its own semantics (it is not the linearized form and
-    matches no other implementation); empty groups contribute nothing.
-    """
-    q = np.asarray(qgrid, dtype=np.float64)
-    k = np.asarray(kgrid, dtype=np.float64)
-    v = np.asarray(vgrid, dtype=np.float64)
-    shape = GridShape(q.shape[0], q.shape[1])
-    out = np.zeros((shape.height, shape.width, v.shape[2]))
-    for i in range(1, shape.height + 1):
-        for j in range(1, shape.width + 1):
-            for r in range(int(weights.groups[i - 1, j - 1])):
-                members = group_members(partition, shape, (i, j), r)
-                if not members:
-                    continue
-                rows = np.fromiter((m[0] - 1 for m in members), dtype=np.int64)
-                cols = np.fromiter((m[1] - 1 for m in members), dtype=np.int64)
-                local = softmax_attention(q[i - 1, j - 1][None, :],
-                                          k[rows, cols], v[rows, cols])[0]
-                out[i - 1, j - 1] += weights.alphas[i - 1, j - 1, r] * local
-    return out
 
 
 # ---------- linearized attention on grids (for the hybrid model) ----------
@@ -397,14 +316,19 @@ def multi_head_forward(xgrid, params: MultiHeadParams, config: MultiHeadConfig):
     if x.ndim != 3 or x.shape[2] != model_dim:
         raise ValueError(f"input grid must have shape (H, W, model_dim) = (H, W, {model_dim}), "
                          f"got {x.shape}")
+    _check_finite({"input grid": x, "w_qkv": params.w_qkv, "w_out": params.w_out,
+                   "b_out": params.b_out})
     qkv = (x @ params.w_qkv.T).reshape(x.shape[:2] + (3, -1, params.featmap.in_dim))
     q, k, v = np.moveaxis(qkv, 2, 0)
-    _check_finite(q, k, v)
+    # from here on, only an overflow can make an array non-finite
+    _check_finite({"the q projection": q, "the k projection": k, "the v projection": v},
+                  FloatingPointError, "overflowed")
     pq, pk = np.moveaxis(feature_forward(qkv[:, :, :2], params.featmap), 2, 0)
     scheme = (WeightScheme(kind=config.scheme_kind, params=params.stick)
               if config.attention == "ripple" else None)
     out, attn = _attend(q, k, v, pq, pk, params.featmap, config.epsilon, scheme,
                         config.partition)
     concat = out.reshape(x.shape[:2] + (-1,))
-    tape = MultiHeadTape(x=x, attn=attn, concat=concat, params=params)
-    return concat @ params.w_out.T + params.b_out, tape
+    out = concat @ params.w_out.T + params.b_out
+    _check_finite({"the layer output": out}, FloatingPointError, "overflowed")
+    return out, MultiHeadTape(x=x, attn=attn, concat=concat, params=params)

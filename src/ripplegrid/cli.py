@@ -8,8 +8,9 @@ an effective_config.ini (rerunnable via --config, bitwise with --threads 1)
 and a MANIFEST of sha256 file hashes. Arrays are saved as .npz files that
 load with ``np.load(path, allow_pickle=False)``: a failing ``check`` writes
 worst.npz (q, k, v, exact, got of the worst instance) and ``train`` writes
-checkpoint.npz (one array per parameter name). Exit codes: 0 success, 1
-check or criterion failure, 2 usage error.
+checkpoint.npz (one array per parameter name; after a divergence, the
+parameters from before the failing step). Exit codes: 0 success, 1 check,
+criterion or training failure, 2 usage error.
 
 --threads is command-line only: the ripplegrid_cli entry point pins the BLAS
 thread count before numpy loads, which is before any config file is read.
@@ -34,8 +35,8 @@ import numpy as np
 from .attention import AttentionConfig, ripple_dp, ripple_naive
 from .featmap import FeatureMapKind, init_feature_map
 from .sat import sabotage_radius_offset
-from .toymodel import (TASK_MIN_GRID, TASKS, ToyModelConfig, clip_grad_norm, init_model,
-                       loss_and_grads, train_demo)
+from .toymodel import (ROW_KEYS, TASK_MIN_GRID, TASKS, ToyModelConfig, clip_grad_norm,
+                       init_model, loss_and_grads, train_demo, training_row)
 from .vicinal import GridShape, PartitionKind, PartitionScheme
 from .weights import LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind
 
@@ -368,10 +369,7 @@ def cmd_train(ctx: RunContext) -> int:
         imgs, labels = TASKS[opts.task](rng, opts.batch,
                                         GridShape(config.height, config.width))
         loss, grads, aux = loss_and_grads(imgs, labels, params, config)
-        rows.append({"step": 0, "loss": float(loss),
-                     "accuracy": float(aux["accuracy"]),
-                     "mean_jsd": float(aux["mean_jsd"]),
-                     "grad_norm": float(clip_grad_norm(grads, np.inf))})
+        rows.append(training_row(0, loss, aux, clip_grad_norm(grads, np.inf)))
     else:
         try:
             train_demo(config, task=opts.task, steps=opts.steps,
@@ -383,18 +381,16 @@ def cmd_train(ctx: RunContext) -> int:
 
     run_dir = ctx.run_dir()
     with open(run_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=("step", "loss", "accuracy", "mean_jsd", "grad_norm"))
+        writer = csv.DictWriter(fh, fieldnames=ROW_KEYS)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v
                              for k, v in row.items()})
+    ckpt = run_dir / "checkpoint.npz"
+    np.savez(ckpt, **params)        # on failure, the parameters from before the failing step
     if failure is not None:
         print(f"FAIL: {failure} ({len(rows)} steps logged)", file=sys.stderr)
         return 1
-
-    ckpt = run_dir / "checkpoint.npz"
-    np.savez(ckpt, **params)
     if rows:
         first, last = rows[0], rows[-1]
         print(f"steps {len(rows)}: loss {first['loss']:.4f} -> {last['loss']:.4f}, "

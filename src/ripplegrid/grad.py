@@ -20,10 +20,9 @@ the forward does. Like the forward, the backward is one pass,
 _attend_vjp, on the tape's (H, W, heads, ...) arrays, with a head axis of
 length 1 for the single-head entry points; linearized attention skips
 the weights. Its entry points are ripple_vjp (also named linearized_vjp)
-and multi_head_vjp; grad_pixels_reference is the quadratic oracle that
-the token gradients are tested against. The weight module takes the
-weight gradients on from the window coefficients' cotangents to v and
-the stick parameters (WeightGrid.window_coefs_vjp, scheme_weights_vjp).
+and multi_head_vjp. The weight module takes the weight gradients on from
+the window coefficients' cotangents to v and the stick parameters
+(WeightGrid.window_coefs_vjp, scheme_weights_vjp).
 """
 from __future__ import annotations
 
@@ -35,8 +34,8 @@ from .attention import AttentionTape, MultiHeadTape, _radius_zero_coef, _value_s
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
 from .sat import kept_array, table_bands
-from .vicinal import GridShape, PartitionScheme, group_members, group_span
-from .weights import StickGrads, WeightGrid, scheme_weights_vjp
+from .vicinal import group_span
+from .weights import StickGrads, scheme_weights_vjp
 
 
 @dataclass
@@ -144,30 +143,6 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
         grad_pk[final, ..., blk] += np.einsum("...dc,...c->...d", gx, streams[final])
         grad_v[final] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[final, ..., blk])
     return dots, tail, grad_pq, grad_pk, grad_v
-
-
-# ---------- token-position gradients ----------
-
-def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,
-                          partition: PartitionScheme) -> np.ndarray:
-    """Brute-force scatter over explicit group members; quadratic, for tests.
-    Token (m, n) receives alpha(i, j)[group of (m, n)] * upstream[i, j] from
-    every query (i, j): the adjoint the backward takes by windows."""
-    g = np.asarray(upstream_field, dtype=np.float64)
-    if g.shape[:2] != weights.groups.shape:
-        raise ValueError(f"upstream field shape {g.shape} does not match the weight grid's "
-                         f"(H, W) {weights.groups.shape}")
-    h, w = g.shape[:2]
-    shape = GridShape(h, w)
-    out = np.zeros_like(g)
-    for i in range(1, h + 1):
-        for j in range(1, w + 1):
-            push = g[i - 1, j - 1]
-            for r in range(int(weights.groups[i - 1, j - 1])):
-                a = weights.alphas[i - 1, j - 1, r]
-                for (m, n) in group_members(partition, shape, (i, j), r):
-                    out[m - 1, n - 1] += a * push
-    return out
 
 
 # ---------- full backward passes ----------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .attention import (MultiHeadConfig, MultiHeadParams, init_multi_head,
+from .attention import (MultiHeadConfig, MultiHeadParams, _check_finite, init_multi_head,
                         multi_head_forward)
 from .featmap import FeatureMapKind, FeatureMapParams
 from .grad import MultiHeadGradients, multi_head_vjp
@@ -161,7 +161,9 @@ def model_forward(img: np.ndarray, params: dict, config: ToyModelConfig,
                   layers: list[MultiHeadParams] | None = None):
     """One image (H, W, in_dim) to class logits. Returns (logits, tape).
     ``layers`` holds each layer's parameters as ``_layer_params`` reads them
-    from ``params``; pass it to read them once for many samples."""
+    from ``params``; pass it to read them once for many samples. The image
+    and parameters are taken as finite, so a non-finite block input is
+    reported as an overflow (FloatingPointError)."""
     if layers is None:
         layers = [_layer_params(params, l) for l in range(config.num_layers)]
     x = np.asarray(img, dtype=np.float64) @ params["embed.w"].T + params["embed.b"]
@@ -169,6 +171,7 @@ def model_forward(img: np.ndarray, params: dict, config: ToyModelConfig,
     for l in range(config.num_layers):
         normed, cache = layer_norm(x, params[f"block{l}.ln.gamma"],
                                    params[f"block{l}.ln.beta"])
+        _check_finite({f"the input of block {l}": normed}, FloatingPointError, "overflowed")
         ln_caches.append(cache)
         attn, tape = multi_head_forward(normed, layers[l], config.block_config(l))
         mh_tapes.append(tape)
@@ -213,10 +216,13 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
     accuracy on the batch and the mean distance of the learned group weights
     from the fixed halving profile, averaged over grouped-attention heads and
     queries (exactly 0.0 when no block runs the grouped attention).
+    Non-finite images or parameters raise ValueError; an overflow in the
+    model's arithmetic raises FloatingPointError.
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     imgs = np.asarray(imgs, dtype=np.float64)
+    _check_finite({"the image batch": imgs, **params})
     batch = imgs.shape[0]
     total = 0.0
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -388,6 +394,16 @@ TASK_MIN_GRID = {"local-majority": 2, "scattered-clustered": 3}
 
 # ---------- training loop ----------
 
+ROW_KEYS = ("step", "loss", "accuracy", "mean_jsd", "grad_norm")   # the metrics.csv header
+
+
+def training_row(step: int, loss: float, aux: dict, grad_norm: float) -> dict:
+    """One step's row: loss_and_grads' loss and diagnostics, and the
+    gradient norm before clipping."""
+    return dict(zip(ROW_KEYS, (step, float(loss), float(aux["accuracy"]),
+                               float(aux["mean_jsd"]), float(grad_norm))))
+
+
 def _diverged(step: int, what: str, config: ToyModelConfig) -> FloatingPointError:
     return FloatingPointError(f"training diverged at step {step}: {what}; lower the "
                               f"learning rate or epsilon={config.epsilon} may be too small")
@@ -399,8 +415,9 @@ def train_demo(config: ToyModelConfig, task: str = "local-majority",
                log=None, params: dict | None = None) -> list[dict]:
     """Train from scratch on freshly sampled batches; returns one metrics row
     per step. Raises FloatingPointError, naming the step, the moment the
-    loss, the gradient norm, an updated parameter or a later step's forward
-    stops being finite.
+    forward overflows or the loss, the gradient norm or an updated
+    parameter stops being finite; the parameters are then those from before
+    the failing step.
     ``clip`` bounds the global gradient norm (<= 0 disables clipping); each
     row's ``grad_norm`` is the norm before clipping.
     Pass ``params`` to train an existing parameter dict in place (the
@@ -423,21 +440,17 @@ def train_demo(config: ToyModelConfig, task: str = "local-majority",
         imgs, labels = TASKS[task](rng, batch, shape)
         try:
             loss, grads, aux = loss_and_grads(imgs, labels, params, config)
-        except ValueError as exc:
-            if not step:        # the run's own inputs and options
-                raise
-            # later steps differ only in values, which finite parameters can overflow
+        except FloatingPointError as exc:
             raise _diverged(step, str(exc), config) from exc
         grad_norm = clip_grad_norm(grads, clip if clip > 0.0 else np.inf)
         if not (np.isfinite(loss) and np.isfinite(grad_norm)):
             raise _diverged(step, f"loss {loss}, gradient norm {grad_norm}", config)
+        before = dict(params)       # the optimizers rebind entries, never write into them
         opt.step(params, grads)
         if not all(np.isfinite(p).all() for p in params.values()):
+            params.update(before)
             raise _diverged(step, "the updated parameters are not finite", config)
-        row = {"step": step, "loss": float(loss),
-               "accuracy": float(aux["accuracy"]),
-               "mean_jsd": float(aux["mean_jsd"]), "grad_norm": float(grad_norm)}
-        rows.append(row)
+        rows.append(training_row(step, loss, aux, grad_norm))
         if log is not None:
-            log(row)
+            log(rows[-1])
     return rows

@@ -5,7 +5,8 @@ distance: either one group per exact distance (unit rings) or one group per
 power-of-two distance band (dyadic). Group membership is symmetric in the
 two positions, which is what lets gradients reuse the forward machinery.
 
-Positions are 1-based (row, col) throughout.
+group_members lists one group's 1-based (row, col) positions, and
+query_groups walks every query's groups for the quadratic oracles.
 """
 from __future__ import annotations
 
@@ -59,30 +60,6 @@ def _check_position(pos: Position, shape: GridShape | None, name: str) -> None:
         raise ValueError(f"{name} {pos} is outside the {shape.height}x{shape.width} grid")
 
 
-def chebyshev(a: Position, b: Position, shape: GridShape | None = None) -> int:
-    """max(|row delta|, |col delta|); validates against the grid when given one."""
-    _check_position(a, shape, "position")
-    _check_position(b, shape, "position")
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
-def max_chebyshev(shape: GridShape, query: Position) -> int:
-    """Largest Chebyshev distance from the query to any grid cell."""
-    _check_position(query, shape, "query")
-    i, j = query
-    return max(i - 1, shape.height - i, j - 1, shape.width - j)
-
-
-def group_of_distance(kind: PartitionKind, distance: int) -> int:
-    """Group index that a given Chebyshev distance falls into."""
-    if distance < 0:
-        raise ValueError("distance must be >= 0")
-    if kind is PartitionKind.UNIT_RING or distance == 0:
-        return 0 if distance == 0 else distance
-    # dyadic bands: group r >= 1 covers 2^(r-1) <= d < 2^r, group 0 is the cell itself
-    return int(distance).bit_length()
-
-
 def group_span(kind: PartitionKind, r: int) -> tuple[int, int]:
     """Inclusive distance band [lo, hi] covered by group r."""
     if r < 0:
@@ -92,15 +69,6 @@ def group_span(kind: PartitionKind, r: int) -> tuple[int, int]:
     if r == 0:
         return 0, 0
     return 2 ** (r - 1), 2 ** r - 1
-
-
-def num_groups(scheme: PartitionScheme, shape: GridShape, query: Position) -> int:
-    """Number of non-empty-eligible groups for this query: indices 0..num_groups-1
-    are exactly those whose distance band intersects the grid."""
-    far = max_chebyshev(shape, query)
-    if scheme.kind is PartitionKind.UNIT_RING:
-        return far + 1
-    return 1 + group_of_distance(PartitionKind.DYADIC, far) if far >= 1 else 1
 
 
 def group_members(scheme: PartitionScheme, shape: GridShape, query: Position,
@@ -139,8 +107,23 @@ def group_members(scheme: PartitionScheme, shape: GridShape, query: Position,
     return members
 
 
+def query_groups(scheme: PartitionScheme, groups: np.ndarray):
+    """Every query's non-empty groups, queries in row-major order: yields
+    (i, j, r, rows, cols) for each group r below groups[i, j] that has
+    members, with 0-based query (i, j) and the members' 0-based rows and
+    columns as int64 arrays in group_members' order. ``groups`` is (H, W)."""
+    shape = GridShape(*groups.shape)
+    for i, j in np.ndindex(groups.shape):
+        for r in range(int(groups[i, j])):
+            members = group_members(scheme, shape, (i + 1, j + 1), r)
+            if members:
+                rows, cols = (np.array(members, dtype=np.int64) - 1).T
+                yield i, j, r, rows, cols
+
+
 def num_groups_grid(kind: PartitionKind, shape: GridShape) -> np.ndarray:
-    """num_groups for every query at once, shape (H, W) int64."""
+    """Every query's group count, the groups whose distance band meets the
+    grid, shape (H, W) int64; reference.num_groups is its one-query oracle."""
     h, w = shape.height, shape.width
     rows = np.arange(1, h + 1)[:, None]
     cols = np.arange(1, w + 1)[None, :]

@@ -12,11 +12,12 @@ groups, which is what lets the attention pass replace an unbounded sweep over
 groups with one closed-form tail term. Fixed-exponential, softmax, hard-
 truncated, and uniform schemes cover the ablation grid around the learned one.
 
-The grid functions also take a layer's heads at once: a (H, W, heads, C)
-value grid with stick parameters stacked on a leading head axis gives a
-weight grid whose arrays carry the head axis after (H, W).
-scheme_weights_vjp, the grid's backward, runs the same pipeline and then
-its adjoint, with halting indices held locally constant.
+scheme_weights_grid weighs every query of a grid at once, and a layer's
+heads at once too: a (H, W, heads, C) value grid with stick parameters
+stacked on a leading head axis gives a weight grid whose arrays carry the
+head axis after (H, W). scheme_weights_vjp, the grid's backward, runs the
+same pipeline and then its adjoint, with halting indices held locally
+constant.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .heads import matmul, outer_sum
-from .vicinal import GridShape, PartitionScheme, Position, num_groups_grid
+from .vicinal import GridShape, PartitionScheme, num_groups_grid
 
 
 @dataclass(frozen=True)
@@ -85,22 +86,8 @@ class WeightScheme:
 
 
 @dataclass(frozen=True)
-class SpatialWeights:
-    """Expanded per-query weight vector with its merge structure.
-
-    alphas has one entry per group of the query; entries at index >= hat_r all
-    equal merged_weight (the shared tail), except for the hard-truncated scheme
-    where the tail is exactly zero.
-    """
-
-    alphas: np.ndarray
-    hat_r: int
-    merged_weight: float
-
-
-@dataclass(frozen=True)
 class WeightGrid:
-    """scheme_weights evaluated for every query of a grid, padded to a common length.
+    """A scheme's weights for every query of a grid, padded to a common length.
 
     alphas[i, j, r] is zero for r >= groups[i, j]; hat[i, j] is the first index of
     the shared tail, merged[i, j] its per-group value.
@@ -142,130 +129,6 @@ class WeightGrid:
                           self.merged[:, :, None], self.groups[:, :, None])
 
 
-# ---------- stick pipeline ----------
-
-def stick_logits(value_vector: np.ndarray, params: StickParams) -> np.ndarray:
-    """One logit per stick unit: embeddings dotted with the projected value vector."""
-    v = np.asarray(value_vector, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != params.value_projection.shape[1]:
-        raise ValueError("value vector width must match the projection columns")
-    return params.unit_embeddings @ (params.value_projection @ v)
-
-
-def modified_sigmoid(logit, index: int, num_units: int):
-    """Squash a logit into a stick fraction, damped more for earlier units.
-
-    The damping factor is (num_units - index + 1) for 1-based ``index``, so the
-    final unit sees a plain sigmoid (0.5 at logit 0) and earlier units start
-    lower.
-    """
-    if not 1 <= index <= num_units:
-        raise ValueError(f"index must lie in [1, {num_units}], got {index}")
-    factor = num_units - index + 1
-    return 1.0 / (1.0 + factor * np.exp(-np.asarray(logit, dtype=np.float64)))
-
-
-def stick_breaking(fractions: np.ndarray) -> np.ndarray:
-    """Break a unit stick: weight r takes fraction r+1 of what the first r
-    fractions left over; the final weight is everything that remains.
-
-    Input of length R produces R+1 weights that sum to 1 exactly in exact
-    arithmetic (the terminal fraction is pinned to 1).
-    """
-    s = np.asarray(fractions, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] < 1:
-        raise ValueError("need a 1-d vector of at least one fraction")
-    if np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValueError("fractions must lie in [0, 1]")
-    remaining = np.concatenate(([1.0], np.cumprod(1.0 - s)))
-    pieces = remaining[:-1] * s
-    return np.concatenate((pieces, remaining[-1:]))
-
-
-def adaptive_truncate(alphas: np.ndarray, tau: float) -> SpatialWeights:
-    """Halt the weight sweep once the tail mass drops below tau, then share
-    that mass uniformly over the remaining groups.
-
-    hat_r is the smallest index whose running weight sum leaves less than tau;
-    the head weights below hat_r are kept verbatim. The tail mass is divided
-    by the number of merged groups, so the output still sums to 1.
-    """
-    a = np.asarray(alphas, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError("need a 1-d weight vector")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    hat = _tau_halt_index(a, tau)
-    return _merge_tail(a[:hat], a.shape[0], hat)
-
-
-def _merge_tail(head: np.ndarray, groups: int, hat: int) -> SpatialWeights:
-    mass = 1.0 - float(head.sum())
-    merged = mass / (groups - hat)
-    alphas = np.concatenate((head, np.full(groups - hat, merged)))
-    return SpatialWeights(alphas=alphas, hat_r=hat, merged_weight=merged)
-
-
-def _tau_halt_index(beta: np.ndarray, tau: float) -> int:
-    remaining = 1.0 - np.cumsum(beta)
-    below = np.flatnonzero(remaining < tau)
-    return int(below[0]) if below.size else beta.shape[0] - 1
-
-
-# ---------- schemes, single query ----------
-
-def scheme_weights(scheme: WeightScheme, query: Position, value_vector: np.ndarray,
-                   groups: int, r_max: int, tau: float) -> SpatialWeights:
-    """Weight vector over the ``groups`` vicinal groups of one query.
-
-    ``r_max`` caps how many leading groups can carry individual weights; the
-    sweep also never outruns the query's own group count. ``tau`` additionally
-    halts the learned scheme early when little mass remains.
-    """
-    if groups < 1:
-        raise ValueError("queries have at least one group")
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    kind = scheme.kind
-
-    if kind is WeightSchemeKind.UNIFORM:
-        w = 1.0 / groups
-        return SpatialWeights(alphas=np.full(groups, w), hat_r=0, merged_weight=w)
-
-    if kind is WeightSchemeKind.FIXED_EXPONENTIAL:
-        hat = min(r_max, groups - 1)
-        head = 0.5 ** (np.arange(hat) + 1.0)
-        return _merge_tail(head, groups, hat)
-
-    if kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
-        logits = stick_logits(value_vector, scheme.params)
-        padded = np.concatenate((logits, [0.0]))  # fixed tail logit
-        z = padded - padded.max()
-        gamma = np.exp(z)
-        gamma /= gamma.sum()
-        hat = min(r_max, groups - 1)
-        return _merge_tail(gamma[:hat], groups, hat)
-
-    logits = stick_logits(value_vector, scheme.params)
-    if logits.shape[0] < r_max:
-        raise ValueError(f"scheme has {logits.shape[0]} stick units, r_max={r_max} needs at least that many")
-    fracs = np.array([modified_sigmoid(logits[m], m + 1, r_max) for m in range(r_max)])
-    beta = stick_breaking(fracs)
-
-    if kind is WeightSchemeKind.TRUNCATED:
-        cut = min(r_max, groups)
-        head = beta[:cut]
-        total = head.sum()
-        if total <= 0.0:
-            raise ValueError("truncated scheme has no head mass to renormalize")
-        alphas = np.zeros(groups)
-        alphas[:cut] = head / total
-        return SpatialWeights(alphas=alphas, hat_r=cut, merged_weight=0.0)
-
-    hat = min(_tau_halt_index(beta, tau), r_max, groups - 1)
-    return _merge_tail(beta[:hat], groups, hat)
-
-
 # ---------- schemes, whole grid at once ----------
 
 def _stick_pieces(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
@@ -274,9 +137,9 @@ def _stick_pieces(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
     the first r_max unit embeddings into logits. The softmax scheme's
     pieces are their softmax with a fixed zero tail logit (fracs and lead
     are None). The stick schemes damp the logits into fractions as
-    modified_sigmoid does and break the stick: piece m is lead[..., m] *
-    fracs[..., m], lead being what the first m fractions left, and the
-    last piece is what all of them left."""
+    reference.modified_sigmoid does and break the stick: piece m is
+    lead[..., m] * fracs[..., m], lead being what the first m fractions
+    left, and the last piece is what all of them left."""
     p = scheme.params
     projected = matmul(value_grid.astype(np.float64), np.swapaxes(p.value_projection, -1, -2))
     logits = matmul(projected, np.swapaxes(p.unit_embeddings[..., :r_max, :], -1, -2))
@@ -304,9 +167,10 @@ def _truncated_head(pieces: np.ndarray, cut: np.ndarray):
 
 def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
                         shape: GridShape, partition: PartitionScheme) -> WeightGrid:
-    """scheme_weights for all queries at once; agrees with the scalar op to
-    float roundoff (the batched matmuls may round differently). A
-    (H, W, heads, C) value grid weighs every head of a layer at once."""
+    """A scheme's weights for all queries at once; agrees with the scalar
+    oracle, reference.scheme_weights, to float roundoff (the batched matmuls
+    may round differently). A (H, W, heads, C) value grid weighs every head
+    of a layer at once."""
     h, w = shape.height, shape.width
     if value_grid.shape[:2] != (h, w):
         raise ValueError("value grid does not match the grid shape")
@@ -318,11 +182,9 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
     kind = scheme.kind
     span = np.arange(gmax)
 
-    if kind is WeightSchemeKind.UNIFORM:
-        merged = 1.0 / groups.astype(np.float64)
-        alphas = np.where(span < groups[..., None], merged[..., None], 0.0)
-        return WeightGrid(alphas=alphas, hat=np.zeros(groups.shape, dtype=np.int64),
-                          merged=merged, groups=groups)
+    if kind is WeightSchemeKind.UNIFORM:     # every group is in the tail
+        return _assemble_merged(np.zeros(groups.shape + (1,)), np.zeros_like(groups),
+                                groups, gmax)
 
     if kind is WeightSchemeKind.FIXED_EXPONENTIAL:
         hat = np.minimum(r_max, groups - 1)
@@ -430,32 +292,9 @@ def _assemble_merged(head: np.ndarray, hat: np.ndarray, groups: np.ndarray,
 
 # ---------- divergence diagnostic ----------
 
-def jsd(p: np.ndarray, q: np.ndarray) -> float:
-    """Base-2 Jensen-Shannon divergence between two weight vectors.
-
-    Vectors of different lengths are zero-padded to common support; the value
-    lies in [0, 1], is symmetric, and is 0 exactly when the inputs agree.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.ndim != 1 or q.ndim != 1:
-        raise ValueError("jsd expects 1-d weight vectors")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValueError("weights must be non-negative")
-    n = max(p.shape[0], q.shape[0])
-    p = np.pad(p, (0, n - p.shape[0]))
-    q = np.pad(q, (0, n - q.shape[0]))
-    m = 0.5 * (p + q)
-
-    def kl(a):
-        pos = a > 0.0
-        return float(np.sum(a[pos] * np.log2(a[pos] / m[pos])))
-
-    return max(0.0, 0.5 * kl(p) + 0.5 * kl(q))
-
-
 def jsd_grid(a: np.ndarray, b: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """jsd for every query of two padded weight grids, shape (H, W).
+    """Base-2 Jensen-Shannon divergence (reference.jsd) for every query of
+    two padded weight grids, shape (H, W).
 
     Padding entries beyond each query's group count are zero in both grids, so
     they contribute nothing."""

@@ -15,16 +15,25 @@ from ripplegrid.attention import (
     AttentionConfig,
     MultiHeadConfig,
     init_multi_head,
-    linearized_attention,
     multi_head_forward,
     ripple_dp,
     ripple_naive,
-    ripple_softmax_reference,
-    softmax_attention,
 )
-from ripplegrid.bench import BenchPlan, memory_probe, run_bench
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
-from ripplegrid.grad import finite_diff_check, grad_pixels_reference, ripple_vjp
+from ripplegrid.grad import finite_diff_check, ripple_vjp
+from ripplegrid.reference import (
+    BenchPlan,
+    adaptive_truncate,
+    grad_pixels_reference,
+    linearized_attention,
+    max_chebyshev,
+    memory_probe,
+    ripple_softmax_reference,
+    run_bench,
+    scheme_weights,
+    softmax_attention,
+    stick_breaking,
+)
 from ripplegrid.sat import fetch_count, reset_fetch_count
 from ripplegrid.toymodel import (
     ToyModelConfig,
@@ -38,7 +47,6 @@ from ripplegrid.vicinal import (
     PartitionKind,
     PartitionScheme,
     group_members,
-    max_chebyshev,
     num_groups_grid,
 )
 from ripplegrid.weights import (
@@ -47,10 +55,7 @@ from ripplegrid.weights import (
     WeightGrid,
     WeightScheme,
     WeightSchemeKind,
-    adaptive_truncate,
-    scheme_weights,
     scheme_weights_grid,
-    stick_breaking,
 )
 from stacked import naive_layer
 

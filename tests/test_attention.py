@@ -10,15 +10,13 @@ from ripplegrid.attention import (
     AttentionConfig,
     MultiHeadConfig,
     init_multi_head,
-    linearized_attention,
     linearized_grid,
     multi_head_forward,
     ripple_dp,
     ripple_naive,
-    ripple_softmax_reference,
-    softmax_attention,
 )
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
+from ripplegrid.reference import linearized_attention, ripple_softmax_reference, softmax_attention
 from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme, num_groups_grid
 from ripplegrid.weights import (
     LEARNED_KINDS,
@@ -547,6 +545,47 @@ def test_multi_head_forward_rejects_bad_input_grid(shape):
         scheme_kind=WeightSchemeKind.UNIFORM)
     with pytest.raises(ValueError, match=r"\(H, W, model_dim\) = \(H, W, 6\)"):
         multi_head_forward(rng.standard_normal(shape), params, config)
+
+
+def _finite_layer(seed=31):
+    rng = np.random.default_rng(seed)
+    params = init_multi_head(rng, model_dim=6, num_heads=2, head_dim=3,
+                             r_max=2, scheme_kind=WeightSchemeKind.LEARNED_SBT)
+    config = MultiHeadConfig(
+        partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05),
+        scheme_kind=WeightSchemeKind.LEARNED_SBT)
+    return rng.standard_normal((4, 5, 6)), params, config
+
+
+@pytest.mark.parametrize("name", ["input grid", "w_qkv", "w_out", "b_out"])
+def test_multi_head_forward_rejects_non_finite_input_and_parameters(name):
+    # a NaN w_out used to come back as NaN outputs with no error
+    x, params, config = _finite_layer()
+    if name == "input grid":
+        x[1, 2, 3] = np.nan
+    else:
+        bad = getattr(params, name).copy()
+        bad.flat[0] = np.inf
+        params = dataclasses.replace(params, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
+        multi_head_forward(x, params, config)
+
+
+def test_multi_head_forward_reports_a_projection_overflow():
+    # finite input whose q, k, v projection overflows used to be rejected
+    # with the wording of a NaN in the input
+    x, params, config = _finite_layer()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="the [qkv] projection overflowed"):
+            multi_head_forward(np.full_like(x, 1e308), params, config)
+
+
+def test_multi_head_forward_reports_an_output_overflow():
+    x, params, config = _finite_layer()
+    params = dataclasses.replace(params, w_out=params.w_out * 1e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="the layer output overflowed"):
+            multi_head_forward(x * 1e3, params, config)
 
 
 @pytest.mark.parametrize("bad", [dict(attention="linear"), dict(attention="Ripple"),

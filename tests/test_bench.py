@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ripplegrid.bench import (
+from ripplegrid.reference import (
     GATE_TOLERANCE,
     BenchPlan,
     BenchRecord,

@@ -109,7 +109,8 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
 
 def test_train_divergence_keeps_the_logged_rows(tmp_path, capsys):
     """An update so large that the next forward overflows is a divergence,
-    not a usage error: exit 1, with the rows logged before it."""
+    not a usage error: exit 1, with the rows logged before it and a
+    checkpoint of the parameters they end at."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         code = main(TRAIN_ARGS[:2] + ["40", "--lr", "1e100", "--clip", "0"] + TRAIN_ARGS[3:]
                     + ["--out", str(tmp_path)])
@@ -119,6 +120,10 @@ def test_train_divergence_keeps_the_logged_rows(tmp_path, capsys):
     rows = (run / "metrics.csv").read_text().strip().splitlines()
     assert rows[0] == "step,loss,accuracy,mean_jsd,grad_norm"
     assert [row.split(",")[0] for row in rows[1:]] == ["0"]
+    # the parameters from before the failing step, finite
+    with np.load(run / "checkpoint.npz", allow_pickle=False) as ckpt:
+        assert ckpt.files and all(np.isfinite(ckpt[name]).all() for name in ckpt.files)
+    assert "checkpoint.npz" in (run / "MANIFEST").read_text()
 
 
 def test_train_zero_steps_evaluates_once(tmp_path):

@@ -17,13 +17,8 @@ from ripplegrid.attention import (
     ripple_naive,
 )
 from ripplegrid.featmap import FeatureMapKind, FeatureMapParams, init_feature_map
-from ripplegrid.grad import (
-    finite_diff_check,
-    grad_pixels_reference,
-    linearized_vjp,
-    multi_head_vjp,
-    ripple_vjp,
-)
+from ripplegrid.grad import finite_diff_check, linearized_vjp, multi_head_vjp, ripple_vjp
+from ripplegrid.reference import grad_pixels_reference
 from ripplegrid.sat import fetch_count, release_kept_buffers, reset_fetch_count
 from ripplegrid.vicinal import (
     GridShape,

@@ -343,12 +343,16 @@ def test_train_demo_mutates_given_params():
     assert any(not np.array_equal(params[n], before[n]) for n in before)
 
 
-@pytest.mark.parametrize("lr, step, what", [
-    (500.0, 2, "loss inf"),
-    (1e100, 1, "q contains non-finite values"),     # finite parameters overflow q
-    (1e308, 0, "updated parameters are not finite"),
-])
-def test_train_demo_divergence_raises(lr, step, what):
+DIVERGENCES = [
+    ("sgd", 0.0, 500.0, 2, "loss inf"),
+    ("sgd", 0.0, 1e100, 1, "the layer output overflowed"),   # finite parameters overflow it
+    ("adam", 1.0, 1e308, 1, "the input of block 0 overflowed"),
+    ("sgd", 0.0, 1e308, 0, "updated parameters are not finite"),
+]
+
+
+@pytest.mark.parametrize("optimizer, clip, lr, step, what", DIVERGENCES)
+def test_train_demo_divergence_raises(optimizer, clip, lr, step, what):
     """Whatever turns non-finite first, the loss, the gradient norm, an
     updated parameter or an activation of the next forward, the run stops
     with one FloatingPointError naming the step, after logging the steps
@@ -356,9 +360,40 @@ def test_train_demo_divergence_raises(lr, step, what):
     rows = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=f"diverged at step {step}: .*{what}"):
-            train_demo(small_config(), steps=40, batch=2, seed=0, lr=lr, clip=0.0,
-                       log=rows.append)
+            train_demo(small_config(), steps=40, batch=2, seed=0, optimizer=optimizer,
+                       lr=lr, clip=clip, log=rows.append)
     assert [row["step"] for row in rows] == list(range(step))
+
+
+@pytest.mark.parametrize("optimizer, clip, lr, step, what", DIVERGENCES)
+def test_train_demo_divergence_leaves_the_last_logged_params(optimizer, clip, lr, step, what):
+    """A failed step leaves the caller's dict as it was after the last
+    logged step, bitwise: a failed update is taken back."""
+    config = small_config()
+    params = init_model(config, seed=0)
+    logged = [{n: a.copy() for n, a in params.items()}]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=f"diverged at step {step}"):
+            train_demo(config, steps=40, batch=2, seed=0, optimizer=optimizer, lr=lr,
+                       clip=clip, params=params,
+                       log=lambda row: logged.append({n: a.copy() for n, a in params.items()}))
+    assert len(logged) == step + 1
+    assert params.keys() == logged[-1].keys()
+    for name, a in params.items():
+        assert a.tobytes() == logged[-1][name].tobytes(), name
+
+
+def test_loss_and_grads_rejects_non_finite_inputs():
+    config = small_config()
+    params = init_model(config, seed=0)
+    imgs, labels = make_local_majority_batch(np.random.default_rng(3), 2, GridShape(4, 4))
+    bad_imgs = imgs.copy()
+    bad_imgs[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="the image batch contains non-finite"):
+        loss_and_grads(bad_imgs, labels, params, config)
+    bad = dict(params, **{"embed.w": np.full_like(params["embed.w"], np.inf)})
+    with pytest.raises(ValueError, match="embed.w contains non-finite"):
+        loss_and_grads(imgs, labels, bad, config)
 
 
 def test_train_demo_adam_and_log_callback():

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+from ripplegrid.reference import chebyshev, group_of_distance, max_chebyshev, num_groups
 from ripplegrid.vicinal import (
     GridShape,
     PartitionKind,
     PartitionScheme,
-    chebyshev,
     group_members,
-    group_of_distance,
     group_span,
-    max_chebyshev,
-    num_groups,
     num_groups_grid,
 )
 

@@ -3,20 +3,23 @@ import pytest
 
 from ripplegrid.attention import AttentionConfig, ripple_dp
 from ripplegrid.featmap import FeatureMapKind, init_feature_map
-from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme, num_groups
+from ripplegrid.reference import (
+    adaptive_truncate,
+    jsd,
+    modified_sigmoid,
+    num_groups,
+    scheme_weights,
+    stick_breaking,
+    stick_logits,
+)
+from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme
 from ripplegrid.weights import (
     LEARNED_KINDS,
     StickParams,
     WeightScheme,
     WeightSchemeKind,
-    adaptive_truncate,
-    jsd,
     jsd_grid,
-    modified_sigmoid,
-    scheme_weights,
     scheme_weights_grid,
-    stick_breaking,
-    stick_logits,
 )
 
 ALL_KINDS = list(WeightSchemeKind)

@@ -9,7 +9,7 @@ perfbench workload, pair i of ten runs
 each tree, the base first on odd pairs and the head first on even ones.
 Each tree then times ``ripple_dp`` and ``ripple_dp`` + ``ripple_vjp`` over
 16x16 .. 128x128 grids in fresh single-threaded processes, and this
-checkout's ``ripplegrid.bench.fit_loglog`` fits log-log slopes of time
+checkout's ``ripplegrid.reference.fit_loglog`` fits log-log slopes of time
 against token count over 16x16 .. 96x96, as earlier records did. The file holds every run, per-metric medians and
 quartiles, pair wins, and the slopes; nothing here is a gate.
 """
@@ -117,7 +117,7 @@ def main() -> int:
     if args.base is None or args.out is None:
         parser.error("--base and --out are required")
     sys.path.insert(0, str(ROOT / "src"))
-    from ripplegrid.bench import fit_loglog
+    from ripplegrid.reference import fit_loglog
     trees = {"base": args.base.resolve(), "head": ROOT}
     record = {"command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
               "shas": {"base": args.base_sha, "head": args.head_sha},
