@@ -19,16 +19,16 @@ denominator of the linear-attention quotient share that sweep: it runs over
 the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 
 The sweep is linear in each feature channel until it meets phi_q, so it
-reads every window from the prefix table of that field, streamed over
-strips of grid rows as a padded band of table rows (see the sat module):
-one read per window contracts the band with the strip's c_g phi_q
-straight into the (H, W, C + 1) accumulator, and the last strip's far
+reads every window from the prefix table of that field, streamed top
+down in chunks of padded rows (see the sat module): each table row is
+contracted once with the c_g phi_q of every window corner that reads it,
+straight into the (H, W, C + 1) accumulator, and the last chunk's far
 corner is the grid total. The tape holds inputs, features, weights and
-the quotient, and the backward pass streams the same band again and runs
-the transpose of the same reads (see the grad module).
+the quotient, and the backward pass streams the same table again and
+runs the transpose of the same reads (see the grad module).
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
-multi-head layer stacks its heads on axis 2, with one band over
+multi-head layer stacks its heads on axis 2, with one stream over
 (heads, Dp, C + 1) channels, and the single-head entry points
 have a head axis of length 1. Linearized attention skips the weights.
 """
@@ -41,7 +41,7 @@ import numpy as np
 
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
-from .sat import kept_array, table_bands
+from .sat import kept_array, read_windows
 from .vicinal import GridShape, PartitionScheme, group_span, query_groups
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
@@ -134,24 +134,19 @@ def _value_streams(v):
 
 
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
-    """The banded prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
+    """The prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
     features, (H, W, heads, C) values and weights with the head axis. Returns
-    the (H, W, heads, C + 1) numerator and denominator streams. Each window
-    is read from the band straight into the strip of the result, with its
-    coefficient folded into phi_q (sat.Band.read)."""
+    the (H, W, heads, C + 1) numerator and denominator streams, into which
+    sat.read_windows reads every window with its coefficient on phi_q."""
     coefs = wg.window_coefs()
     radii = [group_span(partition.kind, g)[1] for g in range(1, coefs.shape[-1])]
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for band in table_bands(pk, streams, radii):
-        rows, blk = band.rows, band.blk
-        for g, radius in enumerate(radii, 1):
-            band.read(both[rows], radius, coefs[rows, ..., g, None], pq[rows][..., blk])
-        if band.total is not None:
-            matmul(pq[..., blk], band.total, out=part)
-            part *= wg.merged[..., None]
-            both += part
+    for blk, total in read_windows(both, pk, streams, radii, coefs[..., 1:], pq):
+        matmul(pq[..., blk], total, out=part)
+        part *= wg.merged[..., None]
+        both += part
     return both
 
 

@@ -6,15 +6,15 @@ in finite_diff_check, which exists to audit the rest of this module.
 
 The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
 (see the attention module). The tape keeps no table: the backward streams
-the forward's band again and runs the transposes of its reads (see the
+the forward's table again and runs the transposes of its reads (see the
 sat module). Each window gives z_g = W_g . gboth, which feeds the weight
 gradients (phi_q . z_g, differenced over g) and the phi_q gradient
 (sum_g c_g z_g). The token gradients are the sweep's adjoint: a token
 receives the transposed window of the field c_g * cotangent per group,
-plus the broadcast sum of m * cotangent, which the band's token adjoint
-collects in the same strip loop and finishes top down, straight into the
-phi_k and v gradients. Group 0's window is the token itself, so its
-share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp)
+plus the broadcast sum of m * cotangent, which the token adjoint collects
+row by row in the same top-down walk and finishes chunk by chunk, straight
+into the phi_k and v gradients. Group 0's window is the token itself, so
+its share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp)
 arrays. Both directions read one window per head group past group 0, as
 the forward does. Like the forward, the backward is one pass,
 _attend_vjp, on the tape's (H, W, heads, ...) arrays, with a head axis of
@@ -33,7 +33,7 @@ import numpy as np
 from .attention import AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
-from .sat import kept_array, table_bands
+from .sat import read_windows_vjp
 from .vicinal import group_span
 from .weights import StickGrads, scheme_weights_vjp
 
@@ -100,48 +100,40 @@ def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
 
 
 def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
-    """One top-down pass over the backward's bands for the weight and token gradients.
+    """One top-down pass over the streamed table for the weight and token gradients.
 
     Arrays carry the head axis after (H, W), as in the forward sweep. With
     cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
     per query for g below the largest hat (the window coefficients'
-    cotangents), <cot, T>, and the phi_q, phi_k and v gradients. Per
-    window, sat.Band.read_vjp adds z_g = W_g . gboth into "z" and c_g cot
-    into the token adjoint, which takes the merged tail's m cot as the grid
-    total's cotangent and hands back finished rows after each strip. The
-    radius-0 window and the tail take only small arrays: W_0 is the field
-    itself and T one matrix per head."""
+    cotangents), <cot, T>, and the phi_q, phi_k and v gradients, from
+    sat.read_windows_vjp's z_g = W_g . gboth and token adjoint (of c_g cot
+    per window and the tail's m cot) as their rows finish. The radius-0
+    window and the tail take only small arrays."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
     length = coefs.shape[-1]
     radii = [group_span(partition.kind, g)[1] for g in range(1, length)]
     streams = _value_streams(tape.v)
     sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
+    qk = np.einsum("...d,...d->...", pq, pk)
     dots = np.zeros(gboth.shape[:-1] + (length,))
+    dots[..., :1] = (sg * qk)[..., None]    # phi_q . z_0, where there are coefficients
     tail = np.zeros(gboth.shape[:-1])
     tail_cot = outer_sum(wg.merged[..., None] * pq, gboth, heads=True)   # (heads, Dp, C + 1)
     c_0 = _radius_zero_coef(coefs)
-    grad_pq = np.empty_like(pq)
+    grad_pq = (c_0 * sg)[..., None] * pk
     grad_pk = (c_0 * sg)[..., None] * pq
-    grad_v = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * gboth[..., :-1]
-    for band in table_bands(pk, streams, radii, total_cot=tail_cot):
-        rows, blk = band.rows, band.blk
-        pqs = pq[rows][..., blk]
-        z = kept_array("z", pqs.shape[:-1] + (length, pqs.shape[-1]))   # z[..., g, :] = W_g . gboth
-        z[..., 1:, :] = 0.0
-        if length:
-            np.multiply(pk[rows][..., blk], sg[rows][..., None], out=z[..., 0, :])
-        for g, radius in enumerate(radii, 1):
-            band.read_vjp(z[..., g, :], radius, coefs[rows, ..., g, None], pqs, gboth[rows])
-        dots[rows] += np.einsum("...d,...gd->...g", pqs, z)
-        grad_pq[rows, ..., blk] = np.einsum("...gd,...g->...d", z, coefs[rows])
-        if band.total is not None:
-            zt = matmul(gboth, np.swapaxes(band.total, -1, -2))    # T . gboth
+    grad_v = (c_0 * qk)[..., None] * gboth[..., :-1]
+    for blk, zrows, z, grows, gx, total in read_windows_vjp(pk, streams, radii, coefs[..., 1:],
+                                                            pq, gboth, tail_cot):
+        dots[zrows, ..., 1:] += np.einsum("...d,...gd->...g", pq[zrows, ..., blk], z)
+        grad_pq[zrows, ..., blk] += np.einsum("...gd,...g->...d", z, coefs[zrows, ..., 1:])
+        grad_pk[grows, ..., blk] += np.einsum("...dc,...c->...d", gx, streams[grows])
+        grad_v[grows] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[grows, ..., blk])
+        if total is not None:
+            zt = matmul(gboth, np.swapaxes(total, -1, -2))    # T . gboth
             tail += np.einsum("...d,...d->...", pq[..., blk], zt)
             grad_pq[..., blk] += wg.merged[..., None] * zt
-        final, gx = band.finish()
-        grad_pk[final, ..., blk] += np.einsum("...dc,...c->...d", gx, streams[final])
-        grad_v[final] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[final, ..., blk])
     return dots, tail, grad_pq, grad_pk, grad_v
 
 

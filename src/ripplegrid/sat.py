@@ -1,54 +1,46 @@
-"""2D prefix sums, the padded band of table rows both attention passes
-stream, and the window reads of that band with their exact adjoints.
+"""2D prefix sums, streamed top down, and the window reads of the padded
+table with their exact adjoints.
 
 Every array here is f64 with the grid on its first two axes.
 
-- prefix_sum builds the table in place: acc[i, j] becomes the sum of
-  acc[:i+1, :j+1], one column and then one row at a time. It can also
-  continue a table: given a finished table row as a carry, it turns the
-  field rows below it into the table rows that follow.
-- table_rows continues a table the same way for a field keys (x) values
-  that it never writes out: per block of COLUMN_BLOCK columns, one matmul
-  of tril (.) keys against the values writes the block's column prefix.
-- window_rows reads the square windows of radius r around every position
-  of a strip, clipped to the grid, from two row views of a padded table:
-  table entries before the grid are zero rows and columns, and entries
-  past its last row or column repeat that row or column, so the clipped
-  edges min(i + r, n - 1) and i - r - 1 are plain shifted slices. On each
-  row a window's corners sit at columns j and j + d, d = 2r + 1, so that
-  it is hi[j + d] - hi[j] - lo[j + d] + lo[j].
+- prefix_sum builds the table in place, one column and then one row at a
+  time, and can continue a table below a finished row (a carry).
+- table_rows continues a table for a field keys (x) values that it never
+  writes out, with one masked matmul per block of COLUMN_BLOCK columns.
 
-The band. No pass holds the table of its (H, W, heads, Dp, C + 1) field
-phi_k (x) [v, 1] whole: table_bands streams it over strips of grid rows
-and blocks of channels, as band_plan sizes them within BLOCK_BYTES. With
-pads (ph, pw), the widest radius clipped to each grid axis, the Band of
-strip rows [a, b) holds the padded table rows [a - ph - 1, b + ph) that
-window_rows reads; the last strip's far corner is the grid total.
-Band.read contracts each of a window's two rows with one matmul against
-a paired operand, coef * x of the queries whose far (x - d) and near (x)
-corners sit at each of the W + d columns, so no window is written out.
-The backward's read against the cotangent is the same routine on the
-band's transposed view (Band.read_vjp).
+The padded table. With pads (ph, pw), the widest radius clipped to each
+grid axis, padded entry (p, c) is table entry (p - ph - 1, c - pw - 1):
+zero before the grid, and its last row or column past it. So the clipped
+radius-r window of query (i, x) is four corners, each a slot at a fixed
+offset (o, co) from the query: 4G slots for G windows (_slots).
+
+The stream. No pass holds the table of its (H, W, heads, Dp, C + 1) field
+phi_k (x) [v, 1] whole: both walk the padded rows top down in chunks, per
+block of channels, as stream_plan sizes them within BLOCK_BYTES. Each
+table row is built once, by table_rows on the carry of the row above, and
+contracted once with a stacked operand that holds, in slot s at (p, c),
+the c_g phi_q of the query (p - o_s, c - co_s): one matmul per run of
+rows that the same slots read, then one strided add per slot into the
+output (read_windows). The backward's z read is the stacked cotangent
+against the rows' transposed view (read_windows_vjp).
 
 The adjoint. A window is also the same corner sum of the suffix table
 S[i, j] = sum of F[i:, j:] padded with copies of its first row and column
-before the grid and zeros after it: grid row i sits at padded row i + ph.
-Since W_r = Diff'_r(Suffix(F)), its transpose is Prefix(Diff'_r^T(Y)):
-add Y(j - d) - Y(j) into column j of the hi row of an accumulator padded
-as the table is (_scatter), subtract it from the lo row, and run
-prefix_sum from the first padded row and column. That folds the shares
-before the grid onto it, the transpose of repeating its edge; shares past
-it are never read. A backward's Band carries such an accumulator after a
-carry row, with the grid total's cotangent at padded (0, 0), and
-Band.finish sums the rows no later strip writes, since row p depends
-only on rows up to p.
+before the grid and zeros after it (grid row i at padded row i + ph). So
+the token adjoint is one product per padded row, stacked keys against the
+signed stacked cotangent, summing every window in its K reduction, and
+prefix_sum from padded (0, 0), where the grid total's cotangent sits,
+finishes it chunk by chunk on a carry: that folds the shares before the
+grid onto it, and rows past the grid are never needed.
 
 The module counts window evaluations, transposed ones included, so tests
 can assert the passes' sub-quadratic access pattern. A fetch is one
-position of one window in one pass: later channel blocks count none.
+position of one window in one pass: channel blocks count none.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import threading
 from contextlib import contextmanager
@@ -56,15 +48,16 @@ from contextlib import contextmanager
 import numpy as np
 
 COLUMN_BLOCK = 8     # grid columns per masked matmul in table_rows
+RUN_MACS = 1 << 17   # multiply-adds that cost about as much as one matmul call
 
 BLOCK_BYTES = 10 << 20
-"""Bytes of the band of table rows a pass streams with the buffers it keeps
-for the band's strip (see band_plan). At 10 MiB, with Dp = C = 32, a 48x48
-unit-ring forward runs 13-row strips and a 32x32 dyadic backward three
-blocks of 11 channels in 13-row strips; 8x8 toy grids run as one strip. A
-larger budget leaves less margin under the one-field forward peak at
-48x48, and at 32x32 a short-radius band would fall short of what a
-long-radius one fills, against acceptance 5's flat peak over r_max."""
+"""Bytes a pass keeps for its chunks of table rows (see stream_plan). At
+10 MiB, with Dp = C = 32, a 48x48 unit-ring forward runs 12-row chunks and
+a 32x32 dyadic forward and backward 15- and 7-row chunks, all at full
+channel width; the toy's 8x8 passes each run as one chunk. A larger
+budget leaves less margin under the one-field forward peak at 48x48, and
+at 32x32 a short-radius forward would fall short of what a long-radius one
+fills, against acceptance 5's flat peak over r_max."""
 
 _fetch_count = 0
 _row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
@@ -83,10 +76,8 @@ def fetch_count() -> int:
 @contextmanager
 def sabotage_radius_offset(offset: int = 1):
     """Fault injection for harness self-tests: prefix_sum and table_rows
-    inside the context shift the table rows they build down by ``offset``
-    rows (zeros enter at the top), so the windows and the total read from
-    them are both wrong. window_rows reads no fault state; tables built
-    outside the context stay clean."""
+    inside the context shift the rows they build down by ``offset`` (zeros
+    enter at the top), so windows and totals read from them are wrong."""
     global _row_shift
     _row_shift = offset
     try:
@@ -133,14 +124,20 @@ def table_rows(acc: np.ndarray, keys: np.ndarray, values: np.ndarray,
         cols = slice(lo, min(lo + k, acc.shape[1]))
         width = cols.stop - lo
         masked = mask.reshape(-1)[:lanes * width * width].reshape(mask.shape[:-1] + (-1,))
-        # spread[j', (j, j'')] is 1 where j'' == j' <= j
-        spread = (np.eye(width)[:, None] * np.tri(width)).reshape(width, -1)
-        np.matmul(keys[..., cols], spread, out=masked)
+        np.matmul(keys[..., cols], _spread(width), out=masked)
         np.matmul(masked.reshape(mask.shape[:-1] + (width, width)), values[..., cols, :],
                   out=table[..., cols, :])
         if lo:
             np.add(table[..., cols, :], table[..., lo - 1, None, :], out=table[..., cols, :])
     return _rows_down(acc, rows)
+
+
+@functools.lru_cache(maxsize=COLUMN_BLOCK)
+def _spread(width: int) -> np.ndarray:
+    """The 0/1 (width, width * width) spread: [j', (j, j'')] is 1 where j'' == j' <= j."""
+    spread = (np.eye(width)[:, None] * np.tri(width)).reshape(width, -1)
+    spread.flags.writeable = False      # every caller shares it
+    return spread
 
 
 def _rows_down(acc: np.ndarray, built: np.ndarray) -> np.ndarray:
@@ -154,76 +151,51 @@ def _rows_down(acc: np.ndarray, built: np.ndarray) -> np.ndarray:
     return acc
 
 
-def window_rows(band: np.ndarray, radius: int, pads: tuple, counted: bool = True):
-    """The radius-r windows around every position of a strip, as the two
-    band rows each reads, ((hi, lo), d): views of band columns [pw - rw,
-    pw + rw + 1 + W), where a window's near corner is column j and its far
-    corner column j + d, d = 2 rw + 1.
+# ---------- the stream ----------
 
-    With ``pads`` (ph, pw), the band holds the padded table rows that a
-    strip of band.shape[0] - 2 ph - 1 grid rows reads: ph + 1 rows and
-    pw + 1 columns of zeros stand for the table before the grid, ph rows
-    and pw columns repeat its last row and column, and the grid's W =
-    band.shape[1] - 2 pw - 1 columns lie between. ``radius`` may not exceed
-    the radius the band was padded for, except that a pad smaller than it
-    reaches across the whole grid axis and clips it (to rh, rw). Counts
-    one fetch per strip position when ``counted``."""
-    global _fetch_count
-    ph, pw = pads
-    h, w = band.shape[0] - 2 * ph - 1, band.shape[1] - 2 * pw - 1
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if min(ph, pw) < 0 or h < 1 or w < 1:
-        raise ValueError(f"a {band.shape[:2]} band cannot hold pads {pads} around a strip")
-    if counted:
-        _fetch_count += h * w
-    rh, rw = min(radius, ph), min(radius, pw)
-    cols = slice(pw - rw, pw + rw + 1 + w)
-    return (band[ph + 1 + rh:ph + 1 + rh + h, cols], band[ph - rh:ph - rh + h, cols]), 2 * rw + 1
+def _chunk_shapes(field_shape: tuple, width: int, windows: int, pads: tuple, rows: int,
+                  backward: bool) -> dict:
+    """The buffers a pass keeps for chunks of ``rows`` padded rows of a
+    block of ``width`` channels, by name. Carry rows, and the 2 ph + 1 more
+    query rows whose reads a chunk reaches, are kept whatever ``rows``."""
+    w, heads, values, (ph, pw) = field_shape[1], field_shape[2:-2], field_shape[-1], pads
+    cols, slots = w + 2 * pw + 1, 4 * windows
+    shapes = {"table": (rows + 1, w + pw) + heads + (width, values),
+              "mask": (rows * math.prod(heads) * width * min(COLUMN_BLOCK, w) ** 2,),
+              "scaled": (rows + 2 * ph + 1, w) + heads + (windows, width),
+              "stacked": (rows, cols if backward else w + pw) + heads + (slots, width),
+              "products": (rows, w + pw) + heads + (slots, width if backward else values)}
+    if backward:
+        shapes.update(adjoint=(rows + 1, w + pw) + heads + (width, values),
+                      cotangents=(rows, cols) + heads + (slots, values),
+                      z=(rows + 2 * ph + 1, w) + heads + (windows, width))
+    return shapes
 
 
-# ---------- the band ----------
+def stream_plan(field_shape: tuple, radii: list[int], backward: bool = False):
+    """How a pass streams the padded table of an (H, W, heads, Dp, C + 1)
+    field whose windows have ``radii``: (channel blocks, chunk rows, pads).
+    A pad is the largest radius clipped to its grid axis. Channels split
+    into the fewest equal blocks (but a narrower last one) whose buffers
+    (_chunk_shapes) fit BLOCK_BYTES for one chunk row, and chunks grow to
+    fill it, up to the rows the pass walks: H + ph from the first row
+    inside the grid in a forward, all H + 2 ph + 1 in a backward."""
+    return _plan(tuple(field_shape), tuple(radii), backward, BLOCK_BYTES)
 
-def band_plan(field_shape: tuple, radii: list[int], backward: bool = False):
-    """How a pass streams the table of an (H, W, heads, Dp, C + 1) field whose
-    windows have ``radii``: (channel blocks, strip height, pads). A pad is
-    the largest radius clipped to its grid axis, since a window that long
-    spans the axis anyway. A block's bytes are counted at its own width:
-    its band holds a strip's rows plus 2 ph + 1 shared ones, and the table
-    build's "mask" COLUMN_BLOCK^2 entries per channel for each row built
-    (ph more on the first strip). A forward strip row also keeps "pairs"
-    (block-wide, over W + 2 d columns) and "paired" (two C + 1 vectors over
-    W + d), with d = 2 pw + 1. A ``backward`` one keeps the adjoint's band
-    row (2 ph + 2 more shared), "z" (a block-wide vector per window and
-    z_0), "pairs", "gpairs" (two C + 1 vectors over W + 2 d), "paired" (two
-    block-wide vectors over W + d) and "scatter" (a band row). Channels
-    split into the fewest equal blocks (but a narrower last one) whose
-    shared rows and min(max(ph, 1), H) strip rows fit BLOCK_BYTES, so that
-    strips fall below the radius only in blocks of one channel, and the
-    strip grows to fill the budget."""
-    h, w = field_shape[:2]
-    heads, dp, values = math.prod(field_shape[2:-2]), field_shape[-2], field_shape[-1]
-    radius = max(radii, default=0)
+
+@functools.lru_cache(maxsize=256)
+def _plan(field_shape: tuple, radii: tuple, backward: bool, budget: int):
+    (h, w), dp, radius = field_shape[:2], field_shape[-2], max(radii, default=0)
     pads = (min(radius, h - 1), min(radius, w - 1))
-    margin, span = 2 * pads[0] + 1, 2 * pads[1] + 1
-    floor = min(max(pads[0], 1), h)     # strip rows the blocks must fit
     for count in range(1, dp + 1):
         width = -(-dp // count)
-        lanes = heads * width
-        band_row = (w + span) * lanes * values * 8
-        mask_row = lanes * min(COLUMN_BLOCK, w) ** 2 * 8
-        if backward:
-            shared = (2 * margin + 1) * band_row
-            row = 3 * band_row + ((w * (len(radii) + 1) + w + 2 * span + 2 * (w + span)) * lanes
-                                  + 2 * (w + 2 * span) * heads * values) * 8
-        else:
-            shared = margin * band_row
-            row = band_row + ((w + 2 * span) * lanes + (w + span) * heads * 2 * values) * 8
-        shared, row = shared + pads[0] * mask_row, row + mask_row
-        if shared + floor * row <= BLOCK_BYTES:
+        shared, one = (sum(math.prod(s) for s in _chunk_shapes(
+            field_shape, width, len(radii), pads, rows, backward).values()) for rows in (0, 1))
+        if one * 8 <= budget:
             break
-    return ([slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)],
-            min(max((BLOCK_BYTES - shared) // row, 1), h), pads)
+    rows = (budget // 8 - shared) // (one - shared)
+    return (tuple(slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)),
+            min(max(rows, 1), h + pads[0] * (1 + backward) + backward), pads)
 
 
 def kept_array(name: str, shape: tuple) -> np.ndarray:
@@ -243,144 +215,185 @@ def release_kept_buffers() -> None:
     _kept.__dict__.clear()
 
 
-def _move_up(band: np.ndarray, rows: int, by: int) -> None:
-    """Moves band rows [by, by + rows) up to [0, rows), ``by`` rows at a
-    time: a copy that overlapped itself would go through a temporary."""
-    for k in range(0, rows, by):
-        band[k:min(k + by, rows)] = band[k + by:min(k + by, rows) + by]
-
-
-def table_bands(pk, streams, radii: list[int], total_cot=None):
-    """Yield a Band for every channel block and strip of grid rows of the
-    table of phi_k (x) [v, 1], as band_plan plans the pass, over the kept
-    buffer "band". With ``total_cot``, the cotangent of each head's grid
-    total (heads, Dp, C + 1), the pass is a backward, and the buffer also
-    holds the token adjoint: zero at each block's start but for total_cot
-    at padded (0, 0); after each strip its carry and shared rows move up
-    with the band's, and the rest is zeroed. Table rows are built by
-    table_rows straight into the band's strided grid columns, with masked
-    keys in the kept buffer "mask"; the pad columns then copy the last one
-    a column at a time, since a broadcast copy within the band would go
-    through a temporary of all pw columns."""
-    h, w = pk.shape[:2]
-    backward = total_cot is not None
-    blocks, height, pads = band_plan(pk.shape + streams.shape[-1:], radii, backward)
-    ph, pw = pads
-    margin = 2 * ph + 1
-    kept_rows = 2 * (height + margin) + 1 if backward else height + margin
-    grid = slice(pw + 1, pw + 1 + w)
+def _chunks(pk, streams, radii: list[int], backward: bool):
+    """Yield (blk, top, stop, past, pads, buffers) for every channel block
+    and chunk of padded rows [top, stop) of the table of phi_k (x) [v, 1],
+    as stream_plan plans the pass, with buffers carved out of the kept
+    buffer "stream". From the first column inside the grid, table[0] holds
+    the row above the chunk and table[1 + p - top] padded row p < past;
+    rows from ``past`` on are past the grid, so they are table[past - top].
+    A forward starts inside the grid; a backward's rows before it are read
+    only as the carry of the first built row. Pad columns are copied a
+    column at a time: a broadcast copy would go through a temporary."""
+    (h, w), field = pk.shape[:2], pk.shape + streams.shape[-1:]
+    blocks, height, (ph, pw) = stream_plan(field, radii, backward)
+    last = h + 2 * ph + 1
     for blk in blocks:
-        channels = pk.shape[2:-1] + (blk.stop - blk.start,) + streams.shape[-1:]
-        kept = kept_array("band", (kept_rows, w + 2 * pw + 1) + channels)
-        band, adjoint = kept[:height + margin], kept[height + margin:]
-        adjoint.fill(0.0)           # the forward's is empty
-        if backward:
-            adjoint[1, 0] = total_cot[..., blk, :]
-        band[:ph + 1] = 0.0         # the table before the grid
-        band[ph + 1:, :pw + 1] = 0.0
-        ready = ph + 1              # band rows that hold table rows
-        for a in range(0, h, height):
-            b = min(a + height, h)
-            top = a - ph - 1        # the table row in band row 0
-            if a:
-                _move_up(band, margin, height)
-                ready = margin
-                if backward:    # the carry and the shared rows
-                    _move_up(adjoint, margin + 1, height)
-                    adjoint[margin + 1:] = 0.0
-            built, stop = min(b + ph, h) - top, b - a + margin
-            if built > ready:
-                new = slice(ready, built)
-                mask = kept_array("mask", (built - ready,) + channels[:-1]
-                                  + (min(COLUMN_BLOCK, w) ** 2,))
-                table_rows(band[ready - 1:built, grid], pk[top + ready:top + built, ..., blk],
-                           streams[top + ready:top + built], mask)
-                for pad in range(grid.stop, band.shape[1]):
-                    band[new, pad] = band[new, grid.stop - 1]
-                ready = built
-            band[ready:stop] = band[ready - 1]
-            yield Band(blk, slice(a, b), band[:stop], pads,
-                       adjoint[:stop + 1] if backward else None, b == h)
+        shapes = _chunk_shapes(field, blk.stop - blk.start, len(radii), (ph, pw), height, backward)
+        flat = kept_array("stream", (sum(math.prod(s) for s in shapes.values()),))
+        bufs, at = {}, 0
+        for name, shape in shapes.items():
+            bufs[name], at = flat[at:at + math.prod(shape)].reshape(shape), at + math.prod(shape)
+        table = bufs["table"]
+        table[0] = 0.0          # the row before the grid
+        for name in ("stacked", "cotangents"):     # products only read what is written,
+            bufs.get(name, table[:0]).fill(0.0)     # but an empty buffer may hold inf or nan
+        for top in range(0 if backward else ph + 1, last, height):
+            stop = min(top + height, last)
+            inside = min(max(ph + 1, top), stop)        # rows [top, inside) are before the grid
+            past = min(max(h + ph + 1, inside), stop)   # rows [inside, past) are built
+            if inside > top:    # the carry of the first row inside the grid
+                table[inside - top] = 0.0
+            if past > inside:
+                keys = pk[inside - ph - 1:past - ph - 1, ..., blk]
+                mask = bufs["mask"][:keys.size // w * min(COLUMN_BLOCK, w) ** 2]
+                table_rows(table[inside - top:past - top + 1, :w], keys,
+                           streams[inside - ph - 1:past - ph - 1],
+                           mask.reshape(keys.shape[:1] + keys.shape[2:] + (-1,)))
+                built = table[1 + inside - top:1 + past - top]
+                for pad in range(w, w + pw):
+                    built[:, pad] = built[:, w - 1]
+            yield blk, top, stop, past, (ph, pw), bufs
+            if stop < last:
+                table[0] = table[past - top]
 
 
-class Band:
-    """The channel block ``blk`` of the table rows that the strip of grid
-    rows ``rows`` reads, padded for ``pads`` (``table``), with the token
-    adjoint's rows after a carry row in a backward (``adjoint``, else
-    None). ``total`` is the block's grid total on the last strip and None
-    before it. Only the first block counts fetches."""
-
-    def __init__(self, blk: slice, rows: slice, table, pads: tuple, adjoint, last: bool):
-        self.blk, self.rows, self.table, self.pads, self.adjoint = blk, rows, table, pads, adjoint
-        self.total = table[-1, -1] if last else None
-
-    def read(self, out, radius: int, coef, x) -> None:
-        """out (strip, W, ..., C + 1) += the strip's radius-r windows of the
-        table contracted with coef * x (strip, W, ..., block)."""
-        rows, d = window_rows(self.table, radius, self.pads, self.blk.start == 0)
-        _read(out, rows, d, _paired(coef, x, d))
-
-    def read_vjp(self, z, radius: int, coef, x, cot) -> None:
-        """The transpose of read(out, radius, coef, x) for the cotangent
-        ``cot`` of out: z (strip, W, ..., block) += the windows contracted
-        with cot, read as read reads on the band's transposed view, and the
-        adjoint takes the transposed windows of (coef * x) (x) cot."""
-        counted = self.blk.start == 0
-        rows, d = window_rows(self.table, radius, self.pads, counted)
-        pairs, signed = _paired(1.0, cot, d, name="gpairs", signed=True)
-        _read(z, [np.swapaxes(row, -1, -2) for row in rows], d, pairs)
-        _scatter(self.adjoint[1:], radius, self.pads, _paired(coef, x, d), signed, counted)
-
-    def finish(self):
-        """Finishes, by prefix_sum on the carry, the adjoint rows no later
-        strip writes: padded rows up to b after strip [a, b), and every row
-        after the last. Returns (their grid rows, their grid part): the
-        cotangent of the block's field at those tokens."""
-        (ph, pw), a = self.pads, self.rows.start
-        done = self.rows.stop - a + (0 if self.total is None else ph)
-        prefix_sum(self.adjoint[:1 + done, :-pw - 1], carry=True)   # up to the grid's last column
-        final = slice(max(a - ph, 0), max(a + done - ph, 0))
-        return final, self.adjoint[1 + final.start + ph - a:1 + done, pw:-pw - 1]
+@functools.lru_cache(maxsize=256)
+def _slots(radii: tuple, pads: tuple):
+    """The 4G corner slots of the windows of ``radii``, as (row offset o,
+    column offset co, sign, window g), ordered by o: the slot's table entry
+    for query (i, x) sits at padded (i + o, x + co)."""
+    (ph, pw), slots = pads, []
+    for g, radius in enumerate(radii):
+        rh, rw = min(radius, ph), min(radius, pw)
+        hi, lo, far, near = ph + 1 + rh, ph - rh, pw + rw + 1, pw - rw
+        slots += [(hi, far, 1.0, g), (hi, near, -1.0, g), (lo, far, -1.0, g), (lo, near, 1.0, g)]
+    return tuple(sorted(slots))
 
 
-def _paired(coef, x, d: int, name: str = "pairs", signed: bool = False):
-    """The (rows, W + d, ..., 2, K) paired operand of a window's row reads:
-    at each of the W + d band columns of window_rows, coef * x of the
-    queries whose far and near corners sit there, x - d in slot 0 and x in
-    slot 1, over the kept buffer ``name`` with d zero columns on each side
-    for queries off the grid. With ``signed``, returns it with a second
-    operand whose slot 1 reads a negated copy: (paired, signed)."""
-    h, w = x.shape[:2]
-    pairs = kept_array(name, (1 + signed, h, w + 2 * d) + x.shape[2:])
-    pairs[:, :, :d] = 0.0
-    np.multiply(coef, x, out=pairs[0, :, d:d + w])
-    np.negative(pairs[0, :, d:d + w], out=pairs[1:, :, d:d + w])    # the copy, if any
-    pairs[:, :, d + w:] = 0.0
-    strides = pairs.strides     # built directly: as_strided takes ~4 us a call
-    views = [np.ndarray((h, w + d) + x.shape[2:-1] + (2, x.shape[-1]), pairs.dtype, pairs,
-                        strides=strides[1:-1] + (copy * strides[0] + d * strides[2], strides[-1]))
-             for copy in range(len(pairs))]
-    return views if signed else views[0]
+@functools.lru_cache(maxsize=1024)
+def _corners(slots: tuple, rows: tuple, cols: tuple, shape: tuple):
+    """For each slot, the queries whose corner falls in padded rows
+    [rows) and columns [cols), as (slot, sign, g, query rows, query
+    columns, rows and columns relative to the region's start)."""
+    corners = []
+    for s, (o, co, sign, g) in enumerate(slots):
+        i0, i1 = max(rows[0] - o, 0), min(rows[1] - o, shape[0])
+        x0, x1 = max(cols[0] - co, 0), min(cols[1] - co, shape[1])
+        if i0 < i1 and x0 < x1:
+            corners.append((s, sign, g, slice(i0, i1), slice(x0, x1), slice(i0 + o - rows[0],
+                            i1 + o - rows[0]), slice(x0 + co - cols[0], x1 + co - cols[0])))
+    return tuple(corners)
 
 
-def _read(out, rows, d: int, pairs) -> None:
-    """out (strip, W, ..., K) += the windows on ``rows``, the (hi, lo) of
-    window_rows or their transposed views, contracted with ``pairs``: one
-    matmul per row into the kept buffer "paired", whose far corners add on
-    hi and subtract on lo, and near corners the reverse."""
-    paired = kept_array("paired", rows[0].shape[:-2] + (2, rows[0].shape[-1]))
-    for row, (far, near) in zip(rows, ((np.add, np.subtract), (np.subtract, np.add))):
-        np.matmul(pairs, row, out=paired)
-        far(out, paired[:, d:, ..., 0, :], out=out)
-        near(out, paired[:, :out.shape[1], ..., 1, :], out=out)
+@functools.lru_cache(maxsize=1024)
+def _runs(slots: tuple, top: int, stop: int, h: int, row_macs: int):
+    """Split padded rows [top, stop) into runs (a, b, lo, hi), one matmul
+    each over the slots[lo:hi] that read rows [a, b): row p is read by the
+    slots with p - h < o <= p, a range of the slots ordered by o. Runs
+    merge while that adds under RUN_MACS multiply-adds, ``row_macs`` a row
+    and slot."""
+    offsets, runs = [o for o, *_ in slots], []
+    cuts = sorted({top, stop} | {c for o in offsets for c in (o, o + h) if top < c < stop})
+    for a, b in zip(cuts, cuts[1:]) if top < stop else ():
+        lo, hi = bisect.bisect_right(offsets, a - h), bisect.bisect_right(offsets, a)
+        if runs:
+            start, end, lo0, hi0 = runs[-1]
+            added = (b - start) * (max(hi, hi0) - min(lo, lo0)) - (b - a) * (hi - lo)
+            if (added - (end - start) * (hi0 - lo0)) * row_macs <= RUN_MACS:
+                runs[-1] = (start, b, min(lo, lo0), max(hi, hi0))
+                continue
+        runs.append((a, b, lo, hi))
+    return tuple(runs)
 
 
-def _scatter(adjoint, radius: int, pads: tuple, keys, values, counted: bool = True) -> None:
-    """Adds the transposed radius-r windows of F = keys (x) values into
-    ``adjoint``, padded as the table is: the K = 2 matmul of the paired keys
-    and values (near slot negated) writes F(x - d) - F(x) into the kept
-    buffer "scatter", which window_rows' hi row adds and its lo row subtracts."""
-    (hi, lo), _ = window_rows(adjoint, radius, pads, counted)
-    scatter = np.matmul(np.swapaxes(keys, -1, -2), values, out=kept_array("scatter", hi.shape))
-    hi += scatter
-    lo -= scatter
+def _stack_keys(bufs: dict, corners: tuple, base: int, rows: slice, coefs, pq, blk) -> None:
+    """Fill the stacked keys with one product coefs (x) pq over the query
+    ``rows`` a chunk reads (row base + k in "scaled"[k]), then one signed copy per slot."""
+    scaled = bufs["scaled"][rows.start - base:rows.stop - base]
+    np.multiply(coefs[rows, ..., None], pq[rows, ..., None, blk], out=scaled)
+    for s, sign, g, qi, qx, oi, ox in corners:
+        np.multiply(scaled[qi.start - rows.start:qi.stop - rows.start, qx, ..., g, :], sign,
+                    out=bufs["stacked"][oi, ox, ..., s, :])
+
+
+def _contract(left, table, rows: tuple, top: int, past: int, slots: tuple, h: int, out,
+              transposed: bool = False) -> None:
+    """out[p - rows[0], ..., lo:hi, :] = left[p - top, ..., lo:hi, :] @ table
+    row p (its transposed view if ``transposed``) for p in [rows), a matmul
+    per run; rows from ``past`` on read the grid's last row, broadcast."""
+    for start, stop in ((rows[0], min(rows[1], past)), (max(rows[0], past), rows[1])):
+        for a, b, lo, hi in _runs(slots, start, stop, h, table[0].size):
+            right = table[past - top, None] if a >= past else table[1 + a - top:1 + b - top]
+            if lo < hi:
+                np.matmul(left[a - top:b - top, ..., lo:hi, :],
+                          np.swapaxes(right, -1, -2) if transposed else right,
+                          out=out[a - rows[0]:b - rows[0], ..., lo:hi, :])
+
+
+def read_windows(out, pk, streams, radii: list[int], coefs, pq):
+    """out (H, W, heads, C + 1) += sum over g of the radius radii[g] windows
+    of the table of phi_k (x) [v, 1] contracted with coefs[..., g] * pq.
+    Yields (blk, its grid total: a kept buffer's view) after each block."""
+    global _fetch_count
+    _fetch_count += len(radii) * out.shape[0] * out.shape[1]
+    h, w = out.shape[:2]
+    for blk, top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, False):
+        slots, base = _slots(tuple(radii), (ph, pw)), top - 2 * ph - 1
+        corners = _corners(slots, (top, stop), (pw + 1, w + 2 * pw + 1), (h, w))
+        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq, blk)
+        products = bufs["products"]
+        _contract(bufs["stacked"], bufs["table"], (top, stop), top, past, slots, h, products)
+        for s, _, _, qi, qx, oi, ox in corners:
+            np.add(out[qi, qx], products[oi, ox, ..., s, :], out=out[qi, qx])
+        if stop == h + 2 * ph + 1:
+            yield blk, bufs["table"][past - top, -1]
+
+
+def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
+    """The transpose of read_windows for the cotangent ``cot`` of its out
+    and ``total_cot`` (heads, Dp, C + 1) of each head's grid total. Yields
+    (blk, zrows, z, grows, gx, total) after each chunk, views of kept
+    buffers: z (rows, W, heads, G, block) holds W_g . cot for the finished
+    query rows ``zrows``, gx the cotangent of the block's field at the
+    finished grid rows ``grows``, total the block's total or None."""
+    global _fetch_count
+    _fetch_count += 2 * len(radii) * cot.shape[0] * cot.shape[1]
+    h, w = cot.shape[:2]
+    for blk, top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, True):
+        slots, n, base = _slots(tuple(radii), (ph, pw)), stop - top, top - 2 * ph - 1
+        stacked, cotangents, table = bufs["stacked"], bufs["cotangents"], bufs["table"]
+        products, adjoint, z = bufs["products"], bufs["adjoint"], bufs["z"]
+        corners = _corners(slots, (top, stop), (0, w + 2 * pw + 1), (h, w))
+        if top:     # carry over the adjoint's last row and the open z rows
+            adjoint[0], z[:2 * ph + 1] = adjoint[done], z[moved:moved + 2 * ph + 1]
+            stacked.fill(0.0)   # the adjoint's K reduction sums every slot of a run
+        else:
+            adjoint[0] = 0.0
+        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq, blk)
+        for s, _, _, qi, qx, oi, ox in corners:
+            cotangents[oi, ox, ..., s, :] = cot[qi, qx]
+        # the z read, from the first row inside the grid
+        first = min(max(top, ph + 1), stop)
+        _contract(cotangents[:, pw + 1:], table, (first, stop), top, past, slots, h, products,
+                  transposed=True)
+        z[2 * ph + 1:2 * ph + 1 + n] = 0.0
+        for s, sign, g, qi, qx, oi, ox in _corners(slots, (first, stop), (pw + 1, w + 2 * pw + 1),
+                                                   (h, w)):
+            zs = z[qi.start - base:qi.stop - base, qx, ..., g, :]
+            (np.add if sign > 0 else np.subtract)(zs, products[oi, ox, ..., s, :], out=zs)
+        # the token adjoint, up to the last row the grid reads
+        end = max(min(stop, h + ph), top)
+        for a, b, lo, hi in _runs(slots, top, end, h, table[0].size):
+            np.matmul(np.swapaxes(stacked[a - top:b - top, :w + pw, ..., lo:hi, :], -1, -2),
+                      cotangents[a - top:b - top, :w + pw, ..., lo:hi, :],
+                      out=adjoint[1 + a - top:1 + b - top])
+        if top == 0:
+            adjoint[1, 0] += total_cot[..., blk, :]
+        prefix_sum(adjoint[:1 + end - top], carry=True)
+        grows = slice(max(top - ph, 0), max(end - ph, 0))
+        zrows = slice(max(base, 0), max(stop - 2 * ph - 1, 0))
+        done, moved = end - top, n
+        yield (blk, zrows, z[zrows.start - base:zrows.stop - base], grows,
+               adjoint[1 + grows.start + ph - top:1 + end - top, pw:],
+               table[past - top, -1] if stop == h + 2 * ph + 1 else None)

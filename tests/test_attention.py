@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ripplegrid import sat
 from ripplegrid.attention import (
     DEFAULT_EPSILON,
     AttentionConfig,
@@ -296,16 +297,19 @@ def test_dyadic_dp_matches_naive():
        kind=st.sampled_from([WeightSchemeKind.FIXED_EXPONENTIAL, WeightSchemeKind.LEARNED_SBT,
                              WeightSchemeKind.UNIFORM]),
        partition_kind=st.sampled_from(list(PartitionKind)), r_max=st.integers(1, 14),
-       seed=st.integers(0, 2**32 - 1))
-def test_paired_row_reads_match_naive(shape, kind, partition_kind, r_max, seed):
-    """The forward reads both corners of a window's table row with one
-    matmul of paired, coefficient-scaled queries; it equals the member-by-
-    member oracle on single rows and columns and on radii past the grid's
-    side, where the band's pads are smaller than the radius."""
+       budget=st.sampled_from([1, 20000, sat.BLOCK_BYTES]), seed=st.integers(0, 2**32 - 1))
+def test_stream_reads_match_naive(shape, kind, partition_kind, r_max, budget, seed):
+    """The forward contracts each table row once with the stacked,
+    coefficient-scaled queries of every window corner that reads it; it
+    equals the member-by-member oracle on single rows and columns and on
+    radii past the grid's side, where the pads are smaller than the radius,
+    in one-row chunks of one channel, in short chunks and in one chunk."""
     rng = np.random.default_rng(seed)
     q, k, v = random_grids(rng, *shape)
     cfg = make_config(kind, partition_kind, rng, v.shape[2], r_max=r_max)
-    got = ripple_dp(q, k, v, cfg).out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sat, "BLOCK_BYTES", budget)
+        got = ripple_dp(q, k, v, cfg).out
     want = ripple_naive(q, k, v, cfg, build_tape=False).out
     assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 

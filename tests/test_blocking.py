@@ -1,13 +1,14 @@
-"""The banded sweep and its backward, fuzzed over the band's byte budget.
+"""The streamed sweep and its backward, fuzzed over the byte budget.
 
-ripple_dp must equal the enumeration oracle whatever the strips and channel
+ripple_dp must equal the enumeration oracle whatever the chunks and channel
 blocks are, and ripple_vjp must give the same gradients and the same fetch
-count under every budget: one strip over the whole grid, one-row strips,
-strips shorter than the widest window's radius, single-channel blocks, and
-equal blocks with a narrower last one. The backward plans its own strips
-and blocks, since its band also keeps the token adjoint's rows, and some
-budgets give it one-row strips and strips shorter than the radius.
+count under every budget: one chunk over every row a pass walks, one-row
+chunks, chunks shorter than the widest window's reach, single-channel
+blocks, and equal blocks with a narrower last one. The backward plans its
+own chunks and blocks, since it also keeps the token adjoint's rows, the
+stacked cotangents and the z rows of the queries its chunks reach.
 """
+import math
 import threading
 
 import numpy as np
@@ -16,13 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripplegrid import sat
-from ripplegrid.attention import AttentionConfig, ripple_dp, ripple_naive
+from ripplegrid.attention import (AttentionConfig, MultiHeadConfig, init_multi_head,
+                                  multi_head_forward, ripple_dp, ripple_naive)
 from ripplegrid.featmap import FeatureMapKind, init_feature_map
-from ripplegrid.grad import ripple_vjp
-from ripplegrid.sat import COLUMN_BLOCK, fetch_count, release_kept_buffers, reset_fetch_count
+from ripplegrid.grad import _attend_vjp, ripple_vjp
+from ripplegrid.reference import grad_pixels_reference
+from ripplegrid.sat import fetch_count, release_kept_buffers, reset_fetch_count
+from ripplegrid.toymodel import (ToyModelConfig, init_model, loss_and_grads,
+                                 make_local_majority_batch)
 from ripplegrid.vicinal import GridShape, PartitionKind, PartitionScheme, group_span
-from ripplegrid.weights import (LEARNED_KINDS, StickParams, WeightScheme, WeightSchemeKind,
-                                scheme_weights_grid)
+from ripplegrid.weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
+                                WeightSchemeKind, scheme_weights_grid)
+from stacked import naive_layer
 
 FEATURES = 5      # phi width Dp: odd, so blocks of two leave a last block of one
 VALUES = 3
@@ -35,91 +41,80 @@ def sweep_radii(cfg, v):
     return [group_span(cfg.partition.kind, g)[1] for g in range(1, hat)]
 
 
-def costs(h, w, radii, heads, width, backward):
-    """(shared bytes, bytes per strip row) of a block of ``width`` channels,
-    as band_plan counts them: the band's rows and the table build's mask
-    rows in both passes; the window pairs and their products in the
-    forward; the per-window vectors, the token adjoint's rows, the window
-    pairs, the paired cotangent, their products and the scatter row in the
-    backward."""
+def walked(h, radii, backward):
+    """Padded rows a pass walks: from the first row inside the grid in a
+    forward, all of them in a backward."""
+    ph = min(max(radii, default=0), h - 1)
+    return h + ph + backward * (ph + 1)
+
+
+def kept_for(h, w, radii, heads, width, rows, backward, features=FEATURES):
+    """Bytes a pass keeps for chunks of ``rows`` rows of a block of
+    ``width`` channels, as the plan charges them."""
     radius = max(radii, default=0)
-    ph, pw = min(radius, h - 1), min(radius, w - 1)
-    margin, span = 2 * ph + 1, 2 * pw + 1
-    lanes = heads * width
-    band_row = (w + span) * lanes * (VALUES + 1) * 8
-    mask_row = lanes * min(COLUMN_BLOCK, w) ** 2 * 8
-    if backward:
-        shared = (2 * margin + 1) * band_row
-        row = 3 * band_row + ((w * (len(radii) + 1) + w + 2 * span + 2 * (w + span)) * lanes
-                              + 2 * (w + 2 * span) * heads * (VALUES + 1)) * 8
-    else:
-        shared = margin * band_row
-        row = band_row + ((w + 2 * span) * lanes + (w + span) * heads * 2 * (VALUES + 1)) * 8
-    return shared + ph * mask_row, row + mask_row
+    pads = (min(radius, h - 1), min(radius, w - 1))
+    shapes = sat._chunk_shapes((h, w, heads, features, VALUES + 1), width, len(radii), pads,
+                               rows, backward)
+    return 8 * sum(math.prod(s) for s in shapes.values())
 
 
 def fitted(budget, h, w, radii, heads, backward):
     """The plan a budget must give a pass: the fewest equal channel blocks
-    (the last one may be narrower) whose shared rows and min(max(ph, 1), h)
-    strip rows fit, then strips as tall as the rest allows, but at least
-    one row and at most the grid."""
-    ph = min(max(radii, default=0), h - 1)
-    floor = min(max(ph, 1), h)
+    (the last one may be narrower) whose carry rows and one chunk row fit,
+    then chunks as tall as the rest allows, but at least one row and at
+    most the rows the pass walks."""
     for count in range(1, FEATURES + 1):
         width = -(-FEATURES // count)
-        shared, row = costs(h, w, radii, heads, width, backward)
-        if shared + floor * row <= budget:
+        if kept_for(h, w, radii, heads, width, 1, backward) <= budget:
             break
-    return -(-FEATURES // width), min(max((budget - shared) // row, 1), h)
+    shared = kept_for(h, w, radii, heads, width, 0, backward)
+    row = kept_for(h, w, radii, heads, width, 1, backward) - shared
+    return -(-FEATURES // width), min(max((budget - shared) // row, 1), walked(h, radii, backward))
 
 
 def budgets(h, w, radii, heads=1):
-    """BLOCK_BYTES values, each with the (channel blocks, strip height) it
-    must give the forward and the backward: one strip over the whole grid,
-    blocks of one channel, blocks of two with a last one of one, and, sized
-    for each pass, one-row strips and strips shorter than the radius (one
-    row when it is 0 or 1). A pass splits its channels until its blocks
-    fit strips as tall as the radius, so its one-row and short strips come
-    with blocks of one channel. The backward's band keeps the token
-    adjoint's band, with a carry row, beside the table's, so on its
-    one-row and short strips an adjoint row near the top of the grid is
-    finished only on a later strip."""
+    """BLOCK_BYTES values, each with the (channel blocks, chunk rows) it
+    must give the forward and the backward: one chunk over every row,
+    blocks of one channel in one-row chunks, blocks of two with a last one
+    of one, one-row and two-row chunks at full width sized for each pass,
+    and chunks shorter than the 2 ph + 1 rows over which a query's reads
+    spread, so that its z rows and its adjoint rows span chunks."""
     ph = min(max(radii, default=0), h - 1)
-    short = min(max(ph - 1, 1), h)
-    one, back_one = (costs(h, w, radii, heads, 1, backward) for backward in (False, True))
-    ragged = costs(h, w, radii, heads, 2, False)
+    short = min(max(2 * ph, 1), walked(h, radii, True))
+
+    def full(rows, backward):
+        return kept_for(h, w, radii, heads, FEATURES, rows, backward)
     sizes = {"whole": 1 << 40, "single": 1,
-             "ragged": ragged[0] + min(max(ph, 1), h) * ragged[1],
-             "one-row": one[0] + one[1], "short": one[0] + short * one[1],
-             "back-one-row": back_one[0] + back_one[1],
-             "back-short": back_one[0] + short * back_one[1]}
-    forward = {"whole": (1, h), "single": (FEATURES, 1), "one-row": (FEATURES, 1),
-               "short": (FEATURES, short)}
-    backward = {"whole": (1, h), "single": (FEATURES, 1), "back-one-row": (FEATURES, 1),
-                "back-short": (FEATURES, short)}
-    plans = {name: ((budget,) + (forward.get(name) or fitted(budget, h, w, radii, heads, False))
-                    + (backward.get(name) or fitted(budget, h, w, radii, heads, True),))
-             for name, budget in sizes.items()}
-    assert plans["ragged"][1] == 3      # blocks of 2, 2 and 1 channels
-    return plans
+             "ragged": kept_for(h, w, radii, heads, 2, 1, False),
+             "one-row": full(1, False), "two-row": full(2, False),
+             "back-one-row": full(1, True), "back-short": full(short, True)}
+    forward = {"whole": (1, walked(h, radii, False)), "single": (FEATURES, 1),
+               "ragged": (3, 1), "one-row": (1, 1)}
+    backward = {"whole": (1, walked(h, radii, True)), "single": (FEATURES, 1),
+                "back-one-row": (1, 1), "back-short": (1, short)}
+    return {name: ((budget,) + (forward.get(name) or fitted(budget, h, w, radii, heads, False))
+                   + (backward.get(name) or fitted(budget, h, w, radii, heads, True),))
+            for name, budget in sizes.items()}
 
 
 def rel_error(got, want):
     return float(np.abs(got - want).max() / max(float(np.abs(want).max()), 1e-300))
 
 
-def run(q, k, v, cfg, upstream, budget, blocks, height, backward):
+def run(q, k, v, cfg, upstream, budget, blocks, height, backward, between=lambda: None):
     """Forward, backward and the fetches they counted, under one budget
-    whose forward plan is (blocks, height) and backward plan ``backward``."""
+    whose forward plan is (blocks, height) and backward plan ``backward``,
+    calling ``between`` after the forward."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sat, "BLOCK_BYTES", budget)
         for planned, want in ((False, (blocks, height)), (True, backward)):
-            plan = sat.band_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
-                                       sweep_radii(cfg, v), planned)
+            plan = sat.stream_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
+                                   sweep_radii(cfg, v), planned)
             assert (len(plan[0]), plan[1]) == want, planned
         reset_fetch_count()
         res = ripple_dp(q, k, v, cfg)
         forward = fetch_count()
+        between()
         grads = ripple_vjp(res.tape, upstream)
         total = fetch_count()
         reset_fetch_count()
@@ -136,6 +131,19 @@ def flat_grads(grads):
     return named
 
 
+def random_config(rng, kind, partition_kind, r_max, epsilon=1e-6):
+    stick = None
+    if kind in LEARNED_KINDS:
+        stick = StickParams(unit_embeddings=rng.standard_normal((r_max, 3)),
+                            value_projection=rng.standard_normal((3, VALUES)))
+    return AttentionConfig(
+        scheme=WeightScheme(kind=kind, params=stick),
+        partition=PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05),
+        featmap=init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng,
+                                 out_dim=FEATURES),
+        epsilon=epsilon)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(h=st.integers(1, 12), w=st.integers(1, 12),
        kind=st.sampled_from(list(WeightSchemeKind)),
@@ -143,21 +151,12 @@ def flat_grads(grads):
        r_max=st.integers(1, 14),
        epsilon=st.sampled_from([0.0, 1e-6, 1e-3]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_banded_core_matches_oracle_under_every_budget(
+def test_streamed_core_matches_oracle_under_every_budget(
         h, w, kind, partition_kind, r_max, epsilon, seed):
     rng = np.random.default_rng(seed)
     q, k = (rng.standard_normal((h, w, 4)) for _ in range(2))
     v = rng.standard_normal((h, w, VALUES))
-    stick = None
-    if kind in LEARNED_KINDS:
-        stick = StickParams(unit_embeddings=rng.standard_normal((r_max, 3)),
-                            value_projection=rng.standard_normal((3, VALUES)))
-    cfg = AttentionConfig(
-        scheme=WeightScheme(kind=kind, params=stick),
-        partition=PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05),
-        featmap=init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng,
-                                 out_dim=FEATURES),
-        epsilon=epsilon)
+    cfg = random_config(rng, kind, partition_kind, r_max, epsilon)
     upstream = rng.standard_normal((h, w, VALUES))
     try:
         want = ripple_naive(q, k, v, cfg, build_tape=False).out
@@ -179,7 +178,7 @@ def test_banded_core_matches_oracle_under_every_budget(
     scale = max(float(np.abs(g).max(initial=0.0)) for g in reference.values())
     for name, (out, grads, fetches) in results.items():
         assert rel_error(out, want) <= 1e-8, name
-        # a fetch is one position per radius per pass, not per block or strip
+        # a fetch is one position per radius per pass, not per block or chunk
         assert fetches == one_fetches, (name, fetches, one_fetches)
         for key, got in flat_grads(grads).items():
             assert got.shape == reference[key].shape
@@ -187,21 +186,60 @@ def test_banded_core_matches_oracle_under_every_budget(
             assert err <= 1e-12 * scale, (name, key, err, scale)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                       st.tuples(st.integers(1, 12), st.just(1)),
+                       st.tuples(st.integers(2, 7), st.integers(2, 7))),
+       heads=st.integers(1, 3), partition_kind=st.sampled_from(list(PartitionKind)),
+       r_max=st.integers(1, 14), budget=st.sampled_from([1, 6000, 40000, 1 << 40]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stream_matches_oracles_in_small_chunks(shape, heads, partition_kind, r_max, budget,
+                                                seed):
+    """A layer of 1-3 stacked heads on single rows, single columns and
+    small grids, with radii past the grid's side, under budgets that force
+    one-row chunks in blocks of one channel, short chunks and one chunk:
+    its output is the per-head enumeration oracle's, and the token
+    gradient of v is the brute-force scatter over group members'."""
+    rng = np.random.default_rng(seed)
+    kind = WeightSchemeKind.FIXED_EXPONENTIAL      # v's gradient is the scatter's alone
+    params = init_multi_head(rng, model_dim=4, num_heads=heads, head_dim=3, r_max=r_max,
+                             scheme_kind=kind)
+    config = MultiHeadConfig(partition=PartitionScheme(partition_kind, r_max, 0.05),
+                             scheme_kind=kind, epsilon=1e-3)
+    x = rng.standard_normal(shape + (4,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sat, "BLOCK_BYTES", budget)
+        out, tape = multi_head_forward(x, params, config)
+        attn = tape.attn
+        gboth = rng.standard_normal(attn.num.shape[:3] + (attn.num.shape[3] + 1,))
+        grad_v = _attend_vjp(attn, gboth).grad_v
+    assert rel_error(out, naive_layer(x, params, config)) <= 1e-8
+    wg = attn.weights
+    for hd in range(heads):
+        head = WeightGrid(wg.alphas[:, :, hd], wg.hat[:, :, hd], wg.merged[:, :, hd],
+                          wg.groups[:, :, hd])
+        field = attn.phi_q[:, :, hd, :, None] * gboth[:, :, hd, None, :-1]
+        want = np.einsum("hwd,hwdc->hwc", attn.phi_k[:, :, hd],
+                         grad_pixels_reference(head, field, config.partition))
+        assert np.abs(grad_v[:, :, hd] - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
 @pytest.mark.parametrize("field, radii, backward, plan", [
-    ((48, 48, 1, 32, 33), [1, 2, 3], False, (1, 32, 13)),    # ring-fwd-48
-    ((32, 32, 1, 32, 33), [1, 3, 7], False, (1, 32, 9)),     # dyadic-fwdbwd-32
-    ((32, 32, 1, 32, 33), [1, 3, 7], True, (3, 11, 13)),
-    ((8, 8, 2, 8, 9), [1, 2], False, (1, 8, 8)),             # toy-train-8
-    ((8, 8, 2, 8, 9), [1, 2], True, (1, 8, 8)),
-    ((128, 128, 1, 32, 33), [1, 3, 7], False, (3, 11, 8)),   # past the workloads
-    ((128, 128, 1, 32, 33), [1, 3, 7], True, (8, 4, 10)),
+    ((48, 48, 1, 32, 33), [1, 2, 3], False, (1, 32, 12)),    # ring-fwd-48
+    ((32, 32, 1, 32, 33), [1, 3, 7], False, (1, 32, 15)),    # dyadic-fwdbwd-32
+    ((32, 32, 1, 32, 33), [1, 3, 7], True, (1, 32, 7)),
+    ((8, 8, 2, 8, 9), [1, 2], False, (1, 8, 10)),            # toy-train-8: one chunk
+    ((8, 8, 2, 8, 9), [1, 2], True, (1, 8, 13)),
+    ((128, 128, 1, 32, 33), [1, 3, 7], False, (1, 32, 3)),   # past the workloads
+    ((128, 128, 1, 32, 33), [1, 3, 7], True, (1, 32, 1)),
 ])
 def test_workload_plans(field, radii, backward, plan):
     """The benchmark workloads' plans at the default BLOCK_BYTES, as
-    (channel blocks, channels in the first, strip height); the 128x128
-    dyadic plans show the strip floor of ph rows at work."""
-    blocks, height, _ = sat.band_plan(field, radii, backward)
-    assert (len(blocks), blocks[0].stop - blocks[0].start, height) == plan
+    (channel blocks, channels in the first, chunk rows): the toy's passes
+    each run as one chunk of every row they walk, and channels split only
+    when one chunk row does not fit."""
+    blocks, rows, _ = sat.stream_plan(field, radii, backward)
+    assert (len(blocks), blocks[0].stop - blocks[0].start, rows) == plan
 
 
 def small_case(side, seed):
@@ -216,19 +254,45 @@ def small_case(side, seed):
     return q, k, v, cfg, rng.standard_normal((side, side, VALUES))
 
 
+def fill_kept_buffers(value):
+    for buf in vars(sat._kept).values():
+        buf.fill(value)
+
+
+def toy_step():
+    """The loss and gradients of one toy step, batch 2, at the default config."""
+    config = ToyModelConfig()
+    imgs, labels = make_local_majority_batch(np.random.default_rng(3), 2,
+                                             GridShape(config.height, config.width))
+    loss, grads, _ = loss_and_grads(imgs, labels, init_model(config, seed=0), config)
+    return loss, grads
+
+
 def test_kept_buffers_carry_nothing_between_passes():
-    """Passes over other grids and budgets in between leave a pass's
-    output and gradients bit for bit as they were on cold buffers."""
+    """Passes over other grids and budgets in between, and kept buffers
+    filled with nan and then with inf before every pass, leave a pass's
+    output and gradients, and a toy step's loss and gradients, bit for bit
+    as they were on cold buffers."""
     q, k, v, cfg, upstream = small_case(9, 1)
+    plan = budgets(9, 9, sweep_radii(cfg, v))["back-short"]
     release_kept_buffers()
-    cold = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radii(cfg, v))["short"])
-    for side in (12, 4):
-        other = small_case(side, side)
-        run(*other, *budgets(side, side, sweep_radii(other[3], other[2]))["whole"])
-    warm = run(q, k, v, cfg, upstream, *budgets(9, 9, sweep_radii(cfg, v))["short"])
-    np.testing.assert_array_equal(warm[0], cold[0])
-    for key, got in flat_grads(warm[1]).items():
-        np.testing.assert_array_equal(got, flat_grads(cold[1])[key])
+    cold = run(q, k, v, cfg, upstream, *plan)
+    release_kept_buffers()
+    cold_loss, cold_grads = toy_step()
+    for value in (np.nan, np.inf):
+        for side in (12, 4):
+            other = small_case(side, side)
+            run(*other, *budgets(side, side, sweep_radii(other[3], other[2]))["whole"])
+        fill_kept_buffers(value)
+        warm = run(q, k, v, cfg, upstream, *plan, between=lambda: fill_kept_buffers(value))
+        np.testing.assert_array_equal(warm[0], cold[0])
+        for key, got in flat_grads(warm[1]).items():
+            np.testing.assert_array_equal(got, flat_grads(cold[1])[key])
+        fill_kept_buffers(value)
+        loss, grads = toy_step()
+        assert loss == cold_loss, value
+        for name, got in grads.items():
+            np.testing.assert_array_equal(got, cold_grads[name], err_msg=name)
 
 
 def test_threads_keep_their_own_block_buffers():
@@ -252,28 +316,19 @@ def kept_bytes():
 @given(h=st.integers(1, 12), w=st.integers(1, 12),
        kind=st.sampled_from(list(WeightSchemeKind)),
        partition_kind=st.sampled_from(list(PartitionKind)), r_max=st.integers(1, 14),
-       budget=st.sampled_from(["whole", "one-row", "short", "single", "ragged",
+       budget=st.sampled_from(["whole", "one-row", "two-row", "single", "ragged",
                                "back-one-row", "back-short"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_kept_buffers_fit_the_budget(h, w, kind, partition_kind, r_max, budget, seed):
-    """What a pass keeps, from released buffers, is what band_plan charges
-    it: within BLOCK_BYTES whenever blocks of one channel fit their shared
-    rows and floor strip rows, for a forward and for a backward alike."""
+    """What a pass keeps, from released buffers, is what stream_plan
+    charges it: within BLOCK_BYTES whenever a block of one channel fits its
+    carry rows and one chunk row, for a forward and for a backward alike."""
     rng = np.random.default_rng(seed)
     q, k = (rng.standard_normal((h, w, 4)) for _ in range(2))
     v = rng.standard_normal((h, w, VALUES))
-    stick = None
-    if kind in LEARNED_KINDS:
-        stick = StickParams(unit_embeddings=rng.standard_normal((r_max, 3)),
-                            value_projection=rng.standard_normal((3, VALUES)))
-    cfg = AttentionConfig(
-        scheme=WeightScheme(kind=kind, params=stick),
-        partition=PartitionScheme(kind=partition_kind, r_max=r_max, tau=0.05),
-        featmap=init_feature_map(FeatureMapKind.DETERMINISTIC_ADAPTIVE, 4, rng,
-                                 out_dim=FEATURES))
+    cfg = random_config(rng, kind, partition_kind, r_max)
     radii = sweep_radii(cfg, v)
     nbytes = budgets(h, w, radii)[budget][0]
-    ph = min(max(radii, default=0), h - 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sat, "BLOCK_BYTES", nbytes)
         release_kept_buffers()
@@ -283,60 +338,58 @@ def test_kept_buffers_fit_the_budget(h, w, kind, partition_kind, r_max, budget, 
         ripple_vjp(res.tape, rng.standard_normal((h, w, VALUES)))
         kept[True] = kept_bytes()
     for backward, used in kept.items():
-        shared, row = costs(h, w, radii, 1, 1, backward)
-        if shared + min(max(ph, 1), h) * row <= nbytes:     # the plan is above its floor
+        if kept_for(h, w, radii, 1, 1, 1, backward) <= nbytes:     # the plan is above its floor
             assert used <= nbytes, (backward, used, nbytes)
+
+
+def padded_table(pk, streams, pads):
+    """The whole table of pk (x) streams, padded as the stream reads it:
+    zeros before the grid, its last row and column repeated past it."""
+    ph, pw = pads
+    table = np.einsum("...d,...c->...dc", pk, streams).cumsum(0).cumsum(1)
+    rest = ((0, 0),) * (table.ndim - 2)
+    edged = np.pad(table, ((0, ph), (0, pw)) + rest, mode="edge")
+    return np.pad(edged, ((ph + 1, 0), (pw + 1, 0)) + rest)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(h=st.integers(1, 11), w=st.integers(1, 11), radius=st.integers(0, 13),
-       budget=st.sampled_from(["whole", "one-row", "short", "single", "ragged",
+       budget=st.sampled_from(["whole", "one-row", "two-row", "single", "ragged",
                                "back-one-row", "back-short"]),
        backward=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_every_band_holds_its_rows_of_the_padded_table(h, w, radius, budget, backward, seed):
-    """Each strip's band equals its rows of the whole table padded as
-    sat.window_rows reads it: rows moved up from the strip before, rows
-    built on a carry and rows past the grid alike. The strips and blocks
-    are the ones the budget names for the pass. Only the backward gets an
-    adjoint band, one row taller than the band, in the same buffer: at
-    each block's start it is zero but for the grid total's cotangent at
-    padded (0, 0), and later holds the carry and shared rows of the strip
-    before and zeros, whatever the caller wrote into it."""
+def test_every_chunk_holds_its_rows_of_the_padded_table(h, w, radius, budget, backward, seed):
+    """Each chunk holds its rows of the whole padded table, from the first
+    column inside the grid: the carry row above the chunk (above the first
+    row inside the grid, in a backward's first chunks), rows built on it
+    and, from ``past`` on, the grid's last row, which is read in place of
+    the rows past the grid. Whatever a caller writes into the stacked
+    operands and products between chunks, the next chunk's table is the
+    same. The chunks and blocks are the ones the budget names for the pass,
+    and the chunks tile the rows the pass walks in order."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, 2, FEATURES))
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
-    total_cot = rng.standard_normal((2, FEATURES, VALUES + 1)) if backward else None
-    table = np.einsum("...d,...c->...dc", pk, streams).cumsum(0).cumsum(1)
+    radii = list(range(1, radius + 1))
+    nbytes, *plans = budgets(h, w, radii, heads=2)[budget]
+    blocks, height = plans[2] if backward else plans[:2]
+    covered = {}
     with pytest.MonkeyPatch.context() as mp:
-        radii = list(range(1, radius + 1))
-        nbytes, *plans = budgets(h, w, radii, heads=2)[budget]
-        blocks, height = plans[2] if backward else plans[:2]
         mp.setattr(sat, "BLOCK_BYTES", nbytes)
-        covered = {}
-        for band in sat.table_bands(pk, streams, radii, total_cot):
-            blk, rows, adjoint, (ph, pw) = band.blk, band.rows, band.adjoint, band.pads
-            rest = ((0, 0),) * 3
-            edged = np.pad(table[..., blk, :], ((0, ph), (0, pw)) + rest, mode="edge")
-            full = np.pad(edged, ((ph + 1, 0), (pw + 1, 0)) + rest)
-            np.testing.assert_allclose(band.table, full[rows.start:rows.stop + 2 * ph + 1],
+        for blk, top, stop, past, (ph, pw), bufs in sat._chunks(pk, streams, radii, backward):
+            full = padded_table(pk[..., blk], streams, (ph, pw))[:, pw + 1:]
+            table, lo = bufs["table"], min(max(top - 1, ph), past - 1)
+            assert past == min(max(h + ph + 1, top), stop)
+            np.testing.assert_allclose(table[1 + lo - top:1 + past - top], full[lo:past],
                                        rtol=1e-12, atol=1e-12)
-            if not backward:
-                assert adjoint is None
-            else:
-                assert adjoint.shape == (len(band.table) + 1,) + band.table.shape[1:]
-                moved = 2 * ph + 2 if rows.start else 0
-                if moved:
-                    np.testing.assert_array_equal(adjoint[:moved],
-                                                  written[height:height + moved])
-                else:
-                    np.testing.assert_array_equal(adjoint[1, 0], total_cot[..., blk, :])
-                    adjoint[1, 0] = 0.0
-                assert not adjoint[moved:].any()
-                adjoint[:] = rng.standard_normal(adjoint.shape)
-                written = adjoint.copy()
-            covered.setdefault(blk.start, []).append((rows.start, rows.stop))
+            np.testing.assert_allclose(np.broadcast_to(table[past - top], full[past:stop].shape),
+                                       full[past:stop], rtol=1e-12, atol=1e-12)
+            for name in ("stacked", "products", "scaled"):
+                bufs[name][...] = rng.standard_normal(bufs[name].shape)
+            covered.setdefault(blk.start, []).append((top, stop))
     assert len(covered) == blocks
-    for strips in covered.values():     # the strips tile the grid's rows in order
-        assert [a for a, _ in strips] == [0] + [b for _, b in strips[:-1]]
-        assert strips[-1][1] == h
-        assert all(b - a == height for a, b in strips[:-1]) and strips[-1][1] - strips[-1][0] <= height
+    first = 0 if backward else min(max(radii, default=0), h - 1) + 1
+    for chunks in covered.values():
+        assert [a for a, _ in chunks] == [first] + [b for _, b in chunks[:-1]]
+        assert chunks[-1][1] == first + walked(h, radii, backward)
+        assert all(b - a == height for a, b in chunks[:-1])
+        assert chunks[-1][1] - chunks[-1][0] <= height

@@ -543,21 +543,24 @@ def peak_units(fn, side, width):
 
 
 def test_forward_backward_peak_memory():
-    """Forward plus backward peaks at 1.97 (H, W, Dp, C + 1) f64 arrays at
-    32x32 (2.05 while the feature VJP held sin z and cos z apart from
-    their concatenation): the tape's inputs, features and quotient, the
-    strip-sized z and corner terms, the table build's mask, and one kept
-    buffer. The
-    backward plans three blocks of 11 channels in strips of 14 rows, and
-    each block's buffer holds the band (29 rows of the dyadic radius-7
-    padded table), the token adjoint's band (30 rows with its carry) and a
-    strip's field (14 rows). The forward's band is freed before that
-    buffer is allocated. With two blocks of 16 channels in strips of 7
-    rows, before the mask was counted in the plan, the peak read 1.84;
-    with the forward's band held beside that buffer, 2.67. The bound of
-    2.3 is unchanged. The two-pass backward, whose token adjoint borrowed the
-    forward's band for a whole-grid accumulator and field (47x47 cells, 11
-    of the 32 channels), measured 1.83, three grid-sized block arrays (field, scatter scratch
+    """Forward plus backward peaks at 1.68 (H, W, Dp, C + 1) f64 arrays at
+    32x32: the tape's inputs, features and quotient, and one kept buffer,
+    which the backward takes over from the forward and grows. The backward
+    streams the table in 7-row chunks at full channel width, and each
+    chunk keeps its table rows, the token adjoint's rows, the stacked keys
+    and cotangents, the z read's products and the z rows of the queries it
+    reaches. Before the table was streamed by rows, the peak read 1.97
+    with three blocks of 11 channels in strips of 14 rows, each block's
+    buffer holding a band of 29 padded table rows, the token adjoint's
+    band (30 rows with its carry) and a strip's field, and the forward's
+    band freed before that buffer was allocated (2.05 while the feature
+    VJP held sin z and cos z apart from their concatenation). With two
+    blocks of 16 channels in strips of 7 rows, before the mask was counted
+    in the plan, the peak read 1.84; with the forward's band held beside
+    that buffer, 2.67. The bound of 2.3 is unchanged. The two-pass
+    backward, whose token adjoint borrowed the forward's band for a
+    whole-grid accumulator and field (47x47 cells, 11 of the 32 channels),
+    measured 1.83, three grid-sized block arrays (field, scatter scratch
     and accumulator) 1.83, a band sized without the strip's vectors 1.88,
     a forward band kept beside the four block arrays the channel-blocked
     backward used 3.14, the channel-blocked core with those four arrays
@@ -577,12 +580,14 @@ def test_forward_backward_peak_memory():
 
 def test_forward_peak_below_one_field():
     """A forward never holds the whole field phi_k (x) [v, 1]: at 48x48 it
-    peaks at 0.75 of one (H, W, Dp, C + 1) array: the band of 20 padded
-    table rows at full channel width (0.48; strips of 13 rows at radius 3),
-    the table build's mask and the window reads' pairs and products, plus
-    the tape. With four corner matmuls per window and a column pass over
-    a written-out field, it peaked at 0.72. A band sized without the
-    strip's vectors (strips of 15 rows) peaked at 0.77, the channel-blocked
+    peaks at 0.75 of one (H, W, Dp, C + 1) array: one kept buffer (0.56)
+    for 12-row chunks of the padded table at full channel width (radius
+    3) with their stacked keys and products, the scaled phi_q and the
+    table build's mask, plus the tape. With a band of 20 padded table rows
+    over 13-row strips and paired K = 2 window reads it peaked at 0.73.
+    With four corner matmuls per window and a column pass over a
+    written-out field, it peaked at 0.72. A band sized without the strip's
+    vectors (strips of 15 rows) peaked at 0.77, the channel-blocked
     forward at 0.87 with one block's table, window and window scratch, and
     the unblocked forward at 4.16."""
     rng = np.random.default_rng(18)

@@ -13,7 +13,7 @@ from ripplegrid.attention import (
     ripple_dp,
 )
 from ripplegrid.grad import linearized_vjp, multi_head_vjp, ripple_vjp
-from ripplegrid.sat import band_plan
+from ripplegrid.sat import stream_plan
 from ripplegrid.vicinal import PartitionKind, PartitionScheme, group_span
 from ripplegrid.weights import WeightScheme, WeightSchemeKind
 from stacked import MODES, head_arrays, head_params
@@ -86,8 +86,8 @@ def test_stacked_layer_matches_per_head_loop(mode, partition_kind, num_heads, sh
 
 
 def test_table_fills_do_not_grow_with_heads(monkeypatch):
-    # table_bands fills every band with table_rows, once per strip, and the
-    # backward finishes its token adjoint with prefix_sum, once per strip
+    # each pass builds its table rows with table_rows, once per chunk, and
+    # the backward finishes its token adjoint with prefix_sum, once per chunk
     fills = []
 
     def counting(build):
@@ -113,9 +113,9 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
             _, tape = multi_head_forward(x, params, config)
             hat = int(tape.attn.weights.hat.max())
             radii = [group_span(partition_kind, g)[1] for g in range(1, hat)]
-            for backward in (False, True):      # one block, one strip
-                blocks, height, _ = band_plan((6, 6, num_heads, 4, 5), radii, backward)
-                assert (len(blocks), height) == (1, 6), backward
+            for backward in (False, True):      # one block, one chunk of every row walked
+                blocks, height, (ph, _) = stream_plan((6, 6, num_heads, 4, 5), radii, backward)
+                assert (len(blocks), height) == (1, 6 + ph + backward * (ph + 1)), backward
             multi_head_vjp(tape, rng.standard_normal((6, 6, 6)))
             assert all(f[2] == num_heads for f in fills)    # every sum holds all heads
             counts.append(len(fills))

@@ -11,7 +11,9 @@ Each tree then times ``ripple_dp`` and ``ripple_dp`` + ``ripple_vjp`` over
 16x16 .. 128x128 grids in fresh single-threaded processes, and this
 checkout's ``ripplegrid.reference.fit_loglog`` fits log-log slopes of time
 against token count over 16x16 .. 96x96, as earlier records did. The file holds every run, per-metric medians and
-quartiles, pair wins, and the slopes; nothing here is a gate.
+quartiles, pair wins, and the slopes; nothing here is a gate. Each run
+keeps its unit counts and the stderr lines of units that failed
+verification, and a run that was not correct is warned about as it ends.
 """
 from __future__ import annotations
 
@@ -36,10 +38,19 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def perfbench(tree: Path, workload: str, seed: int) -> dict:
+    """One run's printed result (``correct``, ``attempted``, ``failed`` and
+    the metrics), with the stderr lines that name failed units under
+    ``failures``. Warns on stderr when the run was not correct."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["failures"] = [line for line in proc.stderr.splitlines()
+                          if "failed verification" in line]
+    if not result["correct"]:
+        print(f"warning: {workload} seed {seed} in {tree}: {result['failed']} of "
+              f"{result['attempted']} units failed", *result["failures"],
+              sep="\n  ", file=sys.stderr, flush=True)
     detail = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     result["env"] = json.loads(detail.read_text())["env"]
     return result
