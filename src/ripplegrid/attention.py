@@ -23,7 +23,10 @@ reads every window from the prefix table of that field, streamed top
 down in chunks of padded rows (see the sat module): each table row is
 contracted once with the c_g phi_q of every window corner that reads it,
 straight into the (H, W, C + 1) accumulator, and the last chunk's far
-corner is the grid total. The tape holds inputs, features, weights and
+corner is the grid total. The sweep reads only the head weights and the
+merged tail of the weight grid, never a per-group vector; ripple_naive's
+member-by-member sweep builds that from WeightGrid.padded. The tape holds
+inputs, features, the weight grid (head and tail, linear in the grid) and
 the quotient, and the backward pass streams the same table again and
 runs the transpose of the same reads (see the grad module).
 
@@ -161,8 +164,9 @@ def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.nd
     """_sweep's streams with every group summed member by member."""
     x = pk[..., None] * _value_streams(v)[..., None, :]
     y = np.zeros(x.shape)
+    alphas = wg.padded()
     for i, j, r, rows, cols in query_groups(partition, wg.groups.max(axis=-1)):
-        y[i, j] += wg.alphas[i, j, :, r][:, None, None] * x[rows, cols].sum(axis=0)
+        y[i, j] += alphas[i, j, :, r][:, None, None] * x[rows, cols].sum(axis=0)
     return np.einsum("...d,...dc->...c", pq, y)
 
 
@@ -179,8 +183,8 @@ def _attend(q, k, v, phi_q, phi_k, featmap: FeatureMapParams, epsilon: float,
     else:
         if weights is None:
             weights = scheme_weights_grid(scheme, v, GridShape(*q.shape[:2]), partition)
-        elif weights.alphas.shape[:3] != q.shape[:3]:
-            raise ValueError(f"weights over a {weights.alphas.shape[:2]} grid do not match "
+        elif weights.hat.shape != q.shape[:3]:
+            raise ValueError(f"weights over a {weights.hat.shape[:2]} grid do not match "
                              f"the {q.shape[:2]} token grid")
         both = sweep(phi_q, phi_k, v, weights, partition)
     num, den = both[..., :-1], both[..., -1] + epsilon

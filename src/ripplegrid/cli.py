@@ -9,7 +9,11 @@ and a MANIFEST of sha256 file hashes. Arrays are saved as .npz files that
 load with ``np.load(path, allow_pickle=False)``: a failing ``check`` writes
 worst.npz (q, k, v, exact, got of the worst instance) and ``train`` writes
 checkpoint.npz (one array per parameter name; after a divergence, the
-parameters from before the failing step). Exit codes: 0 success, 1 check,
+parameters from before the failing step). A diverged ``train`` also writes
+failure.json with the seed, the failing step, the task, batch size and grid
+side, and the error: the step's batch is the (step + 1)-th that the task
+draws from PCG64(seed + 1), so loss_and_grads on it and the checkpoint
+replays a failure in the forward. Exit codes: 0 success, 1 check,
 criterion or training failure, 2 usage error.
 
 --threads is command-line only: the ripplegrid_cli entry point pins the BLAS
@@ -352,15 +356,20 @@ def cmd_check(ctx: RunContext) -> int:
     return 0
 
 
+def _train_config(opts: argparse.Namespace) -> ToyModelConfig:
+    """The model that ``train`` options describe."""
+    return ToyModelConfig(height=opts.grid, width=opts.grid,
+                          model_dim=opts.model_dim, num_heads=opts.heads,
+                          head_dim=opts.head_dim, num_layers=opts.layers,
+                          ripple_layers=opts.ripple_layers,
+                          r_max=opts.r_max, tau=opts.tau,
+                          partition_kind=PartitionKind(opts.partition),
+                          scheme_kind=WeightSchemeKind(opts.scheme))
+
+
 def cmd_train(ctx: RunContext) -> int:
     opts = ctx.opts
-    config = ToyModelConfig(height=opts.grid, width=opts.grid,
-                            model_dim=opts.model_dim, num_heads=opts.heads,
-                            head_dim=opts.head_dim, num_layers=opts.layers,
-                            ripple_layers=opts.ripple_layers,
-                            r_max=opts.r_max, tau=opts.tau,
-                            partition_kind=PartitionKind(opts.partition),
-                            scheme_kind=WeightSchemeKind(opts.scheme))
+    config = _train_config(opts)
     params = init_model(config, seed=opts.seed)
     rows: list[dict] = []
     failure = None
@@ -389,6 +398,10 @@ def cmd_train(ctx: RunContext) -> int:
     ckpt = run_dir / "checkpoint.npz"
     np.savez(ckpt, **params)        # on failure, the parameters from before the failing step
     if failure is not None:
+        # train_demo logs every step it finishes, so the failing one is the next
+        replay = {"seed": opts.seed, "step": len(rows), "task": opts.task,
+                  "batch": opts.batch, "grid": opts.grid, "error": failure}
+        (run_dir / "failure.json").write_text(json.dumps(replay, indent=2) + "\n")
         print(f"FAIL: {failure} ({len(rows)} steps logged)", file=sys.stderr)
         return 1
     if rows:

@@ -86,9 +86,10 @@ def ripple_softmax_reference(qgrid, kgrid, vgrid, weights: WeightGrid,
     k = np.asarray(kgrid, dtype=np.float64)
     v = np.asarray(vgrid, dtype=np.float64)
     out = np.zeros((q.shape[0], q.shape[1], v.shape[2]))
+    alphas = weights.padded()
     for i, j, r, rows, cols in query_groups(partition, weights.groups):
         local = softmax_attention(q[i, j][None, :], k[rows, cols], v[rows, cols])[0]
-        out[i, j] += weights.alphas[i, j, r] * local
+        out[i, j] += alphas[i, j, r] * local
     return out
 
 
@@ -102,8 +103,9 @@ def grad_pixels_reference(weights: WeightGrid, upstream_field: np.ndarray,
         raise ValueError(f"upstream field shape {g.shape} does not match the weight grid's "
                          f"(H, W) {weights.groups.shape}")
     out = np.zeros_like(g)
+    alphas = weights.padded()
     for i, j, r, rows, cols in query_groups(partition, weights.groups):
-        out[rows, cols] += weights.alphas[i, j, r] * g[i, j]
+        out[rows, cols] += alphas[i, j, r] * g[i, j]
     return out
 
 

@@ -231,7 +231,8 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
     # the fixed-exponential profile reads only the grid shape and the
     # partition, so one reference serves every sample and head
     ref = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
-                              imgs[0], GridShape(*imgs.shape[1:3]), config.partition)
+                              imgs[0], GridShape(*imgs.shape[1:3]),
+                              config.partition).head_axis()
     layers = [_layer_params(params, l) for l in range(config.num_layers)]
     for b in range(batch):
         logits, tape = model_forward(imgs[b], params, config, layers)
@@ -239,8 +240,7 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
         total += loss
         correct += int(np.argmax(logits) == labels[b])
         for l in range(config.ripple_layers):
-            wg = tape.mh_tapes[l].attn.weights
-            per_query = jsd_grid(wg.alphas, ref.alphas[:, :, None], wg.groups)
+            per_query = jsd_grid(tape.mh_tapes[l].attn.weights, ref)
             # one contiguous row per head, each averaged as a head's own grid
             jsd_vals.extend(np.moveaxis(per_query, -1, 0).reshape(config.num_heads, -1)
                             .mean(axis=1))

@@ -15,9 +15,15 @@ truncated, and uniform schemes cover the ablation grid around the learned one.
 scheme_weights_grid weighs every query of a grid at once, and a layer's
 heads at once too: a (H, W, heads, C) value grid with stick parameters
 stacked on a leading head axis gives a weight grid whose arrays carry the
-head axis after (H, W). scheme_weights_vjp, the grid's backward, runs the
-same pipeline and then its adjoint, with halting indices held locally
-constant.
+head axis after (H, W). A WeightGrid stores each query's head, its
+weights before the halting index hat, over max(hat) <= r_max slots, and
+the tail's one merged weight, so its size is linear in the grid however
+far the groups reach; the sweep, the tape and the backward read nothing
+else. WeightGrid.padded builds the per-group vectors on demand for the
+code that needs every group: the enumeration oracle's sweep and the
+quadratic references. jsd_grid reads the head and the constant tail.
+scheme_weights_vjp, the grid's backward, runs the same pipeline and then
+its adjoint, with halting indices held locally constant.
 """
 from __future__ import annotations
 
@@ -87,21 +93,37 @@ class WeightScheme:
 
 @dataclass(frozen=True)
 class WeightGrid:
-    """A scheme's weights for every query of a grid, padded to a common length.
+    """A scheme's weights for every query of a grid, stored as a head and
+    a merged tail.
 
-    alphas[i, j, r] is zero for r >= groups[i, j]; hat[i, j] is the first index of
-    the shared tail, merged[i, j] its per-group value.
+    head[..., r] is the query's weight alpha_r for r < hat and zero from hat on,
+    over max(hat) slots, at most r_max; every group from hat to groups - 1
+    weighs merged, and there are no groups past that. Nothing here grows
+    with the grid's largest group count: the sweep, the tape and the
+    backward read only these arrays, and padded() builds the per-group
+    vectors for the oracles and diagnostics that need every group.
     """
 
-    alphas: np.ndarray      # (H, W, L) float64
+    head: np.ndarray        # (H, W, max hat) float64
     hat: np.ndarray         # (H, W) int64
     merged: np.ndarray      # (H, W) float64
     groups: np.ndarray      # (H, W) int64
 
+    def padded(self, length: int | None = None) -> np.ndarray:
+        """The first ``length`` per-group weights of every query (all of
+        them by default, up to the largest group count), zero past each
+        query's own groups: head before hat, merged from it on."""
+        span = np.arange(int(self.groups.max()) if length is None else length)
+        alphas = np.where(span < self.groups[..., None], self.merged[..., None], 0.0)
+        live = min(self.head.shape[-1], span.size)
+        alphas[..., :live] = np.where(span[:live] < self.hat[..., None],
+                                      self.head[..., :live], alphas[..., :live])
+        return alphas
+
     def window_coefs(self) -> np.ndarray:
         """Coefficients of the nested windows in the grouped sum taken by parts.
 
-        With a_g = alphas[..., g] before the halting index and merged from it
+        With a_g = head[..., g] before the halting index and merged from it
         on, entry g is a_g - a_{g+1}, so the weighted sum over groups equals
         merged * total + sum_g coefs[..., g] * window_g. Shape
         (H, W, hat.max()); entries at and past each query's hat are zero.
@@ -109,7 +131,7 @@ class WeightGrid:
         length = int(self.hat.max())
         tail = self.merged[..., None]
         a = np.where(np.arange(length) < self.hat[..., None],
-                     self.alphas[..., :length], tail)
+                     self.head[..., :length], tail)
         return a - np.concatenate((a[..., 1:], tail), axis=-1)
 
     def window_coefs_vjp(self, gcoefs: np.ndarray, gtotal: np.ndarray):
@@ -125,7 +147,7 @@ class WeightGrid:
 
     def head_axis(self) -> WeightGrid:
         """The same weights as a stack of one head."""
-        return WeightGrid(self.alphas[:, :, None], self.hat[:, :, None],
+        return WeightGrid(self.head[:, :, None], self.hat[:, :, None],
                           self.merged[:, :, None], self.groups[:, :, None])
 
 
@@ -170,49 +192,42 @@ def scheme_weights_grid(scheme: WeightScheme, value_grid: np.ndarray,
     """A scheme's weights for all queries at once; agrees with the scalar
     oracle, reference.scheme_weights, to float roundoff (the batched matmuls
     may round differently). A (H, W, heads, C) value grid weighs every head
-    of a layer at once."""
+    of a layer at once. Every array it builds has at most r_max + 1 slots
+    per query, however many groups the grid has."""
     h, w = shape.height, shape.width
     if value_grid.shape[:2] != (h, w):
         raise ValueError("value grid does not match the grid shape")
     groups = num_groups_grid(partition.kind, shape)
-    gmax = int(groups.max())
     groups = np.broadcast_to(groups.reshape((h, w) + (1,) * (value_grid.ndim - 3)),
                              value_grid.shape[:-1])
     r_max, tau = partition.r_max, partition.tau
     kind = scheme.kind
-    span = np.arange(gmax)
 
     if kind is WeightSchemeKind.UNIFORM:     # every group is in the tail
-        return _assemble_merged(np.zeros(groups.shape + (1,)), np.zeros_like(groups),
-                                groups, gmax)
+        return _head_and_tail(np.zeros(0), np.zeros_like(groups), groups)
 
     if kind is WeightSchemeKind.FIXED_EXPONENTIAL:
-        hat = np.minimum(r_max, groups - 1)
-        beta_row = 0.5 ** (span + 1.0)
-        head = np.broadcast_to(beta_row, groups.shape + (gmax,))
-        return _assemble_merged(head, hat, groups, gmax)
+        return _head_and_tail(0.5 ** (np.arange(r_max) + 1.0),
+                              np.minimum(r_max, groups - 1), groups)
 
     _, pieces, *_ = _stick_pieces(value_grid, scheme, r_max)
     if kind is WeightSchemeKind.SOFTMAX_WEIGHTS:
-        hat = np.minimum(r_max, groups - 1)
-        return _assemble_merged(_pad_last(pieces, gmax), hat, groups, gmax)
+        return _head_and_tail(pieces, np.minimum(r_max, groups - 1), groups)
 
     if kind is WeightSchemeKind.TRUNCATED:
         cut = np.minimum(r_max, groups)
         _, head, total = _truncated_head(pieces, cut)
         if np.any(total <= 0.0):
             raise ValueError("truncated scheme has no head mass to renormalize")
-        alphas = _pad_last(head / total[..., None], gmax)
-        return WeightGrid(alphas=alphas, hat=cut.astype(np.int64),
-                          merged=np.zeros(groups.shape), groups=groups)
+        return WeightGrid(head=head[..., :int(cut.max())] / total[..., None],
+                          hat=cut.astype(np.int64), merged=np.zeros(groups.shape),
+                          groups=groups.astype(np.int64))
 
     remaining = 1.0 - np.cumsum(pieces, axis=-1)
     below = remaining < tau
     # argmax of an all-False row is 0; such a row means "never halted", not index 0
     hat_tau = np.where(below.any(axis=-1), np.argmax(below, axis=-1), pieces.shape[-1] - 1)
-    hat = np.minimum(np.minimum(hat_tau, r_max), groups - 1)
-    head = _pad_last(pieces, gmax)
-    return _assemble_merged(head, hat, groups, gmax)
+    return _head_and_tail(pieces, np.minimum(np.minimum(hat_tau, r_max), groups - 1), groups)
 
 
 def scheme_weights_vjp(scheme: WeightScheme, value_grid: np.ndarray,
@@ -264,42 +279,39 @@ def scheme_weights_vjp(scheme: WeightScheme, value_grid: np.ndarray,
         unit_embeddings=g_units, value_projection=outer_sum(gproj, value_grid, heads))
 
 
-def _pad_last(arr: np.ndarray, length: int) -> np.ndarray:
-    if arr.shape[-1] >= length:
-        return arr[..., :length]
-    pad = np.zeros(arr.shape[:-1] + (length - arr.shape[-1],))
-    return np.concatenate((arr, pad), axis=-1)
-
-
-def _assemble_merged(head: np.ndarray, hat: np.ndarray, groups: np.ndarray,
-                     gmax: int) -> WeightGrid:
-    """Expand (head, hat) into full per-query vectors with a uniform shared
-    tail. Head work runs over the first max(hat) slots only; the tail fill
-    is the one pass over all gmax."""
-    span = np.arange(gmax)
-    live = int(hat.max(initial=1))
-    head = head[..., :live]
-    in_head = span[:live] < hat[..., None]
-    cumsum = np.cumsum(np.where(in_head, head, 0.0), axis=-1)
-    head_sum = np.where(hat > 0, np.take_along_axis(
-        cumsum, np.maximum(hat - 1, 0)[..., None], axis=-1)[..., 0], 0.0)
-    merged = (1.0 - head_sum) / (groups - hat)
-    alphas = np.where(span < groups[..., None], merged[..., None], 0.0)
-    alphas[..., :live] = np.where(in_head, head, alphas[..., :live])
-    return WeightGrid(alphas=alphas, hat=hat.astype(np.int64), merged=merged,
-                      groups=groups.astype(np.int64))
+def _head_and_tail(pieces: np.ndarray, hat: np.ndarray, groups: np.ndarray) -> WeightGrid:
+    """The weight grid whose head is each query's first hat pieces (the
+    pieces broadcast against hat, with at least max(hat) slots) and whose
+    tail shares what they leave evenly over the groups from hat on."""
+    live = int(hat.max())
+    head = np.where(np.arange(live) < hat[..., None], pieces[..., :live], 0.0)
+    # a leading zero slot, so entry hat is the sum of the first hat pieces
+    cumsum = np.cumsum(np.concatenate((np.zeros(head.shape[:-1] + (1,)), head), axis=-1),
+                       axis=-1)
+    head_sum = np.take_along_axis(cumsum, hat[..., None], axis=-1)[..., 0]
+    return WeightGrid(head=head, hat=hat.astype(np.int64),
+                      merged=(1.0 - head_sum) / (groups - hat), groups=groups.astype(np.int64))
 
 
 # ---------- divergence diagnostic ----------
 
-def jsd_grid(a: np.ndarray, b: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Base-2 Jensen-Shannon divergence (reference.jsd) for every query of
-    two padded weight grids, shape (H, W).
+def jsd_grid(a: WeightGrid, b: WeightGrid) -> np.ndarray:
+    """Base-2 Jensen-Shannon divergence (reference.jsd) between two weight
+    grids over the same groups, for every query; b broadcasts against a.
 
-    Padding entries beyond each query's group count are zero in both grids, so
-    they contribute nothing."""
+    Past both grids' head slots each query's weights are its two merged
+    constants, so those groups are summed as one term times their count;
+    groups past a query's count weigh zero in both and add nothing."""
+    length = max(a.head.shape[-1], b.head.shape[-1])
+    tail = np.maximum(a.groups - length, 0)
+    return np.maximum(0.0, _jsd_terms(a.padded(length), b.padded(length))
+                      + tail * _jsd_terms(a.merged[..., None], b.merged[..., None]))
+
+
+def _jsd_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Jensen-Shannon sum over the last axis of two weight arrays."""
     m = 0.5 * (a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
         ta = np.where(a > 0.0, a * np.log2(np.where(a > 0.0, a / np.where(m > 0, m, 1.0), 1.0)), 0.0)
         tb = np.where(b > 0.0, b * np.log2(np.where(b > 0.0, b / np.where(m > 0, m, 1.0), 1.0)), 0.0)
-    return np.maximum(0.0, 0.5 * ta.sum(axis=-1) + 0.5 * tb.sum(axis=-1))
+    return 0.5 * ta.sum(axis=-1) + 0.5 * tb.sum(axis=-1)

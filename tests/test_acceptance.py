@@ -160,9 +160,7 @@ def test_criterion_2_degeneracies(capsys):
         cfg = make_config(WeightSchemeKind.UNIFORM, pk, rng, 4, d=5,
                           epsilon=0.0, featmap_kind=FeatureMapKind.RANDOM_TRIG)
         groups = num_groups_grid(pk, shape)
-        alphas = np.zeros((4, 5, int(groups.max())))
-        alphas[..., 0] = 1.0
-        wg = WeightGrid(alphas=alphas, hat=np.ones((4, 5), dtype=groups.dtype),
+        wg = WeightGrid(head=np.ones((4, 5, 1)), hat=np.ones((4, 5), dtype=groups.dtype),
                         merged=np.zeros((4, 5)), groups=groups)
         for name, out in (
                 ("naive", ripple_naive(q, k, v, cfg, weights=wg).out),
@@ -188,7 +186,7 @@ def test_criterion_2_degeneracies(capsys):
             err = float(np.abs(out - v1).max())
             if err >= 1e-12:
                 failures.append(f"1x1 {name}/{kind.value} err {err:.2e}")
-    wg1 = WeightGrid(alphas=np.ones((1, 1, 1)),
+    wg1 = WeightGrid(head=np.ones((1, 1, 1)),
                      hat=np.ones((1, 1), dtype=np.int64),
                      merged=np.zeros((1, 1)),
                      groups=np.ones((1, 1), dtype=np.int64))
@@ -292,6 +290,7 @@ def test_criterion_3_gradients(capsys):
     wg = scheme_weights_grid(
         WeightScheme(kind=WeightSchemeKind.LEARNED_SBT, params=stick), v,
         shape, partition)
+    alphas = wg.padded()
     probe = rng.standard_normal((4, 4))
 
     def gather_loss(field):
@@ -299,7 +298,7 @@ def test_criterion_3_gradients(capsys):
         for i in range(1, 5):
             for j in range(1, 5):
                 for r in range(int(wg.groups[i - 1, j - 1])):
-                    a = wg.alphas[i - 1, j - 1, r]
+                    a = alphas[i - 1, j - 1, r]
                     for (m, n) in group_members(partition, shape, (i, j), r):
                         total += probe[i - 1, j - 1] * a * field[m - 1, n - 1]
         return total
@@ -328,14 +327,14 @@ def test_criterion_3_gradients(capsys):
     length = int(groups.max())
     alphas = rng.uniform(0.2, 1.0, size=(4, 4, length))
     alphas[np.arange(length) >= groups[..., None]] = 0.0
-    wg = WeightGrid(alphas=alphas, hat=groups.copy(),
+    wg = WeightGrid(head=alphas, hat=groups.copy(),
                     merged=np.zeros((4, 4)), groups=groups)
     probe = rng.standard_normal((4, 4, 5))
     # hat equals the group count, so every alpha is a head weight
     got = ripple_vjp(ripple_dp(q, k, v, cfg, weights=wg).tape, probe).grad_alpha_head
 
     def alpha_loss(a):
-        w2 = WeightGrid(alphas=a, hat=wg.hat, merged=wg.merged,
+        w2 = WeightGrid(head=a, hat=wg.hat, merged=wg.merged,
                         groups=wg.groups)
         return float((ripple_dp(q, k, v, cfg, weights=w2).out * probe).sum())
 

@@ -57,9 +57,7 @@ def random_grids(rng, h, w, d=5, c=4):
 def point_mass_weights(shape, partition):
     """All weight on group 0 (the query itself), zero tail."""
     groups = num_groups_grid(partition.kind, shape)
-    alphas = np.zeros((shape.height, shape.width, int(groups.max())))
-    alphas[..., 0] = 1.0
-    return WeightGrid(alphas=alphas,
+    return WeightGrid(head=np.ones((shape.height, shape.width, 1)),
                       hat=np.ones((shape.height, shape.width), dtype=np.int64),
                       merged=np.zeros((shape.height, shape.width)),
                       groups=groups)
@@ -430,7 +428,7 @@ def test_tape_reproduces_output():
     # the tape carries a head axis of length 1 after (H, W)
     np.testing.assert_array_equal(t.num[:, :, 0] / t.den[:, :, 0, None], res.out)
     assert t.phi_q.shape == (4, 4, 1, cfg.featmap.out_dim)
-    assert t.weights.alphas.shape[:3] == (4, 4, 1)
+    assert t.weights.hat.shape == (4, 4, 1)
     assert np.all(t.den > 0)
     # the tape keeps inputs and the quotient; the backward rebuilds each
     # block's table, so neither the table nor the swept field is stored
@@ -467,7 +465,7 @@ def test_softmax_reference_weight_scaling():
     partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05)
     wg = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
                              v, GridShape(3, 5), partition)
-    doubled = WeightGrid(alphas=2.0 * wg.alphas, hat=wg.hat,
+    doubled = WeightGrid(head=2.0 * wg.head, hat=wg.hat,
                          merged=2.0 * wg.merged, groups=wg.groups)
     np.testing.assert_allclose(
         ripple_softmax_reference(q, k, v, doubled, partition),

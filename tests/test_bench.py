@@ -108,3 +108,41 @@ def test_memory_probe_dp():
 
 def test_gate_tolerance_is_strict():
     assert GATE_TOLERANCE <= 1e-8
+
+
+# ---------- tools/bench_record.py ----------
+
+def test_bench_record_keeps_each_trees_machine(tmp_path, monkeypatch):
+    # every run reports its tree's env; the record keeps one per side
+    import importlib.util
+    import json
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    base = tmp_path / "base"
+    base.mkdir()
+
+    def run(tree, workload, seed):
+        return {"correct": True, "metrics": {"tokens_per_s": {"value": float(seed)}},
+                "env": {"git_sha": "base" if tree == base else "head"}}
+
+    def scaling(tree):
+        return {mode: {str(s): float(s) for s in tool.SIDES}
+                for mode in ("forward", "forward_vjp")}
+
+    monkeypatch.setattr(tool, "perfbench", run)
+    monkeypatch.setattr(tool, "scaling", scaling)
+    monkeypatch.setattr(tool, "PAIRS", 2)
+    monkeypatch.setattr(tool, "WORKLOADS", ("ring-fwd-48",))
+    out = tmp_path / "record.json"
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--base", str(base),
+                                      "--out", str(out)])
+    assert tool.main() == 0
+    record = json.loads(out.read_text())
+    assert record["machine"] == {"base": {"git_sha": "base"}, "head": {"git_sha": "head"}}
+    pairs = record["workloads"]["ring-fwd-48"]["pairs"]
+    assert all("env" not in pair[side] for pair in pairs for side in ("base", "head"))

@@ -216,7 +216,7 @@ def test_stream_matches_oracles_in_small_chunks(shape, heads, partition_kind, r_
     assert rel_error(out, naive_layer(x, params, config)) <= 1e-8
     wg = attn.weights
     for hd in range(heads):
-        head = WeightGrid(wg.alphas[:, :, hd], wg.hat[:, :, hd], wg.merged[:, :, hd],
+        head = WeightGrid(wg.head[:, :, hd], wg.hat[:, :, hd], wg.merged[:, :, hd],
                           wg.groups[:, :, hd])
         field = attn.phi_q[:, :, hd, :, None] * gboth[:, :, hd, None, :-1]
         want = np.einsum("hwd,hwdc->hwc", attn.phi_k[:, :, hd],

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import ripplegrid_cli
-from ripplegrid.cli import main
+from ripplegrid.cli import _parse_args, _train_config, main
+from ripplegrid.toymodel import TASKS, loss_and_grads
+from ripplegrid.vicinal import GridShape
 
 
 def run_dirs(out_root):
@@ -124,6 +126,33 @@ def test_train_divergence_keeps_the_logged_rows(tmp_path, capsys):
     with np.load(run / "checkpoint.npz", allow_pickle=False) as ckpt:
         assert ckpt.files and all(np.isfinite(ckpt[name]).all() for name in ckpt.files)
     assert "checkpoint.npz" in (run / "MANIFEST").read_text()
+
+
+def test_train_divergence_replays_from_failure_json(tmp_path, capsys):
+    """failure.json names the seed and the failing step, and with the run's
+    effective_config.ini and checkpoint it rebuilds that step's batch and
+    raises the same overflow from loss_and_grads."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        code = main(TRAIN_ARGS[:2] + ["40", "--lr", "1e100", "--clip", "0"] + TRAIN_ARGS[3:]
+                    + ["--seed", "3", "--out", str(tmp_path)])
+    assert code == 1
+    (run,) = run_dirs(tmp_path)
+    assert "failure.json" in (run / "MANIFEST").read_text()
+    failure = json.loads((run / "failure.json").read_text())
+    assert (failure["seed"], failure["step"]) == (3, 1)
+    assert f"diverged at step {failure['step']}" in capsys.readouterr().err
+
+    config = _train_config(_parse_args(["train", "--config", str(run / "effective_config.ini")]))
+    rng = np.random.Generator(np.random.PCG64(failure["seed"] + 1))
+    shape = GridShape(failure["grid"], failure["grid"])
+    for _ in range(failure["step"] + 1):
+        imgs, labels = TASKS[failure["task"]](rng, failure["batch"], shape)
+    with np.load(run / "checkpoint.npz", allow_pickle=False) as ckpt:
+        params = {name: ckpt[name] for name in ckpt.files}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as exc:
+            loss_and_grads(imgs, labels, params, config)
+    assert str(exc.value) in failure["error"]
 
 
 def test_train_zero_steps_evaluates_once(tmp_path):

@@ -19,7 +19,7 @@ from ripplegrid.toymodel import (
     train_demo,
 )
 from ripplegrid.vicinal import GridShape
-from ripplegrid.weights import (WeightScheme, WeightSchemeKind, jsd_grid,
+from ripplegrid.weights import (WeightGrid, WeightScheme, WeightSchemeKind, jsd_grid,
                                 scheme_weights_grid)
 
 
@@ -100,8 +100,10 @@ def test_fixed_reference_built_once_per_call(monkeypatch):
         attn = tape.mh_tapes[0].attn
         for h in range(config.num_heads):
             ref = scheme_weights_grid(fixed, attn.v[:, :, h], GridShape(4, 4), config.partition)
-            alphas, groups = attn.weights.alphas[:, :, h], attn.weights.groups[:, :, h]
-            jsds.append(jsd_grid(alphas, ref.alphas, groups).mean())
+            wg = attn.weights
+            head = WeightGrid(wg.head[:, :, h], wg.hat[:, :, h], wg.merged[:, :, h],
+                              wg.groups[:, :, h])
+            jsds.append(jsd_grid(head, ref).mean())
     assert len(jsds) == 3 * config.num_heads
     assert aux["mean_jsd"] > 0.0
     assert aux["mean_jsd"] == float(np.mean(jsds))      # bitwise

@@ -208,18 +208,56 @@ def test_grid_matches_scalar():
             partition = PartitionScheme(kind=pkind, r_max=3, tau=0.05)
             scheme = make_scheme(kind, rng, r_max=3, c=4)
             wg = scheme_weights_grid(scheme, v, shape, partition)
+            alphas = wg.padded()
             for i in range(1, 7):
                 for j in range(1, 6):
                     groups = num_groups(partition, shape, (i, j))
                     ref = scheme_weights(scheme, (i, j), v[i - 1, j - 1],
                                          groups, 3, 0.05)
-                    np.testing.assert_allclose(wg.alphas[i - 1, j - 1, :groups],
+                    np.testing.assert_allclose(alphas[i - 1, j - 1, :groups],
                                                ref.alphas, rtol=1e-10, atol=1e-12)
                     assert wg.hat[i - 1, j - 1] == ref.hat_r
                     assert wg.merged[i - 1, j - 1] == pytest.approx(
                         ref.merged_weight, abs=1e-12)
                     # padding beyond the query's groups stays zero
-                    assert np.all(wg.alphas[i - 1, j - 1, groups:] == 0.0)
+                    assert np.all(alphas[i - 1, j - 1, groups:] == 0.0)
+
+
+@pytest.mark.parametrize("height, width", [(1, 40), (7, 9), (33, 33)])
+@pytest.mark.parametrize("pkind", list(PartitionKind))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_grid_stores_head_and_tail(kind, pkind, height, width):
+    # far more groups than r_max: a weight grid keeps at most max(hat, 1)
+    # slots per query, its padded view is still the scalar oracle's, and
+    # jsd_grid's head plus tail is the scalar divergence of padded views
+    rng = np.random.default_rng(height * 100 + width)
+    shape = GridShape(height, width)
+    v = rng.standard_normal((height, width, 4))
+    partition = PartitionScheme(kind=pkind, r_max=3, tau=0.05)
+    scheme = make_scheme(kind, rng, r_max=3, c=4)
+    wg = scheme_weights_grid(scheme, v, shape, partition)
+    slots = max(int(wg.hat.max()), 1)
+    assert wg.head.shape[-1] <= slots
+    for name, a in vars(wg).items():
+        assert a.shape[:2] == (height, width) and a.size <= height * width * slots, name
+    alphas = wg.padded()
+    assert alphas.shape == (height, width, int(wg.groups.max()))
+    assert alphas.shape[-1] > slots
+    fixed = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
+                                v, shape, partition)
+    div, fixed_alphas = jsd_grid(wg, fixed), fixed.padded()
+    for i in range(1, height + 1):
+        for j in range(1, width + 1):
+            groups = num_groups(partition, shape, (i, j))
+            ref = scheme_weights(scheme, (i, j), v[i - 1, j - 1], groups, 3, 0.05)
+            np.testing.assert_allclose(alphas[i - 1, j - 1, :groups], ref.alphas,
+                                       rtol=1e-10, atol=1e-12)
+            assert np.all(alphas[i - 1, j - 1, groups:] == 0.0)
+            assert wg.hat[i - 1, j - 1] == ref.hat_r
+            assert wg.merged[i - 1, j - 1] == pytest.approx(ref.merged_weight, abs=1e-12)
+            assert div[i - 1, j - 1] == pytest.approx(
+                jsd(alphas[i - 1, j - 1, :groups], fixed_alphas[i - 1, j - 1, :groups]),
+                abs=1e-12)
 
 
 def test_grid_fewer_groups_than_breaks():
@@ -231,14 +269,14 @@ def test_grid_fewer_groups_than_breaks():
     partition = PartitionScheme(kind=PartitionKind.DYADIC, r_max=3, tau=0.05)
     for kind in ALL_KINDS:
         scheme = make_scheme(kind, rng, r_max=3, c=4)
-        wg = scheme_weights_grid(scheme, v, shape, partition)
-        assert wg.alphas.shape[-1] == 3
+        alphas = scheme_weights_grid(scheme, v, shape, partition).padded()
+        assert alphas.shape[-1] == 3
         for i in range(1, 5):
             for j in range(1, 5):
                 groups = num_groups(partition, shape, (i, j))
                 ref = scheme_weights(scheme, (i, j), v[i - 1, j - 1],
                                      groups, 3, 0.05)
-                np.testing.assert_allclose(wg.alphas[i - 1, j - 1, :groups],
+                np.testing.assert_allclose(alphas[i - 1, j - 1, :groups],
                                            ref.alphas, rtol=1e-10, atol=1e-12)
 
 
@@ -278,11 +316,12 @@ def test_jsd_grid_matches_scalar():
                             v, shape, partition)
     b = scheme_weights_grid(WeightScheme(kind=WeightSchemeKind.FIXED_EXPONENTIAL),
                             v, shape, partition)
-    grid = jsd_grid(a.alphas, b.alphas, a.groups)
+    grid = jsd_grid(a, b)
     assert grid.shape == (4, 4)
+    pa, pb = a.padded(), b.padded()
     for i in range(4):
         for j in range(4):
             g = int(a.groups[i, j])
-            want = jsd(a.alphas[i, j, :g], b.alphas[i, j, :g])
+            want = jsd(pa[i, j, :g], pb[i, j, :g])
             assert grid[i, j] == pytest.approx(want, abs=1e-12)
             assert 0.0 <= grid[i, j] <= 1.0

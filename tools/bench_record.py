@@ -11,7 +11,9 @@ Each tree then times ``ripple_dp`` and ``ripple_dp`` + ``ripple_vjp`` over
 16x16 .. 128x128 grids in fresh single-threaded processes, and this
 checkout's ``ripplegrid.reference.fit_loglog`` fits log-log slopes of time
 against token count over 16x16 .. 96x96, as earlier records did. The file holds every run, per-metric medians and
-quartiles, pair wins, and the slopes; nothing here is a gate. Each run
+quartiles, pair wins, the slopes, and under ``machine`` the environment
+of each tree's first run (its git sha is ``unknown`` for a tree without
+``.git``; ``shas`` names both trees); nothing here is a gate. Each run
 keeps its unit counts and the stderr lines of units that failed
 verification, and a run that was not correct is warned about as it ends.
 """
@@ -132,7 +134,7 @@ def main() -> int:
     trees = {"base": args.base.resolve(), "head": ROOT}
     record = {"command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
               "shas": {"base": args.base_sha, "head": args.head_sha},
-              "machine": None, "workloads": {}, "scaling": {}}
+              "machine": {}, "workloads": {}, "scaling": {}}
     for workload in WORKLOADS:
         pairs = []
         for seed in range(1, PAIRS + 1):
@@ -140,8 +142,7 @@ def main() -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 result = perfbench(trees[side], workload, seed)
-                record["machine"] = record["machine"] or result.pop("env")
-                result.pop("env", None)
+                record["machine"].setdefault(side, result.pop("env"))
                 pair[side] = result
                 print(f"{workload} seed {seed} {side}: "
                       f"{result['metrics']['tokens_per_s']['value']:.1f} tokens/s",
