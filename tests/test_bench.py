@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,11 +119,6 @@ def test_gate_tolerance_is_strict():
 
 def test_bench_record_keeps_each_trees_machine(tmp_path, monkeypatch):
     # every run reports its tree's env; the record keeps one per side
-    import importlib.util
-    import json
-    import sys
-    from pathlib import Path
-
     path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
     spec = importlib.util.spec_from_file_location("bench_record", path)
     tool = importlib.util.module_from_spec(spec)
