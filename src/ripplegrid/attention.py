@@ -146,10 +146,9 @@ def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     streams = _value_streams(v)
     both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
     part = kept_array("part", both.shape)
-    for blk, total in read_windows(both, pk, streams, radii, coefs[..., 1:], pq):
-        matmul(pq[..., blk], total, out=part)
-        part *= wg.merged[..., None]
-        both += part
+    matmul(pq, read_windows(both, pk, streams, radii, coefs[..., 1:], pq), out=part)
+    part *= wg.merged[..., None]
+    both += part
     return both
 
 
@@ -244,13 +243,29 @@ def linearized_grid(qgrid, kgrid, vgrid, featmap: FeatureMapParams,
 class MultiHeadParams:
     """A layer's parameters with its heads stacked: ``w_qkv`` is every Wq,
     then every Wk, then every Wv, (3 * heads * head_dim, model_dim), and
-    ``featmap`` and ``stick`` carry a leading head axis."""
+    ``featmap`` and ``stick`` carry a leading head axis. Construction checks
+    every shape against the heads and head_dim of ``featmap.w1``."""
 
     w_qkv: np.ndarray
     featmap: FeatureMapParams
     w_out: np.ndarray              # (model_dim, heads * head_dim)
     b_out: np.ndarray              # (model_dim,)
     stick: StickParams | None = None
+
+    def __post_init__(self):
+        w1, model_dim = self.featmap.w1, np.shape(self.w_qkv)[-1:]
+        heads, head_dim = w1.shape[0], w1.shape[-1]
+        want = [("featmap.w1", w1, (heads,) + w1.shape[-2:]),    # a head axis
+                ("w_qkv", self.w_qkv, (3 * heads * head_dim,) + model_dim),
+                ("w_out", self.w_out, model_dim + (heads * head_dim,)),
+                ("b_out", self.b_out, model_dim)]
+        if self.stick is not None:
+            units, proj = self.stick.unit_embeddings, self.stick.value_projection
+            want += [("stick.unit_embeddings", units, (heads,) + units.shape[-2:]),
+                     ("stick.value_projection", proj, proj.shape[:-1] + (head_dim,))]
+        for name, array, shape in want:
+            if np.shape(array) != shape:
+                raise ValueError(f"{name} has shape {np.shape(array)}, not {shape}")
 
 
 @dataclass(frozen=True)

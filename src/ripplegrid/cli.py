@@ -107,6 +107,11 @@ SCHEME_NAMES = ("uniform", "fixed-exponential", "learned-sbt", "truncated", "sof
 SCHEME = _choice(*SCHEME_NAMES)
 PARTITION = _choice("unit-ring", "dyadic")
 
+
+def _schemes(text: str) -> tuple:
+    return tuple(SCHEME(t) for t in _strs(text))
+
+
 # add_argument keyword arguments per option; each name is also a config-file
 # key (--config and --threads are command line only)
 GLOBAL_OPTIONS = {
@@ -117,7 +122,7 @@ GLOBAL_OPTIONS = {
 OPTIONS = {
     "check": {
         "sizes": dict(type=_positive_ints, default=(4, 6, 9, 12), help="grid sides to test"),
-        "schemes": dict(type=_strs, default=SCHEME_NAMES, help="weight schemes to test"),
+        "schemes": dict(type=_schemes, default=SCHEME_NAMES, help="weight schemes to test"),
         "partition": dict(type=PARTITION, default="unit-ring"),
         "trials": dict(type=_positive_int, default=3, help="random instances per (size, scheme)"),
         "tolerance": dict(type=_positive_float, default=1e-8, help="max relative error accepted"),

@@ -99,7 +99,7 @@ def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
     return _quotient_cotangent(tape.num, tape.den, g[:, :, None])
 
 
-def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
+def _streamed_backward(tape: AttentionTape, gboth: np.ndarray):
     """One top-down pass over the streamed table for the weight and token gradients.
 
     Arrays carry the head axis after (H, W), as in the forward sweep. With
@@ -118,34 +118,31 @@ def _blocked_backward(tape: AttentionTape, gboth: np.ndarray):
     qk = np.einsum("...d,...d->...", pq, pk)
     dots = np.zeros(gboth.shape[:-1] + (length,))
     dots[..., :1] = (sg * qk)[..., None]    # phi_q . z_0, where there are coefficients
-    tail = np.zeros(gboth.shape[:-1])
     tail_cot = outer_sum(wg.merged[..., None] * pq, gboth, heads=True)   # (heads, Dp, C + 1)
     c_0 = _radius_zero_coef(coefs)
     grad_pq = (c_0 * sg)[..., None] * pk
     grad_pk = (c_0 * sg)[..., None] * pq
     grad_v = (c_0 * qk)[..., None] * gboth[..., :-1]
-    for blk, zrows, z, grows, gx, total in read_windows_vjp(pk, streams, radii, coefs[..., 1:],
-                                                            pq, gboth, tail_cot):
-        dots[zrows, ..., 1:] += np.einsum("...d,...gd->...g", pq[zrows, ..., blk], z)
-        grad_pq[zrows, ..., blk] += np.einsum("...gd,...g->...d", z, coefs[zrows, ..., 1:])
-        grad_pk[grows, ..., blk] += np.einsum("...dc,...c->...d", gx, streams[grows])
-        grad_v[grows] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[grows, ..., blk])
-        if total is not None:
-            zt = matmul(gboth, np.swapaxes(total, -1, -2))    # T . gboth
-            tail += np.einsum("...d,...d->...", pq[..., blk], zt)
-            grad_pq[..., blk] += wg.merged[..., None] * zt
-    return dots, tail, grad_pq, grad_pk, grad_v
+    for zrows, z, grows, gx, total in read_windows_vjp(pk, streams, radii, coefs[..., 1:], pq,
+                                                       gboth, tail_cot):
+        dots[zrows, ..., 1:] += np.einsum("...d,...gd->...g", pq[zrows], z)
+        grad_pq[zrows] += np.einsum("...gd,...g->...d", z, coefs[zrows, ..., 1:])
+        grad_pk[grows] += np.einsum("...dc,...c->...d", gx, streams[grows])
+        grad_v[grows] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[grows])
+    zt = matmul(gboth, np.swapaxes(total, -1, -2))    # T . gboth: the last chunk yields T
+    grad_pq += wg.merged[..., None] * zt
+    return dots, np.einsum("...d,...d->...", pq, zt), grad_pq, grad_pk, grad_v
 
 
 # ---------- full backward passes ----------
 
 def _ripple_backward(tape: AttentionTape, gboth: np.ndarray):
-    """The blocked backward and the weight pipeline's, over a stack of heads.
+    """The streamed backward and the weight pipeline's, over a stack of heads.
     Returns the phi_q, phi_k and v gradients (v's through the weights
     included), the head and tail weight gradients, and the stick grads. Its
     temporaries, the size of v's gradient among them, are freed on return,
     before the feature map's backward runs."""
-    dots, tail, grad_pq, grad_pk, grad_v = _blocked_backward(tape, gboth)
+    dots, tail, grad_pq, grad_pk, grad_v = _streamed_backward(tape, gboth)
     ghead, gmerged = tape.weights.window_coefs_vjp(dots, tail)
     gv_stick, stick = scheme_weights_vjp(tape.scheme, tape.v, tape.partition, tape.weights,
                                          ghead, gmerged)

@@ -15,8 +15,8 @@ radius-r window of query (i, x) is four corners, each a slot at a fixed
 offset (o, co) from the query: 4G slots for G windows (_slots).
 
 The stream. No pass holds the table of its (H, W, heads, Dp, C + 1) field
-phi_k (x) [v, 1] whole: both walk the padded rows top down in chunks, per
-block of channels, as stream_plan sizes them within BLOCK_BYTES. Each
+phi_k (x) [v, 1] whole: both walk the padded rows top down once, in
+chunks of every channel that stream_plan sizes within BLOCK_BYTES. Each
 table row is built once, by table_rows on the carry of the row above, and
 contracted once with a stacked operand that holds, in slot s at (p, c),
 the c_g phi_q of the query (p - o_s, c - co_s): one matmul per run of
@@ -35,7 +35,7 @@ grid onto it, and rows past the grid are never needed.
 
 The module counts window evaluations, transposed ones included, so tests
 can assert the passes' sub-quadratic access pattern. A fetch is one
-position of one window in one pass: channel blocks count none.
+position of one window in one pass: chunks count none.
 """
 from __future__ import annotations
 
@@ -51,13 +51,15 @@ COLUMN_BLOCK = 8     # grid columns per masked matmul in table_rows
 RUN_MACS = 1 << 17   # multiply-adds that cost about as much as one matmul call
 
 BLOCK_BYTES = 10 << 20
-"""Bytes a pass keeps for its chunks of table rows (see stream_plan). At
-10 MiB, with Dp = C = 32, a 48x48 unit-ring forward runs 12-row chunks and
-a 32x32 dyadic forward and backward 15- and 7-row chunks, all at full
-channel width; the toy's 8x8 passes each run as one chunk. A larger
-budget leaves less margin under the one-field forward peak at 48x48, and
-at 32x32 a short-radius forward would fall short of what a long-radius one
-fills, against acceptance 5's flat peak over r_max."""
+"""Bytes a pass keeps for its chunks of table rows (see stream_plan): it
+sizes the chunk rows only, and a pass keeps at least its carry rows and
+one chunk row of every channel, past the budget if need be. At 10 MiB,
+with Dp = C = 32, a 48x48 unit-ring forward runs 12-row chunks and a 32x32
+dyadic forward and backward 15- and 7-row chunks; the toy's 8x8 passes
+each run as one chunk. A larger budget leaves less margin under the
+one-field forward peak at 48x48, and at 32x32 a short-radius forward
+would fall short of what a long-radius one fills, against acceptance 5's
+flat peak over r_max."""
 
 _fetch_count = 0
 _row_shift = 0  # test-only fault injection, see sabotage_radius_offset()
@@ -153,49 +155,43 @@ def _rows_down(acc: np.ndarray, built: np.ndarray) -> np.ndarray:
 
 # ---------- the stream ----------
 
-def _chunk_shapes(field_shape: tuple, width: int, windows: int, pads: tuple, rows: int,
+def _chunk_shapes(field_shape: tuple, windows: int, pads: tuple, rows: int,
                   backward: bool) -> dict:
-    """The buffers a pass keeps for chunks of ``rows`` padded rows of a
-    block of ``width`` channels, by name. Carry rows, and the 2 ph + 1 more
-    query rows whose reads a chunk reaches, are kept whatever ``rows``."""
-    w, heads, values, (ph, pw) = field_shape[1], field_shape[2:-2], field_shape[-1], pads
+    """The buffers a pass keeps for chunks of ``rows`` padded rows, by
+    name. Carry rows, and the 2 ph + 1 more query rows whose reads a chunk
+    reaches, are kept whatever ``rows``."""
+    w, heads, (dp, values), (ph, pw) = field_shape[1], field_shape[2:-2], field_shape[-2:], pads
     cols, slots = w + 2 * pw + 1, 4 * windows
-    shapes = {"table": (rows + 1, w + pw) + heads + (width, values),
-              "mask": (rows * math.prod(heads) * width * min(COLUMN_BLOCK, w) ** 2,),
-              "scaled": (rows + 2 * ph + 1, w) + heads + (windows, width),
-              "stacked": (rows, cols if backward else w + pw) + heads + (slots, width),
-              "products": (rows, w + pw) + heads + (slots, width if backward else values)}
+    shapes = {"table": (rows + 1, w + pw) + heads + (dp, values),
+              "mask": (rows * math.prod(heads) * dp * min(COLUMN_BLOCK, w) ** 2,),
+              "scaled": (rows + 2 * ph + 1, w) + heads + (windows, dp),
+              "stacked": (rows, cols if backward else w + pw) + heads + (slots, dp),
+              "products": (rows, w + pw) + heads + (slots, dp if backward else values)}
     if backward:
-        shapes.update(adjoint=(rows + 1, w + pw) + heads + (width, values),
+        shapes.update(adjoint=(rows + 1, w + pw) + heads + (dp, values),
                       cotangents=(rows, cols) + heads + (slots, values),
-                      z=(rows + 2 * ph + 1, w) + heads + (windows, width))
+                      z=(rows + 2 * ph + 1, w) + heads + (windows, dp))
     return shapes
 
 
 def stream_plan(field_shape: tuple, radii: list[int], backward: bool = False):
     """How a pass streams the padded table of an (H, W, heads, Dp, C + 1)
-    field whose windows have ``radii``: (channel blocks, chunk rows, pads).
-    A pad is the largest radius clipped to its grid axis. Channels split
-    into the fewest equal blocks (but a narrower last one) whose buffers
-    (_chunk_shapes) fit BLOCK_BYTES for one chunk row, and chunks grow to
-    fill it, up to the rows the pass walks: H + ph from the first row
-    inside the grid in a forward, all H + 2 ph + 1 in a backward."""
+    field whose windows have ``radii``: (chunk rows, pads). A pad is the
+    largest radius clipped to its grid axis. Chunks are as tall as the
+    buffers (_chunk_shapes) fit in BLOCK_BYTES, but at least one row and at
+    most the rows the pass walks: H + ph from the first row inside the grid
+    in a forward, all H + 2 ph + 1 in a backward."""
     return _plan(tuple(field_shape), tuple(radii), backward, BLOCK_BYTES)
 
 
 @functools.lru_cache(maxsize=256)
 def _plan(field_shape: tuple, radii: tuple, backward: bool, budget: int):
-    (h, w), dp, radius = field_shape[:2], field_shape[-2], max(radii, default=0)
+    (h, w), radius = field_shape[:2], max(radii, default=0)
     pads = (min(radius, h - 1), min(radius, w - 1))
-    for count in range(1, dp + 1):
-        width = -(-dp // count)
-        shared, one = (sum(math.prod(s) for s in _chunk_shapes(
-            field_shape, width, len(radii), pads, rows, backward).values()) for rows in (0, 1))
-        if one * 8 <= budget:
-            break
+    shared, one = (sum(math.prod(s) for s in _chunk_shapes(
+        field_shape, len(radii), pads, rows, backward).values()) for rows in (0, 1))
     rows = (budget // 8 - shared) // (one - shared)
-    return (tuple(slice(lo, min(lo + width, dp)) for lo in range(0, dp, width)),
-            min(max(rows, 1), h + pads[0] * (1 + backward) + backward), pads)
+    return min(max(rows, 1), h + pads[0] * (1 + backward) + backward), pads
 
 
 def kept_array(name: str, shape: tuple) -> np.ndarray:
@@ -216,46 +212,47 @@ def release_kept_buffers() -> None:
 
 
 def _chunks(pk, streams, radii: list[int], backward: bool):
-    """Yield (blk, top, stop, past, pads, buffers) for every channel block
-    and chunk of padded rows [top, stop) of the table of phi_k (x) [v, 1],
-    as stream_plan plans the pass, with buffers carved out of the kept
-    buffer "stream". From the first column inside the grid, table[0] holds
-    the row above the chunk and table[1 + p - top] padded row p < past;
-    rows from ``past`` on are past the grid, so they are table[past - top].
-    A forward starts inside the grid; a backward's rows before it are read
-    only as the carry of the first built row. Pad columns are copied a
-    column at a time: a broadcast copy would go through a temporary."""
+    """Yield (top, stop, past, pads, buffers) for every chunk of padded rows
+    [top, stop) of the table of phi_k (x) [v, 1], as stream_plan plans the
+    pass, with buffers carved out of the kept buffer "stream". From the
+    first column inside the grid, table[0] holds the row above the chunk
+    and table[1 + p - top] padded row p < past; rows from ``past`` on are
+    past the grid, so they are table[past - top]. A forward starts inside
+    the grid; a backward's rows before it are read only as the carry of the
+    first built row. Pad columns are copied a column at a time: a broadcast
+    copy would go through a temporary. A pass counts its fetches here:
+    one per position and window in a forward, two in a backward."""
+    global _fetch_count
     (h, w), field = pk.shape[:2], pk.shape + streams.shape[-1:]
-    blocks, height, (ph, pw) = stream_plan(field, radii, backward)
-    last = h + 2 * ph + 1
-    for blk in blocks:
-        shapes = _chunk_shapes(field, blk.stop - blk.start, len(radii), (ph, pw), height, backward)
-        flat = kept_array("stream", (sum(math.prod(s) for s in shapes.values()),))
-        bufs, at = {}, 0
-        for name, shape in shapes.items():
-            bufs[name], at = flat[at:at + math.prod(shape)].reshape(shape), at + math.prod(shape)
-        table = bufs["table"]
-        table[0] = 0.0          # the row before the grid
-        for name in ("stacked", "cotangents"):     # products only read what is written,
-            bufs.get(name, table[:0]).fill(0.0)     # but an empty buffer may hold inf or nan
-        for top in range(0 if backward else ph + 1, last, height):
-            stop = min(top + height, last)
-            inside = min(max(ph + 1, top), stop)        # rows [top, inside) are before the grid
-            past = min(max(h + ph + 1, inside), stop)   # rows [inside, past) are built
-            if inside > top:    # the carry of the first row inside the grid
-                table[inside - top] = 0.0
-            if past > inside:
-                keys = pk[inside - ph - 1:past - ph - 1, ..., blk]
-                mask = bufs["mask"][:keys.size // w * min(COLUMN_BLOCK, w) ** 2]
-                table_rows(table[inside - top:past - top + 1, :w], keys,
-                           streams[inside - ph - 1:past - ph - 1],
-                           mask.reshape(keys.shape[:1] + keys.shape[2:] + (-1,)))
-                built = table[1 + inside - top:1 + past - top]
-                for pad in range(w, w + pw):
-                    built[:, pad] = built[:, w - 1]
-            yield blk, top, stop, past, (ph, pw), bufs
-            if stop < last:
-                table[0] = table[past - top]
+    _fetch_count += (1 + backward) * len(radii) * h * w
+    height, (ph, pw) = stream_plan(field, radii, backward)
+    shapes = _chunk_shapes(field, len(radii), (ph, pw), height, backward)
+    flat = kept_array("stream", (sum(math.prod(s) for s in shapes.values()),))
+    bufs, at = {}, 0
+    for name, shape in shapes.items():
+        bufs[name], at = flat[at:at + math.prod(shape)].reshape(shape), at + math.prod(shape)
+    table, last = bufs["table"], h + 2 * ph + 1
+    table[0] = 0.0          # the row before the grid
+    for name in ("stacked", "cotangents"):     # products only read what is written,
+        bufs.get(name, table[:0]).fill(0.0)     # but an empty buffer may hold inf or nan
+    for top in range(0 if backward else ph + 1, last, height):
+        stop = min(top + height, last)
+        inside = min(max(ph + 1, top), stop)        # rows [top, inside) are before the grid
+        past = min(max(h + ph + 1, inside), stop)   # rows [inside, past) are built
+        if inside > top:    # the carry of the first row inside the grid
+            table[inside - top] = 0.0
+        if past > inside:
+            keys = pk[inside - ph - 1:past - ph - 1]
+            mask = bufs["mask"][:keys.size // w * min(COLUMN_BLOCK, w) ** 2]
+            table_rows(table[inside - top:past - top + 1, :w], keys,
+                       streams[inside - ph - 1:past - ph - 1],
+                       mask.reshape(keys.shape[:1] + keys.shape[2:] + (-1,)))
+            built = table[1 + inside - top:1 + past - top]
+            for pad in range(w, w + pw):
+                built[:, pad] = built[:, w - 1]
+        yield top, stop, past, (ph, pw), bufs
+        if stop < last:
+            table[0] = table[past - top]
 
 
 @functools.lru_cache(maxsize=256)
@@ -307,60 +304,54 @@ def _runs(slots: tuple, top: int, stop: int, h: int, row_macs: int):
     return tuple(runs)
 
 
-def _stack_keys(bufs: dict, corners: tuple, base: int, rows: slice, coefs, pq, blk) -> None:
+def _stack_keys(bufs: dict, corners: tuple, base: int, rows: slice, coefs, pq) -> None:
     """Fill the stacked keys with one product coefs (x) pq over the query
     ``rows`` a chunk reads (row base + k in "scaled"[k]), then one signed copy per slot."""
     scaled = bufs["scaled"][rows.start - base:rows.stop - base]
-    np.multiply(coefs[rows, ..., None], pq[rows, ..., None, blk], out=scaled)
+    np.multiply(coefs[rows, ..., None], pq[rows, ..., None, :], out=scaled)
     for s, sign, g, qi, qx, oi, ox in corners:
         np.multiply(scaled[qi.start - rows.start:qi.stop - rows.start, qx, ..., g, :], sign,
                     out=bufs["stacked"][oi, ox, ..., s, :])
 
 
-def _contract(left, table, rows: tuple, top: int, past: int, slots: tuple, h: int, out,
-              transposed: bool = False) -> None:
+def _contract(left, table, rows: tuple, top: int, past: int, slots: tuple, h: int, out) -> None:
     """out[p - rows[0], ..., lo:hi, :] = left[p - top, ..., lo:hi, :] @ table
-    row p (its transposed view if ``transposed``) for p in [rows), a matmul
-    per run; rows from ``past`` on read the grid's last row, broadcast."""
+    row p for p in [rows), a matmul per run; rows from ``past`` on read the
+    grid's last row, broadcast."""
     for start, stop in ((rows[0], min(rows[1], past)), (max(rows[0], past), rows[1])):
         for a, b, lo, hi in _runs(slots, start, stop, h, table[0].size):
             right = table[past - top, None] if a >= past else table[1 + a - top:1 + b - top]
             if lo < hi:
-                np.matmul(left[a - top:b - top, ..., lo:hi, :],
-                          np.swapaxes(right, -1, -2) if transposed else right,
+                np.matmul(left[a - top:b - top, ..., lo:hi, :], right,
                           out=out[a - rows[0]:b - rows[0], ..., lo:hi, :])
 
 
-def read_windows(out, pk, streams, radii: list[int], coefs, pq):
+def read_windows(out, pk, streams, radii: list[int], coefs, pq) -> np.ndarray:
     """out (H, W, heads, C + 1) += sum over g of the radius radii[g] windows
     of the table of phi_k (x) [v, 1] contracted with coefs[..., g] * pq.
-    Yields (blk, its grid total: a kept buffer's view) after each block."""
-    global _fetch_count
-    _fetch_count += len(radii) * out.shape[0] * out.shape[1]
+    Returns the (heads, Dp, C + 1) grid total, a view of a kept buffer that
+    the next pass overwrites."""
     h, w = out.shape[:2]
-    for blk, top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, False):
+    for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, False):
         slots, base = _slots(tuple(radii), (ph, pw)), top - 2 * ph - 1
         corners = _corners(slots, (top, stop), (pw + 1, w + 2 * pw + 1), (h, w))
-        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq, blk)
+        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq)
         products = bufs["products"]
         _contract(bufs["stacked"], bufs["table"], (top, stop), top, past, slots, h, products)
         for s, _, _, qi, qx, oi, ox in corners:
             np.add(out[qi, qx], products[oi, ox, ..., s, :], out=out[qi, qx])
-        if stop == h + 2 * ph + 1:
-            yield blk, bufs["table"][past - top, -1]
+    return bufs["table"][past - top, -1]
 
 
 def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
     """The transpose of read_windows for the cotangent ``cot`` of its out
     and ``total_cot`` (heads, Dp, C + 1) of each head's grid total. Yields
-    (blk, zrows, z, grows, gx, total) after each chunk, views of kept
-    buffers: z (rows, W, heads, G, block) holds W_g . cot for the finished
-    query rows ``zrows``, gx the cotangent of the block's field at the
-    finished grid rows ``grows``, total the block's total or None."""
-    global _fetch_count
-    _fetch_count += 2 * len(radii) * cot.shape[0] * cot.shape[1]
+    (zrows, z, grows, gx, total) after each chunk, views of kept buffers:
+    z (rows, W, heads, G, Dp) holds W_g . cot for the finished query rows
+    ``zrows``, gx the cotangent of the field at the finished grid rows
+    ``grows``, total the grid total after the last chunk and None before."""
     h, w = cot.shape[:2]
-    for blk, top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, True):
+    for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, True):
         slots, n, base = _slots(tuple(radii), (ph, pw)), stop - top, top - 2 * ph - 1
         stacked, cotangents, table = bufs["stacked"], bufs["cotangents"], bufs["table"]
         products, adjoint, z = bufs["products"], bufs["adjoint"], bufs["z"]
@@ -370,13 +361,13 @@ def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
             stacked.fill(0.0)   # the adjoint's K reduction sums every slot of a run
         else:
             adjoint[0] = 0.0
-        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq, blk)
+        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq)
         for s, _, _, qi, qx, oi, ox in corners:
             cotangents[oi, ox, ..., s, :] = cot[qi, qx]
         # the z read, from the first row inside the grid
         first = min(max(top, ph + 1), stop)
-        _contract(cotangents[:, pw + 1:], table, (first, stop), top, past, slots, h, products,
-                  transposed=True)
+        _contract(cotangents[:, pw + 1:], np.swapaxes(table, -1, -2), (first, stop), top, past,
+                  slots, h, products)
         z[2 * ph + 1:2 * ph + 1 + n] = 0.0
         for s, sign, g, qi, qx, oi, ox in _corners(slots, (first, stop), (pw + 1, w + 2 * pw + 1),
                                                    (h, w)):
@@ -389,11 +380,11 @@ def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
                       cotangents[a - top:b - top, :w + pw, ..., lo:hi, :],
                       out=adjoint[1 + a - top:1 + b - top])
         if top == 0:
-            adjoint[1, 0] += total_cot[..., blk, :]
+            adjoint[1, 0] += total_cot
         prefix_sum(adjoint[:1 + end - top], carry=True)
         grows = slice(max(top - ph, 0), max(end - ph, 0))
         zrows = slice(max(base, 0), max(stop - 2 * ph - 1, 0))
         done, moved = end - top, n
-        yield (blk, zrows, z[zrows.start - base:zrows.stop - base], grows,
+        yield (zrows, z[zrows.start - base:zrows.stop - base], grows,
                adjoint[1 + grows.start + ph - top:1 + end - top, pw:],
                table[past - top, -1] if stop == h + 2 * ph + 1 else None)

@@ -163,6 +163,9 @@ def _stick_pieces(value_grid: np.ndarray, scheme: WeightScheme, r_max: int):
     lead[..., m] * fracs[..., m], lead being what the first m fractions
     left, and the last piece is what all of them left."""
     p = scheme.params
+    if p.num_units < r_max:
+        raise ValueError(f"scheme has {p.num_units} stick units, r_max={r_max} "
+                         f"needs at least that many")
     projected = matmul(value_grid.astype(np.float64), np.swapaxes(p.value_projection, -1, -2))
     logits = matmul(projected, np.swapaxes(p.unit_embeddings[..., :r_max, :], -1, -2))
     if scheme.kind is WeightSchemeKind.SOFTMAX_WEIGHTS:

@@ -600,3 +600,53 @@ def test_multi_head_config_rejects_bad_fields(bad):
     with pytest.raises(ValueError, match="must be"):
         MultiHeadConfig(partition=PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=2, tau=0.05),
                         scheme_kind=WeightSchemeKind.UNIFORM, **bad)
+
+
+@pytest.mark.parametrize("entry", ["ripple_dp", "ripple_naive", "multi_head_forward"])
+@pytest.mark.parametrize("kind", LEARNED_KINDS, ids=lambda kind: kind.value)
+def test_too_few_stick_units_rejected(kind, entry):
+    # four units under r_max 5 used to fail with numpy's "operands could not
+    # be broadcast together"
+    rng = np.random.default_rng(33)
+    partition = PartitionScheme(kind=PartitionKind.UNIT_RING, r_max=5, tau=0.05)
+    if entry == "multi_head_forward":
+        params = init_multi_head(rng, model_dim=6, num_heads=2, head_dim=3, r_max=4,
+                                 scheme_kind=kind)
+        args = (rng.standard_normal((5, 5, 6)), params,
+                MultiHeadConfig(partition=partition, scheme_kind=kind))
+        call = multi_head_forward
+    else:
+        cfg = make_config(kind, PartitionKind.UNIT_RING, rng, value_dim=4, r_max=4)
+        args = random_grids(rng, 5, 5) + (dataclasses.replace(cfg, partition=partition),)
+        call = {"ripple_dp": ripple_dp, "ripple_naive": ripple_naive}[entry]
+    with pytest.raises(ValueError, match="scheme has 4 stick units, r_max=5 needs at least"):
+        call(*args)
+
+
+def _misshapen(name, params):
+    """``params`` with the array ``name`` one of the wrong shapes."""
+    fm, stick = params.featmap, params.stick
+    if name == "featmap.w1":        # one head's map, no head axis
+        return dataclasses.replace(params, featmap=FeatureMapParams(fm.kind, fm.w1[0],
+                                                                    fm.w2[0], fm.b2[0]))
+    if name == "stick.unit_embeddings":     # a 3-head stick on a 2-head layer
+        return dataclasses.replace(params, stick=StickParams(
+            np.concatenate((stick.unit_embeddings, stick.unit_embeddings[:1])),
+            np.concatenate((stick.value_projection, stick.value_projection[:1]))))
+    if name == "stick.value_projection":    # projects values of 2, not head_dim 3
+        return dataclasses.replace(params, stick=StickParams(
+            stick.unit_embeddings, stick.value_projection[..., :2]))
+    short = {"w_qkv": params.w_qkv[:-3], "w_out": params.w_out[:, :-1],
+             "b_out": params.b_out[:-1]}
+    return dataclasses.replace(params, **{name: short[name]})
+
+
+@pytest.mark.parametrize("name", ["featmap.w1", "w_qkv", "w_out", "b_out",
+                                  "stick.unit_embeddings", "stick.value_projection"])
+def test_multi_head_params_reject_mismatched_shapes(name):
+    # a 3-head stick on a 2-head layer used to fail with "cannot reshape
+    # array of size 200 into shape (3,4)", and a wrong w_out with a matmul
+    # gufunc error
+    _, params, _ = _finite_layer()
+    with pytest.raises(ValueError, match=f"^{name} has shape"):
+        _misshapen(name, params)

@@ -1,12 +1,12 @@
 """The streamed sweep and its backward, fuzzed over the byte budget.
 
-ripple_dp must equal the enumeration oracle whatever the chunks and channel
-blocks are, and ripple_vjp must give the same gradients and the same fetch
-count under every budget: one chunk over every row a pass walks, one-row
-chunks, chunks shorter than the widest window's reach, single-channel
-blocks, and equal blocks with a narrower last one. The backward plans its
-own chunks and blocks, since it also keeps the token adjoint's rows, the
-stacked cotangents and the z rows of the queries its chunks reach.
+ripple_dp must equal the enumeration oracle whatever the chunks are, and
+ripple_vjp must give the same gradients and the same fetch count under
+every budget: one chunk over every row a pass walks, one-row chunks, and
+chunks shorter than the widest window's reach. Every chunk holds all
+channels, so each pass walks the table once. The backward plans its own
+chunks, since it also keeps the token adjoint's rows, the stacked
+cotangents and the z rows of the queries its chunks reach.
 """
 import math
 import threading
@@ -30,7 +30,7 @@ from ripplegrid.weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightSc
                                 WeightSchemeKind, scheme_weights_grid)
 from stacked import naive_layer
 
-FEATURES = 5      # phi width Dp: odd, so blocks of two leave a last block of one
+FEATURES = 5      # phi width Dp
 VALUES = 3
 
 
@@ -48,52 +48,42 @@ def walked(h, radii, backward):
     return h + ph + backward * (ph + 1)
 
 
-def kept_for(h, w, radii, heads, width, rows, backward, features=FEATURES):
-    """Bytes a pass keeps for chunks of ``rows`` rows of a block of
-    ``width`` channels, as the plan charges them."""
+def kept_for(h, w, radii, heads, rows, backward, features=FEATURES):
+    """Bytes a pass keeps for chunks of ``rows`` rows, as the plan charges them."""
     radius = max(radii, default=0)
     pads = (min(radius, h - 1), min(radius, w - 1))
-    shapes = sat._chunk_shapes((h, w, heads, features, VALUES + 1), width, len(radii), pads,
-                               rows, backward)
+    shapes = sat._chunk_shapes((h, w, heads, features, VALUES + 1), len(radii), pads, rows,
+                               backward)
     return 8 * sum(math.prod(s) for s in shapes.values())
 
 
 def fitted(budget, h, w, radii, heads, backward):
-    """The plan a budget must give a pass: the fewest equal channel blocks
-    (the last one may be narrower) whose carry rows and one chunk row fit,
-    then chunks as tall as the rest allows, but at least one row and at
-    most the rows the pass walks."""
-    for count in range(1, FEATURES + 1):
-        width = -(-FEATURES // count)
-        if kept_for(h, w, radii, heads, width, 1, backward) <= budget:
-            break
-    shared = kept_for(h, w, radii, heads, width, 0, backward)
-    row = kept_for(h, w, radii, heads, width, 1, backward) - shared
-    return -(-FEATURES // width), min(max((budget - shared) // row, 1), walked(h, radii, backward))
+    """The chunk rows a budget must give a pass: as many as fit beside the
+    carry rows, but at least one and at most the rows the pass walks."""
+    shared = kept_for(h, w, radii, heads, 0, backward)
+    row = kept_for(h, w, radii, heads, 1, backward) - shared
+    return min(max((budget - shared) // row, 1), walked(h, radii, backward))
 
 
 def budgets(h, w, radii, heads=1):
-    """BLOCK_BYTES values, each with the (channel blocks, chunk rows) it
-    must give the forward and the backward: one chunk over every row,
-    blocks of one channel in one-row chunks, blocks of two with a last one
-    of one, one-row and two-row chunks at full width sized for each pass,
+    """BLOCK_BYTES values, each with the chunk rows it must give the
+    forward and the backward: one chunk over every row, one-row chunks
+    under a 1-byte budget, one-row and two-row chunks sized for each pass,
     and chunks shorter than the 2 ph + 1 rows over which a query's reads
     spread, so that its z rows and its adjoint rows span chunks."""
     ph = min(max(radii, default=0), h - 1)
     short = min(max(2 * ph, 1), walked(h, radii, True))
 
     def full(rows, backward):
-        return kept_for(h, w, radii, heads, FEATURES, rows, backward)
+        return kept_for(h, w, radii, heads, rows, backward)
     sizes = {"whole": 1 << 40, "single": 1,
-             "ragged": kept_for(h, w, radii, heads, 2, 1, False),
              "one-row": full(1, False), "two-row": full(2, False),
              "back-one-row": full(1, True), "back-short": full(short, True)}
-    forward = {"whole": (1, walked(h, radii, False)), "single": (FEATURES, 1),
-               "ragged": (3, 1), "one-row": (1, 1)}
-    backward = {"whole": (1, walked(h, radii, True)), "single": (FEATURES, 1),
-                "back-one-row": (1, 1), "back-short": (1, short)}
-    return {name: ((budget,) + (forward.get(name) or fitted(budget, h, w, radii, heads, False))
-                   + (backward.get(name) or fitted(budget, h, w, radii, heads, True),))
+    forward = {"whole": walked(h, radii, False), "single": 1, "one-row": 1}
+    backward = {"whole": walked(h, radii, True), "single": 1, "back-one-row": 1,
+                "back-short": short}
+    return {name: (budget, forward.get(name) or fitted(budget, h, w, radii, heads, False),
+                   backward.get(name) or fitted(budget, h, w, radii, heads, True))
             for name, budget in sizes.items()}
 
 
@@ -101,16 +91,16 @@ def rel_error(got, want):
     return float(np.abs(got - want).max() / max(float(np.abs(want).max()), 1e-300))
 
 
-def run(q, k, v, cfg, upstream, budget, blocks, height, backward, between=lambda: None):
+def run(q, k, v, cfg, upstream, budget, height, backward, between=lambda: None):
     """Forward, backward and the fetches they counted, under one budget
-    whose forward plan is (blocks, height) and backward plan ``backward``,
+    whose forward chunks are ``height`` rows and backward ones ``backward``,
     calling ``between`` after the forward."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sat, "BLOCK_BYTES", budget)
-        for planned, want in ((False, (blocks, height)), (True, backward)):
-            plan = sat.stream_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
-                                   sweep_radii(cfg, v), planned)
-            assert (len(plan[0]), plan[1]) == want, planned
+        for planned, want in ((False, height), (True, backward)):
+            rows, _ = sat.stream_plan(q.shape[:2] + (1, FEATURES, VALUES + 1),
+                                      sweep_radii(cfg, v), planned)
+            assert rows == want, planned
         reset_fetch_count()
         res = ripple_dp(q, k, v, cfg)
         forward = fetch_count()
@@ -178,7 +168,7 @@ def test_streamed_core_matches_oracle_under_every_budget(
     scale = max(float(np.abs(g).max(initial=0.0)) for g in reference.values())
     for name, (out, grads, fetches) in results.items():
         assert rel_error(out, want) <= 1e-8, name
-        # a fetch is one position per radius per pass, not per block or chunk
+        # a fetch is one position per radius per pass, not per chunk
         assert fetches == one_fetches, (name, fetches, one_fetches)
         for key, got in flat_grads(grads).items():
             assert got.shape == reference[key].shape
@@ -197,7 +187,7 @@ def test_stream_matches_oracles_in_small_chunks(shape, heads, partition_kind, r_
                                                 seed):
     """A layer of 1-3 stacked heads on single rows, single columns and
     small grids, with radii past the grid's side, under budgets that force
-    one-row chunks in blocks of one channel, short chunks and one chunk:
+    one-row chunks, short chunks and one chunk:
     its output is the per-head enumeration oracle's, and the token
     gradient of v is the brute-force scatter over group members'."""
     rng = np.random.default_rng(seed)
@@ -224,22 +214,24 @@ def test_stream_matches_oracles_in_small_chunks(shape, heads, partition_kind, r_
         assert np.abs(grad_v[:, :, hd] - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
-@pytest.mark.parametrize("field, radii, backward, plan", [
-    ((48, 48, 1, 32, 33), [1, 2, 3], False, (1, 32, 12)),    # ring-fwd-48
-    ((32, 32, 1, 32, 33), [1, 3, 7], False, (1, 32, 15)),    # dyadic-fwdbwd-32
-    ((32, 32, 1, 32, 33), [1, 3, 7], True, (1, 32, 7)),
-    ((8, 8, 2, 8, 9), [1, 2], False, (1, 8, 10)),            # toy-train-8: one chunk
-    ((8, 8, 2, 8, 9), [1, 2], True, (1, 8, 13)),
-    ((128, 128, 1, 32, 33), [1, 3, 7], False, (1, 32, 3)),   # past the workloads
-    ((128, 128, 1, 32, 33), [1, 3, 7], True, (1, 32, 1)),
+@pytest.mark.parametrize("field, radii, backward, rows", [
+    ((48, 48, 1, 32, 33), [1, 2, 3], False, 12),     # ring-fwd-48
+    ((32, 32, 1, 32, 33), [1, 3, 7], False, 15),     # dyadic-fwdbwd-32
+    ((32, 32, 1, 32, 33), [1, 3, 7], True, 7),
+    ((8, 8, 2, 8, 9), [1, 2], False, 10),            # toy-train-8: one chunk
+    ((8, 8, 2, 8, 9), [1, 2], True, 13),
+    ((128, 128, 1, 32, 33), [1, 3, 7], False, 3),    # past the workloads
+    ((128, 128, 1, 32, 33), [1, 3, 7], True, 1),
+    ((56, 56, 12, 64, 65), [1, 2, 3], False, 1),     # wide: one chunk row is past the budget
+    ((56, 56, 12, 64, 65), [1, 2, 3], True, 1),
 ])
-def test_workload_plans(field, radii, backward, plan):
-    """The benchmark workloads' plans at the default BLOCK_BYTES, as
-    (channel blocks, channels in the first, chunk rows): the toy's passes
-    each run as one chunk of every row they walk, and channels split only
-    when one chunk row does not fit."""
-    blocks, rows, _ = sat.stream_plan(field, radii, backward)
-    assert (len(blocks), blocks[0].stop - blocks[0].start, rows) == plan
+def test_workload_plans(field, radii, backward, rows):
+    """The benchmark workloads' plans at the default BLOCK_BYTES, as chunk
+    rows: the toy's passes each run as one chunk of every row they walk.
+    Every pass walks the table once at full channel width, so where one
+    chunk row is past the budget (12 heads of 64 at 56x56) it runs one-row
+    chunks, one walk of its H + ph or H + 2 ph + 1 rows."""
+    assert sat.stream_plan(field, radii, backward) == (rows, (max(radii),) * 2)
 
 
 def small_case(side, seed):
@@ -316,13 +308,13 @@ def kept_bytes():
 @given(h=st.integers(1, 12), w=st.integers(1, 12),
        kind=st.sampled_from(list(WeightSchemeKind)),
        partition_kind=st.sampled_from(list(PartitionKind)), r_max=st.integers(1, 14),
-       budget=st.sampled_from(["whole", "one-row", "two-row", "single", "ragged",
-                               "back-one-row", "back-short"]),
+       budget=st.sampled_from(["whole", "one-row", "two-row", "single", "back-one-row",
+                               "back-short"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_kept_buffers_fit_the_budget(h, w, kind, partition_kind, r_max, budget, seed):
     """What a pass keeps, from released buffers, is what stream_plan
-    charges it: within BLOCK_BYTES whenever a block of one channel fits its
-    carry rows and one chunk row, for a forward and for a backward alike."""
+    charges it: within BLOCK_BYTES whenever its full-width carry rows and
+    one chunk row fit, for a forward and for a backward alike."""
     rng = np.random.default_rng(seed)
     q, k = (rng.standard_normal((h, w, 4)) for _ in range(2))
     v = rng.standard_normal((h, w, VALUES))
@@ -338,7 +330,7 @@ def test_kept_buffers_fit_the_budget(h, w, kind, partition_kind, r_max, budget, 
         ripple_vjp(res.tape, rng.standard_normal((h, w, VALUES)))
         kept[True] = kept_bytes()
     for backward, used in kept.items():
-        if kept_for(h, w, radii, 1, 1, 1, backward) <= nbytes:     # the plan is above its floor
+        if kept_for(h, w, radii, 1, 1, backward) <= nbytes:     # the plan is above its floor
             assert used <= nbytes, (backward, used, nbytes)
 
 
@@ -354,8 +346,8 @@ def padded_table(pk, streams, pads):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(h=st.integers(1, 11), w=st.integers(1, 11), radius=st.integers(0, 13),
-       budget=st.sampled_from(["whole", "one-row", "two-row", "single", "ragged",
-                               "back-one-row", "back-short"]),
+       budget=st.sampled_from(["whole", "one-row", "two-row", "single", "back-one-row",
+                               "back-short"]),
        backward=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_every_chunk_holds_its_rows_of_the_padded_table(h, w, radius, budget, backward, seed):
     """Each chunk holds its rows of the whole padded table, from the first
@@ -364,19 +356,19 @@ def test_every_chunk_holds_its_rows_of_the_padded_table(h, w, radius, budget, ba
     and, from ``past`` on, the grid's last row, which is read in place of
     the rows past the grid. Whatever a caller writes into the stacked
     operands and products between chunks, the next chunk's table is the
-    same. The chunks and blocks are the ones the budget names for the pass,
-    and the chunks tile the rows the pass walks in order."""
+    same. The chunks are the ones the budget names for the pass, and they
+    tile the rows the pass walks in order, once."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, 2, FEATURES))
     streams = rng.standard_normal((h, w, 2, VALUES + 1))
     radii = list(range(1, radius + 1))
     nbytes, *plans = budgets(h, w, radii, heads=2)[budget]
-    blocks, height = plans[2] if backward else plans[:2]
-    covered = {}
+    height = plans[backward]
+    chunks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sat, "BLOCK_BYTES", nbytes)
-        for blk, top, stop, past, (ph, pw), bufs in sat._chunks(pk, streams, radii, backward):
-            full = padded_table(pk[..., blk], streams, (ph, pw))[:, pw + 1:]
+        for top, stop, past, (ph, pw), bufs in sat._chunks(pk, streams, radii, backward):
+            full = padded_table(pk, streams, (ph, pw))[:, pw + 1:]
             table, lo = bufs["table"], min(max(top - 1, ph), past - 1)
             assert past == min(max(h + ph + 1, top), stop)
             np.testing.assert_allclose(table[1 + lo - top:1 + past - top], full[lo:past],
@@ -385,11 +377,9 @@ def test_every_chunk_holds_its_rows_of_the_padded_table(h, w, radius, budget, ba
                                        full[past:stop], rtol=1e-12, atol=1e-12)
             for name in ("stacked", "products", "scaled"):
                 bufs[name][...] = rng.standard_normal(bufs[name].shape)
-            covered.setdefault(blk.start, []).append((top, stop))
-    assert len(covered) == blocks
+            chunks.append((top, stop))
     first = 0 if backward else min(max(radii, default=0), h - 1) + 1
-    for chunks in covered.values():
-        assert [a for a, _ in chunks] == [first] + [b for _, b in chunks[:-1]]
-        assert chunks[-1][1] == first + walked(h, radii, backward)
-        assert all(b - a == height for a, b in chunks[:-1])
-        assert chunks[-1][1] - chunks[-1][0] <= height
+    assert [a for a, _ in chunks] == [first] + [b for _, b in chunks[:-1]]
+    assert chunks[-1][1] == first + walked(h, radii, backward)
+    assert all(b - a == height for a, b in chunks[:-1])
+    assert chunks[-1][1] - chunks[-1][0] <= height

@@ -219,6 +219,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         cfg.write_text(text)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
         assert "error:" in capsys.readouterr().err
+    cfg.write_text("[check]\nschemes = foo,uniform\n")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "argument --schemes: must be one of uniform," in capsys.readouterr().err
     cfg.write_text("[train]\ngrid = 1\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "argument --grid: must be >= 2" in capsys.readouterr().err
@@ -263,6 +266,7 @@ def test_usage_errors(capsys):
     ["check", "--trials", "1", "--sizes", "-2"],
     ["check", "--trials", "1", "--sizes", "4,0"],
     ["check", "--sizes", "4", "--schemes", ","],
+    ["check", "--sizes", "4", "--schemes", "foo,uniform"],
     ["check", "--sizes", "4", "--tolerance", "-1"],
     ["check", "--sizes", "4", "--tolerance", "0"],
     ["check", "--sizes", "4", "--tolerance", "nan"],
@@ -291,7 +295,9 @@ def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
     # every instance and fail a bound nothing can pass, or (check's r-max 0)
     # with "r_max must be >= 1", or (lr nan) to write a checkpoint of all
     # non-finite parameters and exit 0, or (lr -1) to run gradient ascent,
-    # or (clip nan) to turn clipping off; the last option given is the bad one
+    # or (clip nan) to turn clipping off, or (schemes foo,uniform) to pass
+    # parsing and fail with "'foo' is not a valid WeightSchemeKind"; the last
+    # option given is the bad one
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
     assert run_dirs(tmp_path) == []

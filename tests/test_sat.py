@@ -51,7 +51,7 @@ def read(field, radii, coefs=None, budget=None):
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(sat, "BLOCK_BYTES", budget)
-        (_, total), = read_windows(out, ones, values, radii, weights, ones)
+        total = read_windows(out, ones, values, radii, weights, ones)
     return out.reshape(field.shape), np.array(total[0]).reshape(field.shape[2:])
 
 
@@ -100,9 +100,9 @@ def test_prefix_sum_continues_a_table_from_a_carry_row():
 
 def outer_rows(rows, w, heads, features, values, seed, wider=3):
     """Keys and values for ``rows`` table rows, as channel slices of wider
-    arrays (as a block of phi_k is), with their field keys (x) values, and
-    a target table (carry row first) that is a column slice of a wider
-    one, as the grid's columns of a band are."""
+    arrays, with their field keys (x) values, and a target table (carry
+    row first) that is a column slice of a wider one, as the grid's
+    columns of a chunk are."""
     rng = np.random.default_rng(seed)
     keys = rng.standard_normal((rows, w, heads, features + wider))[..., 1:1 + features]
     vals = rng.standard_normal((rows, w, heads, values))
@@ -255,22 +255,20 @@ def stream_case(h, w, heads, features, values, radii, seed):
 
 def test_fetch_counting():
     """A pass counts one fetch per position per window, whatever its
-    chunks and channel blocks: a forward once, a backward twice (its z read
-    and its token adjoint). Building a table counts none."""
+    chunks: a forward once, a backward twice (its z read and its token
+    adjoint). Building a table counts none."""
     pk, streams, coefs, pq, cot, total_cot = stream_case(4, 5, 2, 3, 2, [1, 2], seed=6)
     for budget in (1 << 40, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sat, "BLOCK_BYTES", budget)
             reset_fetch_count()
-            for _ in read_windows(np.zeros(cot.shape), pk, streams, [1, 2], coefs, pq):
-                pass
+            read_windows(np.zeros(cot.shape), pk, streams, [1, 2], coefs, pq)
             assert fetch_count() == 40
             for _ in read_windows_vjp(pk, streams, [1, 2], coefs, pq, cot, total_cot):
                 pass
             prefix_sum(np.ones((4, 5)))
             assert fetch_count() == 120
-            for _ in read_windows(np.zeros(cot.shape), pk, streams, [], coefs[..., :0], pq):
-                pass
+            read_windows(np.zeros(cot.shape), pk, streams, [], coefs[..., :0], pq)
             assert fetch_count() == 120
     reset_fetch_count()
     assert fetch_count() == 0
@@ -289,21 +287,20 @@ def test_stacked_read_and_adjoint_are_exact_adjoints(h, w, radii, channels, budg
     adjoint> and sum_g <c_g pq, z_g> + <T, Tbar>, with F = pk (x) streams,
     T its grid total and Tbar that total's cotangent, for windows up to
     past the grid's side, one to three of them or none, in chunks of one
-    row and channel blocks of one, in short chunks and in one chunk."""
+    row, in short chunks and in one chunk."""
     heads, features, values = channels
     pk, streams, coefs, pq, cot, total_cot = stream_case(h, w, heads, features, values, radii,
                                                          seed)
     field = pk[..., :, None] * streams[..., None, :]
-    out, total = np.zeros(cot.shape), np.zeros(total_cot.shape)
+    out = np.zeros(cot.shape)
     grad_field, z = np.zeros(field.shape), np.zeros((h, w, heads, len(radii), features))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sat, "BLOCK_BYTES", budget)
-        for blk, block_total in read_windows(out, pk, streams, radii, coefs, pq):
-            total[..., blk, :] = block_total
-        for blk, zrows, zs, grows, gx, _ in read_windows_vjp(pk, streams, radii, coefs, pq,
-                                                            cot, total_cot):
-            z[zrows, ..., blk] += zs
-            grad_field[grows, ..., blk, :] += gx
+        total = read_windows(out, pk, streams, radii, coefs, pq).copy()
+        for zrows, zs, grows, gx, _ in read_windows_vjp(pk, streams, radii, coefs, pq, cot,
+                                                        total_cot):
+            z[zrows] += zs
+            grad_field[grows] += gx
     np.testing.assert_allclose(total, field.sum(axis=(0, 1)), rtol=1e-10, atol=1e-10)
     want = inner(out, cot) + inner(total, total_cot)
     scale = np.abs(field).sum() * (np.abs(cot).sum() * np.abs(coefs).max(initial=1.0)

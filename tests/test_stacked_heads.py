@@ -113,9 +113,9 @@ def test_table_fills_do_not_grow_with_heads(monkeypatch):
             _, tape = multi_head_forward(x, params, config)
             hat = int(tape.attn.weights.hat.max())
             radii = [group_span(partition_kind, g)[1] for g in range(1, hat)]
-            for backward in (False, True):      # one block, one chunk of every row walked
-                blocks, height, (ph, _) = stream_plan((6, 6, num_heads, 4, 5), radii, backward)
-                assert (len(blocks), height) == (1, 6 + ph + backward * (ph + 1)), backward
+            for backward in (False, True):      # one chunk of every row walked
+                height, (ph, _) = stream_plan((6, 6, num_heads, 4, 5), radii, backward)
+                assert height == 6 + ph + backward * (ph + 1), backward
             multi_head_vjp(tape, rng.standard_normal((6, 6, 6)))
             assert all(f[2] == num_heads for f in fills)    # every sum holds all heads
             counts.append(len(fills))
