@@ -45,7 +45,7 @@ import numpy as np
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
 from .sat import kept_array, read_windows
-from .vicinal import GridShape, PartitionScheme, group_span, query_groups
+from .vicinal import GridShape, PartitionScheme, group_span, num_groups_grid, query_groups
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
 
@@ -169,6 +169,33 @@ def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.nd
     return np.einsum("...d,...dc->...c", pq, y)
 
 
+def _check_weights(wg: WeightGrid, shape: tuple, partition: PartitionScheme) -> None:
+    """Reject, naming the field, a weights= override that is not a weight
+    grid of ``partition`` over the (H, W, heads) queries ``shape``: a head
+    too short for its hats reads past it, a hat past its group count or a
+    wrong group count sums the wrong groups, and a non-finite weight turns
+    rows NaN. The simplex is not checked (see ripple_dp)."""
+    for name in ("head", "hat", "merged", "groups"):
+        got = np.shape(getattr(wg, name))
+        if got[:3] != shape or len(got) != 3 + (name == "head"):
+            raise ValueError(f"weights.{name} of shape {got} over a {got[:2]} grid does not "
+                             f"match the {shape[:2]} token grid (heads: {shape[2]})")
+    for name in ("hat", "groups"):
+        dtype = getattr(wg, name).dtype
+        if not np.issubdtype(dtype, np.integer):
+            raise ValueError(f"weights.{name} must be an integer array, got {dtype}")
+    if not ((wg.hat >= 0) & (wg.hat <= wg.groups)).all():
+        raise ValueError("weights.hat must lie in [0, groups] for every query")
+    if wg.head.shape[-1] < wg.hat.max(initial=0):
+        raise ValueError(f"weights.head has {wg.head.shape[-1]} slots, fewer than the "
+                         f"largest hat {wg.hat.max()}")
+    counts = num_groups_grid(partition.kind, GridShape(*shape[:2]))[..., None]
+    if not (wg.groups == counts).all():
+        raise ValueError(f"weights.groups does not match the {partition.kind.value} "
+                         f"partition's group counts")
+    _check_finite({"weights.head": wg.head, "weights.merged": wg.merged})
+
+
 def _attend(q, k, v, phi_q, phi_k, featmap: FeatureMapParams, epsilon: float,
             scheme: WeightScheme | None = None, partition: PartitionScheme | None = None,
             weights: WeightGrid | None = None, sweep=_sweep):
@@ -182,9 +209,8 @@ def _attend(q, k, v, phi_q, phi_k, featmap: FeatureMapParams, epsilon: float,
     else:
         if weights is None:
             weights = scheme_weights_grid(scheme, v, GridShape(*q.shape[:2]), partition)
-        elif weights.hat.shape != q.shape[:3]:
-            raise ValueError(f"weights over a {weights.hat.shape[:2]} grid do not match "
-                             f"the {q.shape[:2]} token grid")
+        else:
+            _check_weights(weights, q.shape[:3], partition)
         both = sweep(phi_q, phi_k, v, weights, partition)
     num, den = both[..., :-1], both[..., -1] + epsilon
     _check_denominator(den)
@@ -220,10 +246,11 @@ def ripple_dp(qgrid, kgrid, vgrid, config: AttentionConfig,
     dyadic bands the per-query sweep length drops from the grid radius to its
     logarithm.
 
-    A ``weights=`` override must cover the input grid, but is used as given
-    and not checked against the simplex: it is the finite-difference seam
-    through which the gradient tests perturb single weights off the simplex
-    on purpose."""
+    A ``weights=`` override must be a weight grid of the partition over
+    the input grid, with finite weights and a head slot for every hat,
+    but is not checked against the simplex: it is the finite-difference
+    seam through which the gradient tests perturb single weights off the
+    simplex on purpose."""
     return _grouped(qgrid, kgrid, vgrid, config, weights, _sweep)
 
 

@@ -5,18 +5,18 @@ tapes the forward passes record; nothing is differentiated numerically except
 in finite_diff_check, which exists to audit the rest of this module.
 
 The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
-(see the attention module). The tape keeps no table: the backward streams
-the forward's table again and runs the transposes of its reads (see the
-sat module). Each window gives z_g = W_g . gboth, which feeds the weight
-gradients (phi_q . z_g, differenced over g) and the phi_q gradient
-(sum_g c_g z_g). The token gradients are the sweep's adjoint: a token
-receives the transposed window of the field c_g * cotangent per group,
-plus the broadcast sum of m * cotangent, which the token adjoint collects
-row by row in the same top-down walk and finishes chunk by chunk, straight
-into the phi_k and v gradients. Group 0's window is the token itself, so
-its share, like z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp)
-arrays. Both directions read one window per head group past group 0, as
-the forward does. Like the forward, the backward is one pass,
+(see the attention module). The tape keeps no table: the backward runs
+sat.read_windows_vjp, the adjoint of the forward's window reads, which
+streams the forward's table again. With the grid total T, it returns the
+cotangents of the window coefficients (phi_q . z_g per query, with
+z_g = W_g . gboth), which the weight gradients difference over g, of
+phi_q (sum_g c_g z_g), and of phi_k and [v, 1]: a token receives the
+transposed window of the field c_g * cotangent per group, plus the
+broadcast sum of m * cotangent, which enters as the cotangent of T.
+Group 0's window is the token itself, so its share, like
+z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp) arrays. Both
+directions read one window per head group past group 0, as the forward
+does. Like the forward, the backward is one pass,
 _attend_vjp, on the tape's (H, W, heads, ...) arrays, with a head axis of
 length 1 for the single-head entry points; linearized attention skips
 the weights. Its entry points are ripple_vjp (also named linearized_vjp)
@@ -99,16 +99,18 @@ def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
     return _quotient_cotangent(tape.num, tape.den, g[:, :, None])
 
 
-def _streamed_backward(tape: AttentionTape, gboth: np.ndarray):
-    """One top-down pass over the streamed table for the weight and token gradients.
+# ---------- full backward passes ----------
 
-    Arrays carry the head axis after (H, W), as in the forward sweep. With
-    cot = phi_q (x) gboth the swept field's cotangent, returns <cot, W_g>
-    per query for g below the largest hat (the window coefficients'
-    cotangents), <cot, T>, and the phi_q, phi_k and v gradients, from
-    sat.read_windows_vjp's z_g = W_g . gboth and token adjoint (of c_g cot
-    per window and the tail's m cot) as their rows finish. The radius-0
-    window and the tail take only small arrays."""
+def _ripple_backward(tape: AttentionTape, gboth: np.ndarray):
+    """The weight and token gradients over a stack of heads, with the head
+    axis after (H, W) as in the forward sweep: sat.read_windows_vjp's
+    cotangents of the window coefficients, phi_q, phi_k and [v, 1], plus
+    the shares of the radius-0 window and of the tail's m T, whose
+    cotangent m phi_q (x) gboth the walk takes as its total's, then the
+    weight pipeline's. Returns the phi_q, phi_k and v gradients (v's
+    through the weights included), the head and tail weight gradients, and
+    the stick grads. Its temporaries, the size of v's gradient among them,
+    are freed on return, before the feature map's backward runs."""
     pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
     coefs = wg.window_coefs()
     length = coefs.shape[-1]
@@ -116,37 +118,19 @@ def _streamed_backward(tape: AttentionTape, gboth: np.ndarray):
     streams = _value_streams(tape.v)
     sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
     qk = np.einsum("...d,...d->...", pq, pk)
-    dots = np.zeros(gboth.shape[:-1] + (length,))
-    dots[..., :1] = (sg * qk)[..., None]    # phi_q . z_0, where there are coefficients
     tail_cot = outer_sum(wg.merged[..., None] * pq, gboth, heads=True)   # (heads, Dp, C + 1)
+    total, gcoefs, gpq, gpk, gstreams = read_windows_vjp(pk, streams, radii, coefs[..., 1:],
+                                                         pq, gboth, tail_cot)
+    zt = matmul(gboth, np.swapaxes(total, -1, -2))    # T . gboth
+    # phi_q . z_0 first, where there are coefficients
+    dots = np.concatenate(((sg * qk)[..., None][..., :length], gcoefs), axis=-1)
+    ghead, gmerged = wg.window_coefs_vjp(dots, np.einsum("...d,...d->...", pq, zt))
+    gv_stick, stick = scheme_weights_vjp(tape.scheme, tape.v, partition, wg, ghead, gmerged)
     c_0 = _radius_zero_coef(coefs)
-    grad_pq = (c_0 * sg)[..., None] * pk
-    grad_pk = (c_0 * sg)[..., None] * pq
-    grad_v = (c_0 * qk)[..., None] * gboth[..., :-1]
-    for zrows, z, grows, gx, total in read_windows_vjp(pk, streams, radii, coefs[..., 1:], pq,
-                                                       gboth, tail_cot):
-        dots[zrows, ..., 1:] += np.einsum("...d,...gd->...g", pq[zrows], z)
-        grad_pq[zrows] += np.einsum("...gd,...g->...d", z, coefs[zrows, ..., 1:])
-        grad_pk[grows] += np.einsum("...dc,...c->...d", gx, streams[grows])
-        grad_v[grows] += np.einsum("...dc,...d->...c", gx[..., :-1], pk[grows])
-    zt = matmul(gboth, np.swapaxes(total, -1, -2))    # T . gboth: the last chunk yields T
-    grad_pq += wg.merged[..., None] * zt
-    return dots, np.einsum("...d,...d->...", pq, zt), grad_pq, grad_pk, grad_v
-
-
-# ---------- full backward passes ----------
-
-def _ripple_backward(tape: AttentionTape, gboth: np.ndarray):
-    """The streamed backward and the weight pipeline's, over a stack of heads.
-    Returns the phi_q, phi_k and v gradients (v's through the weights
-    included), the head and tail weight gradients, and the stick grads. Its
-    temporaries, the size of v's gradient among them, are freed on return,
-    before the feature map's backward runs."""
-    dots, tail, grad_pq, grad_pk, grad_v = _streamed_backward(tape, gboth)
-    ghead, gmerged = tape.weights.window_coefs_vjp(dots, tail)
-    gv_stick, stick = scheme_weights_vjp(tape.scheme, tape.v, tape.partition, tape.weights,
-                                         ghead, gmerged)
-    return grad_pq, grad_pk, grad_v + gv_stick, ghead, gmerged, stick
+    grad_pq = (c_0 * sg)[..., None] * pk + gpq + wg.merged[..., None] * zt
+    grad_pk = (c_0 * sg)[..., None] * pq + gpk
+    grad_v = (c_0 * qk)[..., None] * gboth[..., :-1] + gstreams[..., :-1] + gv_stick
+    return grad_pq, grad_pk, grad_v, ghead, gmerged, stick
 
 
 def _linear_backward(tape: AttentionTape, gboth: np.ndarray):

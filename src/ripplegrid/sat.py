@@ -19,19 +19,26 @@ phi_k (x) [v, 1] whole: both walk the padded rows top down once, in
 chunks of every channel that stream_plan sizes within BLOCK_BYTES. Each
 table row is built once, by table_rows on the carry of the row above, and
 contracted once with a stacked operand that holds, in slot s at (p, c),
-the c_g phi_q of the query (p - o_s, c - co_s): one matmul per run of
-rows that the same slots read, then one strided add per slot into the
-output (read_windows). The backward's z read is the stacked cotangent
-against the rows' transposed view (read_windows_vjp).
+the c_g phi_q of the query (p - o_s, c - co_s), one product per slot:
+one matmul per run of rows that the same slots read, then one strided
+add or subtract per slot, by the corner's sign, into the output
+(read_windows).
 
-The adjoint. A window is also the same corner sum of the suffix table
+The adjoint. read_windows_vjp takes the cotangents of read_windows' out
+and grid total and returns the total with the cotangents of coefs, pq,
+pk and streams. Its z read, the signed stacked cotangent against the
+table rows' transposed view in the same runs, adds up z_g = W_g . cot
+in one (H, W, heads, G, Dp) array per call, contracted with pq and coefs
+once after the walk. A window is also the same corner sum of the suffix table
 S[i, j] = sum of F[i:, j:] padded with copies of its first row and column
 before the grid and zeros after it (grid row i at padded row i + ph). So
-the token adjoint is one product per padded row, stacked keys against the
-signed stacked cotangent, summing every window in its K reduction, and
-prefix_sum from padded (0, 0), where the grid total's cotangent sits,
-finishes it chunk by chunk on a carry: that folds the shares before the
-grid onto it, and rows past the grid are never needed.
+the field's cotangent is one product per padded row, the stacked keys
+against the signed stacked cotangent, summing every window in its K
+reduction, and prefix_sum from padded (0, 0), where the grid total's
+cotangent sits, finishes it chunk by chunk on a carry: that folds the
+shares before the grid onto it, and rows past the grid are never needed.
+Each chunk's finished rows go straight into the pk and streams
+cotangents, so no caller sees the field's layout.
 
 The module counts window evaluations, transposed ones included, so tests
 can assert the passes' sub-quadratic access pattern. A fetch is one
@@ -54,8 +61,8 @@ BLOCK_BYTES = 10 << 20
 """Bytes a pass keeps for its chunks of table rows (see stream_plan): it
 sizes the chunk rows only, and a pass keeps at least its carry rows and
 one chunk row of every channel, past the budget if need be. At 10 MiB,
-with Dp = C = 32, a 48x48 unit-ring forward runs 12-row chunks and a 32x32
-dyadic forward and backward 15- and 7-row chunks; the toy's 8x8 passes
+with Dp = C = 32, a 48x48 unit-ring forward runs 13-row chunks and a 32x32
+dyadic forward and backward 17- and 9-row chunks; the toy's 8x8 passes
 each run as one chunk. A larger budget leaves less margin under the
 one-field forward peak at 48x48, and at 32x32 a short-radius forward
 would fall short of what a long-radius one fills, against acceptance 5's
@@ -158,19 +165,16 @@ def _rows_down(acc: np.ndarray, built: np.ndarray) -> np.ndarray:
 def _chunk_shapes(field_shape: tuple, windows: int, pads: tuple, rows: int,
                   backward: bool) -> dict:
     """The buffers a pass keeps for chunks of ``rows`` padded rows, by
-    name. Carry rows, and the 2 ph + 1 more query rows whose reads a chunk
-    reaches, are kept whatever ``rows``."""
-    w, heads, (dp, values), (ph, pw) = field_shape[1], field_shape[2:-2], field_shape[-2:], pads
+    name. The carry rows are kept whatever ``rows``."""
+    w, heads, (dp, values), pw = field_shape[1], field_shape[2:-2], field_shape[-2:], pads[1]
     cols, slots = w + 2 * pw + 1, 4 * windows
     shapes = {"table": (rows + 1, w + pw) + heads + (dp, values),
               "mask": (rows * math.prod(heads) * dp * min(COLUMN_BLOCK, w) ** 2,),
-              "scaled": (rows + 2 * ph + 1, w) + heads + (windows, dp),
               "stacked": (rows, cols if backward else w + pw) + heads + (slots, dp),
               "products": (rows, w + pw) + heads + (slots, dp if backward else values)}
     if backward:
         shapes.update(adjoint=(rows + 1, w + pw) + heads + (dp, values),
-                      cotangents=(rows, cols) + heads + (slots, values),
-                      z=(rows + 2 * ph + 1, w) + heads + (windows, dp))
+                      cotangents=(rows, cols) + heads + (slots, values))
     return shapes
 
 
@@ -304,14 +308,11 @@ def _runs(slots: tuple, top: int, stop: int, h: int, row_macs: int):
     return tuple(runs)
 
 
-def _stack_keys(bufs: dict, corners: tuple, base: int, rows: slice, coefs, pq) -> None:
-    """Fill the stacked keys with one product coefs (x) pq over the query
-    ``rows`` a chunk reads (row base + k in "scaled"[k]), then one signed copy per slot."""
-    scaled = bufs["scaled"][rows.start - base:rows.stop - base]
-    np.multiply(coefs[rows, ..., None], pq[rows, ..., None, :], out=scaled)
-    for s, sign, g, qi, qx, oi, ox in corners:
-        np.multiply(scaled[qi.start - rows.start:qi.stop - rows.start, qx, ..., g, :], sign,
-                    out=bufs["stacked"][oi, ox, ..., s, :])
+def _stack_keys(stacked, corners: tuple, coefs, pq) -> None:
+    """Write c_g phi_q into each slot of the stacked keys: one product per
+    slot, over the queries whose corner falls in the chunk."""
+    for s, _, g, qi, qx, oi, ox in corners:
+        np.multiply(coefs[qi, qx, ..., g, None], pq[qi, qx], out=stacked[oi, ox, ..., s, :])
 
 
 def _contract(left, table, rows: tuple, top: int, past: int, slots: tuple, h: int, out) -> None:
@@ -333,46 +334,46 @@ def read_windows(out, pk, streams, radii: list[int], coefs, pq) -> np.ndarray:
     the next pass overwrites."""
     h, w = out.shape[:2]
     for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, False):
-        slots, base = _slots(tuple(radii), (ph, pw)), top - 2 * ph - 1
+        slots = _slots(tuple(radii), (ph, pw))
         corners = _corners(slots, (top, stop), (pw + 1, w + 2 * pw + 1), (h, w))
-        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq)
+        _stack_keys(bufs["stacked"], corners, coefs, pq)
         products = bufs["products"]
         _contract(bufs["stacked"], bufs["table"], (top, stop), top, past, slots, h, products)
-        for s, _, _, qi, qx, oi, ox in corners:
-            np.add(out[qi, qx], products[oi, ox, ..., s, :], out=out[qi, qx])
+        for s, sign, _, qi, qx, oi, ox in corners:
+            acc = out[qi, qx]
+            (np.add if sign > 0 else np.subtract)(acc, products[oi, ox, ..., s, :], out=acc)
     return bufs["table"][past - top, -1]
 
 
 def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
     """The transpose of read_windows for the cotangent ``cot`` of its out
-    and ``total_cot`` (heads, Dp, C + 1) of each head's grid total. Yields
-    (zrows, z, grows, gx, total) after each chunk, views of kept buffers:
-    z (rows, W, heads, G, Dp) holds W_g . cot for the finished query rows
-    ``zrows``, gx the cotangent of the field at the finished grid rows
-    ``grows``, total the grid total after the last chunk and None before."""
+    and ``total_cot`` (heads, Dp, C + 1) of each head's grid total.
+    Returns (total, gcoefs, gpq, gpk, gstreams): the grid total, as
+    read_windows returns it, and the cotangents of coefs, pq, pk and
+    streams."""
     h, w = cot.shape[:2]
+    z = np.zeros(pq.shape[:-1] + (len(radii),) + pq.shape[-1:])     # W_g . cot per query
+    gpk, gstreams = np.empty(pk.shape), np.empty(streams.shape)
     for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, True):
-        slots, n, base = _slots(tuple(radii), (ph, pw)), stop - top, top - 2 * ph - 1
+        slots = _slots(tuple(radii), (ph, pw))
         stacked, cotangents, table = bufs["stacked"], bufs["cotangents"], bufs["table"]
-        products, adjoint, z = bufs["products"], bufs["adjoint"], bufs["z"]
+        products, adjoint = bufs["products"], bufs["adjoint"]
         corners = _corners(slots, (top, stop), (0, w + 2 * pw + 1), (h, w))
-        if top:     # carry over the adjoint's last row and the open z rows
-            adjoint[0], z[:2 * ph + 1] = adjoint[done], z[moved:moved + 2 * ph + 1]
+        if top:     # carry over the adjoint's last finished row
+            adjoint[0] = adjoint[done]
             stacked.fill(0.0)   # the adjoint's K reduction sums every slot of a run
         else:
             adjoint[0] = 0.0
-        _stack_keys(bufs, corners, base, slice(max(base, 0), min(stop, h)), coefs, pq)
-        for s, _, _, qi, qx, oi, ox in corners:
-            cotangents[oi, ox, ..., s, :] = cot[qi, qx]
+        _stack_keys(stacked, corners, coefs, pq)
+        for s, sign, _, qi, qx, oi, ox in corners:
+            np.multiply(cot[qi, qx], sign, out=cotangents[oi, ox, ..., s, :])
         # the z read, from the first row inside the grid
         first = min(max(top, ph + 1), stop)
         _contract(cotangents[:, pw + 1:], np.swapaxes(table, -1, -2), (first, stop), top, past,
                   slots, h, products)
-        z[2 * ph + 1:2 * ph + 1 + n] = 0.0
-        for s, sign, g, qi, qx, oi, ox in _corners(slots, (first, stop), (pw + 1, w + 2 * pw + 1),
-                                                   (h, w)):
-            zs = z[qi.start - base:qi.stop - base, qx, ..., g, :]
-            (np.add if sign > 0 else np.subtract)(zs, products[oi, ox, ..., s, :], out=zs)
+        for s, _, g, qi, qx, oi, ox in _corners(slots, (first, stop), (pw + 1, w + 2 * pw + 1),
+                                                (h, w)):
+            np.add(z[qi, qx, ..., g, :], products[oi, ox, ..., s, :], out=z[qi, qx, ..., g, :])
         # the token adjoint, up to the last row the grid reads
         end = max(min(stop, h + ph), top)
         for a, b, lo, hi in _runs(slots, top, end, h, table[0].size):
@@ -382,9 +383,9 @@ def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
         if top == 0:
             adjoint[1, 0] += total_cot
         prefix_sum(adjoint[:1 + end - top], carry=True)
-        grows = slice(max(top - ph, 0), max(end - ph, 0))
-        zrows = slice(max(base, 0), max(stop - 2 * ph - 1, 0))
-        done, moved = end - top, n
-        yield (zrows, z[zrows.start - base:zrows.stop - base], grows,
-               adjoint[1 + grows.start + ph - top:1 + end - top, pw:],
-               table[past - top, -1] if stop == h + 2 * ph + 1 else None)
+        rows, done = slice(max(top - ph, 0), max(end - ph, 0)), end - top
+        gx = adjoint[1 + rows.start + ph - top:1 + done, pw:]   # the field's, at grid rows
+        np.einsum("...dc,...c->...d", gx, streams[rows], out=gpk[rows])
+        np.einsum("...dc,...d->...c", gx, pk[rows], out=gstreams[rows])
+    return (table[past - top, -1], np.einsum("...d,...gd->...g", pq, z),
+            np.einsum("...gd,...g->...d", z, coefs), gpk, gstreams)

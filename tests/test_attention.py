@@ -352,6 +352,40 @@ def test_weight_grid_for_another_shape_rejected():
             fn(q, k, v, cfg, weights=wg)
 
 
+def test_malformed_weight_grid_rejected():
+    """An override that is not a weight grid of the partition over the
+    token grid is refused, naming the field: before, a head shorter than
+    its hats or a group count one short made ripple_dp and ripple_naive
+    disagree by 40% or more of the largest output, hat + 10 raised a
+    broadcast error from one and not the other, and an infinite head
+    weight returned NaN rows. Weights off the simplex still pass."""
+    rng = np.random.default_rng(33)
+    cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, PartitionKind.UNIT_RING, rng, 4)
+    q, k, v = random_grids(rng, 5, 5)
+    wg = scheme_weights_grid(cfg.scheme, v, GridShape(5, 5), cfg.partition)
+    assert wg.head.shape[-1] == wg.hat.max() == 3
+    inf_head = wg.head.copy()
+    inf_head[2, 2, 0] = np.inf
+    nan_merged = wg.merged.copy()
+    nan_merged[0, 4] = np.nan
+    bad = [(dict(head=wg.head[..., :2]), r"weights\.head has 2 slots"),
+           (dict(groups=wg.groups - 1), r"weights\.groups does not match"),
+           (dict(hat=wg.hat + 10), r"weights\.hat must lie in \[0, groups\]"),
+           (dict(hat=wg.hat - 4), r"weights\.hat must lie in \[0, groups\]"),
+           (dict(head=inf_head), r"weights\.head contains non-finite"),
+           (dict(merged=nan_merged), r"weights\.merged contains non-finite"),
+           (dict(hat=wg.hat.astype(float)), r"weights\.hat must be an integer array"),
+           (dict(groups=wg.groups.astype(float)), r"weights\.groups must be an integer"),
+           (dict(merged=wg.merged[:, :4]), r"weights\.merged of shape \(5, 4, 1\)"),
+           (dict(head=wg.head[..., 0]), r"weights\.head of shape \(5, 5, 1\) ")]
+    for fn in (ripple_dp, ripple_naive):
+        for change, message in bad:
+            with pytest.raises(ValueError, match=message):
+                fn(q, k, v, cfg, weights=dataclasses.replace(wg, **change))
+        off_simplex = dataclasses.replace(wg, head=wg.head * 3.0, merged=wg.merged - 0.5)
+        assert np.isfinite(fn(q, k, v, cfg, weights=off_simplex).out).all()
+
+
 def test_two_dimensional_value_grid_rejected():
     # one value per token still needs its channel axis: (H, W, 1), not (H, W)
     rng = np.random.default_rng(31)

@@ -543,13 +543,15 @@ def peak_units(fn, side, width):
 
 
 def test_forward_backward_peak_memory():
-    """Forward plus backward peaks at 1.68 (H, W, Dp, C + 1) f64 arrays at
-    32x32: the tape's inputs, features and quotient, and one kept buffer,
-    which the backward takes over from the forward and grows. The backward
-    streams the table in 7-row chunks at full channel width, and each
-    chunk keeps its table rows, the token adjoint's rows, the stacked keys
-    and cotangents, the z read's products and the z rows of the queries it
-    reaches. Before the table was streamed by rows, the peak read 1.97
+    """Forward plus backward peaks at 1.74 (H, W, Dp, C + 1) f64 arrays at
+    32x32: the tape's inputs, features and quotient, one kept buffer,
+    which the backward takes over from the forward and grows, and the
+    backward's (H, W, G, Dp) z array. The backward streams the table in
+    9-row chunks at full channel width, and each chunk keeps its table
+    rows, the token adjoint's rows, the stacked keys and cotangents and
+    the z read's products. With 7-row chunks that also kept the z rows of
+    the queries they reached, in place of the z array, it read 1.67.
+    Before the table was streamed by rows, the peak read 1.97
     with three blocks of 11 channels in strips of 14 rows, each block's
     buffer holding a band of 29 padded table rows, the token adjoint's
     band (30 rows with its carry) and a strip's field, and the forward's
@@ -580,12 +582,13 @@ def test_forward_backward_peak_memory():
 
 def test_forward_peak_below_one_field():
     """A forward never holds the whole field phi_k (x) [v, 1]: at 48x48 it
-    peaks at 0.75 of one (H, W, Dp, C + 1) array: one kept buffer (0.56)
-    for 12-row chunks of the padded table at full channel width (radius
-    3) with their stacked keys and products, the scaled phi_q and the
-    table build's mask, plus the tape. With a band of 20 padded table rows
-    over 13-row strips and paired K = 2 window reads it peaked at 0.73.
-    With four corner matmuls per window and a column pass over a
+    peaks at 0.71 of one (H, W, Dp, C + 1) array: one kept buffer (0.53)
+    for 13-row chunks of the padded table at full channel width (radius
+    3) with their stacked keys and products and the table build's mask,
+    plus the tape; 12-row chunks that also kept the scaled phi_q of the
+    query rows they reached peaked at 0.71 too. With a band of 20 padded
+    table rows over 13-row strips and paired K = 2 window reads it peaked
+    at 0.73. With four corner matmuls per window and a column pass over a
     written-out field, it peaked at 0.72. A band sized without the strip's
     vectors (strips of 15 rows) peaked at 0.77, the channel-blocked
     forward at 0.87 with one block's table, window and window scratch, and

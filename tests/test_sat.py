@@ -264,8 +264,7 @@ def test_fetch_counting():
             reset_fetch_count()
             read_windows(np.zeros(cot.shape), pk, streams, [1, 2], coefs, pq)
             assert fetch_count() == 40
-            for _ in read_windows_vjp(pk, streams, [1, 2], coefs, pq, cot, total_cot):
-                pass
+            read_windows_vjp(pk, streams, [1, 2], coefs, pq, cot, total_cot)
             prefix_sum(np.ones((4, 5)))
             assert fetch_count() == 120
             read_windows(np.zeros(cot.shape), pk, streams, [], coefs[..., :0], pq)
@@ -283,31 +282,32 @@ FUZZ = dict(h=st.integers(1, 12), w=st.integers(1, 12),
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(**FUZZ)
 def test_stacked_read_and_adjoint_are_exact_adjoints(h, w, radii, channels, budget, seed):
-    """<sum_g c_g pq . W_g(F), Y> + <T, Tbar> equals both <F, the token
-    adjoint> and sum_g <c_g pq, z_g> + <T, Tbar>, with F = pk (x) streams,
-    T its grid total and Tbar that total's cotangent, for windows up to
-    past the grid's side, one to three of them or none, in chunks of one
-    row, in short chunks and in one chunk."""
+    """read_windows is linear in each of coefs, pq, pk and streams, so with
+    out = sum_g c_g pq . W_g(F), F = pk (x) streams, T its grid total and
+    Tbar that total's cotangent: <coefs, gcoefs> and <pq, gpq> equal
+    <out, Y>, and <pk, gpk> and <streams, gstreams> equal <out, Y> +
+    <T, Tbar>, for windows up to past the grid's side, one to four of
+    them or none, in chunks of one row, in short chunks and in one chunk."""
     heads, features, values = channels
     pk, streams, coefs, pq, cot, total_cot = stream_case(h, w, heads, features, values, radii,
                                                          seed)
     field = pk[..., :, None] * streams[..., None, :]
     out = np.zeros(cot.shape)
-    grad_field, z = np.zeros(field.shape), np.zeros((h, w, heads, len(radii), features))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sat, "BLOCK_BYTES", budget)
-        total = read_windows(out, pk, streams, radii, coefs, pq).copy()
-        for zrows, zs, grows, gx, _ in read_windows_vjp(pk, streams, radii, coefs, pq, cot,
-                                                        total_cot):
-            z[zrows] += zs
-            grad_field[grows] += gx
+        read_windows(out, pk, streams, radii, coefs, pq)
+        total, gcoefs, gpq, gpk, gstreams = read_windows_vjp(pk, streams, radii, coefs, pq, cot,
+                                                             total_cot)
+    assert (gcoefs.shape, gpq.shape, gpk.shape, gstreams.shape) == (
+        coefs.shape, pq.shape, pk.shape, streams.shape)
     np.testing.assert_allclose(total, field.sum(axis=(0, 1)), rtol=1e-10, atol=1e-10)
-    want = inner(out, cot) + inner(total, total_cot)
+    by_out = inner(out, cot)
     scale = np.abs(field).sum() * (np.abs(cot).sum() * np.abs(coefs).max(initial=1.0)
                                    * np.abs(pq).max() + np.abs(total_cot).sum())
-    assert abs(inner(field, grad_field) - want) <= 1e-12 * scale
-    by_z = inner(coefs[..., None] * pq[..., None, :], z) + inner(total, total_cot)
-    assert abs(by_z - want) <= 1e-12 * scale
+    for got in (inner(coefs, gcoefs), inner(pq, gpq)):
+        assert abs(got - by_out) <= 1e-12 * scale
+    for got in (inner(pk, gpk), inner(streams, gstreams)):
+        assert abs(got - by_out - inner(total, total_cot)) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
