@@ -18,17 +18,15 @@ field itself (group 0 is radius 0 in both partitions), so its term is
 denominator of the linear-attention quotient share that sweep: it runs over
 the field phi_k (x) [v, 1], whose last value column is the denominator stream.
 
-The sweep is linear in each feature channel until it meets phi_q, so it
-reads every window from the prefix table of that field, streamed top
-down in chunks of padded rows (see the sat module): each table row is
-contracted once with the c_g phi_q of every window corner that reads it,
-straight into the (H, W, C + 1) accumulator, and the last chunk's far
-corner is the grid total. The sweep reads only the head weights and the
-merged tail of the weight grid, never a per-group vector; ripple_naive's
-member-by-member sweep builds that from WeightGrid.padded. The tape holds
+The sweep picks each window's radius and coefficient from the weight
+grid's head weights and merged tail, never a per-group vector, and
+sat.read_windows reads the whole grouped sum, radius 0, the windows and
+the tail, from the prefix table of that field streamed top down; only
+the sat module knows the table's layout. ripple_naive's member-by-member
+sweep builds the per-group vectors from WeightGrid.padded. The tape holds
 inputs, features, the weight grid (head and tail, linear in the grid) and
-the quotient, and the backward pass streams the same table again and
-runs the transpose of the same reads (see the grad module).
+the quotient, and the backward pass runs the read's adjoint, which
+streams the same table again (see the grad module).
 
 One pass, _attend, runs every layer on (H, W, heads, ...) arrays: a
 multi-head layer stacks its heads on axis 2, with one stream over
@@ -44,7 +42,7 @@ import numpy as np
 
 from .featmap import FeatureMapKind, FeatureMapParams, feature_forward, init_feature_map
 from .heads import matmul, outer_sum
-from .sat import kept_array, read_windows
+from .sat import read_windows
 from .vicinal import GridShape, PartitionScheme, group_span, num_groups_grid, query_groups
 from .weights import (LEARNED_KINDS, StickParams, WeightGrid, WeightScheme,
                       WeightSchemeKind, scheme_weights_grid)
@@ -139,24 +137,12 @@ def _value_streams(v):
 def _sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
     """The prefix-sum sweep over a stack of heads: (H, W, heads, Dp)
     features, (H, W, heads, C) values and weights with the head axis. Returns
-    the (H, W, heads, C + 1) numerator and denominator streams, into which
-    sat.read_windows reads every window with its coefficient on phi_q."""
+    the (H, W, heads, C + 1) numerator and denominator streams, the grouped
+    sum that sat.read_windows reads whole: window g has group g's outer
+    radius, 0 for group 0, and its coefficient from window_coefs."""
     coefs = wg.window_coefs()
-    radii = [group_span(partition.kind, g)[1] for g in range(1, coefs.shape[-1])]
-    streams = _value_streams(v)
-    both = (_radius_zero_coef(coefs) * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
-    part = kept_array("part", both.shape)
-    matmul(pq, read_windows(both, pk, streams, radii, coefs[..., 1:], pq), out=part)
-    part *= wg.merged[..., None]
-    both += part
-    return both
-
-
-def _radius_zero_coef(coefs):
-    """c_0, the radius-0 window's coefficient per query: zero where every
-    hat is 0 and there are no window coefficients. W_0 is the field itself,
-    so its term is c_0 (phi_q . phi_k) [v, 1] and takes no table."""
-    return coefs[..., 0] if coefs.shape[-1] else np.zeros(coefs.shape[:-1])
+    radii = [group_span(partition.kind, g)[1] for g in range(coefs.shape[-1])]
+    return read_windows(pk, _value_streams(v), radii, coefs, wg.merged, pq)
 
 
 def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.ndarray:
@@ -171,15 +157,19 @@ def _naive_sweep(pq, pk, v, wg: WeightGrid, partition: PartitionScheme) -> np.nd
 
 def _check_weights(wg: WeightGrid, shape: tuple, partition: PartitionScheme) -> None:
     """Reject, naming the field, a weights= override that is not a weight
-    grid of ``partition`` over the (H, W, heads) queries ``shape``: a head
+    grid of ``partition`` over the (H, W) token grid ``shape``: a field
+    that is not an ndarray or has the wrong axes cannot be read, a head
     too short for its hats reads past it, a hat past its group count or a
     wrong group count sums the wrong groups, and a non-finite weight turns
     rows NaN. The simplex is not checked (see ripple_dp)."""
     for name in ("head", "hat", "merged", "groups"):
-        got = np.shape(getattr(wg, name))
-        if got[:3] != shape or len(got) != 3 + (name == "head"):
-            raise ValueError(f"weights.{name} of shape {got} over a {got[:2]} grid does not "
-                             f"match the {shape[:2]} token grid (heads: {shape[2]})")
+        field, axes = getattr(wg, name), 3 if name == "head" else 2
+        if not isinstance(field, np.ndarray) or field.ndim != axes:
+            got = f"shape {field.shape}" if isinstance(field, np.ndarray) else type(field).__name__
+            raise ValueError(f"weights.{name} must be an ndarray of {axes} axes, got {got}")
+        if field.shape[:2] != shape:
+            raise ValueError(f"weights.{name} of shape {field.shape} over a {field.shape[:2]} "
+                             f"grid does not match the {shape} token grid")
     for name in ("hat", "groups"):
         dtype = getattr(wg, name).dtype
         if not np.issubdtype(dtype, np.integer):
@@ -189,7 +179,7 @@ def _check_weights(wg: WeightGrid, shape: tuple, partition: PartitionScheme) -> 
     if wg.head.shape[-1] < wg.hat.max(initial=0):
         raise ValueError(f"weights.head has {wg.head.shape[-1]} slots, fewer than the "
                          f"largest hat {wg.hat.max()}")
-    counts = num_groups_grid(partition.kind, GridShape(*shape[:2]))[..., None]
+    counts = num_groups_grid(partition.kind, GridShape(*shape))
     if not (wg.groups == counts).all():
         raise ValueError(f"weights.groups does not match the {partition.kind.value} "
                          f"partition's group counts")
@@ -209,8 +199,6 @@ def _attend(q, k, v, phi_q, phi_k, featmap: FeatureMapParams, epsilon: float,
     else:
         if weights is None:
             weights = scheme_weights_grid(scheme, v, GridShape(*q.shape[:2]), partition)
-        else:
-            _check_weights(weights, q.shape[:3], partition)
         both = sweep(phi_q, phi_k, v, weights, partition)
     num, den = both[..., :-1], both[..., -1] + epsilon
     _check_denominator(den)
@@ -221,10 +209,15 @@ def _attend(q, k, v, phi_q, phi_k, featmap: FeatureMapParams, epsilon: float,
 
 def _grouped(qgrid, kgrid, vgrid, config: AttentionConfig, weights: WeightGrid | None,
              sweep) -> AttentionOutput:
-    """One head's grouped attention: the frame both grouped forwards share."""
-    out, tape = _attend(*_featurize(qgrid, kgrid, vgrid, config.featmap), config.featmap,
-                        config.epsilon, config.scheme, config.partition,
-                        None if weights is None else weights.head_axis(), sweep)
+    """One head's grouped attention: the frame both grouped forwards share.
+    A ``weights=`` override is checked on the token grid, then given the
+    head axis."""
+    q, k, v, phi_q, phi_k = _featurize(qgrid, kgrid, vgrid, config.featmap)
+    if weights is not None:
+        _check_weights(weights, q.shape[:2], config.partition)
+        weights = weights.head_axis()
+    out, tape = _attend(q, k, v, phi_q, phi_k, config.featmap, config.epsilon, config.scheme,
+                        config.partition, weights, sweep)
     return AttentionOutput(out=out[:, :, 0], tape=tape)
 
 

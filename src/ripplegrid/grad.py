@@ -5,18 +5,14 @@ tapes the forward passes record; nothing is differentiated numerically except
 in finite_diff_check, which exists to audit the rest of this module.
 
 The group-weighted forward is y = m T + sum_g c_g W_g over one tabled field
-(see the attention module). The tape keeps no table: the backward runs
-sat.read_windows_vjp, the adjoint of the forward's window reads, which
-streams the forward's table again. With the grid total T, it returns the
-cotangents of the window coefficients (phi_q . z_g per query, with
-z_g = W_g . gboth), which the weight gradients difference over g, of
-phi_q (sum_g c_g z_g), and of phi_k and [v, 1]: a token receives the
-transposed window of the field c_g * cotangent per group, plus the
-broadcast sum of m * cotangent, which enters as the cotangent of T.
-Group 0's window is the token itself, so its share, like
-z_0 = phi_k ([v, 1] . gboth), takes only (H, W, heads, Dp) arrays. Both
-directions read one window per head group past group 0, as the forward
-does. Like the forward, the backward is one pass,
+(see the attention module), read whole by sat.read_windows. The tape keeps
+no table: the backward runs sat.read_windows_vjp, the adjoint of that
+read, which streams the forward's table again and returns the cotangents
+of every array the read takes: the window coefficients (phi_q . z_g per
+query, with z_g = W_g . gboth), which the weight gradients difference
+over g, the merged tail (phi_q . T . gboth), phi_q, phi_k and [v, 1].
+Both directions read one window per head group past group 0, as the
+forward does. Like the forward, the backward is one pass,
 _attend_vjp, on the tape's (H, W, heads, ...) arrays, with a head axis of
 length 1 for the single-head entry points; linearized attention skips
 the weights. Its entry points are ripple_vjp (also named linearized_vjp)
@@ -30,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionTape, MultiHeadTape, _radius_zero_coef, _value_streams
+from .attention import AttentionTape, MultiHeadTape, _value_streams
 from .featmap import feature_vjp
 from .heads import matmul, outer_sum
 from .sat import read_windows_vjp
@@ -104,33 +100,20 @@ def _single_head_cotangent(tape: AttentionTape, upstream) -> np.ndarray:
 def _ripple_backward(tape: AttentionTape, gboth: np.ndarray):
     """The weight and token gradients over a stack of heads, with the head
     axis after (H, W) as in the forward sweep: sat.read_windows_vjp's
-    cotangents of the window coefficients, phi_q, phi_k and [v, 1], plus
-    the shares of the radius-0 window and of the tail's m T, whose
-    cotangent m phi_q (x) gboth the walk takes as its total's, then the
-    weight pipeline's. Returns the phi_q, phi_k and v gradients (v's
-    through the weights included), the head and tail weight gradients, and
-    the stick grads. Its temporaries, the size of v's gradient among them,
-    are freed on return, before the feature map's backward runs."""
-    pq, pk, wg, partition = tape.phi_q, tape.phi_k, tape.weights, tape.partition
+    cotangents of the window coefficients, the merged tail, phi_q, phi_k
+    and [v, 1], then the weight pipeline's. Returns the phi_q, phi_k and v
+    gradients (v's through the weights included), the head and tail weight
+    gradients, and the stick grads. Its temporaries, the size of v's
+    gradient among them, are freed on return, before the feature map's
+    backward runs."""
+    wg, partition = tape.weights, tape.partition
     coefs = wg.window_coefs()
-    length = coefs.shape[-1]
-    radii = [group_span(partition.kind, g)[1] for g in range(1, length)]
-    streams = _value_streams(tape.v)
-    sg = np.einsum("...c,...c->...", streams, gboth)           # [v, 1] . gboth
-    qk = np.einsum("...d,...d->...", pq, pk)
-    tail_cot = outer_sum(wg.merged[..., None] * pq, gboth, heads=True)   # (heads, Dp, C + 1)
-    total, gcoefs, gpq, gpk, gstreams = read_windows_vjp(pk, streams, radii, coefs[..., 1:],
-                                                         pq, gboth, tail_cot)
-    zt = matmul(gboth, np.swapaxes(total, -1, -2))    # T . gboth
-    # phi_q . z_0 first, where there are coefficients
-    dots = np.concatenate(((sg * qk)[..., None][..., :length], gcoefs), axis=-1)
-    ghead, gmerged = wg.window_coefs_vjp(dots, np.einsum("...d,...d->...", pq, zt))
+    radii = [group_span(partition.kind, g)[1] for g in range(coefs.shape[-1])]
+    gcoefs, gtail, grad_pq, grad_pk, gstreams = read_windows_vjp(
+        tape.phi_k, _value_streams(tape.v), radii, coefs, wg.merged, tape.phi_q, gboth)
+    ghead, gmerged = wg.window_coefs_vjp(gcoefs, gtail)
     gv_stick, stick = scheme_weights_vjp(tape.scheme, tape.v, partition, wg, ghead, gmerged)
-    c_0 = _radius_zero_coef(coefs)
-    grad_pq = (c_0 * sg)[..., None] * pk + gpq + wg.merged[..., None] * zt
-    grad_pk = (c_0 * sg)[..., None] * pq + gpk
-    grad_v = (c_0 * qk)[..., None] * gboth[..., :-1] + gstreams[..., :-1] + gv_stick
-    return grad_pq, grad_pk, grad_v, ghead, gmerged, stick
+    return grad_pq, grad_pk, gstreams[..., :-1] + gv_stick, ghead, gmerged, stick
 
 
 def _linear_backward(tape: AttentionTape, gboth: np.ndarray):

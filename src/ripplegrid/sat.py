@@ -1,5 +1,5 @@
-"""2D prefix sums, streamed top down, and the window reads of the padded
-table with their exact adjoints.
+"""2D prefix sums, streamed top down, and the grouped sum read from the
+padded table, with its exact adjoint.
 
 Every array here is f64 with the grid on its first two axes.
 
@@ -7,6 +7,15 @@ Every array here is f64 with the grid on its first two axes.
   time, and can continue a table below a finished row (a carry).
 - table_rows continues a table for a field keys (x) values that it never
   writes out, with one masked matmul per block of COLUMN_BLOCK columns.
+
+The grouped sum. read_windows returns, per query, m (phi_q . T) + sum
+over g of c_g (phi_q . W_g) over the field F = phi_k (x) [v, 1]: W_g is
+its clipped radius-r_g window, T its grid total and m the merged tail
+weight. Group 0 has radius 0, the token itself, so its term is
+c_0 (phi_q . phi_k) [v, 1] and takes no table; the tail is one product
+with T per head, in a kept buffer of its own outside BLOCK_BYTES. Only
+the windows past radius 0 are read from the table, and no caller sees
+its layout.
 
 The padded table. With pads (ph, pw), the widest radius clipped to each
 grid axis, padded entry (p, c) is table entry (p - ph - 1, c - pw - 1):
@@ -24,25 +33,27 @@ one matmul per run of rows that the same slots read, then one strided
 add or subtract per slot, by the corner's sign, into the output
 (read_windows).
 
-The adjoint. read_windows_vjp takes the cotangents of read_windows' out
-and grid total and returns the total with the cotangents of coefs, pq,
-pk and streams. Its z read, the signed stacked cotangent against the
-table rows' transposed view in the same runs, adds up z_g = W_g . cot
-in one (H, W, heads, G, Dp) array per call, contracted with pq and coefs
-once after the walk. A window is also the same corner sum of the suffix table
-S[i, j] = sum of F[i:, j:] padded with copies of its first row and column
-before the grid and zeros after it (grid row i at padded row i + ph). So
-the field's cotangent is one product per padded row, the stacked keys
+The adjoint. read_windows_vjp takes the cotangent cot of read_windows'
+out and returns the cotangents of coefs, merged, pq, pk and streams.
+Radius 0 and the tail take (H, W, heads, ...) arrays only: the tail's
+T . cot, from the total the walk leaves, and T's own cotangent, the grid
+sum of (m phi_q) (x) cot. Its z read, the signed stacked cotangent
+against the table rows' transposed view in the same runs, adds up
+z_g = W_g . cot in one (H, W, heads, G, Dp) array per call, contracted
+with pq and coefs once after the walk and freed before the tail's
+cotangents are taken. A window is also the same corner sum of the
+suffix table S[i, j] = sum of F[i:, j:] padded with copies of its first
+row and column before the grid and zeros after it (grid row i at padded
+row i + ph). So the field's cotangent is one product per padded row, the stacked keys
 against the signed stacked cotangent, summing every window in its K
-reduction, and prefix_sum from padded (0, 0), where the grid total's
-cotangent sits, finishes it chunk by chunk on a carry: that folds the
-shares before the grid onto it, and rows past the grid are never needed.
-Each chunk's finished rows go straight into the pk and streams
-cotangents, so no caller sees the field's layout.
+reduction, and prefix_sum from padded (0, 0), where T's cotangent sits,
+finishes it chunk by chunk on a carry: that folds the shares before the
+grid onto it, and rows past the grid are never needed. Each chunk's
+finished rows go straight into the pk and streams cotangents.
 
 The module counts window evaluations, transposed ones included, so tests
 can assert the passes' sub-quadratic access pattern. A fetch is one
-position of one window in one pass: chunks count none.
+position of one window past radius 0 in one pass: chunks count none.
 """
 from __future__ import annotations
 
@@ -53,6 +64,8 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
+
+from .heads import matmul, outer_sum
 
 COLUMN_BLOCK = 8     # grid columns per masked matmul in table_rows
 RUN_MACS = 1 << 17   # multiply-adds that cost about as much as one matmul call
@@ -327,35 +340,40 @@ def _contract(left, table, rows: tuple, top: int, past: int, slots: tuple, h: in
                           out=out[a - rows[0]:b - rows[0], ..., lo:hi, :])
 
 
-def read_windows(out, pk, streams, radii: list[int], coefs, pq) -> np.ndarray:
-    """out (H, W, heads, C + 1) += sum over g of the radius radii[g] windows
-    of the table of phi_k (x) [v, 1] contracted with coefs[..., g] * pq.
-    Returns the (heads, Dp, C + 1) grid total, a view of a kept buffer that
-    the next pass overwrites."""
-    h, w = out.shape[:2]
-    for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, False):
-        slots = _slots(tuple(radii), (ph, pw))
+def read_windows(pk, streams, radii: list[int], coefs, merged, pq) -> np.ndarray:
+    """The grouped sum of the field F = phi_k (x) [v, 1], (H, W, heads,
+    C + 1): m (pq . T) + sum over g of coefs[..., g] (pq . W_g), with W_g
+    the radius radii[g] window of F, T its grid total and m ``merged``.
+    radii[0] is 0, the token itself, read from the field with no table."""
+    (h, w), c_0 = pk.shape[:2], coefs[..., 0] if radii else 0.0
+    out = (c_0 * np.einsum("...d,...d->...", pq, pk))[..., None] * streams
+    part = kept_array("part", out.shape)    # the tail's, outside BLOCK_BYTES
+    for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii[1:], False):
+        slots = _slots(tuple(radii[1:]), (ph, pw))
         corners = _corners(slots, (top, stop), (pw + 1, w + 2 * pw + 1), (h, w))
-        _stack_keys(bufs["stacked"], corners, coefs, pq)
+        _stack_keys(bufs["stacked"], corners, coefs[..., 1:], pq)
         products = bufs["products"]
         _contract(bufs["stacked"], bufs["table"], (top, stop), top, past, slots, h, products)
         for s, sign, _, qi, qx, oi, ox in corners:
             acc = out[qi, qx]
             (np.add if sign > 0 else np.subtract)(acc, products[oi, ox, ..., s, :], out=acc)
-    return bufs["table"][past - top, -1]
+    matmul(pq, bufs["table"][past - top, -1], out=part)
+    part *= merged[..., None]
+    out += part
+    return out
 
 
-def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
-    """The transpose of read_windows for the cotangent ``cot`` of its out
-    and ``total_cot`` (heads, Dp, C + 1) of each head's grid total.
-    Returns (total, gcoefs, gpq, gpk, gstreams): the grid total, as
-    read_windows returns it, and the cotangents of coefs, pq, pk and
-    streams."""
-    h, w = cot.shape[:2]
-    z = np.zeros(pq.shape[:-1] + (len(radii),) + pq.shape[-1:])     # W_g . cot per query
+def read_windows_vjp(pk, streams, radii: list[int], coefs, merged, pq, cot):
+    """The transpose of read_windows for the cotangent ``cot`` of its out:
+    (gcoefs, gmerged, gpq, gpk, gstreams), the cotangents of coefs,
+    merged, pq, pk and streams."""
+    (h, w), c_0 = cot.shape[:2], coefs[..., 0] if radii else 0.0
+    sg, qk = np.einsum("...c,...c->...", streams, cot), np.einsum("...d,...d->...", pq, pk)
+    total_cot = outer_sum(merged[..., None] * pq, cot, heads=True)     # the tail's, on T
+    z = np.zeros(pq.shape[:-1] + (len(radii[1:]),) + pq.shape[-1:])   # W_g . cot per query
     gpk, gstreams = np.empty(pk.shape), np.empty(streams.shape)
-    for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii, True):
-        slots = _slots(tuple(radii), (ph, pw))
+    for top, stop, past, (ph, pw), bufs in _chunks(pk, streams, radii[1:], True):
+        slots = _slots(tuple(radii[1:]), (ph, pw))
         stacked, cotangents, table = bufs["stacked"], bufs["cotangents"], bufs["table"]
         products, adjoint = bufs["products"], bufs["adjoint"]
         corners = _corners(slots, (top, stop), (0, w + 2 * pw + 1), (h, w))
@@ -364,7 +382,7 @@ def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
             stacked.fill(0.0)   # the adjoint's K reduction sums every slot of a run
         else:
             adjoint[0] = 0.0
-        _stack_keys(stacked, corners, coefs, pq)
+        _stack_keys(stacked, corners, coefs[..., 1:], pq)
         for s, sign, _, qi, qx, oi, ox in corners:
             np.multiply(cot[qi, qx], sign, out=cotangents[oi, ox, ..., s, :])
         # the z read, from the first row inside the grid
@@ -387,5 +405,12 @@ def read_windows_vjp(pk, streams, radii: list[int], coefs, pq, cot, total_cot):
         gx = adjoint[1 + rows.start + ph - top:1 + done, pw:]   # the field's, at grid rows
         np.einsum("...dc,...c->...d", gx, streams[rows], out=gpk[rows])
         np.einsum("...dc,...d->...c", gx, pk[rows], out=gstreams[rows])
-    return (table[past - top, -1], np.einsum("...d,...gd->...g", pq, z),
-            np.einsum("...gd,...g->...d", z, coefs), gpk, gstreams)
+    gwindows = np.einsum("...d,...gd->...g", pq, z)
+    gpq = np.einsum("...gd,...g->...d", z, coefs[..., 1:])
+    del z
+    zt = matmul(cot, np.swapaxes(table[past - top, -1], -1, -2))      # T . cot
+    gcoefs = np.concatenate(((sg * qk)[..., None][..., :len(radii)], gwindows), axis=-1)
+    gpq = (c_0 * sg)[..., None] * pk + gpq + merged[..., None] * zt
+    gpk += (c_0 * sg)[..., None] * pq
+    gstreams += (c_0 * qk)[..., None] * cot
+    return gcoefs, np.einsum("...d,...d->...", pq, zt), gpq, gpk, gstreams

@@ -216,14 +216,19 @@ def loss_and_grads(imgs: np.ndarray, labels: np.ndarray, params: dict,
     accuracy on the batch and the mean distance of the learned group weights
     from the fixed halving profile, averaged over grouped-attention heads and
     queries (exactly 0.0 when no block runs the grouped attention).
-    Non-finite images or parameters raise ValueError; an overflow in the
+    Non-finite images or parameters, and labels that are not one integer
+    in [0, num_classes) per image, raise ValueError; an overflow in the
     model's arithmetic raises FloatingPointError.
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-    imgs = np.asarray(imgs, dtype=np.float64)
+    imgs, labels = np.asarray(imgs, dtype=np.float64), np.asarray(labels)
     _check_finite({"the image batch": imgs, **params})
     batch = imgs.shape[0]
+    if (labels.shape != (batch,) or not np.issubdtype(labels.dtype, np.integer)
+            or not ((labels >= 0) & (labels < config.num_classes)).all()):
+        raise ValueError(f"labels must be one integer in [0, {config.num_classes}) per image "
+                         f"({batch} images), got {labels.dtype} {labels.tolist()}")
     total = 0.0
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     correct = 0

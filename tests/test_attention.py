@@ -358,7 +358,10 @@ def test_malformed_weight_grid_rejected():
     its hats or a group count one short made ripple_dp and ripple_naive
     disagree by 40% or more of the largest output, hat + 10 raised a
     broadcast error from one and not the other, and an infinite head
-    weight returned NaN rows. Weights off the simplex still pass."""
+    weight returned NaN rows; a 1-D or list hat raised IndexError or
+    TypeError, and a merged with an extra axis named a matching grid.
+    Each message names the shape that was passed. Weights off the simplex
+    still pass."""
     rng = np.random.default_rng(33)
     cfg = make_config(WeightSchemeKind.FIXED_EXPONENTIAL, PartitionKind.UNIT_RING, rng, 4)
     q, k, v = random_grids(rng, 5, 5)
@@ -376,8 +379,12 @@ def test_malformed_weight_grid_rejected():
            (dict(merged=nan_merged), r"weights\.merged contains non-finite"),
            (dict(hat=wg.hat.astype(float)), r"weights\.hat must be an integer array"),
            (dict(groups=wg.groups.astype(float)), r"weights\.groups must be an integer"),
-           (dict(merged=wg.merged[:, :4]), r"weights\.merged of shape \(5, 4, 1\)"),
-           (dict(head=wg.head[..., 0]), r"weights\.head of shape \(5, 5, 1\) ")]
+           (dict(merged=wg.merged[:, :4]), r"weights\.merged of shape \(5, 4\) over"),
+           (dict(head=wg.head[..., 0]), r"weights\.head must be .* 3 axes, got shape \(5, 5\)"),
+           (dict(hat=wg.hat[0]), r"weights\.hat must be .* 2 axes, got shape \(5,\)"),
+           (dict(hat=wg.hat.tolist()), r"weights\.hat must be an ndarray .* got list"),
+           (dict(merged=wg.merged[..., None]),
+            r"weights\.merged must be .* 2 axes, got shape \(5, 5, 1\)")]
     for fn in (ripple_dp, ripple_naive):
         for change, message in bad:
             with pytest.raises(ValueError, match=message):

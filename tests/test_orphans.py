@@ -125,3 +125,39 @@ def test_no_runtime_module_imports_reference():
 def test_moved_names_are_still_exported():
     public = [name for name in MOVED if not name.startswith("_")]
     assert [n for n in public if getattr(ripplegrid, n, None) is not getattr(reference, n)] == []
+
+
+def _names(tree: ast.Module) -> set:
+    """Every name a module reads, writes, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(n for a in node.names for n in (a.name, a.asname) if n)
+    return names
+
+
+def _sat_imports(tree: ast.Module) -> set:
+    """What a module imports from the sat module, "sat" for the module itself."""
+    got = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_sat = (node.module or "").split(".")[-1] == "sat"
+            got.update(a.name for a in node.names if from_sat or a.name == "sat")
+        elif isinstance(node, ast.Import):
+            got.update("sat" for a in node.names if a.name.split(".")[-1] == "sat")
+    return got
+
+
+def test_only_sat_knows_the_table():
+    """The prefix table's layout and buffers stay in sat.py: no other
+    runtime module names its kept buffers, and the attention and gradient
+    passes reach the table through the grouped sum and its adjoint alone."""
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name not in ("sat.py", "reference.py"):
+            assert "kept_array" not in _names(ast.parse(path.read_text())), path.name
+    for mod in ("attention", "grad"):
+        assert _sat_imports(_parsed(mod)) <= {"read_windows", "read_windows_vjp"}, mod

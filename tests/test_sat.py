@@ -37,28 +37,30 @@ def table_of(field):
     return prefix_sum(np.array(field, dtype=np.float64))
 
 
-def read(field, radii, coefs=None, budget=None):
-    """(sum over g of coefs[g] times the radius radii[g] window sums of a
-    (H, W, ...) field, its grid total), read by the stream: each channel
-    of the field is a lane of keys 1 (x) values field, read with a query of
-    1. Coefficients default to 1 for the first window and 0 for the rest,
-    which only set the padding."""
+def read(field, radii, coefs, merged=0.0):
+    """The sum over g of coefs[g] times the radius radii[g] window sums of
+    a (H, W, ...) field, plus ``merged`` times its grid total, read by the
+    stream: each channel of the field is a lane of keys 1 (x) values
+    field, read with a query of 1. radii[0] is 0, the token itself."""
     h, w = field.shape[:2]
     values = np.asarray(field, dtype=np.float64).reshape(h, w, 1, -1)
-    weights = np.zeros((h, w, 1, len(radii)))
-    weights[...] = [1.0] + [0.0] * (len(radii) - 1) if coefs is None else coefs
-    ones, out = np.ones((h, w, 1, 1)), np.zeros(values.shape)
-    with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:
-            mp.setattr(sat, "BLOCK_BYTES", budget)
-        total = read_windows(out, ones, values, radii, weights, ones)
-    return out.reshape(field.shape), np.array(total[0]).reshape(field.shape[2:])
+    weights, ones = np.zeros((h, w, 1, len(radii))), np.ones((h, w, 1, 1))
+    weights[...] = coefs
+    out = read_windows(ones, values, radii, weights, np.full((h, w, 1), merged), ones)
+    return out.reshape(field.shape)
 
 
 def window(field, radius, pad_radius=None):
-    """The radius-r window sums of a field, from its table padded for
-    ``pad_radius`` (``radius`` when None)."""
-    return read(field, [radius] if pad_radius is None else [radius, pad_radius])[0]
+    """The radius-r window sums of a field, read from its table padded for
+    ``pad_radius`` (``radius`` when None), radius 0 included: the token
+    itself and the pad window get coefficient 0."""
+    radii = [0, radius] + ([] if pad_radius is None else [pad_radius])
+    return read(field, radii, [0.0, 1.0, 0.0][:len(radii)])
+
+
+def grid_total(field):
+    """The field's grid total, read as the merged tail of every query."""
+    return read(field, [0], [0.0], merged=1.0)[0, 0]
 
 
 def inner(a, b):
@@ -223,7 +225,7 @@ def test_rings_telescope_to_total():
         acc = acc + (cur - prev)
         prev = cur
     # the streamed table's far corner is the total
-    total = read(field, [0])[1]
+    total = grid_total(field)
     np.testing.assert_allclose(total, field.sum(axis=(0, 1)), rtol=1e-12)
     np.testing.assert_allclose(acc, np.broadcast_to(total, acc.shape), rtol=1e-9)
 
@@ -243,71 +245,86 @@ def test_prefix_sum_accumulates_in_f64_only():
 
 
 def stream_case(h, w, heads, features, values, radii, seed):
-    """Random keys, values, coefficients, queries and cotangents of a
-    pass over an (h, w, heads, features, values + 1) field."""
+    """Random keys, values, coefficients, merged tail, queries and
+    cotangents of a pass over an (h, w, heads, features, values + 1) field."""
     rng = np.random.default_rng(seed)
     pk = rng.standard_normal((h, w, heads, features))
     streams = rng.standard_normal((h, w, heads, values))
     coefs = rng.standard_normal((h, w, heads, len(radii)))
+    merged = rng.standard_normal((h, w, heads))
     pq, cot = rng.standard_normal(pk.shape), rng.standard_normal(streams.shape)
-    return pk, streams, coefs, pq, cot, rng.standard_normal((heads, features, values))
+    return pk, streams, coefs, merged, pq, cot
 
 
 def test_fetch_counting():
-    """A pass counts one fetch per position per window, whatever its
-    chunks: a forward once, a backward twice (its z read and its token
-    adjoint). Building a table counts none."""
-    pk, streams, coefs, pq, cot, total_cot = stream_case(4, 5, 2, 3, 2, [1, 2], seed=6)
+    """A pass counts one fetch per position per window past radius 0,
+    whatever its chunks: a forward once, a backward twice (its z read and
+    its token adjoint). Building a table counts none, and neither does
+    the token itself."""
+    pk, streams, coefs, merged, pq, cot = stream_case(4, 5, 2, 3, 2, [0, 1, 2], seed=6)
     for budget in (1 << 40, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sat, "BLOCK_BYTES", budget)
             reset_fetch_count()
-            read_windows(np.zeros(cot.shape), pk, streams, [1, 2], coefs, pq)
+            read_windows(pk, streams, [0, 1, 2], coefs, merged, pq)
             assert fetch_count() == 40
-            read_windows_vjp(pk, streams, [1, 2], coefs, pq, cot, total_cot)
+            read_windows_vjp(pk, streams, [0, 1, 2], coefs, merged, pq, cot)
             prefix_sum(np.ones((4, 5)))
             assert fetch_count() == 120
-            read_windows(np.zeros(cot.shape), pk, streams, [], coefs[..., :0], pq)
+            read_windows(pk, streams, [0], coefs[..., :1], merged, pq)
+            read_windows_vjp(pk, streams, [0], coefs[..., :1], merged, pq, cot)
             assert fetch_count() == 120
     reset_fetch_count()
     assert fetch_count() == 0
 
 
 FUZZ = dict(h=st.integers(1, 12), w=st.integers(1, 12),
-            radii=st.lists(st.integers(0, 14), max_size=4).map(sorted),
+            radii=st.lists(st.integers(1, 14), max_size=4).map(lambda r: [0] + sorted(r)),
             channels=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
             budget=st.sampled_from([1, 3000, 1 << 40]), seed=st.integers(0, 2**32 - 1))
+
+
+def dense_window(field, radius):
+    """Every query's clipped radius-r window sum of a field, sliced out."""
+    h, w = field.shape[:2]
+    return np.array([[field[max(i - radius, 0):i + radius + 1,
+                            max(x - radius, 0):x + radius + 1].sum(axis=(0, 1))
+                      for x in range(w)] for i in range(h)])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(**FUZZ)
 def test_stacked_read_and_adjoint_are_exact_adjoints(h, w, radii, channels, budget, seed):
-    """read_windows is linear in each of coefs, pq, pk and streams, so with
-    out = sum_g c_g pq . W_g(F), F = pk (x) streams, T its grid total and
-    Tbar that total's cotangent: <coefs, gcoefs> and <pq, gpq> equal
-    <out, Y>, and <pk, gpk> and <streams, gstreams> equal <out, Y> +
-    <T, Tbar>, for windows up to past the grid's side, one to four of
-    them or none, in chunks of one row, in short chunks and in one chunk."""
+    """read_windows is out = m pq . T + sum_g c_g pq . W_g(F), with
+    F = pk (x) streams, T its grid total and W_0 the token itself: the
+    dense sum. It is linear in (coefs, merged) together and in each of pq,
+    pk and streams, so <coefs, gcoefs> + <merged, gmerged>, <pq, gpq>,
+    <pk, gpk> and <streams, gstreams> all equal <out, cot>: for the token
+    alone or with one to four windows up to past the grid's side, in
+    chunks of one row, in short chunks and in one chunk."""
     heads, features, values = channels
-    pk, streams, coefs, pq, cot, total_cot = stream_case(h, w, heads, features, values, radii,
-                                                         seed)
+    pk, streams, coefs, merged, pq, cot = stream_case(h, w, heads, features, values, radii,
+                                                      seed)
     field = pk[..., :, None] * streams[..., None, :]
-    out = np.zeros(cot.shape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sat, "BLOCK_BYTES", budget)
-        read_windows(out, pk, streams, radii, coefs, pq)
-        total, gcoefs, gpq, gpk, gstreams = read_windows_vjp(pk, streams, radii, coefs, pq, cot,
-                                                             total_cot)
-    assert (gcoefs.shape, gpq.shape, gpk.shape, gstreams.shape) == (
-        coefs.shape, pq.shape, pk.shape, streams.shape)
-    np.testing.assert_allclose(total, field.sum(axis=(0, 1)), rtol=1e-10, atol=1e-10)
+        out = read_windows(pk, streams, radii, coefs, merged, pq)
+        gcoefs, gmerged, gpq, gpk, gstreams = read_windows_vjp(pk, streams, radii, coefs,
+                                                               merged, pq, cot)
+    assert (gcoefs.shape, gmerged.shape, gpq.shape, gpk.shape, gstreams.shape) == (
+        coefs.shape, merged.shape, pq.shape, pk.shape, streams.shape)
+    grouped = merged[..., None, None] * field.sum(axis=(0, 1))
+    for g, radius in enumerate(radii):
+        grouped = grouped + coefs[..., g, None, None] * dense_window(field, radius)
+    dense = np.einsum("...d,...dc->...c", pq, grouped)
+    bound = np.abs(field).sum() * np.abs(pq).max() * (np.abs(coefs).sum(axis=-1).max()
+                                                      + np.abs(merged).max())
+    np.testing.assert_allclose(out, dense, rtol=0, atol=1e-12 * bound)
     by_out = inner(out, cot)
-    scale = np.abs(field).sum() * (np.abs(cot).sum() * np.abs(coefs).max(initial=1.0)
-                                   * np.abs(pq).max() + np.abs(total_cot).sum())
-    for got in (inner(coefs, gcoefs), inner(pq, gpq)):
+    scale = np.abs(cot).sum() * bound
+    for got in (inner(coefs, gcoefs) + inner(merged, gmerged), inner(pq, gpq), inner(pk, gpk),
+                inner(streams, gstreams)):
         assert abs(got - by_out) <= 1e-12 * scale
-    for got in (inner(pk, gpk), inner(streams, gstreams)):
-        assert abs(got - by_out - inner(total, total_cot)) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -329,16 +346,15 @@ def test_adjoint_prefix_sum_in_row_chunks(chunk, h, w, channels, seed):
 def test_sabotage_radius_offset():
     rng = np.random.default_rng(7)
     field = rng.standard_normal((6, 6))
-    clean, clean_total = read(field, [1])
+    clean, clean_total = window(field, 1), grid_total(field)
     with sabotage_radius_offset(1):
-        broken, broken_total = read(field, [1])
+        broken, broken_total = window(field, 1), grid_total(field)
     # a table built inside the context corrupts windows and the total alike
     assert broken[2, 2] != pytest.approx(float(clean[2, 2]))
     assert broken_total != pytest.approx(float(clean_total))
     # the fault does not leak out of the context
-    after, after_total = read(field, [1])
-    np.testing.assert_array_equal(after, clean)
-    np.testing.assert_array_equal(after_total, clean_total)
+    np.testing.assert_array_equal(window(field, 1), clean)
+    np.testing.assert_array_equal(grid_total(field), clean_total)
 
 
 def test_sabotage_shifts_table_rows_too():

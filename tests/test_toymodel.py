@@ -398,6 +398,22 @@ def test_loss_and_grads_rejects_non_finite_inputs():
         loss_and_grads(imgs, labels, bad, config)
 
 
+def test_loss_and_grads_rejects_malformed_labels():
+    """Labels are one integer in [0, num_classes) per image. Before, -1
+    trained on class 1, 0.7 on class 0 and a third label for two images
+    was ignored, all silently, while 2 and a short array raised a bare
+    IndexError."""
+    config = ToyModelConfig()
+    params = init_model(config, seed=0)
+    imgs, labels = make_local_majority_batch(np.random.default_rng(3), 2,
+                                             GridShape(config.height, config.width))
+    for bad in ([-1, 1], [0.7, 1], [0, 1, 1], [2, 0], [1], 1, np.array([[0], [1]])):
+        with pytest.raises(ValueError, match=r"labels must be one integer in \[0, 2\) per image"):
+            loss_and_grads(imgs, bad, params, config)
+    want = loss_and_grads(imgs, labels, params, config)[0]
+    assert loss_and_grads(imgs, labels.tolist(), params, config)[0] == want
+
+
 def test_train_demo_adam_and_log_callback():
     config = small_config(height=4, width=4, num_heads=1, num_layers=1)
     seen = []
